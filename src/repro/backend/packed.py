@@ -158,25 +158,38 @@ class BitPlaneAccumulator:
     carry with one 5-op carry-save adder, for ``O(R)`` total word
     operations.  This is the column-wise (vertical-counter) analogue of
     the Harley–Seal popcount and the software mirror of the §III-D adder
-    tree: the packed level-base encoder feeds it one bipolar addend
-    plane per input feature.
+    tree: the packed level-base encoder feeds it either one bipolar
+    addend plane per input feature or, for large feature groups, the
+    weighted output planes of a vectorised adder tree over the group
+    (``add(plane, weight=p)``).
 
     All arithmetic is integer-exact: :meth:`counts` returns the exact
     number of set bits per column across every plane added.
     """
 
     def __init__(self):
-        # _planes[p] holds 1–2 uint64 plane arrays of weight 2**p
+        # _planes[p] holds 0–2 uint64 plane arrays of weight 2**p; a
+        # level no add or carry has reached is empty and counts as zero
         self._planes: list[list[np.ndarray]] = []
         self._n_added = 0
 
-    def add(self, plane: np.ndarray) -> None:
-        """Accumulate one ``(n, n_words)`` uint64 bit plane (weight 1)."""
-        self._n_added += 1
+    def add(self, plane: np.ndarray, weight: int = 0) -> None:
+        """Accumulate one ``(n, n_words)`` uint64 bit plane.
+
+        ``weight`` is the plane's bit position ``p``: every set bit
+        counts ``2**p``.  The default ``0`` adds a plain one-bit addend;
+        a higher ``p`` lets a caller that has already reduced a group of
+        addends (e.g. with an adder tree) push each binary output plane
+        of that partial count straight into the matching level.
+        """
+        p = int(weight)
+        if p < 0:
+            raise ValueError(f"weight must be >= 0, got {weight}")
+        self._n_added += 1 << p
         carry = plane
-        p = 0
         while True:
-            if p == len(self._planes):
+            if p >= len(self._planes):
+                self._planes.extend([] for _ in range(p - len(self._planes)))
                 self._planes.append([carry])
                 return
             level = self._planes[p]
@@ -184,14 +197,24 @@ class BitPlaneAccumulator:
                 level.append(carry)
                 return
             a, b = level
+            # Full adder with three temporaries; a, b and carry may be
+            # caller-owned planes, so only fresh arrays are updated in place.
             u = a ^ b
-            self._planes[p] = [u ^ carry]
-            carry = (a & b) | (u & carry)
+            t = a & b
+            t |= u & carry
+            u ^= carry
+            self._planes[p] = [u]
+            carry = t
             p += 1
 
     @property
     def n_added(self) -> int:
-        """Number of weight-1 planes accumulated so far."""
+        """Weight-1 units accumulated so far.
+
+        A plane added at ``weight=p`` counts ``2**p`` units, so this is
+        the number of one-bit addends the counter stands for (the most
+        any column can count), not the number of :meth:`add` calls.
+        """
         return self._n_added
 
     def counts(self, d: int, dtype=np.int32) -> np.ndarray:
@@ -222,7 +245,10 @@ class BitPlaneAccumulator:
             terms = list(level)
             if carry is not None:
                 terms.append(carry)
-            if len(terms) == 1:
+            if not terms:  # a level no add or carry has reached
+                template = next(pl for lv in self._planes for pl in lv)
+                out.append(np.zeros_like(template))
+            elif len(terms) == 1:
                 out.append(terms[0])
                 carry = None
             elif len(terms) == 2:

@@ -25,7 +25,7 @@ import numpy as np
 
 from repro.attacks.decoder import HDDecoder
 from repro.attacks.metrics import mse, normalized_mse, psnr
-from repro.backend.packed import PackedHV, pack_hypervectors
+from repro.backend.packed import PackedHV, pack_hypervectors, pack_sign_planes
 from repro.hd.encoder import Encoder
 from repro.hd.model import HDModel
 from repro.hd.quantize import EncodingQuantizer, get_quantizer
@@ -112,6 +112,12 @@ class InferenceObfuscator:
         self.keep_mask = mask_from_seed(
             encoder.d_hv, self.config.n_masked, self.config.mask_seed
         )
+        # Bipolar queries from an encoder with a sign-plane kernel skip
+        # the dense tile: the mask becomes one AND with the keep bits.
+        self._keep_plane = pack_sign_planes(self.keep_mask)
+        self._emits_sign_planes = self.quantizer.name == "bipolar" and hasattr(
+            encoder, "encode_packed_bipolar"
+        )
 
     # ------------------------------------------------------------------
     @property
@@ -156,8 +162,22 @@ class InferenceObfuscator:
         """Encode → quantize → mask → bit-pack: the packed offload path.
 
         Unpacks to exactly ``prepare(X)``, so host-side decisions are
-        identical whichever wire format the client chooses.
+        identical whichever wire format the client chooses.  With the
+        ``bipolar`` quantizer and a level-base encoder no dense
+        ``(n, d_hv)`` tile is built: the sign plane comes straight off
+        the bit-plane counters
+        (:meth:`~repro.hd.encoder.LevelBaseEncoder.encode_packed_bipolar`)
+        and the mask clears the dropped dimensions by AND-ing the packed
+        keep bits into both planes.  Other packable quantizers need the
+        encoding's magnitudes and take the dense path.
         """
+        if self._emits_sign_planes:
+            q = self.encoder.encode_packed_bipolar(X)
+            return PackedHV(
+                signs=q.signs & self._keep_plane,
+                mags=q.mags & self._keep_plane,
+                d=q.d,
+            )
         return self.obfuscate_packed(self.encoder.encode(X))
 
     # ------------------------------------------------------------------

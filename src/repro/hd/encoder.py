@@ -36,7 +36,7 @@ import numpy as np
 
 from repro.hd.item_memory import BaseMemory, LevelMemory
 from repro.utils.rng import spawn
-from repro.utils.validation import check_2d, check_positive_int
+from repro.utils.validation import check_2d, check_finite, check_positive_int
 
 __all__ = [
     "Encoder",
@@ -151,9 +151,11 @@ class ScalarBaseEncoder(Encoder):
         """Snap features to the level grid (identity when ``n_levels=None``).
 
         Returns float32 (the module's dtype policy) so ``encode`` feeds
-        the cached float32 codebook without a second cast.
+        the cached float32 codebook without a second cast.  Raises
+        ``ValueError`` naming the column of any NaN/±inf feature.
         """
-        X = check_2d(X, "X", n_cols=self.d_in).astype(np.float32)
+        X = check_finite(check_2d(X, "X", n_cols=self.d_in), "X")
+        X = X.astype(np.float32)
         np.clip(X, self.lo, self.hi, out=X)
         if self.n_levels is None or self.n_levels == 1:
             return X
@@ -176,7 +178,7 @@ class ScalarBaseEncoder(Encoder):
             native = native_kernels.kernels_available()
         if not native:
             return self.quantize_features(X)
-        X = check_2d(X, "X", n_cols=self.d_in)
+        X = check_finite(check_2d(X, "X", n_cols=self.d_in), "X")
         snap = self.n_levels is not None and self.n_levels != 1
         step = (
             (self.hi - self.lo) / (self.n_levels - 1) if snap else None
@@ -250,6 +252,60 @@ class ScalarBaseEncoder(Encoder):
         out.hi = self.hi
         out._parent_d_hv = getattr(self, "_parent_d_hv", self.d_hv)
         return out
+
+
+#: rows per block of the NumPy bit-plane encode kernel
+_ROW_BLOCK = 128
+#: bytes of addend planes one carry-save tree reduces at a time (≈ L2)
+_TILE_BYTES = 1 << 20
+#: smallest feature group worth a tree; below it the per-feature loop wins
+_MIN_GROUP = 8
+
+
+def _feature_group(d_in: int, rows: int, words: int) -> int:
+    """Addend planes per carry-save tree for a ``(rows, words)`` block.
+
+    The largest power of two ``G`` whose ``(G, rows, words)`` uint64
+    tile fits :data:`_TILE_BYTES`, capped at the next power of two
+    ``>= d_in``; ``1`` (one plane per feature) when that is below
+    :data:`_MIN_GROUP`.
+    """
+    fit = _TILE_BYTES // (max(rows, 1) * words * 8)
+    g = min(fit, 1 << (d_in - 1).bit_length())
+    return 1 << (g.bit_length() - 1) if g >= _MIN_GROUP else 1
+
+
+def _tree_counts(tile: np.ndarray) -> list[np.ndarray]:
+    """Column counts of a ``(G, rows, words)`` plane stack, ``G`` a power of 2.
+
+    A vectorised adder tree over the first axis: each level adds the
+    contiguous first half of the partial counts to the second half with
+    ripple-carry full adders on whole bit-plane arrays, so ``G`` planes
+    cost ``O(G)`` word operations in ``log2 G`` NumPy passes.  Returns
+    the ``log2(G) + 1`` binary planes of the count, LSB first; the
+    input tile is overwritten.
+    """
+    bits = [tile]
+    m = tile.shape[0]
+    while m > 1:
+        h = m // 2
+        carry = None
+        for b in bits:
+            x, y = b[:h], b[h:m]
+            if carry is None:
+                carry = x & y
+                x ^= y
+            else:  # full adder; the spent upper half y is scratch
+                t = x & y
+                x ^= y
+                np.bitwise_and(x, carry, out=y)
+                t |= y
+                x ^= carry
+                carry = t
+        bits.append(carry)
+        bits = [b[:h] for b in bits]
+        m = h
+    return [b[0] for b in bits]
 
 
 class LevelBaseEncoder(Encoder):
@@ -333,6 +389,45 @@ class LevelBaseEncoder(Encoder):
             )
         return bool(native)
 
+    def _count_addends(self, idx, lvl_planes, inv_base, finish) -> np.ndarray:
+        """The NumPy bit-plane counters, cache-tiled; ``finish(acc)`` per block.
+
+        Rows run in blocks of at most :data:`_ROW_BLOCK`, each with its
+        own :class:`~repro.backend.packed.BitPlaneAccumulator`.  Within a
+        block the ``d_in`` addend planes ``L_{q_k} ⊙ B_k`` are formed
+        :func:`_feature_group` at a time into one ~1 MiB tile (the last
+        group zero-padded to the next power of two), reduced by
+        :func:`_tree_counts`, and the tree's weight-``2^p`` output planes
+        are pushed into the accumulator.  Bounding the tile keeps the
+        working set in cache whatever the batch size; with ``G = 1``
+        each tile is one addend plane, added at weight 0.  ``finish``
+        turns each block's accumulator into rows of the result (counts
+        or sign planes), which are concatenated in row order.
+        """
+        from repro.backend.packed import BitPlaneAccumulator
+
+        n, words = idx.shape[0], inv_base.shape[1]
+        parts = []
+        for r0 in range(0, max(n, 1), _ROW_BLOCK):
+            block = idx[r0 : r0 + _ROW_BLOCK]
+            rows = block.shape[0]
+            acc = BitPlaneAccumulator()
+            g = _feature_group(self.d_in, rows, words)
+            for k0 in range(0, self.d_in, g):
+                m = min(g, self.d_in - k0)
+                tile = np.empty(
+                    (1 << (m - 1).bit_length(), rows, words), dtype=np.uint64
+                )
+                # indices are in range; "clip" lets take write into out unbuffered
+                np.take(lvl_planes, block[:, k0 : k0 + m].T, axis=0,
+                        out=tile[:m], mode="clip")
+                tile[:m] ^= inv_base[k0 : k0 + m, None, :]
+                tile[m:] = 0
+                for p, plane in enumerate(_tree_counts(tile)):
+                    acc.add(plane, weight=p)
+            parts.append(finish(acc))
+        return parts[0] if len(parts) == 1 else np.concatenate(parts)
+
     def encode_packed(
         self, X: np.ndarray, *, native: bool | None = None
     ) -> np.ndarray:
@@ -345,12 +440,14 @@ class LevelBaseEncoder(Encoder):
 
             H[n, j] = 2 · #{k : addend_{k,j} = +1} − d_in
 
-        The count runs through a carry-save
+        The count runs through carry-save adder trees over cache-sized
+        feature groups feeding a
         :class:`~repro.backend.packed.BitPlaneAccumulator` — the software
-        mirror of the §III-D adder tree — touching ~``d_hv/64`` words per
-        feature instead of ``n_levels`` dense matmul passes, which makes
-        this the fast path for the usual ``ℓiv`` ≫ 2.  Tail bits beyond
-        ``d_hv`` are discarded when the counters unpack.
+        mirror of the §III-D adder tree (see :meth:`_count_addends`) —
+        touching ~``d_hv/64`` words per feature instead of ``n_levels``
+        dense matmul passes, which makes this the fast path for the
+        usual ``ℓiv`` ≫ 2.  Tail bits beyond ``d_hv`` are discarded when
+        the counters unpack.
 
         ``native`` routes the counters through the numba-compiled kernel
         (:func:`~repro.backend.native.native_level_encode`): ``None``
@@ -358,8 +455,6 @@ class LevelBaseEncoder(Encoder):
         ``True`` insists on the compiled path.  Both are integer-exact
         and bit-identical.
         """
-        from repro.backend.packed import BitPlaneAccumulator
-
         idx, lvl_planes, inv_base = self._packed_operands(X)
         if self._use_native(native):
             from repro.backend.native import native_level_encode
@@ -367,10 +462,9 @@ class LevelBaseEncoder(Encoder):
             return native_level_encode(
                 idx, lvl_planes, inv_base, self.d_in, self.d_hv
             )
-        acc = BitPlaneAccumulator()
-        for k in range(self.d_in):
-            acc.add(lvl_planes[idx[:, k]] ^ inv_base[k])
-        positives = acc.counts(self.d_hv)
+        positives = self._count_addends(
+            idx, lvl_planes, inv_base, lambda acc: acc.counts(self.d_hv)
+        )
         return (2 * positives - self.d_in).astype(np.float32)
 
     def encode_packed_bipolar(
@@ -389,7 +483,7 @@ class LevelBaseEncoder(Encoder):
         zeros).  ``native`` selects the compiled counters as in
         :meth:`encode_packed`.
         """
-        from repro.backend.packed import BitPlaneAccumulator, PackedHV, n_words
+        from repro.backend.packed import PackedHV, n_words
 
         idx, lvl_planes, inv_base = self._packed_operands(X)
         if self._use_native(native):
@@ -399,10 +493,11 @@ class LevelBaseEncoder(Encoder):
                 idx, lvl_planes, inv_base, self.d_in, self.d_hv
             )
         else:
-            acc = BitPlaneAccumulator()
-            for k in range(self.d_in):
-                acc.add(lvl_planes[idx[:, k]] ^ inv_base[k])
-            signs = acc.greater_than((self.d_in - 1) // 2)
+            threshold = (self.d_in - 1) // 2
+            signs = self._count_addends(
+                idx, lvl_planes, inv_base,
+                lambda acc: acc.greater_than(threshold),
+            )
         nw = n_words(self.d_hv)
         mags = np.full((idx.shape[0], nw), ~np.uint64(0), dtype=np.uint64)
         tail = self.d_hv % 64

@@ -22,7 +22,7 @@ import numpy as np
 from repro.backend.packed import pack_sign_planes
 from repro.hd.hypervector import flip_chain, random_bipolar
 from repro.utils.rng import RngLike, ensure_generator
-from repro.utils.validation import check_2d, check_positive_int
+from repro.utils.validation import check_2d, check_finite, check_positive_int
 
 __all__ = ["BaseMemory", "LevelMemory"]
 
@@ -175,8 +175,12 @@ class LevelMemory(_DropCachesOnPickle):
         return _cached_sign_planes(self)
 
     def indices(self, features: np.ndarray) -> np.ndarray:
-        """Quantize feature values to level indices in ``[0, n_levels)``."""
-        x = np.asarray(features, dtype=np.float64)
+        """Quantize feature values to level indices in ``[0, n_levels)``.
+
+        Raises ``ValueError`` naming the column of any NaN/±inf feature,
+        which has no level.
+        """
+        x = check_finite(np.asarray(features, dtype=np.float64), "features")
         scaled = (np.clip(x, self.lo, self.hi) - self.lo) / (self.hi - self.lo)
         idx = np.rint(scaled * (self.n_levels - 1)).astype(np.int64)
         return idx

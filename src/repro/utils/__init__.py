@@ -10,6 +10,7 @@ from repro.utils.tables import ResultTable, format_float
 from repro.utils.validation import (
     check_1d,
     check_2d,
+    check_finite,
     check_in_range,
     check_labels,
     check_positive_int,
@@ -24,6 +25,7 @@ __all__ = [
     "format_float",
     "check_1d",
     "check_2d",
+    "check_finite",
     "check_in_range",
     "check_labels",
     "check_positive_int",

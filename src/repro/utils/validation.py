@@ -14,6 +14,7 @@ import numpy as np
 __all__ = [
     "check_1d",
     "check_2d",
+    "check_finite",
     "check_in_range",
     "check_labels",
     "check_positive_int",
@@ -85,6 +86,25 @@ def check_2d(
     if n_cols is not None and array.shape[1] != n_cols:
         raise ValueError(
             f"{name} must have {n_cols} columns, got {array.shape[1]}"
+        )
+    return array
+
+
+def check_finite(array: np.ndarray, name: str) -> np.ndarray:
+    """Reject NaN/±inf, naming the first offending column.
+
+    Feature quantizers map values to levels with ``rint``/``clip``, which
+    pass NaN through to an undefined level index; checking at the
+    encoder boundary turns that into one clear error.  The column is
+    the index along the last axis.
+    """
+    array = np.asarray(array)
+    bad = ~np.isfinite(array)
+    if bad.any():
+        where = tuple(int(i) for i in np.argwhere(bad)[0])
+        raise ValueError(
+            f"{name} column {where[-1]} holds a non-finite value "
+            f"({array[where]})"
         )
     return array
 

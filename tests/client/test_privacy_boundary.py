@@ -185,6 +185,22 @@ class TestStructuralEnforcement:
                 client.predict(np.zeros((2, D_HV)))
             assert len(client.sent) == sent_before  # nothing was framed
 
+    @pytest.mark.parametrize("bad", (np.nan, np.inf))
+    def test_non_finite_features_fail_before_any_frame(
+        self, served, encoder, features, bad
+    ):
+        X = features[:3].copy()
+        X[2, 5] = bad
+        with SniffingClient(
+            served.address,
+            encoder=encoder,
+            obfuscation=ObfuscationConfig(n_masked=100),
+        ) as client:
+            sent_before = len(client.sent)
+            with pytest.raises(ValueError, match="column 5"):
+                client.predict(X)
+            assert len(client.sent) == sent_before  # nothing was framed
+
     def test_score_request_refuses_1d_vectors(self):
         with pytest.raises(ValueError, match="raw feature"):
             ScoreRequest(queries=np.zeros(D_IN))

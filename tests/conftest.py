@@ -7,6 +7,8 @@ same code paths the paper-scale experiments use.
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 import pytest
 
@@ -27,6 +29,28 @@ def make_cluster_task(
     y = rng.integers(0, n_classes, n)
     X = np.clip(means[y] + rng.normal(0.0, noise, (n, d_in)), 0.0, 1.0)
     return X, y
+
+
+#: the level-base bit-plane parity grid: row counts that cross the
+#: kernel's 128-row block, d_hv at paper scale and small (both leave a
+#: partial tail word), d_in a power of two and an odd paper-scale value
+LEVEL_GRID_N = (1, 7, 128, 129, 300)
+LEVEL_GRID_D_HV = (10_000, 1000)
+LEVEL_GRID_D_IN = (64, 617)
+
+
+@functools.lru_cache(maxsize=None)
+def level_grid_case(d_in: int, d_hv: int):
+    """``(encoder, X, encoder.encode(X))`` for one parity-grid point.
+
+    ``X`` has ``max(LEVEL_GRID_N)`` rows; encoding is row-independent,
+    so every ``n`` on the grid compares against a prefix of the one
+    dense reference.  Cached because the dense 32-level encode at
+    paper scale is the slow part and several test files share it.
+    """
+    enc = LevelBaseEncoder(d_in, d_hv, n_levels=32, seed=23)
+    X = spawn(d_in, "level-grid-x").uniform(0.0, 1.0, (max(LEVEL_GRID_N), d_in))
+    return enc, X, enc.encode(X)
 
 
 @pytest.fixture(scope="session")

@@ -7,9 +7,16 @@ from repro.core.inference_privacy import (
     InferenceObfuscator,
     ObfuscationConfig,
 )
-from repro.hd import HDModel, ScalarBaseEncoder
+from repro.backend.packed import pack_hypervectors
+from repro.hd import HDModel, LevelBaseEncoder, ScalarBaseEncoder
 from repro.utils import spawn
-from tests.conftest import make_cluster_task
+from tests.conftest import (
+    LEVEL_GRID_D_HV,
+    LEVEL_GRID_D_IN,
+    LEVEL_GRID_N,
+    level_grid_case,
+    make_cluster_task,
+)
 
 
 @pytest.fixture(scope="module")
@@ -170,3 +177,59 @@ class TestPackedOffload:
         obf = InferenceObfuscator(enc, ObfuscationConfig(quantizer="2bit"))
         with pytest.raises(ValueError, match="bit-packable"):
             obf.prepare_packed(X[:5])
+
+
+def _assert_same_planes(got, want):
+    assert got.d == want.d
+    np.testing.assert_array_equal(got.signs, want.signs)
+    np.testing.assert_array_equal(got.mags, want.mags)
+
+
+class TestLevelBaseFastPath:
+    """Bipolar + level-base: sign planes straight off the bit-plane
+    counters, mask AND-ed in — plane-for-plane equal to packing the
+    dense ``prepare``."""
+
+    @pytest.mark.parametrize("masked", (False, True))
+    @pytest.mark.parametrize("d_in", LEVEL_GRID_D_IN)
+    @pytest.mark.parametrize("d_hv", LEVEL_GRID_D_HV)
+    @pytest.mark.parametrize("n", LEVEL_GRID_N)
+    def test_prepare_packed_matches_packed_prepare(self, n, d_hv, d_in, masked):
+        # n_masked 5000 of 10000 (and 500 of 1000): half the dims dropped
+        enc, X, H = level_grid_case(d_in, d_hv)
+        obf = InferenceObfuscator(
+            enc, ObfuscationConfig(n_masked=d_hv // 2 if masked else 0)
+        )
+        # prepare(X) == obfuscate_encodings(encode(X)); the dense encode
+        # is the cached grid reference.
+        want = pack_hypervectors(obf.obfuscate_encodings(H[:n]))
+        _assert_same_planes(obf.prepare_packed(X[:n]), want)
+
+    def test_prepare_packed_matches_prepare_directly(self):
+        enc = LevelBaseEncoder(617, 1000, n_levels=32, seed=4)
+        X = spawn(3, "fast-path-x").uniform(0.0, 1.0, (9, 617))
+        obf = InferenceObfuscator(enc, ObfuscationConfig(n_masked=300))
+        _assert_same_planes(
+            obf.prepare_packed(X), pack_hypervectors(obf.prepare(X))
+        )
+
+    def test_fast_path_never_builds_the_dense_tile(self, monkeypatch):
+        enc = LevelBaseEncoder(64, 1000, n_levels=32, seed=4)
+        obf = InferenceObfuscator(enc, ObfuscationConfig(n_masked=100))
+
+        def no_dense(X):
+            raise AssertionError("dense encode on the bipolar fast path")
+
+        monkeypatch.setattr(enc, "encode", no_dense)
+        X = spawn(5, "fast-path-x").uniform(0.0, 1.0, (4, 64))
+        assert obf.prepare_packed(X).n == 4
+
+    @pytest.mark.parametrize("quantizer", ("ternary", "ternary-biased"))
+    def test_ternary_keeps_the_dense_path(self, quantizer):
+        enc, X, H = level_grid_case(64, 1000)
+        obf = InferenceObfuscator(
+            enc, ObfuscationConfig(quantizer=quantizer, n_masked=500)
+        )
+        got = obf.prepare_packed(X[:129])
+        _assert_same_planes(got, pack_hypervectors(obf.prepare(X[:129])))
+        assert not got.is_bipolar

@@ -3,9 +3,17 @@
 import numpy as np
 import pytest
 
-from repro.hd.encoder import LevelBaseEncoder, ScalarBaseEncoder
+from repro.backend.packed import pack_hypervectors
+from repro.hd.encoder import LevelBaseEncoder, ScalarBaseEncoder, _feature_group
+from repro.hd.quantize import get_quantizer
 from repro.hd.similarity import cosine
 from repro.utils import spawn
+from tests.conftest import (
+    LEVEL_GRID_D_HV,
+    LEVEL_GRID_D_IN,
+    LEVEL_GRID_N,
+    level_grid_case,
+)
 
 
 def _inputs(n=6, d_in=32, seed=0):
@@ -174,6 +182,76 @@ class TestEncodeInto:
             enc.encode_into(X, np.empty((4, 65), dtype=np.float32))
         with pytest.raises(ValueError, match="float32"):
             enc.encode_into(X, np.empty((4, 64), dtype=np.float64))
+
+
+class TestPackedLevelBaseGrid:
+    """The cache-tiled NumPy bit-plane kernel against the dense encode."""
+
+    @pytest.mark.parametrize("d_in", LEVEL_GRID_D_IN)
+    @pytest.mark.parametrize("d_hv", LEVEL_GRID_D_HV)
+    @pytest.mark.parametrize("n", LEVEL_GRID_N)
+    def test_encode_packed_matches_encode(self, n, d_hv, d_in):
+        enc, X, H = level_grid_case(d_in, d_hv)
+        np.testing.assert_array_equal(
+            enc.encode_packed(X[:n], native=False), H[:n]
+        )
+
+    @pytest.mark.parametrize("d_in", LEVEL_GRID_D_IN)
+    @pytest.mark.parametrize("n", (1, 129))
+    def test_bipolar_planes_match_quantized_encode(self, n, d_in):
+        enc, X, H = level_grid_case(d_in, 1000)
+        got = enc.encode_packed_bipolar(X[:n], native=False)
+        want = pack_hypervectors(get_quantizer("bipolar")(H[:n]))
+        np.testing.assert_array_equal(got.signs, want.signs)
+        np.testing.assert_array_equal(got.mags, want.mags)
+
+    def test_zero_rows(self):
+        enc = LevelBaseEncoder(9, 130, n_levels=4, seed=2)
+        out = enc.encode_packed(np.zeros((0, 9)), native=False)
+        assert out.shape == (0, 130)
+
+    @pytest.mark.parametrize(
+        "d_in, rows, words, group",
+        [
+            (617, 1, 157, 512),  # 1 MiB / (1 × 157 words) → 834 → 512
+            (617, 8, 157, 64),
+            (617, 128, 157, 1),  # only 6 planes fit: per-feature loop
+            (64, 1, 157, 64),  # capped at the next power of two ≥ d_in
+            (5, 1, 16, 8),
+            (3, 1, 16, 1),  # cap 4 < 8: per-feature loop
+        ],
+    )
+    def test_feature_group_rule(self, d_in, rows, words, group):
+        assert _feature_group(d_in, rows, words) == group
+
+
+class TestNonFiniteFeatures:
+    """NaN/±inf features have no level: rejected, column named."""
+
+    @pytest.mark.parametrize(
+        "encode",
+        [
+            lambda e, X: e.encode(X),
+            lambda e, X: e.encode_packed(X, native=False),
+            lambda e, X: e.encode_packed_bipolar(X, native=False),
+        ],
+    )
+    @pytest.mark.parametrize("d_in", (5, 617))
+    def test_level_base_rejects(self, encode, d_in):
+        enc = LevelBaseEncoder(d_in, 256, n_levels=32, seed=0)
+        X = _inputs(3, d_in)
+        X[1, 3] = np.nan
+        with pytest.raises(ValueError, match="column 3 .*nan"):
+            encode(enc, X)
+
+    def test_scalar_base_rejects(self):
+        enc = ScalarBaseEncoder(8, 128, n_levels=4, seed=0)
+        X = _inputs(2, 8)
+        X[0, 6] = -np.inf
+        with pytest.raises(ValueError, match="column 6 .*inf"):
+            enc.encode(X)
+        with pytest.raises(ValueError, match="column 6"):
+            enc.encode_into(X, np.empty((2, 128), dtype=np.float32))
 
 
 class TestEncoderConfig:
