@@ -9,8 +9,11 @@ subsystem actually delivers that:
    the tenants round-robin over a handful of on-disk prototype
    artifacts, so the sweep is bounded by registry/engine state, not by
    artifact construction) and drive a round-robin single-query workload
-   through :class:`~repro.serve.FleetAPI`, recording q/s, p50/p99
+   through :class:`~repro.serve.ServingAPI`, recording q/s, p50/p99
    latency, cache hit rate, resident bytes, and process RSS per tier.
+   Hits, misses and evictions are counted over the measured window
+   only (the difference of two :class:`~repro.serve.FleetStats`
+   snapshots), so the warm-up admissions do not dilute the hit rate.
 2. **Eviction under budget** — rerun the top tier with ``cache_bytes``
    sized for an eighth of the fleet (just above the hot set) and a
    hot/cold access skew (90% of traffic to 10% of tenants): the LRU
@@ -46,7 +49,7 @@ import numpy as np
 
 from repro.backend.packed import pack_hypervectors
 from repro.proto import ScoreRequest
-from repro.serve import FleetAPI, MicroBatchConfig, ModelArtifact, ModelFleet
+from repro.serve import MicroBatchConfig, ModelArtifact, ModelFleet, ServingAPI
 from repro.utils import spawn
 
 N_PROTOTYPES = 8  # distinct on-disk artifacts the tenants round-robin over
@@ -113,8 +116,11 @@ def run_workload(api, tenant_of, n_requests, pool):
 
     ``tenant_of(i)`` names the tenant for request ``i`` (round-robin or
     skewed).  Per-request latency is taken submit-to-done via future
-    callbacks, so queueing and flush time are both counted.
+    callbacks, so queueing and flush time are both counted.  The cache
+    counters are the window's own: hits, misses and evictions that
+    happened between the first submit and the last answer.
     """
+    before = api.fleet.stats()
     latencies = []
     futures = []
     t_start = time.perf_counter()
@@ -131,6 +137,9 @@ def run_workload(api, tenant_of, n_requests, pool):
     for fut in futures:
         fut.result()
     elapsed = time.perf_counter() - t_start
+    after = api.fleet.stats()
+    hits = after.hits - before.hits
+    misses = after.misses - before.misses
     lat = np.sort(np.asarray(latencies))
     return {
         "requests": n_requests,
@@ -138,13 +147,17 @@ def run_workload(api, tenant_of, n_requests, pool):
         "qps": round(n_requests / max(elapsed, 1e-9), 1),
         "p50_ms": round(float(np.percentile(lat, 50)) * 1e3, 3),
         "p99_ms": round(float(np.percentile(lat, 99)) * 1e3, 3),
+        "hits": hits,
+        "misses": misses,
+        "hit_rate": round(hits / max(hits + misses, 1), 4),
+        "evictions": after.evictions - before.evictions,
     }
 
 
 def sweep_tier(paths, n_tenants, n_requests, pool, config):
     """One resident-tenant tier: warm every tenant, then measure."""
     fleet = make_fleet(paths, n_tenants)
-    with FleetAPI(fleet, config=config) as api:
+    with ServingAPI(fleet, config=config) as api:
         tenants = fleet.tenants()
         # Warm: one query per tenant, submitted as one async burst so
         # admission happens inside coalesced flushes, not N round trips.
@@ -162,8 +175,6 @@ def sweep_tier(paths, n_tenants, n_requests, pool, config):
         stats = fleet.stats()
         result.update(
             tenants=n_tenants,
-            hit_rate=round(stats.hit_rate, 4),
-            evictions=stats.evictions,
             resident_models=stats.resident_models,
             resident_bytes=stats.resident_bytes,
             rss_mib=round(_rss_mib(), 1),
@@ -192,7 +203,7 @@ def eviction_scenario(paths, n_tenants, n_requests, pool, config, seed):
     cold = rng.integers(0, n_tenants, size=n_requests)
     pick_hot = rng.uniform(size=n_requests) < 0.9
     choice = np.where(pick_hot, hot, cold)
-    with FleetAPI(fleet, config=config) as api:
+    with ServingAPI(fleet, config=config) as api:
         tenants = fleet.tenants()
         result = run_workload(
             api, lambda i: tenants[int(choice[i])], n_requests, pool
@@ -203,8 +214,6 @@ def eviction_scenario(paths, n_tenants, n_requests, pool, config, seed):
             cache_bytes=budget,
             per_tenant_bytes=per_tenant_bytes,
             hot_tenants=n_hot,
-            hit_rate=round(stats.hit_rate, 4),
-            evictions=stats.evictions,
             resident_models=stats.resident_models,
             rss_mib=round(_rss_mib(), 1),
         )
@@ -216,7 +225,7 @@ def coalesce_comparison(paths, n_tenants, n_requests, pool, config):
     out = {"tenants": n_tenants, "requests": n_requests}
     for label, coalesce in (("coalesced", True), ("per_tenant", False)):
         fleet = make_fleet(paths, n_tenants)
-        with FleetAPI(fleet, config=config, coalesce=coalesce) as api:
+        with ServingAPI(fleet, config=config, coalesce=coalesce) as api:
             tenants = fleet.tenants()
             warm = [
                 api.submit_score(

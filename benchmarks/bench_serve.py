@@ -8,7 +8,7 @@ Exercises the full model lifecycle the way a deployment would:
    one;
 2. measure the *offline* packed batch path (one ``engine.predict`` over
    the whole query set) — the throughput ceiling;
-3. drive a :class:`~repro.serve.ModelServer` with N concurrent
+3. drive a :class:`~repro.serve.ServingAPI` with N concurrent
    single-query client threads through the micro-batching scheduler and
    measure served throughput + latency percentiles — the acceptance
    bar is served throughput within 2x of the offline batch;
@@ -75,8 +75,6 @@ from repro.serve import (
     FrontendHandle,
     MicroBatchConfig,
     ModelArtifact,
-    ModelRegistry,
-    ModelServer,
     ServingAPI,
     make_serving_fixture,
 )
@@ -95,6 +93,18 @@ def _build_artifact(d_hv, n_classes, n_queries, seed, directory):
     )
     path = artifact.save(directory)
     return ModelArtifact.load(path), queries
+
+
+def _scheduler_stats(api, method: str) -> dict:
+    """Counters of the scheduler serving ``method`` on a one-model API."""
+    return next(
+        (
+            stats
+            for key, stats in api.stats()["schedulers"].items()
+            if key.endswith("." + method)
+        ),
+        {},
+    )
 
 
 def _drive_clients(server, queries, n_clients, *, on_request=None):
@@ -138,9 +148,6 @@ def run_hot_swap(artifact_v1, artifact_v2, queries, args) -> dict:
     version-consistent answer."""
     direct_v1 = artifact_v1.engine().predict(queries)
     direct_v2 = artifact_v2.engine().predict(queries)
-    registry = ModelRegistry()
-    registry.publish("bench", artifact_v1)
-
     n = queries.shape[0]
     swap_at = n // 2
     swapped = threading.Event()
@@ -159,7 +166,10 @@ def run_hot_swap(artifact_v1, artifact_v2, queries, args) -> dict:
                 registry.publish("bench", artifact_v2)
 
     config = MicroBatchConfig(max_batch=args.max_batch)
-    with ModelServer(registry, default_model="bench", config=config) as server:
+    with ServingAPI.from_artifact(
+        artifact_v1, name="bench", config=config
+    ) as server:
+        registry = server.registry
         results, _, failures, _ = _drive_clients(
             server, queries, args.clients, on_request=maybe_swap
         )
@@ -266,7 +276,7 @@ def run_socket_bench(artifact, queries, direct, args, wire_batch) -> dict:
             handle.address, queries, n_clients,
             args.socket_window, wire_batch,
         )
-        stats = api.stats().get("bench.predict_packed", {})
+        stats = _scheduler_stats(api, "predict_packed")
 
     if not np.array_equal(results, direct):
         raise AssertionError("socket predictions diverged from offline")
@@ -509,7 +519,8 @@ def run_overload_sweep(artifact, queries, args) -> dict:
                     rows_per_req=rows_per_req,
                 )
                 rejected = sum(
-                    e.get("rejected", 0) for e in api.stats().values()
+                    e["rejected"]
+                    for e in api.stats()["schedulers"].values()
                 )
             lats.sort()
             entry[label] = {
@@ -773,14 +784,14 @@ def run_bench(args, workdir) -> dict:
     )
 
     # Micro-batched concurrent serving.
-    registry = ModelRegistry()
-    registry.publish("bench", artifact)
     config = MicroBatchConfig(max_batch=args.max_batch)
-    with ModelServer(registry, default_model="bench", config=config) as server:
+    with ServingAPI.from_artifact(
+        artifact, name="bench", config=config
+    ) as server:
         results, latencies, failures, served_s = _drive_clients(
             server, queries, args.clients
         )
-        stats = server.stats()["bench.predict"]
+        stats = _scheduler_stats(server, "predict")
 
     if failures:
         raise AssertionError(f"{len(failures)} serving requests failed")
@@ -827,10 +838,10 @@ def run_bench(args, workdir) -> dict:
                 "p95": float(np.percentile(lat_ms, 95)),
                 "max": float(lat_ms.max()),
             },
-            "flushes": stats.flushes,
-            "mean_batch_rows": stats.mean_batch_rows,
-            "max_batch_rows": stats.max_batch_rows,
-            "flushes_by_trigger": dict(stats.flushes_by_trigger),
+            "flushes": stats["flushes"],
+            "mean_batch_rows": stats["mean_batch_rows"],
+            "max_batch_rows": stats["max_batch_rows"],
+            "flushes_by_trigger": stats["flushes_by_trigger"],
         },
         "hot_swap": hot_swap,
         "scatter": run_scatter_microbench(),
@@ -977,7 +988,7 @@ def main(argv=None) -> int:
         default=None,
         help=(
             "exit non-zero unless socket throughput is within this "
-            "factor of the in-process ModelServer (2 = at least 0.5x)"
+            "factor of the in-process ServingAPI (2 = at least 0.5x)"
         ),
     )
     parser.add_argument(

@@ -20,7 +20,7 @@ from pathlib import Path
 from repro.core import PriveHD, audit_training_privacy
 from repro.data import load_dataset
 from repro.hardware import generate_rtl_bundle
-from repro.serve import ModelArtifact, ModelRegistry, ModelServer
+from repro.serve import ModelArtifact, ServingAPI
 
 
 def main() -> None:
@@ -61,9 +61,8 @@ def main() -> None:
         art = ModelArtifact.load(path)  # checksum-verified
         print(f"[serve] certificate: eps={art.epsilon:g} "
               f"delta={art.privacy['delta']:g} private={art.is_private}")
-        registry = ModelRegistry()
-        registry.publish("face", art)
-        with ModelServer(registry, default_model="face") as server:
+        with ServingAPI.from_artifact(art, name="face") as server:
+            registry = server.registry
             acc = art.engine().accuracy_features(ds.X_test, ds.y_test)
             print(f"[serve] accuracy from the loaded artifact: {acc:.3f}")
             preds = server.predict_features(ds.X_test[:5])

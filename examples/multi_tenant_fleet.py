@@ -11,7 +11,7 @@ topology end-to-end:
    artifact under one fleet directory (the ``serve --fleet-dir``
    layout);
 2. serve the directory through a :class:`~repro.serve.ModelFleet` +
-   :class:`~repro.serve.FleetAPI` behind the socket frontend: alice
+   :class:`~repro.serve.ServingAPI` behind the socket frontend: alice
    and bob land in one coalescing group (their queries are stacked and
    scored by one fused cross-tenant kernel per flush), carol flushes
    alone;
@@ -40,10 +40,10 @@ from repro.data import load_dataset
 from repro.hd import ScalarBaseEncoder
 from repro.hd.batching import fit_classes_batched
 from repro.serve import (
-    FleetAPI,
     FrontendHandle,
     ModelArtifact,
     ModelFleet,
+    ServingAPI,
     TenantNotFound,
 )
 
@@ -82,7 +82,7 @@ def main() -> int:
 
         # 2. serve the whole directory as one fleet -----------------------
         fleet = ModelFleet.from_dir(fleet_dir)
-        with FleetAPI(fleet) as api, FrontendHandle(api) as handle:
+        with ServingAPI(fleet) as api, FrontendHandle(api) as handle:
             host, port = handle.address
             print(f"[serve] fleet of {len(fleet)} tenants on {host}:{port} "
                   f"(default tenant {fleet.default_tenant!r})")

@@ -829,7 +829,7 @@ def self_test_gate(
 def run_privacy_gate(config: GateConfig | None = None, *, log=None) -> GateReport:
     """The whole tentpole: live server, capturing proxy, all-version attack.
 
-    Starts one real :class:`~repro.serve.FleetAPI` socket frontend with
+    Starts one real :class:`~repro.serve.ServingAPI` fleet frontend with
     a protected (bipolar/packed) tenant and an unprotected
     (dense/full-precision) tenant, puts a :class:`CaptureProxy` in
     front of it, then drives one :class:`~repro.client.PriveHDClient`
@@ -842,10 +842,10 @@ def run_privacy_gate(config: GateConfig | None = None, *, log=None) -> GateRepor
     ``log`` (optional callable) receives one progress line per leg.
     """
     from repro.serve import (
-        FleetAPI,
         FrontendHandle,
         ModelArtifact,
         ModelFleet,
+        ServingAPI,
     )
 
     cfg = config or GateConfig()
@@ -860,7 +860,7 @@ def run_privacy_gate(config: GateConfig | None = None, *, log=None) -> GateRepor
     fleet = ModelFleet(default_tenant="protected")
     fleet.add_tenant("protected", protected_artifact)
     fleet.add_tenant("plain", plain_artifact)
-    api = FleetAPI(fleet)
+    api = ServingAPI(fleet)
     rows: list[WireAttackReport] = []
     try:
         with FrontendHandle(api) as handle:

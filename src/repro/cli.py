@@ -368,7 +368,7 @@ def _run_serve(args) -> int:
 
     import numpy as np
 
-    from repro.serve import MicroBatchConfig, ModelRegistry, ModelServer
+    from repro.serve import MicroBatchConfig, ServingAPI
 
     if args.listen is not None:
         return _run_serve_listen(args)
@@ -382,17 +382,6 @@ def _run_serve(args) -> int:
     artifact, data = _load_artifact_for_dataset(args)
     print(_describe_artifact(artifact))
 
-    registry = ModelRegistry()
-    registry.publish("model", artifact)
-    engine = registry.resolve("model")
-
-    n = min(args.requests, len(data.y_test))
-    X = data.X_test[:n]
-    # Offline reference: the same engine, one packed batch.
-    t0 = time.perf_counter()
-    direct = engine.predict_features(X)
-    offline_s = time.perf_counter() - t0
-
     config = MicroBatchConfig(
         max_batch=args.max_batch,
         eager=not args.paced,
@@ -404,6 +393,15 @@ def _run_serve(args) -> int:
             else args.max_queue_age_ms / 1e3
         ),
     )
+    api = ServingAPI.from_artifact(artifact, name="model", config=config)
+
+    n = min(args.requests, len(data.y_test))
+    X = data.X_test[:n]
+    # Offline reference: the same engine, one packed batch.
+    t0 = time.perf_counter()
+    direct = api.registry.resolve("model").predict_features(X)
+    offline_s = time.perf_counter() - t0
+
     results = np.full(n, -1, dtype=np.int64)
     failures: list[Exception] = []
 
@@ -414,9 +412,7 @@ def _run_serve(args) -> int:
             except Exception as exc:  # noqa: BLE001 — counted, reported
                 failures.append(exc)
 
-    with ModelServer(
-        registry, default_model="model", config=config
-    ) as server:
+    with api as server:
         threads = [
             threading.Thread(target=client, args=(w,))
             for w in range(args.clients)
@@ -427,7 +423,7 @@ def _run_serve(args) -> int:
         for t in threads:
             t.join()
         served_s = time.perf_counter() - perf
-        stats = server.stats()["model.predict_features"]
+        (stats,) = server.stats()["schedulers"].values()
 
     identical = bool(np.array_equal(results, direct))
     acc = float(np.mean(results == data.y_test[:n]))
@@ -437,9 +433,10 @@ def _run_serve(args) -> int:
         f"offline batch: {n / max(offline_s, 1e-9):,.0f} q/s)"
     )
     print(
-        f"micro-batching: {stats.flushes} flushes, "
-        f"mean batch {stats.mean_batch_rows:.1f} rows "
-        f"(max {stats.max_batch_rows}), triggers {stats.flushes_by_trigger}"
+        f"micro-batching: {stats['flushes']} flushes, "
+        f"mean batch {stats['mean_batch_rows']:.1f} rows "
+        f"(max {stats['max_batch_rows']}), "
+        f"triggers {stats['flushes_by_trigger']}"
     )
     print(
         f"accuracy {acc:.3f}; predictions identical to offline batch: "
@@ -472,7 +469,6 @@ def _run_serve_listen(args) -> int:
     """
     from repro.client import parse_address
     from repro.serve import (
-        FleetAPI,
         FrontendConfig,
         MicroBatchConfig,
         ModelFleet,
@@ -554,7 +550,7 @@ def _run_serve_listen(args) -> int:
             f"cache budget "
             f"{'unbounded' if args.cache_bytes is None else args.cache_bytes})"
         )
-        api = FleetAPI(fleet, config=config)
+        api = ServingAPI(fleet, config=config)
     else:
         artifact = load_artifact(args.artifact)
         print(_describe_artifact(artifact))

@@ -9,12 +9,12 @@ The serving subsystem moves models from training to traffic:
   through any :mod:`repro.backend` backend;
 * :class:`ModelRegistry` — named, versioned engines with atomic
   hot-swap (promote a fresh privatized model, zero dropped requests);
-* :class:`MicroBatchScheduler` / :class:`ModelServer` — deadline- and
-  size-triggered coalescing of concurrent small callers into bounded
-  packed batches;
-* :class:`ServingAPI` — the one typed surface (speaking
+* :class:`MicroBatchScheduler` — deadline- and size-triggered
+  coalescing of concurrent small callers into bounded packed batches;
+* :class:`ServingAPI` — the one typed, micro-batched surface (speaking
   :mod:`repro.proto` requests/responses) every entry point funnels
-  through;
+  through; it serves a :class:`ModelFleet`, and a single model is a
+  fleet of one;
 * :class:`ServingFrontend` / :class:`FrontendHandle` — the asyncio
   socket server (plus HTTP ops adapter) that exposes the API to remote
   :class:`~repro.client.PriveHDClient` connections without ever seeing
@@ -24,7 +24,7 @@ The serving subsystem moves models from training to traffic:
   hot-swapped fleet-wide over a control channel and kept at strength by
   a supervisor that respawns crashed workers with the registry state
   replayed;
-* :class:`ModelFleet` / :class:`FleetAPI` — million-model
+* :class:`ModelFleet` — million-model
   multi-tenancy: a tenant-keyed facade over many registries with a
   byte-budgeted LRU artifact cache (:class:`FleetStats` counters) and
   cross-tenant coalesced scoring, addressed by the protocol-v4
@@ -54,7 +54,6 @@ from repro.serve.errors import (
 from repro.serve.faults import FaultRegistry, faults
 from repro.serve.fleet import (
     DEFAULT_TENANT,
-    FleetAPI,
     FleetStats,
     ModelFleet,
     fused_tenant_scores,
@@ -73,7 +72,6 @@ from repro.serve.scheduler import (
     MicroBatchScheduler,
     SchedulerStats,
 )
-from repro.serve.server import ModelServer
 
 __all__ = [
     "InferenceEngine",
@@ -86,14 +84,12 @@ __all__ = [
     "MicroBatchConfig",
     "MicroBatchScheduler",
     "SchedulerStats",
-    "ModelServer",
     "ServingAPI",
     "ServingFrontend",
     "FrontendConfig",
     "FrontendHandle",
     "WorkerPool",
     "ModelFleet",
-    "FleetAPI",
     "FleetStats",
     "DEFAULT_TENANT",
     "fused_tenant_scores",

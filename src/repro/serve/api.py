@@ -1,17 +1,16 @@
 """The one typed serving surface every entry point goes through.
 
-Before this module, a deployment had three ways in — raw
-:class:`~repro.serve.InferenceEngine` calls (with representation kwargs
-like ``store_is_quantized``/``keep_mask`` leaking into callers),
-:class:`~repro.serve.ModelServer` micro-batched calls, and now a
-network frontend — each with its own argument conventions.
-:class:`ServingAPI` is the narrow waist that unifies them: the CLI, the
-benchmarks, and the socket frontend all speak *this* class, and this
-class speaks the typed :mod:`repro.proto` vocabulary
-(:class:`~repro.proto.ScoreRequest` in,
+:class:`ServingAPI` is the narrow waist of the serving stack: the CLI,
+the benchmarks, the worker pool and the socket frontend all speak
+*this* class, and this class speaks the typed :mod:`repro.proto`
+vocabulary (:class:`~repro.proto.ScoreRequest` in,
 :class:`~repro.proto.ScoreResponse` out), so engine construction
 details stay behind :meth:`~repro.serve.ModelArtifact.engine` where
 they belong.
+
+It serves a :class:`~repro.serve.ModelFleet`; a single served model is
+a fleet of one tenant (:meth:`ServingAPI.from_artifact`), so one code
+path answers both.
 
     >>> api = ServingAPI.from_artifact("artifacts/isolet-v1")
     >>> api.predict(encoded_queries)             # micro-batched labels
@@ -19,22 +18,26 @@ they belong.
     >>> api.info()                               # typed ModelInfo
     >>> api.health(), api.stats()                # ops endpoints (JSON-safe)
 
-Every query path is micro-batched through the underlying
-:class:`~repro.serve.ModelServer`; registry mutations (publish /
-promote / rollback) hot-swap between flushes with zero dropped
-requests, exactly as before — the API adds types, not a new execution
-path.
+Every query path is micro-batched through a
+:class:`~repro.serve.MicroBatchScheduler` whose runner resolves the
+tenant's registry *per flush*, so registry mutations (publish / promote
+/ rollback) hot-swap between flushes with zero dropped requests.
+Bit-packed queries ride the scheduler as ``[signs | mags |
+tenant_index]`` rows; tenants sharing an encoder config share one
+scheduler, and a flush that mixes tenants is scored by one fused kernel
+(:func:`~repro.serve.fleet.fused_tenant_scores`).
 """
 
 from __future__ import annotations
 
+import threading
 import time
 from concurrent.futures import Future
 from pathlib import Path
 
 import numpy as np
 
-from repro.backend.packed import PackedHV
+from repro.backend.packed import PackedHV, n_words
 from repro.proto.messages import (
     ModelInfo,
     ScoreBatchRequest,
@@ -43,39 +46,56 @@ from repro.proto.messages import (
     ScoreResponse,
 )
 from repro.serve.artifact import ModelArtifact
-from repro.serve.errors import TenantNotFound
+from repro.serve.fleet import ModelFleet, fused_tenant_scores
 from repro.serve.registry import ModelRegistry
-from repro.serve.scheduler import MicroBatchConfig
-from repro.serve.server import ModelServer
+from repro.serve.scheduler import MicroBatchConfig, MicroBatchScheduler
 
 __all__ = ["ServingAPI"]
 
+#: Welcome-frame listing cap; the ``/tenants`` HTTP endpoint serves the
+#: full count.
+NAMES_CAP = 32
+
 
 class ServingAPI:
-    """Typed facade over a micro-batched, hot-swappable model registry.
+    """Typed, micro-batched, hot-swappable serving over a model fleet.
+
+    Requests route by their protocol-v4 ``tenant`` key (absent = the
+    fleet's default tenant); unknown keys raise
+    :class:`~repro.serve.TenantNotFound`.  Within a tenant, ``model=``
+    picks a registry name (absent = the tenant's default model).
 
     Parameters
     ----------
-    registry:
-        The :class:`~repro.serve.ModelRegistry` to serve; ``None``
-        creates an empty one (reachable as :attr:`registry`).
-    default_model:
-        Name assumed when calls omit ``model=``; optional when the
-        registry serves exactly one name.
+    fleet:
+        The tenant store (and LRU cache) to serve.
     config:
-        Micro-batching flush policy shared by all entry points.
+        Micro-batching flush policy shared by every scheduler.
+    coalesce:
+        ``False`` gives every tenant its own packed scheduler even when
+        tenants share an encoder config — the fleet benchmark's
+        baseline.
     """
 
     def __init__(
         self,
-        registry: ModelRegistry | None = None,
+        fleet: ModelFleet,
         *,
-        default_model: str | None = None,
         config: MicroBatchConfig | None = None,
+        coalesce: bool = True,
     ):
-        self._server = ModelServer(
-            registry, default_model=default_model, config=config
-        )
+        self.fleet = fleet
+        self.config = config or MicroBatchConfig()
+        self.coalesce = coalesce
+        self._lock = threading.Lock()
+        self._schedulers: dict[tuple, MicroBatchScheduler] = {}
+        # (scheduler key, tenant) -> version that answered the latest
+        # flush; written by the runner in the flusher thread, read by
+        # response-future callbacks, which the scheduler fires in that
+        # same thread before the next flush starts — so a reader always
+        # sees the version of its own batch.
+        self._flush_versions: dict[tuple, int] = {}
+        self._closed = False
 
     # ------------------------------------------------------------------
     # construction sugar
@@ -93,7 +113,9 @@ class ServingAPI:
     ) -> "ServingAPI":
         """Serve one artifact (object or directory path) under ``name``.
 
-        All engine construction happens inside
+        The artifact becomes a fleet of one: a resident, never-evicted
+        tenant ``name`` whose registry serves the model ``name``.  All
+        engine construction happens inside
         :meth:`~repro.serve.ModelArtifact.engine` — callers never touch
         ``store_is_quantized``, ``keep_mask``, or backend plumbing.
         ``mmap=True`` (paths only) maps the tensors read-only instead of
@@ -113,49 +135,192 @@ class ServingAPI:
             )
         else:
             registry.publish(name, artifact, engine_kwargs=engine_kwargs)
-        return cls(registry, default_model=name, config=config)
+        fleet = ModelFleet()
+        fleet.add_tenant(name, registry, model=name)
+        return cls(fleet, config=config)
 
     @property
     def registry(self) -> ModelRegistry:
-        """The live registry — publish/promote on it to hot-swap."""
-        return self._server.registry
-
-    @property
-    def server(self) -> ModelServer:
-        """The underlying micro-batching server."""
-        return self._server
+        """The default tenant's live registry — publish/promote to hot-swap."""
+        return self.fleet.registry_for(None)
 
     @property
     def default_model(self) -> str | None:
-        """Name served when a call omits ``model=`` (``None`` = unset)."""
-        return self._server.default_model
+        """The default tenant's name (served when a call names none)."""
+        return self.fleet.default_tenant
+
+    def names(self) -> tuple[str, ...]:
+        """Up to :data:`NAMES_CAP` tenant names, default tenant first.
+
+        What the frontend's ``Welcome`` lists: capped so a
+        million-tenant fleet does not turn the handshake frame into a
+        directory dump.
+        """
+        tenants = self.fleet.tenants()
+        default = self.fleet.default_tenant
+        if default in tenants:
+            tenants = (default, *(t for t in tenants if t != default))
+        return tenants[:NAMES_CAP]
 
     # ------------------------------------------------------------------
     # array entry points (thread-safe, micro-batched)
     # ------------------------------------------------------------------
-    def predict(self, queries, *, model: str | None = None) -> np.ndarray:
-        """Labels for encoded query hypervectors (dense rows)."""
-        return self._server.predict(queries, model=model)
+    def predict(self, queries, *, model: str | None = None,
+                tenant: str | None = None) -> np.ndarray:
+        """Labels for encoded query hypervectors (dense rows or packed).
 
-    def scores(self, queries, *, model: str | None = None) -> np.ndarray:
+        A single ``(d_hv,)`` dense query returns a single label.
+        """
+        return self._submit(queries, tenant, model, "predict")[2].result()
+
+    def scores(self, queries, *, model: str | None = None,
+               tenant: str | None = None) -> np.ndarray:
         """Eq. (4) class scores for encoded query hypervectors."""
-        return self._server.scores(queries, model=model)
+        return self._submit(queries, tenant, model, "scores")[2].result()
 
-    def predict_features(self, X, *, model: str | None = None) -> np.ndarray:
+    def predict_features(self, X, *, model: str | None = None,
+                         tenant: str | None = None) -> np.ndarray:
         """Labels for raw features — **in-process callers only**.
 
-        The artifact must carry an encoder config.  This entry point
-        deliberately has no wire equivalent: the network protocol cannot
-        express raw features, so remote callers encode client-side
+        The artifact must carry an encoder config; the whole coalesced
+        batch streams through the engine's fused encode → quantize
+        (→ pack) pipeline once per flush.  This entry point deliberately
+        has no wire equivalent: the network protocol cannot express raw
+        features, so remote callers encode client-side
         (:class:`~repro.client.PriveHDClient`) and use :meth:`score`.
         """
-        return self._server.predict_features(X, model=model)
+        return self._submit(X, tenant, model, "predict_features")[2].result()
 
-    def submit(
-        self, queries, *, model: str | None = None, method: str = "predict"
-    ) -> Future:
-        """Non-blocking array submission (see :meth:`ModelServer.submit`)."""
-        return self._server.submit(queries, model=model, method=method)
+    # ------------------------------------------------------------------
+    # submission plumbing
+    # ------------------------------------------------------------------
+    def _submit(self, queries, tenant, model, method, *, d_hv=None,
+                deadline=None):
+        """Resolve tenant + model, shape-check, enqueue once.
+
+        Returns ``(name, version_key, raw_future)``.  Packed bit-plane
+        queries stay packed through the micro-batcher: their uint64
+        planes ride the scheduler as ``[signs | mags | tenant_index]``
+        rows, 16x smaller than dense.  Raises
+        :class:`~repro.serve.TenantNotFound` for unknown tenants,
+        ``KeyError`` for unknown models within a hosted tenant,
+        ``ValueError`` for shape mismatches, and the scheduler's
+        :class:`~repro.serve.Overloaded` /
+        :class:`~repro.serve.DeadlineExceeded` — the frontend maps each
+        to its typed wire code.
+        """
+        packed = isinstance(queries, PackedHV)
+        if packed:
+            d_hv = queries.d
+        record, registry = self.fleet.lookup(tenant)
+        name = record.model_name(model)
+        described = registry.describe(name)
+        if d_hv is not None and d_hv != described.engine.d_hv:
+            raise ValueError(
+                f"queries have {d_hv} dimensions but tenant "
+                f"{record.name!r} model {name!r} serves "
+                f"{described.engine.d_hv}"
+            )
+        if packed:
+            method += "_packed"
+            index = np.full((queries.n, 1), record.index, dtype=np.uint64)
+            queries = np.concatenate(
+                [queries.signs, queries.mags, index], axis=1
+            )
+        if (
+            packed
+            and self.coalesce
+            and record.coalesce_key is not None
+            and name == record.model
+        ):
+            key = ("group", *record.coalesce_key, method)
+        else:
+            key = ("tenant", record.name, name, method)
+        run = self._run_packed if packed else self._run_dense
+        raw = self._scheduler(key, run).submit(queries, deadline=deadline)
+        return name, (key, record.name), raw
+
+    def _scheduler(self, key: tuple, run) -> MicroBatchScheduler:
+        with self._lock:
+            if self._closed:
+                raise RuntimeError("serving API is closed")
+            sched = self._schedulers.get(key)
+            if sched is None:
+                sched = MicroBatchScheduler(
+                    lambda rows: run(rows, key),
+                    self.config,
+                    name=".".join(map(str, key)),
+                )
+                self._schedulers[key] = sched
+            return sched
+
+    def _flush_engine(self, key: tuple, tenant: str, model: str | None):
+        """The engine that scores ``tenant``'s rows in this flush.
+
+        Resolved *at flush time* — an eviction between submit and flush
+        re-admits here, a hot-swap lands here — and its version is
+        recorded for the responses of this flush.
+        """
+        record, registry = self.fleet.lookup(tenant, count=False)
+        described = registry.describe(record.model_name(model))
+        self._flush_versions[(key, tenant)] = described.version
+        return described.engine
+
+    def _run_dense(self, rows: np.ndarray, key: tuple) -> np.ndarray:
+        """Flush runner for one tenant's dense rows or raw features."""
+        _, tenant, model, method = key
+        return getattr(self._flush_engine(key, tenant, model), method)(rows)
+
+    def _run_packed(self, rows: np.ndarray, key: tuple) -> np.ndarray:
+        """Flush runner for ``[signs | mags | tenant_index]`` plane rows.
+
+        A flush whose rows all belong to one tenant is scored by that
+        tenant's own engine (the packed backend consumes the rebuilt
+        :class:`PackedHV` natively; a dense engine gets the exact
+        unpacked values).  Only a mixed-tenant flush — possible on a
+        shared-config ``"group"`` scheduler — stacks the tenants' class
+        stores and makes one fused kernel call.
+        """
+        model = key[2] if key[0] == "tenant" else None
+        want_scores = key[-1] == "scores_packed"
+        words = (rows.shape[1] - 1) // 2
+        index = rows[:, -1]
+        if (index == index[0]).all():
+            tenant = self.fleet.record_by_index(int(index[0])).name
+            engine = self._flush_engine(key, tenant, model)
+            if words != n_words(engine.d_hv):
+                raise ValueError(
+                    f"plane rows have {2 * words} words but tenant "
+                    f"{tenant!r} serves d_hv={engine.d_hv}"
+                )
+            queries = PackedHV(
+                signs=np.ascontiguousarray(rows[:, :words]),
+                mags=np.ascontiguousarray(rows[:, words:-1]),
+                d=engine.d_hv,
+            )
+            if engine.backend.name != "packed":
+                queries = queries.unpack(np.float32)
+            if want_scores:
+                return engine.scores(queries)
+            return engine.predict(queries)
+        unique, inverse = np.unique(index, return_inverse=True)
+        engines = [
+            self._flush_engine(
+                key, self.fleet.record_by_index(int(i)).name, model
+            )
+            for i in unique
+        ]
+        scores = fused_tenant_scores(
+            rows[:, :words],
+            rows[:, words:-1],
+            np.stack([e.prepared.store.signs for e in engines]),
+            np.stack([e.prepared.store.mags for e in engines]),
+            np.stack([e.prepared.norms for e in engines]),
+            inverse,
+        )
+        if want_scores:
+            return scores
+        return np.argmax(scores, axis=1)
 
     # ------------------------------------------------------------------
     # typed protocol entry points (what the frontend calls)
@@ -167,103 +332,6 @@ class ServingAPI:
     def score_batch(self, request: ScoreBatchRequest) -> ScoreBatchResponse:
         """Answer one typed batch request synchronously."""
         return self.submit_score_batch(request).result()
-
-    def _submit_queries(self, queries, model, want_scores, d_hv, deadline):
-        """Shared submit plumbing: resolve, shape-check, enqueue once.
-
-        Returns ``(name, method, raw_future)``; packed bit-plane queries
-        stay packed through the micro-batcher (their uint64 planes ride
-        the scheduler as plane rows, 16x smaller than dense, and the
-        packed backend consumes the rebuilt batch natively).  Raises
-        ``KeyError`` for unknown models, ``ValueError`` for shape
-        mismatches, :class:`~repro.serve.Overloaded` when admission
-        control rejects, and :class:`~repro.serve.DeadlineExceeded`
-        when ``deadline`` already passed (the frontend maps each to its
-        typed :class:`~repro.proto.ErrorReply` code).
-        """
-        name = self._server.resolve_name(model)
-        record = self.registry.describe(name)
-        engine = record.engine
-        if d_hv != engine.d_hv:
-            raise ValueError(
-                f"queries have {d_hv} dimensions but model "
-                f"{name!r} serves {engine.d_hv}"
-            )
-        if isinstance(queries, PackedHV):
-            method = "scores_packed" if want_scores else "predict_packed"
-            raw = self._server.submit_packed(
-                queries, model=name, want_scores=want_scores,
-                deadline=deadline,
-            )
-        else:
-            method = "scores" if want_scores else "predict"
-            raw = self._server.submit(
-                queries, model=name, method=method, deadline=deadline
-            )
-        return name, method, raw
-
-    @staticmethod
-    def _check_tenant(tenant: str | None) -> None:
-        """Refuse tenant-addressed requests on a single-model server.
-
-        A v4 client that *explicitly* asked for a tenant must not be
-        silently answered by whatever model this server happens to
-        serve — that would be the wrong tenant's model.  Fleet-enabled
-        deployments serve a :class:`~repro.serve.fleet.FleetAPI`
-        instead, which hosts real tenants; here every non-``None`` key
-        maps to the typed ``"unknown-tenant"`` wire code.
-        """
-        if tenant is not None:
-            raise TenantNotFound(
-                f"this server hosts a single model, not tenant "
-                f"{tenant!r}; deploy a fleet (serve --fleet-dir) for "
-                "tenant-addressed requests",
-                tenant=tenant,
-            )
-
-    @staticmethod
-    def _resolve_deadline(request, deadline: float | None) -> float | None:
-        """An absolute monotonic deadline for ``request``, if any.
-
-        An explicit ``deadline`` (the frontend computes one the moment
-        the frame is decoded) wins; otherwise a request carrying
-        ``deadline_ms`` starts its budget now, at submission.
-        """
-        if deadline is not None:
-            return deadline
-        deadline_ms = getattr(request, "deadline_ms", None)
-        if deadline_ms is None:
-            return None
-        return time.monotonic() + deadline_ms / 1e3
-
-    def _finish_response(self, raw: Future, name, method, build) -> Future:
-        """Chain a raw scheduler future into a typed-response future.
-
-        ``build(result, version)`` constructs the response message; it
-        runs in the flusher thread right after the flush that scored
-        the rows, so ``flushed_version`` is exactly the version that
-        answered — even when a hot-swap landed between submit and
-        flush.
-        """
-        response: Future = Future()
-        response.set_running_or_notify_cancel()
-
-        def _finish(fut: Future):
-            exc = fut.exception()
-            if exc is not None:
-                response.set_exception(exc)
-                return
-            result = fut.result()
-            try:
-                version = self._server.flushed_version(name, method)
-                resp = build(result, version)
-            except Exception as build_exc:  # noqa: BLE001 — forwarded
-                response.set_exception(build_exc)
-                return
-            response.set_result(resp)
-
-        raw.add_done_callback(_finish)
-        return response
 
     def submit_score(
         self, request: ScoreRequest, *, deadline: float | None = None
@@ -281,30 +349,7 @@ class ServingAPI:
         request's own ``deadline_ms`` budget measured from now) drops
         the request unscored if it expires while queued.
         """
-        self._check_tenant(request.tenant)
-        name, method, raw = self._submit_queries(
-            request.queries, request.model, request.want_scores,
-            request.d_hv, self._resolve_deadline(request, deadline),
-        )
-
-        def build(result, version):
-            if request.want_scores:
-                scores = np.atleast_2d(np.asarray(result))
-                return ScoreResponse(
-                    predictions=np.argmax(scores, axis=1),
-                    scores=scores,
-                    model=name,
-                    version=version,
-                    request_id=request.request_id,
-                )
-            return ScoreResponse(
-                predictions=np.atleast_1d(np.asarray(result)),
-                model=name,
-                version=version,
-                request_id=request.request_id,
-            )
-
-        return self._finish_response(raw, name, method, build)
+        return self._submit_typed(request, deadline, ScoreResponse)
 
     def submit_score_batch(
         self, request: ScoreBatchRequest, *, deadline: float | None = None
@@ -316,36 +361,66 @@ class ServingAPI:
         sub-requests stacked into ``request`` cost *one* scheduler
         submit (one future, one wakeup, one flush slot) instead of N —
         the response echoes ``counts`` so the client scatters the block
-        back itself.  Every row is scored by one consistent registry
-        version, exactly as for :meth:`submit_score` (including
-        ``deadline`` semantics).
+        back itself.  The stacked sub-requests all belong to
+        ``request.tenant`` (one client is one tenant); every row is
+        scored by one consistent registry version, exactly as for
+        :meth:`submit_score` (including ``deadline`` semantics).
         """
-        self._check_tenant(request.tenant)
-        name, method, raw = self._submit_queries(
-            request.queries, request.model, request.want_scores,
-            request.d_hv, self._resolve_deadline(request, deadline),
+        return self._submit_typed(
+            request, deadline, ScoreBatchResponse, counts=request.counts
         )
 
-        def build(result, version):
-            if request.want_scores:
-                scores = np.atleast_2d(np.asarray(result))
-                return ScoreBatchResponse(
-                    predictions=np.argmax(scores, axis=1),
-                    counts=request.counts,
-                    scores=scores,
+    def _submit_typed(self, request, deadline, response_cls, **extra) -> Future:
+        """Shared typed submit: enqueue, then chain a response future.
+
+        The response is built in the flusher thread right after the
+        flush that scored the rows, so the recorded flush version is
+        exactly the version that answered.
+        """
+        if deadline is None and request.deadline_ms is not None:
+            deadline = time.monotonic() + request.deadline_ms / 1e3
+        name, version_key, raw = self._submit(
+            request.queries,
+            request.tenant,
+            request.model,
+            "scores" if request.want_scores else "predict",
+            d_hv=request.d_hv,
+            deadline=deadline,
+        )
+        response: Future = Future()
+        response.set_running_or_notify_cancel()
+
+        def _finish(fut: Future):
+            exc = fut.exception()
+            if exc is not None:
+                response.set_exception(exc)
+                return
+            try:
+                result = np.asarray(fut.result())
+                fields = dict(
+                    extra,
                     model=name,
-                    version=version,
+                    version=self._flush_versions[version_key],
                     request_id=request.request_id,
                 )
-            return ScoreBatchResponse(
-                predictions=np.atleast_1d(np.asarray(result)),
-                counts=request.counts,
-                model=name,
-                version=version,
-                request_id=request.request_id,
-            )
+                if request.want_scores:
+                    scores = np.atleast_2d(result)
+                    resp = response_cls(
+                        predictions=np.argmax(scores, axis=1),
+                        scores=scores,
+                        **fields,
+                    )
+                else:
+                    resp = response_cls(
+                        predictions=np.atleast_1d(result), **fields
+                    )
+            except Exception as build_exc:  # noqa: BLE001 — forwarded
+                response.set_exception(build_exc)
+                return
+            response.set_result(resp)
 
-        return self._finish_response(raw, name, method, build)
+        raw.add_done_callback(_finish)
+        return response
 
     def info(
         self,
@@ -356,16 +431,18 @@ class ServingAPI:
     ) -> ModelInfo:
         """A typed :class:`~repro.proto.ModelInfo` for a served model.
 
-        ``tenant`` exists for dispatch symmetry with
-        :class:`~repro.serve.fleet.FleetAPI`; on this single-model
-        surface any non-``None`` key raises
-        :class:`~repro.serve.TenantNotFound`.
+        The per-tenant ``mask_seed`` travels here — each tenant's
+        clients adopt *their* tenant's mask, nobody else's.
         """
-        self._check_tenant(tenant)
-        name = self._server.resolve_name(model)
-        record = self.registry.describe(name)
-        engine = record.engine
-        artifact = record.artifact
+        record, registry = self.fleet.lookup(tenant)
+        return self._info(
+            registry.describe(record.model_name(model)), request_id
+        )
+
+    @staticmethod
+    def _info(described, request_id: int = 0) -> ModelInfo:
+        engine = described.engine
+        artifact = described.artifact
         if artifact is not None:
             n_live = artifact.n_live_dims
             quantizer = artifact.query_quantizer
@@ -380,8 +457,8 @@ class ServingAPI:
             epsilon = float("inf")
             mask_seed = None
         return ModelInfo(
-            name=name,
-            version=record.version,
+            name=described.name,
+            version=described.version,
             n_classes=engine.n_classes,
             d_hv=engine.d_hv,
             n_live_dims=n_live,
@@ -396,30 +473,39 @@ class ServingAPI:
     # ops endpoints (JSON-safe — the HTTP adapter returns these verbatim)
     # ------------------------------------------------------------------
     def health(self) -> dict:
-        """Liveness + registry summary for load balancers and probes."""
-        registry = self.registry
-        names = registry.names()
+        """Liveness + fleet summary for load balancers and probes."""
+        stats = self.fleet.stats()
+        residents = self.fleet.resident_registries()
         return {
-            "status": "ok" if names else "empty",
-            "models": len(names),
-            "default_model": self.default_model,
-            "swaps": registry.swaps,
+            "status": "ok" if stats.tenants else "empty",
+            "models": stats.resident_models,
+            "default_model": self.fleet.default_tenant,
+            "tenants": stats.tenants,
+            "resident_models": stats.resident_models,
+            "swaps": sum(registry.swaps for _, registry in residents),
         }
 
     def models(self) -> dict:
-        """Every served name with its versions and current pointer."""
-        registry = self.registry
+        """Every *resident* tenant's default model, keyed by tenant.
+
+        Deliberately residents-only: a 10^5-tenant fleet's ``/models``
+        should describe what is serving from memory, not enumerate the
+        disk.  ``/tenants`` carries the full count.
+        """
         out = {}
-        for name in registry.names():
-            current = registry.current_version(name)
-            info = self.info(name)
-            out[name] = {
-                "current_version": current,
-                "versions": list(registry.versions(name)),
+        for record, registry in self.fleet.resident_registries():
+            try:
+                name = record.model_name()
+            except ValueError:
+                continue  # no default model to describe
+            info = self._info(registry.describe(name))
+            versions = registry.versions(name)
+            out[record.name] = {
+                "model": name,
+                "current_version": info.version,
+                "versions": list(versions),
                 "evicted_versions": [
-                    v
-                    for v in registry.versions(name)
-                    if registry.is_evicted(name, v)
+                    v for v in versions if registry.is_evicted(name, v)
                 ],
                 "n_classes": info.n_classes,
                 "d_hv": info.d_hv,
@@ -427,14 +513,25 @@ class ServingAPI:
                 "backend": info.backend,
                 "query_quantizer": info.query_quantizer,
                 "epsilon": None if np.isinf(info.epsilon) else info.epsilon,
+                "resident_bytes": record.resident_bytes,
+                "pinned": record.pin,
             }
         return out
 
     def stats(self) -> dict:
-        """Scheduler counters per entry point, JSON-safe."""
-        out = {}
-        for key, stats in self._server.stats().items():
-            out[key] = {
+        """Fleet cache counters plus scheduler counters, JSON-safe.
+
+        ``"fleet"`` carries hits, misses, evictions, resident bytes and
+        models (see :meth:`~repro.serve.FleetStats.as_dict`);
+        ``"schedulers"`` maps each scheduler's dotted key to its
+        counters.
+        """
+        with self._lock:
+            schedulers = list(self._schedulers.items())
+        out = {"fleet": self.fleet.stats().as_dict(), "schedulers": {}}
+        for key, sched in schedulers:
+            stats = sched.stats
+            out["schedulers"][".".join(map(str, key))] = {
                 "submitted": stats.submitted,
                 "completed": stats.completed,
                 "failed": stats.failed,
@@ -448,12 +545,32 @@ class ServingAPI:
             }
         return out
 
+    def tenants_summary(self, top: int = 10) -> dict:
+        """The read-only ``/tenants`` payload: count + top-N by traffic."""
+        stats = self.fleet.stats()
+        return {
+            "count": stats.tenants,
+            "resident": stats.resident_models,
+            "default_tenant": self.fleet.default_tenant,
+            "top": [
+                {"tenant": name, "requests": requests}
+                for name, requests in self.fleet.top_tenants(top)
+                if requests > 0
+            ],
+        }
+
     # ------------------------------------------------------------------
     # lifecycle
     # ------------------------------------------------------------------
     def close(self) -> None:
-        """Drain and stop the underlying server."""
-        self._server.close()
+        """Drain and stop every scheduler; further submissions raise."""
+        with self._lock:
+            if self._closed:
+                return
+            self._closed = True
+            schedulers = list(self._schedulers.values())
+        for sched in schedulers:
+            sched.close()
 
     def __enter__(self) -> "ServingAPI":
         return self
@@ -463,6 +580,6 @@ class ServingAPI:
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (
-            f"ServingAPI(models={list(self.registry.names())}, "
-            f"default={self.default_model!r})"
+            f"ServingAPI({self.fleet!r}, coalesce={self.coalesce}, "
+            f"schedulers={len(self._schedulers)})"
         )

@@ -14,12 +14,11 @@ model; this module turns that into a real fleet:
   exceed the budget; a later request re-admits from the recorded path,
   checksums re-verified.  Hot tenants can be pinned.  Counters live in
   :class:`FleetStats`.
-* :class:`FleetAPI` — the protocol surface (same duck type as
-  :class:`~repro.serve.ServingAPI`, so :class:`~repro.serve.ServingFrontend`
-  serves either) that routes protocol-v4 ``tenant`` keys.  A request
-  without a tenant hits the fleet's default tenant, which is how v3
-  clients keep working unchanged; an unknown key raises
-  :class:`~repro.serve.TenantNotFound` (the non-retryable
+* :class:`~repro.serve.ServingAPI` — the protocol surface over a fleet
+  (a single served model is a fleet of one tenant), routing protocol-v4
+  ``tenant`` keys.  A request without a tenant hits the fleet's default
+  tenant, which is how v3 clients keep working unchanged; an unknown
+  key raises :class:`~repro.serve.TenantNotFound` (the non-retryable
   ``"unknown-tenant"`` wire code).
 * **Cross-tenant coalescing** — tenants whose artifacts share an
   encoder config (same ``d_hv``/quantizer/live-dimension count, packed
@@ -31,7 +30,7 @@ model; this module turns that into a real fleet:
   as correct, just not amortized.
 
     >>> fleet = ModelFleet.from_dir("artifacts/fleet", cache_bytes=64 << 20)
-    >>> with FleetAPI(fleet) as api:
+    >>> with ServingAPI(fleet) as api:
     ...     api.predict(packed_queries, tenant="user-1234")
     ...     api.stats()["fleet"]          # hits/misses/evictions/bytes
 
@@ -49,31 +48,20 @@ from __future__ import annotations
 
 import threading
 from collections import OrderedDict
-from concurrent.futures import Future
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-from repro.backend.packed import PackedHV, n_words, popcount
-from repro.proto.messages import (
-    ModelInfo,
-    ScoreBatchRequest,
-    ScoreBatchResponse,
-    ScoreRequest,
-    ScoreResponse,
-)
-from repro.serve.api import ServingAPI
+from repro.backend.packed import PackedHV, popcount
 from repro.serve.artifact import ModelArtifact
 from repro.serve.errors import TenantNotFound
 from repro.serve.registry import ModelRegistry
-from repro.serve.scheduler import MicroBatchConfig, MicroBatchScheduler
 
 __all__ = [
     "DEFAULT_TENANT",
     "FleetStats",
     "ModelFleet",
-    "FleetAPI",
     "fused_tenant_scores",
 ]
 
@@ -86,6 +74,10 @@ DEFAULT_TENANT = "default"
 @dataclass(frozen=True)
 class FleetStats:
     """A point-in-time snapshot of the fleet's cache counters.
+
+    ``hits``, ``misses`` and ``evictions`` are cumulative since the
+    fleet was constructed; a caller measuring a window takes the
+    difference of two snapshots.
 
     Attributes
     ----------
@@ -101,8 +93,10 @@ class FleetStats:
     hits:
         Requests that found their tenant resident.
     misses:
-        Requests (or flush-time re-resolutions) that had to admit the
-        tenant from disk — each one paid an mmap load + checksum pass.
+        Admissions from disk — each one paid an mmap load + checksum
+        pass.  A flush-time re-admission (the tenant was evicted between
+        submit and flush) counts as a miss too, although its request
+        was already counted once as a hit or miss at submit.
     evictions:
         Tenants pushed out by the byte budget since the fleet started.
     """
@@ -167,6 +161,23 @@ class _Tenant:
         # No recorded path means no way back after eviction: keep it.
         self.evictable = path is not None
         self.coalesce_key: tuple | None = None
+
+    def model_name(self, model: str | None = None) -> str:
+        """The registry name a call with ``model=`` serves in this tenant.
+
+        ``None`` falls back to the tenant's default model, then to the
+        single name its registry serves.
+        """
+        name = model or self.model
+        if name is None:
+            names = self.registry.names()
+            if len(names) == 1:
+                return names[0]
+            raise ValueError(
+                "no model name given and no default set; "
+                f"registry serves {list(names)}"
+            )
+        return name
 
 
 def _engine_coalesce_key(engine) -> tuple | None:
@@ -332,9 +343,9 @@ class ModelFleet:
     def add_tenant(
         self,
         tenant: str,
-        source: str | Path | ModelArtifact,
+        source: str | Path | ModelArtifact | ModelRegistry,
         *,
-        model: str = "model",
+        model: str | None = "model",
         pin: bool = False,
         engine_kwargs: dict | None = None,
     ) -> None:
@@ -343,26 +354,29 @@ class ModelFleet:
         ``source`` is normally an artifact directory path — recorded,
         not loaded, so registering a million tenants is cheap and the
         LRU cache decides what is actually resident.  An in-memory
-        :class:`~repro.serve.ModelArtifact` is admitted immediately and
-        is never evicted (there is no path to reload it from).
+        :class:`~repro.serve.ModelArtifact` (published as ``model``) or
+        a live :class:`~repro.serve.ModelRegistry` is resident at once
+        and is never evicted (there is no path to reload it from).
+        ``model=None`` serves whichever single name the registry holds.
         ``pin=True`` exempts a hot tenant from eviction.
         """
         with self._lock:
             if tenant in self._tenants:
                 raise ValueError(f"tenant {tenant!r} already registered")
+            path = (
+                None
+                if isinstance(source, (ModelArtifact, ModelRegistry))
+                else Path(source)
+            )
+            record = _Tenant(
+                tenant, path, model, pin, engine_kwargs, len(self._by_index)
+            )
             if isinstance(source, ModelArtifact):
-                record = _Tenant(
-                    tenant, None, model, pin, engine_kwargs,
-                    len(self._by_index),
-                )
                 registry = ModelRegistry()
                 registry.publish(model, source, engine_kwargs=engine_kwargs)
                 self._install(record, registry)
-            else:
-                record = _Tenant(
-                    tenant, Path(source), model, pin, engine_kwargs,
-                    len(self._by_index),
-                )
+            elif isinstance(source, ModelRegistry):
+                self._install(record, source)
             self._tenants[tenant] = record
             self._by_index.append(record)
             if self.default_tenant is None:
@@ -374,13 +388,24 @@ class ModelFleet:
     def resolve(self, tenant: str | None = None, *, count: bool = True) -> _Tenant:
         """The tenant's record with a live registry, admitting if needed.
 
-        ``None`` resolves to the default tenant.  Raises
-        :class:`~repro.serve.TenantNotFound` for keys the fleet does
-        not host.  ``count=True`` (the request path) bumps the tenant's
-        traffic counter and the hit/miss stats; flush runners
-        re-resolve with ``count=False`` so one request is not counted
-        twice (an eviction between submit and flush still counts its
-        re-admission as a miss — that load was real).
+        See :meth:`lookup`, which also returns the registry itself.
+        """
+        return self.lookup(tenant, count=count)[0]
+
+    def lookup(
+        self, tenant: str | None = None, *, count: bool = True
+    ) -> tuple[_Tenant, ModelRegistry]:
+        """``(record, registry)`` of a tenant, admitting it if needed.
+
+        The registry is captured at resolution, so a concurrent
+        eviction (which clears ``record.registry``) cannot pull it out
+        from under the caller.  ``None`` resolves to the default
+        tenant.  Raises :class:`~repro.serve.TenantNotFound` for keys
+        the fleet does not host.  ``count=True`` (the request path)
+        bumps the tenant's traffic counter and the hit/miss stats;
+        flush runners re-resolve with ``count=False`` so one request is
+        not counted twice (an eviction between submit and flush still
+        counts its re-admission as a miss — that load was real).
         """
         name = self.default_tenant if tenant is None else tenant
         with self._lock:
@@ -393,16 +418,16 @@ class ModelFleet:
                 )
             if count:
                 record.requests += 1
-            if record.registry is not None:
+            registry = record.registry
+            if registry is not None:
                 if count:
                     self._hits += 1
                 if record.name in self._lru:
                     self._lru.move_to_end(record.name)
-                return record
-        self._admit(record)
-        return record
+                return record, registry
+        return record, self._admit(record)
 
-    def _admit(self, record: _Tenant) -> None:
+    def _admit(self, record: _Tenant) -> ModelRegistry:
         """Load a non-resident tenant (off-lock) and install it.
 
         ``verify=True`` on every admission: the first load checks the
@@ -425,13 +450,25 @@ class ModelFleet:
             if record.registry is None:
                 self._misses += 1
                 self._install(record, registry)
+            # A racing admission may have won (and even been evicted
+            # since); ours is loaded from the same path either way.
+            return registry if record.registry is None else record.registry
 
     def _install(self, record: _Tenant, registry: ModelRegistry) -> None:
-        """Make a loaded registry resident (lock held by caller)."""
-        engine = registry.describe(record.model).engine
+        """Make a loaded registry resident (lock held by caller).
+
+        A registry that cannot name a default model yet (empty, or
+        several names and no default) holds no bytes and coalesces
+        with nobody.
+        """
         record.registry = registry
-        record.resident_bytes = int(engine.store_nbytes)
-        record.coalesce_key = _engine_coalesce_key(engine)
+        try:
+            engine = registry.describe(record.model_name()).engine
+        except (KeyError, ValueError):
+            engine = None
+        if engine is not None:
+            record.resident_bytes = int(engine.store_nbytes)
+            record.coalesce_key = _engine_coalesce_key(engine)
         self._resident_bytes += record.resident_bytes
         self._lru[record.name] = None
         self._lru.move_to_end(record.name)
@@ -473,7 +510,7 @@ class ModelFleet:
         returned registry swaps that one tenant's model with zero
         dropped requests, exactly as for a single-model server.
         """
-        return self.resolve(tenant, count=False).registry
+        return self.lookup(tenant, count=False)[1]
 
     # ------------------------------------------------------------------
     # management
@@ -497,6 +534,18 @@ class ModelFleet:
                     f"cannot unpin unknown tenant {tenant!r}", tenant=tenant
                 )
             record.pin = False
+
+    def resident_registries(self) -> list[tuple[_Tenant, ModelRegistry]]:
+        """``(record, registry)`` of every resident tenant, oldest first.
+
+        A read-only snapshot for the ops endpoints: it neither counts
+        as traffic nor reorders the LRU.
+        """
+        with self._lock:
+            return [
+                (self._tenants[name], self._tenants[name].registry)
+                for name in self._lru
+            ]
 
     def tenants(self) -> tuple[str, ...]:
         """Every registered tenant name, in registration order."""
@@ -549,501 +598,4 @@ class ModelFleet:
         return (
             f"ModelFleet({s.tenants} tenants, {s.resident_models} resident, "
             f"{s.resident_bytes} bytes, default={self.default_tenant!r})"
-        )
-
-
-class _FleetNames:
-    """Just enough registry duck-type for the frontend's handshake.
-
-    The frontend's ``Welcome`` lists ``api.registry.names()``; for a
-    fleet the useful listing is the tenants, capped so a million-tenant
-    fleet does not turn the handshake frame into a directory dump.
-    """
-
-    #: Welcome-frame listing cap; the ``/tenants`` HTTP endpoint serves
-    #: the full count.
-    CAP = 32
-
-    def __init__(self, fleet: ModelFleet):
-        self._fleet = fleet
-
-    def names(self) -> tuple[str, ...]:
-        """Up to :data:`CAP` tenant names (default tenant always first)."""
-        tenants = self._fleet.tenants()
-        default = self._fleet.default_tenant
-        if default in tenants:
-            tenants = (default, *(t for t in tenants if t != default))
-        return tenants[: self.CAP]
-
-
-class FleetAPI:
-    """The typed serving surface of a :class:`ModelFleet`.
-
-    Duck-types :class:`~repro.serve.ServingAPI` — ``submit_score`` /
-    ``submit_score_batch`` / ``info`` / ``health`` / ``models`` /
-    ``stats`` — so :class:`~repro.serve.ServingFrontend` serves a fleet
-    through the exact same dispatch path as a single model.  Three
-    things are fleet-specific:
-
-    * requests route by their protocol-v4 ``tenant`` key (absent =
-      default tenant); unknown keys raise
-      :class:`~repro.serve.TenantNotFound`;
-    * with ``coalesce=True`` (default), tenants sharing a coalesce key
-      (see :func:`fused_tenant_scores`) share one scheduler — a flush
-      scores a mixed-tenant batch in one fused kernel call and scatters
-      per-tenant results, which is where the fleet's throughput at high
-      tenant counts comes from;
-    * ``stats()`` carries the fleet cache counters next to the
-      scheduler counters, and :meth:`tenants_summary` backs the
-      read-only ``/tenants`` HTTP endpoint.
-
-    Parameters
-    ----------
-    fleet:
-        The tenant store (and LRU cache) to serve.
-    config:
-        Micro-batching flush policy shared by every scheduler.
-    coalesce:
-        ``False`` forces per-tenant flushes even for shared-config
-        tenants — the benchmark's baseline, and an escape hatch.
-    """
-
-    def __init__(
-        self,
-        fleet: ModelFleet,
-        *,
-        config: MicroBatchConfig | None = None,
-        coalesce: bool = True,
-    ):
-        self.fleet = fleet
-        self.config = config or MicroBatchConfig()
-        self.coalesce = coalesce
-        self.registry = _FleetNames(fleet)
-        self._lock = threading.Lock()
-        self._schedulers: dict[tuple, MicroBatchScheduler] = {}
-        # (scheduler key [+ tenant for group keys]) -> version that
-        # answered the latest flush; written in the flusher thread,
-        # read by response-future callbacks in that same thread.
-        self._flush_versions: dict[tuple, int] = {}
-        self._closed = False
-
-    @property
-    def default_model(self) -> str | None:
-        """The default tenant's name (health/ops symmetry with ServingAPI)."""
-        return self.fleet.default_tenant
-
-    # ------------------------------------------------------------------
-    # submission plumbing
-    # ------------------------------------------------------------------
-    def _scheduler(self, key: tuple, make_runner) -> MicroBatchScheduler:
-        with self._lock:
-            if self._closed:
-                raise RuntimeError("fleet API is closed")
-            sched = self._schedulers.get(key)
-            if sched is None:
-                sched = MicroBatchScheduler(
-                    make_runner(key), self.config, name=".".join(map(str, key))
-                )
-                self._schedulers[key] = sched
-            return sched
-
-    def _run_group(self, rows: np.ndarray, key: tuple) -> np.ndarray:
-        """Flush runner for a shared-config, mixed-tenant scheduler.
-
-        ``rows`` is ``[signs | mags | tenant_index]`` (all uint64).
-        Resolves every tenant present *at flush time* — an eviction
-        between submit and flush re-admits here, a hot-swap lands here —
-        stacks their class stores, and makes one fused kernel call.
-        """
-        want_scores = key[-1]
-        words = (rows.shape[1] - 1) // 2
-        indices = rows[:, -1].astype(np.int64)
-        unique, inverse = np.unique(indices, return_inverse=True)
-        engines = []
-        for index in unique:
-            record = self.fleet.record_by_index(int(index))
-            registry = self.fleet.resolve(record.name, count=False).registry
-            described = registry.describe(record.model)
-            engines.append(described.engine)
-            self._flush_versions[key + (record.name,)] = described.version
-        signs = rows[:, :words]
-        mags = rows[:, words:-1]
-        store_signs = np.stack([e.prepared.store.signs for e in engines])
-        store_mags = np.stack([e.prepared.store.mags for e in engines])
-        norms = np.stack([e.prepared.norms for e in engines])
-        scores = fused_tenant_scores(
-            signs, mags, store_signs, store_mags, norms, inverse
-        )
-        if want_scores:
-            return scores
-        return np.argmax(scores, axis=1)
-
-    def _run_tenant(self, rows: np.ndarray, key: tuple) -> np.ndarray:
-        """Flush runner for one tenant's private scheduler.
-
-        ``key`` is ``("tenant", tenant, model, kind, want_scores)``
-        where ``kind`` is ``"packed"`` (plane rows, rebuilt per flush
-        exactly like :meth:`ModelServer._run_packed`) or ``"dense"``.
-        """
-        _, tenant, model, kind, want_scores = key
-        registry = self.fleet.resolve(tenant, count=False).registry
-        described = registry.describe(model)
-        engine = described.engine
-        self._flush_versions[key] = described.version
-        if kind == "packed":
-            words = n_words(engine.d_hv)
-            if rows.shape[1] != 2 * words:
-                raise ValueError(
-                    f"plane rows have {rows.shape[1]} words but tenant "
-                    f"{tenant!r} serves d_hv={engine.d_hv}"
-                )
-            queries = PackedHV(
-                signs=np.ascontiguousarray(rows[:, :words]),
-                mags=np.ascontiguousarray(rows[:, words:]),
-                d=engine.d_hv,
-            )
-            if engine.backend.name != "packed":
-                queries = queries.unpack(np.float32)
-        else:
-            queries = rows
-        if want_scores:
-            return engine.scores(queries)
-        return engine.predict(queries)
-
-    def _submit_queries(self, queries, tenant, model, want_scores, d_hv,
-                        deadline):
-        """Resolve tenant + model, shape-check, enqueue once.
-
-        Returns ``(name, version_key, submit_version, raw_future)``.
-        Raises :class:`~repro.serve.TenantNotFound` for unknown
-        tenants, ``KeyError`` for unknown models *within* a hosted
-        tenant, ``ValueError`` for shape mismatches, and the scheduler's
-        :class:`~repro.serve.Overloaded` /
-        :class:`~repro.serve.DeadlineExceeded` — the frontend maps each
-        to its typed wire code.
-        """
-        record = self.fleet.resolve(tenant)
-        name = model if model is not None else record.model
-        described = record.registry.describe(name)
-        engine = described.engine
-        if d_hv != engine.d_hv:
-            raise ValueError(
-                f"queries have {d_hv} dimensions but tenant "
-                f"{record.name!r} model {name!r} serves {engine.d_hv}"
-            )
-        packed = isinstance(queries, PackedHV)
-        coalescable = (
-            self.coalesce
-            and packed
-            and record.coalesce_key is not None
-            and name == record.model
-        )
-        if coalescable:
-            key = ("group",) + record.coalesce_key + (bool(want_scores),)
-            index_column = np.full(
-                (queries.n, 1), record.index, dtype=np.uint64
-            )
-            rows = np.concatenate(
-                [queries.signs, queries.mags, index_column], axis=1
-            )
-            sched = self._scheduler(key, lambda k: (
-                lambda batch: self._run_group(batch, k)
-            ))
-            version_key = key + (record.name,)
-        else:
-            kind = "packed" if packed else "dense"
-            key = ("tenant", record.name, name, kind, bool(want_scores))
-            if packed:
-                rows = np.concatenate([queries.signs, queries.mags], axis=1)
-            else:
-                rows = np.atleast_2d(np.asarray(queries))
-            sched = self._scheduler(key, lambda k: (
-                lambda batch: self._run_tenant(batch, k)
-            ))
-            version_key = key
-        raw = sched.submit(rows, deadline=deadline)
-        return name, version_key, described.version, raw
-
-    def _finish_response(self, raw: Future, version_key, submit_version,
-                         build) -> Future:
-        """Chain a raw scheduler future into a typed-response future.
-
-        ``build(result, version)`` runs in the flusher thread right
-        after the flush that scored the rows, so the recorded flush
-        version is exactly the version that answered (falling back to
-        the version seen at submit before any flush has run).
-        """
-        response: Future = Future()
-        response.set_running_or_notify_cancel()
-
-        def _finish(fut: Future):
-            exc = fut.exception()
-            if exc is not None:
-                response.set_exception(exc)
-                return
-            result = fut.result()
-            try:
-                version = self._flush_versions.get(
-                    version_key, submit_version
-                )
-                resp = build(result, version)
-            except Exception as build_exc:  # noqa: BLE001 — forwarded
-                response.set_exception(build_exc)
-                return
-            response.set_result(resp)
-
-        raw.add_done_callback(_finish)
-        return response
-
-    # ------------------------------------------------------------------
-    # typed protocol entry points (what the frontend calls)
-    # ------------------------------------------------------------------
-    def score(self, request: ScoreRequest) -> ScoreResponse:
-        """Answer one typed request synchronously."""
-        return self.submit_score(request).result()
-
-    def score_batch(self, request: ScoreBatchRequest) -> ScoreBatchResponse:
-        """Answer one typed batch request synchronously."""
-        return self.submit_score_batch(request).result()
-
-    def submit_score(
-        self, request: ScoreRequest, *, deadline: float | None = None
-    ) -> Future:
-        """Answer one typed request; resolves to a :class:`ScoreResponse`.
-
-        Routed by ``request.tenant`` (``None`` = default tenant);
-        otherwise identical semantics to
-        :meth:`~repro.serve.ServingAPI.submit_score`, including
-        deadline handling and the flushed-version label.
-        """
-        name, version_key, submit_version, raw = self._submit_queries(
-            request.queries, request.tenant, request.model,
-            request.want_scores, request.d_hv,
-            ServingAPI._resolve_deadline(request, deadline),
-        )
-
-        def build(result, version):
-            if request.want_scores:
-                scores = np.atleast_2d(np.asarray(result))
-                return ScoreResponse(
-                    predictions=np.argmax(scores, axis=1),
-                    scores=scores,
-                    model=name,
-                    version=version,
-                    request_id=request.request_id,
-                )
-            return ScoreResponse(
-                predictions=np.atleast_1d(np.asarray(result)),
-                model=name,
-                version=version,
-                request_id=request.request_id,
-            )
-
-        return self._finish_response(raw, version_key, submit_version, build)
-
-    def submit_score_batch(
-        self, request: ScoreBatchRequest, *, deadline: float | None = None
-    ) -> Future:
-        """Answer one v2 batch frame for one tenant; one scheduler submit.
-
-        The stacked sub-requests all belong to ``request.tenant`` — a
-        batch frame is one client's pipelining amplifier, and one
-        client is one tenant.  Cross-*tenant* coalescing happens a
-        layer down, where the shared-config scheduler stacks many
-        tenants' (batch) submissions into one flush.
-        """
-        name, version_key, submit_version, raw = self._submit_queries(
-            request.queries, request.tenant, request.model,
-            request.want_scores, request.d_hv,
-            ServingAPI._resolve_deadline(request, deadline),
-        )
-
-        def build(result, version):
-            if request.want_scores:
-                scores = np.atleast_2d(np.asarray(result))
-                return ScoreBatchResponse(
-                    predictions=np.argmax(scores, axis=1),
-                    counts=request.counts,
-                    scores=scores,
-                    model=name,
-                    version=version,
-                    request_id=request.request_id,
-                )
-            return ScoreBatchResponse(
-                predictions=np.atleast_1d(np.asarray(result)),
-                counts=request.counts,
-                model=name,
-                version=version,
-                request_id=request.request_id,
-            )
-
-        return self._finish_response(raw, version_key, submit_version, build)
-
-    def predict(self, queries, *, tenant: str | None = None,
-                model: str | None = None) -> np.ndarray:
-        """Labels for one tenant's queries (sync convenience)."""
-        return self.score(
-            ScoreRequest(queries=queries, model=model, tenant=tenant)
-        ).predictions
-
-    def scores(self, queries, *, tenant: str | None = None,
-               model: str | None = None) -> np.ndarray:
-        """Class scores for one tenant's queries (sync convenience)."""
-        return self.score(
-            ScoreRequest(
-                queries=queries, model=model, tenant=tenant,
-                want_scores=True,
-            )
-        ).scores
-
-    def info(
-        self,
-        model: str | None = None,
-        *,
-        request_id: int = 0,
-        tenant: str | None = None,
-    ) -> ModelInfo:
-        """A typed :class:`~repro.proto.ModelInfo` for one tenant's model.
-
-        The per-tenant ``mask_seed`` travels here exactly as for a
-        single-model server — each tenant's clients adopt *their*
-        tenant's mask, nobody else's.
-        """
-        record = self.fleet.resolve(tenant)
-        name = model if model is not None else record.model
-        described = record.registry.describe(name)
-        engine = described.engine
-        artifact = described.artifact
-        if artifact is not None:
-            n_live = artifact.n_live_dims
-            quantizer = artifact.query_quantizer
-            epsilon = artifact.epsilon
-            mask_seed = artifact.mask_seed
-        else:
-            mask = engine.keep_mask
-            n_live = engine.d_hv if mask is None else int(mask.sum())
-            quantizer = (
-                engine.quantizer.name if engine.quantizer is not None else None
-            )
-            epsilon = float("inf")
-            mask_seed = None
-        return ModelInfo(
-            name=name,
-            version=described.version,
-            n_classes=engine.n_classes,
-            d_hv=engine.d_hv,
-            n_live_dims=n_live,
-            backend=engine.backend.name,
-            query_quantizer=quantizer,
-            epsilon=epsilon,
-            mask_seed=mask_seed,
-            request_id=request_id,
-        )
-
-    # ------------------------------------------------------------------
-    # ops endpoints (JSON-safe — the HTTP adapter returns these verbatim)
-    # ------------------------------------------------------------------
-    def health(self) -> dict:
-        """Liveness + fleet summary for load balancers and probes."""
-        stats = self.fleet.stats()
-        return {
-            "status": "ok" if stats.tenants else "empty",
-            "models": stats.resident_models,
-            "default_model": self.fleet.default_tenant,
-            "tenants": stats.tenants,
-            "resident_models": stats.resident_models,
-        }
-
-    def models(self) -> dict:
-        """Every *resident* tenant's model summary.
-
-        Deliberately residents-only: a 10^5-tenant fleet's ``/models``
-        should describe what is serving from memory, not enumerate the
-        disk.  ``/tenants`` carries the full count.
-        """
-        out = {}
-        for tenant in self.fleet.resident_tenants():
-            record = self.fleet.resolve(tenant, count=False)
-            registry = record.registry
-            if registry is None:  # pragma: no cover - eviction race
-                continue
-            described = registry.describe(record.model)
-            engine = described.engine
-            out[tenant] = {
-                "model": record.model,
-                "current_version": described.version,
-                "n_classes": engine.n_classes,
-                "d_hv": engine.d_hv,
-                "backend": engine.backend.name,
-                "resident_bytes": record.resident_bytes,
-                "pinned": record.pin,
-            }
-        return out
-
-    def stats(self) -> dict:
-        """Scheduler counters plus the fleet cache counters.
-
-        The ``"fleet"`` key is the satellite the HTTP ``/stats``
-        endpoint surfaces: hits, misses, evictions, resident_bytes,
-        resident_models (see :meth:`FleetStats.as_dict`).
-        """
-        with self._lock:
-            schedulers = {
-                ".".join(map(str, key)): sched.stats
-                for key, sched in self._schedulers.items()
-            }
-        out = {"fleet": self.fleet.stats().as_dict(), "schedulers": {}}
-        for key, stats in schedulers.items():
-            out["schedulers"][key] = {
-                "submitted": stats.submitted,
-                "completed": stats.completed,
-                "failed": stats.failed,
-                "cancelled": stats.cancelled,
-                "rejected": stats.rejected,
-                "expired": stats.expired,
-                "flushes": stats.flushes,
-                "mean_batch_rows": stats.mean_batch_rows,
-                "max_batch_rows": stats.max_batch_rows,
-                "flushes_by_trigger": dict(stats.flushes_by_trigger),
-            }
-        return out
-
-    def tenants_summary(self, top: int = 10) -> dict:
-        """The read-only ``/tenants`` payload: count + top-N by traffic."""
-        stats = self.fleet.stats()
-        return {
-            "count": stats.tenants,
-            "resident": stats.resident_models,
-            "default_tenant": self.fleet.default_tenant,
-            "top": [
-                {"tenant": name, "requests": requests}
-                for name, requests in self.fleet.top_tenants(top)
-                if requests > 0
-            ],
-        }
-
-    # ------------------------------------------------------------------
-    # lifecycle
-    # ------------------------------------------------------------------
-    def close(self) -> None:
-        """Drain and stop every scheduler; further submissions raise."""
-        with self._lock:
-            if self._closed:
-                return
-            self._closed = True
-            schedulers = list(self._schedulers.values())
-            self._schedulers.clear()
-        for sched in schedulers:
-            sched.close()
-
-    def __enter__(self) -> "FleetAPI":
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self.close()
-
-    def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return (
-            f"FleetAPI({self.fleet!r}, coalesce={self.coalesce}, "
-            f"schedulers={len(self._schedulers)})"
         )

@@ -29,7 +29,7 @@ Connection discipline
 
 A thin HTTP/1.0 adapter (:class:`HttpOpsAdapter`, enabled with
 ``http_port``) exposes the ops endpoints — ``/healthz``, ``/models``,
-``/stats``, and (fleet deployments) ``/tenants`` — as JSON for probes
+``/stats`` and ``/tenants`` — as JSON for probes
 and humans; it serves *metadata only* and cannot score.
 
     >>> api = ServingAPI.from_artifact("artifacts/isolet-v1")
@@ -143,15 +143,15 @@ class ServingFrontend:
     ----------
     api:
         The :class:`~repro.serve.ServingAPI` answering decoded requests
-        (shared with any in-process callers — one registry, one
-        micro-batcher).
+        (shared with any in-process callers — one fleet, one set of
+        micro-batchers).
     host, port:
         Bind address of the binary protocol listener; ``port=0`` picks
         a free port (read it from :attr:`address` after :meth:`start`).
     http_port:
         Optional second listener serving the JSON ops endpoints
-        (``/healthz``, ``/models``, ``/stats``); ``None`` disables it,
-        ``0`` picks a free port.
+        (``/healthz``, ``/models``, ``/stats``, ``/tenants``); ``None``
+        disables it, ``0`` picks a free port.
     max_frame_bytes:
         Per-frame payload cap forwarded to the decoder.
     max_inflight:
@@ -491,7 +491,7 @@ class ServingFrontend:
             Welcome(
                 version=version,
                 server=self.name,
-                models=self.api.registry.names(),
+                models=self.api.names(),
             ),
         )
         return True
@@ -732,13 +732,7 @@ class ServingFrontend:
             elif path == "/stats":
                 status, body = 200, self.api.stats()
             elif path == "/tenants":
-                # Fleet deployments only; a single-model API has no
-                # tenant listing to leak, so the route 404s there.
-                summary = getattr(self.api, "tenants_summary", None)
-                if summary is None:
-                    status, body = 404, {"error": "not a fleet server"}
-                else:
-                    status, body = 200, summary()
+                status, body = 200, self.api.tenants_summary()
             else:
                 status, body = 404, {"error": f"no route {path!r}"}
             payload = json.dumps(body, indent=2, sort_keys=True).encode()

@@ -71,6 +71,7 @@ from repro.proto.wire import DEFAULT_MAX_FRAME_BYTES
 from repro.serve.artifact import ModelArtifact
 from repro.serve.errors import WorkerLost
 from repro.serve.faults import faults
+from repro.serve.fleet import ModelFleet
 from repro.serve.frontend import FrontendConfig
 from repro.serve.scheduler import MicroBatchConfig
 
@@ -91,7 +92,6 @@ def _worker_main(
     loop: str = "asyncio",
     fleet_dir: str | None = None,
     cache_bytes: int | None = None,
-    coalesce: bool = True,
     verify: bool = True,
 ) -> None:
     """One acceptor process: frontend + registry + control-pipe listener.
@@ -102,18 +102,16 @@ def _worker_main(
     in-process promote: batches in flight finish on their version, the
     next flush resolves the new one, zero requests dropped.
 
-    With ``fleet_dir`` set the worker serves a
-    :class:`~repro.serve.fleet.FleetAPI` instead of a single model:
-    every worker scans the same tenant directory and runs its own LRU
-    cache (residency is per-worker, page-cache sharing comes from the
-    mmap loads), and the fleet control ops (``add_tenant``,
+    The worker serves one :class:`~repro.serve.ServingAPI`: over the
+    tenant directory when ``fleet_dir`` is set (every worker scans the
+    same directory and runs its own LRU cache; residency is per-worker,
+    page-cache sharing comes from the mmap loads), else over a fleet of
+    one built from the artifact.  The control ops (``add_tenant``,
     tenant-scoped ``load``/``promote``) apply to each worker's fleet.
     """
     import asyncio
 
     from repro.serve.api import ServingAPI
-    from repro.serve.errors import TenantNotFound
-    from repro.serve.fleet import FleetAPI, ModelFleet
     from repro.serve.frontend import ServingFrontend
     from repro.serve.loops import new_event_loop
 
@@ -122,10 +120,9 @@ def _worker_main(
     faults.arm_from_env()
     try:
         if fleet_dir is not None:
-            api = FleetAPI(
+            api = ServingAPI(
                 ModelFleet.from_dir(fleet_dir, cache_bytes=cache_bytes),
                 config=config,
-                coalesce=coalesce,
             )
         else:
             # verify=False: the pool parent hashed this directory once
@@ -140,23 +137,10 @@ def _worker_main(
         conn.close()
         return
 
-    def _tenant_registry(tenant: str | None):
-        """The registry a (possibly tenant-scoped) control op targets."""
-        fleet = getattr(api, "fleet", None)
-        if fleet is not None:
-            return fleet.registry_for(tenant)
-        if tenant is not None:
-            raise TenantNotFound(
-                f"worker serves a single model, not tenant {tenant!r}",
-                tenant=tenant,
-            )
-        return api.registry
-
-    def _tenant_model(tenant: str | None) -> str:
-        fleet = getattr(api, "fleet", None)
-        if fleet is not None:
-            return fleet.resolve(tenant, count=False).model
-        return name
+    def _target(command: dict):
+        """``(registry, model)`` a (possibly tenant-scoped) op targets."""
+        record, registry = api.fleet.lookup(command.get("tenant"), count=False)
+        return registry, record.model_name(command.get("model"))
 
     async def _run() -> None:
         frontend = ServingFrontend(
@@ -213,9 +197,9 @@ def _worker_main(
                 # lands synchronously inside it.
                 async def do_load() -> None:
                     def _apply() -> int:
-                        tenant = command.get("tenant")
-                        return _tenant_registry(tenant).load(
-                            command.get("model") or _tenant_model(tenant),
+                        registry, model = _target(command)
+                        return registry.load(
+                            model,
                             command["path"],
                             mmap=mmap,
                             verify=command.get("verify", True),
@@ -239,28 +223,17 @@ def _worker_main(
                 elif op == "ping":
                     reply = {"ok": True, "pid": multiprocessing.current_process().pid}
                 elif op == "promote":
-                    tenant = command.get("tenant")
-                    _tenant_registry(tenant).promote(
-                        command.get("model") or _tenant_model(tenant),
-                        command["version"],
-                    )
+                    registry, model = _target(command)
+                    registry.promote(model, command["version"])
                     reply = {"ok": True}
                 elif op == "add_tenant":
-                    fleet = getattr(api, "fleet", None)
-                    if fleet is None:
-                        reply = {
-                            "ok": False,
-                            "error": "add_tenant needs a fleet worker "
-                                     "(start the pool with fleet_dir=...)",
-                        }
-                    else:
-                        fleet.add_tenant(
-                            command["tenant"],
-                            command["path"],
-                            model=command.get("model") or "model",
-                            pin=command.get("pin", False),
-                        )
-                        reply = {"ok": True}
+                    api.fleet.add_tenant(
+                        command["tenant"],
+                        command["path"],
+                        model=command.get("model") or "model",
+                        pin=command.get("pin", False),
+                    )
+                    reply = {"ok": True}
                 elif op == "inject":
                     faults.arm(command["spec"])
                     reply = {"ok": True}
@@ -310,13 +283,14 @@ class WorkerPool:
         exclusive with ``fleet_dir``.
     fleet_dir:
         Directory of per-tenant artifact directories: each worker
-        serves a :class:`~repro.serve.fleet.FleetAPI` over it, with a
-        per-worker ``cache_bytes`` LRU budget (tenants admit lazily;
-        the mmap loads share page-cache across workers) and
-        cross-tenant coalescing unless ``coalesce=False``.
-    cache_bytes, coalesce:
-        Fleet-mode knobs, forwarded to each worker's
-        :class:`~repro.serve.fleet.ModelFleet` / ``FleetAPI``.
+        serves a :class:`~repro.serve.ServingAPI` over a
+        :class:`~repro.serve.ModelFleet` of it, with a per-worker
+        ``cache_bytes`` LRU budget (tenants admit lazily; the mmap
+        loads share page-cache across workers) and cross-tenant
+        coalescing.
+    cache_bytes:
+        Fleet-mode LRU budget, forwarded to each worker's
+        :class:`~repro.serve.ModelFleet`.
     name:
         Registry name the artifact is served under in each worker.
     workers:
@@ -372,7 +346,6 @@ class WorkerPool:
         *,
         fleet_dir: str | Path | None = None,
         cache_bytes: int | None = None,
-        coalesce: bool = True,
         name: str = "model",
         workers: int = 2,
         host: str = "127.0.0.1",
@@ -431,16 +404,7 @@ class WorkerPool:
         # not hash 10k artifacts at startup.
         try:
             if self.fleet_dir is not None:
-                root = Path(self.fleet_dir)
-                if not any(
-                    (entry / "manifest.json").is_file()
-                    for entry in root.iterdir()
-                    if entry.is_dir()
-                ):
-                    raise ValueError(
-                        f"fleet dir {root} holds no artifact "
-                        "subdirectories"
-                    )
+                ModelFleet.from_dir(self.fleet_dir)
             else:
                 ModelArtifact.load(self.artifact_path, mmap=True)
         except Exception as exc:
@@ -459,7 +423,6 @@ class WorkerPool:
             loop,
             self.fleet_dir,
             cache_bytes,
-            coalesce,
             # verify: the parent just hashed a single artifact, so its
             # workers skip the re-hash; fleet workers verify lazily at
             # each tenant's admission instead.
@@ -659,9 +622,9 @@ class WorkerPool:
     ) -> int:
         """Hot-swap every worker to a new artifact directory.
 
-        ``tenant`` scopes the swap to one fleet tenant's registry
-        (fleet pools only) — the same zero-dropped-request promote,
-        applied to that tenant on every worker.
+        ``tenant`` scopes the swap to one fleet tenant's registry — the
+        same zero-dropped-request promote, applied to that tenant on
+        every worker.
 
         Each worker loads (checksum-verified) and promotes the artifact
         through its local registry — the same atomic swap a single
@@ -752,7 +715,7 @@ class WorkerPool:
         model: str = "model",
         pin: bool = False,
     ) -> None:
-        """Register a new fleet tenant on every worker (fleet pools only).
+        """Register a new fleet tenant on every worker.
 
         The registration is lazy on each worker (a path, not a load —
         each worker's LRU cache admits the tenant on first traffic) and

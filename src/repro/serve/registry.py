@@ -15,7 +15,7 @@ resolved the old engine before a promote simply finishes on the old
 engine — both versions are fully constructed, so there is no window
 where a name resolves to a partially-prepared model, and therefore no
 dropped or errored request during a swap.  The micro-batching
-:class:`~repro.serve.ModelServer` resolves once per *flush*, so every
+:class:`~repro.serve.ServingAPI` resolves once per *flush*, so every
 query in a batch is answered by a single consistent version.
 
     >>> reg = ModelRegistry()

@@ -48,7 +48,7 @@ are counted in :class:`SchedulerStats` (``rejected``/``expired``).
 
 The runner is any ``(n, d) → (n, …)`` callable — typically
 ``engine.predict`` or a registry resolution that picks the current
-version per flush (see :class:`~repro.serve.ModelServer`).
+version per flush (see :class:`~repro.serve.ServingAPI`).
 """
 
 from __future__ import annotations

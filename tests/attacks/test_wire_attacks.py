@@ -274,7 +274,7 @@ class TestCaptureProxyTransparency:
         )
         fleet = serve.ModelFleet(default_tenant="t")
         fleet.add_tenant("t", artifact)
-        api = serve.FleetAPI(fleet)
+        api = serve.ServingAPI(fleet)
         try:
             with serve.FrontendHandle(api) as handle:
                 with PriveHDClient(

@@ -263,7 +263,7 @@ class TestFleetTenantSniffing:
 
     @pytest.fixture()
     def fleet_served(self, encoder, features):
-        from repro.serve import FleetAPI, ModelFleet
+        from repro.serve import ModelFleet, ServingAPI
         from repro.hd.prune import mask_from_seed
 
         rng = spawn(9, "privacy-fleet")
@@ -287,7 +287,7 @@ class TestFleetTenantSniffing:
         fleet.add_tenant("alice", plain)
         fleet.add_tenant("bob", plain)
         fleet.add_tenant("pruned", pruned)
-        api = FleetAPI(fleet)
+        api = ServingAPI(fleet)
         with FrontendHandle(api) as handle:
             yield handle, seed, n_masked
         api.close()

@@ -9,6 +9,7 @@ from repro.proto import ModelInfo, ScoreRequest, ScoreResponse
 from repro.serve import (
     MicroBatchConfig,
     ModelArtifact,
+    ModelFleet,
     ModelRegistry,
     ServingAPI,
 )
@@ -45,7 +46,9 @@ class TestConstruction:
     def test_wraps_existing_registry(self):
         registry = ModelRegistry()
         registry.publish("x", _artifact())
-        with ServingAPI(registry, default_model="x") as api:
+        fleet = ModelFleet()
+        fleet.add_tenant("x", registry, model="x")
+        with ServingAPI(fleet) as api:
             assert api.registry is registry
 
 
@@ -181,7 +184,7 @@ class TestInfoAndOps:
             models = api.models()
             assert models["m"]["current_version"] == 1
             stats = api.stats()
-            assert stats["m.predict"]["completed"] == 1
+            assert stats["schedulers"]["tenant.m.m.predict"]["completed"] == 1
             json.dumps([health, models, stats])  # must not raise
 
     def test_predict_features_requires_encoder(self):
@@ -215,6 +218,6 @@ class TestMicroBatchingPreserved:
             for t in threads:
                 t.join()
             np.testing.assert_array_equal(out, direct)
-            stats = api.stats()["m.predict"]
+            stats = api.stats()["schedulers"]["tenant.m.m.predict"]
             assert stats["completed"] == 64
             assert stats["flushes"] <= 64

@@ -204,7 +204,7 @@ class TestTenantCrossVersion:
 
     @pytest.fixture(scope="class")
     def fleet_task(self):
-        from repro.serve import FleetAPI, ModelFleet
+        from repro.serve import ModelFleet, ServingAPI
 
         rng = spawn(3, "tenant-xver")
         artifacts = {}
@@ -231,7 +231,7 @@ class TestTenantCrossVersion:
         fleet = ModelFleet()
         for name, artifact in artifacts.items():
             fleet.add_tenant(name, artifact)
-        api = FleetAPI(fleet)
+        api = ServingAPI(fleet)
         handle = FrontendHandle(api)
         yield handle, queries, offline
         handle.close()

@@ -1,4 +1,4 @@
-"""ModelFleet / FleetAPI: LRU cache, tenant routing, coalesced scoring.
+"""ModelFleet / ServingAPI: LRU cache, tenant routing, coalesced scoring.
 
 The multi-tenant contract, unit-tested:
 
@@ -11,7 +11,9 @@ The multi-tenant contract, unit-tested:
 * tenant routing never crosses streams — coalesced or not, under
   concurrency, every answer matches that tenant's own offline engine;
 * unknown tenants fail typed (`TenantNotFound`), including on a
-  single-model `ServingAPI`.
+  single-artifact `ServingAPI` (a fleet of one);
+* a flush whose rows all belong to one tenant is scored by that
+  tenant's engine; only a mixed-tenant flush calls the fused kernel.
 """
 
 import threading
@@ -27,7 +29,7 @@ from repro.backend.packed import (
 from repro.proto import ModelInfoRequest, ScoreBatchRequest, ScoreRequest
 from repro.serve import (
     DEFAULT_TENANT,
-    FleetAPI,
+    MicroBatchConfig,
     ModelArtifact,
     ModelFleet,
     ServingAPI,
@@ -224,7 +226,7 @@ class TestModelFleet:
 
         fleet = ModelFleet.from_dir(root, cache_bytes=per_tenant)
         queries = _queries(3)
-        FleetAPI(fleet).predict(queries, tenant="victim")  # admit, verify
+        ServingAPI(fleet).predict(queries, tenant="victim")  # admit, verify
         fleet.resolve("other")  # evicts victim
         assert not fleet.is_resident("victim")
 
@@ -250,7 +252,7 @@ class TestModelFleet:
         assert fleet.top_tenants(1) == [("a", 2)]
 
 
-class TestFleetAPIRouting:
+class TestFleetRouting:
     @pytest.fixture()
     def trio(self):
         """alice and bob share a coalescing group; carol (256 dims)
@@ -263,7 +265,7 @@ class TestFleetAPIRouting:
         }
         for name, artifact in artifacts.items():
             fleet.add_tenant(name, artifact)
-        api = FleetAPI(fleet)
+        api = ServingAPI(fleet)
         yield api, artifacts
         api.close()
 
@@ -271,7 +273,7 @@ class TestFleetAPIRouting:
     def test_every_tenant_gets_its_own_answers(self, trio, coalesce):
         api, artifacts = trio
         if not coalesce:
-            api = FleetAPI(api.fleet, coalesce=False)
+            api = ServingAPI(api.fleet, coalesce=False)
         for name, artifact in artifacts.items():
             queries = _queries(16, d_hv=artifact.d_hv, seed=42)
             offline = artifact.engine()
@@ -374,11 +376,15 @@ class TestFleetConcurrency:
         }
         failures = []
 
-        with FleetAPI(fleet) as api:
+        with ServingAPI(fleet) as api:
             def hammer(worker):
                 for round_ in range(12):
                     name = names[(worker + round_) % len(names)]
-                    got = api.predict(queries, tenant=name)
+                    try:
+                        got = api.predict(queries, tenant=name)
+                    except Exception as exc:  # noqa: BLE001 — reported
+                        failures.append((worker, round_, name, exc))
+                        continue
                     if not np.array_equal(got, expected[name]):
                         failures.append((worker, round_, name))
 
@@ -396,13 +402,245 @@ class TestFleetConcurrency:
         assert stats.resident_bytes <= 2 * per_tenant
 
 
-class TestSingleModelServerRefusesTenants:
-    def test_serving_api_raises_tenant_not_found(self):
-        api = ServingAPI.from_artifact(_artifact(3), name="solo")
-        try:
-            with pytest.raises(TenantNotFound, match="single model"):
-                api.score(ScoreRequest(queries=_queries(2), tenant="alice"))
+class TestSingleArtifactServesItsOwnTenant:
+    def test_own_name_answers_and_other_keys_fail_typed(self):
+        artifact = _artifact(3)
+        queries = _queries(2)
+        with ServingAPI.from_artifact(artifact, name="solo") as api:
+            response = api.score(ScoreRequest(queries=queries, tenant="solo"))
+            np.testing.assert_array_equal(
+                response.predictions,
+                artifact.engine().predict(queries.unpack(np.float32)),
+            )
+            assert api.info(tenant="solo").name == "solo"
+            with pytest.raises(TenantNotFound, match="alice"):
+                api.score(ScoreRequest(queries=queries, tenant="alice"))
             with pytest.raises(TenantNotFound):
                 api.info(tenant="alice")
-        finally:
-            api.close()
+
+
+class TestKernelSelection:
+    """Single-tenant flushes use the tenant's engine; mixed flushes fuse."""
+
+    @pytest.fixture()
+    def fused_calls(self, monkeypatch):
+        import repro.serve.api as api_module
+
+        calls = []
+        original = api_module.fused_tenant_scores
+
+        def counting(*args):
+            calls.append(len(args[0]))
+            return original(*args)
+
+        monkeypatch.setattr(api_module, "fused_tenant_scores", counting)
+        return calls
+
+    @staticmethod
+    def _expected(artifact, queries):
+        return artifact.engine().scores(queries.unpack(np.float32))
+
+    def test_single_tenant_flush_never_fuses(self, fused_calls):
+        artifact = _artifact(0)
+        queries = _queries(8)
+        with ServingAPI.from_artifact(artifact, name="m") as api:
+            np.testing.assert_array_equal(
+                api.scores(queries), self._expected(artifact, queries)
+            )
+        assert fused_calls == []
+
+    def _mixed_flush(self, fleet, tenants, between=None):
+        """Submit one 2-row request per tenant into a single flush.
+
+        Paced mode with ``max_batch`` = total rows: the flush fires on
+        the last submit (size trigger), never earlier.
+        """
+        config = MicroBatchConfig(
+            max_batch=2 * len(tenants), eager=False, max_delay_s=30.0
+        )
+        queries = {t: _queries(2, seed=i) for i, t in enumerate(tenants)}
+        with ServingAPI(fleet, config=config) as api:
+            futures = {}
+            for tenant in tenants:
+                futures[tenant] = api.submit_score(
+                    ScoreRequest(
+                        queries=queries[tenant], tenant=tenant,
+                        want_scores=True,
+                    )
+                )
+                if between is not None:
+                    between(tenant)
+            scores = {
+                t: f.result(timeout=10.0).scores for t, f in futures.items()
+            }
+        return queries, scores
+
+    def test_mixed_flush_fuses_and_is_bit_identical(self, fused_calls):
+        artifacts = {"alice": _artifact(0), "bob": _artifact(1)}
+        fleet = ModelFleet()
+        for name, artifact in artifacts.items():
+            fleet.add_tenant(name, artifact)
+        queries, scores = self._mixed_flush(fleet, list(artifacts))
+        assert fused_calls == [4]
+        for name, artifact in artifacts.items():
+            np.testing.assert_array_equal(
+                scores[name], self._expected(artifact, queries[name])
+            )
+
+    def test_mixed_flush_survives_eviction_before_flush(
+        self, tmp_path, fused_calls
+    ):
+        names = ["a", "b", "c"]
+        root = _save_fleet_dir(tmp_path, names)
+        probe = ModelFleet.from_dir(root)
+        probe.resolve("a")
+        fleet = ModelFleet.from_dir(
+            root, cache_bytes=2 * probe.stats().resident_bytes
+        )
+
+        def admit_c(tenant):
+            if tenant == "a":
+                fleet.resolve("c")  # resident: a, c; b's admission evicts a
+
+        queries, scores = self._mixed_flush(
+            fleet, ["a", "b"], between=admit_c
+        )
+        assert fused_calls == [4]
+        # a, c, b admitted at submit (b evicting a), then a re-admitted
+        # by the flush (evicting c).
+        stats = fleet.stats()
+        assert (stats.misses, stats.evictions) == (4, 2)
+        for i, name in enumerate(["a", "b"]):
+            expected = self._expected(_artifact(i), queries[name])
+            np.testing.assert_array_equal(scores[name], expected)
+
+
+def test_fleet_state_machine(tmp_path):
+    """Model-based check of the LRU cache under random operation sequences.
+
+    A reference model tracks registration, pins and the expected LRU
+    order, evicting exactly as documented: only when a tenant is
+    installed, oldest unpinned disk tenant first, never the one just
+    installed (a hit refreshes recency but re-checks no budget).  After
+    every step the fleet's residency, byte accounting and counters must
+    agree with it.
+    """
+    from hypothesis import settings, strategies as st
+    from hypothesis.stateful import (
+        RuleBasedStateMachine,
+        invariant,
+        rule,
+        run_state_machine_as_test,
+    )
+
+    d_hv = 64
+    paths = [_artifact(i, d_hv=d_hv).save(tmp_path / f"p{i}") for i in range(3)]
+    memory_artifact = _artifact(7, d_hv=d_hv)
+    probe = ModelFleet()
+    probe.add_tenant("probe", memory_artifact)
+    per_tenant = probe.stats().resident_bytes
+    names = st.sampled_from(["a", "b", "c", "d", "e", "f"])
+
+    class FleetMachine(RuleBasedStateMachine):
+        def __init__(self):
+            super().__init__()
+            self.fleet = ModelFleet(cache_bytes=2 * per_tenant)
+            self.kind = {}  # name -> "disk" | "memory"
+            self.pinned = set()
+            self.lru = []  # expected resident tenants, oldest first
+
+        def _touch(self, name):
+            """Mirror one hit or install: move to MRU; installs evict."""
+            installed = name not in self.lru
+            if not installed:
+                self.lru.remove(name)
+            self.lru.append(name)
+            while installed and len(self.lru) > 2:
+                victim = next(
+                    (
+                        n
+                        for n in self.lru
+                        if n != name
+                        and self.kind[n] == "disk"
+                        and n not in self.pinned
+                    ),
+                    None,
+                )
+                if victim is None:
+                    break
+                self.lru.remove(victim)
+
+        @rule(name=names, pin=st.booleans())
+        def add_disk(self, name, pin):
+            if name in self.kind:
+                with pytest.raises(ValueError, match="already registered"):
+                    self.fleet.add_tenant(name, paths[0], pin=pin)
+                return
+            self.fleet.add_tenant(name, paths[ord(name) % 3], pin=pin)
+            self.kind[name] = "disk"
+            if pin:
+                self.pinned.add(name)
+
+        @rule(name=names)
+        def add_memory(self, name):
+            if name in self.kind:
+                return
+            self.fleet.add_tenant(name, memory_artifact)
+            self.kind[name] = "memory"
+            self._touch(name)
+
+        @rule(name=names, count=st.booleans())
+        def resolve(self, name, count):
+            before = self.fleet.stats()
+            if name not in self.kind:
+                with pytest.raises(TenantNotFound):
+                    self.fleet.resolve(name, count=count)
+                return
+            resident = name in self.lru
+            self.fleet.resolve(name, count=count)
+            after = self.fleet.stats()
+            hits = after.hits - before.hits
+            misses = after.misses - before.misses
+            if count:
+                assert (hits, misses) == ((1, 0) if resident else (0, 1))
+            else:
+                assert (hits, misses) == (0, 0 if resident else 1)
+            self._touch(name)
+
+        @rule(name=names, pin=st.booleans())
+        def toggle_pin(self, name, pin):
+            if name not in self.kind:
+                with pytest.raises(TenantNotFound):
+                    self.fleet.pin(name)
+                return
+            if pin:
+                self.fleet.pin(name)
+                self.pinned.add(name)
+            else:
+                self.fleet.unpin(name)
+                self.pinned.discard(name)
+
+        @invariant()
+        def lru_order_matches_the_model(self):
+            assert self.fleet.resident_tenants() == tuple(self.lru)
+
+        @invariant()
+        def resident_bytes_are_the_resident_stores(self):
+            stores = sum(
+                registry.describe(record.model).engine.store_nbytes
+                for record, registry in self.fleet.resident_registries()
+            )
+            assert self.fleet.stats().resident_bytes == stores
+
+        @invariant()
+        def memory_tenants_stay_resident(self):
+            for name, kind in self.kind.items():
+                if kind == "memory":
+                    assert self.fleet.is_resident(name)
+
+    run_state_machine_as_test(
+        FleetMachine,
+        settings=settings(
+            max_examples=40, stateful_step_count=25, deadline=None
+        ),
+    )

@@ -342,7 +342,8 @@ class TestHttpOps:
         assert models["demo"]["d_hv"] == D_HV
         status, stats = self._get(handle, "/stats")
         assert status == 200
-        assert any(k.startswith("demo.") for k in stats)
+        assert stats["fleet"]["tenants"] == 1
+        assert any(s["completed"] for s in stats["schedulers"].values())
 
     def test_unknown_route_404s(self, served):
         _, handle = served
@@ -563,12 +564,12 @@ class TestFleetHttpOps:
 
     @pytest.fixture()
     def fleet_served(self, artifact):
-        from repro.serve import FleetAPI, ModelFleet
+        from repro.serve import ModelFleet
 
         fleet = ModelFleet()
         fleet.add_tenant("alice", artifact)
         fleet.add_tenant("bob", artifact)
-        api = FleetAPI(fleet)
+        api = ServingAPI(fleet)
         with FrontendHandle(api, http_port=0) as handle:
             yield api, handle
         api.close()
@@ -595,8 +596,9 @@ class TestFleetHttpOps:
         assert stats["fleet"]["tenants"] == 2
         assert "hit_rate" in stats["fleet"]
 
-    def test_tenants_route_404s_on_a_single_model_server(self, served):
+    def test_tenants_route_on_a_single_model_server(self, served):
         _, handle = served
-        with pytest.raises(urllib.error.HTTPError) as err:
-            self._get(handle, "/tenants")
-        assert err.value.code == 404
+        status, body = self._get(handle, "/tenants")
+        assert status == 200
+        assert body["count"] == 1
+        assert body["default_tenant"] == "demo"

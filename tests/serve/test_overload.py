@@ -270,6 +270,6 @@ class TestServingAPISurface:
             except DeadlineExceeded:
                 pass
             stats = api.stats()
-        (entry,) = stats.values()
+        (entry,) = stats["schedulers"].values()
         assert entry["expired"] == 4
         assert entry["rejected"] == 0

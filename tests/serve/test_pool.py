@@ -276,6 +276,24 @@ class TestMultiTenantPool:
             ) as client:
                 np.testing.assert_array_equal(client.predict(X), offline)
 
+    def test_single_artifact_pool_takes_new_tenants(
+        self, saved, task, encoder, artifact_v2
+    ):
+        """A single-artifact pool serves a fleet of one, so add_tenant
+        works there too."""
+        X, _, _ = task
+        v1_dir, v2_dir = saved
+        obf = InferenceObfuscator(encoder, ObfuscationConfig())
+        offline = artifact_v2.engine().predict(
+            obf.prepare_packed(X).unpack(np.float32)
+        )
+        with WorkerPool(v1_dir, name="solo", workers=1) as pool:
+            pool.add_tenant("carol", v2_dir)
+            with PriveHDClient(
+                pool.address, encoder=encoder, tenant="carol"
+            ) as client:
+                np.testing.assert_array_equal(client.predict(X), offline)
+
     def test_tenant_scoped_hot_swap(
         self, fleet_pool, saved, task, encoder, artifact_v2
     ):

@@ -1,4 +1,4 @@
-"""ModelServer: registry-backed micro-batched serving + hot swap."""
+"""ServingAPI over one artifact: micro-batched serving + hot swap."""
 
 import threading
 
@@ -9,8 +9,9 @@ from repro.hd import HDModel, ScalarBaseEncoder, get_quantizer
 from repro.serve import (
     MicroBatchConfig,
     ModelArtifact,
+    ModelFleet,
     ModelRegistry,
-    ModelServer,
+    ServingAPI,
 )
 from tests.conftest import make_cluster_task
 from repro.utils import spawn
@@ -29,12 +30,18 @@ def system():
     return art, X, H
 
 
+def _over_registry(registry, **kwargs):
+    """A ServingAPI over one tenant wrapping ``registry``, no default model."""
+    fleet = ModelFleet()
+    fleet.add_tenant("t", registry, model=None)
+    return ServingAPI(fleet, **kwargs)
+
+
 class TestServing:
     def test_predictions_match_direct_engine(self, system):
         art, X, H = system
         direct = art.engine().predict(H)
-        with ModelServer() as server:
-            server.serve("m", art)
+        with ServingAPI.from_artifact(art, name="m") as server:
             single = np.array([server.predict(H[i]) for i in range(20)])
             batch = server.predict(H[:20])
         np.testing.assert_array_equal(single, direct[:20])
@@ -43,16 +50,14 @@ class TestServing:
     def test_feature_serving(self, system):
         art, X, H = system
         direct = art.engine().predict_features(X[:30])
-        with ModelServer() as server:
-            server.serve("m", art)
+        with ServingAPI.from_artifact(art, name="m") as server:
             np.testing.assert_array_equal(
                 server.predict_features(X[:30]), direct
             )
 
     def test_scores_entry_point(self, system):
         art, _, H = system
-        with ModelServer() as server:
-            server.serve("m", art)
+        with ServingAPI.from_artifact(art, name="m") as server:
             np.testing.assert_array_equal(
                 server.scores(H[:5]), art.engine().scores(H[:5])
             )
@@ -63,8 +68,7 @@ class TestServing:
         direct = art.engine().predict(H)
         results = np.full(n, -1, dtype=np.int64)
         config = MicroBatchConfig(max_batch=32)
-        with ModelServer(config=config) as server:
-            server.serve("m", art)
+        with ServingAPI.from_artifact(art, name="m", config=config) as server:
 
             def client(w):
                 for i in range(w, n, 8):
@@ -77,20 +81,20 @@ class TestServing:
                 t.start()
             for t in threads:
                 t.join()
-            stats = server.stats()["m.predict"]
+            stats = server.stats()["schedulers"]["tenant.m.m.predict"]
         np.testing.assert_array_equal(results, direct)
-        assert stats.completed == n
-        assert stats.failed == 0
+        assert stats["completed"] == n
+        assert stats["failed"] == 0
 
     def test_single_model_is_implicit_default(self, system):
         art, _, H = system
-        with ModelServer() as server:
+        with _over_registry(ModelRegistry()) as server:
             server.registry.publish("only", art)
             assert server.predict(H[0]) == art.engine().predict(H[:1])[0]
 
     def test_ambiguous_default_raises(self, system):
         art, _, H = system
-        with ModelServer() as server:
+        with _over_registry(ModelRegistry()) as server:
             server.registry.publish("a", art)
             server.registry.publish("b", art)
             with pytest.raises(ValueError, match="no default"):
@@ -108,14 +112,13 @@ class TestHotSwap:
         d1 = art.engine().predict(H)
         d2 = art2.engine().predict(H)
 
-        registry = ModelRegistry()
-        registry.publish("m", art)
         n = H.shape[0]
         results = np.full(n, -1, dtype=np.int64)
         failures = []
         swapped = threading.Event()
 
-        with ModelServer(registry, default_model="m") as server:
+        with ServingAPI.from_artifact(art, name="m") as server:
+            registry = server.registry
 
             def client(w):
                 for i in range(w, n, 8):
@@ -142,14 +145,12 @@ class TestHotSwap:
 
     def test_current_artifact_tracks_promotion(self, system):
         art, _, _ = system
-        with ModelServer() as server:
-            server.serve("m", art)
-            assert server.current_artifact() is art
+        with ServingAPI.from_artifact(art, name="m") as server:
+            assert server.registry.describe("m").artifact is art
 
     def test_closed_server_rejects_requests(self, system):
         art, _, H = system
-        server = ModelServer()
-        server.serve("m", art)
+        server = ServingAPI.from_artifact(art, name="m")
         server.predict(H[0])
         server.close()
         with pytest.raises(RuntimeError, match="closed"):
