@@ -7,8 +7,8 @@ stream through memory once per operator, and everything stays on one
 core.  This module compiles the same three kernel families to native
 code with numba:
 
-* **fused scoring** — the XOR/popcount dot product (bipolar and
-  masked-ternary paths) runs as a single ``prange``-parallel loop nest
+* **fused scoring** — the XOR/popcount dot product (shared-support and
+  general ternary paths) runs as a single ``prange``-parallel loop nest
   with zero intermediate allocations;
 * **carry-save encode** — the per-column vertical counters of
   :class:`~repro.backend.packed.BitPlaneAccumulator` (the §III-D adder
@@ -54,6 +54,7 @@ from repro.backend.packed import (
     packed_dot_matrix,
     packed_hamming_matrix,
     packed_norms,
+    shared_support_signs,
 )
 from repro.backend.base import register_backend
 
@@ -130,14 +131,14 @@ if NUMBA_AVAILABLE:
         return np.int64((x * _H01) >> _S56)
 
     @njit(parallel=True, nogil=True, cache=True)
-    def _dot_bipolar_kernel(qs, cs, d, out):  # pragma: no cover - compiled
-        """dot = d − 2·popcount(Sa ^ Sb), fused over words."""
+    def _dot_bipolar_kernel(qs, cs, n_live, out):  # pragma: no cover
+        """dot = n_live − 2·popcount(Sa ^ Sb) on M-masked signs."""
         for i in prange(qs.shape[0]):
             for j in range(cs.shape[0]):
                 acc = np.int64(0)
                 for w in range(qs.shape[1]):
                     acc += _pc64(qs[i, w] ^ cs[j, w])
-                out[i, j] = d - 2 * acc
+                out[i, j] = n_live - 2 * acc
 
     @njit(parallel=True, nogil=True, cache=True)
     def _dot_ternary_kernel(qs, qm, cs, cm, out):  # pragma: no cover - compiled
@@ -250,15 +251,25 @@ if NUMBA_AVAILABLE:
 def native_dot_matrix(a: PackedHV, b: PackedHV) -> np.ndarray:
     """Exact pairwise dot products, shape ``(a.n, b.n)``, int64.
 
-    The compiled twin of :func:`~repro.backend.packed.packed_dot_matrix`:
-    one fused XOR+popcount loop nest, parallelized over the larger
-    batch, allocating nothing but the output.  Falls back to the packed
-    kernel when numba is absent.
+    The compiled twin of :func:`~repro.backend.packed.packed_dot_matrix`,
+    with the same shared-support precondition (every row of ``a`` and
+    ``b`` on ``b``'s one magnitude plane ``M``): when it holds, the
+    one-plane kernel scores the ``M``-masked signs against ``n_live``;
+    otherwise the general ternary kernel runs, parallelized over the
+    larger batch.  Either way one fused XOR+popcount loop nest
+    allocating nothing but the output.  Falls back to the packed kernel
+    when numba is absent.
     """
     if not NUMBA_AVAILABLE:
         _note_fallback()
         return packed_dot_matrix(a, b)
     _check_pair(a, b)
+    support = b.shared_support
+    q_signs = shared_support_signs(a, support)
+    if q_signs is not None:
+        out = np.empty((a.n, b.n), dtype=np.int64)
+        _dot_bipolar_kernel(q_signs, support.signs, support.n_live, out)
+        return out
     if a.n >= b.n:
         return _native_dot(a, b)
     return _native_dot(b, a).T
@@ -266,10 +277,7 @@ def native_dot_matrix(a: PackedHV, b: PackedHV) -> np.ndarray:
 
 def _native_dot(a: PackedHV, b: PackedHV) -> np.ndarray:
     out = np.empty((a.n, b.n), dtype=np.int64)
-    if a.is_bipolar and b.is_bipolar:
-        _dot_bipolar_kernel(a.signs, b.signs, a.d, out)
-    else:
-        _dot_ternary_kernel(a.signs, a.mags, b.signs, b.mags, out)
+    _dot_ternary_kernel(a.signs, a.mags, b.signs, b.mags, out)
     return out
 
 
@@ -426,7 +434,10 @@ def warm_kernels() -> bool:
     from repro.backend.packed import pack_hypervectors
 
     bip = pack_hypervectors(np.ones((2, 70)))
-    tern = pack_hypervectors(np.array([[1.0, 0.0, -1.0] * 30] * 2))
+    # rows with different supports, so the general ternary kernel compiles
+    tern = pack_hypervectors(
+        np.array([[1.0, 0.0, -1.0] * 30, [0.0, 1.0, -1.0] * 30])
+    )
     native_dot_matrix(bip, bip)
     native_dot_matrix(tern, tern)
     native_hamming_matrix(bip, bip)

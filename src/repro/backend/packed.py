@@ -15,15 +15,29 @@ A :class:`PackedHV` stores two bit planes per hypervector:
 * ``signs`` — bit ``i`` is 1 when dimension ``i`` is **positive**;
 * ``mags``  — bit ``i`` is 1 when dimension ``i`` is **non-zero**.
 
-For bipolar vectors the magnitude plane is all-ones over the valid
-dimensions and the kernels take a cheaper one-plane path.  For ternary
-vectors (including masked/obfuscated queries, whose zeroed dimensions
-are exactly the 0 level) the planes combine as::
+For ternary vectors (including masked/obfuscated queries, whose zeroed
+dimensions are exactly the 0 level) the planes combine as::
 
     dot(a, b)  = popcount(Ma & Mb) − 2·popcount((Sa ^ Sb) & Ma & Mb)
 
 i.e. dimensions where both are non-zero contribute ±1 according to sign
 agreement, all others contribute 0 — bit-for-bit the float result.
+
+**Shared support.**  §III-C masks the same dimensions on both sides of
+the offload, so every obfuscated query and every stored class of a
+masked deployment carry one and the same magnitude plane ``M``.  When
+a class store's rows all share ``M`` (:attr:`PackedHV.shared_support`)
+and every query row's magnitude plane equals ``M`` too, the formula
+collapses to one XOR and one popcount per word::
+
+    dot(q, c)  = n_live − 2·popcount((Sq & M) ^ (Sc & M))
+
+with ``n_live = popcount(M)``.  A bipolar store is the special case
+``M`` = all valid dimensions.  The ``& M`` matters: nothing forces a
+plane received off the wire to keep its sign bits inside its magnitude
+plane, and such stray bits must never count.  Whether a call takes
+this path depends on the operands alone; any other input takes the
+general formula above, with identical results.
 
 Tail dimensions beyond ``d`` (when ``d`` is not a multiple of 64) are
 zero in **both** planes, so they never contribute to any kernel.
@@ -36,6 +50,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
@@ -44,6 +59,7 @@ from repro.utils.validation import check_2d
 __all__ = [
     "WORD_BITS",
     "PackedHV",
+    "SharedSupport",
     "PackedBackend",
     "pack_hypervectors",
     "pack_sign_planes",
@@ -56,10 +72,16 @@ __all__ = [
     "packed_dot_matrix",
     "packed_class_scores",
     "packed_hamming_matrix",
+    "shared_support_signs",
+    "xor_dot_rows",
 ]
 
 #: dimensions per machine word
 WORD_BITS = 64
+
+#: uint64 words of XOR temporary per row tile of :func:`xor_dot_rows`
+#: (16 queries against a 26-class store at d_hv=10,000)
+TILE_WORDS = 1 << 16
 
 _POP16: np.ndarray | None = None
 
@@ -290,6 +312,25 @@ class BitPlaneAccumulator:
         return gt
 
 
+class SharedSupport(NamedTuple):
+    """One magnitude plane common to every row of a packed batch.
+
+    Attributes
+    ----------
+    mask:
+        ``(n_words,)`` uint64 — the shared magnitude plane ``M``.
+    n_live:
+        ``popcount(M)``: the dimensions every row is non-zero on.
+    signs:
+        ``(n, n_words)`` uint64 sign planes with every bit outside ``M``
+        cleared (the batch's own ``signs`` when it has none there).
+    """
+
+    mask: np.ndarray
+    n_live: int
+    signs: np.ndarray
+
+
 @dataclass(frozen=True)
 class PackedHV:
     """A batch of bit-packed ternary (or bipolar) hypervectors.
@@ -341,6 +382,21 @@ class PackedHV:
     def is_bipolar(self) -> bool:
         """True when no dimension is zero (one-plane kernels apply)."""
         return int(popcount(self.mags).sum()) == self.n * self.d
+
+    @cached_property
+    def shared_support(self) -> SharedSupport | None:
+        """The magnitude plane all rows share, or ``None`` if they differ.
+
+        Worked out once per batch and cached, so a class store pays for
+        it on its first scoring call only.  Empty batches have none.
+        """
+        if self.n == 0 or not (self.mags == self.mags[0]).all():
+            return None
+        mask = self.mags[0]
+        signs = self.signs & mask
+        if np.array_equal(signs, self.signs):
+            signs = self.signs  # no stray bits: share, don't copy
+        return SharedSupport(mask, int(popcount(mask).sum()), signs)
 
     @property
     def nbytes(self) -> int:
@@ -423,16 +479,68 @@ def packed_norms(p: PackedHV) -> np.ndarray:
     return np.sqrt(np.where(nnz == 0, 1.0, nnz))
 
 
+def shared_support_signs(
+    queries: PackedHV, support: SharedSupport | None
+) -> np.ndarray | None:
+    """``queries.signs & M`` when every query row lies on ``support``.
+
+    The per-call half of the shared-support precondition (the store's
+    half is :attr:`PackedHV.shared_support`): ``None`` unless every
+    query row's magnitude plane equals the store's ``M``, in which case
+    the sign planes come back with any bits outside ``M`` cleared.
+    """
+    if support is None or not (queries.mags == support.mask).all():
+        return None
+    return queries.signs & support.mask
+
+
+def xor_dot_rows(
+    q_signs: np.ndarray,
+    c_signs: np.ndarray,
+    n_live,
+    tenant_of_row: np.ndarray | None = None,
+) -> np.ndarray:
+    """Shared-support dots ``n_live − 2·popcount(q ^ c)``, int64.
+
+    ``q_signs`` is ``(N, W)``; ``c_signs`` is one ``(C, W)`` store
+    scored against every row, or — with ``tenant_of_row`` — a
+    ``(U, C, W)`` stack from which each row takes its own tenant's
+    store (``n_live`` then is a ``(U,)`` array).  Both sides must
+    already be masked to the shared plane.  Rows run in tiles of about
+    :data:`TILE_WORDS` words, each one XOR, popcount and sum broadcast
+    over the classes.
+    """
+    n, w = q_signs.shape
+    n_classes = c_signs.shape[-2]
+    out = np.empty((n, n_classes), dtype=np.int64)
+    step = max(1, TILE_WORDS // (n_classes * w))
+    for s in range(0, n, step):
+        tile = slice(s, s + step)
+        cs = c_signs if tenant_of_row is None else c_signs[tenant_of_row[tile]]
+        out[tile] = popcount(q_signs[tile, None, :] ^ cs).sum(
+            axis=2, dtype=np.int64
+        )
+    live = n_live if tenant_of_row is None else n_live[tenant_of_row][:, None]
+    return live - 2 * out
+
+
 def packed_dot_matrix(a: PackedHV, b: PackedHV) -> np.ndarray:
     """Exact pairwise dot products, shape ``(a.n, b.n)``, int64.
 
-    Bipolar fast path: ``dot = d − 2·popcount(Sa ^ Sb)`` (one XOR +
-    popcount per word pair).  General ternary path masks the sign
-    disagreements with the common-support plane.  The loop runs over the
-    smaller batch (class stores are small), so the inner work stays in
-    whole-array NumPy ops.
+    Shared-support path (``b`` is the class store in
+    :func:`packed_class_scores`): when every row of ``a`` and ``b`` has
+    the same magnitude plane ``M`` — every bipolar pair, and every
+    §III-C masked query against its masked store — one row-tiled
+    :func:`xor_dot_rows` pass.  Otherwise the general ternary path
+    masks the sign disagreements with the common-support plane, looping
+    over the smaller batch so the inner work stays in whole-array NumPy
+    ops.
     """
     _check_pair(a, b)
+    support = b.shared_support
+    q_signs = shared_support_signs(a, support)
+    if q_signs is not None:
+        return xor_dot_rows(q_signs, support.signs, support.n_live)
     if b.n <= a.n:
         return _dot_loop(a, b)
     return _dot_loop(b, a).T
@@ -440,17 +548,12 @@ def packed_dot_matrix(a: PackedHV, b: PackedHV) -> np.ndarray:
 
 def _dot_loop(a: PackedHV, b: PackedHV) -> np.ndarray:
     out = np.empty((a.n, b.n), dtype=np.int64)
-    bipolar = a.is_bipolar and b.is_bipolar
     for j in range(b.n):
-        if bipolar:
-            h = popcount(a.signs ^ b.signs[j]).sum(axis=1, dtype=np.int64)
-            out[:, j] = a.d - 2 * h
-        else:
-            common = a.mags & b.mags[j]
-            disagree = (a.signs ^ b.signs[j]) & common
-            out[:, j] = popcount(common).sum(
-                axis=1, dtype=np.int64
-            ) - 2 * popcount(disagree).sum(axis=1, dtype=np.int64)
+        common = a.mags & b.mags[j]
+        disagree = (a.signs ^ b.signs[j]) & common
+        out[:, j] = popcount(common).sum(
+            axis=1, dtype=np.int64
+        ) - 2 * popcount(disagree).sum(axis=1, dtype=np.int64)
     return out
 
 
@@ -464,6 +567,14 @@ def packed_class_scores(
     Matches :func:`repro.hd.similarity.class_scores` bit-for-bit on the
     same (ternary) operands: integer dot products divided by the class
     norms.  Query norms are dropped exactly as in the dense path.
+
+    When the store's rows share one magnitude plane ``M`` (cached on
+    the store, see :attr:`PackedHV.shared_support`) and every query
+    row's magnitude plane is ``M`` as well — bipolar traffic, and
+    §III-C masked traffic against its masked store — the dots are
+    ``n_live − 2·popcount((Sq & M) ^ (Sc & M))``: one XOR and one
+    popcount per word.  Any other batch takes the general ternary
+    formula; the two agree exactly wherever both apply.
     """
     if class_norms is None:
         class_norms = packed_norms(class_store)

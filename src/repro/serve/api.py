@@ -37,7 +37,7 @@ from pathlib import Path
 
 import numpy as np
 
-from repro.backend.packed import PackedHV, n_words
+from repro.backend.packed import PackedBackend, PackedHV, n_words
 from repro.proto.messages import (
     ModelInfo,
     ScoreBatchRequest,
@@ -298,7 +298,7 @@ class ServingAPI:
                 mags=np.ascontiguousarray(rows[:, words:-1]),
                 d=engine.d_hv,
             )
-            if engine.backend.name != "packed":
+            if not isinstance(engine.backend, PackedBackend):
                 queries = queries.unpack(np.float32)
             if want_scores:
                 return engine.scores(queries)
@@ -313,8 +313,7 @@ class ServingAPI:
         scores = fused_tenant_scores(
             rows[:, :words],
             rows[:, words:-1],
-            np.stack([e.prepared.store.signs for e in engines]),
-            np.stack([e.prepared.store.mags for e in engines]),
+            [e.prepared.store for e in engines],
             np.stack([e.prepared.norms for e in engines]),
             inverse,
         )

@@ -77,9 +77,13 @@ def make_serving_fixture(
 ) -> tuple[HDModel, np.ndarray]:
     """A bipolar-quantized model plus bipolar query hypervectors.
 
-    This is the §III-C serving shape: the hosted model and the
-    obfuscated client queries are both 1-bit.  Values are ±1 floats so
-    the dense backend runs its usual path untouched.
+    Both sides are 1-bit with every dimension live: an *unmasked*
+    deployment.  A §III-C deployment also zeroes the same masked
+    dimensions on both sides; that masked shape is what the
+    ``gateway_batched`` workload of ``perfbench/`` serves.  Both take
+    the packed backend's shared-support kernel — here the shared plane
+    is every dimension.  Values are ±1 floats so the dense backend runs
+    its usual path untouched.
     """
     check_positive_int(d_hv, "d_hv")
     check_positive_int(n_queries, "n_queries")

@@ -50,10 +50,11 @@ import threading
 from collections import OrderedDict
 from dataclasses import dataclass
 from pathlib import Path
+from typing import Sequence
 
 import numpy as np
 
-from repro.backend.packed import PackedHV, popcount
+from repro.backend.packed import PackedHV, popcount, xor_dot_rows
 from repro.serve.artifact import ModelArtifact
 from repro.serve.errors import TenantNotFound
 from repro.serve.registry import ModelRegistry
@@ -202,8 +203,7 @@ def _engine_coalesce_key(engine) -> tuple | None:
 def fused_tenant_scores(
     q_signs: np.ndarray,
     q_mags: np.ndarray,
-    store_signs: np.ndarray,
-    store_mags: np.ndarray,
+    stores: Sequence[PackedHV],
     norms: np.ndarray,
     tenant_of_row: np.ndarray,
 ) -> np.ndarray:
@@ -216,13 +216,22 @@ def fused_tenant_scores(
     tenant's planes by index — one vectorized XOR + popcount pass over
     the whole batch.
 
+    Shared-support path: when every tenant's store has one magnitude
+    plane ``M_t`` for all its classes (cached per store, see
+    :attr:`~repro.backend.packed.PackedHV.shared_support`) and every
+    query row's magnitude plane equals its own tenant's ``M_t``, each
+    row scores ``n_live_t − 2·popcount((Sq & M_t) ^ (Sc & M_t))`` —
+    one XOR and one popcount per word, tenants' keep masks free to
+    differ.  If any tenant or any row fails that, the whole flush takes
+    the general ternary formula.
+
     Parameters
     ----------
     q_signs, q_mags:
         ``(N, W)`` uint64 query bit planes (the wire layout).
-    store_signs, store_mags:
-        ``(U, C, W)`` uint64 stacked class-store planes of the U unique
-        tenants present in this flush.
+    stores:
+        The packed class stores of the U unique tenants present in this
+        flush, each ``C`` rows of ``W`` words.
     norms:
         ``(U, C)`` per-tenant class norms
         (:func:`~repro.backend.packed.packed_norms` of each store).
@@ -233,14 +242,25 @@ def fused_tenant_scores(
     -------
     ``(N, C)`` float64 scores, bit-for-bit identical to scoring each
     row against its own tenant with ``packed_class_scores`` — same
-    ternary dot (``popcount(Ma & Mb) - 2 popcount((Sa ^ Sb) & Ma & Mb)``,
-    exact integers), same class-norm division.
+    exact integer dots, same class-norm division.
     """
     t = np.asarray(tenant_of_row, dtype=np.intp)
+    supports = [store.shared_support for store in stores]
+    if all(s is not None for s in supports):
+        masks = np.stack([s.mask for s in supports])[t]
+        if (q_mags == masks).all():
+            dots = xor_dot_rows(
+                q_signs & masks,
+                np.stack([s.signs for s in supports]),
+                np.array([s.n_live for s in supports]),
+                t,
+            )
+            return dots.astype(np.float64) / norms[t]
     # (N, C, W): each row gathers its tenant's planes, then one fused
     # pass.  Agreeing live dims minus disagreeing live dims, as ints.
-    common = q_mags[:, None, :] & store_mags[t]
-    disagree = (q_signs[:, None, :] ^ store_signs[t]) & common
+    store_signs = np.stack([s.signs for s in stores])[t]
+    common = q_mags[:, None, :] & np.stack([s.mags for s in stores])[t]
+    disagree = (q_signs[:, None, :] ^ store_signs) & common
     dots = popcount(common).sum(axis=2, dtype=np.int64) - 2 * popcount(
         disagree
     ).sum(axis=2, dtype=np.int64)

@@ -8,11 +8,15 @@ ternary hypervectors at dimensionalities that are *not* multiples of 64
 kernel against a NumPy reference computed the dense way.
 """
 
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import repro.backend.native as native_mod
+import repro.backend.packed as packed_mod
 from repro.backend import (
     WORD_BITS,
     PackedHV,
@@ -28,6 +32,7 @@ from repro.backend import (
     popcount,
     popcount_lut,
 )
+from repro.backend.packed import shared_support_signs
 from repro.utils import spawn
 
 #: word-boundary edge cases plus awkward primes
@@ -258,3 +263,168 @@ class TestValidateFlag:
                 mags=np.zeros((2, 3), dtype=np.uint64),
                 d=128,
             )
+
+
+def _forced_fallback(kernel):
+    """``kernel`` with the numba kernels switched off for the call."""
+
+    def call(*args):
+        with mock.patch.object(native_mod, "NUMBA_AVAILABLE", False):
+            return kernel(*args)
+
+    return call
+
+
+#: the shared-support contract holds for the pure-NumPy kernels, the
+#: native entry points (compiled when numba is installed) and the
+#: native fallback forced on whether or not numba is installed
+SHARED_KERNELS = {
+    **KERNELS,
+    "native-fallback": tuple(
+        _forced_fallback(k) for k in KERNELS["native"][:2]
+    ),
+}
+
+
+def _with_stray_signs(p, rng):
+    """``p`` with random sign bits set wherever its magnitude bit is 0.
+
+    Covers dimensions outside the support and the tail bits past ``d``
+    alike; the values the planes stand for do not change.
+    """
+    junk = rng.integers(0, 2**64, size=p.signs.shape, dtype=np.uint64)
+    return PackedHV(signs=p.signs | (junk & ~p.mags), mags=p.mags, d=p.d)
+
+
+def _shared_operands(n, c, d, live, seed):
+    """Dense queries and store on one support, plus their packed planes.
+
+    ``live`` is ``"none"`` (``n_live`` = 0), ``"all"`` (bipolar) or
+    ``"random"``.  The packed planes carry stray sign bits.
+    """
+    rng = spawn(seed, "shared-support")
+    if live == "all":
+        keep = np.ones(d, dtype=bool)
+    elif live == "none":
+        keep = np.zeros(d, dtype=bool)
+    else:
+        keep = rng.random(d) < rng.uniform(0.1, 0.9)
+    Q = rng.choice([-1.0, 1.0], size=(n, d)) * keep
+    C = rng.choice([-1.0, 1.0], size=(c, d)) * keep
+    q = _with_stray_signs(pack_hypervectors(Q), rng)
+    store = _with_stray_signs(pack_hypervectors(C), rng)
+    return Q, C, q, store
+
+
+def _flip_one_support_bit(H, rng):
+    """``H`` with one row's value at one dimension moved on/off support."""
+    H = H.copy()
+    row, dim = rng.integers(0, H.shape[0]), rng.integers(0, H.shape[1])
+    H[row, dim] = 0.0 if H[row, dim] != 0 else 1.0
+    return H
+
+
+@pytest.mark.parametrize("kernel", sorted(SHARED_KERNELS))
+class TestSharedSupport:
+    """The one-XOR path equals the general path and the dense reference.
+
+    Queries and class store share one magnitude plane ``M``; every
+    packed operand also carries stray sign bits outside ``M`` (and past
+    ``d``), which no path may count.  Breaking the precondition in one
+    query row or one store row must fall back with identical answers.
+    """
+
+    @staticmethod
+    def _check(kernel, Q, C, q, store):
+        dot, scores = SHARED_KERNELS[kernel][:2]
+        expect = Q.astype(np.float64) @ C.astype(np.float64).T
+        general = packed_mod._dot_loop(q, store)
+        np.testing.assert_array_equal(general, expect)
+        np.testing.assert_array_equal(dot(q, store), expect)
+        np.testing.assert_array_equal(
+            scores(q, store), dense_class_scores(Q, C)
+        )
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        d=st.one_of(st.integers(1, 63), st.integers(65, 300)),
+        n=st.integers(1, 20),
+        c=st.integers(1, 6),
+        live=st.sampled_from(["none", "all", "random"]),
+        tile_words=st.integers(1, 64),
+        seed=st.integers(0, 2**31),
+    )
+    def test_matches_general_and_dense(
+        self, kernel, d, n, c, live, tile_words, seed
+    ):
+        # a tiny tile puts row counts on both sides of tile boundaries
+        Q, C, q, store = _shared_operands(n, c, d, live, seed)
+        support = store.shared_support
+        assert support is not None
+        assert support.n_live == int(np.count_nonzero(C[0] != 0))
+        assert shared_support_signs(q, support) is not None
+        with mock.patch.object(packed_mod, "TILE_WORDS", tile_words):
+            self._check(kernel, Q, C, q, store)
+
+    def test_row_counts_around_the_default_tile(self, kernel):
+        d, c = 10_000, 26
+        step = packed_mod.TILE_WORDS // (c * packed_mod.n_words(d))
+        for n in (1, step - 1, step, step + 1, 2 * step + 1):
+            Q, C, q, store = _shared_operands(n, c, d, "random", n)
+            self._check(kernel, Q, C, q, store)
+
+    @settings(max_examples=25, deadline=None)
+    @given(
+        d=st.integers(1, 300),
+        live=st.sampled_from(["none", "all", "random"]),
+        side=st.sampled_from(["query", "store"]),
+        seed=st.integers(0, 2**31),
+    )
+    def test_one_off_support_row_falls_back(
+        self, kernel, d, live, side, seed
+    ):
+        rng = spawn(seed, "shared-support-break")
+        Q, C, _, _ = _shared_operands(5, 3, d, live, seed)
+        if side == "query":
+            Q = _flip_one_support_bit(Q, rng)
+        else:
+            C = _flip_one_support_bit(C, rng)
+        q = _with_stray_signs(pack_hypervectors(Q), rng)
+        store = _with_stray_signs(pack_hypervectors(C), rng)
+        assert shared_support_signs(q, store.shared_support) is None
+        self._check(kernel, Q, C, q, store)
+
+    def test_single_query_row_off_support_falls_back(self, kernel):
+        Q, C, _, _ = _shared_operands(1, 4, 130, "random", 3)
+        Q = _flip_one_support_bit(Q, spawn(4, "one-row"))
+        q = pack_hypervectors(Q)
+        store = pack_hypervectors(C)
+        assert store.shared_support is not None
+        assert shared_support_signs(q, store.shared_support) is None
+        self._check(kernel, Q, C, q, store)
+
+    def test_non_uniform_ternary_store_falls_back(self, kernel):
+        Q = random_hvs(6, 200, seed=1, ternary=False)
+        C = random_hvs(4, 200, seed=2, ternary=True)
+        store = pack_hypervectors(C)
+        assert store.shared_support is None
+        self._check(kernel, Q, C, pack_hypervectors(Q), store)
+
+
+class TestSharedSupportCache:
+    def test_worked_out_once_per_store(self):
+        store = pack_hypervectors(np.ones((3, 70)))
+        assert store.shared_support is store.shared_support
+
+    def test_clean_store_shares_its_sign_plane(self):
+        store = pack_hypervectors(random_hvs(3, 70, seed=0, ternary=False))
+        assert store.shared_support.signs is store.signs
+
+    def test_stray_sign_bits_are_cleared(self):
+        _, _, _, store = _shared_operands(1, 3, 70, "random", 9)
+        support = store.shared_support
+        assert support.signs is not store.signs
+        assert not (support.signs & ~support.mask).any()
+
+    def test_empty_batch_has_no_support(self):
+        assert pack_hypervectors(np.zeros((0, 70))).shared_support is None

@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from repro.backend.packed import pack_hypervectors
+from repro.backend.native import NativeBackend
+from repro.backend.packed import PackedHV, pack_hypervectors
 from repro.hd import HDModel, get_quantizer
 from repro.proto import ModelInfo, ScoreRequest, ScoreResponse
 from repro.serve import (
@@ -155,6 +156,33 @@ class TestTypedScoring:
             finally:
                 api.registry.describe = original_describe
                 release.set()
+
+
+class TestPackedFlushes:
+    def test_native_tenant_flush_stays_packed(self, monkeypatch):
+        """A native-backend tenant is a packed-operand engine too: its
+        flush hands the kernel the rebuilt planes, never floats."""
+        seen = []
+        original = NativeBackend.prepare_queries
+
+        def spy(self, queries):
+            seen.append(type(queries))
+            return original(self, queries)
+
+        monkeypatch.setattr(NativeBackend, "prepare_queries", spy)
+        keep = np.ones(300, dtype=bool)
+        keep[spawn(6, "api-native-mask").permutation(300)[:120]] = False
+        artifact = _artifact(backend="native", keep_mask=keep)
+        queries = pack_hypervectors(_queries() * keep)
+        with ServingAPI.from_artifact(artifact, name="m") as api:
+            got = api.score(ScoreRequest(queries=queries, want_scores=True))
+        assert seen and set(seen) == {PackedHV}
+        offline = artifact.engine()
+        np.testing.assert_array_equal(got.scores, offline.scores(queries))
+        np.testing.assert_array_equal(
+            got.predictions,
+            offline.predict(queries.unpack(np.float32)),
+        )
 
 
 class TestInfoAndOps:

@@ -4,7 +4,8 @@ The multi-tenant contract, unit-tested:
 
 * the fused cross-tenant kernel is bit-identical to scoring each row
   against its own tenant with ``packed_class_scores`` (bipolar *and*
-  ternary stores);
+  ternary stores, masked tenants with different keep masks on the
+  shared-support path, and flushes that fall back from it);
 * the LRU admits lazily, verifies checksums once at admission, evicts
   oldest-unpinned-first under a byte budget, and **re-verifies** on
   reload after eviction (a corrupted artifact is caught, not served);
@@ -21,7 +22,9 @@ import threading
 import numpy as np
 import pytest
 
+import repro.serve.fleet as fleet_module
 from repro.backend.packed import (
+    PackedHV,
     pack_hypervectors,
     packed_class_scores,
     packed_norms,
@@ -62,11 +65,47 @@ def _queries(n, d_hv=D_HV, seed=99):
     )
 
 
+def _keep_masks(n_tenants, d_hv=D_HV, n_live=D_HV // 2, seed=0):
+    """One random keep mask per tenant, all with ``n_live`` live dims."""
+    rng = spawn(seed, "fleet-test-masks")
+    keeps = np.zeros((n_tenants, d_hv), dtype=bool)
+    for keep in keeps:
+        keep[rng.permutation(d_hv)[:n_live]] = True
+    return keeps
+
+
+def _masked_queries(keeps, tenant_of_row, seed=98):
+    """§III-C rows: bipolar on each row's tenant mask, plus stray sign
+    bits outside it (and past ``d``) that must never count."""
+    rng = spawn(seed, "fleet-test-masked-queries")
+    d_hv = keeps.shape[1]
+    values = rng.choice([-1.0, 1.0], size=(len(tenant_of_row), d_hv))
+    packed = pack_hypervectors(values * keeps[tenant_of_row])
+    junk = rng.integers(0, 2**64, size=packed.signs.shape, dtype=np.uint64)
+    return PackedHV(
+        signs=packed.signs | (junk & ~packed.mags), mags=packed.mags, d=d_hv
+    )
+
+
 def _save_fleet_dir(tmp_path, names, *, d_hv=D_HV):
     root = tmp_path / "fleet"
     for i, name in enumerate(names):
         _artifact(i, d_hv=d_hv).save(root / name)
     return root
+
+
+@pytest.fixture()
+def shared_calls(monkeypatch):
+    """Row counts of the fused kernel's shared-support calls."""
+    calls = []
+    original = fleet_module.xor_dot_rows
+
+    def counting(*args):
+        calls.append(len(args[0]))
+        return original(*args)
+
+    monkeypatch.setattr(fleet_module, "xor_dot_rows", counting)
+    return calls
 
 
 class TestFusedKernel:
@@ -86,8 +125,7 @@ class TestFusedKernel:
         fused = fused_tenant_scores(
             queries.signs,
             queries.mags,
-            np.stack([s.signs for s in stores]),
-            np.stack([s.mags for s in stores]),
+            stores,
             np.stack([packed_norms(s) for s in stores]),
             tenant_of_row,
         )
@@ -108,14 +146,69 @@ class TestFusedKernel:
         fused = fused_tenant_scores(
             queries.signs,
             queries.mags,
-            np.stack([s.signs for s in stores]),
-            np.stack([s.mags for s in stores]),
+            stores,
             np.stack([packed_norms(s) for s in stores]),
             tenant_of_row,
         )
         for row, t in enumerate(tenant_of_row):
             expect = packed_class_scores(queries[row : row + 1], stores[t])
             np.testing.assert_array_equal(fused[row : row + 1], expect)
+
+
+    @staticmethod
+    def _fused_vs_per_tenant(stores, queries, tenant_of_row):
+        fused = fused_tenant_scores(
+            queries.signs,
+            queries.mags,
+            stores,
+            np.stack([packed_norms(s) for s in stores]),
+            tenant_of_row,
+        )
+        for row, t in enumerate(tenant_of_row):
+            expect = packed_class_scores(queries[row : row + 1], stores[t])
+            np.testing.assert_array_equal(fused[row : row + 1], expect)
+
+    @pytest.mark.parametrize("d", [40, 130, 512])
+    def test_masked_tenants_with_different_masks(self, d, shared_calls):
+        """Tenants coalesce on equal ``n_live``, not equal masks: each
+        row must be scored on its own tenant's support."""
+        rng = spawn(11, "fused-masked")
+        keeps = _keep_masks(3, d_hv=d, n_live=d // 2)
+        assert len({k.tobytes() for k in keeps}) == 3
+        stores = [
+            pack_hypervectors(
+                rng.choice([-1.0, 1.0], size=(N_CLASSES, d)) * keep
+            )
+            for keep in keeps
+        ]
+        tenant_of_row = rng.integers(0, 3, size=13)
+        queries = _masked_queries(keeps, tenant_of_row)
+        self._fused_vs_per_tenant(stores, queries, tenant_of_row)
+        assert shared_calls == [13]
+
+    @pytest.mark.parametrize("breaks", ["store", "row"])
+    def test_one_tenant_off_shared_support_falls_back(
+        self, breaks, shared_calls
+    ):
+        """One non-uniform store, or one query row off its tenant's
+        mask, sends the whole flush down the general formula."""
+        rng = spawn(12, "fused-fallback")
+        keeps = _keep_masks(2, d_hv=130, n_live=70)
+        values = [
+            rng.choice([-1.0, 1.0], size=(N_CLASSES, 130)) * keep
+            for keep in keeps
+        ]
+        tenant_of_row = np.array([0, 1, 1, 0, 1])
+        queries = _masked_queries(keeps, tenant_of_row)
+        if breaks == "store":
+            values[1][2, np.flatnonzero(keeps[1])[0]] = 0.0
+        else:
+            mags = queries.mags.copy()
+            mags[2, 0] ^= np.uint64(1)
+            queries = PackedHV(signs=queries.signs, mags=mags, d=130)
+        stores = [pack_hypervectors(v) for v in values]
+        self._fused_vs_per_tenant(stores, queries, tenant_of_row)
+        assert shared_calls == []
 
 
 class TestModelFleet:
@@ -449,7 +542,7 @@ class TestKernelSelection:
             )
         assert fused_calls == []
 
-    def _mixed_flush(self, fleet, tenants, between=None):
+    def _mixed_flush(self, fleet, tenants, between=None, queries=None):
         """Submit one 2-row request per tenant into a single flush.
 
         Paced mode with ``max_batch`` = total rows: the flush fires on
@@ -458,7 +551,8 @@ class TestKernelSelection:
         config = MicroBatchConfig(
             max_batch=2 * len(tenants), eager=False, max_delay_s=30.0
         )
-        queries = {t: _queries(2, seed=i) for i, t in enumerate(tenants)}
+        if queries is None:
+            queries = {t: _queries(2, seed=i) for i, t in enumerate(tenants)}
         with ServingAPI(fleet, config=config) as api:
             futures = {}
             for tenant in tenants:
@@ -482,6 +576,36 @@ class TestKernelSelection:
             fleet.add_tenant(name, artifact)
         queries, scores = self._mixed_flush(fleet, list(artifacts))
         assert fused_calls == [4]
+        for name, artifact in artifacts.items():
+            np.testing.assert_array_equal(
+                scores[name], self._expected(artifact, queries[name])
+            )
+
+    def test_masked_tenants_coalesce_on_their_own_supports(
+        self, fused_calls, shared_calls
+    ):
+        """Different keep masks, equal ``n_live``: one coalesced flush,
+        each tenant's rows masked to its own mask."""
+        keeps = _keep_masks(2)
+        artifacts = {
+            name: ModelArtifact(
+                class_hvs=_artifact(i).class_hvs * keeps[i],
+                query_quantizer="bipolar",
+                store_quantizer="bipolar",
+                backend="packed",
+                keep_mask=keeps[i],
+            )
+            for i, name in enumerate(["alice", "bob"])
+        }
+        fleet = ModelFleet()
+        for name, artifact in artifacts.items():
+            fleet.add_tenant(name, artifact)
+        queries = {
+            name: _masked_queries(keeps, np.array([i, i]), seed=i)
+            for i, name in enumerate(artifacts)
+        }
+        _, scores = self._mixed_flush(fleet, list(artifacts), queries=queries)
+        assert fused_calls == shared_calls == [4]
         for name, artifact in artifacts.items():
             np.testing.assert_array_equal(
                 scores[name], self._expected(artifact, queries[name])
