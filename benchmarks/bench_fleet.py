@@ -83,7 +83,7 @@ def build_prototypes(root, *, d_hv, n_classes, seed):
             np.array([-1.0, 1.0], dtype=np.float32), size=(n_classes, d_hv)
         )
         artifact = ModelArtifact(
-            class_hvs=class_hvs,
+            store=class_hvs,
             query_quantizer="bipolar",
             store_quantizer="bipolar",
             backend="packed",

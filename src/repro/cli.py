@@ -249,7 +249,7 @@ def _run_train(args) -> int:
             f"saved artifact to {path} "
             f"(backend={artifact.backend}, "
             f"query_quantizer={artifact.query_quantizer}, "
-            f"store={artifact.class_hvs.nbytes:,} bytes)"
+            f"store={artifact.store_nbytes:,} bytes)"
         )
     return 0
 

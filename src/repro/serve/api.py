@@ -258,8 +258,9 @@ class ServingAPI:
         """The engine that scores ``tenant``'s rows in this flush.
 
         Resolved *at flush time* — an eviction between submit and flush
-        re-admits here, a hot-swap lands here — and its version is
-        recorded for the responses of this flush.
+        re-admits here (joining the tenant's in-flight load if a request
+        is already admitting it), a hot-swap lands here — and its
+        version is recorded for the responses of this flush.
         """
         record, registry = self.fleet.lookup(tenant, count=False)
         described = registry.describe(record.model_name(model))

@@ -12,19 +12,38 @@ everything a host needs to answer queries exactly as the trainer would.
     **is** the codebook), the privacy certificate (ε, δ, σ, sensitivity
     report) and SHA-256 checksums of every tensor.
 ``tensors.npz``
-    The arrays: the serving class store (already quantized — quantile
+    The arrays, already in their serving representation (quantile
     quantizers are not idempotent, so the store is quantized exactly
-    once, at save time) and the pruning keep-mask when present.
+    once, at save time):
+
+    * ``packed``/``native`` backend (format v3): ``signs`` and ``mags``,
+      the ``(n_classes, ⌈d_hv/64⌉)`` uint64 bit planes the XOR+popcount
+      kernels score — 65 KB for 26 classes at d_hv=10,000, against
+      1.04 MB as a dense float32 store.  The manifest records the dtype
+      the dense store had (``store_dtype``); norms are recomputed from
+      ``mags`` at load, so no derived tensor can disagree with the
+      planes.
+    * ``dense`` backend: ``class_hvs``, the dense ``(n_classes, d_hv)``
+      store (v2 wrote this tensor for every backend; v2 artifacts still
+      load).
+    * ``keep_mask``, the pruning keep-mask, when present.
 
 ``save``/``load`` round-trip bit-exactly, and :meth:`ModelArtifact.
 engine` reconstructs a ready :class:`~repro.serve.InferenceEngine`
-without touching any training code:
+without touching any training code — for a packed artifact by wrapping
+the loaded planes, with no dense copy and no repack:
 
     >>> art = ModelArtifact.build(model, quantizer="bipolar",
     ...                           backend="packed", encoder=enc)
     >>> art.save("isolet-v1")
     >>> engine = ModelArtifact.load("isolet-v1").engine()
     >>> engine.predict(queries)          # identical to pre-save engine
+
+``load(mmap=True)`` maps a *dense* store read-only off disk.  Packed
+planes are copied into aligned, read-only heap arrays before they are
+hashed — 65 KB per tenant — so the bytes verified are the bytes served,
+and rewriting an artifact in place can neither alter nor fault a model
+that is already resident.
 
 The manifest makes artifacts safe to hand across trust boundaries: a
 host can verify checksums and read the privacy certificate before
@@ -36,12 +55,16 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
+import zipfile
 from dataclasses import dataclass, field
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
 
-from repro.backend import Backend, get_backend
+from repro.backend import Backend, PackedBackend, PackedHV, get_backend
+from repro.backend.packed import n_words, pack_hypervectors
 from repro.hd.encoder import Encoder, encoder_from_config
 from repro.hd.model import HDModel
 from repro.hd.quantize import get_quantizer
@@ -57,7 +80,7 @@ __all__ = [
 ]
 
 #: bump when the artifact layout changes incompatibly
-ARTIFACT_FORMAT_VERSION = 2
+ARTIFACT_FORMAT_VERSION = 3
 
 MANIFEST_FILENAME = "manifest.json"
 TENSORS_FILENAME = "tensors.npz"
@@ -69,26 +92,41 @@ class ArtifactError(ValueError):
 
 def _checksum(arr: np.ndarray) -> str:
     """SHA-256 over the array's C-order bytes (dtype/shape checked apart)."""
-    return hashlib.sha256(np.ascontiguousarray(arr).tobytes()).hexdigest()
+    return hashlib.sha256(np.ascontiguousarray(arr)).hexdigest()
+
+
+def _tensor_spec(arr: np.ndarray) -> dict:
+    """The manifest entry of one tensor: shape, dtype and checksum."""
+    return {
+        "shape": list(arr.shape),
+        "dtype": str(arr.dtype),
+        "sha256": _checksum(arr),
+    }
+
+
+def _frozen_copy(arr: np.ndarray) -> np.ndarray:
+    """An aligned, read-only heap copy of ``arr``."""
+    out = np.array(arr, order="C", subok=False)
+    out.flags.writeable = False
+    return out
 
 
 def _mmap_npz(path: Path) -> dict[str, np.ndarray] | None:
-    """Read-only memory maps of an *uncompressed* npz's arrays.
+    """Read-only views of an *uncompressed* npz's arrays, over one map.
 
     An npz is a zip archive of ``.npy`` members; when the members are
     stored (not deflated — :meth:`ModelArtifact.save`'s default), every
-    array's raw buffer sits at a fixed byte offset inside the file and
-    can be mapped in place: each entry's local zip header gives the
-    ``.npy`` start, the ``.npy`` header gives dtype/shape, and
-    ``np.memmap(..., mode="r")`` does the rest.  Returns ``None``
-    whenever the layout does not support mapping (compressed members,
-    Fortran order, unknown npy versions) — callers fall back to a
-    regular load, so this is an optimization, never a requirement.
+    array's raw buffer sits at a fixed byte offset inside the file.
+    Each entry's local zip header gives the ``.npy`` start and the
+    ``.npy`` header gives dtype/shape; the file is then mapped once and
+    every array is a view into that one map (at whatever alignment the
+    archive left it).  Returns ``None`` whenever the layout does not
+    support mapping (compressed members, Fortran order, unknown npy
+    versions, a truncated file) — callers fall back to a regular load,
+    so this is an optimization, never a requirement.
     """
-    import zipfile
-
     try:
-        arrays: dict[str, np.ndarray] = {}
+        layout = []
         with open(path, "rb") as f:
             with zipfile.ZipFile(f) as zf:
                 infos = zf.infolist()
@@ -111,19 +149,39 @@ def _mmap_npz(path: Path) -> dict[str, np.ndarray] | None:
                     return None
                 if fortran or dtype.hasobject:
                     return None
-                name = info.filename
-                if name.endswith(".npy"):
-                    name = name[: -len(".npy")]
-                arrays[name] = np.memmap(
-                    path,
-                    mode="r",
-                    dtype=dtype,
-                    shape=tuple(shape),
-                    offset=f.tell(),
-                )
+                name = info.filename.removesuffix(".npy")
+                layout.append((name, dtype, tuple(shape), f.tell()))
+            # Mapping through the open file skips memmap's path resolve.
+            whole = np.memmap(f, mode="r", dtype=np.uint8)
+        arrays = {}
+        for name, dtype, shape, offset in layout:
+            size = math.prod(shape) * dtype.itemsize
+            if offset + size > whole.size:
+                return None
+            arrays[name] = (
+                whole[offset : offset + size].view(dtype).reshape(shape)
+            )
         return arrays
     except (OSError, ValueError, zipfile.BadZipFile):
         return None
+
+
+def _read_npz(path: Path) -> dict[str, np.ndarray]:
+    """Heap copies of every array in an npz (compressed or not).
+
+    Reading a member checks the zip container's own CRC-32, which is
+    what catches a corrupted ``.npy`` header before any manifest
+    checksum can run.
+    """
+    try:
+        with np.load(path) as data:
+            return {name: data[name] for name in data.files}
+    except (OSError, ValueError, EOFError, zipfile.BadZipFile) as exc:
+        kind = "checksum mismatch" if "CRC" in str(exc) else "unreadable tensors"
+        raise ArtifactError(
+            f"{kind} in {path}: {exc} — the artifact is corrupt or was "
+            "modified after saving"
+        ) from exc
 
 
 @dataclass(frozen=True)
@@ -132,19 +190,26 @@ class ModelArtifact:
 
     Attributes
     ----------
-    class_hvs:
-        The serving class store, ``(n_classes, d_hv)``, already passed
-        through ``store_quantizer`` (and masked, for pruned models).
+    store:
+        The serving class store in its served representation: a
+        :class:`~repro.backend.PackedHV` of sign/magnitude planes for
+        the ``packed``/``native`` backends, a dense ``(n_classes,
+        d_hv)`` array for ``dense``.  Either form may be passed in; a
+        dense store for a packed backend is packed here (and must be
+        bipolar/ternary), planes for the dense backend are unpacked.
+        Already passed through ``store_quantizer`` (and masked, for
+        pruned models).
     query_quantizer:
         Registry name of the quantizer raw-feature queries go through
         (``None`` = full precision) — the *training* quantizer, which may
         differ from the store's serving quantizer.
     store_quantizer:
-        Registry name of the quantizer that produced ``class_hvs``
+        Registry name of the quantizer that produced the store
         (informational; the store is never re-quantized).
     backend:
-        Preferred serving layout (``"dense"``/``"packed"``) recorded at
-        build time; :meth:`engine` uses it unless overridden.
+        Preferred serving layout (``"dense"``/``"packed"``/``"native"``)
+        recorded at build time; :meth:`engine` uses it unless
+        overridden, and it decides the stored representation.
     keep_mask:
         Live-dimension mask of a pruned model, or ``None``.
     mask_seed:
@@ -166,9 +231,16 @@ class ModelArtifact:
         ``epsilon=inf`` marks an explicitly non-private release.
     metadata:
         Free-form JSON-safe extras (dataset name, training notes, …).
+    format_version:
+        The format version the artifact was read as (:meth:`save`
+        always writes :data:`ARTIFACT_FORMAT_VERSION`).
+    store_dtype:
+        dtype of the dense store (what :attr:`class_hvs` unpacks to);
+        taken from a dense ``store``, ``float32`` when planes come
+        without one.
     """
 
-    class_hvs: np.ndarray
+    store: np.ndarray | PackedHV
     query_quantizer: str | None = None
     store_quantizer: str | None = None
     backend: str = "dense"
@@ -178,19 +250,40 @@ class ModelArtifact:
     privacy: dict | None = None
     metadata: dict = field(default_factory=dict)
     format_version: int = ARTIFACT_FORMAT_VERSION
+    store_dtype: np.dtype | str | None = None
 
     def __post_init__(self):
-        store = np.asarray(self.class_hvs)
-        if store.ndim != 2:
-            raise ArtifactError(
-                f"class_hvs must be 2-D, got shape {store.shape}"
-            )
-        object.__setattr__(self, "class_hvs", store)
+        try:
+            packed_layout = isinstance(get_backend(self.backend), PackedBackend)
+        except KeyError as exc:
+            raise ArtifactError(str(exc)) from exc
+        store = self.store
+        if isinstance(store, PackedHV):
+            dtype = np.dtype(self.store_dtype or np.float32)
+            if not packed_layout:
+                store = store.unpack(dtype)
+        else:
+            store = np.asarray(store)
+            if store.ndim != 2:
+                raise ArtifactError(
+                    f"class store must be 2-D, got shape {store.shape}"
+                )
+            dtype = store.dtype
+            if packed_layout:
+                try:
+                    store = pack_hypervectors(store)
+                except ValueError as exc:
+                    raise ArtifactError(
+                        f"the {self.backend!r} backend serves packed bit "
+                        f"planes: {exc}"
+                    ) from exc
+        object.__setattr__(self, "store", store)
+        object.__setattr__(self, "store_dtype", dtype)
         if self.keep_mask is not None:
             keep = np.asarray(self.keep_mask, dtype=bool)
-            if keep.shape != (store.shape[1],):
+            if keep.shape != (self.d_hv,):
                 raise ArtifactError(
-                    f"keep_mask must have shape ({store.shape[1]},), "
+                    f"keep_mask must have shape ({self.d_hv},), "
                     f"got {keep.shape}"
                 )
             object.__setattr__(self, "keep_mask", keep)
@@ -201,14 +294,39 @@ class ModelArtifact:
 
     # ------------------------------------------------------------------
     @property
+    def is_packed(self) -> bool:
+        """Whether the served store is bit planes (``packed``/``native``)."""
+        return isinstance(self.store, PackedHV)
+
+    @cached_property
+    def class_hvs(self) -> np.ndarray:
+        """The class store as a dense ``(n_classes, d_hv)`` array.
+
+        The dense store itself for a ``dense`` artifact; for a packed
+        one, the planes unpacked once (on first access) into a
+        read-only array of :attr:`store_dtype` — what the dense backend,
+        the attacks and the CLI read.  Serving never needs it.
+        """
+        if not self.is_packed:
+            return self.store
+        dense = self.store.unpack(self.store_dtype)
+        dense.flags.writeable = False
+        return dense
+
+    @property
+    def store_nbytes(self) -> int:
+        """Bytes of the served store (both planes, for a packed one)."""
+        return int(self.store.nbytes)
+
+    @property
     def n_classes(self) -> int:
         """Number of classes in the stored class store."""
-        return int(self.class_hvs.shape[0])
+        return int(self.store.shape[0])
 
     @property
     def d_hv(self) -> int:
         """Hypervector dimensionality of the stored class store."""
-        return int(self.class_hvs.shape[1])
+        return int(self.store.shape[1])
 
     @property
     def n_live_dims(self) -> int:
@@ -305,7 +423,7 @@ class ModelArtifact:
             )
         q_name = None if quantizer is None else get_quantizer(quantizer).name
         return cls(
-            class_hvs=class_hvs,
+            store=class_hvs,
             query_quantizer=q_name,
             store_quantizer=store_name,
             backend=be.name,
@@ -319,24 +437,25 @@ class ModelArtifact:
     # ------------------------------------------------------------------
     # persistence
     # ------------------------------------------------------------------
-    def manifest(self) -> dict:
-        """The JSON manifest describing this artifact (checksums included)."""
-        tensors = {
-            "class_hvs": {
-                "shape": list(self.class_hvs.shape),
-                "dtype": str(self.class_hvs.dtype),
-                "sha256": _checksum(self.class_hvs),
-            }
-        }
+    def _tensors(self) -> dict[str, np.ndarray]:
+        """The arrays :meth:`save` writes, by npz member name."""
+        if self.is_packed:
+            arrays = {"signs": self.store.signs, "mags": self.store.mags}
+        else:
+            arrays = {"class_hvs": self.store}
         if self.keep_mask is not None:
-            tensors["keep_mask"] = {
-                "shape": list(self.keep_mask.shape),
-                "dtype": str(self.keep_mask.dtype),
-                "sha256": _checksum(self.keep_mask),
-            }
-        return {
+            arrays["keep_mask"] = self.keep_mask
+        return arrays
+
+    def manifest(self) -> dict:
+        """The JSON manifest describing this artifact (checksums included).
+
+        Always the current format (:data:`ARTIFACT_FORMAT_VERSION`): a
+        v2 artifact loaded and saved again is written as v3.
+        """
+        manifest = {
             "format": "prive-hd-model-artifact",
-            "format_version": self.format_version,
+            "format_version": ARTIFACT_FORMAT_VERSION,
             "n_classes": self.n_classes,
             "d_hv": self.d_hv,
             "n_live_dims": self.n_live_dims,
@@ -347,8 +466,13 @@ class ModelArtifact:
             "encoder": self.encoder_config,
             "privacy": self.privacy,
             "metadata": self.metadata,
-            "tensors": tensors,
+            "tensors": {
+                name: _tensor_spec(arr) for name, arr in self._tensors().items()
+            },
         }
+        if self.is_packed:
+            manifest["store_dtype"] = str(self.store_dtype)
+        return manifest
 
     def save(self, path: str | Path, *, compress: bool = False) -> Path:
         """Write the artifact directory (``manifest.json`` + ``tensors.npz``).
@@ -356,18 +480,16 @@ class ModelArtifact:
         The tensors are written first and the manifest last, so a
         directory with a readable manifest always has its tensors in
         place.  By default the npz members are *stored* uncompressed so
-        :meth:`load` with ``mmap=True`` can map the class store straight
+        :meth:`load` with ``mmap=True`` can map a dense store straight
         off disk (K serving workers then share one set of page-cache
-        pages instead of K heap copies); ``compress=True`` trades that
-        for a smaller file.
+        pages instead of K heap copies) and read packed planes without
+        a decompression pass; ``compress=True`` trades that for a
+        smaller file.
         """
         path = Path(path)
         path.mkdir(parents=True, exist_ok=True)
-        arrays = {"class_hvs": self.class_hvs}
-        if self.keep_mask is not None:
-            arrays["keep_mask"] = self.keep_mask
         writer = np.savez_compressed if compress else np.savez
-        writer(path / TENSORS_FILENAME, **arrays)
+        writer(path / TENSORS_FILENAME, **self._tensors())
         (path / MANIFEST_FILENAME).write_text(
             json.dumps(self.manifest(), indent=2, sort_keys=True) + "\n"
         )
@@ -383,13 +505,21 @@ class ModelArtifact:
     ) -> "ModelArtifact":
         """Read an artifact directory back, verifying checksums.
 
-        With ``mmap=True``, tensors saved uncompressed (the
-        :meth:`save` default) come back as *read-only memory maps* of
-        the npz file instead of heap copies: checksum verification
-        still reads every byte once, but the pages are file-backed, so
-        any number of processes serving the same artifact — a
+        A packed (v3) artifact comes back holding its ``signs``/``mags``
+        planes: each is copied into an aligned, read-only heap array and
+        *then* hashed, so the bytes verified are exactly the bytes
+        served.  :meth:`engine` wraps them as they are.
+
+        With ``mmap=True``, a *dense* store saved uncompressed (the
+        :meth:`save` default) comes back as a read-only memory map of
+        the npz file instead of a heap copy: checksum verification still
+        reads every byte once, but the pages are file-backed, so any
+        number of processes serving the same artifact — a
         :class:`~repro.serve.WorkerPool` — share one physical copy
-        through the page cache.  Compressed artifacts fall back to a
+        through the page cache.  The file is mapped once for all its
+        tensors.  Packed planes and the keep-mask are small and always
+        copied, so a later in-place rewrite of the artifact cannot
+        change or fault them.  Compressed artifacts fall back to a
         regular in-memory load.
 
         ``verify=False`` skips the SHA-256 pass over the tensor bytes
@@ -419,19 +549,26 @@ class ModelArtifact:
             )
         declared = manifest.get("tensors", {})
         arrays = _mmap_npz(path / TENSORS_FILENAME) if mmap else None
-        if arrays is not None:
-            class_hvs = arrays["class_hvs"]
-            keep_mask = arrays.get("keep_mask")
-        else:
-            with np.load(path / TENSORS_FILENAME) as data:
-                class_hvs = data["class_hvs"]
-                keep_mask = data["keep_mask"] if "keep_mask" in data else None
-        for name, arr in (("class_hvs", class_hvs), ("keep_mask", keep_mask)):
-            if arr is None:
-                continue
+        if arrays is None:
+            arrays = _read_npz(path / TENSORS_FILENAME)
+        packed = "signs" in declared
+        names = ("signs", "mags") if packed else ("class_hvs",)
+        tensors = {}
+        for name in (*names, "keep_mask"):
+            arr = arrays.get(name)
             spec = declared.get(name)
+            if arr is None:
+                if name == "keep_mask" and spec is None:
+                    continue
+                raise ArtifactError(
+                    f"tensor {name!r} is missing from {TENSORS_FILENAME}"
+                )
+            if name != "class_hvs":
+                arr = _frozen_copy(arr)
             if spec is None:
-                continue
+                raise ArtifactError(
+                    f"tensor {name!r} has no entry in the manifest"
+                )
             if list(arr.shape) != spec["shape"] or str(arr.dtype) != spec["dtype"]:
                 raise ArtifactError(
                     f"tensor {name!r} does not match its manifest: "
@@ -443,18 +580,33 @@ class ModelArtifact:
                     f"checksum mismatch on tensor {name!r} — the artifact "
                     "is corrupt or was modified after saving"
                 )
+            tensors[name] = arr
+        if packed:
+            d_hv = int(manifest.get("d_hv", -1))
+            planes = (int(manifest.get("n_classes", -1)), n_words(d_hv))
+            for name in names:
+                if tensors[name].shape != planes or tensors[name].dtype != np.uint64:
+                    raise ArtifactError(
+                        f"tensor {name!r} does not match its manifest: "
+                        f"{tensors[name].shape}/{tensors[name].dtype} vs "
+                        f"{planes}/uint64 for d_hv={d_hv}"
+                    )
+            store = PackedHV(signs=tensors["signs"], mags=tensors["mags"], d=d_hv)
+        else:
+            store = tensors["class_hvs"]
         mask_seed = manifest.get("mask_seed")
         return cls(
-            class_hvs=class_hvs,
+            store=store,
             query_quantizer=manifest.get("query_quantizer"),
             store_quantizer=manifest.get("store_quantizer"),
             backend=manifest.get("backend", "dense"),
-            keep_mask=keep_mask,
+            keep_mask=tensors.get("keep_mask"),
             mask_seed=None if mask_seed is None else int(mask_seed),
             encoder_config=manifest.get("encoder"),
             privacy=manifest.get("privacy"),
             metadata=manifest.get("metadata", {}),
             format_version=version,
+            store_dtype=manifest.get("store_dtype"),
         )
 
     # ------------------------------------------------------------------
@@ -482,12 +634,18 @@ class ModelArtifact:
         raw-feature queries stream through the recorded query quantizer,
         masked to the live dimensions for pruned models.  ``backend``
         overrides the recorded layout; predictions are identical either
-        way on the same operands.
+        way on the same operands.  A packed store served by a packed
+        backend is wrapped as is — no dense copy, no level scan, no
+        repack.
         """
-        model = HDModel(self.n_classes, self.d_hv, self.class_hvs)
+        be = get_backend(self.backend if backend is None else backend)
+        if self.is_packed and isinstance(be, PackedBackend):
+            model = self.store
+        else:
+            model = HDModel(self.n_classes, self.d_hv, self.class_hvs)
         return InferenceEngine(
             model,
-            backend=self.backend if backend is None else backend,
+            backend=be,
             quantizer=self.query_quantizer,
             batch_size=batch_size,
             encoder=self.encoder() if with_encoder else None,

@@ -42,7 +42,10 @@ class InferenceEngine:
     model:
         The trained :class:`~repro.hd.model.HDModel`.  The engine takes a
         snapshot of its class store; later mutation of ``model`` does not
-        affect the engine.
+        affect the engine.  A :class:`~repro.backend.PackedHV` is taken
+        as a class store already in its serving representation (what a
+        packed :class:`~repro.serve.ModelArtifact` holds): a packed
+        backend serves its planes as they are, never re-quantized.
     backend:
         ``"dense"`` (default), ``"packed"``, ``"native"`` (compiled
         packed kernels, NumPy fallback when numba is absent), or a
@@ -90,7 +93,7 @@ class InferenceEngine:
 
     def __init__(
         self,
-        model: HDModel,
+        model: HDModel | PackedHV,
         *,
         backend: str | Backend | None = None,
         quantizer=None,
@@ -105,23 +108,31 @@ class InferenceEngine:
         self.backend = get_backend(backend)
         self.batch_size = check_positive_int(batch_size, "batch_size")
         self.quantizer = None if quantizer is None else get_quantizer(quantizer)
-        self.n_classes = model.n_classes
-        self.d_hv = model.d_hv
+        if isinstance(model, PackedHV):
+            self.n_classes, self.d_hv = model.shape
+            class_hvs = model
+            if not isinstance(self.backend, PackedBackend):
+                class_hvs = model.unpack(np.float64)
+            store_is_quantized = True
+        else:
+            self.n_classes = model.n_classes
+            self.d_hv = model.d_hv
+            class_hvs = model.class_hvs
         self.store_is_quantized = bool(store_is_quantized)
         if keep_mask is not None:
             keep_mask = np.asarray(keep_mask, dtype=bool)
-            if keep_mask.shape != (model.d_hv,):
+            if keep_mask.shape != (self.d_hv,):
                 raise ValueError(
-                    f"keep_mask must have shape ({model.d_hv},), "
+                    f"keep_mask must have shape ({self.d_hv},), "
                     f"got {keep_mask.shape}"
                 )
         self.keep_mask = keep_mask
         self.encode_pipeline = None
         if encoder is not None:
-            if encoder.d_hv != model.d_hv:
+            if encoder.d_hv != self.d_hv:
                 raise ValueError(
                     f"encoder produces {encoder.d_hv}-dim hypervectors but "
-                    f"the model is {model.d_hv}-dim"
+                    f"the model is {self.d_hv}-dim"
                 )
             self.encode_pipeline = EncodePipeline(
                 encoder,
@@ -130,7 +141,6 @@ class InferenceEngine:
                 executor=encode_executor,
             )
 
-        class_hvs = model.class_hvs
         if self.quantizer is not None and not self.store_is_quantized:
             class_hvs = self.quantizer(class_hvs)
         if not self.backend.supports(class_hvs):

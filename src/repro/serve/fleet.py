@@ -10,10 +10,12 @@ model; this module turns that into a real fleet:
   :class:`~repro.serve.ModelRegistry` namespaces with a byte-budgeted
   LRU artifact cache.  Tenants are registered *lazily* (a path, not a
   load), admitted on first use with ``mmap=True`` + checksum
-  verification, and evicted oldest-first when resident store bytes
-  exceed the budget; a later request re-admits from the recorded path,
-  checksums re-verified.  Hot tenants can be pinned.  Counters live in
-  :class:`FleetStats`.
+  verification — for a packed (v3) artifact that is: read the 65 KB of
+  bit planes, hash them, wrap them — and evicted oldest-first when
+  resident store bytes exceed the budget; a later request re-admits
+  from the recorded path, checksums re-verified.  Racing requests for
+  one tenant share one load.  Hot tenants can be pinned.  Counters
+  live in :class:`FleetStats`.
 * :class:`~repro.serve.ServingAPI` — the protocol surface over a fleet
   (a single served model is a fleet of one tenant), routing protocol-v4
   ``tenant`` keys.  A request without a tenant hits the fleet's default
@@ -48,6 +50,7 @@ from __future__ import annotations
 
 import threading
 from collections import OrderedDict
+from concurrent.futures import Future
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
@@ -94,10 +97,14 @@ class FleetStats:
     hits:
         Requests that found their tenant resident.
     misses:
-        Admissions from disk — each one paid an mmap load + checksum
-        pass.  A flush-time re-admission (the tenant was evicted between
-        submit and flush) counts as a miss too, although its request
-        was already counted once as a hit or miss at submit.
+        Admissions from disk: one per completed load of a non-resident
+        tenant, each an artifact load plus checksum pass.  Lookups that
+        race for the same tenant share one load and count one miss; the
+        ones that joined an in-flight load count as neither hit nor
+        miss.  A refused load (e.g. a checksum mismatch) counts nothing.
+        A flush-time re-admission (the tenant was evicted between submit
+        and flush) counts as a miss too, although its request was
+        already counted once as a hit or miss at submit.
     evictions:
         Tenants pushed out by the byte budget since the fleet started.
     """
@@ -147,6 +154,7 @@ class _Tenant:
         "index",
         "evictable",
         "coalesce_key",
+        "loading",
     )
 
     def __init__(self, name, path, model, pin, engine_kwargs, index):
@@ -162,6 +170,8 @@ class _Tenant:
         # No recorded path means no way back after eviction: keep it.
         self.evictable = path is not None
         self.coalesce_key: tuple | None = None
+        # The in-flight admission every racing lookup waits on.
+        self.loading: Future | None = None
 
     def model_name(self, model: str | None = None) -> str:
         """The registry name a call with ``model=`` serves in this tenant.
@@ -273,7 +283,7 @@ class ModelFleet:
     Each tenant owns a private :class:`~repro.serve.ModelRegistry`
     namespace (its own versions, its own hot-swap), registered lazily:
     :meth:`add_tenant` records the artifact *path* and nothing loads
-    until the first request.  Admission maps the tensors with
+    until the first request.  Admission loads the artifact with
     ``mmap=True`` and verifies checksums once; eviction (oldest
     unpinned tenant first, whenever resident bytes exceed
     ``cache_bytes``) drops the registry outright, and the next request
@@ -281,10 +291,13 @@ class ModelFleet:
     is the source of truth, memory is a cache.
 
     Thread-safe: resolution, admission, and eviction may race freely
-    across request threads and flush runners.  Admission loads run
-    *off*-lock (a slow disk must not stall every other tenant) with a
-    double-checked install, so two racing threads may both load but
-    exactly one result wins.
+    across request threads and flush runners.  Admission is
+    single-flight: the first lookup of a non-resident tenant loads it
+    *off*-lock (a slow disk must not stall every other tenant) through
+    a per-tenant future, and every lookup racing it — a flush-time
+    re-admission included — waits on that future instead of loading
+    again.  A refused load raises the same error in every waiter and
+    leaves the tenant non-resident, so the next request retries.
 
     Parameters
     ----------
@@ -425,7 +438,9 @@ class ModelFleet:
         bumps the tenant's traffic counter and the hit/miss stats;
         flush runners re-resolve with ``count=False`` so one request is
         not counted twice (an eviction between submit and flush still
-        counts its re-admission as a miss — that load was real).
+        counts its re-admission as a miss — that load was real).  A
+        lookup that finds its tenant already loading waits for that
+        load (see :meth:`_admit`) and counts neither a hit nor a miss.
         """
         name = self.default_tenant if tenant is None else tenant
         with self._lock:
@@ -448,31 +463,47 @@ class ModelFleet:
         return record, self._admit(record)
 
     def _admit(self, record: _Tenant) -> ModelRegistry:
-        """Load a non-resident tenant (off-lock) and install it.
+        """Load a non-resident tenant (off-lock, single-flight) and install it.
 
         ``verify=True`` on every admission: the first load checks the
         manifest checksums once, and — because eviction throws the
         whole registry away — a post-eviction reload re-verifies
-        lazily, exactly when the bytes come back off disk.  Two racing
-        admissions both load; the lock decides one winner and the loser
-        is dropped (correct, just briefly wasteful — preferable to
-        serializing every tenant's disk I/O behind one lock).
+        lazily, exactly when the bytes come back off disk.  The first
+        caller loads; callers arriving while that load is in flight
+        wait on the tenant's ``loading`` future and get its registry
+        (or its exception) — one :meth:`ModelRegistry.load` per miss.
         """
-        registry = ModelRegistry()
-        registry.load(
-            record.model,
-            record.path,
-            engine_kwargs=record.engine_kwargs,
-            mmap=True,
-            verify=True,
-        )
         with self._lock:
-            if record.registry is None:
-                self._misses += 1
-                self._install(record, registry)
-            # A racing admission may have won (and even been evicted
-            # since); ours is loaded from the same path either way.
-            return registry if record.registry is None else record.registry
+            if record.registry is not None:  # installed since lookup
+                return record.registry
+            pending = record.loading
+            if pending is None:
+                pending = record.loading = Future()
+                leader = True
+            else:
+                leader = False
+        if not leader:
+            return pending.result()
+        try:
+            registry = ModelRegistry()
+            registry.load(
+                record.model,
+                record.path,
+                engine_kwargs=record.engine_kwargs,
+                mmap=True,
+                verify=True,
+            )
+        except BaseException as exc:
+            with self._lock:
+                record.loading = None
+            pending.set_exception(exc)
+            raise
+        with self._lock:
+            record.loading = None
+            self._misses += 1
+            self._install(record, registry)
+        pending.set_result(registry)
+        return registry
 
     def _install(self, record: _Tenant, registry: ModelRegistry) -> None:
         """Make a loaded registry resident (lock held by caller).

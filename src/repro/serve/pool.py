@@ -13,9 +13,11 @@ between slices.
 Sharing the model without sharing memory bugs
 ---------------------------------------------
 Every worker loads the same :class:`~repro.serve.ModelArtifact`
-directory *read-only* with ``mmap=True``: the npz tensors are
-memory-mapped, so K workers touch one physical copy of the class store
-through the page cache instead of K heap copies.  Checksums are
+directory *read-only* with ``mmap=True``: a dense store is
+memory-mapped, so K workers touch one physical copy of it through the
+page cache instead of K heap copies, and a packed store's bit planes
+(65 KB at paper scale) are copied into each worker's heap, so a later
+rewrite of the directory cannot reach a running worker.  Checksums are
 verified exactly once, by the parent, before any worker loads — the
 workers skip the redundant SHA-256 pass (``verify=False``) on both
 startup and ``load`` broadcasts, so a hot-swap hashes the store one
@@ -285,9 +287,8 @@ class WorkerPool:
         Directory of per-tenant artifact directories: each worker
         serves a :class:`~repro.serve.ServingAPI` over a
         :class:`~repro.serve.ModelFleet` of it, with a per-worker
-        ``cache_bytes`` LRU budget (tenants admit lazily; the mmap
-        loads share page-cache across workers) and cross-tenant
-        coalescing.
+        ``cache_bytes`` LRU budget (tenants admit lazily) and
+        cross-tenant coalescing.
     cache_bytes:
         Fleet-mode LRU budget, forwarded to each worker's
         :class:`~repro.serve.ModelFleet`.
@@ -305,9 +306,9 @@ class WorkerPool:
     config:
         Micro-batching flush policy for each worker's scheduler.
     mmap:
-        Memory-map the artifact tensors (default) so the workers share
-        one page-cache copy of the class store; ``False`` gives each
-        worker a private heap copy.
+        Memory-map a dense artifact store (default) so the workers
+        share one page-cache copy of it; ``False`` gives each worker a
+        private heap copy.  Packed planes are heap copies either way.
     max_frame_bytes:
         Per-frame payload cap forwarded to each worker's frontend.
     supported_versions:

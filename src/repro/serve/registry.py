@@ -167,11 +167,12 @@ class ModelRegistry:
 
         The path is recorded on the version, which makes it evictable:
         :meth:`retire` can drop its in-memory store and a later rollback
-        reloads it from here.  ``mmap=True`` maps the tensors read-only
-        instead of copying them onto the heap (see
+        reloads it from here.  ``mmap=True`` maps a dense store
+        read-only instead of copying it onto the heap (packed planes
+        are small heap copies either way; see
         :meth:`ModelArtifact.load`) — what each
         :class:`~repro.serve.WorkerPool` worker does so K processes
-        share one page-cache copy of the class store.  ``verify=False``
+        share one page-cache copy of a dense store.  ``verify=False``
         skips the SHA-256 pass *on this load only* — sound when the
         pool parent already hashed the directory; eviction reloads
         always re-verify.

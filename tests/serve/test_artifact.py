@@ -1,6 +1,7 @@
 """ModelArtifact: round-trips, manifests, checksums, engine rebuilds."""
 
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -197,7 +198,13 @@ class TestManifest:
         assert manifest["query_quantizer"] == "bipolar"
         assert manifest["encoder"]["kind"] == "scalar-base"
         assert manifest["metadata"]["dataset"] == "unit-test"
-        assert "sha256" in manifest["tensors"]["class_hvs"]
+        # A packed artifact stores the served planes, not a dense store.
+        assert set(manifest["tensors"]) == {"signs", "mags"}
+        for spec in manifest["tensors"].values():
+            assert spec["shape"] == [4, 15]  # 900 dims -> 15 words
+            assert spec["dtype"] == "uint64"
+            assert "sha256" in spec
+        assert manifest["store_dtype"] == str(art.class_hvs.dtype)
 
     def test_checksum_corruption_detected(self, tmp_path):
         _, model, _, _ = _trained_system(d_hv=128)
@@ -275,3 +282,169 @@ class TestEncoderRebuild:
         engine = ModelArtifact.load(art.save(tmp_path / "a")).engine()
         with pytest.raises(ValueError, match="no encoder"):
             engine.predict_features(X)
+
+
+GOLDEN_V2 = Path(__file__).parent / "fixtures" / "golden_v2_packed"
+
+
+class TestGoldenV2:
+    """A v2 packed artifact (dense float32 ``class_hvs`` on disk), as
+    the v2 writer saved it, keeps loading, verifying and serving."""
+
+    @pytest.fixture(scope="class")
+    def queries(self):
+        rng = spawn(5, "golden-v2-queries")
+        art = ModelArtifact.load(GOLDEN_V2)
+        features = rng.uniform(-1.0, 1.0, size=(40, art.encoder_config["d_in"]))
+        encoded = np.sign(rng.normal(size=(40, art.d_hv)))
+        return features, encoded
+
+    @pytest.mark.parametrize("mmap", [False, True])
+    def test_loads_verified_and_predicts_like_its_v3_resave(
+        self, tmp_path, queries, mmap
+    ):
+        manifest = json.loads((GOLDEN_V2 / MANIFEST_FILENAME).read_text())
+        assert manifest["format_version"] == 2
+        assert set(manifest["tensors"]) == {"class_hvs"}
+        v2 = ModelArtifact.load(GOLDEN_V2, mmap=mmap, verify=True)
+        assert v2.format_version == 2 and v2.is_packed
+        assert v2.class_hvs.dtype == np.float32
+
+        v3 = ModelArtifact.load(v2.save(tmp_path / "v3"), mmap=mmap)
+        resaved = json.loads((tmp_path / "v3" / MANIFEST_FILENAME).read_text())
+        assert resaved["format_version"] == 3 == v3.format_version
+        assert set(resaved["tensors"]) == {"signs", "mags"}
+        np.testing.assert_array_equal(v3.class_hvs, v2.class_hvs)
+        assert v3.class_hvs.dtype == v2.class_hvs.dtype
+
+        features, encoded = queries
+        for backend in ("packed", "dense"):
+            a, b = v2.engine(backend=backend), v3.engine(backend=backend)
+            np.testing.assert_array_equal(a.scores(encoded), b.scores(encoded))
+            np.testing.assert_array_equal(
+                a.predict_features(features), b.predict_features(features)
+            )
+
+    @pytest.mark.parametrize("mmap", [False, True])
+    def test_flipped_payload_byte_is_refused(self, tmp_path, mmap):
+        path = tmp_path / "golden"
+        path.mkdir()
+        for name in (MANIFEST_FILENAME, TENSORS_FILENAME):
+            (path / name).write_bytes((GOLDEN_V2 / name).read_bytes())
+        blob = bytearray((path / TENSORS_FILENAME).read_bytes())
+        # The 20.8 KB float32 store is nearly the whole file.
+        blob[len(blob) // 2] ^= 0x01
+        (path / TENSORS_FILENAME).write_bytes(bytes(blob))
+        with pytest.raises(ArtifactError, match="checksum"):
+            ModelArtifact.load(path, mmap=mmap)
+
+
+def _rewrite_tensor(path, name, fn):
+    """Rewrite one npz member of a saved artifact through ``fn``."""
+    with np.load(path / TENSORS_FILENAME) as data:
+        arrays = {key: data[key] for key in data.files}
+    arrays[name] = fn(arrays[name])
+    np.savez(path / TENSORS_FILENAME, **arrays)
+
+
+class TestV3Tensors:
+    """The v3 packed layout: every served tensor is checksummed and
+    structurally checked against the manifest."""
+
+    @pytest.fixture()
+    def saved(self, tmp_path):
+        _, model, _, _ = _trained_system(d_hv=700)
+        keep = np.ones(700, dtype=bool)
+        keep[::3] = False
+        art = ModelArtifact.build(
+            model, quantizer="bipolar", backend="packed", keep_mask=keep
+        )
+        return art.save(tmp_path / "a")
+
+    def test_manifest_lists_the_served_tensors(self, saved):
+        manifest = json.loads((saved / MANIFEST_FILENAME).read_text())
+        assert set(manifest["tensors"]) == {"signs", "mags", "keep_mask"}
+        with np.load(saved / TENSORS_FILENAME) as data:
+            assert set(data.files) == {"signs", "mags", "keep_mask"}
+
+    @pytest.mark.parametrize("mmap", [False, True])
+    @pytest.mark.parametrize("name", ["signs", "mags", "keep_mask"])
+    def test_corrupted_tensor_is_refused(self, saved, name, mmap):
+        def flip(arr):
+            arr = arr.copy()
+            if arr.dtype == bool:
+                arr[5] = not arr[5]
+            else:
+                arr[1, 2] ^= np.uint64(1 << 7)
+            return arr
+
+        _rewrite_tensor(saved, name, flip)
+        with pytest.raises(ArtifactError, match="checksum"):
+            ModelArtifact.load(saved, mmap=mmap)
+        # verify=False trusts the bytes but still loads them as stored.
+        ModelArtifact.load(saved, mmap=mmap, verify=False)
+
+    @pytest.mark.parametrize("mmap", [False, True])
+    @pytest.mark.parametrize(
+        "name, fn",
+        [
+            ("signs", lambda a: a[:, :-1].copy()),
+            ("mags", lambda a: a.view(np.int64)),
+            ("signs", lambda a: a[:-1].copy()),
+            ("keep_mask", lambda a: a.astype(np.uint8)),
+            ("keep_mask", lambda a: a[:-1].copy()),
+        ],
+    )
+    def test_shape_or_dtype_mismatch_is_refused(self, saved, name, fn, mmap):
+        _rewrite_tensor(saved, name, fn)
+        for verify in (True, False):
+            with pytest.raises(ArtifactError, match="manifest"):
+                ModelArtifact.load(saved, mmap=mmap, verify=verify)
+
+    def test_planes_disagreeing_with_d_hv_are_refused(self, saved):
+        """Planes that match their own tensor entries but not the
+        manifest's ``d_hv`` never reach the kernels."""
+        manifest_path = saved / MANIFEST_FILENAME
+        manifest = json.loads(manifest_path.read_text())
+        manifest["d_hv"] = 64 * 20
+        manifest_path.write_text(json.dumps(manifest))
+        with pytest.raises(ArtifactError, match="manifest"):
+            ModelArtifact.load(saved)
+
+    def test_missing_plane_is_refused(self, saved):
+        with np.load(saved / TENSORS_FILENAME) as data:
+            arrays = {key: data[key] for key in data.files if key != "mags"}
+        np.savez(saved / TENSORS_FILENAME, **arrays)
+        with pytest.raises(ArtifactError, match="missing"):
+            ModelArtifact.load(saved)
+
+
+class TestDenseView:
+    """``class_hvs`` of a packed artifact: the built dtype and values."""
+
+    # 64/640 are whole words; 1, 63, 65 and 1000 leave a partial tail.
+    @pytest.mark.parametrize("backend", ["dense", "packed", "native"])
+    @pytest.mark.parametrize(
+        "quantizer", ["bipolar", "ternary", "ternary-biased"]
+    )
+    @pytest.mark.parametrize("d_hv", [1, 63, 64, 65, 640, 1000])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64, np.int8])
+    def test_round_trip_keeps_dtype_and_values(
+        self, tmp_path, backend, quantizer, d_hv, dtype
+    ):
+        rng = spawn(d_hv, "dense-view")
+        built = get_quantizer(quantizer)(rng.normal(size=(3, d_hv))).astype(dtype)
+        art = ModelArtifact(
+            store=built,
+            query_quantizer=quantizer,
+            store_quantizer=quantizer,
+            backend=backend,
+        )
+        assert art.is_packed == (backend != "dense")
+        for mmap in (False, True):
+            loaded = ModelArtifact.load(art.save(tmp_path / "a"), mmap=mmap)
+            assert loaded.class_hvs.dtype == np.dtype(dtype)
+            assert loaded.class_hvs.shape == (3, d_hv)
+            np.testing.assert_array_equal(loaded.class_hvs, built)
+            assert not loaded.class_hvs.flags.writeable or backend == "dense"
+            assert loaded.store_nbytes == art.store_nbytes

@@ -20,17 +20,67 @@ def model():
 
 class TestMmapLoad:
     def test_uncompressed_save_maps_read_only(self, model, tmp_path):
-        art = ModelArtifact.build(model, quantizer="bipolar", backend="packed")
+        art = ModelArtifact.build(model, quantizer="bipolar", backend="dense")
         art.save(tmp_path / "a")
         loaded = ModelArtifact.load(tmp_path / "a", mmap=True)
         store = loaded.class_hvs
-        # The store is a view of the file, not a heap copy...
+        # The dense store is a view of the file, not a heap copy...
         assert isinstance(store, np.memmap) or isinstance(
             getattr(store, "base", None), np.memmap
         )
         # ...and cannot be mutated by the serving process.
         assert not store.flags.writeable
         np.testing.assert_array_equal(store, art.class_hvs)
+
+    @pytest.mark.parametrize("masked", [False, True])
+    def test_packed_planes_are_aligned_read_only_heap_copies(
+        self, model, tmp_path, masked
+    ):
+        keep = mask_from_seed(D_HV, 300, 13) if masked else None
+        art = ModelArtifact.build(
+            model,
+            quantizer="bipolar",
+            backend="packed",
+            keep_mask=keep,
+            mask_seed=13 if masked else None,
+        )
+        path = art.save(tmp_path / "a")
+        loaded = ModelArtifact.load(path, mmap=True)
+        served = [loaded.store.signs, loaded.store.mags]
+        if masked:
+            served.append(loaded.keep_mask)
+        for arr in served:
+            assert arr.flags.aligned and arr.flags.c_contiguous
+            assert not arr.flags.writeable
+            assert not isinstance(arr, np.memmap)
+            assert not isinstance(getattr(arr, "base", None), np.memmap)
+        np.testing.assert_array_equal(loaded.store.signs, art.store.signs)
+        np.testing.assert_array_equal(loaded.store.mags, art.store.mags)
+        # The dense view is unpacked on demand, read-only, same values.
+        assert not loaded.class_hvs.flags.writeable
+        np.testing.assert_array_equal(loaded.class_hvs, art.class_hvs)
+
+        rng = spawn(2, "mmap-overwrite")
+        queries = np.sign(rng.normal(size=(32, D_HV)))
+        if masked:
+            queries = queries * keep
+        engine = loaded.engine()
+        before = engine.scores(queries)
+        # Rewrite the artifact in place with a different model, then
+        # truncate it: the resident engine must neither change its
+        # answers nor fault on vanished pages.
+        other = HDModel(
+            N_CLASSES, D_HV, spawn(3, "other").normal(size=(N_CLASSES, D_HV))
+        )
+        ModelArtifact.build(other, quantizer="bipolar", backend="packed").save(
+            path
+        )
+        np.testing.assert_array_equal(engine.scores(queries), before)
+        (path / "tensors.npz").write_bytes(b"")
+        np.testing.assert_array_equal(engine.scores(queries), before)
+        np.testing.assert_array_equal(
+            before, art.engine().scores(queries)
+        )
 
     def test_mmap_engine_predicts_identically(self, model, tmp_path):
         art = ModelArtifact.build(model, quantizer="bipolar", backend="packed")

@@ -214,7 +214,7 @@ class TestTenantCrossVersion:
                 size=(N_CLASSES, D_HV),
             )
             artifacts[name] = ModelArtifact(
-                class_hvs=class_hvs,
+                store=class_hvs,
                 query_quantizer="bipolar",
                 store_quantizer="bipolar",
                 backend="packed",

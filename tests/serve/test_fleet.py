@@ -18,6 +18,7 @@ The multi-tenant contract, unit-tested:
 """
 
 import threading
+import time
 
 import numpy as np
 import pytest
@@ -51,7 +52,7 @@ def _artifact(seed, d_hv=D_HV, n_classes=N_CLASSES):
         np.array([-1.0, 1.0], dtype=np.float32), size=(n_classes, d_hv)
     )
     return ModelArtifact(
-        class_hvs=class_hvs,
+        store=class_hvs,
         query_quantizer="bipolar",
         store_quantizer="bipolar",
         backend="packed",
@@ -332,6 +333,66 @@ class TestModelFleet:
         with pytest.raises(ArtifactError, match="checksum"):
             fleet.resolve("victim")
 
+    def test_racing_lookups_share_one_load(self, tmp_path, monkeypatch):
+        """Threads that miss on one tenant at once load it once: every
+        load is a miss, every racer gets the installed registry, and
+        byte accounting survives the evictions the admissions cause."""
+        import sys
+
+        from repro.serve import ModelRegistry
+
+        names = [f"t{i}" for i in range(6)]
+        root = _save_fleet_dir(tmp_path, names)
+        probe = ModelFleet.from_dir(root)
+        probe.resolve(names[0])
+        fleet = ModelFleet.from_dir(
+            root, cache_bytes=2 * probe.stats().resident_bytes
+        )
+        loads = []
+        real_load = ModelRegistry.load
+
+        def counting_load(self, *args, **kwargs):
+            loads.append(args[1])
+            time.sleep(0.002)  # widen the window racers can join in
+            return real_load(self, *args, **kwargs)
+
+        monkeypatch.setattr(ModelRegistry, "load", counting_load)
+        n_threads, rounds = 8, 12
+        start = threading.Barrier(n_threads)
+        got = [[None] * n_threads for _ in range(rounds)]
+
+        def worker(i):
+            for r in range(rounds):
+                start.wait(timeout=30)
+                tenant = names[r % len(names)]
+                got[r][i] = fleet.lookup(tenant, count=i % 2 == 0)[1]
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [
+                threading.Thread(target=worker, args=(i,))
+                for i in range(n_threads)
+            ]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+                assert not thread.is_alive()
+        finally:
+            sys.setswitchinterval(interval)
+        stats = fleet.stats()
+        # With a 2-tenant budget every round's tenant is cold again.
+        assert len(loads) == stats.misses == rounds
+        for registries in got:
+            assert all(reg is registries[0] for reg in registries)
+        resident = fleet.resident_registries()
+        assert stats.resident_bytes == sum(
+            reg.describe(record.model).engine.store_nbytes
+            for record, reg in resident
+        )
+        assert len({record.name for record, _ in resident}) == len(resident)
+
     def test_stats_count_hits_misses_and_traffic(self, tmp_path):
         root = _save_fleet_dir(tmp_path, ["a", "b"])
         fleet = ModelFleet.from_dir(root)
@@ -589,7 +650,7 @@ class TestKernelSelection:
         keeps = _keep_masks(2)
         artifacts = {
             name: ModelArtifact(
-                class_hvs=_artifact(i).class_hvs * keeps[i],
+                store=_artifact(i).class_hvs * keeps[i],
                 query_quantizer="bipolar",
                 store_quantizer="bipolar",
                 backend="packed",
@@ -639,7 +700,7 @@ class TestKernelSelection:
             np.testing.assert_array_equal(scores[name], expected)
 
 
-def test_fleet_state_machine(tmp_path):
+def test_fleet_state_machine(tmp_path, monkeypatch):
     """Model-based check of the LRU cache under random operation sequences.
 
     A reference model tracks registration, pins and the expected LRU
@@ -648,14 +709,26 @@ def test_fleet_state_machine(tmp_path):
     installed (a hit refreshes recency but re-checks no budget).  After
     every step the fleet's residency, byte accounting and counters must
     agree with it.
+
+    A tenant can also sit in a *loading* state: its admission is held
+    inside ``ModelRegistry.load`` while 1-3 racing lookups wait on it
+    and other rules keep running.  Finishing the load installs it once
+    (one load, one miss, every racer gets the same registry); refusing
+    it raises the same error in every racer and leaves the tenant
+    non-resident, so a later lookup loads it again.
     """
+    from concurrent.futures import Future
+
     from hypothesis import settings, strategies as st
     from hypothesis.stateful import (
         RuleBasedStateMachine,
         invariant,
+        precondition,
         rule,
         run_state_machine_as_test,
     )
+
+    from repro.serve import ModelRegistry
 
     d_hv = 64
     paths = [_artifact(i, d_hv=d_hv).save(tmp_path / f"p{i}") for i in range(3)]
@@ -665,6 +738,30 @@ def test_fleet_state_machine(tmp_path):
     per_tenant = probe.stats().resident_bytes
     names = st.sampled_from(["a", "b", "c", "d", "e", "f"])
 
+    loads = []  # every ModelRegistry.load call, in order
+    gate = {"hold": None, "fail": False, "entered": threading.Event()}
+    real_load = ModelRegistry.load
+
+    def gated_load(self, *args, **kwargs):
+        loads.append(args[1])
+        hold = gate["hold"]
+        if hold is not None and threading.current_thread().name == "leader":
+            gate["entered"].set()
+            assert hold.wait(timeout=30)
+            if gate["fail"]:
+                raise ArtifactError("checksum mismatch (injected refusal)")
+        return real_load(self, *args, **kwargs)
+
+    waiters = []  # one entry per lookup that joined an in-flight load
+
+    class CountingFuture(Future):
+        def result(self, timeout=None):
+            waiters.append(1)
+            return super().result(timeout)
+
+    monkeypatch.setattr(ModelRegistry, "load", gated_load)
+    monkeypatch.setattr(fleet_module, "Future", CountingFuture)
+
     class FleetMachine(RuleBasedStateMachine):
         def __init__(self):
             super().__init__()
@@ -672,6 +769,17 @@ def test_fleet_state_machine(tmp_path):
             self.kind = {}  # name -> "disk" | "memory"
             self.pinned = set()
             self.lru = []  # expected resident tenants, oldest first
+            self.hits = self.misses = self.refused = 0
+            self.loading = None  # (name, racer threads, their outcomes)
+            loads.clear()
+
+        def teardown(self):
+            if self.loading is not None:  # never leave a racer parked
+                gate["fail"] = True
+                gate["hold"].set()
+                for thread in self.loading[1]:
+                    thread.join(timeout=30)
+            gate["hold"] = None
 
         def _touch(self, name):
             """Mirror one hit or install: move to MRU; installs evict."""
@@ -715,6 +823,8 @@ def test_fleet_state_machine(tmp_path):
 
         @rule(name=names, count=st.booleans())
         def resolve(self, name, count):
+            if self.loading is not None and name == self.loading[0]:
+                return  # the racers below cover joining a load
             before = self.fleet.stats()
             if name not in self.kind:
                 with pytest.raises(TenantNotFound):
@@ -729,24 +839,93 @@ def test_fleet_state_machine(tmp_path):
                 assert (hits, misses) == ((1, 0) if resident else (0, 1))
             else:
                 assert (hits, misses) == (0, 0 if resident else 1)
+            self.hits += hits
+            self.misses += misses
             self._touch(name)
 
-        @rule(name=names, pin=st.booleans())
-        def toggle_pin(self, name, pin):
-            if name not in self.kind:
-                with pytest.raises(TenantNotFound):
-                    self.fleet.pin(name)
+        @precondition(lambda self: self.loading is None)
+        @rule(name=names, counts=st.lists(st.booleans(), min_size=1, max_size=3))
+        def begin_load(self, name, counts):
+            """Park an admission of ``name`` inside its load, with
+            ``len(counts) - 1`` racing lookups waiting on it."""
+            if self.kind.get(name) != "disk" or name in self.lru:
                 return
-            if pin:
-                self.fleet.pin(name)
-                self.pinned.add(name)
+            gate["hold"], gate["fail"] = threading.Event(), False
+            gate["entered"].clear()
+            outcomes = [None] * len(counts)
+
+            def racer(i, count):
+                try:
+                    outcomes[i] = self.fleet.lookup(name, count=count)[1]
+                except Exception as exc:  # noqa: BLE001 — asserted below
+                    outcomes[i] = exc
+
+            threads = [
+                threading.Thread(
+                    target=racer,
+                    args=(i, count),
+                    name="leader" if i == 0 else "racer",
+                    daemon=True,
+                )
+                for i, count in enumerate(counts)
+            ]
+            joined = len(waiters)
+            threads[0].start()
+            assert gate["entered"].wait(timeout=30)
+            for thread in threads[1:]:
+                thread.start()
+            deadline = time.monotonic() + 10
+            while len(waiters) - joined < len(threads) - 1:
+                assert time.monotonic() < deadline, "racers never joined"
+                time.sleep(0.001)
+            self.loading = (name, threads, outcomes)
+
+        @precondition(lambda self: self.loading is not None)
+        @rule(refuse=st.booleans())
+        def finish_load(self, refuse):
+            name, threads, outcomes = self.loading
+            gate["fail"] = refuse
+            gate["hold"].set()
+            for thread in threads:
+                thread.join(timeout=30)
+                assert not thread.is_alive()
+            gate["hold"] = None
+            self.loading = None
+            first = outcomes[0]
+            # Every racer shares the one outcome: the same registry, or
+            # the same refusal.
+            assert all(outcome is first for outcome in outcomes)
+            if refuse:
+                assert isinstance(first, ArtifactError)
+                assert not self.fleet.is_resident(name)
+                self.refused += 1
             else:
-                self.fleet.unpin(name)
-                self.pinned.discard(name)
+                assert self.fleet.is_resident(name)
+                self.misses += 1
+                self._touch(name)
+
+        @invariant()
+        def one_load_per_miss(self):
+            in_flight = 0 if self.loading is None else 1
+            assert len(loads) == self.misses + self.refused + in_flight
+
+        @invariant()
+        def counters_match_the_model(self):
+            stats = self.fleet.stats()
+            assert (stats.hits, stats.misses) == (self.hits, self.misses)
 
         @invariant()
         def lru_order_matches_the_model(self):
             assert self.fleet.resident_tenants() == tuple(self.lru)
+
+        @invariant()
+        def no_tenant_resident_twice(self):
+            resident = self.fleet.resident_registries()
+            assert len({record.name for record, _ in resident}) == len(resident)
+            assert len({id(registry) for _, registry in resident}) == len(
+                resident
+            )
+            assert self.fleet.stats().resident_models == len(resident)
 
         @invariant()
         def resident_bytes_are_the_resident_stores(self):

@@ -63,11 +63,11 @@ def checksum_calls(monkeypatch):
 
 
 def _corrupt(saved_path):
-    """Flip one hex digit of the store checksum in the manifest."""
+    """Flip one hex digit of the sign plane's checksum in the manifest."""
     manifest_path = saved_path / artifact_mod.MANIFEST_FILENAME
     manifest = json.loads(manifest_path.read_text())
-    digest = manifest["tensors"]["class_hvs"]["sha256"]
-    manifest["tensors"]["class_hvs"]["sha256"] = (
+    digest = manifest["tensors"]["signs"]["sha256"]
+    manifest["tensors"]["signs"]["sha256"] = (
         ("0" if digest[0] != "0" else "1") + digest[1:]
     )
     manifest_path.write_text(json.dumps(manifest))
@@ -99,7 +99,7 @@ class TestArtifactVerifyFlag:
         ModelArtifact.load(saved, verify=False)  # hash skipped: loads
         manifest_path = saved / artifact_mod.MANIFEST_FILENAME
         manifest = json.loads(manifest_path.read_text())
-        manifest["tensors"]["class_hvs"]["shape"] = [1, 1]
+        manifest["tensors"]["signs"]["shape"] = [1, 1]
         manifest_path.write_text(json.dumps(manifest))
         with pytest.raises(ArtifactError, match="does not match its manifest"):
             ModelArtifact.load(saved, verify=False)

@@ -186,6 +186,16 @@ class TestArtifactLifecycle:
         assert (artifact_path / "manifest.json").is_file()
         assert (artifact_path / "tensors.npz").is_file()
 
+    def test_train_save_reports_served_store_bytes(self, tmp_path, capsys):
+        """The save line reports the packed planes, not a dense store."""
+        code = main(
+            ["train", "isolet", "--dhv", "200", "--quantizer", "bipolar",
+             "--backend", "packed", "--save", str(tmp_path / "a")]
+        )
+        assert code == 0
+        # 26 classes x 4 words x 8 bytes x (signs + mags)
+        assert "store=1,664 bytes" in capsys.readouterr().out
+
     def test_eval_loads_and_matches_recorded_accuracy(
         self, artifact_path, capsys
     ):
