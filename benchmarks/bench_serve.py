@@ -812,7 +812,6 @@ def run_bench(args, workdir) -> dict:
     lat_ms = latencies * 1e3
     report = {
         "bench": "serve",
-        "host": _host_limits(),
         "config": {
             "d_hv": args.dhv,
             "n_classes": args.n_classes,
@@ -885,26 +884,6 @@ def run_bench(args, workdir) -> dict:
         else:  # pragma: no cover - non-Linux
             report["chaos"] = {"skipped": "no SO_REUSEPORT on this host"}
     return report
-
-
-def _host_limits() -> dict:
-    """What bounds every number in the report: cores and compiled kernels.
-
-    The worker-pool, native-kernel and wire ratios all depend on these,
-    so they are recorded once at the top instead of being inferred.
-    """
-    import os
-    import platform
-
-    from repro.backend.native import kernels_available
-
-    return {
-        "cpu_count": os.cpu_count(),
-        "numba_available": kernels_available(),
-        "machine": platform.machine(),
-        "python": platform.python_version(),
-        "numpy": np.__version__,
-    }
 
 
 def _timed(fn, arg) -> float:

@@ -22,7 +22,8 @@ everything a host needs to answer queries exactly as the trainer would.
       1.04 MB as a dense float32 store.  The manifest records the dtype
       the dense store had (``store_dtype``); norms are recomputed from
       ``mags`` at load, so no derived tensor can disagree with the
-      planes.
+      planes.  The loader refuses planes with bits set past ``d_hv``
+      in the last word, even when their checksums match.
     * ``dense`` backend: ``class_hvs``, the dense ``(n_classes, d_hv)``
       store (v2 wrote this tensor for every backend; v2 artifacts still
       load).
@@ -64,7 +65,7 @@ from pathlib import Path
 import numpy as np
 
 from repro.backend import Backend, PackedBackend, PackedHV, get_backend
-from repro.backend.packed import n_words, pack_hypervectors
+from repro.backend.packed import WORD_BITS, n_words, pack_hypervectors
 from repro.hd.encoder import Encoder, encoder_from_config
 from repro.hd.model import HDModel
 from repro.hd.quantize import get_quantizer
@@ -109,6 +110,17 @@ def _frozen_copy(arr: np.ndarray) -> np.ndarray:
     out = np.array(arr, order="C", subok=False)
     out.flags.writeable = False
     return out
+
+
+def _store_dtype(spec) -> np.dtype:
+    """The dense dtype a packed store unpacks to: a numeric dtype."""
+    try:
+        dtype = np.dtype(spec or np.float32)
+    except (TypeError, ValueError) as exc:
+        raise ArtifactError(f"unknown store_dtype {spec!r}") from exc
+    if dtype.kind not in "biuf":
+        raise ArtifactError(f"store_dtype must be numeric, got {dtype}")
+    return dtype
 
 
 def _mmap_npz(path: Path) -> dict[str, np.ndarray] | None:
@@ -259,7 +271,7 @@ class ModelArtifact:
             raise ArtifactError(str(exc)) from exc
         store = self.store
         if isinstance(store, PackedHV):
-            dtype = np.dtype(self.store_dtype or np.float32)
+            dtype = _store_dtype(self.store_dtype)
             if not packed_layout:
                 store = store.unpack(dtype)
         else:
@@ -590,6 +602,16 @@ class ModelArtifact:
                         f"tensor {name!r} does not match its manifest: "
                         f"{tensors[name].shape}/{tensors[name].dtype} vs "
                         f"{planes}/uint64 for d_hv={d_hv}"
+                    )
+            # PackedHV keeps the bits past d_hv zero; norms and support
+            # counts would see stray ones that the dense view drops.
+            tail = d_hv % WORD_BITS
+            if tail and planes[0]:
+                last = tensors["signs"][:, -1] | tensors["mags"][:, -1]
+                if (last >> np.uint64(tail)).any():
+                    raise ArtifactError(
+                        f"packed planes have bits set past d_hv={d_hv} — "
+                        "the artifact does not match its manifest"
                     )
             store = PackedHV(signs=tensors["signs"], mags=tensors["mags"], d=d_hv)
         else:

@@ -1,5 +1,6 @@
 """ModelArtifact: round-trips, manifests, checksums, engine rebuilds."""
 
+import hashlib
 import json
 from pathlib import Path
 
@@ -409,6 +410,38 @@ class TestV3Tensors:
         manifest["d_hv"] = 64 * 20
         manifest_path.write_text(json.dumps(manifest))
         with pytest.raises(ArtifactError, match="manifest"):
+            ModelArtifact.load(saved)
+
+    @pytest.mark.parametrize("mmap", [False, True])
+    @pytest.mark.parametrize("name", ["signs", "mags"])
+    def test_bits_past_d_hv_are_refused(self, saved, name, mmap):
+        """A tail bit with a recomputed checksum passes the hash but
+        would make packed norms disagree with the dense view."""
+        tail_bit = np.uint64(1 << (700 % 64))
+
+        def set_tail(arr):
+            arr = arr.copy()
+            arr[1, -1] |= tail_bit
+            return arr
+
+        _rewrite_tensor(saved, name, set_tail)
+        with np.load(saved / TENSORS_FILENAME) as data:
+            rehashed = hashlib.sha256(data[name]).hexdigest()
+        manifest_path = saved / MANIFEST_FILENAME
+        manifest = json.loads(manifest_path.read_text())
+        manifest["tensors"][name]["sha256"] = rehashed
+        manifest_path.write_text(json.dumps(manifest))
+        for verify in (True, False):
+            with pytest.raises(ArtifactError, match="past d_hv"):
+                ModelArtifact.load(saved, mmap=mmap, verify=verify)
+
+    @pytest.mark.parametrize("store_dtype", ["<U8", "object", "no-such-type"])
+    def test_non_numeric_store_dtype_is_refused(self, saved, store_dtype):
+        manifest_path = saved / MANIFEST_FILENAME
+        manifest = json.loads(manifest_path.read_text())
+        manifest["store_dtype"] = store_dtype
+        manifest_path.write_text(json.dumps(manifest))
+        with pytest.raises(ArtifactError, match="store_dtype"):
             ModelArtifact.load(saved)
 
     def test_missing_plane_is_refused(self, saved):

@@ -843,6 +843,27 @@ def test_fleet_state_machine(tmp_path, monkeypatch):
             self.misses += misses
             self._touch(name)
 
+        @rule(name=names, pin=st.booleans())
+        def toggle_pin(self, name, pin):
+            # Runs while a load is parked too: a pin is read only when
+            # an install evicts, so it needs no residency.
+            if name not in self.kind:
+                with pytest.raises(TenantNotFound):
+                    self.fleet.pin(name)
+                return
+            if pin:
+                self.fleet.pin(name)
+                self.pinned.add(name)
+            else:
+                self.fleet.unpin(name)
+                self.pinned.discard(name)
+
+        @precondition(lambda self: self.loading is not None)
+        @rule(pin=st.booleans())
+        def toggle_loading_pin(self, pin):
+            """Pin or unpin the tenant whose load is in flight."""
+            self.toggle_pin(self.loading[0], pin)
+
         @precondition(lambda self: self.loading is None)
         @rule(name=names, counts=st.lists(st.booleans(), min_size=1, max_size=3))
         def begin_load(self, name, counts):
