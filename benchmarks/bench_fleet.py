@@ -1,7 +1,8 @@
 """Million-model fleet benchmark: tenant sweep, LRU cache, coalescing.
 
-Prive-HD's packed ternary class stores are tiny (~65 KB for 26 classes
-x 10,000 dims), so one host can plausibly serve 10^4-10^5 per-user
+Prive-HD's packed class stores are tiny (two 32.7 KB bit planes for 26
+classes x 10,000 dims, ~34 KB held once a shared magnitude plane is kept
+as one row), so one host can plausibly serve 10^4-10^5 per-user
 models.  This benchmark measures whether the :mod:`repro.serve.fleet`
 subsystem actually delivers that:
 

@@ -275,9 +275,19 @@ def native_dot_matrix(a: PackedHV, b: PackedHV) -> np.ndarray:
     return _native_dot(b, a).T
 
 
+def _planes(p: PackedHV) -> tuple[np.ndarray, np.ndarray]:
+    """``(signs, mags)`` as C-contiguous arrays for the ternary kernels.
+
+    A class store holding its magnitude row once (stride-0 ``mags``) is
+    expanded here, so the kernels only ever see the array layout they
+    were compiled for.
+    """
+    return p.signs, np.ascontiguousarray(p.mags)
+
+
 def _native_dot(a: PackedHV, b: PackedHV) -> np.ndarray:
     out = np.empty((a.n, b.n), dtype=np.int64)
-    _dot_ternary_kernel(a.signs, a.mags, b.signs, b.mags, out)
+    _dot_ternary_kernel(*_planes(a), *_planes(b), out)
     return out
 
 
@@ -325,7 +335,7 @@ def _native_ham(a: PackedHV, b: PackedHV) -> np.ndarray:
     if a.is_bipolar and b.is_bipolar:
         _ham_bipolar_kernel(a.signs, b.signs, out)
     else:
-        _ham_ternary_kernel(a.signs, a.mags, b.signs, b.mags, out)
+        _ham_ternary_kernel(*_planes(a), *_planes(b), out)
     return out
 
 

@@ -73,6 +73,7 @@ __all__ = [
     "packed_class_scores",
     "packed_hamming_matrix",
     "shared_support_signs",
+    "hold_shared_support",
     "xor_dot_rows",
 ]
 
@@ -400,8 +401,15 @@ class PackedHV:
 
     @property
     def nbytes(self) -> int:
-        """Storage footprint of both planes."""
-        return self.signs.nbytes + self.mags.nbytes
+        """Bytes held by both planes.
+
+        A stride-0 plane (a magnitude row held once, see
+        :func:`hold_shared_support`) holds one row, whatever ``n`` is.
+        """
+        return sum(
+            plane[:1].nbytes if plane.strides[0] == 0 else plane.nbytes
+            for plane in (self.signs, self.mags)
+        )
 
     def __len__(self) -> int:
         return self.n
@@ -466,6 +474,35 @@ def pack_hypervectors(values: np.ndarray, *, validate: bool = True) -> "PackedHV
 def _check_pair(a: PackedHV, b: PackedHV) -> None:
     if a.d != b.d:
         raise ValueError(f"dimensionality mismatch: {a.d} vs {b.d}")
+
+
+def hold_shared_support(store: PackedHV) -> PackedHV:
+    """``store`` holding the magnitude plane its rows share once.
+
+    Every row of a bipolar class store, and of a §III-C masked one,
+    carries the same ``mags`` plane.  Such a store comes back holding
+    one aligned, read-only copy of that row, ``mags`` a read-only
+    stride-0 ``(n, W)`` view of it (so :attr:`PackedHV.nbytes` counts
+    ``signs`` plus one row), and :attr:`PackedHV.shared_support`
+    already filled in from the check run here.  A store whose rows
+    differ, an empty one, or one already held this way comes back as
+    it is.  Values, kernel results and saved bytes do not change.
+
+    Meant for class stores, which are made once and scored many times;
+    query batches never come through here.
+    """
+    if store.n == 0 or store.mags.strides[0] == 0:
+        return store
+    support = store.shared_support
+    if support is None:
+        return store
+    row = np.array(support.mask)  # a fresh, aligned, C-contiguous copy
+    row.flags.writeable = False
+    mags = np.broadcast_to(row, store.mags.shape)
+    held = PackedHV(signs=store.signs, mags=mags, d=store.d)
+    # Prime the cached property: the rows were just compared.
+    vars(held)["shared_support"] = support._replace(mask=row)
+    return held
 
 
 def packed_norms(p: PackedHV) -> np.ndarray:
@@ -639,7 +676,7 @@ class PackedBackend(Backend):
 
     # ------------------------------------------------------------------
     def prepare_class_store(self, class_hvs) -> PreparedClassStore:
-        packed = pack_hypervectors(class_hvs)
+        packed = hold_shared_support(pack_hypervectors(class_hvs))
         return PreparedClassStore(
             store=packed,
             norms=packed_norms(packed),

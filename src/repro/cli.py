@@ -900,8 +900,8 @@ def _build_parser() -> argparse.ArgumentParser:
         type=int,
         default=None,
         help=(
-            "with --fleet-dir: LRU budget for resident class-store "
-            "bytes; least-recently-scored tenants are evicted and "
+            "with --fleet-dir: LRU budget for the bytes resident class "
+            "stores hold; least-recently-scored tenants are evicted and "
             "reloaded (checksum re-verified) on demand "
             "(default: unbounded)"
         ),

@@ -1,21 +1,24 @@
 """Million-model multi-tenancy: a tenant-keyed fleet of tiny models.
 
 Prive-HD's whole point is that the privacy-preserving model is *small* —
-a packed ternary class store for 26 classes x d_hv=10,000 is ~65 KB — so
-one host can plausibly keep 10^4..10^5 **per-user personalized** models
-warm.  Everything below :mod:`repro.serve.fleet` serves versions of one
-model; this module turns that into a real fleet:
+a packed class store for 26 classes x d_hv=10,000 is two 32.7 KB bit
+planes, and a bipolar or §III-C masked store holds its magnitude plane
+once (one 1.3 KB row), ~34 KB resident — so one host can plausibly keep
+10^4..10^5 **per-user personalized** models warm.  Everything below
+:mod:`repro.serve.fleet` serves versions of one model; this module
+turns that into a real fleet:
 
 * :class:`ModelFleet` — a tenant-keyed facade over many
   :class:`~repro.serve.ModelRegistry` namespaces with a byte-budgeted
   LRU artifact cache.  Tenants are registered *lazily* (a path, not a
   load), admitted on first use with ``mmap=True`` + checksum
   verification — for a packed (v3) artifact that is: read the 65 KB of
-  bit planes, hash them, wrap them — and evicted oldest-first when
-  resident store bytes exceed the budget; a later request re-admits
-  from the recorded path, checksums re-verified.  Racing requests for
-  one tenant share one load.  Hot tenants can be pinned.  Counters
-  live in :class:`FleetStats`.
+  bit planes, hash them, wrap them, keep a shared magnitude plane once
+  — and evicted oldest-first when the bytes the resident stores hold
+  exceed the budget; a later request re-admits from the recorded path,
+  checksums re-verified.  Racing requests for one tenant share one
+  load.  Hot tenants can be pinned.  Counters live in
+  :class:`FleetStats`.
 * :class:`~repro.serve.ServingAPI` — the protocol surface over a fleet
   (a single served model is a fleet of one tenant), routing protocol-v4
   ``tenant`` keys.  A request without a tenant hits the fleet's default
@@ -90,8 +93,13 @@ class FleetStats:
     resident_models:
         Tenants whose engine is currently in memory.
     resident_bytes:
-        Bytes of prepared class-store currently resident, the quantity
-        the LRU budget bounds.
+        Bytes held by the resident tenants' prepared class stores
+        (:attr:`~repro.backend.packed.PackedHV.nbytes`: ``signs`` plus
+        one magnitude row for a store whose rows share one, both planes
+        otherwise), the quantity the LRU budget bounds.
+    cache_bytes:
+        The budget ``resident_bytes`` is held under, ``None`` when the
+        cache is unbounded.
     pinned:
         Tenants exempt from eviction.
     hits:
@@ -112,6 +120,7 @@ class FleetStats:
     tenants: int
     resident_models: int
     resident_bytes: int
+    cache_bytes: int | None
     pinned: int
     hits: int
     misses: int
@@ -131,6 +140,7 @@ class FleetStats:
             "tenants": self.tenants,
             "resident_models": self.resident_models,
             "resident_bytes": self.resident_bytes,
+            "cache_bytes": self.cache_bytes,
             "pinned": self.pinned,
             "hits": self.hits,
             "misses": self.misses,
@@ -302,7 +312,8 @@ class ModelFleet:
     Parameters
     ----------
     cache_bytes:
-        Resident class-store byte budget (``None`` = unbounded).  A
+        Budget for the bytes resident class stores hold (``None`` =
+        unbounded); see :attr:`FleetStats.resident_bytes`.  A
         single tenant is always allowed residency even if it alone
         exceeds the budget — a budget that can serve nothing is a
         misconfiguration, not a steady state.
@@ -630,6 +641,7 @@ class ModelFleet:
                 tenants=len(self._tenants),
                 resident_models=len(self._lru),
                 resident_bytes=self._resident_bytes,
+                cache_bytes=self.cache_bytes,
                 pinned=sum(1 for r in self._tenants.values() if r.pin),
                 hits=self._hits,
                 misses=self._misses,

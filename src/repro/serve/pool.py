@@ -16,7 +16,8 @@ Every worker loads the same :class:`~repro.serve.ModelArtifact`
 directory *read-only* with ``mmap=True``: a dense store is
 memory-mapped, so K workers touch one physical copy of it through the
 page cache instead of K heap copies, and a packed store's bit planes
-(65 KB at paper scale) are copied into each worker's heap, so a later
+(65 KB on disk at paper scale, 34 KB held once a shared magnitude
+plane is kept as one row) are copied into each worker's heap, so a later
 rewrite of the directory cannot reach a running worker.  Checksums are
 verified exactly once, by the parent, before any worker loads — the
 workers skip the redundant SHA-256 pass (``verify=False``) on both

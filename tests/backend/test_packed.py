@@ -32,7 +32,7 @@ from repro.backend import (
     popcount,
     popcount_lut,
 )
-from repro.backend.packed import shared_support_signs
+from repro.backend.packed import hold_shared_support, shared_support_signs
 from repro.utils import spawn
 
 #: word-boundary edge cases plus awkward primes
@@ -428,3 +428,72 @@ class TestSharedSupportCache:
 
     def test_empty_batch_has_no_support(self):
         assert pack_hypervectors(np.zeros((0, 70))).shared_support is None
+
+
+def _materialized(held):
+    """The twin of a held store with both planes as full arrays."""
+    return PackedHV(
+        signs=held.signs.copy(), mags=np.ascontiguousarray(held.mags), d=held.d
+    )
+
+
+class TestHeldSharedSupport:
+    """A store whose rows share a magnitude plane holds it once."""
+
+    def test_holds_one_aligned_read_only_row(self):
+        store = pack_hypervectors(random_hvs(26, 10_000, 0, ternary=False))
+        held = hold_shared_support(store)
+        row = held.mags.base
+        assert held.mags.strides[0] == 0 and not held.mags.flags.writeable
+        assert row.shape == (157,) and row.flags.aligned
+        assert row.flags.c_contiguous and not row.flags.writeable
+        assert held.signs is store.signs
+        # ISOLET-shaped: 26 x 157 words of signs plus one 157-word row.
+        assert store.nbytes == 65_312
+        assert held.nbytes == 33_912
+        # Primed from the equality check, not worked out again.
+        assert vars(held)["shared_support"].mask is row
+        assert held.shared_support.signs is held.signs
+        assert held.shared_support.n_live == 10_000
+        assert hold_shared_support(held) is held
+
+    def test_stray_sign_bits_stay_in_the_store(self):
+        _, _, _, store = _shared_operands(1, 3, 70, "random", 9)
+        held = hold_shared_support(store)
+        np.testing.assert_array_equal(held.signs, store.signs)
+        assert not (held.shared_support.signs & ~held.mags.base).any()
+
+    @pytest.mark.parametrize(
+        "values",
+        [random_hvs(4, 200, seed=2, ternary=True), np.zeros((0, 70))],
+        ids=["rows-differ", "empty"],
+    )
+    def test_other_stores_are_left_alone(self, values):
+        store = pack_hypervectors(values)
+        assert hold_shared_support(store) is store
+        assert store.nbytes == 2 * store.signs.nbytes
+
+    @pytest.mark.parametrize("kernel", sorted(KERNELS))
+    @pytest.mark.parametrize("d", [1, 63, 64, 65, 200])
+    @pytest.mark.parametrize("live", ["all", "random"])
+    def test_identical_to_its_materialized_twin(self, kernel, d, live):
+        dot, scores, hamming = KERNELS[kernel]
+        _, _, on_support, store = _shared_operands(6, 4, d, live, d)
+        held = hold_shared_support(store)
+        assert held.mags.strides[0] == 0
+        twin = _materialized(held)
+        # On the store's support (one-XOR path) and ternary (general).
+        ternary = pack_hypervectors(random_hvs(5, d, seed=d, ternary=True))
+        for q in (on_support, ternary):
+            for a, b in ((q, held), (held, q)):
+                tb = twin if b is held else b
+                ta = twin if a is held else a
+                np.testing.assert_array_equal(dot(a, b), dot(ta, tb))
+                np.testing.assert_array_equal(
+                    hamming(a, b), hamming(ta, tb)
+                )
+            np.testing.assert_array_equal(
+                scores(q, held), scores(q, twin)
+            )
+        np.testing.assert_array_equal(packed_norms(held), packed_norms(twin))
+        np.testing.assert_array_equal(held.unpack(), twin.unpack())

@@ -452,6 +452,51 @@ class TestV3Tensors:
             ModelArtifact.load(saved)
 
 
+class TestCorruptBytes:
+    """Any single damaged byte either fails as ``ArtifactError`` or
+    leaves the served planes and keep mask exactly as saved."""
+
+    def test_every_flipped_byte_is_refused_or_harmless(self, tmp_path):
+        rng = spawn(7, "corrupt-bytes")
+        keep = np.ones(70, dtype=bool)
+        keep[::4] = False
+        art = ModelArtifact(
+            store=rng.choice([-1.0, 1.0], size=(2, 70)) * keep,
+            backend="packed",
+            keep_mask=keep,
+        )
+        path = art.save(tmp_path / "a")
+        escaped = []
+        for name in (MANIFEST_FILENAME, TENSORS_FILENAME):
+            blob = (path / name).read_bytes()
+            with open(path / name, "r+b", buffering=0) as f:
+                for i, byte in enumerate(blob):
+                    for flip in (0xFF, 0x01):
+                        f.seek(i)
+                        f.write(bytes([byte ^ flip]))
+                        for mmap in (False, True):
+                            try:
+                                got = ModelArtifact.load(path, mmap=mmap)
+                            except ArtifactError:
+                                continue
+                            except Exception as exc:  # noqa: BLE001
+                                escaped.append((name, i, flip, mmap, exc))
+                                continue
+                            same = got.is_packed and all(
+                                np.array_equal(x, y)
+                                for x, y in (
+                                    (got.store.signs, art.store.signs),
+                                    (got.store.mags, art.store.mags),
+                                    (got.keep_mask, art.keep_mask),
+                                )
+                            )
+                            if not same:
+                                escaped.append((name, i, flip, mmap, got))
+                    f.seek(i)
+                    f.write(bytes([byte]))
+        assert not escaped, escaped[:5]
+
+
 class TestDenseView:
     """``class_hvs`` of a packed artifact: the built dtype and values."""
 

@@ -46,10 +46,15 @@ class TestMmapLoad:
         )
         path = art.save(tmp_path / "a")
         loaded = ModelArtifact.load(path, mmap=True)
-        served = [loaded.store.signs, loaded.store.mags]
+        # Every row shares one magnitude plane: it is held once, as the
+        # base of a read-only stride-0 view.
+        mags = loaded.store.mags
+        assert mags.strides[0] == 0 and not mags.flags.writeable
+        held = [loaded.store.signs, mags.base]
+        assert mags.base.shape == (loaded.store.n_words,)
         if masked:
-            served.append(loaded.keep_mask)
-        for arr in served:
+            held.append(loaded.keep_mask)
+        for arr in held:
             assert arr.flags.aligned and arr.flags.c_contiguous
             assert not arr.flags.writeable
             assert not isinstance(arr, np.memmap)

@@ -406,6 +406,97 @@ class TestModelFleet:
         assert fleet.top_tenants(1) == [("a", 2)]
 
 
+#: uint64 words of one D_HV-dim plane row
+WORDS = D_HV // 64
+
+
+class TestHeldMagnitudePlane:
+    """A tenant is charged for the bytes its store holds: ``signs`` plus
+    one magnitude row when its rows share one, both planes otherwise."""
+
+    def test_tenants_are_charged_the_bytes_they_hold(self, tmp_path):
+        root = tmp_path / "fleet"
+        rng = spawn(3, "held-plane-tenants")
+        keep = _keep_masks(1)[0]
+        stores = {
+            "bipolar": rng.choice([-1.0, 1.0], size=(N_CLASSES, D_HV)),
+            "masked": rng.choice([-1.0, 1.0], size=(N_CLASSES, D_HV)) * keep,
+            "ternary": rng.choice([-1.0, 0.0, 1.0], size=(N_CLASSES, D_HV)),
+        }
+        for name, store in stores.items():
+            ModelArtifact(
+                store=store,
+                backend="packed",
+                keep_mask=keep if name == "masked" else None,
+            ).save(root / name)
+        plane = N_CLASSES * WORDS * 8
+        expect = {"bipolar": plane + WORDS * 8, "masked": plane + WORDS * 8,
+                  "ternary": 2 * plane}
+        fleet = ModelFleet.from_dir(root)
+        for name, charge in expect.items():
+            before = fleet.stats().resident_bytes
+            fleet.resolve(name)
+            assert fleet.stats().resident_bytes - before == charge, name
+
+    def test_budget_for_k_held_tenants_keeps_k_resident(self, tmp_path):
+        k = 4
+        names = [f"t{i}" for i in range(2 * k)]
+        root = _save_fleet_dir(tmp_path, names)
+        budget = k * (N_CLASSES * WORDS * 8 + WORDS * 8)
+        fleet = ModelFleet.from_dir(root, cache_bytes=budget)
+        for name in names:
+            fleet.resolve(name)
+        assert fleet.resident_tenants() == tuple(names[-k:])
+        stats = fleet.stats()
+        assert stats.resident_bytes == budget
+        assert stats.cache_bytes == budget == stats.as_dict()["cache_bytes"]
+        assert (stats.misses, stats.evictions) == (2 * k, k)
+
+    @pytest.mark.parametrize("d", [64, 130])
+    def test_scores_match_materialized_twins(self, d, shared_calls):
+        """Held stores, fused or not, answer exactly like full planes."""
+        rng = spawn(13, "held-plane-scores")
+        keeps = _keep_masks(3, d_hv=d, n_live=d // 2)
+        keeps[0] = True  # one bipolar tenant next to two masked ones
+        arts = [
+            ModelArtifact(
+                store=rng.choice([-1.0, 1.0], size=(N_CLASSES, d)) * keep,
+                backend="packed",
+            )
+            for keep in keeps
+        ]
+        held = [art.store for art in arts]
+        assert all(store.mags.strides[0] == 0 for store in held)
+        twins = [
+            PackedHV(
+                signs=s.signs.copy(), mags=np.ascontiguousarray(s.mags), d=d
+            )
+            for s in held
+        ]
+        for art, twin in zip(arts, twins):
+            np.testing.assert_array_equal(
+                art.class_hvs, twin.unpack(art.store_dtype)
+            )
+        tenant_of_row = np.array([0, 1, 2] * 3)
+        on_support = _masked_queries(keeps, tenant_of_row)
+        ternary = pack_hypervectors(
+            rng.choice([-1.0, 0.0, 1.0], size=(len(tenant_of_row), d))
+        )
+        norms = np.stack([packed_norms(s) for s in held])
+        for q in (on_support, ternary):
+            fused = [
+                fused_tenant_scores(q.signs, q.mags, stores, norms, tenant_of_row)
+                for stores in (held, twins)
+            ]
+            np.testing.assert_array_equal(*fused)
+            for store, twin in zip(held, twins):
+                np.testing.assert_array_equal(
+                    packed_class_scores(q, store), packed_class_scores(q, twin)
+                )
+        # On-support rows took the one-XOR path, ternary rows did not.
+        assert shared_calls == [len(tenant_of_row)] * 2
+
+
 class TestFleetRouting:
     @pytest.fixture()
     def trio(self):

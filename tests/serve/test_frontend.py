@@ -595,6 +595,9 @@ class TestFleetHttpOps:
         assert status == 200
         assert stats["fleet"]["tenants"] == 2
         assert "hit_rate" in stats["fleet"]
+        # The budget sits next to the bytes it bounds: unbounded here.
+        assert stats["fleet"]["resident_bytes"] > 0
+        assert stats["fleet"]["cache_bytes"] is None
 
     def test_tenants_route_on_a_single_model_server(self, served):
         _, handle = served

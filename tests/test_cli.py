@@ -193,8 +193,8 @@ class TestArtifactLifecycle:
              "--backend", "packed", "--save", str(tmp_path / "a")]
         )
         assert code == 0
-        # 26 classes x 4 words x 8 bytes x (signs + mags)
-        assert "store=1,664 bytes" in capsys.readouterr().out
+        # 26 classes x 4 words x 8 bytes of signs + one 4-word mags row
+        assert "store=864 bytes" in capsys.readouterr().out
 
     def test_eval_loads_and_matches_recorded_accuracy(
         self, artifact_path, capsys
