@@ -2,14 +2,18 @@
 
 Sweeps ``{scalar-base, level-base} × kernels × {1, N workers} × chunk
 sizes`` through :class:`repro.hd.EncodePipeline`, times each
-configuration against the seed single-shot ``encoder.encode(X)`` path,
-**asserts parity in the same run** (bit-identical for the packed and
-native level-base kernels, tight allclose for the chunked float
-matmul), and writes the results to ``BENCH_encode.json`` — the
-baseline format for the encode bench trajectory.  The kernel axis is
-the backend sweep: ``dense`` (NumPy matmul), ``packed`` (pure-NumPy
-bit-plane counters), ``native`` (numba-compiled kernels; skipped with
-a note when numba is absent)::
+configuration against a single-shot dense baseline, **asserts parity in
+the same run** (bit-identical for the packed and native level-base
+kernels, tight allclose for the chunked float matmul), and writes the
+results to ``BENCH_encode.json`` — the baseline format for the encode
+bench trajectory.  The scalar-base baseline is ``encoder.encode(X)``.
+The level-base baseline is the per-level GEMM formula of
+``tests/level_base_reference.py``: ``encoder.encode`` itself runs the
+bit-plane counters, so it cannot serve as their reference.  The kernel
+axis is the backend sweep: ``dense`` (NumPy matmul; scalar-base only,
+since a level-base ``dense`` tile is ``encoder.encode``, i.e. ``auto``),
+``packed`` (pure-NumPy bit-plane counters), ``native`` (numba-compiled
+kernels; skipped with a note when numba is absent)::
 
     PYTHONPATH=src python benchmarks/bench_encode.py             # paper scale
     PYTHONPATH=src python benchmarks/bench_encode.py --smoke     # CI seconds
@@ -30,8 +34,10 @@ import pathlib
 import sys
 import time
 
+_ROOT = pathlib.Path(__file__).resolve().parent.parent
 if __name__ == "__main__":  # script mode works without an installed package
-    sys.path.insert(0, str(pathlib.Path(__file__).resolve().parent.parent / "src"))
+    sys.path.insert(0, str(_ROOT / "src"))
+sys.path.insert(0, str(_ROOT))  # the level-base reference lives in tests/
 
 import numpy as np
 
@@ -39,13 +45,16 @@ from repro.backend.native import kernels_available, warm_kernels
 from repro.hd import EncodePipeline, LevelBaseEncoder, ScalarBaseEncoder
 from repro.hd.encode_pipeline import default_workers
 from repro.utils import spawn
+from tests.level_base_reference import reference_level_encode
 
 
 def _kernel_sweep(kind: str, backend: str) -> list[str]:
     """The kernels to measure for one encoder kind.
 
     Scalar-base has no bit-plane kernel, so "packed" does not apply;
-    its native kernel is the fused quantize→matmul.  Native entries are
+    its native kernel is the fused quantize→matmul.  A level-base
+    "dense" tile is ``encoder.encode``, the same counters as "auto", so
+    it is not measured twice.  Native entries are
     dropped (with a note printed by the caller) when numba is absent —
     the fallback would just re-measure the packed numbers.
     """
@@ -53,8 +62,8 @@ def _kernel_sweep(kind: str, backend: str) -> list[str]:
         wanted = ["dense", "packed", "native"]
     else:
         wanted = [backend]
-    if kind == "scalar-base":
-        wanted = [k for k in wanted if k != "packed"]
+    skip = "packed" if kind == "scalar-base" else "dense"
+    wanted = [k for k in wanted if k != skip]
     if not kernels_available():
         wanted = [k for k in wanted if k != "native"]
     return wanted
@@ -124,12 +133,16 @@ def run_bench(args) -> dict:
 
     for kind in ("scalar-base", "level-base"):
         encoder = _build_encoder(kind, args.d_in, args.dhv, args.n_levels, args.seed)
-        # Warm both kernels' codebook caches out of the timings (float
-        # codebooks for dense, sign planes for packed).
+        # The single-shot dense baseline: scalar-base's own GEMM, or the
+        # per-level GEMM reference for level-base.
+        single_shot = (
+            encoder.encode
+            if kind == "scalar-base"
+            else lambda rows: reference_level_encode(encoder, rows)
+        )
+        # Warm the codebook caches (float, sign planes) out of the timings.
         encoder.encode(X[:8])
-        if hasattr(encoder, "encode_packed"):
-            encoder.encode_packed(X[:8])
-        base_s, H_ref = _time_best_of(lambda: encoder.encode(X), args.repeats)
+        base_s, H_ref = _time_best_of(lambda: single_shot(X), args.repeats)
         report["baselines"][kind] = {
             "path": "single-shot dense encode",
             "seconds": base_s,
@@ -276,7 +289,7 @@ def main(argv=None) -> int:
         print(f"  {kind}: {value}x")
 
     if args.assert_speedup is not None:
-        got = report["headline"]["level-base_best_speedup"]
+        got = report["headline"].get("level-base_best_speedup", 0.0)
         if got < args.assert_speedup:
             print(
                 f"FAIL: level-base best speedup {got}x < "

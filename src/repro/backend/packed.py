@@ -48,6 +48,7 @@ This module is the bottom of the backend layer: it imports nothing from
 
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass
 from functools import cached_property
 from typing import NamedTuple
@@ -99,7 +100,7 @@ def _pop16_table() -> np.ndarray:
     return _POP16
 
 
-def popcount_lut(words: np.ndarray) -> np.ndarray:
+def popcount_lut(words: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """Per-element population count via a 16-bit lookup table.
 
     The NumPy < 2.0 fallback for :func:`popcount`: each uint64 word is
@@ -112,14 +113,18 @@ def popcount_lut(words: np.ndarray) -> np.ndarray:
     w = np.asarray(words, dtype=np.uint64)
     halves = np.ascontiguousarray(w).reshape(-1).view(np.uint16)
     counts = _pop16_table()[halves].reshape(-1, 4).sum(axis=1)
-    return counts.astype(np.uint8).reshape(w.shape)
+    counts = counts.astype(np.uint8).reshape(w.shape)
+    if out is None:
+        return counts
+    out[...] = counts
+    return out
 
 
 if hasattr(np, "bitwise_count"):  # NumPy >= 2.0: hardware popcount
 
-    def popcount(words: np.ndarray) -> np.ndarray:
-        """Per-element population count of a uint64 array."""
-        return np.bitwise_count(words)
+    def popcount(words: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        """Per-element population count of a uint64 array (into ``out``)."""
+        return np.bitwise_count(words, out=out)
 
 else:  # pragma: no cover - exercised only on NumPy < 2.0
     popcount = popcount_lut
@@ -531,32 +536,50 @@ def shared_support_signs(
     return queries.signs & support.mask
 
 
+#: per-thread flat XOR (uint64) and popcount (uint8) tile buffers of
+#: :func:`xor_dot_rows`, grown on demand and kept across calls
+_SCRATCH = threading.local()
+
+
 def xor_dot_rows(
     q_signs: np.ndarray,
-    c_signs: np.ndarray,
+    c_signs,
     n_live,
     tenant_of_row: np.ndarray | None = None,
 ) -> np.ndarray:
     """Shared-support dots ``n_live − 2·popcount(q ^ c)``, int64.
 
     ``q_signs`` is ``(N, W)``; ``c_signs`` is one ``(C, W)`` store
-    scored against every row, or — with ``tenant_of_row`` — a
-    ``(U, C, W)`` stack from which each row takes its own tenant's
-    store (``n_live`` then is a ``(U,)`` array).  Both sides must
-    already be masked to the shared plane.  Rows run in tiles of about
-    :data:`TILE_WORDS` words, each one XOR, popcount and sum broadcast
-    over the classes.
+    scored against every row, or — with ``tenant_of_row`` — a sequence
+    of U ``(C, W)`` stores from which each row takes its own tenant's
+    (``n_live`` then is a ``(U,)`` array).  Both sides must already be
+    masked to the shared plane.  Rows run in tiles of about
+    :data:`TILE_WORDS` words whose XOR and popcount reuse a per-thread
+    scratch, so a warm call faults no fresh heap.
     """
     n, w = q_signs.shape
-    n_classes = c_signs.shape[-2]
+    n_classes = (c_signs if tenant_of_row is None else c_signs[0]).shape[0]
     out = np.empty((n, n_classes), dtype=np.int64)
     step = max(1, TILE_WORDS // (n_classes * w))
+    words = min(step, n) * n_classes * w
+    if getattr(_SCRATCH, "words", -1) < words:
+        _SCRATCH.words = words
+        _SCRATCH.xor = np.empty(words, dtype=np.uint64)
+        _SCRATCH.pop = np.empty(words, dtype=np.uint8)
+    xor_buf, pop_buf = _SCRATCH.xor, _SCRATCH.pop
     for s in range(0, n, step):
-        tile = slice(s, s + step)
-        cs = c_signs if tenant_of_row is None else c_signs[tenant_of_row[tile]]
-        out[tile] = popcount(q_signs[tile, None, :] ^ cs).sum(
-            axis=2, dtype=np.int64
-        )
+        rows = min(step, n - s)
+        size = rows * n_classes * w
+        xor = xor_buf[:size].reshape(rows, n_classes, w)
+        if tenant_of_row is None:
+            np.bitwise_xor(q_signs[s : s + rows, None, :], c_signs, out=xor)
+        else:
+            for i in range(rows):
+                np.bitwise_xor(
+                    q_signs[s + i], c_signs[tenant_of_row[s + i]], out=xor[i]
+                )
+        counts = popcount(xor, out=pop_buf[:size].reshape(xor.shape))
+        counts.sum(axis=2, dtype=np.int64, out=out[s : s + rows])
     live = n_live if tenant_of_row is None else n_live[tenant_of_row][:, None]
     return live - 2 * out
 

@@ -35,27 +35,17 @@ import sys
 import time
 from typing import Callable, Sequence
 
-from repro.experiments import (
-    fig2_reconstruction,
-    fig3_information,
-    fig4_retraining,
-    fig5_quantization,
-    fig6_obfuscation,
-    fig8_dp_training,
-    fig9_inference_privacy,
-    hw_approx,
-    table1_platforms,
-)
-
 __all__ = ["main", "EXPERIMENTS"]
 
 
 def _run_fig2(args) -> None:
+    from repro.experiments import fig2_reconstruction
     result = fig2_reconstruction.run(d_hv=args.dhv, seed=args.seed)
     result.to_table().print()
 
 
 def _run_fig3(args) -> None:
+    from repro.experiments import fig3_information
     result = fig3_information.run(d_hv=args.dhv, seed=args.seed)
     for table in result.to_tables():
         table.print()
@@ -63,6 +53,7 @@ def _run_fig3(args) -> None:
 
 
 def _run_fig4(args) -> None:
+    from repro.experiments import fig4_retraining
     result = fig4_retraining.run(
         d_hv_base=args.dhv,
         configs=(
@@ -78,6 +69,7 @@ def _run_fig4(args) -> None:
 
 
 def _run_fig5(args) -> None:
+    from repro.experiments import fig5_quantization
     dims = tuple(
         sorted({max(256, args.dhv // 4), args.dhv // 2, args.dhv})
     )
@@ -90,12 +82,14 @@ def _run_fig5(args) -> None:
 
 
 def _run_fig6(args) -> None:
+    from repro.experiments import fig6_obfuscation
     result = fig6_obfuscation.run(d_hv=args.dhv, seed=args.seed)
     result.to_table().print()
     result.psnr_table().print()
 
 
 def _run_fig8(args) -> None:
+    from repro.experiments import fig8_dp_training
     for name in ("isolet", "face", "mnist"):
         dims = tuple(
             sorted({max(256, args.dhv // 8), args.dhv // 4, args.dhv // 2, args.dhv})
@@ -110,6 +104,7 @@ def _run_fig8(args) -> None:
 
 
 def _run_fig9(args) -> None:
+    from repro.experiments import fig9_inference_privacy
     masked = tuple(
         sorted({0, args.dhv // 4, args.dhv // 2, 3 * args.dhv // 4})
     )
@@ -121,12 +116,14 @@ def _run_fig9(args) -> None:
 
 
 def _run_table1(args) -> None:
+    from repro.experiments import table1_platforms
     result = table1_platforms.run()
     result.to_table().print()
     result.factors_table().print()
 
 
 def _run_hw(args) -> None:
+    from repro.experiments import hw_approx
     result = hw_approx.run(seed=args.seed)
     result.to_table().print()
     print(

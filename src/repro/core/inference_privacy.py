@@ -169,7 +169,8 @@ class InferenceObfuscator:
         (:meth:`~repro.hd.encoder.LevelBaseEncoder.encode_packed_bipolar`)
         and the mask clears the dropped dimensions by AND-ing the packed
         keep bits into both planes.  Other packable quantizers need the
-        encoding's magnitudes and take the dense path.
+        encoding's magnitudes: they quantize ``encode(X)``, which on a
+        level-base encoder is the same counters unpacked to float32.
         """
         if self._emits_sign_planes:
             q = self.encoder.encode_packed_bipolar(X)

@@ -14,11 +14,11 @@ into a *pipeline*:
   ``(d_in, d_hv, seed)``, so a copy *is* the codebook) and exchange
   tiles through a ring of ``multiprocessing.shared_memory`` buffers, so
   per-chunk IPC never pickles feature or encoding arrays.
-* Level-base tiles run on the packed bit-plane kernel
-  (:meth:`~repro.hd.encoder.LevelBaseEncoder.encode_packed`) when
-  available — bit-identical to the dense path and several times faster —
-  and on the numba-compiled counters of :mod:`repro.backend.native`
-  when numba is installed (``kernel="native"`` forces them).
+* Level-base tiles run on the bit-plane counters
+  (:meth:`~repro.hd.encoder.LevelBaseEncoder.encode_packed`, which is
+  also what ``encoder.encode`` runs), compiled by numba when it is
+  installed (``kernel="native"`` insists, ``kernel="packed"`` pins the
+  NumPy accumulator).
 * :meth:`EncodePipeline.stream_quantized` fuses encode → quantize →
   (optionally) bit-pack per tile, so training and serving never hold
   full-precision encodings for more than one tile.  Bipolar packing on
@@ -72,9 +72,7 @@ def _encode_tile_with(encoder, X_chunk, kernel: str, mode: str):
     native = {"native": True, "packed": False}.get(kernel)
     if mode == "packed-bipolar":
         return encoder.encode_packed_bipolar(X_chunk, native=native)
-    if kernel != "dense" and hasattr(encoder, "encode_packed"):
-        if native is None:
-            return encoder.encode_packed(X_chunk)
+    if native is not None and hasattr(encoder, "encode_packed"):
         return encoder.encode_packed(X_chunk, native=native)
     if kernel == "native" and hasattr(encoder, "encode_into"):
         out = np.empty((X_chunk.shape[0], encoder.d_hv), dtype=np.float32)
@@ -164,11 +162,11 @@ class EncodePipeline:
     kernel:
         ``"auto"`` (default) uses the best kernel the encoder provides —
         the numba-compiled native kernels when numba is installed, the
-        packed bit-plane kernel for level-base encoders, the dense
-        reference path otherwise.  ``"dense"`` / ``"packed"`` /
-        ``"native"`` force a path (``"packed"`` pins the pure-NumPy
-        accumulator; ``"native"`` raises at construction when numba is
-        absent).
+        bit-plane counters for level-base encoders, the GEMM otherwise.
+        ``"dense"`` / ``"packed"`` / ``"native"`` force a path
+        (``"dense"`` tiles are ``encoder.encode``; ``"packed"`` pins the
+        pure-NumPy accumulator; ``"native"`` raises at construction when
+        numba is absent).
     executor:
         ``"thread"`` (default) shares codebooks read-only across a
         thread pool; ``"process"`` ships one pickled encoder per worker
@@ -225,7 +223,7 @@ class EncodePipeline:
     # ------------------------------------------------------------------
     @property
     def uses_packed_kernel(self) -> bool:
-        """True when tiles run on the bit-plane kernel."""
+        """True when tiles come straight off ``encode_packed``."""
         if self.kernel == "dense":
             return False
         return hasattr(self.encoder, "encode_packed")

@@ -19,13 +19,15 @@ identical codebooks.
 
 Dtype policy
 ------------
-Encoding is float32 end-to-end: features are clipped/quantized in
-float32, the ±1 codebooks are cached as float32 (``as_float``), and
-``encode`` returns float32.  Level-base encodings are sums of ±1 addends
-— integer-valued and far below 2²⁴ — so float32 accumulation is exact
-and the bit-plane kernel (:meth:`LevelBaseEncoder.encode_packed`)
-reproduces the dense result bit-for-bit.  Training and similarity
-accumulate in float64 (see :class:`~repro.hd.model.HDModel`).
+``encode`` returns float32 for both encoders.  Scalar-base features
+are clipped/quantized in float32 and projected through the base
+codebook cached as float32 (``as_float``).  Level-base encodings are
+sums of ±1 addends, i.e. exact integer counts, so
+:meth:`LevelBaseEncoder.encode` never touches a float codebook: it runs
+the bit-plane counters (:meth:`LevelBaseEncoder.encode_packed`) and
+converts the counts, which are far below 2²⁴, exactly to float32.
+Training and similarity accumulate in float64 (see
+:class:`~repro.hd.model.HDModel`).
 """
 
 from __future__ import annotations
@@ -344,25 +346,8 @@ class LevelBaseEncoder(Encoder):
         self.hi = float(hi)
 
     def encode(self, X: np.ndarray) -> np.ndarray:
-        X = check_2d(X, "X", n_cols=self.d_in)
-        idx = self.levels.indices(X)  # (n, d_in) level index per feature
-        base = self.base.as_float()  # (d_in, d_hv), cached
-        lvl = self.levels.as_float()  # (n_levels, d_hv), cached
-        out = np.zeros((X.shape[0], self.d_hv), dtype=np.float32)
-        if self.n_levels <= max(2, self.d_in // 4):
-            # Binding distributes over bundling:
-            #   Σ_k L[q_k] ⊙ B_k = Σ_l L_l ⊙ (Σ_{k : q_k = l} B_k)
-            # so one (n, d_in) @ (d_in, d_hv) matmul per *level* replaces a
-            # gather per *feature* — a large win for the usual ℓiv « Div.
-            for level in range(self.n_levels):
-                mask = idx == level
-                if not mask.any():
-                    continue
-                out += (mask.astype(np.float32) @ base) * lvl[level]
-        else:
-            for k in range(self.d_in):
-                out += lvl[idx[:, k]] * base[k]
-        return out
+        """Eq. (2b) as float32: the bit-plane counters of :meth:`encode_packed`."""
+        return self.encode_packed(X)
 
     def _packed_operands(self, X: np.ndarray):
         """Shared packed-kernel inputs: level indices and codebook planes."""
@@ -431,7 +416,7 @@ class LevelBaseEncoder(Encoder):
     def encode_packed(
         self, X: np.ndarray, *, native: bool | None = None
     ) -> np.ndarray:
-        """Eq. (2b) on uint64 bit planes — bit-identical to :meth:`encode`.
+        """Eq. (2b) on uint64 bit planes: the kernel behind :meth:`encode`.
 
         Every addend ``L_{q_k} ⊙ B_k`` is bipolar, so its sign plane is
         one XOR away from the cached codebook planes (XNOR of the level
@@ -444,10 +429,9 @@ class LevelBaseEncoder(Encoder):
         feature groups feeding a
         :class:`~repro.backend.packed.BitPlaneAccumulator` — the software
         mirror of the §III-D adder tree (see :meth:`_count_addends`) —
-        touching ~``d_hv/64`` words per feature instead of ``n_levels``
-        dense matmul passes, which makes this the fast path for the
-        usual ``ℓiv`` ≫ 2.  Tail bits beyond ``d_hv`` are discarded when
-        the counters unpack.
+        touching ~``d_hv/64`` words per feature whatever ``ℓiv`` is.
+        Tail bits beyond ``d_hv`` are discarded when the counters
+        unpack.
 
         ``native`` routes the counters through the numba-compiled kernel
         (:func:`~repro.backend.native.native_level_encode`): ``None``

@@ -27,21 +27,12 @@ from repro.utils.validation import check_2d, check_finite, check_positive_int
 __all__ = ["BaseMemory", "LevelMemory"]
 
 
-def _cached_float(obj) -> np.ndarray:
-    """float32 view of ``obj.vectors``, computed once per memory object.
+def _cached_sign_planes(obj) -> np.ndarray:
+    """uint64 sign bit planes of ``obj.vectors``, computed once per object.
 
     ``truncated()`` builds a fresh memory object, so derived caches never
     outlive the codebook they were computed from.
     """
-    cached = getattr(obj, "_float_cache", None)
-    if cached is None:
-        cached = obj.vectors.astype(np.float32)
-        obj._float_cache = cached
-    return cached
-
-
-def _cached_sign_planes(obj) -> np.ndarray:
-    """uint64 sign bit planes of ``obj.vectors``, computed once (cf. above)."""
     cached = getattr(obj, "_plane_cache", None)
     if cached is None:
         cached = pack_sign_planes(obj.vectors)
@@ -97,8 +88,12 @@ class BaseMemory(_DropCachesOnPickle):
         return self.d_in
 
     def as_float(self) -> np.ndarray:
-        """The codebook as float32 (cached), for BLAS-friendly encoding."""
-        return _cached_float(self)
+        """The codebook as float32 (cached), for the scalar-base GEMM."""
+        cached = getattr(self, "_float_cache", None)
+        if cached is None:
+            cached = self.vectors.astype(np.float32)
+            self._float_cache = cached
+        return cached
 
     def sign_planes(self) -> np.ndarray:
         """``(d_in, n_words)`` uint64 sign bit planes (cached).
@@ -165,10 +160,6 @@ class LevelMemory(_DropCachesOnPickle):
 
     def __len__(self) -> int:
         return self.n_levels
-
-    def as_float(self) -> np.ndarray:
-        """The level codebook as float32 (cached), for dense encoding."""
-        return _cached_float(self)
 
     def sign_planes(self) -> np.ndarray:
         """``(n_levels, n_words)`` uint64 sign bit planes (cached)."""

@@ -242,7 +242,8 @@ def fused_tenant_scores(
     query row's magnitude plane equals its own tenant's ``M_t``, each
     row scores ``n_live_t − 2·popcount((Sq & M_t) ^ (Sc & M_t))`` —
     one XOR and one popcount per word, tenants' keep masks free to
-    differ.  If any tenant or any row fails that, the whole flush takes
+    differ; the tenants' sign planes are read in place, not stacked.
+    If any tenant or any row fails that, the whole flush takes
     the general ternary formula.
 
     Parameters
@@ -271,7 +272,7 @@ def fused_tenant_scores(
         if (q_mags == masks).all():
             dots = xor_dot_rows(
                 q_signs & masks,
-                np.stack([s.signs for s in supports]),
+                [s.signs for s in supports],
                 np.array([s.n_live for s in supports]),
                 t,
             )

@@ -14,6 +14,7 @@ import pytest
 
 from repro.hd import HDModel, LevelBaseEncoder, ScalarBaseEncoder
 from repro.utils import spawn
+from tests.level_base_reference import reference_level_encode
 
 
 def make_cluster_task(
@@ -40,17 +41,25 @@ LEVEL_GRID_D_IN = (64, 617)
 
 
 @functools.lru_cache(maxsize=None)
-def level_grid_case(d_in: int, d_hv: int):
-    """``(encoder, X, encoder.encode(X))`` for one parity-grid point.
+def level_grid_case(
+    d_in: int, d_hv: int, n_levels: int = 32, rows: int = max(LEVEL_GRID_N)
+):
+    """``(encoder, X, reference encoding of X)`` for one parity-grid point.
 
-    ``X`` has ``max(LEVEL_GRID_N)`` rows; encoding is row-independent,
+    ``X`` has ``rows`` rows; encoding is row-independent,
     so every ``n`` on the grid compares against a prefix of the one
-    dense reference.  Cached because the dense 32-level encode at
-    paper scale is the slow part and several test files share it.
+    reference.  Features sit on ``lo`` and ``hi`` and outside
+    ``[lo, hi]`` as well as inside it.  The reference is the per-level
+    GEMM of :func:`tests.level_base_reference.reference_level_encode`,
+    never the counters; cached because at paper scale it is the slow
+    part and several test files share it.
     """
-    enc = LevelBaseEncoder(d_in, d_hv, n_levels=32, seed=23)
-    X = spawn(d_in, "level-grid-x").uniform(0.0, 1.0, (max(LEVEL_GRID_N), d_in))
-    return enc, X, enc.encode(X)
+    enc = LevelBaseEncoder(d_in, d_hv, n_levels=n_levels, seed=23)
+    rng = spawn(d_in, "level-grid-x")
+    X = rng.uniform(-0.25, 1.25, (rows, d_in))
+    X[rng.random(X.shape) < 0.1] = 0.0
+    X[rng.random(X.shape) < 0.1] = 1.0
+    return enc, X, reference_level_encode(enc, X)
 
 
 @pytest.fixture(scope="session")

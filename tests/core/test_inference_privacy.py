@@ -9,6 +9,7 @@ from repro.core.inference_privacy import (
 )
 from repro.backend.packed import pack_hypervectors
 from repro.hd import HDModel, LevelBaseEncoder, ScalarBaseEncoder
+from repro.hd.item_memory import BaseMemory
 from repro.utils import spawn
 from tests.conftest import (
     LEVEL_GRID_D_HV,
@@ -225,11 +226,33 @@ class TestLevelBaseFastPath:
         assert obf.prepare_packed(X).n == 4
 
     @pytest.mark.parametrize("quantizer", ("ternary", "ternary-biased"))
-    def test_ternary_keeps_the_dense_path(self, quantizer):
+    def test_ternary_packs_the_quantized_encoding(self, quantizer):
         enc, X, H = level_grid_case(64, 1000)
         obf = InferenceObfuscator(
             enc, ObfuscationConfig(quantizer=quantizer, n_masked=500)
         )
         got = obf.prepare_packed(X[:129])
         _assert_same_planes(got, pack_hypervectors(obf.prepare(X[:129])))
+        _assert_same_planes(
+            got, pack_hypervectors(obf.obfuscate_encodings(H[:129]))
+        )
         assert not got.is_bipolar
+
+    @pytest.mark.parametrize("quantizer", ("ternary", "ternary-biased"))
+    def test_ternary_never_touches_a_float_codebook(
+        self, quantizer, monkeypatch
+    ):
+        def no_float(self):
+            raise AssertionError("float codebook on a level-base path")
+
+        monkeypatch.setattr(BaseMemory, "as_float", no_float)
+        enc = LevelBaseEncoder(64, 1000, n_levels=32, seed=4)
+        obf = InferenceObfuscator(
+            enc, ObfuscationConfig(quantizer=quantizer, n_masked=500)
+        )
+        X = spawn(6, "fast-path-x").uniform(0.0, 1.0, (3, 64))
+        obf.prepare(X)
+        obf.prepare_packed(X)
+        assert not hasattr(enc.levels, "as_float")
+        assert "_float_cache" not in vars(enc.base)
+        assert "_float_cache" not in vars(enc.levels)

@@ -26,6 +26,7 @@ from repro.hd import (
     retrain_streamed,
 )
 from repro.utils import spawn
+from tests.level_base_reference import reference_level_encode
 
 
 def _inputs(n, d_in, seed=0):
@@ -203,7 +204,7 @@ class TestBitPlaneAccumulator:
 
 
 # ----------------------------------------------------------------------
-# packed level-base kernel vs dense reference
+# packed level-base kernel vs the per-level GEMM reference
 # ----------------------------------------------------------------------
 class TestPackedLevelBaseKernel:
     @settings(max_examples=20, deadline=None)
@@ -217,24 +218,28 @@ class TestPackedLevelBaseKernel:
     def test_bit_identical_to_dense(self, d_in, d_hv, n_levels, n, seed):
         enc = LevelBaseEncoder(d_in, d_hv, n_levels=n_levels, seed=seed % 997)
         X = _inputs(n, d_in, seed=seed)
-        np.testing.assert_array_equal(enc.encode_packed(X), enc.encode(X))
+        np.testing.assert_array_equal(
+            enc.encode_packed(X), reference_level_encode(enc, X)
+        )
 
     def test_truncated_encoder_bit_identical(self):
         enc = LevelBaseEncoder(19, 257, n_levels=7, seed=5)
         X = _inputs(11, 19, seed=2)
         for d in (257, 200, 64, 63, 1):
             t = enc.truncated(d)
-            np.testing.assert_array_equal(t.encode_packed(X), t.encode(X))
+            np.testing.assert_array_equal(
+                t.encode_packed(X), reference_level_encode(t, X)
+            )
             np.testing.assert_array_equal(
                 t.encode(X), enc.encode(X)[:, :d]
             )
 
-    def test_per_feature_branch_also_matches(self):
-        # Many levels relative to d_in -> dense path takes the gather
-        # branch; the packed kernel must agree with that too.
+    def test_many_levels_few_features(self):
         enc = LevelBaseEncoder(6, 100, n_levels=64, seed=3)
         X = _inputs(7, 6, seed=4)
-        np.testing.assert_array_equal(enc.encode_packed(X), enc.encode(X))
+        np.testing.assert_array_equal(
+            enc.encode_packed(X), reference_level_encode(enc, X)
+        )
 
 
 # ----------------------------------------------------------------------

@@ -8,12 +8,7 @@ from repro.hd.encoder import LevelBaseEncoder, ScalarBaseEncoder, _feature_group
 from repro.hd.quantize import get_quantizer
 from repro.hd.similarity import cosine
 from repro.utils import spawn
-from tests.conftest import (
-    LEVEL_GRID_D_HV,
-    LEVEL_GRID_D_IN,
-    LEVEL_GRID_N,
-    level_grid_case,
-)
+from tests.conftest import LEVEL_GRID_D_IN, level_grid_case
 
 
 def _inputs(n=6, d_in=32, seed=0):
@@ -93,21 +88,19 @@ class TestLevelBaseEncoder:
             expected += enc.levels.vectors[idx[k]] * enc.base.vectors[k]
         np.testing.assert_allclose(enc.encode_one(x), expected)
 
-    def test_per_level_and_per_feature_paths_agree(self):
-        # n_levels small → per-level matmul path; large → gather path.
+    def test_encode_equals_per_feature_gather(self):
         X = _inputs(5, 12, seed=1)
-        fast = LevelBaseEncoder(12, 256, n_levels=3, seed=6)  # 3 <= 12//4
-        slow = LevelBaseEncoder(12, 256, n_levels=3, seed=6)
-        slow.n_levels = 1000  # force the per-feature branch (levels unchanged)
-        H_fast = fast.encode(X)
-        slow_out = np.zeros_like(H_fast)
-        idx = fast.levels.indices(X)
+        enc = LevelBaseEncoder(12, 256, n_levels=3, seed=6)
+        H = enc.encode(X)
+        expected = np.zeros_like(H)
+        idx = enc.levels.indices(X)
         for k in range(12):
-            slow_out += (
-                fast.levels.vectors[idx[:, k]].astype(np.float32)
-                * fast.base.as_float()[k]
+            expected += (
+                enc.levels.vectors[idx[:, k]].astype(np.float32)
+                * enc.base.vectors[k].astype(np.float32)
             )
-        np.testing.assert_allclose(H_fast, slow_out)
+        assert H.dtype == np.float32
+        np.testing.assert_array_equal(H, expected)
 
     def test_addends_sum_to_encoding(self):
         enc = LevelBaseEncoder(16, 512, n_levels=8, seed=7)
@@ -185,16 +178,18 @@ class TestEncodeInto:
 
 
 class TestPackedLevelBaseGrid:
-    """The cache-tiled NumPy bit-plane kernel against the dense encode."""
+    """The bit-plane counters against the per-level GEMM reference."""
 
-    @pytest.mark.parametrize("d_in", LEVEL_GRID_D_IN)
-    @pytest.mark.parametrize("d_hv", LEVEL_GRID_D_HV)
-    @pytest.mark.parametrize("n", LEVEL_GRID_N)
-    def test_encode_packed_matches_encode(self, n, d_hv, d_in):
-        enc, X, H = level_grid_case(d_in, d_hv)
+    @pytest.mark.parametrize("d_in", (1, 12, 617))
+    @pytest.mark.parametrize("d_hv", (64, 770, 10_000))
+    @pytest.mark.parametrize("n", (1, 7, 128, 129))
+    @pytest.mark.parametrize("n_levels", (2, 3, 4, 5, 8, 32, 100))
+    def test_encode_packed_matches_encode(self, n_levels, n, d_hv, d_in):
+        enc, X, H = level_grid_case(d_in, d_hv, n_levels, rows=129)
         np.testing.assert_array_equal(
             enc.encode_packed(X[:n], native=False), H[:n]
         )
+        np.testing.assert_array_equal(enc.encode(X[:n]), H[:n])
 
     @pytest.mark.parametrize("d_in", LEVEL_GRID_D_IN)
     @pytest.mark.parametrize("n", (1, 129))

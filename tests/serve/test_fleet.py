@@ -19,6 +19,7 @@ The multi-tenant contract, unit-tested:
 
 import threading
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -210,6 +211,43 @@ class TestFusedKernel:
         stores = [pack_hypervectors(v) for v in values]
         self._fused_vs_per_tenant(stores, queries, tenant_of_row)
         assert shared_calls == []
+
+    def test_warm_masked_flush_stays_under_the_trim_threshold(
+        self, shared_calls
+    ):
+        """A warm fused call (8 rows from 8 masked 26-class tenants at
+        d_hv=10,000) peaks below glibc's 128 KiB trim threshold, so a
+        flush does not re-fault freed heap, and scores as before."""
+        d, n_classes = 10_000, 26
+        rng = spawn(13, "fused-warm")
+        keeps = _keep_masks(8, d_hv=d, n_live=d // 2)
+        stores = [
+            pack_hypervectors(
+                rng.choice([-1.0, 1.0], size=(n_classes, d)) * keep
+            )
+            for keep in keeps
+        ]
+        tenant_of_row = np.arange(8)
+        queries = _masked_queries(keeps, tenant_of_row)
+        args = (
+            queries.signs,
+            queries.mags,
+            stores,
+            np.stack([packed_norms(s) for s in stores]),
+            tenant_of_row,
+        )
+        fused_tenant_scores(*args)  # warm: support caches, scratch
+        tracemalloc.start()
+        try:
+            fused = fused_tenant_scores(*args)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 128 * 1024
+        assert shared_calls == [8, 8]
+        for row, t in enumerate(tenant_of_row):
+            expect = packed_class_scores(queries[row : row + 1], stores[t])
+            np.testing.assert_array_equal(fused[row : row + 1], expect)
 
 
 class TestModelFleet:

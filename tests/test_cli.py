@@ -1,7 +1,13 @@
 """Tests for the prive-hd CLI."""
 
+import os
+import pathlib
+import subprocess
+import sys
+
 import pytest
 
+import repro
 from repro.cli import EXPERIMENTS, main
 
 
@@ -35,6 +41,25 @@ class TestParsing:
         for desc, runner in EXPERIMENTS.values():
             assert desc
             assert callable(runner)
+
+    def test_import_leaves_the_experiments_unloaded(self):
+        """``serve`` pays no start-up for the paper experiments: each
+        is imported by its own runner."""
+        src = str(pathlib.Path(repro.__file__).resolve().parent.parent)
+        env = dict(os.environ, PYTHONPATH=src)
+        probe = (
+            "import sys, repro.cli; "
+            "print(sorted(m for m in sys.modules "
+            "if m.split('.')[:2] == ['repro', 'experiments']))"
+        )
+        out = subprocess.run(
+            [sys.executable, "-c", probe],
+            env=env,
+            capture_output=True,
+            text=True,
+            check=True,
+        ).stdout
+        assert out.strip() == "[]"
 
 
 class TestExecution:
