@@ -20,6 +20,10 @@ kernels; skipped with a note when numba is absent)::
     PYTHONPATH=src python benchmarks/bench_encode.py --backend all \
         --assert-native-speedup 2
 
+Both modes end with the client leg: one masked row through
+``InferenceObfuscator.prepare_packed`` at the edge-device shape, its
+planes asserted equal to packing the dense ``prepare``.
+
 ``--assert-speedup X`` exits non-zero unless the best level-base
 configuration reaches ``X``× the single-shot baseline;
 ``--assert-native-speedup X`` exits non-zero unless the native
@@ -209,6 +213,58 @@ def run_bench(args) -> dict:
     return report
 
 
+#: the edge device of ``perfbench/``: ISOLET-shaped, half the dims masked
+CLIENT_D_IN, CLIENT_D_HV = 617, 10_000
+
+
+def run_client_leg(repeats: int, seed: int) -> dict:
+    """One row through the client's masked ``prepare_packed``, timed.
+
+    The §III-C edge path at the edge-device shape (``d_in = 617``,
+    ``d_hv = 10,000``, ``n_masked = d_hv / 2``, bipolar): encode →
+    quantize → mask → pack on bit planes.  Asserts plane equality with
+    packing the dense ``prepare(X)`` before timing; raises on a
+    mismatch.
+    """
+    from repro.backend.packed import pack_hypervectors
+    from repro.core.inference_privacy import (
+        InferenceObfuscator,
+        ObfuscationConfig,
+    )
+
+    encoder = LevelBaseEncoder(CLIENT_D_IN, CLIENT_D_HV, seed=seed)
+    obf = InferenceObfuscator(
+        encoder,
+        ObfuscationConfig(n_masked=CLIENT_D_HV // 2, mask_seed=seed),
+    )
+    X = spawn(seed, "bench-encode-client").uniform(0.0, 1.0, (1, CLIENT_D_IN))
+    got = obf.prepare_packed(X)
+    want = pack_hypervectors(obf.prepare(X))
+    if not (
+        np.array_equal(got.signs, want.signs)
+        and np.array_equal(got.mags, want.mags)
+    ):
+        raise AssertionError("masked prepare_packed diverged from prepare")
+    # best of `repeats` batches of 20 single-row calls
+    secs, _ = _time_best_of(
+        lambda: [obf.prepare_packed(X) for _ in range(20)], repeats
+    )
+    leg = {
+        "path": "InferenceObfuscator.prepare_packed, 1 row, bipolar",
+        "d_in": CLIENT_D_IN,
+        "d_hv": CLIENT_D_HV,
+        "n_masked": CLIENT_D_HV // 2,
+        "us_per_row": secs / 20 * 1e6,
+        "planes_equal_prepare": True,
+    }
+    print(
+        f"client prepare_packed (d_in={CLIENT_D_IN}, d_hv={CLIENT_D_HV}, "
+        f"n_masked={CLIENT_D_HV // 2}): {leg['us_per_row']:7.0f} us/row  "
+        "planes equal prepare"
+    )
+    return leg
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     parser.add_argument("--d-in", type=int, default=617, dest="d_in")
@@ -283,6 +339,7 @@ def main(argv=None) -> int:
         args.chunk_sizes, args.repeats = [100, 256], 1
 
     report = run_bench(args)
+    report["client_prepare"] = run_client_leg(max(args.repeats, 3), args.seed)
     args.out.write_text(json.dumps(report, indent=2) + "\n")
     print(f"\nwrote {args.out}")
     for kind, value in report["headline"].items():

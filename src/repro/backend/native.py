@@ -356,8 +356,9 @@ def native_level_encode(
     Parameters mirror the packed encode path of
     :meth:`~repro.hd.encoder.LevelBaseEncoder.encode_packed`: per-feature
     level indices, the level sign planes, and the *inverted* base sign
-    planes (XNOR folded into the codebook).  Requires numba — callers
-    select this path via :func:`kernels_available`.
+    planes (XNOR folded into the codebook), all restricted to the
+    columns being counted; ``d_hv`` is how many there are.  Requires
+    numba — callers select this path via :func:`kernels_available`.
     """
     _require_kernels()
     idx = np.ascontiguousarray(idx, dtype=np.int64)
@@ -386,8 +387,9 @@ def native_level_encode_signs(
     Skips the dense tile entirely: the per-column positive count ``c``
     feeds a bitwise magnitude comparator (``2c − d_in >= 0`` iff
     ``c > (d_in − 1) // 2``, the +1 tie-break of the bipolar quantizer
-    included), producing ``(n, n_words)`` uint64 sign words.  Tail bits
-    beyond ``d_hv`` come out zero.  Requires numba.
+    included), producing ``(n, n_words)`` uint64 sign words over the
+    ``d_hv`` columns the planes hold; callers read only those bits.
+    Requires numba.
     """
     _require_kernels()
     idx = np.ascontiguousarray(idx, dtype=np.int64)

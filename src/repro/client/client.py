@@ -244,11 +244,7 @@ class PriveHDClient:
             encoder = encoder_from_config(encoder)
         self.encoder = encoder
         self.obfuscator: InferenceObfuscator | None = None
-        if encoder is not None:
-            self.obfuscator = InferenceObfuscator(
-                encoder, obfuscation or ObfuscationConfig()
-            )
-        elif obfuscation is not None:
+        if encoder is None and obfuscation is not None:
             raise ValueError(
                 "obfuscation parameters need an encoder to apply to"
             )
@@ -263,39 +259,43 @@ class PriveHDClient:
         except BaseException:
             self._sock.close()
             raise
-        if encoder is not None and encoder.d_hv != self.info.d_hv:
-            self.close()
-            raise ValueError(
-                f"client encoder produces {encoder.d_hv}-dim hypervectors "
-                f"but the server serves d_hv={self.info.d_hv}"
-            )
-        self._adopt_served_mask()
+        if encoder is not None:
+            try:
+                if encoder.d_hv != self.info.d_hv:
+                    raise ValueError(
+                        f"client encoder produces {encoder.d_hv}-dim "
+                        f"hypervectors but the server serves "
+                        f"d_hv={self.info.d_hv}"
+                    )
+                self.obfuscator = InferenceObfuscator(
+                    encoder,
+                    self._served_obfuscation(obfuscation or ObfuscationConfig()),
+                )
+            except BaseException:
+                self.close()
+                raise
 
-    def _adopt_served_mask(self) -> None:
+    def _served_obfuscation(self, config: ObfuscationConfig) -> ObfuscationConfig:
         """Mask like the server, from the wire-shared seed (v2).
 
         A pruned (§III-B) model only answers correctly when the client
         zeroes exactly the server's dead dimensions.  When the served
         artifact recorded its deployment ``mask_seed`` (and the
         connection speaks v2, so :class:`~repro.proto.ModelInfo`
-        carries it), an obfuscator left at the default *unmasked*
-        config is rebuilt to regenerate that mask locally — closing the
-        ROADMAP's out-of-band-channel gap.  An explicitly configured
-        mask (``n_masked > 0``) is always respected as given.
+        carries it), a config left at the default *unmasked* setting
+        takes that mask, regenerated locally — closing the ROADMAP's
+        out-of-band-channel gap.  An explicitly configured mask
+        (``n_masked > 0``) is always respected as given.
         """
         if (
-            self.obfuscator is None
-            or not self.info.is_pruned
+            not self.info.is_pruned
             or self.info.mask_seed is None
-            or self.obfuscator.config.n_masked != 0
+            or config.n_masked != 0
         ):
-            return
-        config = dataclass_replace(
-            self.obfuscator.config,
-            n_masked=self.info.n_masked,
-            mask_seed=self.info.mask_seed,
+            return config
+        return dataclass_replace(
+            config, n_masked=self.info.n_masked, mask_seed=self.info.mask_seed
         )
-        self.obfuscator = InferenceObfuscator(self.encoder, config)
 
     # ------------------------------------------------------------------
     # transport

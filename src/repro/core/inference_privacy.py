@@ -25,7 +25,7 @@ import numpy as np
 
 from repro.attacks.decoder import HDDecoder
 from repro.attacks.metrics import mse, normalized_mse, psnr
-from repro.backend.packed import PackedHV, pack_hypervectors, pack_sign_planes
+from repro.backend.packed import PackedHV, pack_hypervectors
 from repro.hd.encoder import Encoder
 from repro.hd.model import HDModel
 from repro.hd.quantize import EncodingQuantizer, get_quantizer
@@ -113,11 +113,15 @@ class InferenceObfuscator:
             encoder.d_hv, self.config.n_masked, self.config.mask_seed
         )
         # Bipolar queries from an encoder with a sign-plane kernel skip
-        # the dense tile: the mask becomes one AND with the keep bits.
-        self._keep_plane = pack_sign_planes(self.keep_mask)
+        # the dense tile and count only the kept columns (built lazily).
         self._emits_sign_planes = self.quantizer.name == "bipolar" and hasattr(
-            encoder, "encode_packed_bipolar"
+            encoder, "_bipolar_planes"
         )
+        self._live_plan = None
+
+    def __getstate__(self):
+        # The column plan derives from the encoder and the mask.
+        return {**self.__dict__, "_live_plan": None}
 
     # ------------------------------------------------------------------
     @property
@@ -164,21 +168,19 @@ class InferenceObfuscator:
         Unpacks to exactly ``prepare(X)``, so host-side decisions are
         identical whichever wire format the client chooses.  With the
         ``bipolar`` quantizer and a level-base encoder no dense
-        ``(n, d_hv)`` tile is built: the sign plane comes straight off
-        the bit-plane counters
-        (:meth:`~repro.hd.encoder.LevelBaseEncoder.encode_packed_bipolar`)
-        and the mask clears the dropped dimensions by AND-ing the packed
-        keep bits into both planes.  Other packable quantizers need the
-        encoding's magnitudes: they quantize ``encode(X)``, which on a
-        level-base encoder is the same counters unpacked to float32.
+        ``(n, d_hv)`` tile is built: the bit-plane counters run only on
+        the kept dimensions that some level flips (a private column plan
+        of the encoder, built on first use), their sign bits land in the
+        full-width layout over the fixed signs of the kept level-invariant
+        dimensions, and the magnitude plane is the keep mask.  Other
+        packable quantizers need the encoding's magnitudes: they quantize
+        ``encode(X)``, which on a level-base encoder is the same counters
+        unpacked to float32.
         """
         if self._emits_sign_planes:
-            q = self.encoder.encode_packed_bipolar(X)
-            return PackedHV(
-                signs=q.signs & self._keep_plane,
-                mags=q.mags & self._keep_plane,
-                d=q.d,
-            )
+            if self._live_plan is None:
+                self._live_plan = self.encoder._column_plan(self.keep_mask)
+            return self.encoder._bipolar_planes(X, self._live_plan, None)
         return self.obfuscate_packed(self.encoder.encode(X))
 
     # ------------------------------------------------------------------

@@ -33,6 +33,7 @@ Training and similarity accumulate in float64 (see
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
+from typing import NamedTuple
 
 import numpy as np
 
@@ -310,6 +311,43 @@ def _tree_counts(tile: np.ndarray) -> list[np.ndarray]:
     return [b[0] for b in bits]
 
 
+class _ColumnPlan(NamedTuple):
+    """The level-base counters' operands, compacted to the columns that differ.
+
+    The level flip chain flips ``span · d_hv`` columns across the whole
+    chain (half of them at the default span) and leaves the rest alone.
+    On an untouched column ``j``, ``L_l[j] = L_0[j]`` for every level,
+    so Eq. (2b) gives ``Σ_k L_0[j]·B_k[j]`` for every input.  The counters
+    run only on the other, *varying* columns of a selection; the
+    invariant ones take :attr:`fixed`.
+
+    Attributes
+    ----------
+    cols:
+        ``(n_vary,)`` int64 — the selection's varying dimensions, ascending.
+    lvl:
+        ``(n_levels, n_words(n_vary))`` uint64 level sign planes on ``cols``.
+    inv_base:
+        ``(d_in, n_words(n_vary))`` uint64 *inverted* base sign planes on
+        ``cols`` (XNOR folded into the codebook).
+    fixed:
+        ``(d_hv,)`` float32 — every column's encoding at level 0, which
+        is every input's encoding on the invariant columns.
+    fixed_signs:
+        ``(n_words(d_hv),)`` uint64 — the bipolar sign bits of the
+        selection's invariant columns.
+    support:
+        ``(n_words(d_hv),)`` uint64 — the selection itself.
+    """
+
+    cols: np.ndarray
+    lvl: np.ndarray
+    inv_base: np.ndarray
+    fixed: np.ndarray
+    fixed_signs: np.ndarray
+    support: np.ndarray
+
+
 class LevelBaseEncoder(Encoder):
     """Level ⊙ base encoding, Eq. (2b).
 
@@ -349,17 +387,41 @@ class LevelBaseEncoder(Encoder):
         """Eq. (2b) as float32: the bit-plane counters of :meth:`encode_packed`."""
         return self.encode_packed(X)
 
-    def _packed_operands(self, X: np.ndarray):
-        """Shared packed-kernel inputs: level indices and codebook planes."""
-        X = check_2d(X, "X", n_cols=self.d_in)
-        idx = self.levels.indices(X)
-        lvl_planes = self.levels.sign_planes()  # (n_levels, n_words)
-        # XNOR(a, b) == a ^ ~b: fold the inversion into the base planes.
-        inv_base = getattr(self, "_inv_base_planes", None)
-        if inv_base is None:
-            inv_base = ~self.base.sign_planes()
-            self._inv_base_planes = inv_base
-        return idx, lvl_planes, inv_base
+    def _level_indices(self, X: np.ndarray) -> np.ndarray:
+        return self.levels.indices(check_2d(X, "X", n_cols=self.d_in))
+
+    def _column_plan(self, keep: np.ndarray | None = None) -> _ColumnPlan:
+        """The counters' operands on the columns of ``keep`` that can differ.
+
+        ``keep`` selects dimensions (default: all, cached on the encoder;
+        other selections are the caller's to cache).  Derived from the
+        codebooks, never pickled: see :class:`_ColumnPlan`.
+        """
+        if keep is None:
+            plan = getattr(self, "_plan", None)
+            if plan is None:
+                plan = self._plan = self._column_plan(
+                    np.ones(self.d_hv, dtype=bool)
+                )
+            return plan
+        from repro.backend.packed import pack_sign_planes
+
+        sel = np.asarray(keep, dtype=bool)
+        L, B = self.levels.vectors, self.base.vectors
+        varies = (L != L[0]).any(axis=0)
+        cols = np.flatnonzero(sel & varies)
+        fixed = (
+            2 * (B == L[0]).sum(axis=0, dtype=np.int64) - self.d_in
+        ).astype(np.float32)
+        return _ColumnPlan(
+            cols=cols,
+            lvl=pack_sign_planes(L[:, cols]),
+            # XNOR(a, b) == a ^ ~b: fold the inversion into the base planes.
+            inv_base=~pack_sign_planes(B[:, cols]),
+            fixed=fixed,
+            fixed_signs=pack_sign_planes(sel & ~varies & (fixed >= 0))[0],
+            support=pack_sign_planes(sel)[0],
+        )
 
     @staticmethod
     def _use_native(native: bool | None) -> bool:
@@ -374,10 +436,11 @@ class LevelBaseEncoder(Encoder):
             )
         return bool(native)
 
-    def _count_addends(self, idx, lvl_planes, inv_base, finish) -> np.ndarray:
+    def _count_addends(self, idx, plan: _ColumnPlan, finish) -> np.ndarray:
         """The NumPy bit-plane counters, cache-tiled; ``finish(acc)`` per block.
 
-        Rows run in blocks of at most :data:`_ROW_BLOCK`, each with its
+        Counts the addends on the plan's compacted columns only.  Rows
+        run in blocks of at most :data:`_ROW_BLOCK`, each with its
         own :class:`~repro.backend.packed.BitPlaneAccumulator`.  Within a
         block the ``d_in`` addend planes ``L_{q_k} ⊙ B_k`` are formed
         :func:`_feature_group` at a time into one ~1 MiB tile (the last
@@ -391,6 +454,7 @@ class LevelBaseEncoder(Encoder):
         """
         from repro.backend.packed import BitPlaneAccumulator
 
+        lvl_planes, inv_base = plan.lvl, plan.inv_base
         n, words = idx.shape[0], inv_base.shape[1]
         parts = []
         for r0 in range(0, max(n, 1), _ROW_BLOCK):
@@ -425,13 +489,14 @@ class LevelBaseEncoder(Encoder):
 
             H[n, j] = 2 · #{k : addend_{k,j} = +1} − d_in
 
-        The count runs through carry-save adder trees over cache-sized
-        feature groups feeding a
+        Only the columns some level flips are counted (see
+        :class:`_ColumnPlan`); every other column takes its fixed
+        value.  The count runs through carry-save adder trees over
+        cache-sized feature groups feeding a
         :class:`~repro.backend.packed.BitPlaneAccumulator` — the software
         mirror of the §III-D adder tree (see :meth:`_count_addends`) —
-        touching ~``d_hv/64`` words per feature whatever ``ℓiv`` is.
-        Tail bits beyond ``d_hv`` are discarded when the counters
-        unpack.
+        touching one word per 64 varying columns per feature whatever
+        ``ℓiv`` is.
 
         ``native`` routes the counters through the numba-compiled kernel
         (:func:`~repro.backend.native.native_level_encode`): ``None``
@@ -439,17 +504,25 @@ class LevelBaseEncoder(Encoder):
         ``True`` insists on the compiled path.  Both are integer-exact
         and bit-identical.
         """
-        idx, lvl_planes, inv_base = self._packed_operands(X)
-        if self._use_native(native):
+        idx = self._level_indices(X)
+        use_native = self._use_native(native)
+        plan = self._column_plan()
+        out = np.repeat(plan.fixed[None, :], idx.shape[0], axis=0)
+        nv = plan.cols.size
+        if not nv:
+            return out
+        if use_native:
             from repro.backend.native import native_level_encode
 
-            return native_level_encode(
-                idx, lvl_planes, inv_base, self.d_in, self.d_hv
+            out[:, plan.cols] = native_level_encode(
+                idx, plan.lvl, plan.inv_base, self.d_in, nv
             )
-        positives = self._count_addends(
-            idx, lvl_planes, inv_base, lambda acc: acc.counts(self.d_hv)
-        )
-        return (2 * positives - self.d_in).astype(np.float32)
+        else:
+            positives = self._count_addends(
+                idx, plan, lambda acc: acc.counts(nv)
+            )
+            out[:, plan.cols] = 2 * positives - self.d_in
+        return out
 
     def encode_packed_bipolar(
         self, X: np.ndarray, *, native: bool | None = None
@@ -467,37 +540,45 @@ class LevelBaseEncoder(Encoder):
         zeros).  ``native`` selects the compiled counters as in
         :meth:`encode_packed`.
         """
-        from repro.backend.packed import PackedHV, n_words
+        return self._bipolar_planes(X, self._column_plan(), native)
 
-        idx, lvl_planes, inv_base = self._packed_operands(X)
-        if self._use_native(native):
-            from repro.backend.native import native_level_encode_signs
+    def _bipolar_planes(self, X, plan: _ColumnPlan, native: bool | None):
+        """Bipolar encoding of ``X`` on the plan's support, zero elsewhere.
 
-            signs = native_level_encode_signs(
-                idx, lvl_planes, inv_base, self.d_in, self.d_hv
-            )
-        else:
-            threshold = (self.d_in - 1) // 2
-            signs = self._count_addends(
-                idx, lvl_planes, inv_base,
-                lambda acc: acc.greater_than(threshold),
-            )
-        nw = n_words(self.d_hv)
-        mags = np.full((idx.shape[0], nw), ~np.uint64(0), dtype=np.uint64)
-        tail = self.d_hv % 64
-        if tail:
-            # The folded XNOR sets padding bits in every addend (the
-            # inverted base planes are all-ones there), so the tail
-            # counts are not zero — clear the padding in both planes.
-            mags[:, -1] = np.uint64((1 << tail) - 1)
-            signs = signs.copy()
-            signs[:, -1] &= mags[0, -1]
+        The counters run on the plan's varying columns only; their sign
+        bits are scattered into the ``d_hv``-wide layout over the fixed
+        sign bits of its invariant columns.  The magnitude plane is the
+        support, so the result packs like the dense encoding quantized
+        to bipolar and then zeroed off the support.
+        """
+        from repro.backend.packed import PackedHV, unpack_bit_planes
+
+        idx = self._level_indices(X)
+        use_native = self._use_native(native)
+        n, nv = idx.shape[0], plan.cols.size
+        signs = np.repeat(plan.fixed_signs[None, :], n, axis=0)
+        if nv:
+            if use_native:
+                from repro.backend.native import native_level_encode_signs
+
+                live = native_level_encode_signs(
+                    idx, plan.lvl, plan.inv_base, self.d_in, nv
+                )
+            else:
+                threshold = (self.d_in - 1) // 2
+                live = self._count_addends(
+                    idx, plan, lambda acc: acc.greater_than(threshold)
+                )
+            bits = np.zeros((n, signs.shape[1] * 64), dtype=np.uint8)
+            bits[:, plan.cols] = unpack_bit_planes(live, nv)
+            signs |= np.packbits(bits, axis=1, bitorder="little").view(np.uint64)
+        mags = np.repeat(plan.support[None, :], n, axis=0)
         return PackedHV(signs=signs, mags=mags, d=self.d_hv)
 
     def __getstate__(self):
         # Keep worker-process pickles at codebook size (cf. item_memory).
         state = self.__dict__.copy()
-        state.pop("_inv_base_planes", None)
+        state.pop("_plan", None)
         return state
 
     def encode_addends(self, x: np.ndarray) -> np.ndarray:

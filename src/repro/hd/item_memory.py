@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.backend.packed import pack_sign_planes
 from repro.hd.hypervector import flip_chain, random_bipolar
 from repro.utils.rng import RngLike, ensure_generator
 from repro.utils.validation import check_2d, check_finite, check_positive_int
@@ -27,37 +26,7 @@ from repro.utils.validation import check_2d, check_finite, check_positive_int
 __all__ = ["BaseMemory", "LevelMemory"]
 
 
-def _cached_sign_planes(obj) -> np.ndarray:
-    """uint64 sign bit planes of ``obj.vectors``, computed once per object.
-
-    ``truncated()`` builds a fresh memory object, so derived caches never
-    outlive the codebook they were computed from.
-    """
-    cached = getattr(obj, "_plane_cache", None)
-    if cached is None:
-        cached = pack_sign_planes(obj.vectors)
-        obj._plane_cache = cached
-    return cached
-
-
-class _DropCachesOnPickle:
-    """Exclude derived caches from pickling.
-
-    Worker processes receive one pickled encoder copy; shipping only the
-    int8 codebooks (the caches rebuild in milliseconds on first use)
-    keeps that payload ~5x smaller at paper scale.
-    """
-
-    _CACHE_ATTRS = ("_float_cache", "_plane_cache")
-
-    def __getstate__(self):
-        state = self.__dict__.copy()
-        for attr in self._CACHE_ATTRS:
-            state.pop(attr, None)
-        return state
-
-
-class BaseMemory(_DropCachesOnPickle):
+class BaseMemory:
     """The ``Div`` random base/location hypervectors of an encoder.
 
     Parameters
@@ -87,6 +56,13 @@ class BaseMemory(_DropCachesOnPickle):
     def __len__(self) -> int:
         return self.d_in
 
+    def __getstate__(self):
+        # Worker processes receive one pickled encoder copy: ship the int8
+        # codebook, not the float32 cache (it rebuilds on first use).
+        state = self.__dict__.copy()
+        state.pop("_float_cache", None)
+        return state
+
     def as_float(self) -> np.ndarray:
         """The codebook as float32 (cached), for the scalar-base GEMM."""
         cached = getattr(self, "_float_cache", None)
@@ -94,14 +70,6 @@ class BaseMemory(_DropCachesOnPickle):
             cached = self.vectors.astype(np.float32)
             self._float_cache = cached
         return cached
-
-    def sign_planes(self) -> np.ndarray:
-        """``(d_in, n_words)`` uint64 sign bit planes (cached).
-
-        The packed level-base encode kernel XORs these against the level
-        planes to form addend planes without touching floats.
-        """
-        return _cached_sign_planes(self)
 
     def truncated(self, d_hv: int) -> "BaseMemory":
         """A view-like copy restricted to the first ``d_hv`` dimensions.
@@ -120,7 +88,7 @@ class BaseMemory(_DropCachesOnPickle):
         return out
 
 
-class LevelMemory(_DropCachesOnPickle):
+class LevelMemory:
     """Flip-chain level hypervectors plus the feature-value quantizer.
 
     Feature values are assumed to lie in ``[lo, hi]``; :meth:`indices`
@@ -160,10 +128,6 @@ class LevelMemory(_DropCachesOnPickle):
 
     def __len__(self) -> int:
         return self.n_levels
-
-    def sign_planes(self) -> np.ndarray:
-        """``(n_levels, n_words)`` uint64 sign bit planes (cached)."""
-        return _cached_sign_planes(self)
 
     def indices(self, features: np.ndarray) -> np.ndarray:
         """Quantize feature values to level indices in ``[0, n_levels)``.

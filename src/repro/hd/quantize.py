@@ -23,6 +23,7 @@ any target level distribution exactly, independent of the input scale:
 
 from __future__ import annotations
 
+import functools
 from abc import ABC, abstractmethod
 
 import numpy as np
@@ -64,12 +65,13 @@ class EncodingQuantizer(ABC):
     def __call__(self, encodings: np.ndarray) -> np.ndarray:
         """Quantize ``(n, d_hv)`` (or ``(d_hv,)``) encodings."""
 
-    @property
+    @functools.cached_property
     def packable(self) -> bool:
         """True when this quantizer's levels fit the bit-packed planes.
 
         Packable levels are exactly {−1, 0, +1}: bipolar and both ternary
         schemes pack; identity (continuous) and 2-bit (level −2) do not.
+        A quantizer's levels never change, so this is computed once.
         """
         levels = self.levels
         return bool(levels.size) and bool(np.isin(levels, (-1, 0, 1)).all())

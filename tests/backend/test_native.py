@@ -216,7 +216,11 @@ class TestCompiledKernels:
     def test_level_encode_signs_shape(self):
         enc = LevelBaseEncoder(4, 70, seed=1)
         X = np.random.default_rng(3).uniform(0, 1, (5, 4))
-        idx, lvl, inv = enc._packed_operands(X)
-        signs = native_level_encode_signs(idx, lvl, inv, enc.d_in, enc.d_hv)
-        assert signs.shape == (5, 2)
+        plan = enc._column_plan()
+        n_vary = plan.cols.size
+        signs = native_level_encode_signs(
+            enc._level_indices(X), plan.lvl, plan.inv_base, enc.d_in, n_vary
+        )
+        assert 0 < n_vary < enc.d_hv
+        assert signs.shape == (5, -(-n_vary // 64))
         assert signs.dtype == np.uint64

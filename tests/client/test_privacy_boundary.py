@@ -317,16 +317,26 @@ class TestFleetTenantSniffing:
         assert intended.signs.tobytes() in wire
 
     def test_per_tenant_mask_seed_flows_through_v4_model_info(
-        self, fleet_served, encoder
+        self, fleet_served, encoder, monkeypatch
     ):
+        import repro.client.client as client_module
+
         handle, seed, n_masked = fleet_served
+        built = []
+
+        def counting(*args):
+            built.append(args)
+            return InferenceObfuscator(*args)
+
+        monkeypatch.setattr(client_module, "InferenceObfuscator", counting)
         with PriveHDClient(
             handle.address, encoder=encoder, tenant="pruned"
         ) as client:
             assert client.protocol_version == 4
             assert client.info.mask_seed == seed
-            # The client rebuilt its obfuscator from the wire-shared
+            # The client built its obfuscator once, from the wire-shared
             # seed — the same v2 behavior, now per-tenant.
+            assert len(built) == 1
             assert client.obfuscator.config.n_masked == n_masked
         with PriveHDClient(
             handle.address, encoder=encoder, tenant="alice"

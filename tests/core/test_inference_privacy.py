@@ -1,5 +1,7 @@
 """Tests for inference obfuscation (quantize + mask, §III-C)."""
 
+import pickle
+
 import numpy as np
 import pytest
 
@@ -18,6 +20,7 @@ from tests.conftest import (
     level_grid_case,
     make_cluster_task,
 )
+from tests.level_base_reference import reference_level_encode
 
 
 @pytest.fixture(scope="module")
@@ -191,28 +194,53 @@ class TestLevelBaseFastPath:
     counters, mask AND-ed in — plane-for-plane equal to packing the
     dense ``prepare``."""
 
-    @pytest.mark.parametrize("masked", (False, True))
+    @pytest.mark.parametrize("keep", ("all", "half", "level-invariant"))
     @pytest.mark.parametrize("d_in", LEVEL_GRID_D_IN)
     @pytest.mark.parametrize("d_hv", LEVEL_GRID_D_HV)
     @pytest.mark.parametrize("n", LEVEL_GRID_N)
-    def test_prepare_packed_matches_packed_prepare(self, n, d_hv, d_in, masked):
+    def test_prepare_packed_matches_packed_prepare(self, n, d_hv, d_in, keep):
         # n_masked 5000 of 10000 (and 500 of 1000): half the dims dropped
         enc, X, H = level_grid_case(d_in, d_hv)
         obf = InferenceObfuscator(
-            enc, ObfuscationConfig(n_masked=d_hv // 2 if masked else 0)
+            enc, ObfuscationConfig(n_masked=d_hv // 2 if keep == "half" else 0)
         )
+        if keep == "level-invariant":
+            # every live dimension is one no level flips: nothing to count
+            L = enc.levels.vectors
+            obf.keep_mask = (L == L[0]).all(axis=0)
         # prepare(X) == obfuscate_encodings(encode(X)); the dense encode
         # is the cached grid reference.
         want = pack_hypervectors(obf.obfuscate_encodings(H[:n]))
         _assert_same_planes(obf.prepare_packed(X[:n]), want)
 
-    def test_prepare_packed_matches_prepare_directly(self):
+    @pytest.mark.parametrize("d_hv", (None, 777))
+    def test_prepare_packed_matches_prepare_directly(self, d_hv):
         enc = LevelBaseEncoder(617, 1000, n_levels=32, seed=4)
+        if d_hv is not None:
+            enc = enc.truncated(d_hv)
         X = spawn(3, "fast-path-x").uniform(0.0, 1.0, (9, 617))
         obf = InferenceObfuscator(enc, ObfuscationConfig(n_masked=300))
+        got = obf.prepare_packed(X)
+        _assert_same_planes(got, pack_hypervectors(obf.prepare(X)))
         _assert_same_planes(
-            obf.prepare_packed(X), pack_hypervectors(obf.prepare(X))
+            got,
+            pack_hypervectors(
+                obf.obfuscate_encodings(reference_level_encode(enc, X))
+            ),
         )
+
+    def test_pickle_drops_the_column_plans(self):
+        enc = LevelBaseEncoder(64, 1000, n_levels=32, seed=4)
+        obf = InferenceObfuscator(enc, ObfuscationConfig(n_masked=500))
+        # built on first encode, never by construction alone
+        assert obf._live_plan is None and "_plan" not in vars(enc)
+        X = spawn(7, "fast-path-x").uniform(0.0, 1.0, (5, 64))
+        want = obf.prepare_packed(X)
+        enc.encode(X)
+        assert obf._live_plan is not None and "_plan" in vars(enc)
+        clone = pickle.loads(pickle.dumps(obf))
+        assert clone._live_plan is None and "_plan" not in vars(clone.encoder)
+        _assert_same_planes(clone.prepare_packed(X), want)
 
     def test_fast_path_never_builds_the_dense_tile(self, monkeypatch):
         enc = LevelBaseEncoder(64, 1000, n_levels=32, seed=4)

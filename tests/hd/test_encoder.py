@@ -183,7 +183,7 @@ class TestPackedLevelBaseGrid:
     @pytest.mark.parametrize("d_in", (1, 12, 617))
     @pytest.mark.parametrize("d_hv", (64, 770, 10_000))
     @pytest.mark.parametrize("n", (1, 7, 128, 129))
-    @pytest.mark.parametrize("n_levels", (2, 3, 4, 5, 8, 32, 100))
+    @pytest.mark.parametrize("n_levels", (1, 2, 3, 4, 5, 8, 32, 100))
     def test_encode_packed_matches_encode(self, n_levels, n, d_hv, d_in):
         enc, X, H = level_grid_case(d_in, d_hv, n_levels, rows=129)
         np.testing.assert_array_equal(
@@ -200,10 +200,23 @@ class TestPackedLevelBaseGrid:
         np.testing.assert_array_equal(got.signs, want.signs)
         np.testing.assert_array_equal(got.mags, want.mags)
 
-    def test_zero_rows(self):
-        enc = LevelBaseEncoder(9, 130, n_levels=4, seed=2)
-        out = enc.encode_packed(np.zeros((0, 9)), native=False)
-        assert out.shape == (0, 130)
+    @pytest.mark.parametrize("d_hv", (130, 10_000))  # d_hv % 64 != 0
+    def test_zero_rows(self, d_hv):
+        from repro.core.inference_privacy import (
+            InferenceObfuscator,
+            ObfuscationConfig,
+        )
+
+        enc = LevelBaseEncoder(9, d_hv, n_levels=4, seed=2)
+        X = np.zeros((0, 9))
+        assert enc.encode_packed(X, native=False).shape == (0, d_hv)
+        words = -(-d_hv // 64)
+        q = enc.encode_packed_bipolar(X, native=False)
+        assert (q.n, q.d, q.signs.shape, q.mags.shape) == (
+            0, d_hv, (0, words), (0, words)
+        )
+        obf = InferenceObfuscator(enc, ObfuscationConfig(n_masked=d_hv // 2))
+        assert obf.prepare_packed(X).signs.shape == (0, words)
 
     @pytest.mark.parametrize(
         "d_in, rows, words, group",

@@ -187,8 +187,12 @@ class TestPackableOutputs:
             ("identity", False),
         ],
     )
-    def test_packable_flag(self, name, expected):
-        assert get_quantizer(name).packable is expected
+    def test_packable_flag(self, name, expected, monkeypatch):
+        q = get_quantizer(name)
+        assert q.packable is expected
+        # computed once per quantizer: later reads never re-scan the levels
+        monkeypatch.setattr(np, "isin", None)
+        assert q.packable is expected
 
     @pytest.mark.parametrize("name", ["bipolar", "ternary", "ternary-biased"])
     def test_pack_equals_quantize_then_pack(self, name):
