@@ -91,7 +91,7 @@ class ServingAPI:
         self._schedulers: dict[tuple, MicroBatchScheduler] = {}
         # (scheduler key, tenant) -> version that answered the latest
         # flush; written by the runner in the flusher thread, read by
-        # response-future callbacks, which the scheduler fires in that
+        # the typed-response hooks, which the scheduler runs in that
         # same thread before the next flush starts — so a reader always
         # sees the version of its own batch.
         self._flush_versions: dict[tuple, int] = {}
@@ -171,12 +171,12 @@ class ServingAPI:
 
         A single ``(d_hv,)`` dense query returns a single label.
         """
-        return self._submit(queries, tenant, model, "predict")[2].result()
+        return self._submit(queries, tenant, model, "predict").result()
 
     def scores(self, queries, *, model: str | None = None,
                tenant: str | None = None) -> np.ndarray:
         """Eq. (4) class scores for encoded query hypervectors."""
-        return self._submit(queries, tenant, model, "scores")[2].result()
+        return self._submit(queries, tenant, model, "scores").result()
 
     def predict_features(self, X, *, model: str | None = None,
                          tenant: str | None = None) -> np.ndarray:
@@ -189,16 +189,18 @@ class ServingAPI:
         features, so remote callers encode client-side
         (:class:`~repro.client.PriveHDClient`) and use :meth:`score`.
         """
-        return self._submit(X, tenant, model, "predict_features")[2].result()
+        return self._submit(X, tenant, model, "predict_features").result()
 
     # ------------------------------------------------------------------
     # submission plumbing
     # ------------------------------------------------------------------
     def _submit(self, queries, tenant, model, method, *, d_hv=None,
-                deadline=None):
+                deadline=None, respond=None):
         """Resolve tenant + model, shape-check, enqueue once.
 
-        Returns ``(name, version_key, raw_future)``.  Packed bit-plane
+        Returns the future: the runner's rows or, with ``respond``,
+        ``respond(rows, name, version_key)``, built in the flusher
+        thread right after the flush.  Packed bit-plane
         queries stay packed through the micro-batcher: their uint64
         planes ride the scheduler as ``[signs | mags | tenant_index]``
         rows, 16x smaller than dense.  Raises
@@ -237,8 +239,11 @@ class ServingAPI:
         else:
             key = ("tenant", record.name, name, method)
         run = self._run_packed if packed else self._run_dense
-        raw = self._scheduler(key, run).submit(queries, deadline=deadline)
-        return name, (key, record.name), raw
+        version_key = (key, record.name)
+        finish = None if respond is None else (
+            lambda rows: respond(rows, name, version_key)
+        )
+        return self._scheduler(key, run)._enqueue(queries, deadline, finish)
 
     def _scheduler(self, key: tuple, run) -> MicroBatchScheduler:
         with self._lock:
@@ -371,56 +376,36 @@ class ServingAPI:
         )
 
     def _submit_typed(self, request, deadline, response_cls, **extra) -> Future:
-        """Shared typed submit: enqueue, then chain a response future.
+        """Shared typed submit: one future, resolving to the response.
 
-        The response is built in the flusher thread right after the
-        flush that scored the rows, so the recorded flush version is
-        exactly the version that answered.
+        The flusher builds it right after the flush that scored the
+        rows, so the recorded flush version is the version that answered.
         """
         if deadline is None and request.deadline_ms is not None:
             deadline = time.monotonic() + request.deadline_ms / 1e3
-        name, version_key, raw = self._submit(
+        want_scores = request.want_scores
+
+        def respond(result, name, version_key):
+            version = self._flush_versions[version_key]
+            fields = dict(extra, model=name, version=version,
+                          request_id=request.request_id)
+            if not want_scores:
+                predictions = np.atleast_1d(result)
+                return response_cls(predictions=predictions, **fields)
+            scores = np.atleast_2d(result)
+            return response_cls(
+                predictions=np.argmax(scores, axis=1), scores=scores, **fields
+            )
+
+        return self._submit(
             request.queries,
             request.tenant,
             request.model,
-            "scores" if request.want_scores else "predict",
+            "scores" if want_scores else "predict",
             d_hv=request.d_hv,
             deadline=deadline,
+            respond=respond,
         )
-        response: Future = Future()
-        response.set_running_or_notify_cancel()
-
-        def _finish(fut: Future):
-            exc = fut.exception()
-            if exc is not None:
-                response.set_exception(exc)
-                return
-            try:
-                result = np.asarray(fut.result())
-                fields = dict(
-                    extra,
-                    model=name,
-                    version=self._flush_versions[version_key],
-                    request_id=request.request_id,
-                )
-                if request.want_scores:
-                    scores = np.atleast_2d(result)
-                    resp = response_cls(
-                        predictions=np.argmax(scores, axis=1),
-                        scores=scores,
-                        **fields,
-                    )
-                else:
-                    resp = response_cls(
-                        predictions=np.atleast_1d(result), **fields
-                    )
-            except Exception as build_exc:  # noqa: BLE001 — forwarded
-                response.set_exception(build_exc)
-                return
-            response.set_result(resp)
-
-        raw.add_done_callback(_finish)
-        return response
 
     def info(
         self,

@@ -26,6 +26,8 @@ Connection discipline
   on a *healthy* connection; framing violations (bad magic, oversize
   length, truncated or trailing bytes) poison the stream and close it
   after a best-effort ``bad-frame`` reply.
+* One read dispatches every frame it completed; a flush's completions
+  wake the loop once, and each connection's replies leave in one write.
 
 A thin HTTP/1.0 adapter (:class:`HttpOpsAdapter`, enabled with
 ``http_port``) exposes the ops endpoints — ``/healthz``, ``/models``,
@@ -43,10 +45,12 @@ For a foreground server (the CLI's ``serve --listen``) use
 from __future__ import annotations
 
 import asyncio
+import functools
 import json
 import socket as socket_module
 import threading
 import time
+from collections import deque
 from dataclasses import dataclass
 
 from repro.proto.messages import (
@@ -60,7 +64,6 @@ from repro.proto.messages import (
 from repro.proto.session import WireSession
 from repro.proto.wire import (
     DEFAULT_MAX_FRAME_BYTES,
-    PROTOCOL_VERSION,
     SUPPORTED_VERSIONS,
     Frame,
     ProtocolError,
@@ -69,6 +72,7 @@ from repro.serve.api import ServingAPI
 from repro.serve.errors import DeadlineExceeded, Overloaded, TenantNotFound
 from repro.serve.faults import faults
 from repro.serve.loops import new_event_loop
+from repro.serve.scheduler import _call_after_flush
 
 __all__ = ["FrontendConfig", "ServingFrontend", "FrontendHandle"]
 
@@ -96,8 +100,8 @@ class FrontendConfig:
         Per-read timeout of the HTTP ops adapter (was a hard-coded
         ``5.0``).
     stop_grace_s:
-        Seconds :meth:`ServingFrontend.stop` waits for live connection
-        handlers to finish before cancelling them (was ``5.0``).
+        Seconds :meth:`ServingFrontend.stop` waits for live connections
+        to close before aborting them (was ``5.0``).
     start_timeout_s:
         Seconds :class:`FrontendHandle` waits for its background loop
         to bind the listeners (was ``30.0``).
@@ -105,12 +109,12 @@ class FrontendConfig:
         Seconds :class:`FrontendHandle.close` waits for the loop
         thread to stop and join (was ``10.0``).
     write_high_water_bytes:
-        Per-connection transport write-buffer high-water mark.  The
-        read loop ``drain()``\\ s after every dispatched frame, so once
-        a slow-reading client's buffer crosses this mark the server
-        *pauses reading* from that connection until it catches up —
+        Per-connection transport write-buffer high-water mark.  Once a
+        slow-reading client's unsent replies cross it, the transport
+        pauses writing and the server *pauses reading* from that
+        connection until the buffer drains below the low-water mark —
         per-connection backpressure instead of unbounded server-side
-        buffering.  ``None`` keeps asyncio's default (64 KiB).
+        buffering.  ``None`` keeps the event loop's default (64 KiB).
     """
 
     handshake_timeout_s: float | None = None
@@ -123,12 +127,8 @@ class FrontendConfig:
 
     def __post_init__(self):
         for name in (
-            "handshake_timeout_s",
-            "idle_timeout_s",
-            "http_timeout_s",
-            "stop_grace_s",
-            "start_timeout_s",
-            "close_timeout_s",
+            "handshake_timeout_s", "idle_timeout_s", "http_timeout_s",
+            "stop_grace_s", "start_timeout_s", "close_timeout_s",
             "write_high_water_bytes",
         ):
             value = getattr(self, name)
@@ -156,9 +156,9 @@ class ServingFrontend:
         Per-frame payload cap forwarded to the decoder.
     max_inflight:
         Unanswered requests one connection may pipeline before the
-        frontend stops reading from it — together with the transport's
-        drain high-water mark, this bounds the memory a slow-reading
-        (or never-reading) client can pin server-side.
+        frontend stops reading from it — together with
+        ``write_high_water_bytes``, this bounds the memory a
+        slow-reading (or never-reading) client can pin server-side.
     name:
         Server identification sent in the :class:`Welcome` frame.
     reuse_port:
@@ -217,8 +217,12 @@ class ServingFrontend:
         self.frames_rejected = 0
         self._server: asyncio.AbstractServer | None = None
         self._http_server: asyncio.AbstractServer | None = None
-        self._conn_tasks: set[asyncio.Task] = set()
-        self._conn_writers: set[asyncio.StreamWriter] = set()
+        self._loop: asyncio.AbstractEventLoop | None = None
+        self._connections: set[_Connection] = set()
+        # (connection, request id, future) appended by flusher threads,
+        # emptied on the loop by _drain_inbox (_wake_pending: scheduled).
+        self._inbox: deque = deque()
+        self._wake_pending = False
 
     # ------------------------------------------------------------------
     # lifecycle
@@ -226,8 +230,9 @@ class ServingFrontend:
     async def start(self) -> tuple[str, int]:
         """Bind both listeners; returns the protocol ``(host, port)``."""
         kwargs = {"reuse_port": True} if self.reuse_port else {}
-        self._server = await asyncio.start_server(
-            self._handle_connection, self.host, self.port, **kwargs
+        self._loop = asyncio.get_running_loop()
+        self._server = await self._loop.create_server(
+            lambda: _Connection(self), self.host, self.port, **kwargs
         )
         if self.http_port is not None:
             self._http_server = await asyncio.start_server(
@@ -252,23 +257,21 @@ class ServingFrontend:
     async def stop(self) -> None:
         """Stop accepting connections and close the listeners.
 
-        Live connections are closed at the transport (their handlers
-        exit on the resulting EOF); stragglers are cancelled after a
-        short grace period.  The transport makes no drain promise
-        beyond what the micro-batcher already flushed.
+        Live connections are closed at the transport (flushing buffered
+        replies); any still open after ``stop_grace_s`` are aborted.
         """
-        for server in (self._server, self._http_server):
-            if server is not None:
-                server.close()
-                await server.wait_closed()
-        for writer in list(self._conn_writers):
-            writer.close()
-        if self._conn_tasks:
-            _, pending = await asyncio.wait(
-                list(self._conn_tasks), timeout=self.config.stop_grace_s
-            )
-            for task in pending:  # pragma: no cover - defensive
-                task.cancel()
+        servers = [s for s in (self._server, self._http_server) if s]
+        for server in servers:
+            server.close()
+        for conn in list(self._connections):
+            conn._close()
+        deadline = time.monotonic() + self.config.stop_grace_s
+        while self._connections and time.monotonic() < deadline:
+            await asyncio.sleep(0.01)
+        for conn in list(self._connections):
+            conn.transport.abort()
+        for server in servers:
+            await server.wait_closed()
 
     async def serve_forever(self) -> None:
         """Run until cancelled (listeners must be started)."""
@@ -303,355 +306,42 @@ class ServingFrontend:
             event_loop.close()
 
     # ------------------------------------------------------------------
-    # binary protocol
+    # completions (flusher threads -> the loop)
     # ------------------------------------------------------------------
-    async def _read_frame(
-        self,
-        reader: asyncio.StreamReader,
-        session: WireSession,
-        *,
-        timeout: float | None = None,
-    ) -> Frame | None:
-        """One frame off the stream; ``None`` on clean EOF between frames.
+    def _complete(self, conn: "_Connection", request_id: int, future) -> None:
+        """A scoring future finished (flusher thread): queue its reply.
 
-        One chunked ``read`` feeds the session's zero-copy decoder and
-        usually completes several pipelined frames at once — replacing
-        the two ``readexactly`` awaits the old loop paid per frame;
-        queued frames drain without touching the socket.
-
-        ``timeout`` bounds the wait for the *start* of the next frame —
-        the idle gap between requests (or before the handshake).  A
-        peer that goes silent past it gets the connection closed; a
-        peer mid-frame is actively sending and is not timed.
+        Only the first completion of a burst wakes the loop, once its
+        flush has resolved every future: N answers cost one hop.
         """
-        while True:
-            frame = session.next_frame()
-            if frame is not None:
-                return frame
-            read = reader.read(65536)
-            if timeout is not None and session.pending_bytes == 0:
-                read = asyncio.wait_for(read, timeout=timeout)
-            chunk = await read
-            if not chunk:
-                session.receive_eof()  # raises mid-header/mid-payload
-                return None  # clean close between frames
-            session.receive_data(chunk)
+        self._inbox.append((conn, request_id, future))
+        # No lock: a drain clears the flag before it pops, so a set flag
+        # means a pending drain pops this; a race only wakes twice.
+        if not self._wake_pending:
+            self._wake_pending = True
+            _call_after_flush(self._wake)
 
-    async def _send(
-        self,
-        writer: asyncio.StreamWriter,
-        lock: asyncio.Lock,
-        session: WireSession,
-        message,
-        *,
-        version: int | None = None,
-    ) -> None:
-        data = session.render_frame(message, version=version)
-        async with lock:  # pipelined responses must not interleave
-            writer.write(data)
-            await writer.drain()
-
-    async def _handle_connection(
-        self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
-    ) -> None:
-        self.connections_served += 1
-        me = asyncio.current_task()
-        if me is not None:
-            self._conn_tasks.add(me)
-            me.add_done_callback(self._conn_tasks.discard)
-        self._conn_writers.add(writer)
-        sock = writer.get_extra_info("socket")
-        if sock is not None:
-            # Small request/response frames: defeat Nagle on our side of
-            # the connection too (the client sets it on its own).
-            sock.setsockopt(
-                socket_module.IPPROTO_TCP, socket_module.TCP_NODELAY, 1
-            )
-        if self.config.write_high_water_bytes is not None:
-            # Lower the transport's pause threshold so the drain() in
-            # the read loop below pauses reads from a slow-reading
-            # client sooner — per-connection backpressure.
-            writer.transport.set_write_buffer_limits(
-                high=self.config.write_high_water_bytes
-            )
-        write_lock = asyncio.Lock()
-        inflight = asyncio.Semaphore(self.max_inflight)
-        session = WireSession(
-            "server",
-            max_frame_bytes=self.max_frame_bytes,
-            supported_versions=self.supported_versions,
-        )
+    def _wake(self) -> None:
         try:
-            while True:
-                timeout = (
-                    self.config.handshake_timeout_s
-                    if session.negotiated is None
-                    else self.config.idle_timeout_s
-                )
-                frame = await self._read_frame(
-                    reader, session, timeout=timeout
-                )
-                if frame is None:
-                    break
-                action = faults.fire("frontend.read")
-                if action is not None:
-                    if action.action == "drop":
-                        continue
-                    await asyncio.sleep(action.delay_s)
-                if session.negotiated is None:
-                    ok = await self._handshake(
-                        frame, writer, write_lock, session
-                    )
-                    if not ok:
-                        break
-                    continue
-                # Requests pipeline: a ScoreRequest is submitted to the
-                # micro-batcher without blocking the read loop, and its
-                # response is written by a completion callback when the
-                # flush lands (correlation ids let clients match reorder
-                # -ed replies).  Many connections — and many in-flight
-                # requests per connection — coalesce into shared
-                # batches.  The semaphore caps this connection's
-                # unanswered requests and drain() honors the
-                # transport's high-water mark, so a client that floods
-                # requests or never reads replies throttles itself
-                # instead of growing server memory.
-                await inflight.acquire()
-                self._dispatch(
-                    frame, writer, session, session.negotiated,
-                    inflight.release,
-                )
-                # Give completion callbacks a turn before the next read:
-                # a queued frame returns without suspending, so a
-                # flooding client must not starve the response path.
-                await asyncio.sleep(0)
-                await writer.drain()
-        except ProtocolError as exc:
-            # Framing/version violations (including a non-Hello opener
-            # and post-negotiation version skew, screened by the
-            # session) poison the stream: best-effort typed reply, then
-            # close.
-            self.frames_rejected += 1
-            try:
-                await self._send(
-                    writer,
-                    write_lock,
-                    session,
-                    ErrorReply(code="bad-frame", message=str(exc)),
-                )
-            except (ConnectionError, RuntimeError):
-                pass
-        except asyncio.TimeoutError:
-            pass  # idle/handshake timeout: close without ceremony
-        except (ConnectionError, asyncio.CancelledError):
-            pass
-        finally:
-            self._conn_writers.discard(writer)
-            writer.close()
-            try:
-                await writer.wait_closed()
-            except (ConnectionError, BrokenPipeError):
-                pass
+            self._loop.call_soon_threadsafe(self._drain_inbox)
+        except RuntimeError:
+            pass  # the loop is gone (a stalled flush ran past shutdown)
 
-    async def _handshake(
-        self,
-        frame: Frame,
-        writer: asyncio.StreamWriter,
-        lock: asyncio.Lock,
-        session: WireSession,
-    ) -> bool:
-        """Negotiate a protocol version; ``False`` closes the connection.
-
-        The session already screened the frame type (a non-Hello opener
-        raised before this point), so the frame *is* a Hello; what can
-        still fail here is a malformed Hello payload (raises, handled
-        as a framing error upstream) or a disjoint version offer (typed
-        ``unsupported-version`` reply).
-        """
-        hello = decode_message(frame)
-        version = session.accept_hello(hello.versions)
-        if version is None:
-            await self._send(
-                writer,
-                lock,
-                session,
-                ErrorReply(
-                    code="unsupported-version",
-                    message=(
-                        f"client speaks {list(hello.versions)}, server "
-                        f"speaks {list(self.supported_versions)}"
-                    ),
-                ),
-            )
-            return False
-        await self._send(
-            writer,
-            lock,
-            session,
-            Welcome(
-                version=version,
-                server=self.name,
-                models=self.api.names(),
-            ),
-        )
-        return True
-
-    def _dispatch(
-        self,
-        frame: Frame,
-        writer: asyncio.StreamWriter,
-        session: WireSession,
-        version: int,
-        done,
-    ) -> None:
-        """Route one post-handshake frame (runs on the event loop).
-
-        Metadata requests are answered immediately; scoring requests
-        are submitted to the micro-batcher without blocking the read
-        loop — the scheduler future's completion callback hops back to
-        the loop (``call_soon_threadsafe``, one hop, no intermediate
-        task) and writes the response.  Application errors become typed
-        replies on a healthy connection.  ``done`` is invoked exactly
-        once, after this frame's response is written (the in-flight
-        semaphore release).
-        """
-        request_id = 0
-        try:
-            message = decode_message(frame)
-            if isinstance(message, (ScoreRequest, ScoreBatchRequest)):
-                # One frame -> one scheduler submit, for both shapes: a
-                # ScoreBatchRequest amortizes this dispatch (and the
-                # completion wakeup below) over its N stacked
-                # sub-requests, which is what closes the gap between
-                # the socket path and the in-process server.
-                request_id = message.request_id
-                loop = asyncio.get_running_loop()
-                if isinstance(message, ScoreBatchRequest):
-                    future = self.api.submit_score_batch(message)
-                else:
-                    future = self.api.submit_score(message)
-                def bridge(f, _rid=request_id):
-                    # A batch can complete after the frontend's loop is
-                    # gone (e.g. a stalled flush draining past
-                    # shutdown); there is no one left to reply to.
-                    try:
-                        loop.call_soon_threadsafe(
-                            self._write_completion,
-                            writer,
-                            session,
-                            f,
-                            version,
-                            _rid,
-                            done,
-                        )
-                    except RuntimeError:
-                        pass
-
-                future.add_done_callback(bridge)
-                return
-            if isinstance(message, ModelInfoRequest):
-                request_id = message.request_id
-                response = self.api.info(
-                    message.model,
-                    request_id=message.request_id,
-                    tenant=message.tenant,
-                )
-            else:
-                response = ErrorReply(
-                    code="bad-frame",
-                    message=(
-                        f"unexpected {type(message).__name__} frame from "
-                        "a client"
-                    ),
-                )
-        except ProtocolError as exc:
-            self.frames_rejected += 1
-            response = ErrorReply(
-                code="bad-frame", message=str(exc), request_id=request_id
-            )
-        except Exception as exc:  # noqa: BLE001 — the server must survive
-            response = self._error_reply(exc, request_id)
-        try:
-            self._write_message(writer, session, response, version)
-        finally:
-            done()
-
-    def _write_completion(
-        self,
-        writer: asyncio.StreamWriter,
-        session: WireSession,
-        future,
-        version: int,
-        request_id: int,
-        done=None,
-    ) -> None:
-        """Write a finished scoring future's response (on the loop)."""
-        try:
+    def _drain_inbox(self) -> None:
+        """Render every queued reply; one write per connection (loop)."""
+        self._wake_pending = False
+        inbox = self._inbox
+        touched: dict[_Connection, None] = {}
+        while inbox:
+            conn, request_id, future = inbox.popleft()
             exc = future.exception()
             if exc is None:
-                message = future.result()
+                conn._reply(future.result())
             else:
-                message = self._error_reply(exc, request_id)
-            self._write_message(writer, session, message, version)
-        finally:
-            if done is not None:
-                done()
-
-    def _write_message(
-        self,
-        writer: asyncio.StreamWriter,
-        session: WireSession,
-        message,
-        version: int,
-    ) -> None:
-        """Encode + write one frame, synchronously on the loop.
-
-        ``write`` enqueues the whole frame atomically (the transport
-        handles flow control in the background), so concurrent
-        completions for one connection cannot interleave bytes.  This
-        is also the single interception point for reply-side fault
-        injection (``frontend.reply``): drops skip the write, delays
-        reschedule it via ``call_later`` — the loop never blocks.
-        """
-        action = faults.fire("frontend.reply")
-        if action is not None:
-            if action.action == "drop":
-                return
-            # delay/stall: defer the write without blocking the loop.
-            try:
-                loop = asyncio.get_running_loop()
-            except RuntimeError:  # pragma: no cover - defensive
-                loop = None
-            if loop is not None:
-                loop.call_later(
-                    action.delay_s,
-                    self._write_now,
-                    writer,
-                    session,
-                    message,
-                    version,
-                )
-                return
-        self._write_now(writer, session, message, version)
-
-    def _write_now(
-        self,
-        writer: asyncio.StreamWriter,
-        session: WireSession,
-        message,
-        version: int,
-    ) -> None:
-        if writer.is_closing():
-            return
-        try:
-            # render_frame stages scalars in the session's reusable
-            # per-connection scratch (no builder allocation per
-            # completion) and hands the transport one immutable bytes
-            # object — safe for asyncio and uvloop alike, which may
-            # retain write buffers past this call.
-            writer.write(session.render_frame(message, version=version))
-        except (ConnectionError, RuntimeError):
-            pass
+                conn._reply(self._error_reply(exc, request_id))
+            touched[conn] = None
+        for conn in touched:
+            conn._flush()
 
     @staticmethod
     def _error_reply(exc: BaseException, request_id: int) -> ErrorReply:
@@ -723,18 +413,17 @@ class ServingFrontend:
             parts = request_line.decode("latin-1").split()
             method = parts[0].upper() if parts else ""
             path = parts[1].split("?")[0] if len(parts) > 1 else ""
+            route = {
+                "/healthz": self.api.health, "/health": self.api.health,
+                "/models": self.api.models, "/stats": self.api.stats,
+                "/tenants": self.api.tenants_summary,
+            }.get(path)
             if method != "GET":
                 status, body = 405, {"error": "method not allowed"}
-            elif path in ("/healthz", "/health"):
-                status, body = 200, self.api.health()
-            elif path == "/models":
-                status, body = 200, self.api.models()
-            elif path == "/stats":
-                status, body = 200, self.api.stats()
-            elif path == "/tenants":
-                status, body = 200, self.api.tenants_summary()
-            else:
+            elif route is None:
                 status, body = 404, {"error": f"no route {path!r}"}
+            else:
+                status, body = 200, route()
             payload = json.dumps(body, indent=2, sort_keys=True).encode()
             reason = {200: "OK", 404: "Not Found", 405: "Method Not Allowed"}
             writer.write(
@@ -762,6 +451,279 @@ class ServingFrontend:
             f"ServingFrontend(api={self.api!r}, "
             f"bound={self.address if bound else None})"
         )
+
+
+class _Connection(asyncio.Protocol):
+    """One client connection: a :class:`WireSession` over a transport.
+
+    Reads pause at ``max_inflight`` unanswered requests, above the write
+    high-water mark and while a ``frontend.read`` delay holds a frame.
+    """
+
+    def __init__(self, frontend: ServingFrontend):
+        self.frontend = frontend
+        self.session = WireSession(
+            "server", max_frame_bytes=frontend.max_frame_bytes,
+            supported_versions=frontend.supported_versions,
+        )
+        self.transport: asyncio.Transport | None = None
+        self.closed = False
+        self.inflight = 0  # dispatched requests not yet answered
+        self._loop = frontend._loop
+        self._out: list[bytes] = []
+        self._held: Frame | None = None  # released by a read-delay fault
+        self._delayed = self._write_paused = self._reading_paused = False
+        self._pumping = self._eof = False
+        self._timer: asyncio.TimerHandle | None = None
+
+    # -- transport callbacks ---------------------------------------------
+    def connection_made(self, transport) -> None:
+        self.transport = transport
+        frontend = self.frontend
+        frontend.connections_served += 1
+        frontend._connections.add(self)
+        sock = transport.get_extra_info("socket")
+        if sock is not None:
+            # Small request/response frames: defeat Nagle on our side of
+            # the connection too (the client sets it on its own).
+            sock.setsockopt(
+                socket_module.IPPROTO_TCP, socket_module.TCP_NODELAY, 1
+            )
+        high = frontend.config.write_high_water_bytes
+        if high is not None:
+            transport.set_write_buffer_limits(high=high)
+        self._arm_timer()
+
+    def data_received(self, data: bytes) -> None:
+        if self._timer is not None:
+            self._arm_timer()
+        try:
+            self.session.receive_data(data)
+        except ProtocolError as exc:
+            self._poison(exc)
+            return
+        self._pump()
+
+    def eof_received(self) -> bool:
+        self._eof = True
+        self._pump()
+        return True  # _pump closes once the buffered frames are served
+
+    def connection_lost(self, exc) -> None:
+        self.closed = True
+        if self._timer is not None:
+            self._timer.cancel()
+        self.frontend._connections.discard(self)
+
+    def pause_writing(self) -> None:
+        self._write_paused = True
+        self._pump()
+
+    def resume_writing(self) -> None:
+        self._write_paused = False
+        self._pump()
+
+    # -- reading -----------------------------------------------------------
+    def _blocked(self) -> bool:
+        limit = self.frontend.max_inflight
+        return self._delayed or self._write_paused or self.inflight >= limit
+
+    def _pump(self) -> None:
+        """Dispatch buffered frames until none is left or one blocks."""
+        if self._pumping or self.closed:
+            return
+        self._pumping = True
+        try:
+            while True:
+                self._dispatch_buffered()
+                if not self._out or self.closed:
+                    break
+                self._flush()
+        except ProtocolError as exc:  # incl. a non-Hello opener, version skew
+            self._poison(exc)
+        finally:
+            self._pumping = False
+        if self.closed:
+            return
+        if self._eof and not (
+            self._delayed or self._held is not None or self.session.has_frames
+        ):
+            try:
+                self.session.receive_eof()  # raises mid-header/mid-payload
+            except ProtocolError as exc:
+                self._poison(exc)
+                return
+            self._close()  # clean close between frames
+        elif self._blocked() != self._reading_paused:
+            self._reading_paused = not self._reading_paused
+            if self._reading_paused:
+                self.transport.pause_reading()
+            else:
+                self.transport.resume_reading()
+                if self._timer is not None:
+                    self._arm_timer()  # the idle gap starts now
+
+    def _dispatch_buffered(self) -> None:
+        session = self.session
+        while not (self.closed or self._blocked()):
+            frame, self._held = self._held, None
+            if frame is None:
+                frame = session.next_frame()
+                if frame is None:
+                    return
+                action = faults.fire("frontend.read")
+                if action is not None:
+                    if action.action == "delay":
+                        self._delayed = True
+                        self._loop.call_later(
+                            action.delay_s, self._undelay, frame
+                        )
+                        return
+                    continue  # drop
+            if session.negotiated is None:
+                self._handshake(frame)
+            else:
+                self.inflight += 1
+                self._dispatch(frame)
+
+    def _undelay(self, frame: Frame) -> None:
+        self._delayed, self._held = False, frame
+        self._pump()
+
+    def _arm_timer(self) -> None:
+        """(Re)start the handshake or idle timer, if that timeout is set."""
+        if self._timer is not None:
+            self._timer.cancel()
+        config = self.frontend.config
+        timeout = config.idle_timeout_s
+        if self.session.negotiated is None:
+            timeout = config.handshake_timeout_s
+        self._timer = timeout and self._loop.call_later(timeout, self._on_timer)
+
+    def _on_timer(self) -> None:
+        # Neither a peer mid-frame nor a paused connection is idle.
+        if self._reading_paused or self.session.pending_bytes:
+            self._arm_timer()
+        else:
+            self._close()
+
+    # -- frames --------------------------------------------------------------
+    def _handshake(self, frame: Frame) -> None:
+        """Negotiate a version, or reply ``unsupported-version`` and close."""
+        frontend = self.frontend
+        hello = decode_message(frame)
+        version = self.session.accept_hello(hello.versions)
+        if version is None:
+            self._write(ErrorReply(
+                code="unsupported-version",
+                message=f"client speaks {list(hello.versions)}, server "
+                f"speaks {list(frontend.supported_versions)}",
+            ))
+            self._close()
+            return
+        self._write(Welcome(
+            version=version, server=frontend.name, models=frontend.api.names()
+        ))
+        self._arm_timer()  # the idle timeout from here on
+
+    def _dispatch(self, frame: Frame) -> None:
+        """Route one post-handshake frame; it holds one in-flight slot.
+
+        Application errors are typed replies on a healthy connection.
+        The slot is released exactly once: when the reply is written,
+        dropped, or meets a closed connection.
+        """
+        frontend = self.frontend
+        request_id = 0
+        try:
+            message = decode_message(frame)
+            if isinstance(message, (ScoreRequest, ScoreBatchRequest)):
+                request_id = message.request_id
+                if isinstance(message, ScoreBatchRequest):
+                    future = frontend.api.submit_score_batch(message)
+                else:
+                    future = frontend.api.submit_score(message)
+                future.add_done_callback(
+                    functools.partial(frontend._complete, self, request_id)
+                )
+                return
+            if isinstance(message, ModelInfoRequest):
+                request_id = message.request_id
+                response = frontend.api.info(
+                    message.model, request_id=request_id, tenant=message.tenant
+                )
+            else:
+                response = ErrorReply(
+                    code="bad-frame",
+                    message=(
+                        f"unexpected {type(message).__name__} frame from "
+                        "a client"
+                    ),
+                )
+        except ProtocolError as exc:
+            frontend.frames_rejected += 1
+            response = ErrorReply(
+                code="bad-frame", message=str(exc), request_id=request_id
+            )
+        except Exception as exc:  # noqa: BLE001 — the server must survive
+            response = frontend._error_reply(exc, request_id)
+        self._reply(response)
+
+    # -- writing -------------------------------------------------------------
+    def _reply(self, message) -> None:
+        """Queue a reply for the next :meth:`_flush`, or apply a fault.
+
+        A ``frontend.reply`` drop frees the slot unwritten; a delay
+        writes (and frees it) later — the loop never blocks.
+        """
+        data = self.session.render_frame(message)
+        action = faults.fire("frontend.reply")
+        if action is None:
+            self._out.append(data)
+        elif action.action == "drop":
+            self._release(1)
+        else:  # delay/stall
+            self._loop.call_later(action.delay_s, self._flush, data)
+
+    def _flush(self, *late: bytes) -> None:
+        """Write every queued (and ``late``) reply at once; free slots."""
+        self._out.extend(late)
+        n = len(self._out)
+        if n:
+            # One immutable bytes: transports may keep write buffers.
+            data = self._out[0] if n == 1 else b"".join(self._out)
+            self._out.clear()
+            self._write(data)
+            self._release(n)
+
+    def _release(self, n: int) -> None:
+        was_full = self.inflight >= self.frontend.max_inflight
+        self.inflight -= n
+        if was_full:
+            self._pump()
+
+    def _write(self, data) -> None:
+        """Write rendered bytes, or render and write a message, now."""
+        if self.closed:
+            return
+        if not isinstance(data, bytes):
+            data = self.session.render_frame(data)
+        try:
+            self.transport.write(data)
+        except (ConnectionError, RuntimeError):
+            pass
+
+    def _poison(self, exc: ProtocolError) -> None:
+        """Best-effort ``bad-frame`` reply, then close."""
+        self.frontend.frames_rejected += 1
+        self._flush()
+        self._write(ErrorReply(code="bad-frame", message=str(exc)))
+        self._close()
+
+    def _close(self) -> None:
+        if not self.closed:
+            self.closed = True
+            self.transport.close()
 
 
 class FrontendHandle:

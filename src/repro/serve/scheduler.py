@@ -53,6 +53,7 @@ version per flush (see :class:`~repro.serve.ServingAPI`).
 
 from __future__ import annotations
 
+import logging
 import threading
 import time
 from collections import deque
@@ -72,6 +73,24 @@ __all__ = ["MicroBatchConfig", "MicroBatchScheduler", "SchedulerStats"]
 #: drain rate (and the floor/ceiling the measured hint is clamped to)
 _RETRY_AFTER_DEFAULT_MS = 50
 _RETRY_AFTER_MAX_MS = 10_000
+
+logger = logging.getLogger(__name__)
+
+#: per flusher thread: what :func:`_call_after_flush` deferred
+_flush_local = threading.local()
+
+
+def _call_after_flush(fn: Callable[[], None]) -> None:
+    """Run ``fn`` once this thread's flush resolved all its futures (or now).
+
+    A done-callback that wakes another thread defers the wake-up here,
+    so the woken thread does not preempt the flusher mid-batch.
+    """
+    pending = getattr(_flush_local, "pending", None)
+    if pending is None:
+        fn()
+    else:
+        pending.append(fn)
 
 
 @dataclass(frozen=True)
@@ -168,9 +187,9 @@ class SchedulerStats:
 
 
 class _Pending:
-    """One submitted request: rows, future, arrival time, deadline."""
+    """One submitted request: rows, future, arrival, deadline, finish."""
 
-    __slots__ = ("rows", "squeeze", "future", "arrived_at", "deadline")
+    __slots__ = ("rows", "squeeze", "future", "arrived_at", "deadline", "finish")
 
     def __init__(
         self,
@@ -178,12 +197,14 @@ class _Pending:
         squeeze: bool,
         arrived_at: float,
         deadline: float | None = None,
+        finish: Callable | None = None,
     ):
         self.rows = rows
         self.squeeze = squeeze
         self.future: Future = Future()
         self.arrived_at = arrived_at
         self.deadline = deadline
+        self.finish = finish
 
 
 class MicroBatchScheduler:
@@ -244,6 +265,14 @@ class MicroBatchScheduler:
         caller gets a ``retry_after_ms`` hint instead of an unbounded
         wait.
         """
+        return self._enqueue(queries, deadline)
+
+    def _enqueue(self, queries, deadline=None, finish=None) -> Future:
+        """:meth:`submit`; the future resolves to ``finish(rows)``, if given.
+
+        The flusher calls ``finish`` right after the flush; if it
+        raises, only this request's future fails.
+        """
         if not isinstance(queries, np.ndarray):
             queries = np.asarray(queries)
         squeeze = queries.ndim == 1
@@ -251,7 +280,7 @@ class MicroBatchScheduler:
         if rows.shape[0] == 0:
             raise ValueError("cannot schedule an empty query batch")
         now = time.monotonic()
-        pending = _Pending(rows, squeeze, now, deadline)
+        pending = _Pending(rows, squeeze, now, deadline, finish)
         n_rows = rows.shape[0]
         with self._lock:
             if self._closing:
@@ -385,7 +414,16 @@ class MicroBatchScheduler:
                         self._wake.wait(timeout=remaining)
                 batch, trigger = self._take_batch()
             if batch:
-                self._run_batch(batch, trigger)
+                _flush_local.pending = after = []
+                try:
+                    self._run_batch(batch, trigger)
+                finally:
+                    _flush_local.pending = None
+                    for fn in after:
+                        try:
+                            fn()
+                        except Exception:  # noqa: BLE001 — as in Future
+                            logger.exception("after-flush %r failed", fn)
 
     def _take_batch(self) -> tuple[list[_Pending], str]:
         """Pop up to ``max_batch`` rows of whole requests (lock held).
@@ -462,6 +500,15 @@ class MicroBatchScheduler:
                 p.future.set_exception(exc)
             return
         s_per_row = (time.monotonic() - flush_started) / stacked.shape[0]
+        outs = self._split_results(batch, result)
+        errors: dict[int, Exception] = {}
+        for i, p in enumerate(batch):
+            if p.finish is not None:
+                try:
+                    outs[i] = p.finish(outs[i])
+                except Exception as exc:  # noqa: BLE001 — this request only
+                    errors[i] = exc
+        n_failed = sum(batch[i].rows.shape[0] for i in errors)
         with self._lock:
             # Blend the observed drain rate into the retry_after hint
             # (alpha 0.3: responsive to load shifts, stable per flush).
@@ -477,9 +524,13 @@ class MicroBatchScheduler:
             self.stats.max_batch_rows = max(
                 self.stats.max_batch_rows, stacked.shape[0]
             )
-            self.stats.completed += stacked.shape[0]
-        for p, out in zip(batch, self._split_results(batch, result)):
-            p.future.set_result(out)
+            self.stats.completed += stacked.shape[0] - n_failed
+            self.stats.failed += n_failed
+        for i, (p, out) in enumerate(zip(batch, outs)):
+            if i in errors:
+                p.future.set_exception(errors[i])
+            else:
+                p.future.set_result(out)
 
     @staticmethod
     def _split_results(batch: list[_Pending], result: np.ndarray) -> list:

@@ -205,6 +205,32 @@ class TestFailureIsolation:
                 sched.predict(np.ones((2, 2)))
 
 
+class TestAfterFlush:
+    def test_deferred_callable_runs_once_the_flush_resolved_all(self):
+        from repro.serve.scheduler import _call_after_flush
+
+        seen = []
+        paced = MicroBatchConfig(eager=False, max_delay_s=0.2)
+        with MicroBatchScheduler(double_rows, paced) as sched:
+            futures = [sched.submit(np.ones(2)) for _ in range(3)]
+            futures[0].add_done_callback(
+                lambda _f: _call_after_flush(
+                    lambda: seen.append([f.done() for f in futures])
+                )
+            )
+            for f in futures:
+                f.result(timeout=10.0)
+        assert sched.stats.flushes == 1
+        assert seen == [[True, True, True]]
+
+    def test_outside_a_flush_it_runs_now(self):
+        from repro.serve.scheduler import _call_after_flush
+
+        seen = []
+        _call_after_flush(lambda: seen.append(1))
+        assert seen == [1]
+
+
 class TestLifecycle:
     def test_submit_after_close_raises(self):
         sched = MicroBatchScheduler(double_rows)
