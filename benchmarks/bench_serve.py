@@ -45,7 +45,11 @@ Exercises the full model lifecycle the way a deployment would:
    bytes-copied-per-frame from the shared
    :class:`~repro.proto.session.WireSession` — the
    ``--assert-wire-ratio`` bar (v1 single-query ≥ 0.8x in-process) is
-   the sans-io rework's acceptance gate.
+   the sans-io rework's acceptance gate.  It also times the codec per
+   frame (encode, decode and ``split``) for a single-row v4
+   ``ScoreRequest``/``ScoreResponse`` pair and a 32-chunk
+   ``ScoreBatchRequest``/``ScoreBatchResponse`` pair, after asserting
+   each message round-trips to itself (no timing bar).
 
 Writes ``BENCH_serve.json``::
 
@@ -63,6 +67,7 @@ import sys
 import tempfile
 import threading
 import time
+import timeit
 
 if __name__ == "__main__":  # script mode works without an installed package
     sys.path.insert(0, str(pathlib.Path(__file__).resolve().parent.parent / "src"))
@@ -71,6 +76,17 @@ import numpy as np
 
 from repro.backend.packed import pack_hypervectors
 from repro.client import PriveHDClient
+from repro.proto import (
+    PROTOCOL_VERSION,
+    FrameDecoder,
+    ScoreBatchRequest,
+    ScoreBatchResponse,
+    ScoreRequest,
+    ScoreResponse,
+    decode_message,
+    encode_message,
+    encode_message_parts,
+)
 from repro.serve import (
     FrontendHandle,
     MicroBatchConfig,
@@ -294,6 +310,65 @@ def run_socket_bench(artifact, queries, direct, args, wire_batch) -> dict:
     }
 
 
+def _us_per_call(fn, number: int) -> float:
+    """Best-of-5 microseconds per ``fn()`` call."""
+    return min(timeit.repeat(fn, number=number, repeat=5)) / number * 1e6
+
+
+def run_codec_profile(d_hv: int, *, chunks: int = 32, number: int = 2000) -> dict:
+    """Codec microseconds per frame on the wire edge, at ``d_hv``.
+
+    Two v4 pairs of packed one-row-per-chunk traffic: a single-row
+    ``ScoreRequest``/``ScoreResponse`` and a ``chunks``-chunk
+    ``ScoreBatchRequest``/``ScoreBatchResponse`` (the ``gateway_batched``
+    frame shape).  Every message must decode back to itself, and the
+    batch response's ``split`` must equal ``np.split`` on its counts,
+    before anything is timed.  ``split_us`` exists for the batch
+    response only: a single-row response has nothing to split.
+    """
+    rng = np.random.default_rng(0)
+    block = pack_hypervectors(
+        np.where(rng.random((chunks, d_hv)) < 0.5, -1.0, 1.0)
+    )
+    counts = (1,) * chunks
+    pairs = {
+        "single_row": (
+            ScoreRequest(queries=block[:1], request_id=7, tenant="t"),
+            ScoreResponse(predictions=[3], model="m", version=1, request_id=7),
+        ),
+        f"batch_{chunks}_chunks": (
+            ScoreBatchRequest(
+                queries=block, counts=counts, request_id=7, tenant="t"
+            ),
+            ScoreBatchResponse(
+                predictions=np.arange(chunks), counts=counts, model="m",
+                version=1, request_id=7,
+            ),
+        ),
+    }
+    out: dict = {"d_hv": d_hv, "protocol_version": PROTOCOL_VERSION}
+    for label, (request, response) in pairs.items():
+        row = {}
+        for kind, msg in (("request", request), ("response", response)):
+            frame = FrameDecoder().feed(encode_message(msg))[0]
+            back = decode_message(frame)
+            if back != msg:
+                raise AssertionError(f"codec profile {label} {kind} diverged")
+            row[f"{kind}_encode_us"] = _us_per_call(
+                lambda: encode_message_parts(msg), number
+            )
+            row[f"{kind}_decode_us"] = _us_per_call(
+                lambda: decode_message(frame), number
+            )
+        if isinstance(back, ScoreBatchResponse):
+            want = np.split(back.predictions, np.cumsum(back.counts[:-1]))
+            if not all(map(np.array_equal, back.split(), want)):
+                raise AssertionError(f"codec profile {label} split diverged")
+            row["split_us"] = _us_per_call(back.split, number)
+        out[label] = row
+    return out
+
+
 def run_wire_profile(artifact, queries, direct, args, in_process_qps) -> dict:
     """Frames/s and bytes-copied-per-frame of the zero-copy wire core.
 
@@ -356,6 +431,9 @@ def run_wire_profile(artifact, queries, direct, args, in_process_qps) -> dict:
             }
     out["v1_single_query_vs_in_process"] = (
         out["modes"]["v1_single_query"]["vs_in_process"]
+    )
+    out["codec_us_per_frame"] = run_codec_profile(
+        args.dhv, number=200 if args.smoke else 2000
     )
     return out
 
@@ -1150,6 +1228,11 @@ def main(argv=None) -> int:
                 f"tx {mode['tx_copied_bytes_per_frame']:.0f} B / "
                 f"rx {mode['rx_copied_bytes_per_frame']:.0f} B"
             )
+        for label, row in wp["codec_us_per_frame"].items():
+            if isinstance(row, dict):
+                print(f"codec {label} (us/frame): " + ", ".join(
+                    f"{k[:-3]} {v:.1f}" for k, v in row.items()
+                ))
     if "workers" in report:
         wk = report["workers"]
         single = wk["by_workers"]["1"]["queries_per_s"]

@@ -541,17 +541,20 @@ class PriveHDClient:
     # ------------------------------------------------------------------
     # encoded entry points (caller already holds hypervectors)
     # ------------------------------------------------------------------
-    def _check_encoded(self, queries):
-        if isinstance(queries, PackedHV):
-            d = queries.d
-        else:
-            queries = np.atleast_2d(np.asarray(queries))
-            d = queries.shape[1]
-        if d != self.info.d_hv:
+    def _check_d_hv(self, widths: set) -> None:
+        if widths != {self.info.d_hv}:
             raise ValueError(
                 f"encoded queries must have d_hv={self.info.d_hv} "
-                f"dimensions, got {d} — raw features do not belong here"
+                f"dimensions, got {sorted(widths)} — raw features do not "
+                "belong here"
             )
+
+    def _check_encoded(self, queries):
+        if isinstance(queries, PackedHV):
+            self._check_d_hv({queries.d})
+            return queries
+        queries = np.atleast_2d(np.asarray(queries))
+        self._check_d_hv({queries.shape[1]})
         return queries
 
     def predict_encoded(self, queries) -> np.ndarray:
@@ -661,29 +664,33 @@ class PriveHDClient:
             completed += 1
         return out
 
-    @staticmethod
-    def _stack_encoded(items: list) -> tuple[PackedHV | np.ndarray, tuple]:
-        """Stack checked sub-batches into one wire block + chunk counts."""
-        packed = [isinstance(b, PackedHV) for b in items]
-        if any(packed) and not all(packed):
+    def _stack_group(self, items: list) -> tuple[PackedHV | np.ndarray, tuple]:
+        """Check one wire group and stack it: ``(block, counts)``.
+
+        A group is all :class:`PackedHV` or all dense.  However many
+        sub-batches it holds, it gets one ``d_hv`` check and one
+        concatenate per plane.
+        """
+        if all(isinstance(b, PackedHV) for b in items):
+            self._check_d_hv({b.d for b in items})
+            counts = tuple(len(b.signs) for b in items)
+            if len(items) == 1:
+                return items[0], counts
+            block = PackedHV(
+                signs=np.concatenate([b.signs for b in items]),
+                mags=np.concatenate([b.mags for b in items]),
+                d=self.info.d_hv,
+            )
+            return block, counts
+        if any(isinstance(b, PackedHV) for b in items):
             raise ValueError(
                 "cannot mix PackedHV and dense sub-batches in one "
                 "wire batch"
             )
-        if all(packed):
-            counts = tuple(b.n for b in items)
-            if len(items) == 1:
-                return items[0], counts
-            block = PackedHV(
-                signs=np.concatenate([b.signs for b in items], axis=0),
-                mags=np.concatenate([b.mags for b in items], axis=0),
-                d=items[0].d,
-            )
-            return block, counts
-        counts = tuple(b.shape[0] for b in items)
-        if len(items) == 1:
-            return items[0], counts
-        return np.concatenate(items, axis=0), counts
+        items = [np.atleast_2d(np.asarray(b)) for b in items]
+        self._check_d_hv({b.shape[1] for b in items})
+        counts = tuple(len(b) for b in items)
+        return (items[0] if len(items) == 1 else np.concatenate(items)), counts
 
     def predict_encoded_many(
         self, batches, *, window: int = 8, wire_batch: int = 1
@@ -713,8 +720,9 @@ class PriveHDClient:
             raise ValueError(f"window must be >= 1, got {window}")
         if wire_batch < 1:
             raise ValueError(f"wire_batch must be >= 1, got {wire_batch}")
-        checked = [self._check_encoded(b) for b in batches]
+        batches = list(batches)
         if wire_batch == 1 or self.protocol_version < 2:
+            checked = [self._check_encoded(b) for b in batches]
             replies = self._pipelined_requests(
                 len(checked),
                 window,
@@ -728,14 +736,15 @@ class PriveHDClient:
                 (ScoreResponse,),
             )
             return [reply.predictions for reply in replies]
-        # v2 path: groups of wire_batch sub-batches per frame.
+        # v2 path: groups of wire_batch sub-batches per frame, each
+        # checked and stacked before the first frame leaves.
         groups = [
-            checked[start : start + wire_batch]
-            for start in range(0, len(checked), wire_batch)
+            self._stack_group(batches[start : start + wire_batch])
+            for start in range(0, len(batches), wire_batch)
         ]
 
         def build(i: int, rid: int) -> ScoreBatchRequest:
-            block, counts = self._stack_encoded(groups[i])
+            block, counts = groups[i]
             return ScoreBatchRequest(
                 queries=block,
                 counts=counts,
@@ -749,14 +758,13 @@ class PriveHDClient:
             len(groups), window, build, (ScoreBatchResponse,)
         )
         out: list[np.ndarray] = []
-        for group, reply in zip(groups, replies):
-            parts = reply.split()
-            if len(parts) != len(group):
+        for (_, counts), reply in zip(groups, replies):
+            if reply.counts != counts:
                 raise ProtocolError(
-                    f"batch response carries {len(parts)} chunks for a "
-                    f"{len(group)}-chunk request"
+                    f"batch response counts do not echo the "
+                    f"{len(counts)}-chunk request's"
                 )
-            out.extend(parts)
+            out.extend(reply.split())
         return out
 
     def predict_many(

@@ -33,7 +33,9 @@ the default tenant, so downgraded peers are served exactly as before.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import operator
+from dataclasses import dataclass
+from itertools import accumulate
 
 import numpy as np
 
@@ -42,8 +44,8 @@ from repro.proto.wire import (
     FRAME_MIN_VERSION,
     Frame,
     FrameType,
+    MAX_STRING_BYTES,
     PayloadReader,
-    PayloadWriter,
     ProtocolError,
     PROTOCOL_VERSION,
     SUPPORTED_VERSIONS,
@@ -288,19 +290,43 @@ class ScoreResponse:
         return self.scores is None or np.array_equal(self.scores, other.scores)
 
 
-def _check_counts(counts, n_rows: int) -> tuple[int, ...]:
+class _Counts(tuple):
+    """Chunk counts :func:`_check_counts` already accepted.
+
+    A plain tuple to every reader; the type alone tells a later message
+    built from the same counts (the server's response echoing its
+    request) that only their total is left to check.
+    """
+
+    __slots__ = ()
+
+
+def _check_counts(counts, n_rows: int) -> _Counts:
     """Validate chunk boundaries against a stacked query/result block."""
-    out = tuple(int(c) for c in counts)
-    if not out:
-        raise ValueError("counts must name at least one chunk")
-    if any(c <= 0 for c in out):
-        raise ValueError(f"every chunk count must be >= 1, got {out}")
-    if sum(out) != n_rows:
+    if type(counts) is not _Counts:
+        counts = _Counts(map(operator.index, counts))
+        if not counts:
+            raise ValueError("counts must name at least one chunk")
+        if min(counts) < 1:
+            first = next(i for i, c in enumerate(counts) if c < 1)
+            raise ValueError(
+                f"chunk {first} of {len(counts)} has {counts[first]} rows; "
+                "every chunk count must be >= 1"
+            )
+    total = sum(counts)
+    if total != n_rows:
         raise ValueError(
-            f"chunk counts sum to {sum(out)} but the block has "
-            f"{n_rows} rows"
+            f"chunk counts sum to {total} but the block has {n_rows} rows"
         )
-    return out
+    return counts
+
+
+def _chunks(block: np.ndarray, counts: tuple[int, ...]) -> list[np.ndarray]:
+    """``block`` cut into per-chunk row views at the counts' offsets."""
+    return [
+        block[end - count : end]
+        for count, end in zip(counts, accumulate(counts))
+    ]
 
 
 @dataclass(frozen=True)
@@ -452,16 +478,14 @@ class ScoreBatchResponse:
             object.__setattr__(self, "scores", scores)
 
     def split(self) -> list[np.ndarray]:
-        """Per-sub-request prediction arrays, in request order."""
-        bounds = np.cumsum(self.counts[:-1])
-        return np.split(self.predictions, bounds)
+        """Per-sub-request prediction views, in request order."""
+        return _chunks(self.predictions, self.counts)
 
     def split_scores(self) -> list[np.ndarray]:
-        """Per-sub-request score matrices (requires ``want_scores``)."""
+        """Per-sub-request score-matrix views (requires ``want_scores``)."""
         if self.scores is None:
             raise ValueError("this response carries no scores")
-        bounds = np.cumsum(self.counts[:-1])
-        return np.split(self.scores, bounds, axis=0)
+        return _chunks(self.scores, self.counts)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, ScoreBatchResponse):
@@ -562,7 +586,9 @@ class ErrorReply:
         One of :data:`ERROR_CODES`.
     message:
         Human-readable detail (safe to show; never includes payload
-        bytes).  An ``"overloaded"`` reply conventionally starts with
+        bytes), cut to the wire's :data:`~repro.proto.wire.MAX_STRING_BYTES`
+        of UTF-8 when constructed, so every reply can be rendered.  An
+        ``"overloaded"`` reply conventionally starts with
         ``retry_after_ms=N;`` — a structured backoff hint inside the
         existing message field, so older peers that only know the v2
         error frame layout still parse the frame (they just skip the
@@ -580,6 +606,10 @@ class ErrorReply:
             raise ValueError(
                 f"unknown error code {self.code!r}; use one of {ERROR_CODES}"
             )
+        raw = str(self.message).encode("utf-8")
+        if len(raw) > MAX_STRING_BYTES:
+            cut = raw[:MAX_STRING_BYTES].decode("utf-8", "ignore")
+            object.__setattr__(self, "message", cut)
 
     @classmethod
     def overloaded(
@@ -612,221 +642,179 @@ class ErrorReply:
 # ----------------------------------------------------------------------
 # Every codec takes the frame's negotiated protocol version so a field
 # added in v2 is written/read only when both sides speak v2 — a v1 peer
-# sees byte-identical v1 payloads.
-def _write_hello(msg: Hello, w: PayloadWriter, version: int) -> None:
+# sees byte-identical v1 payloads.  Adjacent fixed-width fields travel
+# as one field run: one ``struct`` call per run, not one per field.
+def _write_hello(msg: Hello, w: VectoredWriter, version: int) -> None:
     w.string(msg.client)
-    w.u8(len(msg.versions))
-    for v in msg.versions:
-        w.u8(v)
+    w.pack(f"!B{len(msg.versions)}B", len(msg.versions), *msg.versions)
 
 
 def _read_hello(r: PayloadReader, version: int) -> Hello:
     client = r.string() or ""
-    count = r.u8()
+    (count,) = r.unpack("!B")
     if count == 0:
         raise ProtocolError("Hello offered zero protocol versions")
-    versions = tuple(r.u8() for _ in range(count))
-    return Hello(versions=versions, client=client)
+    return Hello(versions=r.unpack(f"!{count}B"), client=client)
 
 
-def _write_welcome(msg: Welcome, w: PayloadWriter, version: int) -> None:
-    w.u8(msg.version)
-    w.string(msg.server)
-    w.u16(len(msg.models))
+def _write_welcome(msg: Welcome, w: VectoredWriter, version: int) -> None:
+    w.pack("!B", msg.version).string(msg.server)
+    w.pack("!H", len(msg.models))
     for name in msg.models:
         w.string(name)
 
 
 def _read_welcome(r: PayloadReader, version: int) -> Welcome:
-    version_field = r.u8()
+    (version_field,) = r.unpack("!B")
     server = r.string() or ""
-    models = tuple(r.string() or "" for _ in range(r.u16()))
+    (count,) = r.unpack("!H")
+    models = tuple(r.string() or "" for _ in range(count))
     return Welcome(version=version_field, server=server, models=models)
 
 
-def _write_deadline(w: PayloadWriter, deadline_ms: int | None, version: int):
-    """v3 optional-deadline suffix; silently dropped for older peers."""
-    if version < 3:
-        return
-    if deadline_ms is None:
-        w.u8(0)
-    else:
-        w.u8(1)
-        w.u32(deadline_ms)
+def _write_request_head(w: VectoredWriter, msg, version: int) -> None:
+    """The prefix both scoring requests share.
 
-
-def _read_deadline(r: PayloadReader, version: int) -> int | None:
-    if version < 3 or not r.u8():
-        return None
-    return r.u32()
-
-
-def _write_tenant(w: PayloadWriter, tenant: str | None, version: int) -> None:
-    """v4 optional-tenant suffix; silently dropped for older peers.
-
-    (The *client* refuses to build tenant-addressed requests on a < v4
-    connection — silently falling back to the default tenant would
-    answer from the wrong model.  The drop here only matters for
-    hand-built frames.)
+    ``request_id``, ``model``, ``want_scores``, then the v3 optional
+    deadline (a u8 flag and a u32) and the v4 optional tenant; fields
+    newer than ``version`` are silently dropped.  (The *client* refuses
+    to build tenant-addressed requests on a < v4 connection — silently
+    falling back to the default tenant would answer from the wrong
+    model.  The drop here only matters for hand-built frames.)
     """
-    if version < 4:
-        return
-    w.string(tenant)
+    want_scores = 1 if msg.want_scores else 0
+    w.pack("!I", msg.request_id).string(msg.model)
+    if version < 3:
+        w.pack("!B", want_scores)
+    elif msg.deadline_ms is None:
+        w.pack("!BB", want_scores, 0)
+    else:
+        w.pack("!BBI", want_scores, 1, msg.deadline_ms)
+    if version >= 4:
+        w.string(msg.tenant)
 
 
-def _read_tenant(r: PayloadReader, version: int) -> str | None:
-    if version < 4:
-        return None
-    return r.string()
-
-
-def _write_score_request(
-    msg: ScoreRequest, w: PayloadWriter, version: int
-) -> None:
-    w.u32(msg.request_id)
-    w.string(msg.model)
-    w.u8(1 if msg.want_scores else 0)
-    _write_deadline(w, msg.deadline_ms, version)
-    _write_tenant(w, msg.tenant, version)
-    write_queries(w, msg.queries)
-
-
-def _read_score_request(r: PayloadReader, version: int) -> ScoreRequest:
-    request_id = r.u32()
+def _read_request_head(r: PayloadReader, version: int) -> dict:
+    """Inverse of :func:`_write_request_head`, as constructor fields."""
+    (request_id,) = r.unpack("!I")
     model = r.string()
-    want_scores = bool(r.u8())
-    deadline_ms = _read_deadline(r, version)
-    tenant = _read_tenant(r, version)
-    queries = read_queries(r)
-    return ScoreRequest(
-        queries=queries,
-        model=model,
-        want_scores=want_scores,
+    deadline_ms = None
+    if version < 3:
+        (want_scores,) = r.unpack("!B")
+    else:
+        want_scores, has_deadline = r.unpack("!BB")
+        if has_deadline:
+            (deadline_ms,) = r.unpack("!I")
+    tenant = r.string() if version >= 4 else None
+    return dict(
         request_id=request_id,
+        model=model,
+        want_scores=bool(want_scores),
         deadline_ms=deadline_ms,
         tenant=tenant,
     )
 
 
-def _write_score_response(
-    msg: ScoreResponse, w: PayloadWriter, version: int
-) -> None:
-    w.u32(msg.request_id)
-    w.string(msg.model)
-    w.u32(msg.version)
-    w.u32(msg.predictions.shape[0])
-    w.array(msg.predictions, "<i8")
-    if msg.scores is None:
-        w.u8(0)
+def _write_scores(w: VectoredWriter, scores: np.ndarray | None) -> None:
+    """A response's optional score matrix: u8 flag, u32 width, f64 block."""
+    if scores is None:
+        w.pack("!B", 0)
     else:
-        w.u8(1)
-        w.u32(msg.scores.shape[1])
-        w.array(msg.scores, "<f8")
+        w.pack("!BI", 1, scores.shape[1]).array(scores, "<f8")
+
+
+def _read_scores(r: PayloadReader, n: int) -> np.ndarray | None:
+    (has_scores,) = r.unpack("!B")
+    if not has_scores:
+        return None
+    (n_classes,) = r.unpack("!I")
+    return r.array(n * n_classes, "<f8").reshape(n, n_classes)
+
+
+def _write_score_request(
+    msg: ScoreRequest, w: VectoredWriter, version: int
+) -> None:
+    _write_request_head(w, msg, version)
+    write_queries(w, msg.queries)
+
+
+def _read_score_request(r: PayloadReader, version: int) -> ScoreRequest:
+    head = _read_request_head(r, version)
+    return ScoreRequest(queries=read_queries(r), **head)
+
+
+def _write_score_response(
+    msg: ScoreResponse, w: VectoredWriter, version: int
+) -> None:
+    w.pack("!I", msg.request_id).string(msg.model)
+    w.pack("!II", msg.version, msg.predictions.shape[0])
+    w.array(msg.predictions, "<i8")
+    _write_scores(w, msg.scores)
 
 
 def _read_score_response(r: PayloadReader, version: int) -> ScoreResponse:
-    request_id = r.u32()
+    (request_id,) = r.unpack("!I")
     model = r.string() or ""
-    version_field = r.u32()
-    n = r.u32()
+    version_field, n = r.unpack("!II")
     predictions = r.array(n, "<i8")
-    scores = None
-    if r.u8():
-        n_classes = r.u32()
-        scores = r.array(n * n_classes, "<f8").reshape(n, n_classes)
     return ScoreResponse(
         predictions=predictions,
-        scores=scores,
+        scores=_read_scores(r, n),
         model=model,
         version=version_field,
         request_id=request_id,
     )
 
 
-def _write_counts(w: PayloadWriter, counts: tuple[int, ...]) -> None:
+def _counts_run(counts: tuple[int, ...]) -> str:
+    """The struct format of a counts run: u16 n_chunks, u32[n_chunks]."""
     if len(counts) > 0xFFFF:
         raise ProtocolError(
             f"{len(counts)} chunks exceed the u16 wire limit"
         )
-    w.u16(len(counts))
-    for c in counts:
-        w.u32(c)
-
-
-def _read_counts(r: PayloadReader) -> tuple[int, ...]:
-    n_chunks = r.u16()
-    if n_chunks == 0:
-        raise ProtocolError("batch frame with zero chunks")
-    return tuple(r.u32() for _ in range(n_chunks))
+    return f"H{len(counts)}I"
 
 
 def _write_score_batch_request(
-    msg: ScoreBatchRequest, w: PayloadWriter, version: int
+    msg: ScoreBatchRequest, w: VectoredWriter, version: int
 ) -> None:
-    w.u32(msg.request_id)
-    w.string(msg.model)
-    w.u8(1 if msg.want_scores else 0)
-    _write_deadline(w, msg.deadline_ms, version)
-    _write_tenant(w, msg.tenant, version)
-    _write_counts(w, msg.counts)
+    _write_request_head(w, msg, version)
+    counts = msg.counts
+    w.pack("!" + _counts_run(counts), len(counts), *counts)
     write_queries(w, msg.queries)
 
 
 def _read_score_batch_request(
     r: PayloadReader, version: int
 ) -> ScoreBatchRequest:
-    request_id = r.u32()
-    model = r.string()
-    want_scores = bool(r.u8())
-    deadline_ms = _read_deadline(r, version)
-    tenant = _read_tenant(r, version)
-    counts = _read_counts(r)
-    queries = read_queries(r)
-    return ScoreBatchRequest(
-        queries=queries,
-        counts=counts,
-        model=model,
-        want_scores=want_scores,
-        request_id=request_id,
-        deadline_ms=deadline_ms,
-        tenant=tenant,
-    )
+    head = _read_request_head(r, version)
+    (n_chunks,) = r.unpack("!H")
+    counts = r.unpack(f"!{n_chunks}I")
+    return ScoreBatchRequest(queries=read_queries(r), counts=counts, **head)
 
 
 def _write_score_batch_response(
-    msg: ScoreBatchResponse, w: PayloadWriter, version: int
+    msg: ScoreBatchResponse, w: VectoredWriter, version: int
 ) -> None:
-    w.u32(msg.request_id)
-    w.string(msg.model)
-    w.u32(msg.version)
-    _write_counts(w, msg.counts)
-    w.u32(msg.predictions.shape[0])
+    counts, n = msg.counts, msg.predictions.shape[0]
+    w.pack("!I", msg.request_id).string(msg.model)
+    w.pack(f"!I{_counts_run(counts)}I", msg.version, len(counts), *counts, n)
     w.array(msg.predictions, "<i8")
-    if msg.scores is None:
-        w.u8(0)
-    else:
-        w.u8(1)
-        w.u32(msg.scores.shape[1])
-        w.array(msg.scores, "<f8")
+    _write_scores(w, msg.scores)
 
 
 def _read_score_batch_response(
     r: PayloadReader, version: int
 ) -> ScoreBatchResponse:
-    request_id = r.u32()
+    (request_id,) = r.unpack("!I")
     model = r.string() or ""
-    version_field = r.u32()
-    counts = _read_counts(r)
-    n = r.u32()
+    version_field, n_chunks = r.unpack("!IH")
+    *counts, n = r.unpack(f"!{n_chunks}II")
     predictions = r.array(n, "<i8")
-    scores = None
-    if r.u8():
-        n_classes = r.u32()
-        scores = r.array(n * n_classes, "<f8").reshape(n, n_classes)
     return ScoreBatchResponse(
         predictions=predictions,
         counts=counts,
-        scores=scores,
+        scores=_read_scores(r, n),
         model=model,
         version=version_field,
         request_id=request_id,
@@ -834,53 +822,47 @@ def _read_score_batch_response(
 
 
 def _write_model_info_request(
-    msg: ModelInfoRequest, w: PayloadWriter, version: int
+    msg: ModelInfoRequest, w: VectoredWriter, version: int
 ) -> None:
-    w.u32(msg.request_id)
-    w.string(msg.model)
-    _write_tenant(w, msg.tenant, version)
+    w.pack("!I", msg.request_id).string(msg.model)
+    if version >= 4:
+        w.string(msg.tenant)
 
 
 def _read_model_info_request(
     r: PayloadReader, version: int
 ) -> ModelInfoRequest:
-    request_id = r.u32()
+    (request_id,) = r.unpack("!I")
     model = r.string()
-    tenant = _read_tenant(r, version)
+    tenant = r.string() if version >= 4 else None
     return ModelInfoRequest(model=model, request_id=request_id, tenant=tenant)
 
 
-def _write_model_info(msg: ModelInfo, w: PayloadWriter, version: int) -> None:
-    w.u32(msg.request_id)
-    w.string(msg.name)
-    w.u32(msg.version)
-    w.u32(msg.n_classes)
-    w.u32(msg.d_hv)
-    w.u32(msg.n_live_dims)
-    w.string(msg.backend)
-    w.string(msg.query_quantizer)
-    w.f64(msg.epsilon)
-    if version >= 2:
-        if msg.mask_seed is None:
-            w.u8(0)
-        else:
-            w.u8(1)
-            w.u64(msg.mask_seed)
+def _write_model_info(msg: ModelInfo, w: VectoredWriter, version: int) -> None:
+    w.pack("!I", msg.request_id).string(msg.name)
+    w.pack("!IIII", msg.version, msg.n_classes, msg.d_hv, msg.n_live_dims)
+    w.string(msg.backend).string(msg.query_quantizer)
+    if version < 2:
+        w.pack("!d", msg.epsilon)
+    elif msg.mask_seed is None:
+        w.pack("!dB", msg.epsilon, 0)
+    else:
+        w.pack("!dBQ", msg.epsilon, 1, msg.mask_seed)
 
 
 def _read_model_info(r: PayloadReader, version: int) -> ModelInfo:
-    request_id = r.u32()
+    (request_id,) = r.unpack("!I")
     name = r.string() or ""
-    version_field = r.u32()
-    n_classes = r.u32()
-    d_hv = r.u32()
-    n_live_dims = r.u32()
+    version_field, n_classes, d_hv, n_live_dims = r.unpack("!IIII")
     backend = r.string() or ""
     query_quantizer = r.string()
-    epsilon = r.f64()
     mask_seed = None
-    if version >= 2 and r.u8():
-        mask_seed = r.u64()
+    if version < 2:
+        (epsilon,) = r.unpack("!d")
+    else:
+        epsilon, has_seed = r.unpack("!dB")
+        if has_seed:
+            (mask_seed,) = r.unpack("!Q")
     return ModelInfo(
         name=name,
         version=version_field,
@@ -895,14 +877,12 @@ def _read_model_info(r: PayloadReader, version: int) -> ModelInfo:
     )
 
 
-def _write_error(msg: ErrorReply, w: PayloadWriter, version: int) -> None:
-    w.u32(msg.request_id)
-    w.string(msg.code)
-    w.string(msg.message)
+def _write_error(msg: ErrorReply, w: VectoredWriter, version: int) -> None:
+    w.pack("!I", msg.request_id).string(msg.code).string(msg.message)
 
 
 def _read_error(r: PayloadReader, version: int) -> ErrorReply:
-    request_id = r.u32()
+    (request_id,) = r.unpack("!I")
     code = r.string() or ""
     message = r.string() or ""
     if code not in ERROR_CODES:

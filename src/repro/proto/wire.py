@@ -63,6 +63,7 @@ assert the decoder fails closed.
 
 from __future__ import annotations
 
+import functools
 import struct
 from enum import IntEnum
 
@@ -84,7 +85,7 @@ __all__ = [
     "decode_header",
     "FrameDecoder",
     "negotiate_version",
-    "PayloadWriter",
+    "MAX_STRING_BYTES",
     "VectoredWriter",
     "PayloadReader",
 ]
@@ -419,78 +420,18 @@ class FrameDecoder:
 # ----------------------------------------------------------------------
 # payload primitives
 # ----------------------------------------------------------------------
-_U8 = struct.Struct("!B")
-_U16 = struct.Struct("!H")
-_U32 = struct.Struct("!I")
-_U64 = struct.Struct("!Q")
-_F64 = struct.Struct("!d")
+#: the compiled :class:`struct.Struct` of a field-run format, cached so a
+#: run costs one C call per frame however many fields it packs
+_layout = functools.lru_cache(maxsize=256)(struct.Struct)
+
+_U16 = _layout("!H")
 
 #: u16 sentinel marking an absent optional string
 _NONE_STR = 0xFFFF
 
-
-class PayloadWriter:
-    """Append-only builder for payload bytes (scalars big-endian).
-
-    The materializing counterpart of :class:`VectoredWriter`: same
-    field vocabulary, but :meth:`getvalue` concatenates everything into
-    one ``bytes``.  Kept for tests and small out-of-band payloads; the
-    message codec itself emits vectored buffer lists.
-    """
-
-    def __init__(self):
-        self._parts: list[bytes] = []
-
-    def u8(self, value: int) -> "PayloadWriter":
-        """Append one unsigned byte."""
-        self._parts.append(_U8.pack(int(value)))
-        return self
-
-    def u16(self, value: int) -> "PayloadWriter":
-        """Append a big-endian unsigned 16-bit integer."""
-        self._parts.append(_U16.pack(int(value)))
-        return self
-
-    def u32(self, value: int) -> "PayloadWriter":
-        """Append a big-endian unsigned 32-bit integer."""
-        self._parts.append(_U32.pack(int(value)))
-        return self
-
-    def u64(self, value: int) -> "PayloadWriter":
-        """Append a big-endian unsigned 64-bit integer (range-checked)."""
-        try:
-            self._parts.append(_U64.pack(int(value)))
-        except struct.error as exc:
-            raise ProtocolError(f"u64 field out of range: {exc}") from exc
-        return self
-
-    def f64(self, value: float) -> "PayloadWriter":
-        """Append a big-endian IEEE 754 binary64 float."""
-        self._parts.append(_F64.pack(float(value)))
-        return self
-
-    def string(self, value: str | None) -> "PayloadWriter":
-        """A length-prefixed UTF-8 string; ``None`` is a u16 sentinel."""
-        if value is None:
-            self._parts.append(_U16.pack(_NONE_STR))
-            return self
-        raw = str(value).encode("utf-8")
-        if len(raw) >= _NONE_STR:
-            raise ProtocolError(
-                f"string field of {len(raw)} bytes exceeds the wire limit"
-            )
-        self._parts.append(_U16.pack(len(raw)))
-        self._parts.append(raw)
-        return self
-
-    def array(self, arr: np.ndarray, dtype: str) -> "PayloadWriter":
-        """Raw little-endian buffer of ``arr`` as ``dtype`` (no shape)."""
-        self._parts.append(np.ascontiguousarray(arr, dtype=dtype).tobytes())
-        return self
-
-    def getvalue(self) -> bytes:
-        """The accumulated payload bytes."""
-        return b"".join(self._parts)
+#: the longest string a u16-length-prefixed field can carry (0xFFFF is
+#: the absent sentinel)
+MAX_STRING_BYTES = _NONE_STR - 1
 
 
 #: arrays at or below this many bytes are staged into the scalar
@@ -502,11 +443,12 @@ _INLINE_ARRAY_BYTES = 1024
 class VectoredWriter:
     """Build one frame as an iovec-style buffer list — no concatenation.
 
-    Same field vocabulary as :class:`PayloadWriter` (the message codecs
-    are duck-typed over both), but instead of joining everything into
-    one ``bytes`` it stages the header and scalar fields in a scratch
-    ``bytearray`` and keeps each large array plane as a
-    :class:`memoryview` over the (contiguous) array itself.
+    The writing half of the payload vocabulary :class:`PayloadReader`
+    reads: fixed-width field runs (:meth:`pack`), optional strings and
+    raw arrays.  Instead of joining everything into one ``bytes`` it
+    stages the header and scalar fields in a scratch ``bytearray`` and
+    keeps each large array plane as a :class:`memoryview` over the
+    (contiguous) array itself.
     :meth:`frame_parts` back-fills the header with the final payload
     length and returns the buffer list, ready for ``socket.sendmsg`` or
     ``writelines`` — the transport is the only place payload bytes are
@@ -530,32 +472,17 @@ class VectoredWriter:
         #: the write-side bytes-copied-per-frame numerator
         self.copied_bytes = 0
 
-    def u8(self, value: int) -> "VectoredWriter":
-        """Append one unsigned byte."""
-        self._buf += _U8.pack(int(value))
-        return self
+    def pack(self, fmt: str, *values) -> "VectoredWriter":
+        """Append one fixed-width field run: a single ``struct`` call.
 
-    def u16(self, value: int) -> "VectoredWriter":
-        """Append a big-endian unsigned 16-bit integer."""
-        self._buf += _U16.pack(int(value))
-        return self
-
-    def u32(self, value: int) -> "VectoredWriter":
-        """Append a big-endian unsigned 32-bit integer."""
-        self._buf += _U32.pack(int(value))
-        return self
-
-    def u64(self, value: int) -> "VectoredWriter":
-        """Append a big-endian unsigned 64-bit integer (range-checked)."""
+        ``fmt`` is a network-order :mod:`struct` format (``"!BBI"``);
+        values outside their field's range raise :class:`ProtocolError`
+        instead of wrapping.
+        """
         try:
-            self._buf += _U64.pack(int(value))
+            self._buf += _layout(fmt).pack(*values)
         except struct.error as exc:
-            raise ProtocolError(f"u64 field out of range: {exc}") from exc
-        return self
-
-    def f64(self, value: float) -> "VectoredWriter":
-        """Append a big-endian IEEE 754 binary64 float."""
-        self._buf += _F64.pack(float(value))
+            raise ProtocolError(f"{fmt} field out of range: {exc}") from exc
         return self
 
     def string(self, value: str | None) -> "VectoredWriter":
@@ -564,7 +491,7 @@ class VectoredWriter:
             self._buf += _U16.pack(_NONE_STR)
             return self
         raw = str(value).encode("utf-8")
-        if len(raw) >= _NONE_STR:
+        if len(raw) > MAX_STRING_BYTES:
             raise ProtocolError(
                 f"string field of {len(raw)} bytes exceeds the wire limit"
             )
@@ -631,43 +558,34 @@ class PayloadReader:
         self._buf = buf
         self._pos = 0
 
-    def _take(self, n: int) -> memoryview:
-        if self._pos + n > self._buf.nbytes:
+    def _advance(self, n: int) -> int:
+        """Claim the next ``n`` bytes; return their offset."""
+        pos = self._pos
+        if pos + n > self._buf.nbytes:
             raise ProtocolError(
                 f"payload truncated: needed {n} bytes at offset "
-                f"{self._pos}, only {self._buf.nbytes - self._pos} left"
+                f"{pos}, only {self._buf.nbytes - pos} left"
             )
-        out = self._buf[self._pos : self._pos + n]
-        self._pos += n
-        return out
+        self._pos = pos + n
+        return pos
 
-    def u8(self) -> int:
-        """Read one unsigned byte."""
-        return _U8.unpack(self._take(1))[0]
+    def unpack(self, fmt: str) -> tuple:
+        """Read one fixed-width field run: one bounds check, one call.
 
-    def u16(self) -> int:
-        """Read a big-endian unsigned 16-bit integer."""
-        return _U16.unpack(self._take(2))[0]
-
-    def u32(self) -> int:
-        """Read a big-endian unsigned 32-bit integer."""
-        return _U32.unpack(self._take(4))[0]
-
-    def u64(self) -> int:
-        """Read a big-endian unsigned 64-bit integer."""
-        return _U64.unpack(self._take(8))[0]
-
-    def f64(self) -> float:
-        """Read a big-endian IEEE 754 binary64 float."""
-        return _F64.unpack(self._take(8))[0]
+        ``fmt`` is a network-order :mod:`struct` format (``"!BBI"``,
+        ``"!32I"``); the run's values come back as a tuple.
+        """
+        layout = _layout(fmt)
+        return layout.unpack_from(self._buf, self._advance(layout.size))
 
     def string(self) -> str | None:
         """Read a length-prefixed UTF-8 string (``None`` sentinel aware)."""
-        length = self.u16()
+        (length,) = _U16.unpack_from(self._buf, self._advance(2))
         if length == _NONE_STR:
             return None
+        pos = self._advance(length)
         try:
-            return bytes(self._take(length)).decode("utf-8")
+            return str(self._buf[pos : pos + length], "utf-8")
         except UnicodeDecodeError as exc:
             raise ProtocolError(f"undecodable string field: {exc}") from exc
 
@@ -680,8 +598,8 @@ class PayloadReader:
         the decoder's profile.
         """
         dt = np.dtype(dtype)
-        raw = self._take(int(count) * dt.itemsize)
-        return np.frombuffer(raw, dtype=dt)
+        pos = self._advance(int(count) * dt.itemsize)
+        return np.frombuffer(self._buf, dtype=dt, count=count, offset=pos)
 
     def done(self) -> None:
         """Assert the payload was fully consumed (no trailing bytes)."""
@@ -703,9 +621,6 @@ QUERY_PACKED = 1
 def write_queries(w, queries) -> None:
     """Serialize a hypervector batch: packed bit planes or dense f32.
 
-    ``w`` is either writer flavor (:class:`PayloadWriter` or
-    :class:`VectoredWriter`) — the field vocabulary is identical.
-
     This is the *only* array-of-hypervectors writer in the protocol.  It
     accepts exactly two shapes of data — a :class:`PackedHV` batch (two
     ``(n, n_words)`` uint64 planes, the §III-C offload payload) or a
@@ -716,8 +631,7 @@ def write_queries(w, queries) -> None:
     inputs never reach a buffer.
     """
     if isinstance(queries, PackedHV):
-        w.u8(QUERY_PACKED)
-        w.u32(queries.n).u32(queries.d)
+        w.pack("!BII", QUERY_PACKED, queries.n, queries.d)
         w.array(queries.signs, "<u8")
         w.array(queries.mags, "<u8")
         return
@@ -729,16 +643,13 @@ def write_queries(w, queries) -> None:
         )
     if arr.dtype == object:
         raise ProtocolError("object arrays cannot be framed")
-    w.u8(QUERY_DENSE)
-    w.u32(arr.shape[0]).u32(arr.shape[1])
+    w.pack("!BII", QUERY_DENSE, *arr.shape)
     w.array(arr, "<f4")
 
 
 def read_queries(r: PayloadReader):
     """Inverse of :func:`write_queries`: a PackedHV or float32 array."""
-    kind = r.u8()
-    n = r.u32()
-    d = r.u32()
+    kind, n, d = r.unpack("!BII")
     if n == 0 or d == 0:
         raise ProtocolError(f"empty query batch on the wire (n={n}, d={d})")
     if kind == QUERY_PACKED:

@@ -369,7 +369,9 @@ class ServingAPI:
         back itself.  The stacked sub-requests all belong to
         ``request.tenant`` (one client is one tenant); every row is
         scored by one consistent registry version, exactly as for
-        :meth:`submit_score` (including ``deadline`` semantics).
+        :meth:`submit_score` (including ``deadline`` semantics).  The
+        response echoes the request's already-validated ``counts``, so
+        building it checks only that they cover the scored rows.
         """
         return self._submit_typed(
             request, deadline, ScoreBatchResponse, counts=request.counts
@@ -387,14 +389,14 @@ class ServingAPI:
 
         def respond(result, name, version_key):
             version = self._flush_versions[version_key]
-            fields = dict(extra, model=name, version=version,
-                          request_id=request.request_id)
-            if not want_scores:
-                predictions = np.atleast_1d(result)
-                return response_cls(predictions=predictions, **fields)
-            scores = np.atleast_2d(result)
+            if want_scores:
+                scores = np.atleast_2d(result)
+                result = np.argmax(scores, axis=1)
+            else:
+                scores = None
             return response_cls(
-                predictions=np.argmax(scores, axis=1), scores=scores, **fields
+                predictions=np.atleast_1d(result), scores=scores, model=name,
+                version=version, request_id=request.request_id, **extra,
             )
 
         return self._submit(

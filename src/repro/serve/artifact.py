@@ -162,6 +162,36 @@ def _manifest_int(manifest: dict, key: str, default):
         ) from exc
 
 
+def _check_certificate(privacy) -> None:
+    """Refuse a finite-ε certificate whose σ does not re-derive.
+
+    A Gaussian-mechanism release (paper §III-B) adds noise of std
+    ``Δf · σ(ε, δ)``; a ``noise_std`` other than
+    :func:`~repro.core.privacy.gaussian_noise_std` of the certificate's
+    own (Δf, ε, δ) claims a guarantee the store does not have.
+    """
+    if privacy is None:
+        return
+    # repro.core imports this module; import its leaf lazily
+    from repro.core.privacy import gaussian_noise_std
+
+    try:
+        epsilon = float(privacy.get("epsilon", math.inf))
+        if math.isinf(epsilon):
+            return  # no claim, nothing to re-derive
+        expected = gaussian_noise_std(
+            float(privacy["sensitivity"]), epsilon, float(privacy["delta"])
+        )
+        noise_std = float(privacy["noise_std"])
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
+        raise ArtifactError(f"malformed privacy certificate: {exc!r}") from exc
+    if not math.isclose(noise_std, expected, rel_tol=1e-9):
+        raise ArtifactError(
+            f"privacy certificate does not re-derive: noise_std={noise_std:.6g} "
+            f"but (sensitivity, epsilon, delta) give {expected:.6g}"
+        )
+
+
 def _store_dtype(spec) -> np.dtype:
     """The dense dtype a packed store unpacks to: a numeric dtype."""
     try:
@@ -292,7 +322,12 @@ class ModelArtifact:
         The privacy certificate: ``epsilon``, ``delta``, ``sensitivity``,
         ``noise_std`` plus the sensitivity report's analytic/empirical
         ℓ2 values.  ``None`` marks a model with no DP claim at all;
-        ``epsilon=inf`` marks an explicitly non-private release.
+        ``epsilon=inf`` marks an explicitly non-private release.  A
+        finite-ε certificate must re-derive: ``noise_std`` is
+        :func:`~repro.core.privacy.gaussian_noise_std` of its
+        ``sensitivity``, ``epsilon`` and ``delta`` (relative tolerance
+        1e-9), or :class:`ArtifactError` refuses it, as a checksum
+        mismatch is refused.
     metadata:
         Free-form JSON-safe extras (dataset name, training notes, …).
     format_version:
@@ -317,6 +352,7 @@ class ModelArtifact:
     store_dtype: np.dtype | str | None = None
 
     def __post_init__(self):
+        _check_certificate(self.privacy)
         try:
             packed_layout = isinstance(get_backend(self.backend), PackedBackend)
         except KeyError as exc:

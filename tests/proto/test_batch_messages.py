@@ -2,9 +2,12 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from repro.backend.packed import pack_hypervectors
+from repro.backend.packed import PackedHV, pack_hypervectors
 from repro.proto import (
+    PROTOCOL_VERSION,
     FrameDecoder,
     ModelInfo,
     ProtocolError,
@@ -145,3 +148,104 @@ class TestModelInfoMaskSeed:
     def test_seed_zero_is_carried(self):
         # 0 is a valid seed, distinct from "no seed recorded".
         assert _roundtrip(self._info(0), version=2).mask_seed == 0
+
+
+class TestCountsCodec:
+    """``counts`` travel as one u32[n_chunks] run behind a u16 length."""
+
+    @settings(max_examples=25, deadline=None)
+    @given(
+        counts=st.lists(st.integers(1, 3), min_size=1, max_size=2000),
+        want_scores=st.booleans(),
+        version=st.integers(2, PROTOCOL_VERSION),
+    )
+    def test_round_trip_and_split_match_np_split(
+        self, counts, want_scores, version
+    ):
+        n = sum(counts)
+        bounds = np.cumsum(counts[:-1])
+        request = ScoreBatchRequest(
+            queries=np.arange(2 * n, dtype=np.float32).reshape(n, 2),
+            counts=counts,
+            want_scores=want_scores,
+            request_id=3,
+        )
+        assert _roundtrip(request, version=version) == request
+        scores = np.arange(3 * n, dtype=np.float64).reshape(n, 3)
+        response = ScoreBatchResponse(
+            predictions=np.argmax(scores, axis=1) + np.arange(n),
+            counts=counts,
+            scores=scores if want_scores else None,
+            request_id=3,
+        )
+        back = _roundtrip(response, version=version)
+        assert back == response
+        assert back.counts == tuple(counts)
+        for got, want in zip(
+            back.split(), np.split(back.predictions, bounds), strict=True
+        ):
+            np.testing.assert_array_equal(got, want)
+        if want_scores:
+            for got, want in zip(
+                back.split_scores(),
+                np.split(back.scores, bounds, axis=0),
+                strict=True,
+            ):
+                np.testing.assert_array_equal(got, want)
+
+    def test_u16_chunk_limit(self):
+        limit = 0xFFFF
+        at = ScoreBatchResponse(
+            predictions=np.zeros(limit, dtype=np.int64), counts=(1,) * limit
+        )
+        assert _roundtrip(at).counts == (1,) * limit
+        over = ScoreBatchResponse(
+            predictions=np.zeros(limit + 1, dtype=np.int64),
+            counts=(1,) * (limit + 1),
+        )
+        with pytest.raises(ProtocolError, match="u16 wire limit"):
+            encode_message(over)
+        with pytest.raises(ProtocolError, match="u16 wire limit"):
+            encode_message(
+                ScoreBatchRequest(
+                    queries=np.zeros((limit + 1, 1), dtype=np.float32),
+                    counts=(1,) * (limit + 1),
+                )
+            )
+
+    def test_counts_truncated_mid_array_fail_closed(self):
+        counts = (2, 1, 3, 1, 1)
+        msg = ScoreBatchResponse(
+            predictions=np.arange(sum(counts)), counts=counts, model=""
+        )
+        frame = FrameDecoder().feed(encode_message(msg))[0]
+        # request_id u32, empty model (u16 length), version u32, n_chunks u16
+        start = 4 + 2 + 4 + 2
+        for cut in range(start, start + 4 * len(counts)):
+            frame.payload = bytes(frame.payload)[:cut]
+            with pytest.raises(ProtocolError, match="truncated"):
+                decode_message(frame)
+
+    def test_count_above_u32_is_refused_not_wrapped(self):
+        # 2**32 + 1 rows without allocating them: stride-0 planes.
+        n = 2**32 + 1
+        plane = np.broadcast_to(np.zeros((1, 1), dtype=np.uint64), (n, 1))
+        request = ScoreBatchRequest(
+            queries=PackedHV(signs=plane, mags=plane, d=64), counts=(n,)
+        )
+        with pytest.raises(ProtocolError, match="out of range"):
+            encode_message(request)
+        response = ScoreBatchResponse(
+            predictions=np.broadcast_to(np.int64(0), (n,)), counts=(n - 1, 1)
+        )
+        with pytest.raises(ProtocolError, match="out of range"):
+            encode_message(response)
+
+    def test_bad_chunk_is_named_not_echoed(self):
+        counts = [1] * 30_000
+        counts[12_345] = 0
+        with pytest.raises(ValueError, match="chunk 12345 of 30000") as err:
+            ScoreBatchRequest(
+                queries=np.zeros((sum(counts), 1)), counts=counts
+            )
+        assert len(str(err.value)) < 200

@@ -11,6 +11,7 @@ import pytest
 from repro.backend.packed import PackedHV, pack_hypervectors
 from repro.proto import (
     ERROR_CODES,
+    HEADER_SIZE,
     ErrorReply,
     FrameDecoder,
     Hello,
@@ -21,9 +22,15 @@ from repro.proto import (
     ScoreResponse,
     Welcome,
     decode_message,
+    VectoredWriter,
     encode_message,
 )
 from repro.utils import spawn
+
+
+def _payload(w: VectoredWriter) -> bytes:
+    """The payload bytes ``w`` staged, without the frame header."""
+    return b"".join(w.frame_parts(0, 1))[HEADER_SIZE:]
 
 
 def _round_trip(msg):
@@ -144,6 +151,19 @@ class TestValidation:
         with pytest.raises(ValueError, match="unknown error code"):
             ErrorReply(code="whoops")
 
+    @pytest.mark.parametrize("char", ["x", "é", "\u20ac", "\U0001f600"])
+    def test_error_message_capped_to_the_wire_limit(self, char):
+        from repro.proto.wire import MAX_STRING_BYTES
+
+        long = char * 70_000
+        err = ErrorReply(code="bad-frame", message=long)
+        raw = err.message.encode("utf-8")
+        assert MAX_STRING_BYTES - 4 < len(raw) <= MAX_STRING_BYTES
+        assert long.startswith(err.message)
+        assert _round_trip(err) == err
+        short = ErrorReply(code="bad-frame", message=char * 10)
+        assert short.message == char * 10
+
     def test_hello_requires_versions(self):
         with pytest.raises(ValueError, match="at least one"):
             Hello(versions=())
@@ -157,29 +177,27 @@ class TestValidation:
     def test_empty_query_batch_rejected_on_decode(self):
         # Hand-craft an empty batch (the dataclass itself refuses, so a
         # hostile peer is the only source).
-        from repro.proto.wire import PayloadWriter, encode_frame, FrameType, Frame
+        from repro.proto.wire import FrameType, Frame
 
-        w = PayloadWriter()
-        w.u32(1)          # request id
-        w.string(None)    # model
-        w.u8(0)           # want_scores
-        w.u8(0)           # dense kind
-        w.u32(0).u32(0)   # n = d = 0
-        frame = Frame(1, FrameType.SCORE_REQUEST, w.getvalue())
+        w = VectoredWriter()
+        w.pack("!I", 1)         # request id
+        w.string(None)          # model
+        w.pack("!B", 0)         # want_scores
+        w.pack("!BII", 0, 0, 0)  # dense kind, n = d = 0
+        frame = Frame(1, FrameType.SCORE_REQUEST, _payload(w))
         with pytest.raises(ProtocolError, match="empty query batch"):
             decode_message(frame)
 
     def test_inconsistent_packed_planes_rejected(self):
-        from repro.proto.wire import PayloadWriter, Frame, FrameType
+        from repro.proto.wire import Frame, FrameType
 
-        w = PayloadWriter()
-        w.u32(1)
+        w = VectoredWriter()
+        w.pack("!I", 1)
         w.string(None)
-        w.u8(0)
-        w.u8(1)             # packed kind
-        w.u32(2).u32(130)   # n=2, d=130 -> needs 3 words/row
+        w.pack("!B", 0)
+        w.pack("!BII", 1, 2, 130)  # packed kind, n=2, d=130 -> 3 words/row
         w.array(np.zeros((2, 3), dtype=np.uint64), "<u8")  # signs ok
         w.array(np.zeros((2, 2), dtype=np.uint64), "<u8")  # mags short
-        frame = Frame(1, FrameType.SCORE_REQUEST, w.getvalue())
+        frame = Frame(1, FrameType.SCORE_REQUEST, _payload(w))
         with pytest.raises(ProtocolError):
             decode_message(frame)

@@ -29,8 +29,13 @@ from repro.proto import (
     encode_message,
     negotiate_version,
 )
-from repro.proto.wire import PayloadReader, PayloadWriter
+from repro.proto.wire import MAX_STRING_BYTES, PayloadReader, VectoredWriter
 from repro.utils import spawn
+
+
+def _payload(w: VectoredWriter) -> bytes:
+    """The payload bytes ``w`` staged, without the frame header."""
+    return b"".join(w.frame_parts(0, PROTOCOL_VERSION))[HEADER_SIZE:]
 
 
 def _packed(n=3, d=130, seed=0):
@@ -102,13 +107,12 @@ class TestFraming:
 
 class TestPayloadPrimitives:
     def test_scalars_round_trip(self):
-        w = PayloadWriter()
-        w.u8(7).u16(515).u32(1 << 30).f64(-2.5).string("héllo").string(None)
-        r = PayloadReader(w.getvalue())
-        assert r.u8() == 7
-        assert r.u16() == 515
-        assert r.u32() == 1 << 30
-        assert r.f64() == -2.5
+        w = VectoredWriter()
+        w.pack("!BHI", 7, 515, 1 << 30).pack("!d", -2.5)
+        w.string("héllo").string(None)
+        r = PayloadReader(_payload(w))
+        assert r.unpack("!BHI") == (7, 515, 1 << 30)
+        assert r.unpack("!d") == (-2.5,)
         assert r.string() == "héllo"
         assert r.string() is None
         r.done()
@@ -116,13 +120,15 @@ class TestPayloadPrimitives:
     def test_truncated_payload_raises(self):
         r = PayloadReader(b"\x00")
         with pytest.raises(ProtocolError, match="truncated"):
-            r.u32()
+            r.unpack("!I")
+
+    def test_field_run_out_of_range_raises(self):
+        with pytest.raises(ProtocolError, match="out of range"):
+            VectoredWriter().pack("!BI", 1, 1 << 32)
 
     def test_trailing_garbage_raises(self):
-        w = PayloadWriter()
-        w.u8(1)
-        r = PayloadReader(w.getvalue() + b"zz")
-        r.u8()
+        r = PayloadReader(_payload(VectoredWriter().pack("!B", 1)) + b"zz")
+        r.unpack("!B")
         with pytest.raises(ProtocolError, match="trailing"):
             r.done()
 
@@ -132,8 +138,9 @@ class TestPayloadPrimitives:
             PayloadReader(payload).string()
 
     def test_oversize_string_rejected_at_write(self):
+        VectoredWriter().string("x" * MAX_STRING_BYTES)
         with pytest.raises(ProtocolError, match="limit"):
-            PayloadWriter().string("x" * 70000)
+            VectoredWriter().string("x" * (MAX_STRING_BYTES + 1))
 
 
 class TestFuzz:

@@ -162,6 +162,52 @@ class TestPrunedModels:
         )
         assert loaded.n_live_dims == 600
 
+    def test_certificate_that_does_not_rederive_is_refused(
+        self, tmp_path, dp_result
+    ):
+        """σ must re-derive from (Δf, ε, δ), as checksums must match."""
+        result, _, _ = dp_result
+        path = result.to_artifact().save(tmp_path / "dp")
+        manifest_path = path / MANIFEST_FILENAME
+        manifest = json.loads(manifest_path.read_text())
+        manifest["privacy"]["noise_std"] /= 2
+        manifest_path.write_text(json.dumps(manifest))
+        for verify in (True, False):
+            with pytest.raises(ArtifactError, match="re-derive"):
+                ModelArtifact.load(path, verify=verify)
+        with pytest.raises(ArtifactError, match="re-derive"):
+            ModelArtifact.build(
+                result.private.model,
+                store_quantizer=None,
+                privacy=manifest["privacy"],
+            )
+
+    def test_incomplete_finite_certificate_is_refused(self, dp_result):
+        result, _, _ = dp_result
+        with pytest.raises(ArtifactError, match="malformed privacy"):
+            ModelArtifact.build(
+                result.private.model, privacy={"epsilon": 1.0}
+            )
+
+    @pytest.mark.parametrize(
+        "privacy",
+        [
+            None,
+            {"epsilon": float("inf")},
+            {"epsilon": float("inf"), "delta": 1e-5, "noise_std": 0.0},
+        ],
+    )
+    def test_claimless_certificates_still_load(
+        self, tmp_path, dp_result, privacy
+    ):
+        result, _, _ = dp_result
+        art = ModelArtifact.build(
+            result.private.model, store_quantizer=None, privacy=privacy
+        )
+        loaded = ModelArtifact.load(art.save(tmp_path / "a"))
+        assert not loaded.is_private
+        assert loaded.privacy == privacy
+
     def test_dp_artifact_never_ships_baseline(self, tmp_path, dp_result):
         result, _, _ = dp_result
         path = result.to_artifact().save(tmp_path / "dp")

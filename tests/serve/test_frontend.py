@@ -13,7 +13,7 @@ import urllib.request
 import numpy as np
 import pytest
 
-from repro.backend.packed import pack_hypervectors
+from repro.backend.packed import n_words, pack_hypervectors
 from repro.client import PriveHDClient, ServerError
 from repro.core.inference_privacy import InferenceObfuscator, ObfuscationConfig
 from repro.hd import HDModel, ScalarBaseEncoder, get_quantizer
@@ -22,13 +22,14 @@ from repro.proto import (
     MAGIC,
     Hello,
     ScoreRequest,
+    ScoreResponse,
     Welcome,
     decode_header,
     decode_message,
     encode_frame,
     encode_message,
 )
-from repro.proto.wire import Frame, FrameType
+from repro.proto.wire import MAX_STRING_BYTES, Frame, FrameType
 from repro.serve import FrontendHandle, ModelArtifact, ServingAPI
 from repro.utils import spawn
 
@@ -315,6 +316,56 @@ class TestMalformedFrames:
         finally:
             sock.close()
         assert handle.frontend.frames_rejected >= before + 1
+
+
+class TestOversizeErrorReplies:
+    """An error whose detail outgrows a wire string is still a typed
+    reply on an open connection, never a closed one."""
+
+    def test_batch_frame_with_a_zero_count_among_30000(
+        self, served, fixture_task, encoder
+    ):
+        X, _, _ = fixture_task
+        _, handle = served
+        counts = [1] * 30_000
+        counts[12_345] = 0
+        payload = b"".join([
+            # request id, no model, no scores, no deadline, no tenant
+            struct.pack("!IHBBH", 9, 0xFFFF, 0, 0, 0xFFFF),
+            struct.pack(f"!H{len(counts)}I", len(counts), *counts),
+            struct.pack("!BII", 1, 1, D_HV),  # one packed row
+            bytes(2 * 8 * n_words(D_HV)),
+        ])
+        obf = InferenceObfuscator(encoder, ObfuscationConfig())
+        packed = pack_hypervectors(obf.prepare(X[:1]), validate=False)
+        sock = _raw_connection(handle.address)
+        try:
+            sock.sendall(encode_message(Hello()))
+            assert decode_message(_read_frame(sock)).version == 4
+            sock.sendall(
+                encode_frame(FrameType.SCORE_BATCH_REQUEST, payload, version=4)
+            )
+            reply = decode_message(_read_frame(sock))
+            assert reply.code == "bad-frame"
+            assert "chunk 12345" in reply.message
+            sock.sendall(
+                encode_message(ScoreRequest(queries=packed, request_id=10))
+            )
+            reply = decode_message(_read_frame(sock))
+            assert isinstance(reply, ScoreResponse)
+            assert reply.request_id == 10
+        finally:
+            sock.close()
+
+    def test_unknown_model_name_near_the_string_limit(self, served):
+        # The name fits a wire string; the error detail quoting it does not.
+        _, handle = served
+        with PriveHDClient(handle.address) as client:
+            with pytest.raises(ServerError) as err:
+                client.model_info("m" * 65_520)
+            assert err.value.code == "unknown-model"
+            assert len(err.value.reply.message) == MAX_STRING_BYTES
+            assert client.model_info("demo").name == "demo"
 
 
 class TestHttpOps:
