@@ -9,10 +9,10 @@ results to ``BENCH_encode.json`` — the baseline format for the encode
 bench trajectory.  The scalar-base baseline is ``encoder.encode(X)``.
 The level-base baseline is the per-level GEMM formula of
 ``tests/level_base_reference.py``: ``encoder.encode`` itself runs the
-bit-plane counters, so it cannot serve as their reference.  The kernel
+flip-chain popcount, so it cannot serve as its reference.  The kernel
 axis is the backend sweep: ``dense`` (NumPy matmul; scalar-base only,
 since a level-base ``dense`` tile is ``encoder.encode``, i.e. ``auto``),
-``packed`` (pure-NumPy bit-plane counters), ``native`` (numba-compiled
+``packed`` (pure-NumPy flip-chain popcount), ``native`` (numba-compiled
 kernels; skipped with a note when numba is absent)::
 
     PYTHONPATH=src python benchmarks/bench_encode.py             # paper scale
@@ -57,7 +57,7 @@ def _kernel_sweep(kind: str, backend: str) -> list[str]:
 
     Scalar-base has no bit-plane kernel, so "packed" does not apply;
     its native kernel is the fused quantize→matmul.  A level-base
-    "dense" tile is ``encoder.encode``, the same counters as "auto", so
+    "dense" tile is ``encoder.encode``, the same kernel as "auto", so
     it is not measured twice.  Native entries are
     dropped (with a note printed by the caller) when numba is absent —
     the fallback would just re-measure the packed numbers.
@@ -284,8 +284,9 @@ def main(argv=None) -> int:
         choices=("thread", "process"),
         default="thread",
         help=(
-            "worker pool kind; 'process' is what parallelizes the "
-            "GIL-bound packed kernel on multi-core hosts"
+            "worker pool kind; the NumPy kernels release the GIL, so "
+            "threads scale too, and matched or beat processes on every "
+            "level-base row of the committed sweep (docs/performance.md)"
         ),
     )
     parser.add_argument(
@@ -335,7 +336,9 @@ def main(argv=None) -> int:
     )
     args = parser.parse_args(argv)
     if args.smoke:
-        args.d_in, args.dhv, args.n = 64, 1000, 512  # d_hv % 64 != 0 on purpose
+        # d_in % 64 != 0 and d_hv % 64 != 0 on purpose: the last feature
+        # word and the last dimension word are both partial
+        args.d_in, args.dhv, args.n = 65, 1000, 512
         args.chunk_sizes, args.repeats = [100, 256], 1
 
     report = run_bench(args)

@@ -10,11 +10,10 @@ code with numba:
 * **fused scoring** — the XOR/popcount dot product (shared-support and
   general ternary paths) runs as a single ``prange``-parallel loop nest
   with zero intermediate allocations;
-* **carry-save encode** — the per-column vertical counters of
-  :class:`~repro.backend.packed.BitPlaneAccumulator` (the §III-D adder
-  tree) become per-row ripple counters in registers, including a
-  variant that emits the packed bipolar sign plane directly through a
-  bitwise majority comparator;
+* **flip-chain encode** — the level-base count of Eq. (2b) as one
+  AND + popcount per counted column per 64 features, per row in
+  registers, including a variant that emits the packed bipolar sign
+  plane directly;
 * **fused quantize** — the scalar-base feature snapping of Eq. (2a)
   runs clip→snap in one float32 pass, feeding the projection GEMM.
 
@@ -119,7 +118,6 @@ if NUMBA_AVAILABLE:
     _S2 = np.uint64(2)
     _S4 = np.uint64(4)
     _S56 = np.uint64(56)
-    _U0 = np.uint64(0)
     _U1 = np.uint64(1)
 
     @njit(inline="always")
@@ -175,60 +173,65 @@ if NUMBA_AVAILABLE:
                     acc += _pc64(differs)
                 out[i, j] = acc
 
+    @njit(inline="always")
+    def _flip_chain_counts(q, n_levels, flip, agree):  # pragma: no cover
+        """``popcount(a & F_t)`` per grid slot for one row's level indices.
+
+        ``F[t]`` (the features at level ``>= t``, 64 per word) is built
+        one-hot by level and then suffix-ORed, ``size[t] = |F_t|`` the
+        same way.  Returns ``(size, counts)``.
+        """
+        n_feature_words = agree.shape[0]
+        F = np.zeros((n_levels + 1, n_feature_words), dtype=np.uint64)
+        size = np.zeros(n_levels + 1, dtype=np.int64)
+        for k in range(q.shape[0]):
+            F[q[k], k >> 6] |= _U1 << np.uint64(k & 63)
+            size[q[k]] += 1
+        for t in range(n_levels - 1, -1, -1):
+            size[t] += size[t + 1]
+            for w in range(n_feature_words):
+                F[t, w] |= F[t + 1, w]
+        counts = np.zeros((agree.shape[1], agree.shape[2]), dtype=np.int64)
+        for w in range(n_feature_words):
+            for r in range(agree.shape[1]):
+                f = F[flip[r], w]
+                for s in range(agree.shape[2]):
+                    counts[r, s] += _pc64(agree[w, r, s] & f)
+        return size, counts
+
     @njit(parallel=True, nogil=True, cache=True)
     def _level_encode_kernel(
-        idx, lvl, invb, n_planes, d_in, d_hv, out
+        idx, n_levels, flip, agree, cols, fixed, out
     ):  # pragma: no cover - compiled
-        """Per-row ripple-carry vertical counters → dense float32 tile."""
-        nw = invb.shape[1]
+        """Flip-chain popcounts → dense float32 rows over ``fixed``."""
         for i in prange(idx.shape[0]):
-            cnt = np.zeros((n_planes, nw), dtype=np.uint64)
-            for k in range(d_in):
-                row = idx[i, k]
-                for w in range(nw):
-                    carry = lvl[row, w] ^ invb[k, w]
-                    p = 0
-                    while carry != _U0:
-                        tmp = cnt[p, w]
-                        cnt[p, w] = tmp ^ carry
-                        carry = tmp & carry
-                        p += 1
-            for col in range(d_hv):
-                w = col >> 6
-                b = np.uint64(col & 63)
-                c = np.int64(0)
-                for p in range(n_planes):
-                    c += np.int64((cnt[p, w] >> b) & _U1) << p
-                out[i, col] = np.float32(2 * c - d_in)
+            size, counts = _flip_chain_counts(idx[i], n_levels, flip, agree)
+            for j in range(fixed.shape[0]):
+                out[i, j] = fixed[j]
+            for r in range(cols.shape[0]):
+                for s in range(cols.shape[1]):
+                    c = cols[r, s]
+                    out[i, c] = fixed[c] + np.float32(
+                        2 * size[flip[r]] - 4 * counts[r, s]
+                    )
 
     @njit(parallel=True, nogil=True, cache=True)
     def _level_signs_kernel(
-        idx, lvl, invb, n_planes, d_in, threshold, signs
+        idx, n_levels, flip, agree, cols, fixed, fixed_signs, signs
     ):  # pragma: no cover - compiled
-        """Vertical counters → packed sign plane via a bitwise comparator."""
-        nw = invb.shape[1]
+        """Flip-chain popcounts → packed sign rows over ``fixed_signs``."""
         for i in prange(idx.shape[0]):
-            cnt = np.zeros((n_planes, nw), dtype=np.uint64)
-            for k in range(d_in):
-                row = idx[i, k]
-                for w in range(nw):
-                    carry = lvl[row, w] ^ invb[k, w]
-                    p = 0
-                    while carry != _U0:
-                        tmp = cnt[p, w]
-                        cnt[p, w] = tmp ^ carry
-                        carry = tmp & carry
-                        p += 1
-            for w in range(nw):
-                gt = _U0
-                eq = ~_U0
-                for p in range(n_planes - 1, -1, -1):
-                    if (threshold >> p) & 1:
-                        eq = eq & cnt[p, w]
-                    else:
-                        gt = gt | (eq & cnt[p, w])
-                        eq = eq & ~cnt[p, w]
-                signs[i, w] = gt
+            size, counts = _flip_chain_counts(idx[i], n_levels, flip, agree)
+            for w in range(fixed_signs.shape[0]):
+                signs[i, w] = fixed_signs[w]
+            for r in range(cols.shape[0]):
+                for s in range(cols.shape[1]):
+                    c = cols[r, s]
+                    h = fixed[c] + np.float32(
+                        2 * size[flip[r]] - 4 * counts[r, s]
+                    )
+                    if h >= 0:
+                        signs[i, c >> 6] |= _U1 << np.uint64(c & 63)
 
     @njit(parallel=True, nogil=True, cache=True)
     def _quantize_kernel(X, lo, hi, step, snap, out):  # pragma: no cover
@@ -339,69 +342,54 @@ def _native_ham(a: PackedHV, b: PackedHV) -> np.ndarray:
     return out
 
 
-def _counter_planes(d_in: int) -> int:
-    """Counter bit-planes needed for ``d_in`` one-bit addends."""
-    return max(1, int(d_in).bit_length())
-
-
 def native_level_encode(
     idx: np.ndarray,
-    lvl_planes: np.ndarray,
-    inv_base_planes: np.ndarray,
-    d_in: int,
-    d_hv: int,
+    n_levels: int,
+    flip: np.ndarray,
+    agree: np.ndarray,
+    cols: np.ndarray,
+    fixed: np.ndarray,
 ) -> np.ndarray:
-    """Compiled Eq. (2b) encode: bit-plane counters → ``(n, d_hv)`` float32.
+    """Compiled Eq. (2b) encode on a flip chain → ``(n, d_hv)`` float32.
 
-    Parameters mirror the packed encode path of
-    :meth:`~repro.hd.encoder.LevelBaseEncoder.encode_packed`: per-feature
-    level indices, the level sign planes, and the *inverted* base sign
-    planes (XNOR folded into the codebook), all restricted to the
-    columns being counted; ``d_hv`` is how many there are.  Requires
-    numba — callers select this path via :func:`kernels_available`.
+    Operands mirror :meth:`~repro.hd.encoder.LevelBaseEncoder.encode_packed`'s
+    column plan: per-feature level indices in ``[0, n_levels)``, each
+    grid row's flip level ``flip``, the ``agree`` bits packed along the
+    feature axis ``(n_words(d_in), rows, width)``, the dimension ``cols``
+    each grid slot counts, and the level-0 encoding ``fixed``, which the
+    other dimensions keep.  Each slot is
+    ``fixed + 2·|F_t| − 4·popcount(agree & F_t)``.  Requires numba —
+    callers select this path via :func:`kernels_available`.
     """
     _require_kernels()
     idx = np.ascontiguousarray(idx, dtype=np.int64)
-    out = np.empty((idx.shape[0], int(d_hv)), dtype=np.float32)
-    _level_encode_kernel(
-        idx,
-        lvl_planes,
-        inv_base_planes,
-        _counter_planes(d_in),
-        int(d_in),
-        int(d_hv),
-        out,
-    )
+    out = np.empty((idx.shape[0], fixed.shape[0]), dtype=np.float32)
+    _level_encode_kernel(idx, int(n_levels), flip, agree, cols, fixed, out)
     return out
 
 
 def native_level_encode_signs(
     idx: np.ndarray,
-    lvl_planes: np.ndarray,
-    inv_base_planes: np.ndarray,
-    d_in: int,
-    d_hv: int,
+    n_levels: int,
+    flip: np.ndarray,
+    agree: np.ndarray,
+    cols: np.ndarray,
+    fixed: np.ndarray,
+    fixed_signs: np.ndarray,
 ) -> np.ndarray:
     """Compiled Eq. (2b) encode emitting the bipolar *sign plane* directly.
 
-    Skips the dense tile entirely: the per-column positive count ``c``
-    feeds a bitwise magnitude comparator (``2c − d_in >= 0`` iff
-    ``c > (d_in − 1) // 2``, the +1 tie-break of the bipolar quantizer
-    included), producing ``(n, n_words)`` uint64 sign words over the
-    ``d_hv`` columns the planes hold; callers read only those bits.
-    Requires numba.
+    Same operands as :func:`native_level_encode`, plus the sign words of
+    the dimensions left uncounted (``fixed_signs``).  Skips the dense
+    tile: each counted dimension sets its bit when its encoding is
+    ``>= 0`` (the +1 tie-break of the bipolar quantizer), giving
+    ``(n, len(fixed_signs))`` uint64 sign words.  Requires numba.
     """
     _require_kernels()
     idx = np.ascontiguousarray(idx, dtype=np.int64)
-    signs = np.empty((idx.shape[0], n_words(int(d_hv))), dtype=np.uint64)
+    signs = np.empty((idx.shape[0], fixed_signs.shape[0]), dtype=np.uint64)
     _level_signs_kernel(
-        idx,
-        lvl_planes,
-        inv_base_planes,
-        _counter_planes(d_in),
-        int(d_in),
-        (int(d_in) - 1) // 2,
-        signs,
+        idx, int(n_levels), flip, agree, cols, fixed, fixed_signs, signs
     )
     return signs
 
@@ -455,10 +443,14 @@ def warm_kernels() -> bool:
     native_hamming_matrix(bip, bip)
     native_hamming_matrix(tern, tern)
     idx = np.zeros((1, 3), dtype=np.int64)
-    planes = np.zeros((2, 2), dtype=np.uint64)
-    base = np.zeros((3, 2), dtype=np.uint64)
-    native_level_encode(idx, planes, base, 3, 70)
-    native_level_encode_signs(idx, planes, base, 3, 70)
+    flip = np.ones(1, dtype=np.int64)
+    agree = np.zeros((1, 1, 2), dtype=np.uint64)
+    cols = np.zeros((1, 2), dtype=np.int64)
+    fixed = np.zeros(70, dtype=np.float32)
+    native_level_encode(idx, 2, flip, agree, cols, fixed)
+    native_level_encode_signs(
+        idx, 2, flip, agree, cols, fixed, np.zeros(2, dtype=np.uint64)
+    )
     native_quantize_features(np.zeros((1, 3)), 0.0, 1.0, 0.5)
     native_quantize_features(np.zeros((1, 3)), 0.0, 1.0, None)
     return True

@@ -186,38 +186,22 @@ class BitPlaneAccumulator:
     carry with one 5-op carry-save adder, for ``O(R)`` total word
     operations.  This is the column-wise (vertical-counter) analogue of
     the Harley–Seal popcount and the software mirror of the §III-D adder
-    tree: the packed level-base encoder feeds it either one bipolar
-    addend plane per input feature or, for large feature groups, the
-    weighted output planes of a vectorised adder tree over the group
-    (``add(plane, weight=p)``).
+    tree; :meth:`~repro.hd.model.HDModel.bundle_packed` bundles packed
+    encodings through it.
 
     All arithmetic is integer-exact: :meth:`counts` returns the exact
     number of set bits per column across every plane added.
     """
 
     def __init__(self):
-        # _planes[p] holds 0–2 uint64 plane arrays of weight 2**p; a
-        # level no add or carry has reached is empty and counts as zero
+        # _planes[p] holds 1–2 uint64 plane arrays of weight 2**p
         self._planes: list[list[np.ndarray]] = []
-        self._n_added = 0
 
-    def add(self, plane: np.ndarray, weight: int = 0) -> None:
-        """Accumulate one ``(n, n_words)`` uint64 bit plane.
-
-        ``weight`` is the plane's bit position ``p``: every set bit
-        counts ``2**p``.  The default ``0`` adds a plain one-bit addend;
-        a higher ``p`` lets a caller that has already reduced a group of
-        addends (e.g. with an adder tree) push each binary output plane
-        of that partial count straight into the matching level.
-        """
-        p = int(weight)
-        if p < 0:
-            raise ValueError(f"weight must be >= 0, got {weight}")
-        self._n_added += 1 << p
-        carry = plane
+    def add(self, plane: np.ndarray) -> None:
+        """Accumulate one ``(n, n_words)`` uint64 bit plane."""
+        p, carry = 0, plane
         while True:
-            if p >= len(self._planes):
-                self._planes.extend([] for _ in range(p - len(self._planes)))
+            if p == len(self._planes):
                 self._planes.append([carry])
                 return
             level = self._planes[p]
@@ -235,16 +219,6 @@ class BitPlaneAccumulator:
             carry = t
             p += 1
 
-    @property
-    def n_added(self) -> int:
-        """Weight-1 units accumulated so far.
-
-        A plane added at ``weight=p`` counts ``2**p`` units, so this is
-        the number of one-bit addends the counter stands for (the most
-        any column can count), not the number of :meth:`add` calls.
-        """
-        return self._n_added
-
     def counts(self, d: int, dtype=np.int32) -> np.ndarray:
         """The exact per-column bit count over the first ``d`` columns."""
         if not self._planes:
@@ -256,66 +230,6 @@ class BitPlaneAccumulator:
                 contrib = bits << p
                 out = contrib if out is None else out + contrib
         return out
-
-    def compressed(self) -> list[np.ndarray]:
-        """The counter as canonical binary planes, one per weight ``2^p``.
-
-        Collapses the 1–2 redundant planes kept per weight into a single
-        plane per bit position (LSB first), so bit ``p`` of column ``j``'s
-        count is bit ``j`` of ``compressed()[p]``.  This is the form the
-        bitwise comparator (:meth:`greater_than`) consumes.
-        """
-        if not self._planes:
-            raise ValueError("no planes accumulated")
-        out: list[np.ndarray] = []
-        carry: np.ndarray | None = None
-        for level in self._planes:
-            terms = list(level)
-            if carry is not None:
-                terms.append(carry)
-            if not terms:  # a level no add or carry has reached
-                template = next(pl for lv in self._planes for pl in lv)
-                out.append(np.zeros_like(template))
-            elif len(terms) == 1:
-                out.append(terms[0])
-                carry = None
-            elif len(terms) == 2:
-                a, b = terms
-                out.append(a ^ b)
-                carry = a & b
-            else:
-                a, b, c = terms
-                u = a ^ b
-                out.append(u ^ c)
-                carry = (a & b) | (u & c)
-        if carry is not None:
-            out.append(carry)
-        return out
-
-    def greater_than(self, threshold: int) -> np.ndarray:
-        """Bit plane with bit ``j`` set where column ``j``'s count > ``threshold``.
-
-        The bitwise magnitude comparator of the §III-D majority stage:
-        walking the binary counter planes MSB-down with running
-        greater/equal masks costs one AND/OR pair per plane — no unpack,
-        no integer counts.  Columns beyond the data (zero in every
-        plane) come out clear for any ``threshold >= 0``.
-        """
-        planes = self.compressed()
-        t = int(threshold)
-        if t < 0:
-            return np.bitwise_not(np.zeros_like(planes[0]))
-        if t >> len(planes):
-            return np.zeros_like(planes[0])
-        gt = np.zeros_like(planes[0])
-        eq = np.bitwise_not(gt)
-        for p in range(len(planes) - 1, -1, -1):
-            if (t >> p) & 1:
-                eq = eq & planes[p]
-            else:
-                gt = gt | (eq & planes[p])
-                eq = eq & ~planes[p]
-        return gt
 
 
 class SharedSupport(NamedTuple):

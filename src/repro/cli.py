@@ -822,9 +822,9 @@ def _build_parser() -> argparse.ArgumentParser:
         default="thread",
         help=(
             "worker pool kind: threads share the codebooks read-only "
-            "(good for the BLAS scalar-base path); processes rebuild "
-            "them from one pickled copy and are what parallelizes the "
-            "GIL-bound packed level-base kernel on multi-core hosts"
+            "and scale because the NumPy kernels release the GIL; "
+            "processes rebuild them from one pickled copy and did not "
+            "beat threads in the committed encode sweep"
         ),
     )
     p_train.add_argument(

@@ -168,14 +168,14 @@ class InferenceObfuscator:
         Unpacks to exactly ``prepare(X)``, so host-side decisions are
         identical whichever wire format the client chooses.  With the
         ``bipolar`` quantizer and a level-base encoder no dense
-        ``(n, d_hv)`` tile is built: the bit-plane counters run only on
+        ``(n, d_hv)`` tile is built: the flip-chain popcount runs only on
         the kept dimensions that some level flips (a private column plan
         of the encoder, built on first use), their sign bits land in the
         full-width layout over the fixed signs of the kept level-invariant
         dimensions, and the magnitude plane is the keep mask.  Other
         packable quantizers need the encoding's magnitudes: they quantize
-        ``encode(X)``, which on a level-base encoder is the same counters
-        unpacked to float32.
+        ``encode(X)``, which on a level-base encoder is the same count
+        as float32.
         """
         if self._emits_sign_planes:
             if self._live_plan is None:

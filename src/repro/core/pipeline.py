@@ -139,8 +139,8 @@ class PriveHD:
     ) -> EncodePipeline:
         """A chunked/parallel encode pipeline over this system's encoder.
 
-        ``kernel="auto"`` gives level-base encoders the bit-plane
-        counters, compiled when numba is installed; see
+        ``kernel="auto"`` gives level-base encoders the flip-chain
+        popcount, compiled when numba is installed; see
         :class:`~repro.hd.encode_pipeline.EncodePipeline`.
         """
         return EncodePipeline(

@@ -14,16 +14,16 @@ into a *pipeline*:
   ``(d_in, d_hv, seed)``, so a copy *is* the codebook) and exchange
   tiles through a ring of ``multiprocessing.shared_memory`` buffers, so
   per-chunk IPC never pickles feature or encoding arrays.
-* Level-base tiles run on the bit-plane counters
+* Level-base tiles run on the flip-chain popcount
   (:meth:`~repro.hd.encoder.LevelBaseEncoder.encode_packed`, which is
   also what ``encoder.encode`` runs), compiled by numba when it is
   installed (``kernel="native"`` insists, ``kernel="packed"`` pins the
-  NumPy accumulator).
+  NumPy kernel).
 * :meth:`EncodePipeline.stream_quantized` fuses encode → quantize →
   (optionally) bit-pack per tile, so training and serving never hold
   full-precision encodings for more than one tile.  Bipolar packing on
-  a level-base encoder is emitted *directly* from the bit-plane
-  counters (:meth:`~repro.hd.encoder.LevelBaseEncoder.encode_packed_bipolar`)
+  a level-base encoder is emitted *directly* from the flip-chain
+  count (:meth:`~repro.hd.encoder.LevelBaseEncoder.encode_packed_bipolar`)
   — the dense tile never materializes.
 * :class:`EncodedChunkStore` caches the quantized tiles keyed by chunk
   index — 16× smaller than floats when bit-packed — so retraining
@@ -162,10 +162,10 @@ class EncodePipeline:
     kernel:
         ``"auto"`` (default) uses the best kernel the encoder provides —
         the numba-compiled native kernels when numba is installed, the
-        bit-plane counters for level-base encoders, the GEMM otherwise.
+        flip-chain popcount for level-base encoders, the GEMM otherwise.
         ``"dense"`` / ``"packed"`` / ``"native"`` force a path
         (``"dense"`` tiles are ``encoder.encode``; ``"packed"`` pins the
-        pure-NumPy accumulator; ``"native"`` raises at construction when
+        pure-NumPy kernel; ``"native"`` raises at construction when
         numba is absent).
     executor:
         ``"thread"`` (default) shares codebooks read-only across a
@@ -460,7 +460,7 @@ class EncodePipeline:
 
         Bipolar packing on an encoder with a direct-emission kernel
         (level-base) skips the dense tile entirely: the packed sign
-        plane comes straight off the bit-plane counters
+        plane comes straight off the flip-chain count
         (:meth:`~repro.hd.encoder.LevelBaseEncoder.encode_packed_bipolar`)
         with no unpack → quantize → re-pack round-trip.  Values are
         identical either way.

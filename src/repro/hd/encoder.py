@@ -23,9 +23,10 @@ Dtype policy
 are clipped/quantized in float32 and projected through the base
 codebook cached as float32 (``as_float``).  Level-base encodings are
 sums of ±1 addends, i.e. exact integer counts, so
-:meth:`LevelBaseEncoder.encode` never touches a float codebook: it runs
-the bit-plane counters (:meth:`LevelBaseEncoder.encode_packed`) and
-converts the counts, which are far below 2²⁴, exactly to float32.
+:meth:`LevelBaseEncoder.encode` never touches a float codebook: it
+counts on the level flip chain with popcounts
+(:meth:`LevelBaseEncoder.encode_packed`) and converts the counts,
+which are far below 2²⁴, exactly to float32.
 Training and similarity accumulate in float64 (see
 :class:`~repro.hd.model.HDModel`).
 """
@@ -257,92 +258,48 @@ class ScalarBaseEncoder(Encoder):
         return out
 
 
-#: rows per block of the NumPy bit-plane encode kernel
-_ROW_BLOCK = 128
-#: bytes of addend planes one carry-save tree reduces at a time (≈ L2)
-_TILE_BYTES = 1 << 20
-#: smallest feature group worth a tree; below it the per-feature loop wins
-_MIN_GROUP = 8
-
-
-def _feature_group(d_in: int, rows: int, words: int) -> int:
-    """Addend planes per carry-save tree for a ``(rows, words)`` block.
-
-    The largest power of two ``G`` whose ``(G, rows, words)`` uint64
-    tile fits :data:`_TILE_BYTES`, capped at the next power of two
-    ``>= d_in``; ``1`` (one plane per feature) when that is below
-    :data:`_MIN_GROUP`.
-    """
-    fit = _TILE_BYTES // (max(rows, 1) * words * 8)
-    g = min(fit, 1 << (d_in - 1).bit_length())
-    return 1 << (g.bit_length() - 1) if g >= _MIN_GROUP else 1
-
-
-def _tree_counts(tile: np.ndarray) -> list[np.ndarray]:
-    """Column counts of a ``(G, rows, words)`` plane stack, ``G`` a power of 2.
-
-    A vectorised adder tree over the first axis: each level adds the
-    contiguous first half of the partial counts to the second half with
-    ripple-carry full adders on whole bit-plane arrays, so ``G`` planes
-    cost ``O(G)`` word operations in ``log2 G`` NumPy passes.  Returns
-    the ``log2(G) + 1`` binary planes of the count, LSB first; the
-    input tile is overwritten.
-    """
-    bits = [tile]
-    m = tile.shape[0]
-    while m > 1:
-        h = m // 2
-        carry = None
-        for b in bits:
-            x, y = b[:h], b[h:m]
-            if carry is None:
-                carry = x & y
-                x ^= y
-            else:  # full adder; the spent upper half y is scratch
-                t = x & y
-                x ^= y
-                np.bitwise_and(x, carry, out=y)
-                t |= y
-                x ^= carry
-                carry = t
-        bits.append(carry)
-        bits = [b[:h] for b in bits]
-        m = h
-    return [b[0] for b in bits]
-
-
 class _ColumnPlan(NamedTuple):
-    """The level-base counters' operands, compacted to the columns that differ.
+    """The flip-chain count's operands on a selection's columns that differ.
 
-    The level flip chain flips ``span · d_hv`` columns across the whole
-    chain (half of them at the default span) and leaves the rest alone.
-    On an untouched column ``j``, ``L_l[j] = L_0[j]`` for every level,
-    so Eq. (2b) gives ``Σ_k L_0[j]·B_k[j]`` for every input.  The counters
-    run only on the other, *varying* columns of a selection; the
-    invariant ones take :attr:`fixed`.
+    The levels are a flip chain: column ``j`` of level ``t`` is ``L_0[j]``
+    below the column's flip level ``t_j`` and ``−L_0[j]`` from ``t_j`` on;
+    the other columns (half of them at the default span) never flip.
+    With ``a_kj = [B_k[j] = L_0[j]]`` and ``F_t`` the features whose level
+    is ``≥ t``, addend ``k`` of Eq. (2b) is positive on column ``j``
+    exactly when ``a_kj`` differs from ``[k ∈ F_{t_j}]``, so::
+
+        pos_j = Σ_k a_kj + |F_{t_j}| − 2 · popcount(a_·j & F_{t_j})
+        H_j   = fixed_j + 2·|F_{t_j}| − 4 · popcount(a_·j & F_{t_j})
+
+    where ``fixed_j = 2 Σ_k a_kj − d_in`` is the level-0 encoding, which
+    every input gets on a column that never flips.
+
+    The counted columns sit in a ``(rows, width)`` grid whose every row
+    holds columns of one flip level, so one ``F_t`` word per feature
+    word broadcasts over a grid row.  A short row is padded with copies
+    of its first column, which compute and scatter the same value.
 
     Attributes
     ----------
     cols:
-        ``(n_vary,)`` int64 — the selection's varying dimensions, ascending.
-    lvl:
-        ``(n_levels, n_words(n_vary))`` uint64 level sign planes on ``cols``.
-    inv_base:
-        ``(d_in, n_words(n_vary))`` uint64 *inverted* base sign planes on
-        ``cols`` (XNOR folded into the codebook).
+        ``(rows, width)`` int64 — the dimension each grid slot counts.
+    flip:
+        ``(rows,)`` int64 — the flip level ``t`` of each grid row.
+    agree:
+        ``(n_words(d_in), rows, width)`` uint64 — each slot's ``a_·j``
+        bits, packed 64 features per word.
     fixed:
-        ``(d_hv,)`` float32 — every column's encoding at level 0, which
-        is every input's encoding on the invariant columns.
+        ``(d_hv,)`` float32 — every column's level-0 encoding.
     fixed_signs:
         ``(n_words(d_hv),)`` uint64 — the bipolar sign bits of the
-        selection's invariant columns.
+        selection's columns that never flip.
     support:
         ``(n_words(d_hv),)`` uint64 — the selection itself.
     """
 
     cols: np.ndarray
-    lvl: np.ndarray
-    inv_base: np.ndarray
+    flip: np.ndarray
+    agree: np.ndarray
     fixed: np.ndarray
     fixed_signs: np.ndarray
     support: np.ndarray
@@ -384,18 +341,20 @@ class LevelBaseEncoder(Encoder):
         self.hi = float(hi)
 
     def encode(self, X: np.ndarray) -> np.ndarray:
-        """Eq. (2b) as float32: the bit-plane counters of :meth:`encode_packed`."""
+        """Eq. (2b) as float32: the flip-chain count, :meth:`encode_packed`."""
         return self.encode_packed(X)
 
     def _level_indices(self, X: np.ndarray) -> np.ndarray:
         return self.levels.indices(check_2d(X, "X", n_cols=self.d_in))
 
     def _column_plan(self, keep: np.ndarray | None = None) -> _ColumnPlan:
-        """The counters' operands on the columns of ``keep`` that can differ.
+        """The count's operands on the columns of ``keep`` that can differ.
 
         ``keep`` selects dimensions (default: all, cached on the encoder;
         other selections are the caller's to cache).  Derived from the
-        codebooks, never pickled: see :class:`_ColumnPlan`.
+        codebooks, never pickled: see :class:`_ColumnPlan`.  Raises
+        ``ValueError`` naming the first level codebook column that is not
+        a flip chain (changes back, or to a value other than ``−L_0``).
         """
         if keep is None:
             plan = getattr(self, "_plan", None)
@@ -408,16 +367,35 @@ class LevelBaseEncoder(Encoder):
 
         sel = np.asarray(keep, dtype=bool)
         L, B = self.levels.vectors, self.base.vectors
-        varies = (L != L[0]).any(axis=0)
+        flipped = L != L[0]
+        broken = (flipped[:-1] & ~flipped[1:]).any(axis=0) | (
+            flipped & (L != -L[0])
+        ).any(axis=0)
+        if broken.any():
+            raise ValueError(
+                f"level codebook column {int(np.argmax(broken))} is not a "
+                "flip chain: it must flip sign at most once and never back"
+            )
+        varies = flipped[-1]  # on a chain, a flipped column stays flipped
         cols = np.flatnonzero(sel & varies)
+        at = flipped[:, cols].argmax(axis=0)
+        cols = cols[np.argsort(at, kind="stable")]
+        levels, sizes = np.unique(at, return_counts=True)
+        # Level g's i-th column goes to slot i of grid row g; a short
+        # row's empty slots copy its first column.
+        pos = np.arange(cols.size) - np.repeat(np.cumsum(sizes) - sizes, sizes)
+        grid = np.full((levels.size, sizes.max(initial=0)), -1, dtype=np.int64)
+        grid[np.repeat(np.arange(levels.size), sizes), pos] = cols
+        grid = np.where(grid < 0, grid[:, :1], grid)
+        slots = grid.ravel()
+        agree = pack_sign_planes(B[:, slots].T == L[0, slots, None]).T
         fixed = (
             2 * (B == L[0]).sum(axis=0, dtype=np.int64) - self.d_in
         ).astype(np.float32)
         return _ColumnPlan(
-            cols=cols,
-            lvl=pack_sign_planes(L[:, cols]),
-            # XNOR(a, b) == a ^ ~b: fold the inversion into the base planes.
-            inv_base=~pack_sign_planes(B[:, cols]),
+            cols=grid,
+            flip=levels.astype(np.int64),
+            agree=np.ascontiguousarray(agree).reshape(len(agree), *grid.shape),
             fixed=fixed,
             fixed_signs=pack_sign_planes(sel & ~varies & (fixed >= 0))[0],
             support=pack_sign_planes(sel)[0],
@@ -436,92 +414,76 @@ class LevelBaseEncoder(Encoder):
             )
         return bool(native)
 
-    def _count_addends(self, idx, plan: _ColumnPlan, finish) -> np.ndarray:
-        """The NumPy bit-plane counters, cache-tiled; ``finish(acc)`` per block.
+    def _flip_chain_rows(self, idx: np.ndarray, plan: _ColumnPlan):
+        """Eq. (2b) on the plan's grid slots, one input row at a time.
 
-        Counts the addends on the plan's compacted columns only.  Rows
-        run in blocks of at most :data:`_ROW_BLOCK`, each with its
-        own :class:`~repro.backend.packed.BitPlaneAccumulator`.  Within a
-        block the ``d_in`` addend planes ``L_{q_k} ⊙ B_k`` are formed
-        :func:`_feature_group` at a time into one ~1 MiB tile (the last
-        group zero-padded to the next power of two), reduced by
-        :func:`_tree_counts`, and the tree's weight-``2^p`` output planes
-        are pushed into the accumulator.  Bounding the tile keeps the
-        working set in cache whatever the batch size; with ``G = 1``
-        each tile is one addend plane, added at weight 0.  ``finish``
-        turns each block's accumulator into rows of the result (counts
-        or sign planes), which are concatenated in row order.
+        Yields each row's ``(rows · width,)`` float32 encodings in one
+        reused buffer, so every temporary is one row's size.  Per row:
+        the ``F_t`` words at the grid rows' flip levels (``n_words(d_in)``
+        per level), ANDed into ``agree`` broadcast over each grid row,
+        popcounted and summed over the feature words into counts that
+        hold ``d_in``; the closed form of :class:`_ColumnPlan` turns
+        counts and ``|F_t|`` into encodings.
         """
-        from repro.backend.packed import BitPlaneAccumulator
+        from repro.backend.packed import popcount
 
-        lvl_planes, inv_base = plan.lvl, plan.inv_base
-        n, words = idx.shape[0], inv_base.shape[1]
-        parts = []
-        for r0 in range(0, max(n, 1), _ROW_BLOCK):
-            block = idx[r0 : r0 + _ROW_BLOCK]
-            rows = block.shape[0]
-            acc = BitPlaneAccumulator()
-            g = _feature_group(self.d_in, rows, words)
-            for k0 in range(0, self.d_in, g):
-                m = min(g, self.d_in - k0)
-                tile = np.empty(
-                    (1 << (m - 1).bit_length(), rows, words), dtype=np.uint64
-                )
-                # indices are in range; "clip" lets take write into out unbuffered
-                np.take(lvl_planes, block[:, k0 : k0 + m].T, axis=0,
-                        out=tile[:m], mode="clip")
-                tile[:m] ^= inv_base[k0 : k0 + m, None, :]
-                tile[m:] = 0
-                for p, plane in enumerate(_tree_counts(tile)):
-                    acc.add(plane, weight=p)
-            parts.append(finish(acc))
-        return parts[0] if len(parts) == 1 else np.concatenate(parts)
+        words = plan.agree.shape[0]
+        q = idx.astype(np.min_scalar_type(self.n_levels - 1))
+        flip = plan.flip.astype(q.dtype)[:, None]
+        later = np.zeros((plan.flip.size, words * 64), dtype=bool)
+        both = np.empty(plan.agree.shape, dtype=np.uint64)
+        ones = np.empty(plan.agree.shape, dtype=np.uint8)
+        sum_dtype = np.min_scalar_type(self.d_in)
+        counts = np.empty(plan.cols.shape, dtype=sum_dtype)
+        fixed = plan.fixed[plan.cols]
+        H = np.empty(plan.cols.shape, dtype=np.float32)
+        for row in q:
+            np.greater_equal(row, flip, out=later[:, : self.d_in])
+            F = np.packbits(later, axis=-1, bitorder="little").view(np.uint64)
+            np.bitwise_and(plan.agree, F.T[:, :, None], out=both)
+            popcount(both, out=ones)
+            np.add.reduce(ones, axis=0, dtype=sum_dtype, out=counts)
+            sizes = popcount(F).sum(axis=-1, dtype=np.int64)
+            np.multiply(counts, np.float32(-4), out=H)
+            H += (2 * sizes[:, None]).astype(np.float32)
+            H += fixed
+            yield H.reshape(-1)
 
     def encode_packed(
         self, X: np.ndarray, *, native: bool | None = None
     ) -> np.ndarray:
-        """Eq. (2b) on uint64 bit planes: the kernel behind :meth:`encode`.
+        """Eq. (2b) by popcounts on the flip chain; :meth:`encode` runs it.
 
-        Every addend ``L_{q_k} ⊙ B_k`` is bipolar, so its sign plane is
-        one XOR away from the cached codebook planes (XNOR of the level
-        and base sign bits), and the encoding reduces to an exact
-        per-dimension count of positive addends::
+        Every addend ``L_{q_k} ⊙ B_k`` is bipolar, so the encoding is an
+        exact per-dimension count of positive addends::
 
             H[n, j] = 2 · #{k : addend_{k,j} = +1} − d_in
 
-        Only the columns some level flips are counted (see
-        :class:`_ColumnPlan`); every other column takes its fixed
-        value.  The count runs through carry-save adder trees over
-        cache-sized feature groups feeding a
-        :class:`~repro.backend.packed.BitPlaneAccumulator` — the software
-        mirror of the §III-D adder tree (see :meth:`_count_addends`) —
-        touching one word per 64 varying columns per feature whatever
-        ``ℓiv`` is.
+        Because the levels are a flip chain, that count is closed-form in
+        one AND + popcount per column per 64 features (see
+        :class:`_ColumnPlan`), on the columns some level flips only;
+        every other column takes its fixed value.
 
-        ``native`` routes the counters through the numba-compiled kernel
+        ``native`` routes the count through the numba-compiled kernel
         (:func:`~repro.backend.native.native_level_encode`): ``None``
-        auto-detects numba, ``False`` forces the NumPy accumulator,
-        ``True`` insists on the compiled path.  Both are integer-exact
-        and bit-identical.
+        auto-detects numba, ``False`` forces NumPy, ``True`` insists on
+        the compiled path.  Both are integer-exact and bit-identical.
         """
         idx = self._level_indices(X)
         use_native = self._use_native(native)
         plan = self._column_plan()
-        out = np.repeat(plan.fixed[None, :], idx.shape[0], axis=0)
-        nv = plan.cols.size
-        if not nv:
-            return out
         if use_native:
             from repro.backend.native import native_level_encode
 
-            out[:, plan.cols] = native_level_encode(
-                idx, plan.lvl, plan.inv_base, self.d_in, nv
+            return native_level_encode(
+                idx, self.n_levels, plan.flip, plan.agree, plan.cols,
+                plan.fixed,
             )
-        else:
-            positives = self._count_addends(
-                idx, plan, lambda acc: acc.counts(nv)
-            )
-            out[:, plan.cols] = 2 * positives - self.d_in
+        out = np.repeat(plan.fixed[None, :], idx.shape[0], axis=0)
+        if plan.cols.size:
+            cols = plan.cols.reshape(-1)
+            for row, h in zip(out, self._flip_chain_rows(idx, plan)):
+                row[cols] = h
         return out
 
     def encode_packed_bipolar(
@@ -530,48 +492,44 @@ class LevelBaseEncoder(Encoder):
         """Encode and bipolar-quantize directly on bit planes — no dense tile.
 
         Equivalent to ``pack_hypervectors(bipolar(encode(X)))`` but the
-        ``(n, d_hv)`` float tile never exists: the sign of the encoding
-        ``2c − d_in`` is exactly ``c > (d_in − 1) // 2`` (the bipolar
-        quantizer's 0 → +1 tie-break included), read straight off the
-        vertical counters with a bitwise magnitude comparator
-        (:meth:`~repro.backend.packed.BitPlaneAccumulator.greater_than`).
-        Returns a :class:`~repro.backend.PackedHV` whose magnitude plane
-        is all-ones over the valid dimensions (bipolar values have no
-        zeros).  ``native`` selects the compiled counters as in
-        :meth:`encode_packed`.
+        ``(n, d_hv)`` float tile never exists: only the flipping columns
+        are counted and their signs (the bipolar quantizer's 0 → +1
+        tie-break included) are packed over the fixed sign bits of the
+        others.  Returns a :class:`~repro.backend.PackedHV` whose
+        magnitude plane is all-ones over the valid dimensions (bipolar
+        values have no zeros).  ``native`` selects the compiled count as
+        in :meth:`encode_packed`.
         """
         return self._bipolar_planes(X, self._column_plan(), native)
 
     def _bipolar_planes(self, X, plan: _ColumnPlan, native: bool | None):
         """Bipolar encoding of ``X`` on the plan's support, zero elsewhere.
 
-        The counters run on the plan's varying columns only; their sign
+        The count runs on the plan's flipping columns only; their sign
         bits are scattered into the ``d_hv``-wide layout over the fixed
-        sign bits of its invariant columns.  The magnitude plane is the
+        sign bits of its other columns.  The magnitude plane is the
         support, so the result packs like the dense encoding quantized
         to bipolar and then zeroed off the support.
         """
-        from repro.backend.packed import PackedHV, unpack_bit_planes
+        from repro.backend.packed import PackedHV
 
         idx = self._level_indices(X)
-        use_native = self._use_native(native)
-        n, nv = idx.shape[0], plan.cols.size
-        signs = np.repeat(plan.fixed_signs[None, :], n, axis=0)
-        if nv:
-            if use_native:
-                from repro.backend.native import native_level_encode_signs
+        n = idx.shape[0]
+        if self._use_native(native):
+            from repro.backend.native import native_level_encode_signs
 
-                live = native_level_encode_signs(
-                    idx, plan.lvl, plan.inv_base, self.d_in, nv
-                )
-            else:
-                threshold = (self.d_in - 1) // 2
-                live = self._count_addends(
-                    idx, plan, lambda acc: acc.greater_than(threshold)
-                )
-            bits = np.zeros((n, signs.shape[1] * 64), dtype=np.uint8)
-            bits[:, plan.cols] = unpack_bit_planes(live, nv)
-            signs |= np.packbits(bits, axis=1, bitorder="little").view(np.uint64)
+            signs = native_level_encode_signs(
+                idx, self.n_levels, plan.flip, plan.agree, plan.cols,
+                plan.fixed, plan.fixed_signs,
+            )
+        else:
+            signs = np.repeat(plan.fixed_signs[None, :], n, axis=0)
+            if plan.cols.size:
+                cols = plan.cols.reshape(-1)
+                bits = np.zeros(signs.shape[1] * 64, dtype=bool)
+                for row, h in zip(signs, self._flip_chain_rows(idx, plan)):
+                    bits[cols] = h >= 0
+                    row |= np.packbits(bits, bitorder="little").view(np.uint64)
         mags = np.repeat(plan.support[None, :], n, axis=0)
         return PackedHV(signs=signs, mags=mags, d=self.d_hv)
 

@@ -89,10 +89,11 @@ class TestFallback:
         with pytest.raises(RuntimeError, match="numba"):
             native_level_encode(
                 np.zeros((2, 3), dtype=np.int64),
-                np.zeros((4, 1), dtype=np.uint64),
-                np.zeros((3, 1), dtype=np.uint64),
-                3,
-                10,
+                4,
+                np.ones(1, dtype=np.int64),
+                np.zeros((1, 1, 2), dtype=np.uint64),
+                np.zeros((1, 2), dtype=np.int64),
+                np.zeros(10, dtype=np.float32),
             )
 
     def test_encoder_native_flag_requires_kernels(self, forced_fallback):
@@ -177,7 +178,11 @@ class TestCompiledKernels:
         )
 
     @pytest.mark.parametrize(
-        "d_in,d_hv", [(1, 63), (5, 64), (7, 70), (12, 128), (30, 129)]
+        "d_in,d_hv",
+        [
+            (1, 63), (5, 64), (7, 70), (12, 128), (30, 129),
+            (65, 130), (130, 200),
+        ],
     )
     def test_level_encode_matches_numpy(self, d_in, d_hv):
         enc = LevelBaseEncoder(d_in, d_hv, seed=d_in)
@@ -188,7 +193,7 @@ class TestCompiledKernels:
         )
 
     @pytest.mark.parametrize(
-        "d_in,d_hv", [(1, 63), (7, 70), (12, 128), (30, 129)]
+        "d_in,d_hv", [(1, 63), (7, 70), (12, 128), (30, 129), (65, 130)]
     )
     def test_level_encode_signs_match_numpy(self, d_in, d_hv):
         enc = LevelBaseEncoder(d_in, d_hv, seed=d_in)
@@ -217,10 +222,10 @@ class TestCompiledKernels:
         enc = LevelBaseEncoder(4, 70, seed=1)
         X = np.random.default_rng(3).uniform(0, 1, (5, 4))
         plan = enc._column_plan()
-        n_vary = plan.cols.size
         signs = native_level_encode_signs(
-            enc._level_indices(X), plan.lvl, plan.inv_base, enc.d_in, n_vary
+            enc._level_indices(X), enc.n_levels, plan.flip, plan.agree,
+            plan.cols, plan.fixed, plan.fixed_signs,
         )
-        assert 0 < n_vary < enc.d_hv
-        assert signs.shape == (5, -(-n_vary // 64))
+        assert 0 < np.unique(plan.cols).size < enc.d_hv
+        assert signs.shape == (5, -(-enc.d_hv // 64))
         assert signs.dtype == np.uint64

@@ -32,9 +32,9 @@ def make_cluster_task(
     return X, y
 
 
-#: the level-base bit-plane parity grid: row counts that cross the
-#: kernel's 128-row block, d_hv at paper scale and small (both leave a
-#: partial tail word), d_in a power of two and an odd paper-scale value
+#: the level-base parity grid: row counts around a power of two, d_hv
+#: at paper scale and small (both leave a partial tail word), d_in a
+#: power of two and an odd paper-scale value
 LEVEL_GRID_N = (1, 7, 128, 129, 300)
 LEVEL_GRID_D_HV = (10_000, 1000)
 LEVEL_GRID_D_IN = (64, 617)
@@ -51,7 +51,7 @@ def level_grid_case(
     reference.  Features sit on ``lo`` and ``hi`` and outside
     ``[lo, hi]`` as well as inside it.  The reference is the per-level
     GEMM of :func:`tests.level_base_reference.reference_level_encode`,
-    never the counters; cached because at paper scale it is the slow
+    never the encoder's own kernel; cached because at paper scale it is the slow
     part and several test files share it.
     """
     enc = LevelBaseEncoder(d_in, d_hv, n_levels=n_levels, seed=23)

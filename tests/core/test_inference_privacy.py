@@ -190,8 +190,8 @@ def _assert_same_planes(got, want):
 
 
 class TestLevelBaseFastPath:
-    """Bipolar + level-base: sign planes straight off the bit-plane
-    counters, mask AND-ed in — plane-for-plane equal to packing the
+    """Bipolar + level-base: sign planes straight off the flip-chain
+    count, mask AND-ed in — plane-for-plane equal to packing the
     dense ``prepare``."""
 
     @pytest.mark.parametrize("keep", ("all", "half", "level-invariant"))

@@ -50,7 +50,6 @@ class TestBitPlaneAccumulator:
         acc = BitPlaneAccumulator()
         for row in planes:
             acc.add(row[None, :])
-        assert acc.n_added == n_rows
         np.testing.assert_array_equal(
             acc.counts(d)[0], bits.sum(axis=0, dtype=np.int32)
         )
@@ -59,149 +58,6 @@ class TestBitPlaneAccumulator:
         with pytest.raises(ValueError):
             BitPlaneAccumulator().counts(8)
 
-    @settings(max_examples=25, deadline=None)
-    @given(
-        n_rows=st.integers(1, 40),
-        d=st.integers(1, 200),
-        seed=st.integers(0, 2**31),
-        threshold=st.integers(-2, 42),
-    )
-    def test_greater_than_matches_counts(self, n_rows, d, seed, threshold):
-        rng = spawn(seed, "acc-gt")
-        bits = rng.integers(0, 2, (n_rows, d), dtype=np.uint8)
-        planes = pack_sign_planes(2 * bits.astype(np.int8) - 1)
-        acc = BitPlaneAccumulator()
-        for row in planes:
-            acc.add(row[None, :])
-        mask = acc.greater_than(threshold)
-        counts = bits.sum(axis=0, dtype=np.int64)
-        expect = counts > threshold
-        got = np.zeros(d, dtype=bool)
-        for j in range(d):
-            got[j] = bool((mask[0, j // 64] >> np.uint64(j % 64)) & np.uint64(1))
-        np.testing.assert_array_equal(got, expect)
-
-    @settings(max_examples=25, deadline=None)
-    @given(
-        n_rows=st.integers(1, 40),
-        d=st.integers(1, 200),
-        seed=st.integers(0, 2**31),
-    )
-    def test_compressed_is_canonical_binary(self, n_rows, d, seed):
-        rng = spawn(seed, "acc-cmp")
-        bits = rng.integers(0, 2, (n_rows, d), dtype=np.uint8)
-        planes = pack_sign_planes(2 * bits.astype(np.int8) - 1)
-        acc = BitPlaneAccumulator()
-        for row in planes:
-            acc.add(row[None, :])
-        compressed = acc.compressed()
-        counts = bits.sum(axis=0, dtype=np.int64)
-        # decode the canonical planes back to per-column counts
-        decoded = np.zeros(d, dtype=np.int64)
-        for p, plane in enumerate(compressed):
-            for j in range(d):
-                bit = (plane[0, j // 64] >> np.uint64(j % 64)) & np.uint64(1)
-                decoded[j] += int(bit) << p
-        np.testing.assert_array_equal(decoded, counts)
-
-
-    @staticmethod
-    def _weighted(adds, d):
-        """Accumulate ``(weight, bits)`` pairs; also the brute-force counts."""
-        acc = BitPlaneAccumulator()
-        expect = np.zeros(d, dtype=np.int64)
-        for p, bits in adds:
-            acc.add(pack_sign_planes(2 * bits.astype(np.int8) - 1), weight=p)
-            expect += bits.astype(np.int64) << p
-        return acc, expect
-
-    @staticmethod
-    def _bits_of(plane, d):
-        j = np.arange(d)
-        words = plane[0, j // 64]
-        return ((words >> (j % 64).astype(np.uint64)) & np.uint64(1)).astype(
-            np.int64
-        )
-
-    @settings(max_examples=30, deadline=None)
-    @given(
-        weights=st.lists(st.integers(0, 6), min_size=1, max_size=30),
-        d=st.integers(1, 200),
-        seed=st.integers(0, 2**31),
-    )
-    def test_weighted_adds_match_brute_force(self, weights, d, seed):
-        rng = spawn(seed, "acc-weighted")
-        adds = [(p, rng.integers(0, 2, d, dtype=np.uint8)) for p in weights]
-        acc, expect = self._weighted(adds, d)
-        np.testing.assert_array_equal(acc.counts(d, np.int64)[0], expect)
-        assert acc.n_added == sum(1 << p for p in weights)
-        decoded = sum(
-            self._bits_of(plane, d) << p
-            for p, plane in enumerate(acc.compressed())
-        )
-        np.testing.assert_array_equal(decoded, expect)
-        for t in sorted({-1, 0, *expect.tolist(), int(expect.max()) + 1}):
-            np.testing.assert_array_equal(
-                self._bits_of(acc.greater_than(t), d), expect > t
-            )
-
-    def test_first_add_above_weight_zero(self):
-        # Levels no add or carry has reached stay empty; every view of
-        # the counter must treat them as zero planes.
-        d = 70
-        bits = spawn(1, "acc-high").integers(0, 2, d, dtype=np.uint8)
-        acc, expect = self._weighted([(3, bits)], d)
-        assert acc.n_added == 8
-        np.testing.assert_array_equal(acc.counts(d)[0], expect)
-        planes = acc.compressed()
-        assert len(planes) == 4
-        for low in planes[:3]:
-            assert not low.any()
-        np.testing.assert_array_equal(self._bits_of(planes[3], d), bits)
-        for t in (0, 7, 8):
-            np.testing.assert_array_equal(
-                self._bits_of(acc.greater_than(t), d), expect > t
-            )
-
-    def test_empty_levels_between_filled_ones(self):
-        # add(w=0) then add(w=3) leaves levels 1 and 2 empty above a
-        # filled level 0.
-        d = 70
-        rng = spawn(3, "acc-gap")
-        adds = [(p, rng.integers(0, 2, d, dtype=np.uint8)) for p in (0, 3)]
-        acc, expect = self._weighted(adds, d)
-        assert acc.n_added == 9
-        np.testing.assert_array_equal(acc.counts(d)[0], expect)
-        planes = acc.compressed()
-        assert len(planes) == 4
-        assert not planes[1].any() and not planes[2].any()
-        for t in (-1, 0, 1, 7, 8, 9):
-            np.testing.assert_array_equal(
-                self._bits_of(acc.greater_than(t), d), expect > t
-            )
-
-    def test_mixed_weights_equal_repeated_unit_adds(self):
-        d = 129
-        rng = spawn(2, "acc-mixed")
-        adds = [
-            (p, rng.integers(0, 2, d, dtype=np.uint8))
-            for p in (2, 0, 5, 2, 1, 0)
-        ]
-        weighted, _ = self._weighted(adds, d)
-        unit, _ = self._weighted(
-            [(0, bits) for p, bits in adds for _ in range(1 << p)], d
-        )
-        assert weighted.n_added == unit.n_added == 4 + 1 + 32 + 4 + 2 + 1
-        np.testing.assert_array_equal(weighted.counts(d), unit.counts(d))
-        thr = (weighted.n_added - 1) // 2
-        np.testing.assert_array_equal(
-            weighted.greater_than(thr), unit.greater_than(thr)
-        )
-
-    def test_negative_weight_rejected(self):
-        with pytest.raises(ValueError, match="weight"):
-            BitPlaneAccumulator().add(np.zeros((1, 1), np.uint64), weight=-1)
-
 
 # ----------------------------------------------------------------------
 # packed level-base kernel vs the per-level GEMM reference
@@ -209,10 +65,10 @@ class TestBitPlaneAccumulator:
 class TestPackedLevelBaseKernel:
     @settings(max_examples=20, deadline=None)
     @given(
-        d_in=st.integers(1, 40),
+        d_in=st.integers(1, 140),  # sweeps partial and whole feature words
         d_hv=st.integers(1, 300),  # sweeps across non-multiple-of-64 widths
         n_levels=st.integers(1, 12),
-        n=st.integers(1, 9),
+        n=st.integers(0, 9),
         seed=st.integers(0, 2**31),
     )
     def test_bit_identical_to_dense(self, d_in, d_hv, n_levels, n, seed):

@@ -4,11 +4,12 @@ import numpy as np
 import pytest
 
 from repro.backend.packed import pack_hypervectors
-from repro.hd.encoder import LevelBaseEncoder, ScalarBaseEncoder, _feature_group
+from repro.hd.encoder import LevelBaseEncoder, ScalarBaseEncoder
 from repro.hd.quantize import get_quantizer
 from repro.hd.similarity import cosine
 from repro.utils import spawn
 from tests.conftest import LEVEL_GRID_D_IN, level_grid_case
+from tests.level_base_reference import reference_level_encode
 
 
 def _inputs(n=6, d_in=32, seed=0):
@@ -177,12 +178,30 @@ class TestEncodeInto:
             enc.encode_into(X, np.empty((4, 64), dtype=np.float64))
 
 
-class TestPackedLevelBaseGrid:
-    """The bit-plane counters against the per-level GEMM reference."""
+def _truncated_grid_encoder(d_in, n_levels):
+    """A level-base encoder cut from ``parent_d_hv = 1000`` to 777 dims."""
+    parent = LevelBaseEncoder(d_in, 1000, n_levels=n_levels, seed=5)
+    return parent.truncated(777)
 
-    @pytest.mark.parametrize("d_in", (1, 12, 617))
+
+def _grid_inputs(d_in):
+    """129 rows on, between and outside the level range ``[0, 1]``."""
+    X = spawn(d_in, "trunc-grid").uniform(-0.25, 1.25, (129, d_in))
+    X[::7] = 1.0
+    return X
+
+
+class TestPackedLevelBaseGrid:
+    """The flip-chain popcount against the per-level GEMM reference.
+
+    ``d_in`` of 1, 63, 64, 65 and 617 puts the last feature word at
+    every fill: one feature, one short of a word, exactly one, one
+    over, and the paper's partial tenth word.
+    """
+
+    @pytest.mark.parametrize("d_in", (1, 12, 63, 64, 65, 617))
     @pytest.mark.parametrize("d_hv", (64, 770, 10_000))
-    @pytest.mark.parametrize("n", (1, 7, 128, 129))
+    @pytest.mark.parametrize("n", (0, 1, 7, 128, 129))
     @pytest.mark.parametrize("n_levels", (1, 2, 3, 4, 5, 8, 32, 100))
     def test_encode_packed_matches_encode(self, n_levels, n, d_hv, d_in):
         enc, X, H = level_grid_case(d_in, d_hv, n_levels, rows=129)
@@ -199,6 +218,58 @@ class TestPackedLevelBaseGrid:
         want = pack_hypervectors(get_quantizer("bipolar")(H[:n]))
         np.testing.assert_array_equal(got.signs, want.signs)
         np.testing.assert_array_equal(got.mags, want.mags)
+
+    @pytest.mark.parametrize("d_in", (1, 63, 64, 65, 617))
+    @pytest.mark.parametrize("n_levels", (1, 2, 3, 32, 100))
+    def test_truncated_encoder_matches_reference(self, n_levels, d_in):
+        enc = _truncated_grid_encoder(d_in, n_levels)
+        X = _grid_inputs(d_in)
+        want = reference_level_encode(enc, X)
+        for n in (0, 1, 129):
+            np.testing.assert_array_equal(enc.encode(X[:n]), want[:n])
+            np.testing.assert_array_equal(
+                enc.encode_packed(X[:n], native=False), want[:n]
+            )
+
+    @pytest.mark.parametrize("masked", ("none", "half", "all-but-one"))
+    @pytest.mark.parametrize("d_in", (1, 63, 64, 65, 617))
+    @pytest.mark.parametrize("n_levels", (1, 2, 3, 32, 100))
+    def test_masked_prepare_packed_matches_packed_prepare(
+        self, n_levels, d_in, masked
+    ):
+        from repro.core.inference_privacy import (
+            InferenceObfuscator,
+            ObfuscationConfig,
+        )
+
+        enc = _truncated_grid_encoder(d_in, n_levels)
+        n_masked = {
+            "none": 0, "half": enc.d_hv // 2, "all-but-one": enc.d_hv - 1
+        }
+        obf = InferenceObfuscator(
+            enc, ObfuscationConfig(n_masked=n_masked[masked], mask_seed=d_in)
+        )
+        X = _grid_inputs(d_in)
+        for n in (0, 1, 129):
+            got = obf.prepare_packed(X[:n])
+            want = pack_hypervectors(obf.prepare(X[:n]))
+            np.testing.assert_array_equal(got.signs, want.signs)
+            np.testing.assert_array_equal(got.mags, want.mags)
+
+    @pytest.mark.parametrize("defect", ("flips back", "leaves the chain"))
+    def test_non_chain_levels_refused_at_plan_build(self, defect):
+        enc = LevelBaseEncoder(8, 200, n_levels=4, seed=1)
+        L = enc.levels.vectors
+        if defect == "flips back":  # flipped at level 1, back at level 3
+            j = int(np.flatnonzero((L[1] != L[0]) & (L[2] != L[0]))[0])
+            L[3, j] = L[0, j]
+        else:  # a value that is neither L_0 nor -L_0
+            j = int(np.flatnonzero(L[3] == L[0])[0])
+            L[2, j] = 0
+        with pytest.raises(ValueError, match=f"column {j} is not a flip"):
+            enc.encode(_inputs(2, 8))
+        with pytest.raises(ValueError, match=f"column {j} "):
+            enc._column_plan(np.ones(200, dtype=bool))
 
     @pytest.mark.parametrize("d_hv", (130, 10_000))  # d_hv % 64 != 0
     def test_zero_rows(self, d_hv):
@@ -217,20 +288,6 @@ class TestPackedLevelBaseGrid:
         )
         obf = InferenceObfuscator(enc, ObfuscationConfig(n_masked=d_hv // 2))
         assert obf.prepare_packed(X).signs.shape == (0, words)
-
-    @pytest.mark.parametrize(
-        "d_in, rows, words, group",
-        [
-            (617, 1, 157, 512),  # 1 MiB / (1 × 157 words) → 834 → 512
-            (617, 8, 157, 64),
-            (617, 128, 157, 1),  # only 6 planes fit: per-feature loop
-            (64, 1, 157, 64),  # capped at the next power of two ≥ d_in
-            (5, 1, 16, 8),
-            (3, 1, 16, 1),  # cap 4 < 8: per-feature loop
-        ],
-    )
-    def test_feature_group_rule(self, d_in, rows, words, group):
-        assert _feature_group(d_in, rows, words) == group
 
 
 class TestNonFiniteFeatures:
