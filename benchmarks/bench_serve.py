@@ -48,8 +48,12 @@ Exercises the full model lifecycle the way a deployment would:
    the sans-io rework's acceptance gate.  It also times the codec per
    frame (encode, decode and ``split``) for a single-row v4
    ``ScoreRequest``/``ScoreResponse`` pair and a 32-chunk
-   ``ScoreBatchRequest``/``ScoreBatchResponse`` pair, after asserting
-   each message round-trips to itself (no timing bar).
+   ``ScoreBatchRequest``/``ScoreBatchResponse`` pair, and the same two
+   requests as v5 live words on a half-masked support, after asserting
+   each message round-trips to itself; records the request bytes per
+   row of v4 planes against v5 live words; and times one 256-row flush
+   of live words and of the same rows as planes against a store held as
+   live words (no bar on any of these).
 
 Writes ``BENCH_serve.json``::
 
@@ -74,8 +78,10 @@ if __name__ == "__main__":  # script mode works without an installed package
 
 import numpy as np
 
-from repro.backend.packed import pack_hypervectors
+from repro.backend.packed import LiveHV, compact_store, pack_hypervectors
 from repro.client import PriveHDClient
+from repro.hd.model import HDModel
+from repro.hd.prune import mask_from_seed
 from repro.proto import (
     PROTOCOL_VERSION,
     FrameDecoder,
@@ -89,11 +95,27 @@ from repro.proto import (
 )
 from repro.serve import (
     FrontendHandle,
+    InferenceEngine,
     MicroBatchConfig,
     ModelArtifact,
     ServingAPI,
-    make_serving_fixture,
 )
+from repro.utils.rng import spawn
+
+
+def make_serving_fixture(d_hv=10000, n_queries=2000, n_classes=26, seed=0):
+    """A bipolar model plus bipolar query hypervectors (every dimension live).
+
+    Queries correlate with a random class so predictions are
+    non-trivial.  Values are ±1 floats so the dense backend runs its
+    usual path untouched.
+    """
+    rng = spawn(seed, "serving-fixture")
+    class_hvs = np.where(rng.normal(size=(n_classes, d_hv)) >= 0, 1.0, -1.0)
+    owner = rng.integers(0, n_classes, n_queries)
+    noise = rng.normal(size=(n_queries, d_hv))
+    queries = np.where(class_hvs[owner] + 1.5 * noise >= 0, 1.0, -1.0)
+    return HDModel(n_classes, d_hv, class_hvs), queries.astype(np.float32)
 
 
 def _build_artifact(d_hv, n_classes, n_queries, seed, directory):
@@ -315,47 +337,73 @@ def _us_per_call(fn, number: int) -> float:
     return min(timeit.repeat(fn, number=number, repeat=5)) / number * 1e6
 
 
+def _masked_block(d_hv: int, n: int, seed: int = 0):
+    """``n`` seeded bipolar rows on one half-masked support: planes, live words."""
+    rng = np.random.default_rng(seed)
+    keep = mask_from_seed(d_hv, d_hv // 2, 0)
+    block = pack_hypervectors(np.where(rng.random((n, d_hv)) < 0.5, -1.0, 1.0) * keep)
+    held = compact_store(block)
+    return block, LiveHV(held.gather(block.signs), d_hv, held.n_live, held.digest)
+
+
 def run_codec_profile(d_hv: int, *, chunks: int = 32, number: int = 2000) -> dict:
     """Codec microseconds per frame on the wire edge, at ``d_hv``.
 
     Two v4 pairs of packed one-row-per-chunk traffic: a single-row
     ``ScoreRequest``/``ScoreResponse`` and a ``chunks``-chunk
     ``ScoreBatchRequest``/``ScoreBatchResponse`` (the ``gateway_batched``
-    frame shape).  Every message must decode back to itself, and the
-    batch response's ``split`` must equal ``np.split`` on its counts,
-    before anything is timed.  ``split_us`` exists for the batch
-    response only: a single-row response has nothing to split.
+    frame shape); and the same two requests at v5 as live words of rows
+    masked to half the dimensions (``*_live``).  Every message must
+    decode back to itself, and the batch response's ``split`` must
+    equal ``np.split`` on its counts, before anything is timed.
+    ``split_us`` exists for the batch response only: a single-row
+    response has nothing to split.  ``bytes_per_row`` is the
+    ``chunks``-row request frame's length per row, v4 planes against
+    v5 live words of the same masked rows.
     """
     rng = np.random.default_rng(0)
     block = pack_hypervectors(
         np.where(rng.random((chunks, d_hv)) < 0.5, -1.0, 1.0)
     )
+    masked, live = _masked_block(d_hv, chunks)
     counts = (1,) * chunks
+    single_response = ScoreResponse(
+        predictions=[3], model="m", version=1, request_id=7
+    )
+    batch_response = ScoreBatchResponse(
+        predictions=np.arange(chunks), counts=counts, model="m",
+        version=1, request_id=7,
+    )
+
+    def batch(queries):
+        return ScoreBatchRequest(
+            queries=queries, counts=counts, request_id=7, tenant="t"
+        )
+
     pairs = {
         "single_row": (
+            4,
             ScoreRequest(queries=block[:1], request_id=7, tenant="t"),
-            ScoreResponse(predictions=[3], model="m", version=1, request_id=7),
+            single_response,
         ),
-        f"batch_{chunks}_chunks": (
-            ScoreBatchRequest(
-                queries=block, counts=counts, request_id=7, tenant="t"
-            ),
-            ScoreBatchResponse(
-                predictions=np.arange(chunks), counts=counts, model="m",
-                version=1, request_id=7,
-            ),
+        f"batch_{chunks}_chunks": (4, batch(block), batch_response),
+        "single_row_live": (
+            5,
+            ScoreRequest(queries=live[:1], request_id=7, tenant="t"),
+            single_response,
         ),
+        f"batch_{chunks}_chunks_live": (5, batch(live), batch_response),
     }
     out: dict = {"d_hv": d_hv, "protocol_version": PROTOCOL_VERSION}
-    for label, (request, response) in pairs.items():
+    for label, (version, request, response) in pairs.items():
         row = {}
         for kind, msg in (("request", request), ("response", response)):
-            frame = FrameDecoder().feed(encode_message(msg))[0]
+            frame = FrameDecoder().feed(encode_message(msg, version=version))[0]
             back = decode_message(frame)
             if back != msg:
                 raise AssertionError(f"codec profile {label} {kind} diverged")
             row[f"{kind}_encode_us"] = _us_per_call(
-                lambda: encode_message_parts(msg), number
+                lambda: encode_message_parts(msg, version=version), number
             )
             row[f"{kind}_decode_us"] = _us_per_call(
                 lambda: decode_message(frame), number
@@ -366,7 +414,63 @@ def run_codec_profile(d_hv: int, *, chunks: int = 32, number: int = 2000) -> dic
                 raise AssertionError(f"codec profile {label} split diverged")
             row["split_us"] = _us_per_call(back.split, number)
         out[label] = row
+    out["bytes_per_row"] = {
+        "v4_planes": len(encode_message(batch(masked), version=4)) / chunks,
+        "v5_live": len(encode_message(batch(live), version=5)) / chunks,
+    }
     return out
+
+
+def run_live_flush_profile(d_hv: int, *, rows: int = 256, n_classes: int = 26) -> dict:
+    """Microseconds per row of one ``rows``-row flush on a live-word store.
+
+    The same masked rows scored as v5 live words and as v4 planes on
+    the store's support (gathered into live words once per call)
+    against a ``n_classes`` store held as live words, after asserting
+    both give the same scores; and unmasked bipolar planes against an
+    unmasked store, whose live words are its sign plane, after
+    asserting they score like the dense backend.  No bar: it records
+    what v4 traffic costs a server whose stores are compacted.
+    """
+    from repro.backend import get_backend
+
+    store, _ = _masked_block(d_hv, n_classes, seed=1)
+    prepared = get_backend("packed").prepare_class_store(store)
+    planes, live = _masked_block(d_hv, rows, seed=2)
+    backend = get_backend("packed")
+    if not np.array_equal(
+        backend.class_scores(live, prepared), backend.class_scores(planes, prepared)
+    ):
+        raise AssertionError("live-word and plane flushes diverged")
+    rng = np.random.default_rng(3)
+    full = pack_hypervectors(
+        np.where(rng.random((n_classes + rows, d_hv)) < 0.5, -1.0, 1.0)
+    )
+    full_store = backend.prepare_class_store(full[:n_classes])
+    full_rows = full[n_classes:]
+    dense = get_backend("dense")
+    if not np.allclose(
+        backend.class_scores(full_rows, full_store),
+        dense.class_scores(
+            full_rows.unpack(np.float64),
+            dense.prepare_class_store(full[:n_classes].unpack(np.float64)),
+        ),
+        rtol=1e-12,
+        atol=0,
+    ):
+        raise AssertionError("unmasked plane flush diverged from dense")
+    return {
+        "unmasked_planes_us_per_row": _us_per_call(
+            lambda: backend.class_scores(full_rows, full_store), 20
+        ) / rows,
+        "rows": rows,
+        "live_words_us_per_row": _us_per_call(
+            lambda: backend.class_scores(live, prepared), 20
+        ) / rows,
+        "planes_us_per_row": _us_per_call(
+            lambda: backend.class_scores(planes, prepared), 20
+        ) / rows,
+    }
 
 
 def run_wire_profile(artifact, queries, direct, args, in_process_qps) -> dict:
@@ -435,6 +539,7 @@ def run_wire_profile(artifact, queries, direct, args, in_process_qps) -> dict:
     out["codec_us_per_frame"] = run_codec_profile(
         args.dhv, number=200 if args.smoke else 2000
     )
+    out["live_store_flush"] = run_live_flush_profile(args.dhv)
     return out
 
 
@@ -779,17 +884,18 @@ def run_scatter_microbench(n_requests: int = 256, repeats: int = 30) -> dict:
 def run_backend_sweep(args) -> dict:
     """Per-backend offline scoring throughput on the serving workload.
 
-    Thin wrapper over :func:`repro.serve.bench.run_throughput` (same
-    fixture, same seed): each backend serves the query batch in its own
-    wire format and predictions are checked identical across backends.
-    Native kernels are warmed before timing; when numba is absent the
-    native entry is skipped (its fallback would re-measure packed) and
+    The same fixture and seed for every backend: each serves the query
+    batch in its own wire format (floats for dense, bit planes for the
+    packed-operand backends, the §III-C split) through an
+    :class:`~repro.serve.InferenceEngine`, best of ``--repeats``, and
+    predictions are checked identical across backends.  Native kernels
+    are warmed before timing; when numba is absent the native entry is
+    skipped (its fallback would re-measure packed) and
     ``numba_available`` records why.
     """
     import os
 
-    from repro.backend.native import kernels_available
-    from repro.serve import run_throughput
+    from repro.backend.native import kernels_available, warm_kernels
 
     wanted = {
         "all": ["dense", "packed", "native"],
@@ -806,21 +912,21 @@ def run_backend_sweep(args) -> dict:
     }
     identical = True
     reference = None
+    model, queries = make_serving_fixture(
+        args.dhv, args.n_queries, args.n_classes, args.seed
+    )
+    packed = pack_hypervectors(queries)
+    if "native" in wanted:
+        warm_kernels()  # JIT compilation must not count against the timings
     for name in wanted:
-        result = run_throughput(
-            name,
-            d_hv=args.dhv,
-            n_queries=args.n_queries,
-            n_classes=args.n_classes,
-            seed=args.seed,
-            repeats=args.repeats,
-        )
-        row = result.rows[0]
+        wire = queries if name == "dense" else packed
+        engine = InferenceEngine(model, backend=name)
+        preds = engine.predict(wire)  # warm-up + correctness
+        best = min(_timed(engine.predict, wire) for _ in range(args.repeats))
         out["by_backend"][name] = {
-            "queries_per_s": row.queries_per_s,
-            "seconds": row.elapsed_s,
+            "queries_per_s": args.n_queries / best,
+            "seconds": best,
         }
-        preds = result.predictions[name]
         if reference is None:
             reference = preds
         elif not np.array_equal(reference, preds):
@@ -1229,10 +1335,22 @@ def main(argv=None) -> int:
                 f"rx {mode['rx_copied_bytes_per_frame']:.0f} B"
             )
         for label, row in wp["codec_us_per_frame"].items():
-            if isinstance(row, dict):
+            if isinstance(row, dict) and label != "bytes_per_row":
                 print(f"codec {label} (us/frame): " + ", ".join(
                     f"{k[:-3]} {v:.1f}" for k, v in row.items()
                 ))
+        per_row = wp["codec_us_per_frame"]["bytes_per_row"]
+        print(
+            f"request bytes/row: v4 planes {per_row['v4_planes']:.0f}, "
+            f"v5 live words {per_row['v5_live']:.0f}"
+        )
+        flush = wp["live_store_flush"]
+        print(
+            f"{flush['rows']}-row flush on a live-word store (us/row): "
+            f"live words {flush['live_words_us_per_row']:.2f}, "
+            f"planes {flush['planes_us_per_row']:.2f}, unmasked planes "
+            f"{flush['unmasked_planes_us_per_row']:.2f}"
+        )
     if "workers" in report:
         wk = report["workers"]
         single = wk["by_workers"]["1"]["queries_per_s"]

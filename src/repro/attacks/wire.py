@@ -18,8 +18,10 @@ Three layers:
 * :class:`WireTrace` — the eavesdropper's parse of a capture: chunks are
   replayed through the same :class:`~repro.proto.wire.FrameDecoder` the
   server runs, every frame is decoded to its typed message, and the
-  query payloads (packed bit planes or dense float32) are lifted back
-  out exactly as an attacker would lift them.
+  query payloads (packed bit planes, dense float32, or v5 live words,
+  placed on the support the captured ``ModelInfo`` ``mask_seed``
+  regenerates) are lifted back out exactly as an attacker would lift
+  them.
 * :func:`attack_trace` — the paper's attacks pointed at the capture:
   Eq. (10) reconstruction via :class:`~repro.attacks.decoder.HDDecoder`
   (with the eavesdropper's own mask inference and amplitude
@@ -30,8 +32,8 @@ Three layers:
 
 On top sits :func:`run_privacy_gate`: one live fleet server, one
 capturing proxy, and a client leg per negotiated protocol version
-(v1 single / v2 batched / v3 deadline / v4 tenant) and per quantizer
-(bipolar / ternary / ternary-biased / masked), plus an
+(v1 single / v2 batched / v3 deadline / v4 tenant / v5 live words) and
+per quantizer (bipolar / ternary / ternary-biased / masked), plus an
 obfuscation-bypassed identity leg.  :func:`evaluate_gate` turns the
 rows into pass/fail, the built-in self-test asserts the bypassed leg
 *fails* the same criteria (the gate has teeth), and
@@ -57,7 +59,12 @@ from repro.attacks.decoder import HDDecoder
 from repro.attacks.fixtures import AttackWorkload, attack_workload
 from repro.attacks.membership import ModelDifferenceAttack
 from repro.attacks.metrics import mse, normalized_mse, psnr
-from repro.backend.packed import PackedHV
+from repro.backend.packed import (
+    LiveHV,
+    PackedHV,
+    expand_live,
+    support_of,
+)
 from repro.proto.messages import (
     Hello,
     ModelInfo,
@@ -384,7 +391,7 @@ class WireTrace:
                 return msg
         return None
 
-    def query_batches(self) -> list[PackedHV | np.ndarray]:
+    def query_batches(self) -> list[PackedHV | LiveHV | np.ndarray]:
         """Every scoring payload the client shipped, in wire order."""
         return [
             msg.queries
@@ -392,18 +399,47 @@ class WireTrace:
             if isinstance(msg, (ScoreRequest, ScoreBatchRequest))
         ]
 
+    def place_live(self, queries: LiveHV) -> PackedHV:
+        """Put captured v5 live words back on their dimensions.
+
+        The support is public: all dimensions when ``n_live == d``,
+        else the keep mask the captured
+        :class:`~repro.proto.ModelInfo` ``mask_seed`` regenerates.  The
+        payload's digest confirms the placement.
+        """
+        from repro.hd.prune import mask_from_seed
+
+        n_masked, seed = queries.d - queries.n_live, 0
+        if n_masked:
+            info = self.model_info()
+            if info is None or info.mask_seed is None:
+                raise ValueError(
+                    "live words on a partial support, and no captured "
+                    "ModelInfo mask_seed to place them with"
+                )
+            seed = info.mask_seed
+        support, digest = support_of(mask_from_seed(queries.d, n_masked, seed))
+        if digest != queries.digest:
+            raise ValueError(
+                "the captured mask_seed does not match the live words"
+            )
+        return expand_live(queries, support)
+
     def query_rows(self) -> np.ndarray:
         """All captured query hypervectors as one dense float64 block.
 
-        Packed payloads are unpacked exactly (bit planes round-trip);
-        dense payloads are widened from their wire float32.  Row order
-        is wire order — for a pipelined client, request-send order.
+        Packed payloads are unpacked exactly (bit planes round-trip,
+        live words are placed by :meth:`place_live`); dense payloads
+        are widened from their wire float32.  Row order is wire order —
+        for a pipelined client, request-send order.
         """
         batches = self.query_batches()
         if not batches:
             raise ValueError("no scoring frames in this trace")
         blocks = [
-            q.unpack(np.float64)
+            self.place_live(q).unpack(np.float64)
+            if isinstance(q, LiveHV)
+            else q.unpack(np.float64)
             if isinstance(q, PackedHV)
             else np.asarray(q, dtype=np.float64)
             for q in batches
@@ -412,10 +448,10 @@ class WireTrace:
 
     @property
     def packed_on_wire(self) -> bool:
-        """Whether the captured scoring payloads were bit-plane packed."""
+        """Whether the captured scoring payloads were bit-packed."""
         batches = self.query_batches()
         return bool(batches) and all(
-            isinstance(q, PackedHV) for q in batches
+            isinstance(q, (PackedHV, LiveHV)) for q in batches
         )
 
 
@@ -696,6 +732,11 @@ class GateConfig:
     thresholds: GateThresholds = GateThresholds()
 
     @property
+    def mask_seed(self) -> int:
+        """The masked legs' deployment mask seed."""
+        return self.seed + 101
+
+    @property
     def resolved_n_masked(self) -> int:
         """The masked leg's zeroed-dimension count."""
         return self.d_hv // 2 if self.n_masked is None else int(self.n_masked)
@@ -723,29 +764,33 @@ class GateConfig:
         }
 
 
+_V4 = (1, 2, 3, 4)
+
 #: one client session per row: (leg, offered versions [None = all],
 #: quantizer, masked?, tenant [None = server default], deadline_ms,
 #: protected?).  v1–v3 address the default tenant (the protected
 #: bipolar artifact); v4 legs address tenants explicitly, including the
 #: obfuscation-bypassed identity leg against the dense full-precision
-#: tenant — the self-test's foil.
+#: tenant — the self-test's foil.  The v5 leg masks like the pruned
+#: tenant it addresses, so its queries ship as live words.
 _LEG_SPECS: tuple = (
     ("v1-bipolar", (1,), "bipolar", False, None, None, True),
     ("v2-bipolar", (1, 2), "bipolar", False, None, None, True),
     ("v3-bipolar", (1, 2, 3), "bipolar", False, None, 10_000, True),
-    ("v4-bipolar", None, "bipolar", False, "protected", None, True),
-    ("v4-ternary", None, "ternary", False, "protected", None, True),
+    ("v4-bipolar", _V4, "bipolar", False, "protected", None, True),
+    ("v4-ternary", _V4, "ternary", False, "protected", None, True),
     (
         "v4-ternary-biased",
-        None,
+        _V4,
         "ternary-biased",
         False,
         "protected",
         None,
         True,
     ),
-    ("v4-masked", None, "bipolar", True, "protected", None, True),
-    ("v4-identity", None, "identity", False, "plain", None, False),
+    ("v4-masked", _V4, "bipolar", True, "protected", None, True),
+    ("v4-identity", _V4, "identity", False, "plain", None, False),
+    ("v5-masked", None, "bipolar", True, "masked", None, True),
 )
 
 
@@ -834,8 +879,10 @@ def run_privacy_gate(config: GateConfig | None = None, *, log=None) -> GateRepor
     (dense/full-precision) tenant, puts a :class:`CaptureProxy` in
     front of it, then drives one :class:`~repro.client.PriveHDClient`
     session per leg of :data:`_LEG_SPECS` — every negotiated protocol
-    version v1–v4, every packable quantizer, the masked deployment, and
-    the obfuscation-bypassed identity foil.  Each session's capture is
+    version v1–v5, every packable quantizer, the masked deployment, and
+    the obfuscation-bypassed identity foil, and a v5 leg whose masked
+    queries travel as live words to a tenant pruned to the same mask.
+    Each session's capture is
     parsed and attacked by :func:`attack_trace`; the rows feed
     :func:`evaluate_gate` and the built-in self-test.
 
@@ -857,9 +904,21 @@ def run_privacy_gate(config: GateConfig | None = None, *, log=None) -> GateRepor
     plain_artifact = ModelArtifact.build(
         model, quantizer=None, backend="dense", encoder=workload.encoder
     )
+    from repro.hd.prune import mask_from_seed
+
+    keep = mask_from_seed(cfg.d_hv, cfg.resolved_n_masked, cfg.mask_seed)
+    masked_artifact = ModelArtifact.build(
+        model,
+        quantizer="bipolar",
+        backend="packed",
+        encoder=workload.encoder,
+        keep_mask=keep,
+        mask_seed=cfg.mask_seed,
+    )
     fleet = ModelFleet(default_tenant="protected")
     fleet.add_tenant("protected", protected_artifact)
     fleet.add_tenant("plain", plain_artifact)
+    fleet.add_tenant("masked", masked_artifact)
     api = ServingAPI(fleet)
     rows: list[WireAttackReport] = []
     try:
@@ -895,7 +954,7 @@ def _run_leg(proxy, workload, cfg: GateConfig, spec) -> WireAttackReport:
     leg, versions, quantizer, masked, tenant, deadline_ms, protected = spec
     n_masked = cfg.resolved_n_masked if masked else 0
     obfuscation = ObfuscationConfig(
-        quantizer=quantizer, n_masked=n_masked, mask_seed=cfg.seed + 101
+        quantizer=quantizer, n_masked=n_masked, mask_seed=cfg.mask_seed
     )
     before = len(proxy.connections)
     with PriveHDClient(

@@ -46,14 +46,16 @@ import logging
 import numpy as np
 
 from repro.backend.packed import (
+    LiveHV,
+    LiveStore,
     PackedBackend,
     PackedHV,
     _check_pair,
+    compact_store,
     n_words,
     packed_dot_matrix,
     packed_hamming_matrix,
     packed_norms,
-    shared_support_signs,
 )
 from repro.backend.base import register_backend
 
@@ -130,7 +132,7 @@ if NUMBA_AVAILABLE:
 
     @njit(parallel=True, nogil=True, cache=True)
     def _dot_bipolar_kernel(qs, cs, n_live, out):  # pragma: no cover
-        """dot = n_live − 2·popcount(Sa ^ Sb) on M-masked signs."""
+        """dot = n_live − 2·popcount(qs ^ cs) on live words of one M."""
         for i in prange(qs.shape[0]):
             for j in range(cs.shape[0]):
                 acc = np.int64(0)
@@ -217,13 +219,17 @@ if NUMBA_AVAILABLE:
 
     @njit(parallel=True, nogil=True, cache=True)
     def _level_signs_kernel(
-        idx, n_levels, flip, agree, cols, fixed, fixed_signs, signs
+        idx, n_levels, flip, agree, cols, fixed, fixed_signs,
+        ranks, fixed_live, signs, live,
     ):  # pragma: no cover - compiled
-        """Flip-chain popcounts → packed sign rows over ``fixed_signs``."""
+        """Flip-chain popcounts → packed sign rows over ``fixed_signs``
+        and live-word rows over ``fixed_live`` (slot → bit ``ranks``)."""
         for i in prange(idx.shape[0]):
             size, counts = _flip_chain_counts(idx[i], n_levels, flip, agree)
             for w in range(fixed_signs.shape[0]):
                 signs[i, w] = fixed_signs[w]
+            for w in range(fixed_live.shape[0]):
+                live[i, w] = fixed_live[w]
             for r in range(cols.shape[0]):
                 for s in range(cols.shape[1]):
                     c = cols[r, s]
@@ -232,6 +238,8 @@ if NUMBA_AVAILABLE:
                     )
                     if h >= 0:
                         signs[i, c >> 6] |= _U1 << np.uint64(c & 63)
+                        k = ranks[r, s]
+                        live[i, k >> 6] |= _U1 << np.uint64(k & 63)
 
     @njit(parallel=True, nogil=True, cache=True)
     def _quantize_kernel(X, lo, hi, step, snap, out):  # pragma: no cover
@@ -251,13 +259,13 @@ if NUMBA_AVAILABLE:
 # ----------------------------------------------------------------------
 # entry points (always defined; automatic fallback when numba is absent)
 # ----------------------------------------------------------------------
-def native_dot_matrix(a: PackedHV, b: PackedHV) -> np.ndarray:
+def native_dot_matrix(a, b) -> np.ndarray:
     """Exact pairwise dot products, shape ``(a.n, b.n)``, int64.
 
     The compiled twin of :func:`~repro.backend.packed.packed_dot_matrix`,
-    with the same shared-support precondition (every row of ``a`` and
-    ``b`` on ``b``'s one magnitude plane ``M``): when it holds, the
-    one-plane kernel scores the ``M``-masked signs against ``n_live``;
+    with the same live-word precondition (``b``'s rows share one
+    magnitude plane ``M`` and ``a`` is on it): when it holds, the
+    one-plane kernel scores the live words against ``n_live``;
     otherwise the general ternary kernel runs, parallelized over the
     larger batch.  Either way one fused XOR+popcount loop nest
     allocating nothing but the output.  Falls back to the packed kernel
@@ -267,36 +275,35 @@ def native_dot_matrix(a: PackedHV, b: PackedHV) -> np.ndarray:
         _note_fallback()
         return packed_dot_matrix(a, b)
     _check_pair(a, b)
-    support = b.shared_support
-    q_signs = shared_support_signs(a, support)
-    if q_signs is not None:
-        out = np.empty((a.n, b.n), dtype=np.int64)
-        _dot_bipolar_kernel(q_signs, support.signs, support.n_live, out)
-        return out
+    store = compact_store(b)
+    if isinstance(store, LiveStore):
+        operands = store.operands(a)
+        if operands is not None:
+            q_words, c_words = operands
+            out = np.empty((a.n, b.n), dtype=np.int64)
+            _dot_bipolar_kernel(
+                np.ascontiguousarray(q_words), c_words, store.n_live, out
+            )
+            return out
+        b = store.expand() if b is store else b
+    if isinstance(a, LiveHV):
+        raise ValueError(
+            "live queries need a class store held on their support"
+        )
     if a.n >= b.n:
         return _native_dot(a, b)
     return _native_dot(b, a).T
 
 
-def _planes(p: PackedHV) -> tuple[np.ndarray, np.ndarray]:
-    """``(signs, mags)`` as C-contiguous arrays for the ternary kernels.
-
-    A class store holding its magnitude row once (stride-0 ``mags``) is
-    expanded here, so the kernels only ever see the array layout they
-    were compiled for.
-    """
-    return p.signs, np.ascontiguousarray(p.mags)
-
-
 def _native_dot(a: PackedHV, b: PackedHV) -> np.ndarray:
     out = np.empty((a.n, b.n), dtype=np.int64)
-    _dot_ternary_kernel(*_planes(a), *_planes(b), out)
+    _dot_ternary_kernel(a.signs, a.mags, b.signs, b.mags, out)
     return out
 
 
 def native_class_scores(
-    queries: PackedHV,
-    class_store: PackedHV,
+    queries,
+    class_store,
     class_norms: np.ndarray | None = None,
 ) -> np.ndarray:
     """Eq. (4) class scores on packed operands via the compiled dot.
@@ -338,7 +345,7 @@ def _native_ham(a: PackedHV, b: PackedHV) -> np.ndarray:
     if a.is_bipolar and b.is_bipolar:
         _ham_bipolar_kernel(a.signs, b.signs, out)
     else:
-        _ham_ternary_kernel(*_planes(a), *_planes(b), out)
+        _ham_ternary_kernel(a.signs, a.mags, b.signs, b.mags, out)
     return out
 
 
@@ -376,22 +383,29 @@ def native_level_encode_signs(
     cols: np.ndarray,
     fixed: np.ndarray,
     fixed_signs: np.ndarray,
-) -> np.ndarray:
+    ranks: np.ndarray,
+    fixed_live: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray]:
     """Compiled Eq. (2b) encode emitting the bipolar *sign plane* directly.
 
     Same operands as :func:`native_level_encode`, plus the sign words of
     the dimensions left uncounted (``fixed_signs``).  Skips the dense
     tile: each counted dimension sets its bit when its encoding is
     ``>= 0`` (the +1 tie-break of the bipolar quantizer), giving
-    ``(n, len(fixed_signs))`` uint64 sign words.  Requires numba.
+    ``(n, len(fixed_signs))`` uint64 sign words.  The same pass writes
+    the rows' live words: ``ranks`` maps each grid slot to its live bit
+    and ``fixed_live`` holds the uncounted live bits.  Returns
+    ``(signs, live)``.  Requires numba.
     """
     _require_kernels()
     idx = np.ascontiguousarray(idx, dtype=np.int64)
     signs = np.empty((idx.shape[0], fixed_signs.shape[0]), dtype=np.uint64)
+    live = np.empty((idx.shape[0], fixed_live.shape[0]), dtype=np.uint64)
     _level_signs_kernel(
-        idx, int(n_levels), flip, agree, cols, fixed, fixed_signs, signs
+        idx, int(n_levels), flip, agree, cols, fixed, fixed_signs,
+        ranks, fixed_live, signs, live,
     )
-    return signs
+    return signs, live
 
 
 def native_quantize_features(
@@ -448,8 +462,9 @@ def warm_kernels() -> bool:
     cols = np.zeros((1, 2), dtype=np.int64)
     fixed = np.zeros(70, dtype=np.float32)
     native_level_encode(idx, 2, flip, agree, cols, fixed)
+    words = np.zeros(2, dtype=np.uint64)
     native_level_encode_signs(
-        idx, 2, flip, agree, cols, fixed, np.zeros(2, dtype=np.uint64)
+        idx, 2, flip, agree, cols, fixed, words, cols, words
     )
     native_quantize_features(np.zeros((1, 3)), 0.0, 1.0, 0.5)
     native_quantize_features(np.zeros((1, 3)), 0.0, 1.0, None)

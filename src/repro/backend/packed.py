@@ -23,21 +23,24 @@ dimensions are exactly the 0 level) the planes combine as::
 i.e. dimensions where both are non-zero contribute ±1 according to sign
 agreement, all others contribute 0 — bit-for-bit the float result.
 
-**Shared support.**  §III-C masks the same dimensions on both sides of
+**Live words.**  §III-C masks the same dimensions on both sides of
 the offload, so every obfuscated query and every stored class of a
-masked deployment carry one and the same magnitude plane ``M``.  When
-a class store's rows all share ``M`` (:attr:`PackedHV.shared_support`)
-and every query row's magnitude plane equals ``M`` too, the formula
-collapses to one XOR and one popcount per word::
+masked deployment carry one and the same magnitude plane ``M``.  Only
+the sign bits at ``M``'s set positions carry information: packed
+densely in ascending order they are the *live words*, ``n_live =
+popcount(M)`` bits per row.  A class store whose rows share ``M`` is
+held that way (:class:`LiveStore`; a bipolar store's live words are its
+sign plane), and a query on ``M`` scores with one XOR and one popcount
+per live word::
 
-    dot(q, c)  = n_live − 2·popcount((Sq & M) ^ (Sc & M))
+    dot(q, c)  = n_live − 2·popcount(live(q) ^ live(c))
 
-with ``n_live = popcount(M)``.  A bipolar store is the special case
-``M`` = all valid dimensions.  The ``& M`` matters: nothing forces a
-plane received off the wire to keep its sign bits inside its magnitude
-plane, and such stray bits must never count.  Whether a call takes
-this path depends on the operands alone; any other input takes the
-general formula above, with identical results.
+Queries arrive as a :class:`LiveHV` (the protocol-v5 payload, named by
+the :func:`support_digest` of its ``M``), as a :class:`PackedHV`
+carrying one, or as plane rows whose magnitude plane is ``M``, gathered
+once per call.  Gathering drops sign bits outside ``M``, which a plane
+off the wire may carry and which must never count.  Rows off the
+support take the general formula above, with identical results.
 
 Tail dimensions beyond ``d`` (when ``d`` is not a multiple of 64) are
 zero in **both** planes, so they never contribute to any kernel.
@@ -48,10 +51,10 @@ This module is the bottom of the backend layer: it imports nothing from
 
 from __future__ import annotations
 
+import hashlib
 import threading
 from dataclasses import dataclass
 from functools import cached_property
-from typing import NamedTuple
 
 import numpy as np
 
@@ -60,7 +63,8 @@ from repro.utils.validation import check_2d
 __all__ = [
     "WORD_BITS",
     "PackedHV",
-    "SharedSupport",
+    "LiveHV",
+    "LiveStore",
     "PackedBackend",
     "pack_hypervectors",
     "pack_sign_planes",
@@ -73,8 +77,10 @@ __all__ = [
     "packed_dot_matrix",
     "packed_class_scores",
     "packed_hamming_matrix",
-    "shared_support_signs",
-    "hold_shared_support",
+    "compact_store",
+    "expand_live",
+    "support_digest",
+    "support_of",
     "xor_dot_rows",
 ]
 
@@ -232,23 +238,94 @@ class BitPlaneAccumulator:
         return out
 
 
-class SharedSupport(NamedTuple):
-    """One magnitude plane common to every row of a packed batch.
+def support_digest(support: np.ndarray) -> int:
+    """The 64-bit digest of a support plane ``M`` (its little-endian words).
+
+    What a live payload names its support by: the server compares it
+    with the digest of the support it serves, so live bits are never
+    placed on the wrong dimensions.
+    """
+    raw = np.ascontiguousarray(support, dtype="<u8").tobytes()
+    return int.from_bytes(
+        hashlib.blake2b(raw, digest_size=8).digest(), "little"
+    )
+
+
+def support_of(keep: np.ndarray) -> tuple[np.ndarray, int]:
+    """A keep mask's support plane ``M`` and its :func:`support_digest`.
+
+    The one derivation of where live words sit, shared by the client's
+    obfuscator and encoder, the serving engine and the wire attacks, so
+    their digests cannot drift apart.  ``keep`` is ``(d,)`` bool,
+    ``True`` on the live dimensions.
+    """
+    support = pack_sign_planes(np.asarray(keep, dtype=bool))[0]
+    return support, support_digest(support)
+
+
+def _frozen(arr: np.ndarray) -> np.ndarray:
+    """An aligned, C-contiguous, read-only copy of ``arr``."""
+    out = np.array(arr, order="C")
+    out.flags.writeable = False
+    return out
+
+
+@dataclass(frozen=True, eq=False)
+class LiveHV:
+    """A batch's sign bits at the set positions of one support plane.
+
+    Row ``r``'s bit ``i`` (word ``i // 64``, little-endian) is the sign
+    of its ``i``-th live dimension in ascending order; the dimensions
+    off the support are zero.  The protocol-v5 query payload.
 
     Attributes
     ----------
-    mask:
-        ``(n_words,)`` uint64 — the shared magnitude plane ``M``.
+    words:
+        ``(n, ⌈n_live/64⌉)`` uint64; bits past ``n_live`` must be zero
+        (the wire decoder refuses any; producers write none).
+    d:
+        The full dimensionality ``Dhv``.
     n_live:
-        ``popcount(M)``: the dimensions every row is non-zero on.
-    signs:
-        ``(n, n_words)`` uint64 sign planes with every bit outside ``M``
-        cleared (the batch's own ``signs`` when it has none there).
+        ``popcount(M)``: the live dimensions per row.
+    digest:
+        :func:`support_digest` of the support plane ``M``.
     """
 
-    mask: np.ndarray
+    words: np.ndarray
+    d: int
     n_live: int
-    signs: np.ndarray
+    digest: int
+
+    def __post_init__(self):
+        if not 0 <= self.n_live <= self.d:
+            raise ValueError(
+                f"n_live={self.n_live} must lie in [0, d={self.d}]"
+            )
+        width = n_words(self.n_live)
+        if self.words.ndim != 2 or self.words.shape[1] != width:
+            raise ValueError(
+                f"live words must have shape (n, {width}) for "
+                f"n_live={self.n_live}, got {self.words.shape}"
+            )
+
+    @property
+    def n(self) -> int:
+        """Number of hypervectors in the batch."""
+        return self.words.shape[0]
+
+    @property
+    def shape(self) -> tuple[int, int]:
+        """Logical ``(n, d)`` shape of the unpacked batch."""
+        return (self.n, self.d)
+
+    def __len__(self) -> int:
+        return self.n
+
+    def __getitem__(self, rows) -> "LiveHV":
+        """Row-sliced view (slices/arrays of row indices)."""
+        return LiveHV(
+            np.atleast_2d(self.words[rows]), self.d, self.n_live, self.digest
+        )
 
 
 @dataclass(frozen=True)
@@ -264,11 +341,17 @@ class PackedHV:
     d:
         Logical dimensionality ``Dhv`` (may be any positive integer; the
         trailing ``n_words * 64 - d`` bits are zero in both planes).
+    live:
+        The same rows' :class:`LiveHV` on their shared magnitude plane,
+        when the producer wrote it alongside the planes (the §III-C
+        client does), else ``None``.  Row slicing keeps it; protocol v5
+        ships it instead of the planes.
     """
 
     signs: np.ndarray
     mags: np.ndarray
     d: int
+    live: LiveHV | None = None
 
     def __post_init__(self):
         if self.signs.shape != self.mags.shape:
@@ -280,6 +363,11 @@ class PackedHV:
             raise ValueError(
                 f"planes must have shape (n, {n_words(self.d)}) for "
                 f"d={self.d}, got {self.signs.shape}"
+            )
+        if self.live is not None and self.live.shape != self.shape:
+            raise ValueError(
+                f"live words of shape {self.live.shape} do not match "
+                f"planes of shape {self.shape}"
             )
 
     # ------------------------------------------------------------------
@@ -303,32 +391,10 @@ class PackedHV:
         """True when no dimension is zero (one-plane kernels apply)."""
         return int(popcount(self.mags).sum()) == self.n * self.d
 
-    @cached_property
-    def shared_support(self) -> SharedSupport | None:
-        """The magnitude plane all rows share, or ``None`` if they differ.
-
-        Worked out once per batch and cached, so a class store pays for
-        it on its first scoring call only.  Empty batches have none.
-        """
-        if self.n == 0 or not (self.mags == self.mags[0]).all():
-            return None
-        mask = self.mags[0]
-        signs = self.signs & mask
-        if np.array_equal(signs, self.signs):
-            signs = self.signs  # no stray bits: share, don't copy
-        return SharedSupport(mask, int(popcount(mask).sum()), signs)
-
     @property
     def nbytes(self) -> int:
-        """Bytes held by both planes.
-
-        A stride-0 plane (a magnitude row held once, see
-        :func:`hold_shared_support`) holds one row, whatever ``n`` is.
-        """
-        return sum(
-            plane[:1].nbytes if plane.strides[0] == 0 else plane.nbytes
-            for plane in (self.signs, self.mags)
-        )
+        """Bytes held by both planes."""
+        return self.signs.nbytes + self.mags.nbytes
 
     def __len__(self) -> int:
         return self.n
@@ -337,7 +403,8 @@ class PackedHV:
         """Row-sliced view (slices/arrays of row indices)."""
         signs = np.atleast_2d(self.signs[rows])
         mags = np.atleast_2d(self.mags[rows])
-        return PackedHV(signs=signs, mags=mags, d=self.d)
+        live = None if self.live is None else self.live[rows]
+        return PackedHV(signs=signs, mags=mags, d=self.d, live=live)
 
     # ------------------------------------------------------------------
     def unpack(self, dtype=np.float32) -> np.ndarray:
@@ -347,6 +414,158 @@ class PackedHV:
         # Integer arithmetic: avoids float -0.0 on masked dimensions.
         out = (2 * sign_bits.astype(np.int8) - 1) * mag_bits
         return out.astype(dtype)
+
+
+@dataclass(frozen=True, eq=False)
+class LiveStore:
+    """A class store whose rows share one support, held as live words.
+
+    Every bipolar and every §III-C masked class store has one magnitude
+    plane ``M`` for all its rows; held this way it is 17,688 B for 26
+    classes at d_hv=10,000 with 5,000 live, against 65,312 B of planes.
+    :func:`compact_store` builds it; :meth:`expand` gives the planes
+    back bit for bit.
+
+    Attributes
+    ----------
+    words:
+        ``(n_classes, ⌈n_live/64⌉)`` uint64 live words, read-only.
+    support:
+        ``(⌈d/64⌉,)`` uint64 — the shared magnitude plane ``M``,
+        read-only.
+    d:
+        The full dimensionality ``Dhv``.
+    """
+
+    words: np.ndarray
+    support: np.ndarray
+    d: int
+
+    def positions(self) -> np.ndarray:
+        """``M``'s set positions, ascending: live bit ``i`` → dimension.
+
+        Worked out per call, not kept: as int64 it outweighs the store.
+        """
+        bits = unpack_bit_planes(self.support[None, :], self.d)[0]
+        return np.flatnonzero(bits)
+
+    @cached_property
+    def n_live(self) -> int:
+        """``popcount(M)``: the dimensions every class is non-zero on."""
+        return int(popcount(self.support).sum())
+
+    @cached_property
+    def digest(self) -> int:
+        """:func:`support_digest` of ``M``."""
+        return support_digest(self.support)
+
+    @property
+    def n(self) -> int:
+        """Number of classes."""
+        return self.words.shape[0]
+
+    @property
+    def shape(self) -> tuple[int, int]:
+        """Logical ``(n_classes, d)`` shape of the store."""
+        return (self.n, self.d)
+
+    @property
+    def nbytes(self) -> int:
+        """Bytes held: the live words plus one support row."""
+        return self.words.nbytes + self.support.nbytes
+
+    def gather(self, planes: np.ndarray) -> np.ndarray:
+        """The bits of ``(n, ⌈d/64⌉)`` planes at ``M``'s positions, packed.
+
+        Bits outside ``M`` are dropped, so stray sign bits never count.
+        """
+        if self.n_live == self.d:  # M covers every dimension: same layout
+            return planes & self.support
+        bits = np.take(unpack_bit_planes(planes, self.d), self.positions(), 1)
+        return _pack_bits(bits, n_words(self.n_live))
+
+    def scatter(self, words: np.ndarray) -> np.ndarray:
+        """Inverse of :meth:`gather`: live words → sign planes."""
+        if self.n_live == self.d:  # M covers every dimension: same layout
+            return words
+        bits = np.zeros((len(words), self.d), dtype=bool)
+        bits[:, self.positions()] = unpack_bit_planes(words, self.n_live)
+        return _pack_bits(bits, n_words(self.d))
+
+    def expand(self) -> PackedHV:
+        """The store's sign/magnitude planes, bit for bit as compacted."""
+        mags = np.repeat(self.support[None, :], self.n, axis=0)
+        return PackedHV(signs=self.scatter(self.words), mags=mags, d=self.d)
+
+    def unpack(self, dtype=np.float32) -> np.ndarray:
+        """The dense ``(n_classes, d)`` store (see :meth:`PackedHV.unpack`)."""
+        return self.expand().unpack(dtype)
+
+    def operands(self, queries) -> tuple[np.ndarray, np.ndarray] | None:
+        """Query and class words for one :func:`xor_dot_rows` pass.
+
+        Live words on this store's support pair with the store's.  Plane
+        rows on ``M`` are gathered into live words, or, when they
+        outnumber the classes, meet the store expanded to planes.
+        ``None`` when a plane row is off the support (the caller takes
+        the general formula); ``ValueError`` for live words on another
+        support.
+        """
+        live = queries.live if isinstance(queries, PackedHV) else queries
+        if isinstance(queries, PackedHV) and (
+            live is None or live.digest != self.digest
+        ):
+            if not (queries.mags == self.support).all():
+                return None
+            if queries.n > self.n:
+                return queries.signs & self.support, self.scatter(self.words)
+            return self.gather(queries.signs), self.words
+        if live.digest != self.digest or live.n_live != self.n_live:
+            raise ValueError(
+                f"live queries name support {live.digest:#018x} "
+                f"(n_live={live.n_live}) but the class store is held on "
+                f"{self.digest:#018x} (n_live={self.n_live})"
+            )
+        return live.words, self.words
+
+
+def compact_store(store):
+    """``store`` held as a :class:`LiveStore` when its rows share one support.
+
+    Every row of a bipolar class store, and of a §III-C masked one,
+    carries the same ``mags`` plane: such a store comes back as its
+    live words plus that plane once.  A store whose rows differ, an
+    empty one, or one already compacted comes back as it is.  Values,
+    kernel results and saved bytes (through :meth:`LiveStore.expand`)
+    do not change.
+
+    Meant for class stores, which are made once and scored many times.
+    """
+    if not isinstance(store, PackedHV) or store.n == 0:
+        return store
+    if not (store.mags == store.mags[0]).all():
+        return store
+    held = LiveStore(
+        words=np.empty((0, 0), dtype=np.uint64),
+        support=_frozen(store.mags[0]),
+        d=store.d,
+    )
+    words = _frozen(held.gather(store.signs))
+    return LiveStore(words=words, support=held.support, d=store.d)
+
+
+def expand_live(queries: LiveHV, support: np.ndarray) -> PackedHV:
+    """A :class:`LiveHV` placed on its support plane: the full planes.
+
+    ``support`` must be the plane ``queries.digest`` names; raises
+    ``ValueError`` otherwise.  The result keeps ``queries`` as its
+    :attr:`PackedHV.live`.
+    """
+    held = LiveStore(queries.words, np.asarray(support, np.uint64), queries.d)
+    if held.digest != queries.digest or held.n_live != queries.n_live:
+        raise ValueError("live queries do not lie on the given support")
+    planes = held.expand()
+    return PackedHV(planes.signs, planes.mags, planes.d, live=queries)
 
 
 def pack_hypervectors(values: np.ndarray, *, validate: bool = True) -> "PackedHV":
@@ -395,59 +614,18 @@ def _check_pair(a: PackedHV, b: PackedHV) -> None:
         raise ValueError(f"dimensionality mismatch: {a.d} vs {b.d}")
 
 
-def hold_shared_support(store: PackedHV) -> PackedHV:
-    """``store`` holding the magnitude plane its rows share once.
-
-    Every row of a bipolar class store, and of a §III-C masked one,
-    carries the same ``mags`` plane.  Such a store comes back holding
-    one aligned, read-only copy of that row, ``mags`` a read-only
-    stride-0 ``(n, W)`` view of it (so :attr:`PackedHV.nbytes` counts
-    ``signs`` plus one row), and :attr:`PackedHV.shared_support`
-    already filled in from the check run here.  A store whose rows
-    differ, an empty one, or one already held this way comes back as
-    it is.  Values, kernel results and saved bytes do not change.
-
-    Meant for class stores, which are made once and scored many times;
-    query batches never come through here.
-    """
-    if store.n == 0 or store.mags.strides[0] == 0:
-        return store
-    support = store.shared_support
-    if support is None:
-        return store
-    row = np.array(support.mask)  # a fresh, aligned, C-contiguous copy
-    row.flags.writeable = False
-    mags = np.broadcast_to(row, store.mags.shape)
-    held = PackedHV(signs=store.signs, mags=mags, d=store.d)
-    # Prime the cached property: the rows were just compared.
-    vars(held)["shared_support"] = support._replace(mask=row)
-    return held
-
-
 def packed_norms(p: PackedHV) -> np.ndarray:
     """ℓ2 norm of each packed row: √(non-zero count), zeros guarded to 1.
 
     For ternary values the squared magnitudes are all 1, so the norm is
     the square root of the population count of the magnitude plane —
-    no unpacking required.
+    no unpacking required.  Every row of a :class:`LiveStore` has
+    ``n_live`` of them.
     """
+    if isinstance(p, LiveStore):
+        return np.full(p.n, np.sqrt(p.n_live) if p.n_live else 1.0)
     nnz = popcount(p.mags).sum(axis=1, dtype=np.int64).astype(np.float64)
     return np.sqrt(np.where(nnz == 0, 1.0, nnz))
-
-
-def shared_support_signs(
-    queries: PackedHV, support: SharedSupport | None
-) -> np.ndarray | None:
-    """``queries.signs & M`` when every query row lies on ``support``.
-
-    The per-call half of the shared-support precondition (the store's
-    half is :attr:`PackedHV.shared_support`): ``None`` unless every
-    query row's magnitude plane equals the store's ``M``, in which case
-    the sign planes come back with any bits outside ``M`` cleared.
-    """
-    if support is None or not (queries.mags == support.mask).all():
-        return None
-    return queries.signs & support.mask
 
 
 #: per-thread flat XOR (uint64) and popcount (uint8) tile buffers of
@@ -466,15 +644,15 @@ def xor_dot_rows(
     ``q_signs`` is ``(N, W)``; ``c_signs`` is one ``(C, W)`` store
     scored against every row, or — with ``tenant_of_row`` — a sequence
     of U ``(C, W)`` stores from which each row takes its own tenant's
-    (``n_live`` then is a ``(U,)`` array).  Both sides must already be
-    masked to the shared plane.  Rows run in tiles of about
+    (``n_live`` then is a ``(U,)`` array).  Both sides are live words
+    on the same support (:class:`LiveStore`).  Rows run in tiles of about
     :data:`TILE_WORDS` words whose XOR and popcount reuse a per-thread
     scratch, so a warm call faults no fresh heap.
     """
     n, w = q_signs.shape
     n_classes = (c_signs if tenant_of_row is None else c_signs[0]).shape[0]
     out = np.empty((n, n_classes), dtype=np.int64)
-    step = max(1, TILE_WORDS // (n_classes * w))
+    step = max(1, TILE_WORDS // max(1, n_classes * w))
     words = min(step, n) * n_classes * w
     if getattr(_SCRATCH, "words", -1) < words:
         _SCRATCH.words = words
@@ -498,23 +676,29 @@ def xor_dot_rows(
     return live - 2 * out
 
 
-def packed_dot_matrix(a: PackedHV, b: PackedHV) -> np.ndarray:
+def packed_dot_matrix(a, b) -> np.ndarray:
     """Exact pairwise dot products, shape ``(a.n, b.n)``, int64.
 
-    Shared-support path (``b`` is the class store in
-    :func:`packed_class_scores`): when every row of ``a`` and ``b`` has
-    the same magnitude plane ``M`` — every bipolar pair, and every
-    §III-C masked query against its masked store — one row-tiled
-    :func:`xor_dot_rows` pass.  Otherwise the general ternary path
-    masks the sign disagreements with the common-support plane, looping
-    over the smaller batch so the inner work stays in whole-array NumPy
-    ops.
+    Live-word path (``b`` is the class store in
+    :func:`packed_class_scores`): when ``b``'s rows share one magnitude
+    plane ``M`` (a :class:`LiveStore`, or planes :func:`compact_store`
+    compacts) and ``a`` is on it — live words of ``M``, or plane rows
+    whose magnitude plane is ``M`` — one row-tiled :func:`xor_dot_rows`
+    pass over the live words.  Otherwise the general ternary path masks
+    the sign disagreements with the common-support plane, looping over
+    the smaller batch so the inner work stays in whole-array NumPy ops.
     """
     _check_pair(a, b)
-    support = b.shared_support
-    q_signs = shared_support_signs(a, support)
-    if q_signs is not None:
-        return xor_dot_rows(q_signs, support.signs, support.n_live)
+    store = compact_store(b)
+    if isinstance(store, LiveStore):
+        operands = store.operands(a)
+        if operands is not None:
+            return xor_dot_rows(*operands, store.n_live)
+        b = store.expand() if b is store else b
+    if isinstance(a, LiveHV):
+        raise ValueError(
+            "live queries need a class store held on their support"
+        )
     if b.n <= a.n:
         return _dot_loop(a, b)
     return _dot_loop(b, a).T
@@ -542,13 +726,12 @@ def packed_class_scores(
     same (ternary) operands: integer dot products divided by the class
     norms.  Query norms are dropped exactly as in the dense path.
 
-    When the store's rows share one magnitude plane ``M`` (cached on
-    the store, see :attr:`PackedHV.shared_support`) and every query
-    row's magnitude plane is ``M`` as well — bipolar traffic, and
-    §III-C masked traffic against its masked store — the dots are
-    ``n_live − 2·popcount((Sq & M) ^ (Sc & M))``: one XOR and one
-    popcount per word.  Any other batch takes the general ternary
-    formula; the two agree exactly wherever both apply.
+    When the store's rows share one magnitude plane ``M`` (a
+    :class:`LiveStore`) and the queries are on ``M`` as well — bipolar
+    traffic, and §III-C masked traffic against its masked store — the
+    dots are ``n_live − 2·popcount(live(q) ^ live(c))``: one XOR and
+    one popcount per live word.  Any other batch takes the general
+    ternary formula; the two agree exactly wherever both apply.
     """
     if class_norms is None:
         class_norms = packed_norms(class_store)
@@ -613,7 +796,9 @@ class PackedBackend(Backend):
 
     # ------------------------------------------------------------------
     def prepare_class_store(self, class_hvs) -> PreparedClassStore:
-        packed = hold_shared_support(pack_hypervectors(class_hvs))
+        packed = class_hvs
+        if not isinstance(packed, LiveStore):
+            packed = compact_store(pack_hypervectors(class_hvs))
         return PreparedClassStore(
             store=packed,
             norms=packed_norms(packed),
@@ -622,11 +807,13 @@ class PackedBackend(Backend):
             backend_name=self.name,
         )
 
-    def prepare_queries(self, queries) -> PackedHV:
+    def prepare_queries(self, queries) -> PackedHV | LiveHV:
+        if isinstance(queries, LiveHV):
+            return queries
         return pack_hypervectors(queries)
 
     def supports(self, values) -> bool:
-        return isinstance(values, PackedHV) or is_packable(values)
+        return isinstance(values, (PackedHV, LiveStore)) or is_packable(values)
 
     # ------------------------------------------------------------------
     def dot_matrix(self, queries, references) -> np.ndarray:

@@ -22,7 +22,6 @@ stack and the model lifecycle end-to-end:
         --http-port 7412                  # network frontend (binary + ops)
     prive-hd client artifacts/isolet --connect 127.0.0.1:7411 \
         # encode+obfuscate locally, ship bit planes, verify vs offline
-    prive-hd throughput --dhv 10000 --backend both
 
 Every command returns a non-zero exit code on failure (2 for bad
 arguments, 1 for runtime errors) instead of a bare traceback.
@@ -715,25 +714,6 @@ def _run_privacy_gate(args) -> int:
     return 0 if report.passed and not regressions else 1
 
 
-def _run_throughput(args) -> int:
-    from repro.serve.bench import render_throughput_report, run_throughput
-
-    results = run_throughput(
-        backend=args.backend,
-        d_hv=args.dhv,
-        n_queries=args.n_queries,
-        n_classes=args.n_classes,
-        batch_size=args.batch_size,
-        seed=args.seed,
-        repeats=args.repeats,
-    )
-    print(render_throughput_report(results))
-    if not results.identical:
-        print("ERROR: backend predictions diverged", file=sys.stderr)
-        return 1
-    return 0
-
-
 #: experiment name -> (description, runner)
 EXPERIMENTS: dict[str, tuple[str, Callable]] = {
     "fig2": ("reconstruct digits from encodings (Fig. 2)", _run_fig2),
@@ -1079,24 +1059,6 @@ def _build_parser() -> argparse.ArgumentParser:
         help="connect retries while the server is still binding",
     )
 
-    p_tp = sub.add_parser(
-        "throughput", help="measure dense vs packed serving throughput"
-    )
-    p_tp.add_argument(
-        "--backend",
-        choices=("dense", "packed", "native", "both", "all"),
-        default="both",
-        help=(
-            "backend(s) to measure; 'both' = dense+packed, 'all' adds "
-            "the numba-compiled native backend"
-        ),
-    )
-    p_tp.add_argument("--dhv", type=int, default=10000)
-    p_tp.add_argument("--seed", type=int, default=0)
-    p_tp.add_argument("--n-queries", type=int, default=2000)
-    p_tp.add_argument("--n-classes", type=int, default=26)
-    p_tp.add_argument("--batch-size", type=int, default=8192)
-    p_tp.add_argument("--repeats", type=int, default=3)
 
     p_gate = sub.add_parser(
         "privacy-gate",
@@ -1156,8 +1118,6 @@ def _dispatch(args) -> int:
         return _run_serve(args)
     if args.command == "client":
         return _run_client(args)
-    if args.command == "throughput":
-        return _run_throughput(args)
     if args.command == "privacy-gate":
         return _run_privacy_gate(args)
     EXPERIMENTS[args.command][1](args)

@@ -39,7 +39,11 @@ from dataclasses import replace as dataclass_replace
 
 import numpy as np
 
-from repro.backend.packed import PackedHV
+from repro.backend.packed import (
+    LiveHV,
+    PackedHV,
+    support_of,
+)
 from repro.core.inference_privacy import InferenceObfuscator, ObfuscationConfig
 from repro.hd.encoder import Encoder, encoder_from_config
 from repro.proto.messages import (
@@ -259,6 +263,7 @@ class PriveHDClient:
         except BaseException:
             self._sock.close()
             raise
+        self._live_digest = self._served_support_digest()
         if encoder is not None:
             try:
                 if encoder.d_hv != self.info.d_hv:
@@ -299,6 +304,39 @@ class PriveHDClient:
 
     # ------------------------------------------------------------------
     # transport
+    def _served_support_digest(self) -> int | None:
+        """Digest of the support the server places live words on.
+
+        All dimensions for an unpruned model, the keep mask its
+        ``mask_seed`` regenerates for a pruned one; ``None`` when
+        :class:`~repro.proto.ModelInfo` does not determine it (a pruned
+        model without a seed), in which case queries ship as planes.
+        """
+        from repro.hd.prune import mask_from_seed
+
+        info = self.info
+        if not info.is_pruned:
+            keep = mask_from_seed(info.d_hv, 0, 0)
+        elif info.mask_seed is not None:
+            keep = mask_from_seed(info.d_hv, info.n_masked, info.mask_seed)
+        else:
+            return None
+        return support_of(keep)[1]
+
+    def _on_wire(self, queries):
+        """``queries`` without live words the server would not place.
+
+        Live words on another support (a client masking on its own
+        against an unpruned model, say) ship as the planes instead.
+        """
+        if (
+            isinstance(queries, PackedHV)
+            and queries.live is not None
+            and queries.live.digest != self._live_digest
+        ):
+            return PackedHV(queries.signs, queries.mags, queries.d)
+        return queries
+
     # ------------------------------------------------------------------
     def _connect(self, retries: int, delay_s: float) -> socket.socket:
         last: Exception | None = None
@@ -525,7 +563,7 @@ class PriveHDClient:
                 f"expects d_in={self.encoder.d_in}"
             )
         if self.obfuscator.quantizer.packable:
-            return self.obfuscator.prepare_packed(X)
+            return self._on_wire(self.obfuscator.prepare_packed(X))
         return self.obfuscator.prepare(X).astype(np.float32)
 
     def predict(self, X: np.ndarray) -> np.ndarray:
@@ -552,7 +590,7 @@ class PriveHDClient:
     def _check_encoded(self, queries):
         if isinstance(queries, PackedHV):
             self._check_d_hv({queries.d})
-            return queries
+            return self._on_wire(queries)
         queries = np.atleast_2d(np.asarray(queries))
         self._check_d_hv({queries.shape[1]})
         return queries
@@ -669,13 +707,24 @@ class PriveHDClient:
 
         A group is all :class:`PackedHV` or all dense.  However many
         sub-batches it holds, it gets one ``d_hv`` check and one
-        concatenate per plane.
+        concatenate per plane — at v5, when every sub-batch carries live
+        words on the served support, one concatenate of those instead.
         """
         if all(isinstance(b, PackedHV) for b in items):
             self._check_d_hv({b.d for b in items})
             counts = tuple(len(b.signs) for b in items)
             if len(items) == 1:
-                return items[0], counts
+                return self._on_wire(items[0]), counts
+            if self.protocol_version >= 5 and all(
+                b.live is not None and b.live.digest == self._live_digest
+                for b in items
+            ):
+                first = items[0].live
+                block = LiveHV(
+                    np.concatenate([b.live.words for b in items]),
+                    first.d, first.n_live, first.digest,
+                )
+                return block, counts
             block = PackedHV(
                 signs=np.concatenate([b.signs for b in items]),
                 mags=np.concatenate([b.mags for b in items]),

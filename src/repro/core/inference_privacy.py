@@ -25,7 +25,13 @@ import numpy as np
 
 from repro.attacks.decoder import HDDecoder
 from repro.attacks.metrics import mse, normalized_mse, psnr
-from repro.backend.packed import PackedHV, pack_hypervectors
+from repro.backend.packed import (
+    LiveHV,
+    PackedHV,
+    pack_hypervectors,
+    pack_sign_planes,
+    support_of,
+)
 from repro.hd.encoder import Encoder
 from repro.hd.model import HDModel
 from repro.hd.quantize import EncodingQuantizer, get_quantizer
@@ -112,6 +118,7 @@ class InferenceObfuscator:
         self.keep_mask = mask_from_seed(
             encoder.d_hv, self.config.n_masked, self.config.mask_seed
         )
+        self._support_digest = support_of(self.keep_mask)[1]
         # Bipolar queries from an encoder with a sign-plane kernel skip
         # the dense tile and count only the kept columns (built lazily).
         self._emits_sign_planes = self.quantizer.name == "bipolar" and hasattr(
@@ -150,7 +157,10 @@ class InferenceObfuscator:
         16× less uplink traffic than float32 and directly consumable by
         the host's packed :class:`~repro.serve.InferenceEngine`.  Only
         packable (bipolar/ternary) quantizers support this; the 2-bit
-        and identity schemes raise.
+        and identity schemes raise.  Bipolar rows are non-zero exactly
+        on the keep mask, so they also carry their live words
+        (:class:`~repro.backend.packed.LiveHV`), packed from the kept
+        columns of the same tile.
         """
         if not self.quantizer.packable:
             raise ValueError(
@@ -158,9 +168,19 @@ class InferenceObfuscator:
                 "bit-packable queries; use 'bipolar', 'ternary' or "
                 "'ternary-biased'"
             )
+        H = self.obfuscate_encodings(encodings)
         # quantize→mask output is ternary by construction: skip the
         # packer's validation pass.
-        return pack_hypervectors(self.obfuscate_encodings(encodings), validate=False)
+        packed = pack_hypervectors(H, validate=False)
+        if self.quantizer.name != "bipolar":
+            return packed
+        live = LiveHV(
+            pack_sign_planes(H[:, self.keep_mask]),
+            self.encoder.d_hv,
+            self.n_unmasked,
+            self._support_digest,
+        )
+        return PackedHV(packed.signs, packed.mags, packed.d, live=live)
 
     def prepare_packed(self, X: np.ndarray) -> PackedHV:
         """Encode → quantize → mask → bit-pack: the packed offload path.

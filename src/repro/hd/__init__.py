@@ -50,7 +50,6 @@ from repro.hd.quantize import (
     empirical_level_probabilities,
     get_quantizer,
 )
-from repro.hd.sequence import NGramEncoder, SymbolMemory
 from repro.hd.similarity import (
     class_scores,
     cosine,
@@ -68,8 +67,6 @@ __all__ = [
     "LevelBaseEncoder",
     "ENCODER_KINDS",
     "encoder_from_config",
-    "NGramEncoder",
-    "SymbolMemory",
     "encode_in_batches",
     "fit_classes_batched",
     "ENCODE_KERNELS",

@@ -295,6 +295,13 @@ class _ColumnPlan(NamedTuple):
         selection's columns that never flip.
     support:
         ``(n_words(d_hv),)`` uint64 — the selection itself.
+    ranks:
+        ``(rows, width)`` int64 — each grid slot's bit in the live words:
+        its column's rank among the selected columns.
+    fixed_live:
+        ``(n_words(n_live),)`` uint64 — ``fixed_signs`` in the live words.
+    n_live, digest:
+        The selection's size and :func:`~repro.backend.packed.support_digest`.
     """
 
     cols: np.ndarray
@@ -303,6 +310,10 @@ class _ColumnPlan(NamedTuple):
     fixed: np.ndarray
     fixed_signs: np.ndarray
     support: np.ndarray
+    ranks: np.ndarray
+    fixed_live: np.ndarray
+    n_live: int
+    digest: int
 
 
 class LevelBaseEncoder(Encoder):
@@ -363,7 +374,7 @@ class LevelBaseEncoder(Encoder):
                     np.ones(self.d_hv, dtype=bool)
                 )
             return plan
-        from repro.backend.packed import pack_sign_planes
+        from repro.backend.packed import pack_sign_planes, support_of
 
         sel = np.asarray(keep, dtype=bool)
         L, B = self.levels.vectors, self.base.vectors
@@ -392,13 +403,19 @@ class LevelBaseEncoder(Encoder):
         fixed = (
             2 * (B == L[0]).sum(axis=0, dtype=np.int64) - self.d_in
         ).astype(np.float32)
+        fixed_bits = ~varies & (fixed >= 0)
+        support, digest = support_of(sel)
         return _ColumnPlan(
             cols=grid,
             flip=levels.astype(np.int64),
             agree=np.ascontiguousarray(agree).reshape(len(agree), *grid.shape),
             fixed=fixed,
-            fixed_signs=pack_sign_planes(sel & ~varies & (fixed >= 0))[0],
-            support=pack_sign_planes(sel)[0],
+            fixed_signs=pack_sign_planes(sel & fixed_bits)[0],
+            support=support,
+            ranks=(np.cumsum(sel) - 1)[grid],
+            fixed_live=pack_sign_planes(fixed_bits[sel])[0],
+            n_live=int(sel.sum()),
+            digest=digest,
         )
 
     @staticmethod
@@ -507,31 +524,51 @@ class LevelBaseEncoder(Encoder):
 
         The count runs on the plan's flipping columns only; their sign
         bits are scattered into the ``d_hv``-wide layout over the fixed
-        sign bits of its other columns.  The magnitude plane is the
-        support, so the result packs like the dense encoding quantized
-        to bipolar and then zeroed off the support.
+        sign bits of its other columns, and in the same pass into the
+        live words (the support's bits only, see
+        :class:`~repro.backend.packed.LiveHV`).  The magnitude plane is
+        the support, so the result packs like the dense encoding
+        quantized to bipolar and then zeroed off the support.  On a
+        full support the live words are the sign plane itself.
         """
-        from repro.backend.packed import PackedHV
+        from repro.backend.packed import LiveHV, PackedHV
 
         idx = self._level_indices(X)
         n = idx.shape[0]
+        full = plan.n_live == self.d_hv
         if self._use_native(native):
             from repro.backend.native import native_level_encode_signs
 
-            signs = native_level_encode_signs(
+            signs, live = native_level_encode_signs(
                 idx, self.n_levels, plan.flip, plan.agree, plan.cols,
-                plan.fixed, plan.fixed_signs,
+                plan.fixed, plan.fixed_signs, plan.ranks, plan.fixed_live,
             )
         else:
             signs = np.repeat(plan.fixed_signs[None, :], n, axis=0)
+            live = np.repeat(
+                plan.fixed_live[None, :], 0 if full else n, axis=0
+            )
             if plan.cols.size:
                 cols = plan.cols.reshape(-1)
+                ranks = plan.ranks.reshape(-1)
                 bits = np.zeros(signs.shape[1] * 64, dtype=bool)
-                for row, h in zip(signs, self._flip_chain_rows(idx, plan)):
-                    bits[cols] = h >= 0
-                    row |= np.packbits(bits, bitorder="little").view(np.uint64)
+                live_bits = np.zeros(live.shape[1] * 64, dtype=bool)
+                for i, h in enumerate(self._flip_chain_rows(idx, plan)):
+                    positive = h >= 0
+                    bits[cols] = positive
+                    signs[i] |= np.packbits(bits, bitorder="little").view(
+                        np.uint64
+                    )
+                    if not full:
+                        live_bits[ranks] = positive
+                        live[i] |= np.packbits(
+                            live_bits, bitorder="little"
+                        ).view(np.uint64)
         mags = np.repeat(plan.support[None, :], n, axis=0)
-        return PackedHV(signs=signs, mags=mags, d=self.d_hv)
+        live = LiveHV(
+            signs if full else live, self.d_hv, plan.n_live, plan.digest
+        )
+        return PackedHV(signs=signs, mags=mags, d=self.d_hv, live=live)
 
     def __getstate__(self):
         # Keep worker-process pickles at codebook size (cf. item_memory).

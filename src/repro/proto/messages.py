@@ -25,6 +25,10 @@ refuse to encode or decode v2-only frames for a v1 peer).  Protocol
 **v4** adds an optional ``tenant`` key to the request messages,
 addressing one namespace of a multi-tenant model fleet; absent means
 the default tenant, so downgraded peers are served exactly as before.
+Protocol **v5** adds the ``live`` query payload: a
+:class:`~repro.backend.packed.LiveHV` of the sign bits at the support
+plane's set positions, which the codec ships in place of the planes of
+any :class:`~repro.backend.PackedHV` that carries them.
 
 >>> req = ScoreRequest(queries=packed_queries, request_id=7)
 >>> frame = encode_message(req)                    # bytes for the wire
@@ -39,7 +43,7 @@ from itertools import accumulate
 
 import numpy as np
 
-from repro.backend.packed import PackedHV
+from repro.backend.packed import LiveHV, PackedHV
 from repro.proto.wire import (
     FRAME_MIN_VERSION,
     Frame,
@@ -97,6 +101,29 @@ def _check_deadline_ms(deadline_ms) -> int | None:
             f"deadline_ms must be in [1, 2**32 - 1], got {deadline_ms}"
         )
     return out
+
+
+def _queries_d(q) -> int:
+    """Hypervector dimensionality of a query payload."""
+    return q.d if isinstance(q, (PackedHV, LiveHV)) else int(q.shape[1])
+
+
+def _same_queries(a, b) -> bool:
+    """Whether two query payloads hold the same kind and the same bits."""
+    if type(a) is not type(b):
+        return False
+    if isinstance(a, LiveHV):
+        return (
+            (a.d, a.n_live, a.digest) == (b.d, b.n_live, b.digest)
+            and np.array_equal(a.words, b.words)
+        )
+    if isinstance(a, PackedHV):
+        return (
+            a.d == b.d
+            and np.array_equal(a.signs, b.signs)
+            and np.array_equal(a.mags, b.mags)
+        )
+    return np.array_equal(a, b)
 
 
 @dataclass(frozen=True)
@@ -185,7 +212,7 @@ class ScoreRequest:
     tenant: str | None = None
 
     def __post_init__(self):
-        if not isinstance(self.queries, PackedHV):
+        if not isinstance(self.queries, (PackedHV, LiveHV)):
             arr = np.asarray(self.queries)
             if arr.ndim != 2:
                 raise ValueError(
@@ -201,14 +228,12 @@ class ScoreRequest:
     @property
     def n_queries(self) -> int:
         """Rows in the query batch."""
-        q = self.queries
-        return q.n if isinstance(q, PackedHV) else int(q.shape[0])
+        return len(self.queries)
 
     @property
     def d_hv(self) -> int:
         """Hypervector dimensionality of the queries."""
-        q = self.queries
-        return q.d if isinstance(q, PackedHV) else int(q.shape[1])
+        return _queries_d(self.queries)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, ScoreRequest):
@@ -221,16 +246,7 @@ class ScoreRequest:
             or self.tenant != other.tenant
         ):
             return False
-        a, b = self.queries, other.queries
-        if isinstance(a, PackedHV) != isinstance(b, PackedHV):
-            return False
-        if isinstance(a, PackedHV):
-            return (
-                a.d == b.d
-                and np.array_equal(a.signs, b.signs)
-                and np.array_equal(a.mags, b.mags)
-            )
-        return np.array_equal(a, b)
+        return _same_queries(self.queries, other.queries)
 
 
 @dataclass(frozen=True)
@@ -373,7 +389,7 @@ class ScoreBatchRequest:
     tenant: str | None = None
 
     def __post_init__(self):
-        if not isinstance(self.queries, PackedHV):
+        if not isinstance(self.queries, (PackedHV, LiveHV)):
             arr = np.asarray(self.queries)
             if arr.ndim != 2:
                 raise ValueError(
@@ -392,14 +408,12 @@ class ScoreBatchRequest:
     @property
     def n_queries(self) -> int:
         """Rows in the stacked block (all sub-requests together)."""
-        q = self.queries
-        return q.n if isinstance(q, PackedHV) else int(q.shape[0])
+        return len(self.queries)
 
     @property
     def d_hv(self) -> int:
         """Hypervector dimensionality of the block."""
-        q = self.queries
-        return q.d if isinstance(q, PackedHV) else int(q.shape[1])
+        return _queries_d(self.queries)
 
     @property
     def n_chunks(self) -> int:
@@ -418,16 +432,7 @@ class ScoreBatchRequest:
             or self.tenant != other.tenant
         ):
             return False
-        a, b = self.queries, other.queries
-        if isinstance(a, PackedHV) != isinstance(b, PackedHV):
-            return False
-        if isinstance(a, PackedHV):
-            return (
-                a.d == b.d
-                and np.array_equal(a.signs, b.signs)
-                and np.array_equal(a.mags, b.mags)
-            )
-        return np.array_equal(a, b)
+        return _same_queries(self.queries, other.queries)
 
 
 @dataclass(frozen=True)
@@ -735,12 +740,12 @@ def _write_score_request(
     msg: ScoreRequest, w: VectoredWriter, version: int
 ) -> None:
     _write_request_head(w, msg, version)
-    write_queries(w, msg.queries)
+    write_queries(w, msg.queries, version)
 
 
 def _read_score_request(r: PayloadReader, version: int) -> ScoreRequest:
     head = _read_request_head(r, version)
-    return ScoreRequest(queries=read_queries(r), **head)
+    return ScoreRequest(queries=read_queries(r, version), **head)
 
 
 def _write_score_response(
@@ -781,7 +786,7 @@ def _write_score_batch_request(
     _write_request_head(w, msg, version)
     counts = msg.counts
     w.pack("!" + _counts_run(counts), len(counts), *counts)
-    write_queries(w, msg.queries)
+    write_queries(w, msg.queries, version)
 
 
 def _read_score_batch_request(
@@ -790,7 +795,9 @@ def _read_score_batch_request(
     head = _read_request_head(r, version)
     (n_chunks,) = r.unpack("!H")
     counts = r.unpack(f"!{n_chunks}I")
-    return ScoreBatchRequest(queries=read_queries(r), counts=counts, **head)
+    return ScoreBatchRequest(
+        queries=read_queries(r, version), counts=counts, **head
+    )
 
 
 def _write_score_batch_response(

@@ -69,7 +69,7 @@ from enum import IntEnum
 
 import numpy as np
 
-from repro.backend.packed import PackedHV, n_words
+from repro.backend.packed import WORD_BITS, LiveHV, PackedHV, n_words
 
 __all__ = [
     "MAGIC",
@@ -113,11 +113,19 @@ MAGIC = b"HD"
 #:   means the default tenant, so a v3 peer that negotiates down is
 #:   served exactly as before; an unknown key is refused with the typed
 #:   ``"unknown-tenant"`` error code (non-retryable).
-PROTOCOL_VERSION = 4
+#: * **v5** — adds the ``live`` query payload kind to
+#:   ``ScoreRequest``/``ScoreBatchRequest``: only the sign bits at the
+#:   set positions of the support plane ``M`` (the §III-C keep mask),
+#:   packed densely and named by a 64-bit digest of ``M``, so the
+#:   masked dimensions never leave the client (632 B instead of
+#:   2,512 B per row with 5,000 of 10,000 dimensions live).  The
+#:   planes and dense kinds are unchanged; a live payload stamped
+#:   below v5 is a :class:`ProtocolError`.
+PROTOCOL_VERSION = 5
 
 #: every version this build can decode (negotiation picks the highest
 #: common entry)
-SUPPORTED_VERSIONS = (1, 2, 3, 4)
+SUPPORTED_VERSIONS = (1, 2, 3, 4, 5)
 
 #: magic(2) + version(1) + frame type(1) + payload length(4, big-endian)
 HEADER_SIZE = 8
@@ -613,23 +621,41 @@ class PayloadReader:
 # ----------------------------------------------------------------------
 # hypervector payload codec (shared by ScoreRequest)
 # ----------------------------------------------------------------------
-#: query payload kinds
+#: query payload kinds (live: protocol v5 and later)
 QUERY_DENSE = 0
 QUERY_PACKED = 1
+QUERY_LIVE = 2
 
 
-def write_queries(w, queries) -> None:
-    """Serialize a hypervector batch: packed bit planes or dense f32.
+def write_queries(w, queries, version: int) -> None:
+    """Serialize a hypervector batch: live words, bit planes or dense f32.
 
     This is the *only* array-of-hypervectors writer in the protocol.  It
-    accepts exactly two shapes of data — a :class:`PackedHV` batch (two
-    ``(n, n_words)`` uint64 planes, the §III-C offload payload) or a
-    dense 2-D ``(n, d)`` batch — and refuses everything else, which is
+    accepts exactly three shapes of data — a :class:`LiveHV` (v5: the
+    sign bits at the support's set positions), a :class:`PackedHV`
+    batch (two ``(n, n_words)`` uint64 planes, the §III-C offload
+    payload; at v5 its :attr:`~PackedHV.live` words when it has them) or
+    a dense 2-D ``(n, d)`` batch — and refuses everything else, which is
     what makes "raw features cannot be framed" a property of the
     encoder rather than a convention: feature matrices are ``(n, d_in)``
     with ``d_in`` unequal to any served ``d_hv``, and 1-D/ragged/object
     inputs never reach a buffer.
     """
+    if isinstance(queries, PackedHV) and queries.live is not None:
+        if version >= 5:
+            queries = queries.live
+    if isinstance(queries, LiveHV):
+        if version < 5:
+            raise ProtocolError(
+                f"live query payloads require protocol v5; this "
+                f"connection negotiated v{version}"
+            )
+        w.pack(
+            "!BIIIQ", QUERY_LIVE, queries.n, queries.d, queries.n_live,
+            queries.digest,
+        )
+        w.array(queries.words, "<u8")
+        return
     if isinstance(queries, PackedHV):
         w.pack("!BII", QUERY_PACKED, queries.n, queries.d)
         w.array(queries.signs, "<u8")
@@ -647,11 +673,29 @@ def write_queries(w, queries) -> None:
     w.array(arr, "<f4")
 
 
-def read_queries(r: PayloadReader):
-    """Inverse of :func:`write_queries`: a PackedHV or float32 array."""
+def read_queries(r: PayloadReader, version: int):
+    """Inverse of :func:`write_queries`: a LiveHV, PackedHV or f32 array."""
     kind, n, d = r.unpack("!BII")
     if n == 0 or d == 0:
         raise ProtocolError(f"empty query batch on the wire (n={n}, d={d})")
+    if kind == QUERY_LIVE:
+        if version < 5:
+            raise ProtocolError(
+                f"live query payloads require protocol v5, got a "
+                f"v{version} frame"
+            )
+        n_live, digest = r.unpack("!IQ")
+        if n_live > d:
+            raise ProtocolError(f"n_live={n_live} exceeds d={d}")
+        width = n_words(n_live)
+        words = r.array(n * width, "<u8").reshape(n, width)
+        tail = n_live % WORD_BITS
+        # A list max: cheaper than a NumPy reduce on batches this size.
+        if tail and max(words[:, -1].tolist()) >> tail:
+            raise ProtocolError(
+                f"live words have bits set past n_live={n_live}"
+            )
+        return LiveHV(words=words, d=d, n_live=n_live, digest=digest)
     if kind == QUERY_PACKED:
         words = n_words(d)
         signs = r.array(n * words, "<u8").reshape(n, words)

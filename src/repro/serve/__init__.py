@@ -43,7 +43,6 @@ from repro.serve.artifact import (
     ModelArtifact,
     load_artifact,
 )
-from repro.serve.bench import ThroughputResult, make_serving_fixture, run_throughput
 from repro.serve.engine import InferenceEngine
 from repro.serve.errors import (
     DeadlineExceeded,
@@ -103,7 +102,4 @@ __all__ = [
     "UVLOOP_AVAILABLE",
     "loops_available",
     "new_event_loop",
-    "ThroughputResult",
-    "make_serving_fixture",
-    "run_throughput",
 ]

@@ -23,9 +23,10 @@ Every query path is micro-batched through a
 tenant's registry *per flush*, so registry mutations (publish / promote
 / rollback) hot-swap between flushes with zero dropped requests.
 Bit-packed queries ride the scheduler as ``[signs | mags |
-tenant_index]`` rows; tenants sharing an encoder config share one
-scheduler, and a flush that mixes tenants is scored by one fused kernel
-(:func:`~repro.serve.fleet.fused_tenant_scores`).
+tenant_index]`` rows, protocol-v5 live words as ``[words | support
+digest | tenant_index]`` rows; tenants sharing an encoder config share
+one scheduler, and a flush that mixes tenants is scored by one fused
+kernel (:func:`~repro.serve.fleet.fused_tenant_scores`).
 """
 
 from __future__ import annotations
@@ -37,7 +38,7 @@ from pathlib import Path
 
 import numpy as np
 
-from repro.backend.packed import PackedBackend, PackedHV, n_words
+from repro.backend.packed import LiveHV, PackedBackend, PackedHV, n_words
 from repro.proto.messages import (
     ModelInfo,
     ScoreBatchRequest,
@@ -203,7 +204,10 @@ class ServingAPI:
         thread right after the flush.  Packed bit-plane
         queries stay packed through the micro-batcher: their uint64
         planes ride the scheduler as ``[signs | mags | tenant_index]``
-        rows, 16x smaller than dense.  Raises
+        rows, 16x smaller than dense; live words
+        (:class:`~repro.backend.packed.LiveHV`) ride as ``[words |
+        support digest | tenant_index]`` after the model checks their
+        digest.  Raises
         :class:`~repro.serve.TenantNotFound` for unknown tenants,
         ``KeyError`` for unknown models within a hosted tenant,
         ``ValueError`` for shape mismatches, and the scheduler's
@@ -211,7 +215,8 @@ class ServingAPI:
         :class:`~repro.serve.DeadlineExceeded` — the frontend maps each
         to its typed wire code.
         """
-        packed = isinstance(queries, PackedHV)
+        live = isinstance(queries, LiveHV)
+        packed = live or isinstance(queries, PackedHV)
         if packed:
             d_hv = queries.d
         record, registry = self.fleet.lookup(tenant)
@@ -223,22 +228,34 @@ class ServingAPI:
                 f"{record.name!r} model {name!r} serves "
                 f"{described.engine.d_hv}"
             )
+        # Live rows are n_words(n_live) + 2 wide, and a hot-swap may
+        # change n_live: the width keys the queue, so rows of different
+        # widths never meet in one flush.
+        width = (queries.n_live,) if live else ()
         if packed:
-            method += "_packed"
             index = np.full((queries.n, 1), record.index, dtype=np.uint64)
-            queries = np.concatenate(
-                [queries.signs, queries.mags, index], axis=1
-            )
+            if live:
+                described.engine.check_live(queries)
+                method += "_live"
+                planes = [queries.words, np.full_like(index, queries.digest)]
+            else:
+                method += "_packed"
+                planes = [queries.signs, queries.mags]
+            queries = np.concatenate([*planes, index], axis=1)
         if (
             packed
             and self.coalesce
             and record.coalesce_key is not None
             and name == record.model
         ):
-            key = ("group", *record.coalesce_key, method)
+            key = ("group", *record.coalesce_key, *width, method)
         else:
-            key = ("tenant", record.name, name, method)
-        run = self._run_packed if packed else self._run_dense
+            key = ("tenant", record.name, name, *width, method)
+        run = (
+            self._run_live if live
+            else self._run_packed if packed
+            else self._run_dense
+        )
         version_key = (key, record.name)
         finish = None if respond is None else (
             lambda rows: respond(rows, name, version_key)
@@ -323,6 +340,61 @@ class ServingAPI:
             np.stack([e.prepared.norms for e in engines]),
             inverse,
         )
+        if want_scores:
+            return scores
+        return np.argmax(scores, axis=1)
+
+    def _run_live(self, rows: np.ndarray, key: tuple) -> np.ndarray:
+        """Flush runner for ``[live words | digest | tenant_index]`` rows.
+
+        Every row's support digest is checked again against its
+        tenant's model *at flush time*, so a hot-swap to another keep
+        mask between submit and flush fails the flush with a typed
+        ``bad-request`` instead of scoring bits on the wrong dimensions.
+        A one-tenant flush is scored by that tenant's engine; a mixed
+        flush by one fused kernel call over the tenants' live words.
+        """
+        model = key[2] if key[0] == "tenant" else None
+        want_scores = key[-1] == "scores_live"
+        words, digests, index = rows[:, :-2], rows[:, -2], rows[:, -1]
+        if (index == index[0]).all():
+            tenants, inverse = index[:1], np.zeros(len(rows), dtype=np.intp)
+        else:
+            tenants, inverse = np.unique(index, return_inverse=True)
+        engines = [
+            self._flush_engine(
+                key, self.fleet.record_by_index(int(i)).name, model
+            )
+            for i in tenants
+        ]
+        served = np.array([e.support_digest for e in engines], dtype=np.uint64)
+        if (digests != served[inverse]).any():
+            raise ValueError(
+                "live rows name a support their tenant no longer serves: "
+                "the keep mask changed between submit and flush"
+            )
+
+        def live_rows(e, sel=slice(None)):
+            return LiveHV(words[sel], e.d_hv, e.n_live, e.support_digest)
+
+        if len(engines) == 1:
+            engine = engines[0]
+            if want_scores:
+                return engine.scores(live_rows(engine))
+            return engine.predict(live_rows(engine))
+        if all(e.live_in_place for e in engines):
+            scores = fused_tenant_scores(
+                words,
+                None,
+                [e.prepared.store for e in engines],
+                np.stack([e.prepared.norms for e in engines]),
+                inverse,
+            )
+        else:
+            scores = np.empty((len(rows), engines[0].n_classes))
+            for u, engine in enumerate(engines):
+                sel = inverse == u
+                scores[sel] = engine.scores(live_rows(engine, sel))
         if want_scores:
             return scores
         return np.argmax(scores, axis=1)

@@ -46,9 +46,11 @@ hashed, so the bytes verified are the bytes served, and rewriting an
 artifact in place can neither alter nor fault a model that is already
 resident.  Whichever way an artifact is made (built, v3 or v2 load), a
 packed store whose rows share one magnitude plane — every bipolar and
-every §III-C masked store — then keeps that plane once
-(:func:`~repro.backend.packed.hold_shared_support`): 34 KB held per
-26 x 10,000 tenant instead of 65 KB, with the same bytes saved.
+every §III-C masked store — is then held as its live words plus that
+plane once (:func:`~repro.backend.packed.compact_store`): 17.7 KB per
+26 x 10,000 tenant with 5,000 live dimensions instead of 65 KB.
+:meth:`ModelArtifact.save` and :attr:`ModelArtifact.class_hvs` expand
+it back, so the files and their checksums do not change.
 
 The manifest makes artifacts safe to hand across trust boundaries: a
 host can verify checksums and read the privacy certificate before
@@ -72,7 +74,8 @@ import numpy as np
 from repro.backend import Backend, PackedBackend, PackedHV, get_backend
 from repro.backend.packed import (
     WORD_BITS,
-    hold_shared_support,
+    LiveStore,
+    compact_store,
     n_words,
     pack_hypervectors,
 )
@@ -285,12 +288,14 @@ class ModelArtifact:
     Attributes
     ----------
     store:
-        The serving class store in its served representation: a
-        :class:`~repro.backend.PackedHV` of sign/magnitude planes for
-        the ``packed``/``native`` backends, a dense ``(n_classes,
-        d_hv)`` array for ``dense``.  Either form may be passed in; a
-        dense store for a packed backend is packed here (and must be
-        bipolar/ternary), planes for the dense backend are unpacked.
+        The serving class store in its served representation: for the
+        ``packed``/``native`` backends a
+        :class:`~repro.backend.packed.LiveStore` when its rows share one
+        magnitude plane, else a :class:`~repro.backend.PackedHV` of
+        sign/magnitude planes; a dense ``(n_classes, d_hv)`` array for
+        ``dense``.  Any form may be passed in; a dense store for a
+        packed backend is packed here (and must be bipolar/ternary),
+        planes for the dense backend are unpacked.
         Already passed through ``store_quantizer`` (and masked, for
         pruned models).
     query_quantizer:
@@ -339,7 +344,7 @@ class ModelArtifact:
         without one.
     """
 
-    store: np.ndarray | PackedHV
+    store: np.ndarray | PackedHV | LiveStore
     query_quantizer: str | None = None
     store_quantizer: str | None = None
     backend: str = "dense"
@@ -358,7 +363,7 @@ class ModelArtifact:
         except KeyError as exc:
             raise ArtifactError(str(exc)) from exc
         store = self.store
-        if isinstance(store, PackedHV):
+        if isinstance(store, (PackedHV, LiveStore)):
             dtype = _store_dtype(self.store_dtype)
             if not packed_layout:
                 store = store.unpack(dtype)
@@ -378,7 +383,7 @@ class ModelArtifact:
                         f"planes: {exc}"
                     ) from exc
         if packed_layout:
-            store = hold_shared_support(store)
+            store = compact_store(store)
         object.__setattr__(self, "store", store)
         object.__setattr__(self, "store_dtype", dtype)
         if self.keep_mask is not None:
@@ -398,7 +403,7 @@ class ModelArtifact:
     @property
     def is_packed(self) -> bool:
         """Whether the served store is bit planes (``packed``/``native``)."""
-        return isinstance(self.store, PackedHV)
+        return isinstance(self.store, (PackedHV, LiveStore))
 
     @cached_property
     def class_hvs(self) -> np.ndarray:
@@ -417,7 +422,7 @@ class ModelArtifact:
 
     @property
     def store_nbytes(self) -> int:
-        """Bytes the served store holds (see :attr:`PackedHV.nbytes`)."""
+        """Bytes the served store holds (see :attr:`LiveStore.nbytes`)."""
         return int(self.store.nbytes)
 
     @property
@@ -542,7 +547,10 @@ class ModelArtifact:
     def _tensors(self) -> dict[str, np.ndarray]:
         """The arrays :meth:`save` writes, by npz member name."""
         if self.is_packed:
-            arrays = {"signs": self.store.signs, "mags": self.store.mags}
+            store = self.store
+            if isinstance(store, LiveStore):
+                store = store.expand()
+            arrays = {"signs": store.signs, "mags": store.mags}
         else:
             arrays = {"class_hvs": self.store}
         if self.keep_mask is not None:

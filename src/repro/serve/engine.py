@@ -16,7 +16,7 @@ matter how large a batch a client sends.
 With ``backend="packed"`` the class store lives as uint64 sign/magnitude
 planes and every similarity is XOR + popcount — several times the dense
 throughput at paper scale (measure it: ``python benchmarks/
-bench_throughput.py --backend both``).  Decisions are bit-for-bit
+bench_serve.py --backend all``).  Decisions are bit-for-bit
 identical to dense on the same quantized operands.
 """
 
@@ -25,6 +25,13 @@ from __future__ import annotations
 import numpy as np
 
 from repro.backend import Backend, PackedBackend, PackedHV, get_backend
+from repro.backend.packed import (
+    LiveHV,
+    LiveStore,
+    expand_live,
+    popcount,
+    support_of,
+)
 from repro.hd.encode_pipeline import EncodePipeline
 from repro.hd.encoder import Encoder
 from repro.hd.model import HDModel
@@ -42,10 +49,11 @@ class InferenceEngine:
     model:
         The trained :class:`~repro.hd.model.HDModel`.  The engine takes a
         snapshot of its class store; later mutation of ``model`` does not
-        affect the engine.  A :class:`~repro.backend.PackedHV` is taken
-        as a class store already in its serving representation (what a
-        packed :class:`~repro.serve.ModelArtifact` holds): a packed
-        backend serves its planes as they are, never re-quantized.
+        affect the engine.  A :class:`~repro.backend.PackedHV` or
+        :class:`~repro.backend.packed.LiveStore` is taken as a class
+        store already in its serving representation (what a packed
+        :class:`~repro.serve.ModelArtifact` holds): a packed backend
+        serves it as it is, never re-quantized.
     backend:
         ``"dense"`` (default), ``"packed"``, ``"native"`` (compiled
         packed kernels, NumPy fallback when numba is absent), or a
@@ -67,8 +75,10 @@ class InferenceEngine:
     encode_workers, chunk_size, encode_executor:
         Encode-pipeline knobs (see
         :class:`~repro.hd.encode_pipeline.EncodePipeline`); only used
-        with ``encoder``.  Pick ``encode_executor="process"`` to
-        parallelize the GIL-bound packed level-base kernel.
+        with ``encoder``.  The NumPy bit kernels release the GIL, so
+        threads (the default) scale; a sweep at ``workers=2`` measured
+        threads at least as fast as ``encode_executor="process"`` on
+        every row.
     store_is_quantized:
         Declare the model's class store already in its serving
         representation — e.g. loaded from a
@@ -82,10 +92,19 @@ class InferenceEngine:
         elsewhere — the exact training-time query pipeline
         (:class:`~repro.hd.quantize.MaskedQuantizer`).  Encoded-query
         entry points (``predict``/``scores``) expect the caller to have
-        masked already, as the obfuscator does.
+        masked already, as the obfuscator does.  Its packed plane (all
+        dimensions when absent, or the support of a class store held
+        as live words) is the support protocol-v5 live queries must
+        name (:meth:`check_live`).
 
     Attributes
     ----------
+    support, support_digest, n_live:
+        The served support plane, its digest and its popcount.
+    live_in_place:
+        Whether live queries score against the store as they are: the
+        store is held as live words on :attr:`support`.  Otherwise they
+        are placed on :attr:`support` first.
     queries_served, batches_served:
         Cumulative serving counters (cheap observability for the
         throughput benchmarks and the micro-batching server).
@@ -93,7 +112,7 @@ class InferenceEngine:
 
     def __init__(
         self,
-        model: HDModel | PackedHV,
+        model: HDModel | PackedHV | LiveStore,
         *,
         backend: str | Backend | None = None,
         quantizer=None,
@@ -108,7 +127,7 @@ class InferenceEngine:
         self.backend = get_backend(backend)
         self.batch_size = check_positive_int(batch_size, "batch_size")
         self.quantizer = None if quantizer is None else get_quantizer(quantizer)
-        if isinstance(model, PackedHV):
+        if isinstance(model, (PackedHV, LiveStore)):
             self.n_classes, self.d_hv = model.shape
             class_hvs = model
             if not isinstance(self.backend, PackedBackend):
@@ -150,6 +169,19 @@ class InferenceEngine:
                 "'ternary-biased') to quantize it for serving"
             )
         self.prepared = self.backend.prepare_class_store(class_hvs)
+        store = self.prepared.store
+        if isinstance(store, LiveStore) and keep_mask is None:
+            self.support, self.support_digest = store.support, store.digest
+        else:
+            self.support, self.support_digest = support_of(
+                np.ones(self.d_hv, dtype=bool) if keep_mask is None
+                else keep_mask
+            )
+        self.n_live = int(popcount(self.support).sum())
+        self.live_in_place = (
+            isinstance(store, LiveStore)
+            and store.digest == self.support_digest
+        )
         self.queries_served = 0
         self.batches_served = 0
 
@@ -162,15 +194,36 @@ class InferenceEngine:
     @property
     def store_nbytes(self) -> int:
         """Bytes held by the prepared class store."""
-        store = self.prepared.store
-        if isinstance(store, PackedHV):
-            return store.nbytes
-        return int(store.nbytes)
+        return int(self.prepared.store.nbytes)
+
+    def check_live(self, queries: LiveHV) -> None:
+        """Refuse live queries that do not name this model's support.
+
+        Raises ``ValueError`` (the wire's ``bad-request``) unless
+        ``queries`` were packed on :attr:`support`: same ``d_hv``, same
+        ``n_live``, same :func:`~repro.backend.packed.support_digest`.
+        """
+        if (
+            queries.d != self.d_hv
+            or queries.n_live != self.n_live
+            or queries.digest != self.support_digest
+        ):
+            raise ValueError(
+                f"live queries name support {queries.digest:#018x} "
+                f"(d_hv={queries.d}, n_live={queries.n_live}) but this "
+                f"model serves {self.support_digest:#018x} "
+                f"(d_hv={self.d_hv}, n_live={self.n_live}); mask the "
+                "queries with the served keep mask"
+            )
 
     def _batches(self, queries):
-        if not isinstance(queries, PackedHV):
+        if isinstance(queries, LiveHV):
+            self.check_live(queries)
+            if not self.live_in_place:
+                queries = expand_live(queries, self.support)
+        elif not isinstance(queries, PackedHV):
             queries = np.atleast_2d(np.asarray(queries))
-        n = queries.n if isinstance(queries, PackedHV) else queries.shape[0]
+        n = len(queries)
         if n == 0:
             raise ValueError("cannot serve an empty query batch")
         for start in range(0, n, self.batch_size):
@@ -180,9 +233,11 @@ class InferenceEngine:
     def scores(self, queries) -> np.ndarray:
         """Eq. (4) class scores, shape ``(n, n_classes)``, batched.
 
-        ``queries`` may be a dense ``(n, d_hv)`` array or an already
+        ``queries`` may be a dense ``(n, d_hv)`` array, an already
         bit-packed :class:`~repro.backend.PackedHV` batch (what an
-        obfuscating client ships for offload).
+        obfuscating client ships for offload), or the
+        :class:`~repro.backend.packed.LiveHV` live words of one (checked
+        by :meth:`check_live`).
         """
         chunks = []
         for chunk in self._batches(queries):

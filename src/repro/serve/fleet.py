@@ -2,20 +2,21 @@
 
 Prive-HD's whole point is that the privacy-preserving model is *small* —
 a packed class store for 26 classes x d_hv=10,000 is two 32.7 KB bit
-planes, and a bipolar or §III-C masked store holds its magnitude plane
-once (one 1.3 KB row), ~34 KB resident — so one host can plausibly keep
-10^4..10^5 **per-user personalized** models warm.  Everything below
-:mod:`repro.serve.fleet` serves versions of one model; this module
-turns that into a real fleet:
+planes, and a bipolar or §III-C masked store is held as its live words
+plus its magnitude plane once (:class:`~repro.backend.packed.LiveStore`,
+~17.7 KB resident with 5,000 live dimensions) — so one host can
+plausibly keep 10^4..10^5 **per-user personalized** models warm.
+Everything below :mod:`repro.serve.fleet` serves versions of one model;
+this module turns that into a real fleet:
 
 * :class:`ModelFleet` — a tenant-keyed facade over many
   :class:`~repro.serve.ModelRegistry` namespaces with a byte-budgeted
   LRU artifact cache.  Tenants are registered *lazily* (a path, not a
   load), admitted on first use with ``mmap=True`` + checksum
   verification — for a packed (v3) artifact that is: read the 65 KB of
-  bit planes, hash them, wrap them, keep a shared magnitude plane once
-  — and evicted oldest-first when the bytes the resident stores hold
-  exceed the budget; a later request re-admits from the recorded path,
+  bit planes, hash them, compact them to live words — and evicted
+  oldest-first when the bytes the resident stores hold exceed the
+  budget; a later request re-admits from the recorded path,
   checksums re-verified.  Racing requests for one tenant share one
   load.  Hot tenants can be pinned.  Counters live in
   :class:`FleetStats`.
@@ -28,7 +29,9 @@ turns that into a real fleet:
 * **Cross-tenant coalescing** — tenants whose artifacts share an
   encoder config (same ``d_hv``/quantizer/live-dimension count, packed
   store) share one micro-batch scheduler: each query row rides the
-  queue as ``[signs | mags | tenant_index]``, and one flush scores the
+  queue as ``[signs | mags | tenant_index]`` (or, from a protocol-v5
+  client, ``[live words | support digest | tenant_index]``), and one
+  flush scores the
   whole mixed-tenant batch with a single fused gather kernel
   (:func:`fused_tenant_scores`) instead of one kernel call per tenant.
   Tenants with unique configs fall back to per-tenant flushes, exactly
@@ -60,7 +63,13 @@ from typing import Sequence
 
 import numpy as np
 
-from repro.backend.packed import PackedHV, popcount, xor_dot_rows
+from repro.backend.packed import (
+    LiveStore,
+    PackedHV,
+    compact_store,
+    popcount,
+    xor_dot_rows,
+)
 from repro.serve.artifact import ModelArtifact
 from repro.serve.errors import TenantNotFound
 from repro.serve.registry import ModelRegistry
@@ -94,7 +103,7 @@ class FleetStats:
         Tenants whose engine is currently in memory.
     resident_bytes:
         Bytes held by the resident tenants' prepared class stores
-        (:attr:`~repro.backend.packed.PackedHV.nbytes`: ``signs`` plus
+        (:attr:`~repro.backend.packed.LiveStore.nbytes`: live words plus
         one magnitude row for a store whose rows share one, both planes
         otherwise), the quantity the LRU budget bounds.
     cache_bytes:
@@ -212,7 +221,7 @@ def _engine_coalesce_key(engine) -> tuple | None:
     are live — differs).  Only packed ternary/bipolar stores qualify;
     dense stores return ``None`` and score per-tenant.
     """
-    if not isinstance(engine.prepared.store, PackedHV):
+    if not isinstance(engine.prepared.store, (PackedHV, LiveStore)):
         return None
     mask = engine.keep_mask
     n_live = engine.d_hv if mask is None else int(np.count_nonzero(mask))
@@ -222,8 +231,8 @@ def _engine_coalesce_key(engine) -> tuple | None:
 
 def fused_tenant_scores(
     q_signs: np.ndarray,
-    q_mags: np.ndarray,
-    stores: Sequence[PackedHV],
+    q_mags: np.ndarray | None,
+    stores: Sequence,
     norms: np.ndarray,
     tenant_of_row: np.ndarray,
 ) -> np.ndarray:
@@ -231,28 +240,30 @@ def fused_tenant_scores(
 
     The cross-tenant coalescing kernel: instead of T calls to
     :func:`~repro.backend.packed.packed_class_scores` (one per tenant in
-    the flush), the per-tenant class stores are stacked into
-    ``(U, C, W)`` plane tensors and every query row gathers its own
-    tenant's planes by index — one vectorized XOR + popcount pass over
-    the whole batch.
+    the flush), every query row reads its own tenant's class store by
+    index — one vectorized XOR + popcount pass over the whole batch.
 
-    Shared-support path: when every tenant's store has one magnitude
-    plane ``M_t`` for all its classes (cached per store, see
-    :attr:`~repro.backend.packed.PackedHV.shared_support`) and every
-    query row's magnitude plane equals its own tenant's ``M_t``, each
-    row scores ``n_live_t − 2·popcount((Sq & M_t) ^ (Sc & M_t))`` —
-    one XOR and one popcount per word, tenants' keep masks free to
-    differ; the tenants' sign planes are read in place, not stacked.
-    If any tenant or any row fails that, the whole flush takes
-    the general ternary formula.
+    Live-word path: when every tenant's store is held as live words on
+    one magnitude plane ``M_t`` (:class:`~repro.backend.packed.LiveStore`;
+    planes whose rows share one are compacted here), each row scores
+    ``n_live_t − 2·popcount(live(q) ^ live(c))`` — one XOR and one
+    popcount per live word, tenants' keep masks free to differ (live
+    words of unequal width are zero-padded to the widest).
+    ``q_mags=None`` declares ``q_signs`` to be such live words already
+    (protocol-v5 rows, each on its own tenant's ``M_t``); plane rows
+    whose magnitude plane equals their tenant's ``M_t`` are gathered
+    into live words once here.  If any tenant or any plane row fails
+    that, the whole flush takes the general ternary formula on planes.
 
     Parameters
     ----------
     q_signs, q_mags:
-        ``(N, W)`` uint64 query bit planes (the wire layout).
+        ``(N, W)`` uint64 query bit planes (the wire layout), or live
+        words and ``None``.
     stores:
-        The packed class stores of the U unique tenants present in this
-        flush, each ``C`` rows of ``W`` words.
+        The class stores of the U unique tenants present in this flush
+        (:class:`~repro.backend.packed.LiveStore` or
+        :class:`~repro.backend.PackedHV`), each ``C`` rows.
     norms:
         ``(U, C)`` per-tenant class norms
         (:func:`~repro.backend.packed.packed_norms` of each store).
@@ -266,26 +277,53 @@ def fused_tenant_scores(
     exact integer dots, same class-norm division.
     """
     t = np.asarray(tenant_of_row, dtype=np.intp)
-    supports = [store.shared_support for store in stores]
-    if all(s is not None for s in supports):
-        masks = np.stack([s.mask for s in supports])[t]
-        if (q_mags == masks).all():
-            dots = xor_dot_rows(
-                q_signs & masks,
-                [s.signs for s in supports],
-                np.array([s.n_live for s in supports]),
-                t,
-            )
-            return dots.astype(np.float64) / norms[t]
+    live = [compact_store(store) for store in stores]
+    if q_mags is None and not all(isinstance(s, LiveStore) for s in live):
+        raise ValueError("live-word rows need every store held as live words")
+    words = q_signs if q_mags is None else _live_rows(q_signs, q_mags, live, t)
+    if words is not None:
+        width = words.shape[1]
+        dots = xor_dot_rows(
+            words,
+            [
+                np.pad(s.words, ((0, 0), (0, width - s.words.shape[1])))
+                if s.words.shape[1] < width
+                else s.words
+                for s in live
+            ],
+            np.array([store.n_live for store in live]),
+            t,
+        )
+        return dots.astype(np.float64) / norms[t]
     # (N, C, W): each row gathers its tenant's planes, then one fused
     # pass.  Agreeing live dims minus disagreeing live dims, as ints.
-    store_signs = np.stack([s.signs for s in stores])[t]
-    common = q_mags[:, None, :] & np.stack([s.mags for s in stores])[t]
+    planes = [s.expand() if isinstance(s, LiveStore) else s for s in stores]
+    store_signs = np.stack([s.signs for s in planes])[t]
+    common = q_mags[:, None, :] & np.stack([s.mags for s in planes])[t]
     disagree = (q_signs[:, None, :] ^ store_signs) & common
     dots = popcount(common).sum(axis=2, dtype=np.int64) - 2 * popcount(
         disagree
     ).sum(axis=2, dtype=np.int64)
     return dots.astype(np.float64) / norms[t]
+
+
+def _live_rows(q_signs, q_mags, stores, t) -> np.ndarray | None:
+    """Plane rows as live words of their own tenant's store, or ``None``.
+
+    ``None`` unless every store is a :class:`LiveStore` and every row's
+    magnitude plane is its tenant's ``M_t``.  Rows are as wide as the
+    widest store's words, zero-padded.
+    """
+    if not all(isinstance(s, LiveStore) for s in stores):
+        return None
+    if not (q_mags == np.stack([s.support for s in stores])[t]).all():
+        return None
+    width = max(s.words.shape[1] for s in stores)
+    out = np.zeros((len(t), width), dtype=np.uint64)
+    for u, store in enumerate(stores):
+        rows = np.flatnonzero(t == u)
+        out[rows, : store.words.shape[1]] = store.gather(q_signs[rows])
+    return out
 
 
 class ModelFleet:

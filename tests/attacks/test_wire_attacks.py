@@ -327,6 +327,7 @@ class TestLiveGate:
             "v4-ternary-biased",
             "v4-masked",
             "v4-identity",
+            "v5-masked",
         ]
         by_leg = {r.leg: r for r in report.rows}
         # Every protocol version really negotiated on the wire.
@@ -335,6 +336,15 @@ class TestLiveGate:
         # The masked leg's live-dimension count was inferred off the
         # capture, not read from client state.
         assert by_leg["v4-masked"].n_live_dims == 256
+        # v5 ships the same masked rows as live words: fewer bytes, and
+        # an eavesdropper placing them with the captured mask_seed
+        # recovers exactly what it recovers from the v4 planes.
+        v4, v5 = by_leg["v4-masked"], by_leg["v5-masked"]
+        assert v5.protocol_version == 5 and v5.packed
+        assert v5.n_live_dims == 256
+        assert v5.client_bytes < v4.client_bytes / 3
+        for metric in ("psnr_db", "nmse", "membership_top1"):
+            assert getattr(v5, metric) == getattr(v4, metric)
         # The bypassed leg ships dense and fails both criteria.
         identity = by_leg["v4-identity"]
         assert not identity.packed and not identity.protected

@@ -222,10 +222,12 @@ class TestCompiledKernels:
         enc = LevelBaseEncoder(4, 70, seed=1)
         X = np.random.default_rng(3).uniform(0, 1, (5, 4))
         plan = enc._column_plan()
-        signs = native_level_encode_signs(
+        signs, live = native_level_encode_signs(
             enc._level_indices(X), enc.n_levels, plan.flip, plan.agree,
-            plan.cols, plan.fixed, plan.fixed_signs,
+            plan.cols, plan.fixed, plan.fixed_signs, plan.ranks,
+            plan.fixed_live,
         )
         assert 0 < np.unique(plan.cols).size < enc.d_hv
         assert signs.shape == (5, -(-enc.d_hv // 64))
         assert signs.dtype == np.uint64
+        assert live.shape == (5, -(-plan.n_live // 64))

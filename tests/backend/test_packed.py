@@ -32,7 +32,7 @@ from repro.backend import (
     popcount,
     popcount_lut,
 )
-from repro.backend.packed import hold_shared_support, shared_support_signs
+from repro.backend.packed import LiveHV, LiveStore, compact_store, expand_live
 from repro.utils import spawn
 
 #: word-boundary edge cases plus awkward primes
@@ -326,12 +326,13 @@ def _flip_one_support_bit(H, rng):
 
 @pytest.mark.parametrize("kernel", sorted(SHARED_KERNELS))
 class TestSharedSupport:
-    """The one-XOR path equals the general path and the dense reference.
+    """The live-word path equals the general path and the dense reference.
 
     Queries and class store share one magnitude plane ``M``; every
     packed operand also carries stray sign bits outside ``M`` (and past
     ``d``), which no path may count.  Breaking the precondition in one
     query row or one store row must fall back with identical answers.
+    The store is scored both as planes and compacted to live words.
     """
 
     @staticmethod
@@ -340,10 +341,11 @@ class TestSharedSupport:
         expect = Q.astype(np.float64) @ C.astype(np.float64).T
         general = packed_mod._dot_loop(q, store)
         np.testing.assert_array_equal(general, expect)
-        np.testing.assert_array_equal(dot(q, store), expect)
-        np.testing.assert_array_equal(
-            scores(q, store), dense_class_scores(Q, C)
-        )
+        for held in (store, compact_store(store)):
+            np.testing.assert_array_equal(dot(q, held), expect)
+            np.testing.assert_array_equal(
+                scores(q, held), dense_class_scores(Q, C)
+            )
 
     @settings(max_examples=40, deadline=None)
     @given(
@@ -359,12 +361,19 @@ class TestSharedSupport:
     ):
         # a tiny tile puts row counts on both sides of tile boundaries
         Q, C, q, store = _shared_operands(n, c, d, live, seed)
-        support = store.shared_support
-        assert support is not None
-        assert support.n_live == int(np.count_nonzero(C[0] != 0))
-        assert shared_support_signs(q, support) is not None
+        held = compact_store(store)
+        assert isinstance(held, LiveStore)
+        assert held.n_live == int(np.count_nonzero(C[0] != 0))
+        assert held.operands(q) is not None
         with mock.patch.object(packed_mod, "TILE_WORDS", tile_words):
             self._check(kernel, Q, C, q, store)
+            # the same rows as live words score identically
+            dot, scores = SHARED_KERNELS[kernel][:2]
+            live_q = LiveHV(held.gather(q.signs), d, held.n_live, held.digest)
+            np.testing.assert_array_equal(dot(live_q, held), dot(q, store))
+            np.testing.assert_array_equal(
+                scores(live_q, held), dense_class_scores(Q, C)
+            )
 
     def test_row_counts_around_the_default_tile(self, kernel):
         d, c = 10_000, 26
@@ -391,7 +400,8 @@ class TestSharedSupport:
             C = _flip_one_support_bit(C, rng)
         q = _with_stray_signs(pack_hypervectors(Q), rng)
         store = _with_stray_signs(pack_hypervectors(C), rng)
-        assert shared_support_signs(q, store.shared_support) is None
+        held = compact_store(store)
+        assert not isinstance(held, LiveStore) or held.operands(q) is None
         self._check(kernel, Q, C, q, store)
 
     def test_single_query_row_off_support_falls_back(self, kernel):
@@ -399,69 +409,58 @@ class TestSharedSupport:
         Q = _flip_one_support_bit(Q, spawn(4, "one-row"))
         q = pack_hypervectors(Q)
         store = pack_hypervectors(C)
-        assert store.shared_support is not None
-        assert shared_support_signs(q, store.shared_support) is None
+        assert compact_store(store).operands(q) is None
         self._check(kernel, Q, C, q, store)
 
     def test_non_uniform_ternary_store_falls_back(self, kernel):
         Q = random_hvs(6, 200, seed=1, ternary=False)
         C = random_hvs(4, 200, seed=2, ternary=True)
         store = pack_hypervectors(C)
-        assert store.shared_support is None
+        assert compact_store(store) is store
         self._check(kernel, Q, C, pack_hypervectors(Q), store)
 
-
-class TestSharedSupportCache:
-    def test_worked_out_once_per_store(self):
-        store = pack_hypervectors(np.ones((3, 70)))
-        assert store.shared_support is store.shared_support
-
-    def test_clean_store_shares_its_sign_plane(self):
-        store = pack_hypervectors(random_hvs(3, 70, seed=0, ternary=False))
-        assert store.shared_support.signs is store.signs
-
-    def test_stray_sign_bits_are_cleared(self):
-        _, _, _, store = _shared_operands(1, 3, 70, "random", 9)
-        support = store.shared_support
-        assert support.signs is not store.signs
-        assert not (support.signs & ~support.mask).any()
-
-    def test_empty_batch_has_no_support(self):
-        assert pack_hypervectors(np.zeros((0, 70))).shared_support is None
+    def test_live_words_on_another_support_are_refused(self, kernel):
+        dot = SHARED_KERNELS[kernel][0]
+        _, _, _, store = _shared_operands(2, 3, 130, "random", 5)
+        held = compact_store(store)
+        words = np.zeros((2, packed_mod.n_words(held.n_live)), dtype=np.uint64)
+        other = LiveHV(words, 130, held.n_live, held.digest ^ 1)
+        with pytest.raises(ValueError, match="support"):
+            dot(other, held)
 
 
-def _materialized(held):
-    """The twin of a held store with both planes as full arrays."""
-    return PackedHV(
-        signs=held.signs.copy(), mags=np.ascontiguousarray(held.mags), d=held.d
-    )
+class TestCompactStore:
+    """A store whose rows share a magnitude plane holds live words."""
 
-
-class TestHeldSharedSupport:
-    """A store whose rows share a magnitude plane holds it once."""
-
-    def test_holds_one_aligned_read_only_row(self):
-        store = pack_hypervectors(random_hvs(26, 10_000, 0, ternary=False))
-        held = hold_shared_support(store)
-        row = held.mags.base
-        assert held.mags.strides[0] == 0 and not held.mags.flags.writeable
-        assert row.shape == (157,) and row.flags.aligned
-        assert row.flags.c_contiguous and not row.flags.writeable
-        assert held.signs is store.signs
-        # ISOLET-shaped: 26 x 157 words of signs plus one 157-word row.
+    def test_holds_live_words_and_one_read_only_row(self):
+        keep = np.zeros(10_000, dtype=bool)
+        keep[spawn(0, "keep").permutation(10_000)[:5_000]] = True
+        store = pack_hypervectors(random_hvs(26, 10_000, 0, ternary=False) * keep)
+        held = compact_store(store)
+        assert isinstance(held, LiveStore)
+        assert held.words.shape == (26, 79) and held.support.shape == (157,)
+        for arr in (held.words, held.support):
+            assert arr.flags.c_contiguous and not arr.flags.writeable
+        # ISOLET-shaped, half the dimensions live: 26 x 79 live words
+        # plus one 157-word support row, against both planes.
         assert store.nbytes == 65_312
-        assert held.nbytes == 33_912
-        # Primed from the equality check, not worked out again.
-        assert vars(held)["shared_support"].mask is row
-        assert held.shared_support.signs is held.signs
-        assert held.shared_support.n_live == 10_000
-        assert hold_shared_support(held) is held
+        assert held.nbytes == 17_688
+        assert held.n_live == 5_000
+        assert compact_store(held) is held
 
-    def test_stray_sign_bits_stay_in_the_store(self):
-        _, _, _, store = _shared_operands(1, 3, 70, "random", 9)
-        held = hold_shared_support(store)
-        np.testing.assert_array_equal(held.signs, store.signs)
-        assert not (held.shared_support.signs & ~held.mags.base).any()
+    def test_bipolar_live_words_are_the_sign_plane(self):
+        store = pack_hypervectors(random_hvs(3, 70, seed=0, ternary=False))
+        held = compact_store(store)
+        np.testing.assert_array_equal(held.words, store.signs)
+        assert held.n_live == 70
+
+    def test_stray_sign_bits_are_dropped_and_expand_restores_the_rest(self):
+        _, C, _, store = _shared_operands(1, 3, 70, "random", 9)
+        held = compact_store(store)
+        twin = held.expand()
+        np.testing.assert_array_equal(twin.signs, store.signs & store.mags)
+        np.testing.assert_array_equal(twin.mags, store.mags)
+        np.testing.assert_array_equal(held.unpack(np.float64), C)
 
     @pytest.mark.parametrize(
         "values",
@@ -470,30 +469,41 @@ class TestHeldSharedSupport:
     )
     def test_other_stores_are_left_alone(self, values):
         store = pack_hypervectors(values)
-        assert hold_shared_support(store) is store
+        assert compact_store(store) is store
         assert store.nbytes == 2 * store.signs.nbytes
 
     @pytest.mark.parametrize("kernel", sorted(KERNELS))
     @pytest.mark.parametrize("d", [1, 63, 64, 65, 200])
     @pytest.mark.parametrize("live", ["all", "random"])
-    def test_identical_to_its_materialized_twin(self, kernel, d, live):
-        dot, scores, hamming = KERNELS[kernel]
+    def test_identical_to_its_expanded_twin(self, kernel, d, live):
+        dot, scores, _ = KERNELS[kernel]
         _, _, on_support, store = _shared_operands(6, 4, d, live, d)
-        held = hold_shared_support(store)
-        assert held.mags.strides[0] == 0
-        twin = _materialized(held)
-        # On the store's support (one-XOR path) and ternary (general).
+        held = compact_store(store)
+        twin = held.expand()
+        # On the store's support (live-word path) and ternary (general).
         ternary = pack_hypervectors(random_hvs(5, d, seed=d, ternary=True))
         for q in (on_support, ternary):
-            for a, b in ((q, held), (held, q)):
-                tb = twin if b is held else b
-                ta = twin if a is held else a
-                np.testing.assert_array_equal(dot(a, b), dot(ta, tb))
-                np.testing.assert_array_equal(
-                    hamming(a, b), hamming(ta, tb)
-                )
-            np.testing.assert_array_equal(
-                scores(q, held), scores(q, twin)
-            )
+            np.testing.assert_array_equal(dot(q, held), dot(q, twin))
+            np.testing.assert_array_equal(scores(q, held), scores(q, twin))
         np.testing.assert_array_equal(packed_norms(held), packed_norms(twin))
         np.testing.assert_array_equal(held.unpack(), twin.unpack())
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    d=st.integers(1, 300),
+    n=st.integers(1, 5),
+    live=st.sampled_from(["none", "all", "random"]),
+    seed=st.integers(0, 2**31),
+)
+def test_live_words_round_trip_to_the_planes(d, n, live, seed):
+    """Gather then place gives the planes back, for any ``d``/``n_live``
+    (0 and ``d`` included), whatever stray sign bits the planes held."""
+    _, _, q, _ = _shared_operands(n, 1, d, live, seed)
+    held = compact_store(q)
+    words = held.gather(q.signs)
+    if held.n_live % WORD_BITS:
+        assert not (words[:, -1] >> np.uint64(held.n_live % WORD_BITS)).any()
+    placed = expand_live(LiveHV(words, d, held.n_live, held.digest), held.support)
+    np.testing.assert_array_equal(placed.signs, q.signs & q.mags)
+    np.testing.assert_array_equal(placed.mags, q.mags)

@@ -25,7 +25,12 @@ from repro.backend.packed import pack_hypervectors
 from repro.client import PriveHDClient
 from repro.core.inference_privacy import InferenceObfuscator, ObfuscationConfig
 from repro.hd import HDModel, LevelBaseEncoder, ScalarBaseEncoder
-from repro.proto import ProtocolError, ScoreRequest, encode_message
+from repro.proto import (
+    PROTOCOL_VERSION,
+    ProtocolError,
+    ScoreRequest,
+    encode_message,
+)
 from repro.serve import FrontendHandle, ModelArtifact, ServingAPI
 from repro.utils import spawn
 
@@ -332,7 +337,7 @@ class TestFleetTenantSniffing:
         with PriveHDClient(
             handle.address, encoder=encoder, tenant="pruned"
         ) as client:
-            assert client.protocol_version == 4
+            assert client.protocol_version == PROTOCOL_VERSION
             assert client.info.mask_seed == seed
             # The client built its obfuscator once, from the wire-shared
             # seed — the same v2 behavior, now per-tenant.

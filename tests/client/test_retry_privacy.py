@@ -25,7 +25,7 @@ import numpy as np
 import pytest
 
 from repro.attacks.wire import CaptureProxy, WireTrace
-from repro.backend.packed import PackedHV
+from repro.backend.packed import LiveHV, PackedHV
 from repro.client import PriveHDClient
 from repro.core.inference_privacy import ObfuscationConfig
 from repro.hd import HDModel, ScalarBaseEncoder
@@ -106,6 +106,8 @@ def _sent_query_payloads(sent_frames):
                 q = msg.queries
                 if isinstance(q, PackedHV):
                     payloads.append(q.signs.tobytes() + q.mags.tobytes())
+                elif isinstance(q, LiveHV):
+                    payloads.append(q.words.tobytes())
                 else:
                     payloads.append(np.ascontiguousarray(q).tobytes())
     return payloads
@@ -196,6 +198,8 @@ class TestRetryReplayPrivacy:
             for q in trace.query_batches():
                 if isinstance(q, PackedHV):
                     out.append(q.signs.tobytes() + q.mags.tobytes())
+                elif isinstance(q, LiveHV):
+                    out.append(q.words.tobytes())
                 else:
                     out.append(np.ascontiguousarray(q).tobytes())
             return out

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.backend.packed import n_words
 from repro.hd import HDModel
 from repro.hd.prune import mask_from_seed
 from repro.serve import ModelArtifact
@@ -46,12 +47,12 @@ class TestMmapLoad:
         )
         path = art.save(tmp_path / "a")
         loaded = ModelArtifact.load(path, mmap=True)
-        # Every row shares one magnitude plane: it is held once, as the
-        # base of a read-only stride-0 view.
-        mags = loaded.store.mags
-        assert mags.strides[0] == 0 and not mags.flags.writeable
-        held = [loaded.store.signs, mags.base]
-        assert mags.base.shape == (loaded.store.n_words,)
+        # Every row shares one magnitude plane: the store is held as its
+        # live words plus that plane once.
+        store = loaded.store
+        assert store.support.shape == (n_words(D_HV),)
+        assert store.words.shape == (store.n, n_words(store.n_live))
+        held = [store.words, store.support]
         if masked:
             held.append(loaded.keep_mask)
         for arr in held:
@@ -59,8 +60,11 @@ class TestMmapLoad:
             assert not arr.flags.writeable
             assert not isinstance(arr, np.memmap)
             assert not isinstance(getattr(arr, "base", None), np.memmap)
-        np.testing.assert_array_equal(loaded.store.signs, art.store.signs)
-        np.testing.assert_array_equal(loaded.store.mags, art.store.mags)
+        for got, want in zip(
+            (store.expand().signs, store.expand().mags),
+            (art.store.expand().signs, art.store.expand().mags),
+        ):
+            np.testing.assert_array_equal(got, want)
         # The dense view is unpacked on demand, read-only, same values.
         assert not loaded.class_hvs.flags.writeable
         np.testing.assert_array_equal(loaded.class_hvs, art.class_hvs)

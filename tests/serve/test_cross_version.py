@@ -19,6 +19,7 @@ from repro.core.inference_privacy import InferenceObfuscator, ObfuscationConfig
 from repro.hd import HDModel, ScalarBaseEncoder
 from repro.proto import (
     HEADER_SIZE,
+    PROTOCOL_VERSION,
     Hello,
     ScoreBatchRequest,
     Welcome,
@@ -241,7 +242,7 @@ class TestTenantCrossVersion:
         handle, queries, offline = fleet_task
         for name in ("alice", "bob"):
             with PriveHDClient(handle.address, tenant=name) as client:
-                assert client.protocol_version == 4
+                assert client.protocol_version == PROTOCOL_VERSION
                 np.testing.assert_array_equal(
                     client.predict_encoded(queries), offline[name]
                 )

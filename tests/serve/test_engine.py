@@ -5,7 +5,7 @@ import pytest
 
 from repro.backend import pack_hypervectors
 from repro.hd import HDModel, ScalarBaseEncoder, get_quantizer
-from repro.serve import InferenceEngine, make_serving_fixture, run_throughput
+from repro.serve import InferenceEngine
 from repro.utils import spawn
 
 
@@ -167,35 +167,3 @@ class TestRawFeatureServing:
         enc, model, _, _ = system
         with pytest.raises(ValueError, match="-dim"):
             InferenceEngine(model, encoder=ScalarBaseEncoder(24, 64, seed=1))
-
-
-class TestThroughputHarness:
-    def test_fixture_is_bipolar_and_deterministic(self):
-        m1, q1 = make_serving_fixture(d_hv=320, n_queries=8, n_classes=3, seed=4)
-        m2, q2 = make_serving_fixture(d_hv=320, n_queries=8, n_classes=3, seed=4)
-        np.testing.assert_array_equal(q1, q2)
-        np.testing.assert_array_equal(m1.class_hvs, m2.class_hvs)
-        assert set(np.unique(q1)) <= {-1.0, 1.0}
-        assert set(np.unique(m1.class_hvs)) <= {-1.0, 1.0}
-
-    def test_run_throughput_smoke(self):
-        result = run_throughput(
-            "both", d_hv=256, n_queries=64, n_classes=3, repeats=1
-        )
-        assert result.identical
-        assert result.speedup is not None
-        assert {r.backend for r in result.rows} == {"dense", "packed"}
-        for row in result.rows:
-            assert row.queries_per_s > 0
-
-    def test_run_throughput_single_backend(self):
-        result = run_throughput("packed", d_hv=128, n_queries=16, repeats=1)
-        assert result.speedup is None
-        assert [r.backend for r in result.rows] == ["packed"]
-
-    def test_dense_only_run_skips_client_packing(self):
-        from repro.serve.bench import render_throughput_report
-
-        result = run_throughput("dense", d_hv=128, n_queries=16, repeats=1)
-        assert result.client_pack_s == 0.0
-        assert "client-side packing" not in render_throughput_report(result)

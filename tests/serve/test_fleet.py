@@ -26,7 +26,10 @@ import pytest
 
 import repro.serve.fleet as fleet_module
 from repro.backend.packed import (
+    LiveStore,
     PackedHV,
+    compact_store,
+    n_words,
     pack_hypervectors,
     packed_class_scores,
     packed_norms,
@@ -221,9 +224,11 @@ class TestFusedKernel:
         d, n_classes = 10_000, 26
         rng = spawn(13, "fused-warm")
         keeps = _keep_masks(8, d_hv=d, n_live=d // 2)
-        stores = [
-            pack_hypervectors(
-                rng.choice([-1.0, 1.0], size=(n_classes, d)) * keep
+        stores = [  # as a fleet holds them: live words
+            compact_store(
+                pack_hypervectors(
+                    rng.choice([-1.0, 1.0], size=(n_classes, d)) * keep
+                )
             )
             for keep in keeps
         ]
@@ -449,8 +454,9 @@ WORDS = D_HV // 64
 
 
 class TestHeldMagnitudePlane:
-    """A tenant is charged for the bytes its store holds: ``signs`` plus
-    one magnitude row when its rows share one, both planes otherwise."""
+    """A tenant is charged for the bytes its store holds: live words
+    plus one magnitude row when its rows share one, both planes
+    otherwise."""
 
     def test_tenants_are_charged_the_bytes_they_hold(self, tmp_path):
         root = tmp_path / "fleet"
@@ -468,7 +474,8 @@ class TestHeldMagnitudePlane:
                 keep_mask=keep if name == "masked" else None,
             ).save(root / name)
         plane = N_CLASSES * WORDS * 8
-        expect = {"bipolar": plane + WORDS * 8, "masked": plane + WORDS * 8,
+        live = N_CLASSES * n_words(keep.sum()) * 8
+        expect = {"bipolar": plane + WORDS * 8, "masked": live + WORDS * 8,
                   "ternary": 2 * plane}
         fleet = ModelFleet.from_dir(root)
         for name, charge in expect.items():
@@ -504,13 +511,8 @@ class TestHeldMagnitudePlane:
             for keep in keeps
         ]
         held = [art.store for art in arts]
-        assert all(store.mags.strides[0] == 0 for store in held)
-        twins = [
-            PackedHV(
-                signs=s.signs.copy(), mags=np.ascontiguousarray(s.mags), d=d
-            )
-            for s in held
-        ]
+        assert all(isinstance(store, LiveStore) for store in held)
+        twins = [s.expand() for s in held]
         for art, twin in zip(arts, twins):
             np.testing.assert_array_equal(
                 art.class_hvs, twin.unpack(art.store_dtype)

@@ -17,6 +17,7 @@ from repro.backend.packed import n_words, pack_hypervectors
 from repro.client import PriveHDClient, ServerError
 from repro.core.inference_privacy import InferenceObfuscator, ObfuscationConfig
 from repro.hd import HDModel, ScalarBaseEncoder, get_quantizer
+from repro.proto import PROTOCOL_VERSION
 from repro.proto import (
     HEADER_SIZE,
     MAGIC,
@@ -341,9 +342,12 @@ class TestOversizeErrorReplies:
         sock = _raw_connection(handle.address)
         try:
             sock.sendall(encode_message(Hello()))
-            assert decode_message(_read_frame(sock)).version == 4
+            assert decode_message(_read_frame(sock)).version == PROTOCOL_VERSION
             sock.sendall(
-                encode_frame(FrameType.SCORE_BATCH_REQUEST, payload, version=4)
+                encode_frame(
+                    FrameType.SCORE_BATCH_REQUEST, payload,
+                    version=PROTOCOL_VERSION,
+                )
             )
             reply = decode_message(_read_frame(sock))
             assert reply.code == "bad-frame"

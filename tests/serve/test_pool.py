@@ -14,6 +14,7 @@ import pytest
 from repro.client import PriveHDClient
 from repro.core.inference_privacy import InferenceObfuscator, ObfuscationConfig
 from repro.hd import HDModel, ScalarBaseEncoder, get_quantizer
+from repro.proto import PROTOCOL_VERSION
 from repro.serve import ModelArtifact, WorkerPool
 from repro.utils import spawn
 
@@ -255,7 +256,7 @@ class TestMultiTenantPool:
             with PriveHDClient(
                 fleet_pool.address, encoder=encoder, tenant=tenant
             ) as client:
-                assert client.protocol_version == 4
+                assert client.protocol_version == PROTOCOL_VERSION
                 np.testing.assert_array_equal(client.predict(X), offline)
 
     def test_add_tenant_broadcasts_to_every_worker(

@@ -22,7 +22,6 @@ _DOCTEST_MODULES = [
     "repro.hd.batching",
     "repro.backend.packed",
     "repro.backend.native",
-    "repro.hd.sequence",
     "repro.attacks.decoder",
     "repro.hardware.rtl",
     "repro.data.registry",

@@ -118,40 +118,6 @@ class TestServingCommands:
         out = capsys.readouterr().out
         assert "encoder=level-base" in out
 
-    def test_throughput_both_backends(self, capsys):
-        assert (
-            main(
-                [
-                    "throughput",
-                    "--dhv", "256",
-                    "--n-queries", "64",
-                    "--n-classes", "4",
-                    "--repeats", "1",
-                ]
-            )
-            == 0
-        )
-        out = capsys.readouterr().out
-        assert "dense" in out and "packed" in out
-        assert "identical predictions: True" in out
-
-    def test_throughput_single_backend(self, capsys):
-        assert (
-            main(
-                [
-                    "throughput",
-                    "--backend", "packed",
-                    "--dhv", "128",
-                    "--n-queries", "16",
-                    "--repeats", "1",
-                ]
-            )
-            == 0
-        )
-        out = capsys.readouterr().out
-        assert "packed" in out
-        assert "speedup" not in out
-
     def test_train_rejects_unknown_dataset(self):
         with pytest.raises(SystemExit):
             main(["train", "cifar"])

@@ -17,8 +17,8 @@ from repro.core import (
 )
 from repro.data import load_dataset
 from repro.hardware import EncoderAccelerator, generate_rtl_bundle
-from repro.hd import LevelBaseEncoder, to_bipolar
-from repro.io import load_deployment, save_deployment
+from repro.hd import HDModel, LevelBaseEncoder, to_bipolar
+from repro.serve import ModelArtifact
 
 
 @pytest.mark.slow
@@ -41,25 +41,27 @@ class TestTrainingLifecycle:
 
     def test_artifact_roundtrip_preserves_behaviour(self, setup, tmp_path):
         ds, _, result = setup
-        dep = load_deployment(
-            save_deployment(tmp_path / "artifact.npz", result)
-        )
+        served = ModelArtifact.load(
+            result.to_artifact().save(tmp_path / "artifact")
+        ).engine()
         np.testing.assert_array_equal(
-            dep.predict(ds.X_test),
+            served.predict_features(ds.X_test),
             result.private.model.predict(result.encode_queries(ds.X_test)),
         )
 
     def test_served_artifact_resists_attack(self, setup, tmp_path):
         """The attack must fail against the *serialized* artifact too."""
         ds, system, result = setup
-        dep = load_deployment(save_deployment(tmp_path / "a.npz", result))
+        art = ModelArtifact.load(result.to_artifact().save(tmp_path / "a"))
         adjacent = system.fit_private(
             ds.X_train[1:], ds.y_train[1:], epsilon=1.0,
             effective_dims=1024, noise_seed=777,
         )
-        attack = ModelDifferenceAttack(dep.encoder)
+        attack = ModelDifferenceAttack(art.encoder())
         score = attack.membership_score(
-            ds.X_train[0], dep.model, adjacent.private.model
+            ds.X_train[0],
+            HDModel(art.n_classes, art.d_hv, art.class_hvs),
+            adjacent.private.model,
         )
         assert abs(score) < 0.5
 
