@@ -122,7 +122,6 @@ def run_bench(args) -> dict:
             "seed": args.seed,
             "workers_sweep": workers_sweep,
             "chunk_sweep": chunk_sweep,
-            "executor": args.executor,
             "backend": args.backend,
             "numba_available": kernels_available(),
             "cpu_count": os.cpu_count(),
@@ -164,7 +163,6 @@ def run_bench(args) -> dict:
                         chunk_size=chunk_size,
                         workers=workers,
                         kernel=kernel,
-                        executor=args.executor,
                     )
                     secs, H = _time_best_of(
                         lambda: pipeline.encode(X), args.repeats
@@ -278,16 +276,6 @@ def main(argv=None) -> int:
         type=int,
         default=default_workers(),
         help="parallel worker count for the sweep (always paired with 1)",
-    )
-    parser.add_argument(
-        "--executor",
-        choices=("thread", "process"),
-        default="thread",
-        help=(
-            "worker pool kind; the NumPy kernels release the GIL, so "
-            "threads scale too, and matched or beat processes on every "
-            "level-base row of the committed sweep (docs/performance.md)"
-        ),
     )
     parser.add_argument(
         "--chunk-sizes",

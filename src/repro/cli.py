@@ -167,7 +167,6 @@ def _run_train(args) -> int:
         quantizer=args.quantizer,
         batch_size=chunk_size,
         workers=args.encode_workers,
-        executor=args.encode_executor,
     )
     train_s = time.perf_counter() - t0
 
@@ -192,10 +191,7 @@ def _run_train(args) -> int:
     from repro.hd import EncodePipeline
 
     pipeline = EncodePipeline(
-        encoder,
-        chunk_size=chunk_size,
-        workers=args.encode_workers,
-        executor=args.encode_executor,
+        encoder, chunk_size=chunk_size, workers=args.encode_workers
     )
     t0 = time.perf_counter()
     preds = np.concatenate(
@@ -794,17 +790,9 @@ def _build_parser() -> argparse.ArgumentParser:
         "--encode-workers",
         type=int,
         default=1,
-        help="concurrent encode tiles",
-    )
-    p_train.add_argument(
-        "--encode-executor",
-        choices=("thread", "process"),
-        default="thread",
         help=(
-            "worker pool kind: threads share the codebooks read-only "
-            "and scale because the NumPy kernels release the GIL; "
-            "processes rebuild them from one pickled copy and did not "
-            "beat threads in the committed encode sweep"
+            "concurrent encode tiles on a thread pool (the NumPy "
+            "kernels release the GIL)"
         ),
     )
     p_train.add_argument(

@@ -134,21 +134,15 @@ class PriveHD:
         *,
         chunk_size: int = 1024,
         workers: int | None = 1,
-        kernel: str = "auto",
-        executor: str = "thread",
     ) -> EncodePipeline:
         """A chunked/parallel encode pipeline over this system's encoder.
 
-        ``kernel="auto"`` gives level-base encoders the flip-chain
-        popcount, compiled when numba is installed; see
+        Level-base encoders get the flip-chain popcount, compiled when
+        numba is installed; see
         :class:`~repro.hd.encode_pipeline.EncodePipeline`.
         """
         return EncodePipeline(
-            self.encoder,
-            chunk_size=chunk_size,
-            workers=workers,
-            kernel=kernel,
-            executor=executor,
+            self.encoder, chunk_size=chunk_size, workers=workers
         )
 
     def fit(
@@ -160,7 +154,6 @@ class PriveHD:
         retrain_epochs: int = 0,
         chunk_size: int | None = None,
         encode_workers: int | None = 1,
-        encode_executor: str = "thread",
     ) -> HDModel:
         """Plain, non-private HD training (Eq. 3, optional Eq. 5).
 
@@ -173,9 +166,8 @@ class PriveHD:
         chunk cache (16× smaller than floats) when the quantizer packs,
         and re-encodes tile by tile otherwise — bounded memory either
         way.  On quantized encodings both paths produce identical
-        models.  ``encode_executor="process"`` fans tiles out across
-        worker processes — the executor that actually parallelizes the
-        GIL-bound packed level-base kernel on multi-core hosts.
+        models.  ``encode_workers`` encodes that many tiles at once on a
+        thread pool.
         """
         X = check_2d(X, "X", n_cols=self.encoder.d_in)
         y = check_labels(y, "y", n_classes=self.n_classes)
@@ -187,7 +179,6 @@ class PriveHD:
                 retrain_epochs=retrain_epochs,
                 chunk_size=chunk_size,
                 workers=encode_workers,
-                executor=encode_executor,
             )
         q = get_quantizer(quantizer)
         H = q(self.encoder.encode(X))
@@ -211,12 +202,9 @@ class PriveHD:
         retrain_epochs: int,
         chunk_size: int,
         workers: int | None,
-        executor: str = "thread",
     ) -> HDModel:
         if retrain_epochs > 0:
-            pipeline = self.pipeline(
-                chunk_size=chunk_size, workers=workers, executor=executor
-            )
+            pipeline = self.pipeline(chunk_size=chunk_size, workers=workers)
             # Retraining replays the encodings: cache them once, packed
             # (16x smaller), when the quantizer allows; otherwise a dense
             # cache would cost as much as the full matrix, so re-encode
@@ -247,7 +235,6 @@ class PriveHD:
             quantizer=quantizer,
             batch_size=chunk_size,
             workers=workers,
-            executor=executor,
         )
 
     def fit_private(

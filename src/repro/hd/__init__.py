@@ -6,7 +6,7 @@ training (Eq. 3), cosine inference (Eq. 4), Eq. (5) retraining, the
 encoding quantizers of Eq. (13)–(14) and less-effectual-dimension pruning.
 """
 
-from repro.hd.batching import encode_in_batches, fit_classes_batched
+from repro.hd.batching import fit_classes_batched
 from repro.hd.encode_pipeline import (
     ENCODE_KERNELS,
     EncodedChunkStore,
@@ -67,7 +67,6 @@ __all__ = [
     "LevelBaseEncoder",
     "ENCODER_KINDS",
     "encoder_from_config",
-    "encode_in_batches",
     "fit_classes_batched",
     "ENCODE_KERNELS",
     "EncodePipeline",

@@ -1,10 +1,10 @@
 """Memory-bounded batched encoding for paper-scale runs.
 
 At the paper's scale (60k MNIST rows × Dhv = 10,000) a single encoding
-matrix costs gigabytes.  :func:`encode_in_batches` bounds the peak by
-yielding fixed-size chunks, and :func:`fit_classes_batched` streams them
-straight into the class store so full-precision encodings never coexist
-in memory.  A pre-quantized stream of bit-packed chunks
+matrix costs gigabytes.  :func:`fit_classes_batched` streams fixed-size
+chunks of an :class:`~repro.hd.encode_pipeline.EncodePipeline` straight
+into the class store, so full-precision encodings never coexist in
+memory.  A pre-quantized stream of bit-packed chunks
 (:class:`~repro.backend.PackedHV`) is accepted too, so an edge device —
 or a cached, 16×-smaller packed encoding file — can feed training
 directly.
@@ -12,7 +12,7 @@ directly.
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator
+from typing import Iterable
 
 import numpy as np
 
@@ -23,41 +23,7 @@ from repro.hd.model import HDModel
 from repro.hd.quantize import EncodingQuantizer, get_quantizer
 from repro.utils.validation import check_2d, check_labels, check_positive_int
 
-__all__ = ["encode_in_batches", "fit_classes_batched"]
-
-
-def encode_in_batches(
-    encoder: Encoder,
-    X: np.ndarray,
-    *,
-    batch_size: int = 1024,
-    workers: int | None = 1,
-    kernel: str = "auto",
-    executor: str = "thread",
-) -> Iterator[tuple[slice, np.ndarray]]:
-    """Yield ``(row_slice, encodings)`` chunks of at most ``batch_size``.
-
-    A thin wrapper over :class:`~repro.hd.encode_pipeline.EncodePipeline`
-    kept for its established call sites; ``workers`` and ``kernel`` pass
-    straight through to the pipeline (packed level-base kernel, parallel
-    tiles).
-
-    >>> from repro.hd import ScalarBaseEncoder
-    >>> import numpy as np
-    >>> enc = ScalarBaseEncoder(4, 32, seed=0)
-    >>> X = np.random.default_rng(0).uniform(0, 1, (10, 4))
-    >>> chunks = list(encode_in_batches(enc, X, batch_size=4))
-    >>> [c[1].shape[0] for c in chunks]
-    [4, 4, 2]
-    """
-    pipeline = EncodePipeline(
-        encoder,
-        chunk_size=batch_size,
-        workers=workers,
-        kernel=kernel,
-        executor=executor,
-    )
-    yield from pipeline.stream(X)
+__all__ = ["fit_classes_batched"]
 
 
 def fit_classes_batched(
@@ -69,8 +35,6 @@ def fit_classes_batched(
     quantizer: EncodingQuantizer | str | None = None,
     batch_size: int = 1024,
     workers: int | None = 1,
-    kernel: str = "auto",
-    executor: str = "thread",
     stream: Iterable[tuple[slice, np.ndarray | PackedHV]] | None = None,
     d_hv: int | None = None,
 ) -> HDModel:
@@ -94,8 +58,8 @@ def fit_classes_batched(
         already quantized and are bundled as-is).
     batch_size:
         Rows encoded per chunk on the ``encoder``/``X`` path.
-    workers, kernel, executor:
-        Encode-pipeline knobs for the ``encoder``/``X`` path (see
+    workers:
+        Concurrent encode tiles on the ``encoder``/``X`` path (see
         :class:`~repro.hd.encode_pipeline.EncodePipeline`); ignored with
         ``stream``.
     stream:
@@ -107,6 +71,13 @@ def fit_classes_batched(
     d_hv:
         Hypervector dimensionality — required with ``stream`` when no
         ``encoder`` is given; otherwise taken from the encoder.
+
+    >>> from repro.hd import ScalarBaseEncoder
+    >>> enc = ScalarBaseEncoder(4, 32, seed=0)
+    >>> X = np.random.default_rng(0).uniform(0, 1, (10, 4))
+    >>> y = np.arange(10) % 2
+    >>> fit_classes_batched(enc, X, y, 2, batch_size=4).class_hvs.shape
+    (2, 32)
     """
     if (X is None) == (stream is None):
         raise ValueError("provide exactly one of X or stream")
@@ -119,14 +90,9 @@ def fit_classes_batched(
         X = check_2d(X, "X", n_cols=encoder.d_in)
         if X.shape[0] != y.shape[0]:
             raise ValueError("X / y length mismatch")
-        stream = encode_in_batches(
-            encoder,
-            X,
-            batch_size=batch_size,
-            workers=workers,
-            kernel=kernel,
-            executor=executor,
-        )
+        stream = EncodePipeline(
+            encoder, chunk_size=batch_size, workers=workers
+        ).stream(X)
 
     if d_hv is None:
         if encoder is None:

@@ -7,13 +7,9 @@ scale) inside a single-threaded hot loop.  This module turns encoding
 into a *pipeline*:
 
 * :class:`EncodePipeline` drives the encoder over bounded-memory tiles
-  and optionally fans tiles out across ``concurrent.futures`` workers —
-  threads share the codebooks read-only (NumPy releases the GIL in the
-  kernels), while process workers receive one pickled copy of the
-  encoder at pool start-up (encoders are deterministic in
-  ``(d_in, d_hv, seed)``, so a copy *is* the codebook) and exchange
-  tiles through a ring of ``multiprocessing.shared_memory`` buffers, so
-  per-chunk IPC never pickles feature or encoding arrays.
+  and optionally fans tiles out across a thread pool — the threads
+  share the codebooks read-only and scale because the NumPy kernels
+  release the GIL.
 * Level-base tiles run on the flip-chain popcount
   (:meth:`~repro.hd.encoder.LevelBaseEncoder.encode_packed`, which is
   also what ``encoder.encode`` runs), compiled by numba when it is
@@ -36,15 +32,13 @@ Measure it: ``python benchmarks/bench_encode.py`` (writes
 from __future__ import annotations
 
 import os
-import pickle
 from collections import deque
-from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
-from multiprocessing import shared_memory
+from concurrent.futures import ThreadPoolExecutor
 from typing import Iterator
 
 import numpy as np
 
-from repro.backend.packed import PackedHV, n_words
+from repro.backend.packed import PackedHV
 from repro.hd.encoder import Encoder
 from repro.hd.quantize import EncodingQuantizer, get_quantizer
 from repro.utils.validation import check_2d, check_positive_int
@@ -60,85 +54,6 @@ __all__ = [
 ENCODE_KERNELS = ("auto", "dense", "packed", "native")
 
 
-def _encode_tile_with(encoder, X_chunk, kernel: str, mode: str):
-    """Encode one tile under a kernel policy — shared by parent and workers.
-
-    ``kernel`` follows :data:`ENCODE_KERNELS` ("packed" forces the
-    pure-NumPy accumulator, "native" the compiled kernels, "auto" picks
-    the best available); ``mode`` is ``"encode"`` for a dense float32
-    tile or ``"packed-bipolar"`` for direct
-    :class:`~repro.backend.PackedHV` emission.
-    """
-    native = {"native": True, "packed": False}.get(kernel)
-    if mode == "packed-bipolar":
-        return encoder.encode_packed_bipolar(X_chunk, native=native)
-    if native is not None and hasattr(encoder, "encode_packed"):
-        return encoder.encode_packed(X_chunk, native=native)
-    if kernel == "native" and hasattr(encoder, "encode_into"):
-        out = np.empty((X_chunk.shape[0], encoder.d_hv), dtype=np.float32)
-        return encoder.encode_into(X_chunk, out, native=True)
-    return encoder.encode(X_chunk)
-
-
-# ----------------------------------------------------------------------
-# process-pool plumbing: each worker process rebuilds the encoder once
-# from the pickled copy shipped at pool start-up, then encodes tiles
-# passed through shared-memory slots (no per-chunk pickling of arrays).
-# ----------------------------------------------------------------------
-_WORKER_ENCODER: Encoder | None = None
-_WORKER_SHM: dict[str, shared_memory.SharedMemory] = {}
-
-
-def _init_process_worker(encoder_bytes: bytes) -> None:
-    global _WORKER_ENCODER
-    _WORKER_ENCODER = pickle.loads(encoder_bytes)
-
-
-def _attach_worker_shm(name: str) -> shared_memory.SharedMemory:
-    """Attach (once per process) to a parent-owned shared-memory slot.
-
-    Attachments are cached for the worker's lifetime — slots are reused
-    across chunks, so each segment is mapped exactly once per process.
-    The parent owns every segment and unlinks them when the stream
-    closes.
-    """
-    shm = _WORKER_SHM.get(name)
-    if shm is None:
-        shm = shared_memory.SharedMemory(name=name)
-        _WORKER_SHM[name] = shm
-    return shm
-
-
-def _process_encode_shm(
-    in_name: str,
-    out_name: str,
-    shape: tuple,
-    dtype_str: str,
-    kernel: str,
-    mode: str,
-):
-    """Encode one shared-memory tile; returns constant-size metadata only.
-
-    The features are read in place from the input slot and the result —
-    dense float32 rows or the two uint64 planes of a packed tile — is
-    written in place to the output slot; the pickled return value is a
-    tiny shape tuple, never an array.
-    """
-    X_chunk = np.ndarray(
-        shape, dtype=np.dtype(dtype_str), buffer=_attach_worker_shm(in_name).buf
-    )
-    tile = _encode_tile_with(_WORKER_ENCODER, X_chunk, kernel, mode)
-    out_buf = _attach_worker_shm(out_name).buf
-    if isinstance(tile, PackedHV):
-        planes = np.ndarray((2, tile.n, tile.n_words), np.uint64, buffer=out_buf)
-        planes[0] = tile.signs
-        planes[1] = tile.mags
-        return ("packed", tile.n, tile.n_words, tile.d)
-    tile = np.ascontiguousarray(tile, dtype=np.float32)
-    np.ndarray(tile.shape, np.float32, buffer=out_buf)[:] = tile
-    return ("dense", tile.shape)
-
-
 def default_workers() -> int:
     """A conservative worker count: the CPU count, capped at 4."""
     return max(1, min(4, os.cpu_count() or 1))
@@ -150,9 +65,8 @@ class EncodePipeline:
     Parameters
     ----------
     encoder:
-        The :class:`~repro.hd.encoder.Encoder` to drive.  Deterministic
-        in its ``(d_in, d_hv, seed)``, so worker processes can hold
-        copies and produce identical tiles.
+        The :class:`~repro.hd.encoder.Encoder` to drive; thread workers
+        share its codebooks read-only.
     chunk_size:
         Rows encoded per tile; bounds peak memory at
         ``chunk_size × d_hv`` floats per in-flight tile.
@@ -167,12 +81,6 @@ class EncodePipeline:
         (``"dense"`` tiles are ``encoder.encode``; ``"packed"`` pins the
         pure-NumPy kernel; ``"native"`` raises at construction when
         numba is absent).
-    executor:
-        ``"thread"`` (default) shares codebooks read-only across a
-        thread pool; ``"process"`` ships one pickled encoder per worker
-        process and exchanges tiles through shared-memory slots (no
-        per-chunk array pickling) — useful when the kernel does not
-        release the GIL.
 
     All paths produce the same rows as the single-shot
     ``encoder.encode(X)``: bit-identical for level-base (integer-exact
@@ -187,7 +95,6 @@ class EncodePipeline:
         chunk_size: int = 1024,
         workers: int | None = 1,
         kernel: str = "auto",
-        executor: str = "thread",
     ):
         self.encoder = encoder
         self.chunk_size = check_positive_int(chunk_size, "chunk_size")
@@ -214,11 +121,6 @@ class EncodePipeline:
                     "use kernel='auto' for automatic selection"
                 )
         self.kernel = kernel
-        if executor not in ("thread", "process"):
-            raise ValueError(
-                f"executor must be 'thread' or 'process', got {executor!r}"
-            )
-        self.executor = executor
 
     # ------------------------------------------------------------------
     @property
@@ -230,7 +132,27 @@ class EncodePipeline:
 
     def encode_chunk(self, X_chunk: np.ndarray) -> np.ndarray:
         """Encode one tile with the selected kernel."""
-        return _encode_tile_with(self.encoder, X_chunk, self.kernel, "encode")
+        return self._encode_tile(X_chunk, "encode")
+
+    def _encode_tile(self, X_chunk, mode: str):
+        """Encode one tile under the kernel policy.
+
+        ``self.kernel`` follows :data:`ENCODE_KERNELS` ("packed" forces
+        the pure-NumPy accumulator, "native" the compiled kernels,
+        "auto" picks the best available); ``mode`` is ``"encode"`` for a
+        dense float32 tile or ``"packed-bipolar"`` for direct
+        :class:`~repro.backend.PackedHV` emission.
+        """
+        encoder, kernel = self.encoder, self.kernel
+        native = {"native": True, "packed": False}.get(kernel)
+        if mode == "packed-bipolar":
+            return encoder.encode_packed_bipolar(X_chunk, native=native)
+        if native is not None and hasattr(encoder, "encode_packed"):
+            return encoder.encode_packed(X_chunk, native=native)
+        if kernel == "native" and hasattr(encoder, "encode_into"):
+            out = np.empty((X_chunk.shape[0], encoder.d_hv), dtype=np.float32)
+            return encoder.encode_into(X_chunk, out, native=True)
+        return encoder.encode(X_chunk)
 
     def _chunk_slices(self, n: int) -> list[slice]:
         return [
@@ -249,22 +171,17 @@ class EncodePipeline:
         yield from self._stream_tiles(X, "encode")
 
     def _stream_tiles(self, X, mode: str) -> Iterator[tuple[slice, np.ndarray]]:
-        """Drive tiles through the inline, thread, or shared-memory path."""
+        """Drive tiles inline, or through a bounded thread-pool window."""
         slices = self._chunk_slices(X.shape[0])
         if self.workers == 1:
             for sl in slices:
-                yield sl, _encode_tile_with(self.encoder, X[sl], self.kernel, mode)
+                yield sl, self._encode_tile(X[sl], mode)
             return
-        if self.executor == "process":
-            yield from self._stream_process(X, slices, mode)
-            return
-        yield from self._stream_threads(X, slices, mode)
-
-    def _stream_threads(self, X, slices, mode) -> Iterator[tuple[slice, np.ndarray]]:
         pool = ThreadPoolExecutor(max_workers=self.workers)
-        submit = lambda sl: pool.submit(  # noqa: E731
-            _encode_tile_with, self.encoder, X[sl], self.kernel, mode
-        )
+
+        def submit(sl):
+            return pool.submit(self._encode_tile, X[sl], mode)
+
         window = 2 * self.workers
         try:
             pending: deque = deque()
@@ -283,88 +200,6 @@ class EncodePipeline:
         finally:
             pool.shutdown(wait=True)
 
-    def _stream_process(self, X, slices, mode) -> Iterator[tuple[slice, np.ndarray]]:
-        """Fan tiles out to worker processes through shared-memory slots.
-
-        Each in-flight chunk owns one (input, output) slot pair from a
-        fixed ring of ``2 × workers``: the parent copies the feature
-        rows in, the worker encodes in place and writes the result
-        planes/rows back, and only a constant-size metadata tuple ever
-        crosses the pickle boundary.  Slots are recycled as results are
-        consumed and unlinked when the stream closes.
-        """
-        d_hv = self.encoder.d_hv
-        in_bytes = max(1, self.chunk_size * self.encoder.d_in * X.dtype.itemsize)
-        if mode == "packed-bipolar":
-            out_bytes = 2 * self.chunk_size * n_words(d_hv) * 8
-        else:
-            out_bytes = self.chunk_size * d_hv * 4
-        window = 2 * self.workers
-        pool = ProcessPoolExecutor(
-            max_workers=self.workers,
-            initializer=_init_process_worker,
-            initargs=(pickle.dumps(self.encoder),),
-        )
-        slots: list[tuple] = []
-        free: list[tuple] = []
-        for _ in range(min(window, len(slices))):
-            pair = (
-                shared_memory.SharedMemory(create=True, size=in_bytes),
-                shared_memory.SharedMemory(create=True, size=out_bytes),
-            )
-            slots.append(pair)
-            free.append(pair)
-
-        def submit(sl):
-            slot = free.pop()
-            shm_in, shm_out = slot
-            X_chunk = X[sl]
-            # Elementwise copy into the slot — works for any ndarray
-            # (subclasses included) without serializing it.
-            np.ndarray(X_chunk.shape, X.dtype, buffer=shm_in.buf)[:] = X_chunk
-            future = pool.submit(
-                _process_encode_shm,
-                shm_in.name,
-                shm_out.name,
-                X_chunk.shape,
-                X.dtype.str,
-                self.kernel,
-                mode,
-            )
-            return slot, future
-
-        try:
-            pending: deque = deque()
-            todo = iter(slices)
-            for sl in todo:
-                pending.append((sl, *submit(sl)))
-                if len(pending) >= window:
-                    break
-            while pending:
-                sl, slot, future = pending.popleft()
-                tile = self._read_slot(slot[1], future.result())
-                free.append(slot)
-                for nxt in todo:
-                    pending.append((nxt, *submit(nxt)))
-                    break
-                yield sl, tile
-        finally:
-            pool.shutdown(wait=True)
-            for shm_in, shm_out in slots:
-                shm_in.close()
-                shm_in.unlink()
-                shm_out.close()
-                shm_out.unlink()
-
-    @staticmethod
-    def _read_slot(shm_out, meta):
-        """Materialize a worker's result from its output slot."""
-        if meta[0] == "dense":
-            return np.ndarray(meta[1], np.float32, buffer=shm_out.buf).copy()
-        _, n, nw, d = meta
-        planes = np.ndarray((2, n, nw), np.uint64, buffer=shm_out.buf)
-        return PackedHV(signs=planes[0].copy(), mags=planes[1].copy(), d=d)
-
     @property
     def uses_fused_dense_kernel(self) -> bool:
         """True when :meth:`encode` writes tiles in place (no copy-out).
@@ -372,15 +207,9 @@ class EncodePipeline:
         Available when the encoder exposes ``encode_into`` (the blocked
         quantize-into-matmul of
         :meth:`~repro.hd.encoder.ScalarBaseEncoder.encode_into`) and the
-        selected kernel is dense.  Process workers cannot share the
-        output buffer, so the fused path covers inline and thread
-        execution.
+        selected kernel is dense.
         """
-        return (
-            not self.uses_packed_kernel
-            and hasattr(self.encoder, "encode_into")
-            and (self.workers == 1 or self.executor == "thread")
-        )
+        return not self.uses_packed_kernel and hasattr(self.encoder, "encode_into")
 
     #: row count below which a scalar-base GEMM is memory-bound (the
     #: codebook panel is re-streamed per call without enough rows to
@@ -511,7 +340,7 @@ class EncodePipeline:
         return (
             f"EncodePipeline({type(self.encoder).__name__}, "
             f"chunk_size={self.chunk_size}, workers={self.workers}, "
-            f"kernel={self.kernel!r}, executor={self.executor!r})"
+            f"kernel={self.kernel!r})"
         )
 
 

@@ -192,7 +192,9 @@ class ScalarBaseEncoder(Encoder):
         )
 
     def encode(self, X: np.ndarray) -> np.ndarray:
-        return self.quantize_features(X) @ self.base.as_float()
+        X = check_2d(X, "X", n_cols=self.d_in)
+        out = np.empty((X.shape[0], self.d_hv), dtype=np.float32)
+        return self.encode_into(X, out)
 
     def encode_into(
         self,
@@ -217,8 +219,8 @@ class ScalarBaseEncoder(Encoder):
         panel cache-resident for very large ``d_hv``; ``None`` (default)
         issues one GEMM per call, which is optimal for the usual tile
         shapes.  Blocking over columns never changes the per-element
-        accumulation order, so results are identical to :meth:`encode`'s
-        matmul up to BLAS kernel-shape rounding.
+        accumulation order, so results are identical to the unblocked
+        product up to BLAS kernel-shape rounding.
 
         ``native`` selects the compiled quantize kernel feeding the GEMM
         (``None`` auto-detects numba, ``False`` forces NumPy, ``True``
@@ -571,7 +573,8 @@ class LevelBaseEncoder(Encoder):
         return PackedHV(signs=signs, mags=mags, d=self.d_hv, live=live)
 
     def __getstate__(self):
-        # Keep worker-process pickles at codebook size (cf. item_memory).
+        # Pickle at codebook size: the column plan rebuilds on first use
+        # (cf. item_memory).
         state = self.__dict__.copy()
         state.pop("_plan", None)
         return state

@@ -57,8 +57,8 @@ class BaseMemory:
         return self.d_in
 
     def __getstate__(self):
-        # Worker processes receive one pickled encoder copy: ship the int8
-        # codebook, not the float32 cache (it rebuilds on first use).
+        # Pickle the int8 codebook, not the float32 cache (it rebuilds on
+        # first use).
         state = self.__dict__.copy()
         state.pop("_float_cache", None)
         return state

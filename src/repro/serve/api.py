@@ -57,6 +57,11 @@ __all__ = ["ServingAPI"]
 #: full count.
 NAMES_CAP = 32
 
+_STALE_SUPPORT = (
+    "live rows name a support their tenant no longer serves: "
+    "the keep mask changed between submit and flush"
+)
+
 
 class ServingAPI:
     """Typed, micro-batched, hot-swappable serving over a model fleet.
@@ -90,12 +95,13 @@ class ServingAPI:
         self.coalesce = coalesce
         self._lock = threading.Lock()
         self._schedulers: dict[tuple, MicroBatchScheduler] = {}
-        # (scheduler key, tenant) -> version that answered the latest
-        # flush; written by the runner in the flusher thread, read by
-        # the typed-response hooks, which the scheduler runs in that
+        # (scheduler key, tenant) -> (version, n_classes) of the engine
+        # that answered the latest flush, ``None`` if the tenant's live
+        # rows were stale; written by the runner in the flusher thread,
+        # read by the response hooks, which the scheduler runs in that
         # same thread before the next flush starts — so a reader always
         # sees the version of its own batch.
-        self._flush_versions: dict[tuple, int] = {}
+        self._flush_versions: dict[tuple, tuple[int, int] | None] = {}
         self._closed = False
 
     # ------------------------------------------------------------------
@@ -172,12 +178,16 @@ class ServingAPI:
 
         A single ``(d_hv,)`` dense query returns a single label.
         """
-        return self._submit(queries, tenant, model, "predict").result()
+        return self._submit(
+            queries, tenant, model, "predict", respond=self._checked
+        ).result()
 
     def scores(self, queries, *, model: str | None = None,
                tenant: str | None = None) -> np.ndarray:
         """Eq. (4) class scores for encoded query hypervectors."""
-        return self._submit(queries, tenant, model, "scores").result()
+        return self._submit(
+            queries, tenant, model, "scores", respond=self._trimmed
+        ).result()
 
     def predict_features(self, X, *, model: str | None = None,
                          tenant: str | None = None) -> np.ndarray:
@@ -222,11 +232,12 @@ class ServingAPI:
         record, registry = self.fleet.lookup(tenant)
         name = record.model_name(model)
         described = registry.describe(name)
-        if d_hv is not None and d_hv != described.engine.d_hv:
+        engine = described.engine
+        self.fleet.recharge(record, registry, model, engine)
+        if d_hv is not None and d_hv != engine.d_hv:
             raise ValueError(
                 f"queries have {d_hv} dimensions but tenant "
-                f"{record.name!r} model {name!r} serves "
-                f"{described.engine.d_hv}"
+                f"{record.name!r} model {name!r} serves {engine.d_hv}"
             )
         # Live rows are n_words(n_live) + 2 wide, and a hot-swap may
         # change n_live: the width keys the queue, so rows of different
@@ -245,10 +256,10 @@ class ServingAPI:
         if (
             packed
             and self.coalesce
-            and record.coalesce_key is not None
+            and engine.coalesce_key is not None
             and name == record.model
         ):
-            key = ("group", *record.coalesce_key, *width, method)
+            key = ("group", *engine.coalesce_key, *width, method)
         else:
             key = ("tenant", record.name, name, *width, method)
         run = (
@@ -282,12 +293,39 @@ class ServingAPI:
         Resolved *at flush time* — an eviction between submit and flush
         re-admits here (joining the tenant's in-flight load if a request
         is already admitting it), a hot-swap lands here — and its
-        version is recorded for the responses of this flush.
+        version is recorded for the responses of this flush (and a
+        swapped default model recharged, :meth:`ModelFleet.recharge`).
         """
         record, registry = self.fleet.lookup(tenant, count=False)
         described = registry.describe(record.model_name(model))
-        self._flush_versions[(key, tenant)] = described.version
-        return described.engine
+        engine = described.engine
+        self.fleet.recharge(record, registry, model, engine)
+        self._flush_versions[(key, tenant)] = (
+            described.version, engine.n_classes
+        )
+        return engine
+
+    def _answered(self, version_key) -> tuple[int, int]:
+        """``(version, n_classes)`` of the engine that answered a request.
+
+        Raises for a tenant whose live rows :meth:`_run_live` found stale.
+        """
+        answered = self._flush_versions[version_key]
+        if answered is None:
+            raise ValueError(_STALE_SUPPORT)
+        return answered
+
+    def _checked(self, labels, name, version_key):
+        """Labels, once :meth:`_answered` confirms they were scored."""
+        self._answered(version_key)
+        return labels
+
+    def _trimmed(self, scores, name, version_key):
+        """Scores cut to the class count of the engine that answered.
+
+        Wider only after :meth:`_run_coalesced` padded them.
+        """
+        return scores[..., : self._answered(version_key)[1]]
 
     def _run_dense(self, rows: np.ndarray, key: tuple) -> np.ndarray:
         """Flush runner for one tenant's dense rows or raw features."""
@@ -297,104 +335,108 @@ class ServingAPI:
     def _run_packed(self, rows: np.ndarray, key: tuple) -> np.ndarray:
         """Flush runner for ``[signs | mags | tenant_index]`` plane rows.
 
-        A flush whose rows all belong to one tenant is scored by that
-        tenant's own engine (the packed backend consumes the rebuilt
-        :class:`PackedHV` natively; a dense engine gets the exact
-        unpacked values).  Only a mixed-tenant flush — possible on a
-        shared-config ``"group"`` scheduler — stacks the tenants' class
-        stores and makes one fused kernel call.
+        Each tenant's engine gets the rebuilt :class:`PackedHV` (a dense
+        engine the exact unpacked values); see :meth:`_run_coalesced`.
         """
-        model = key[2] if key[0] == "tenant" else None
-        want_scores = key[-1] == "scores_packed"
         words = (rows.shape[1] - 1) // 2
-        index = rows[:, -1]
-        if (index == index[0]).all():
-            tenant = self.fleet.record_by_index(int(index[0])).name
-            engine = self._flush_engine(key, tenant, model)
-            if words != n_words(engine.d_hv):
+
+        def plane_rows(e, sel=slice(None)):
+            if words != n_words(e.d_hv):
                 raise ValueError(
-                    f"plane rows have {2 * words} words but tenant "
-                    f"{tenant!r} serves d_hv={engine.d_hv}"
+                    f"plane rows have {2 * words} words but their tenant "
+                    f"serves d_hv={e.d_hv}"
                 )
             queries = PackedHV(
-                signs=np.ascontiguousarray(rows[:, :words]),
-                mags=np.ascontiguousarray(rows[:, words:-1]),
-                d=engine.d_hv,
+                signs=np.ascontiguousarray(rows[sel, :words]),
+                mags=np.ascontiguousarray(rows[sel, words:-1]),
+                d=e.d_hv,
             )
-            if not isinstance(engine.backend, PackedBackend):
+            if not isinstance(e.backend, PackedBackend):
                 queries = queries.unpack(np.float32)
-            if want_scores:
-                return engine.scores(queries)
-            return engine.predict(queries)
-        unique, inverse = np.unique(index, return_inverse=True)
-        engines = [
-            self._flush_engine(
-                key, self.fleet.record_by_index(int(i)).name, model
-            )
-            for i in unique
-        ]
-        scores = fused_tenant_scores(
-            rows[:, :words],
-            rows[:, words:-1],
-            [e.prepared.store for e in engines],
-            np.stack([e.prepared.norms for e in engines]),
-            inverse,
+            return queries
+
+        return self._run_coalesced(
+            rows, key, plane_rows, (rows[:, :words], rows[:, words:-1])
         )
-        if want_scores:
-            return scores
-        return np.argmax(scores, axis=1)
 
     def _run_live(self, rows: np.ndarray, key: tuple) -> np.ndarray:
         """Flush runner for ``[live words | digest | tenant_index]`` rows.
 
         Every row's support digest is checked again against its
         tenant's model *at flush time*, so a hot-swap to another keep
-        mask between submit and flush fails the flush with a typed
-        ``bad-request`` instead of scoring bits on the wrong dimensions.
-        A one-tenant flush is scored by that tenant's engine; a mixed
-        flush by one fused kernel call over the tenants' live words.
+        mask between submit and flush fails that tenant's requests of
+        the flush with a typed ``bad-request`` (:meth:`_answered`)
+        instead of scoring bits on the wrong dimensions; the other
+        tenants' rows are still scored.  See :meth:`_run_coalesced`.
         """
-        model = key[2] if key[0] == "tenant" else None
-        want_scores = key[-1] == "scores_live"
-        words, digests, index = rows[:, :-2], rows[:, -2], rows[:, -1]
-        if (index == index[0]).all():
-            tenants, inverse = index[:1], np.zeros(len(rows), dtype=np.intp)
-        else:
-            tenants, inverse = np.unique(index, return_inverse=True)
-        engines = [
-            self._flush_engine(
-                key, self.fleet.record_by_index(int(i)).name, model
-            )
-            for i in tenants
-        ]
-        served = np.array([e.support_digest for e in engines], dtype=np.uint64)
-        if (digests != served[inverse]).any():
-            raise ValueError(
-                "live rows name a support their tenant no longer serves: "
-                "the keep mask changed between submit and flush"
-            )
+        words = rows[:, :-2]
 
         def live_rows(e, sel=slice(None)):
             return LiveHV(words[sel], e.d_hv, e.n_live, e.support_digest)
 
+        return self._run_coalesced(
+            rows, key, live_rows, (words, None), digests=rows[:, -2]
+        )
+
+    def _run_coalesced(self, rows, key, queries_of, fused, digests=None):
+        """Score a packed flush, rows tagged with their tenant's index.
+
+        A flush whose rows all belong to one tenant is scored by that
+        tenant's own engine.  A mixed-tenant flush — possible on a
+        shared-config ``"group"`` scheduler — stacks the tenants' class
+        stores and makes one :func:`fused_tenant_scores` call over the
+        ``fused`` query planes, unless a hot-swap since submit left the
+        engines in different groups (or, for live rows, stale or not on
+        a live store): then each tenant's rows are scored by its own
+        engine, narrower scores padded with ``-inf`` (argmax unchanged)
+        and trimmed back per response.  ``queries_of(engine, sel)``
+        builds ``engine``'s queries of the rows selected by ``sel``.
+        """
+        model = key[2] if key[0] == "tenant" else None
+        want_scores = key[-1].startswith("scores")
+        index = rows[:, -1]
+        if (index == index[0]).all():
+            tenants, inverse = index[:1], np.zeros(len(rows), dtype=np.intp)
+        else:
+            tenants, inverse = np.unique(index, return_inverse=True)
+        names = [self.fleet.record_by_index(int(i)).name for i in tenants]
+        engines = [self._flush_engine(key, name, model) for name in names]
+        keys = {e.coalesce_key for e in engines}
+        fusable = len(keys) == 1 and None not in keys
+        if digests is not None:
+            served = np.array([e.support_digest for e in engines], np.uint64)
+            stale = digests != served[inverse]
+            if stale.any():
+                swapped = np.unique(inverse[stale])
+                if len(swapped) == len(engines):
+                    raise ValueError(_STALE_SUPPORT)
+                for u in swapped:
+                    self._flush_versions[(key, names[u])] = None
+                inverse = np.where(stale, -1, inverse)
+            fusable = fusable and not stale.any() and all(
+                e.live_in_place for e in engines
+            )
         if len(engines) == 1:
             engine = engines[0]
             if want_scores:
-                return engine.scores(live_rows(engine))
-            return engine.predict(live_rows(engine))
-        if all(e.live_in_place for e in engines):
+                return engine.scores(queries_of(engine))
+            return engine.predict(queries_of(engine))
+        if fusable:
             scores = fused_tenant_scores(
-                words,
-                None,
+                *fused,
                 [e.prepared.store for e in engines],
                 np.stack([e.prepared.norms for e in engines]),
                 inverse,
             )
         else:
-            scores = np.empty((len(rows), engines[0].n_classes))
+            width = max(e.n_classes for e in engines)
+            scores = np.full((len(rows), width), -np.inf)
             for u, engine in enumerate(engines):
                 sel = inverse == u
-                scores[sel] = engine.scores(live_rows(engine, sel))
+                if sel.any():
+                    scores[sel, : engine.n_classes] = engine.scores(
+                        queries_of(engine, sel)
+                    )
         if want_scores:
             return scores
         return np.argmax(scores, axis=1)
@@ -460,9 +502,9 @@ class ServingAPI:
         want_scores = request.want_scores
 
         def respond(result, name, version_key):
-            version = self._flush_versions[version_key]
+            version, n_classes = self._answered(version_key)
             if want_scores:
-                scores = np.atleast_2d(result)
+                scores = np.atleast_2d(result)[:, :n_classes]
                 result = np.argmax(scores, axis=1)
             else:
                 scores = None

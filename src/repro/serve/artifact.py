@@ -763,7 +763,6 @@ class ModelArtifact:
         with_encoder: bool = True,
         encode_workers: int | None = 1,
         chunk_size: int | None = None,
-        encode_executor: str = "thread",
     ) -> InferenceEngine:
         """A ready :class:`~repro.serve.InferenceEngine` over this artifact.
 
@@ -788,7 +787,6 @@ class ModelArtifact:
             encoder=self.encoder() if with_encoder else None,
             encode_workers=encode_workers,
             chunk_size=chunk_size,
-            encode_executor=encode_executor,
             store_is_quantized=True,
             keep_mask=self.keep_mask,
         )

@@ -72,13 +72,11 @@ class InferenceEngine:
         ``(n, d_in)`` features and stream them through a fused
         encode → quantize (→ pack) pipeline, so serving raw features
         never materializes more than one encoded tile.
-    encode_workers, chunk_size, encode_executor:
+    encode_workers, chunk_size:
         Encode-pipeline knobs (see
         :class:`~repro.hd.encode_pipeline.EncodePipeline`); only used
         with ``encoder``.  The NumPy bit kernels release the GIL, so
-        threads (the default) scale; a sweep at ``workers=2`` measured
-        threads at least as fast as ``encode_executor="process"`` on
-        every row.
+        thread workers scale.
     store_is_quantized:
         Declare the model's class store already in its serving
         representation — e.g. loaded from a
@@ -105,6 +103,13 @@ class InferenceEngine:
         Whether live queries score against the store as they are: the
         store is held as live words on :attr:`support`.  Otherwise they
         are placed on :attr:`support` first.
+    coalesce_key:
+        The group of engines one fused fleet flush can score together
+        (:func:`~repro.serve.fleet.fused_tenant_scores`): same ``d_hv``
+        (plane width), class count (score width), query quantizer (what
+        the rows mean) and live-dimension count (mask shape, though
+        *which* dimensions are live may differ).  ``None`` for dense
+        stores, which score per tenant.
     queries_served, batches_served:
         Cumulative serving counters (cheap observability for the
         throughput benchmarks and the micro-batching server).
@@ -120,7 +125,6 @@ class InferenceEngine:
         encoder: Encoder | None = None,
         encode_workers: int | None = 1,
         chunk_size: int | None = None,
-        encode_executor: str = "thread",
         store_is_quantized: bool = False,
         keep_mask=None,
     ):
@@ -157,7 +161,6 @@ class InferenceEngine:
                 encoder,
                 chunk_size=batch_size if chunk_size is None else chunk_size,
                 workers=encode_workers,
-                executor=encode_executor,
             )
 
         if self.quantizer is not None and not self.store_is_quantized:
@@ -182,6 +185,15 @@ class InferenceEngine:
             isinstance(store, LiveStore)
             and store.digest == self.support_digest
         )
+        self.coalesce_key = None
+        if isinstance(store, (PackedHV, LiveStore)):
+            n_live = self.d_hv if keep_mask is None else int(keep_mask.sum())
+            self.coalesce_key = (
+                self.d_hv,
+                self.n_classes,
+                None if self.quantizer is None else self.quantizer.name,
+                n_live,
+            )
         self.queries_served = 0
         self.batches_served = 0
 

@@ -65,7 +65,6 @@ import numpy as np
 
 from repro.backend.packed import (
     LiveStore,
-    PackedHV,
     compact_store,
     popcount,
     xor_dot_rows,
@@ -105,7 +104,8 @@ class FleetStats:
         Bytes held by the resident tenants' prepared class stores
         (:attr:`~repro.backend.packed.LiveStore.nbytes`: live words plus
         one magnitude row for a store whose rows share one, both planes
-        otherwise), the quantity the LRU budget bounds.
+        otherwise), the quantity the LRU budget bounds.  A tenant's
+        hot-swap is charged at its next request or flush.
     cache_bytes:
         The budget ``resident_bytes`` is held under, ``None`` when the
         cache is unbounded.
@@ -172,7 +172,7 @@ class _Tenant:
         "requests",
         "index",
         "evictable",
-        "coalesce_key",
+        "engine",
         "loading",
     )
 
@@ -188,7 +188,8 @@ class _Tenant:
         self.index = index
         # No recorded path means no way back after eviction: keep it.
         self.evictable = path is not None
-        self.coalesce_key: tuple | None = None
+        # The default model's engine the resident bytes were charged for.
+        self.engine = None
         # The in-flight admission every racing lookup waits on.
         self.loading: Future | None = None
 
@@ -208,25 +209,6 @@ class _Tenant:
                 f"registry serves {list(names)}"
             )
         return name
-
-
-def _engine_coalesce_key(engine) -> tuple | None:
-    """The shared-config group an engine can be batch-scored with.
-
-    Two tenants coalesce into one flush only when a single fused kernel
-    call can score both: same ``d_hv`` (identical plane width), same
-    class count (uniform score width), same query quantizer (the rows
-    mean the same thing), same live-dimension count (same mask shape,
-    even though each tenant's mask_seed — and thus *which* dimensions
-    are live — differs).  Only packed ternary/bipolar stores qualify;
-    dense stores return ``None`` and score per-tenant.
-    """
-    if not isinstance(engine.prepared.store, (PackedHV, LiveStore)):
-        return None
-    mask = engine.keep_mask
-    n_live = engine.d_hv if mask is None else int(np.count_nonzero(mask))
-    quantizer = engine.quantizer.name if engine.quantizer is not None else None
-    return (engine.d_hv, engine.n_classes, quantizer, n_live)
 
 
 def fused_tenant_scores(
@@ -563,17 +545,43 @@ class ModelFleet:
         with nobody.
         """
         record.registry = registry
-        try:
-            engine = registry.describe(record.model_name()).engine
-        except (KeyError, ValueError):
-            engine = None
-        if engine is not None:
-            record.resident_bytes = int(engine.store_nbytes)
-            record.coalesce_key = _engine_coalesce_key(engine)
-        self._resident_bytes += record.resident_bytes
         self._lru[record.name] = None
         self._lru.move_to_end(record.name)
+        self._charge(record)
+
+    def _charge(self, record: _Tenant) -> None:
+        """Charge a resident tenant its default engine's store bytes, then
+        evict to budget (lock held by caller)."""
+        try:
+            engine = record.registry.describe(record.model_name()).engine
+        except (KeyError, ValueError):
+            engine = None
+        charge = 0 if engine is None else int(engine.store_nbytes)
+        self._resident_bytes += charge - record.resident_bytes
+        record.resident_bytes = charge
+        record.engine = engine
         self._evict_to_budget(keep=record.name)
+
+    def recharge(
+        self, record: _Tenant, registry: ModelRegistry, model, engine
+    ) -> None:
+        """Re-derive a tenant's charge when its default engine changed.
+
+        ``engine`` is what a request or a flush asking ``registry`` for
+        ``model`` (``None``: the default) resolved to.  Only the default
+        model is charged, so a request naming another model, like an
+        unchanged engine, costs one check and no lock; after a hot-swap
+        of the default model the tenant is charged its new store's
+        bytes and the budget is enforced again.  A registry evicted
+        since it was resolved is left alone.
+        """
+        if engine is record.engine or (
+            model is not None and model != record.model
+        ):
+            return
+        with self._lock:
+            if record.registry is registry:
+                self._charge(record)
 
     def _evict_to_budget(self, *, keep: str) -> None:
         """Evict oldest unpinned tenants until under budget (lock held)."""
@@ -596,6 +604,7 @@ class ModelFleet:
             del self._lru[victim]
             self._resident_bytes -= record.resident_bytes
             record.registry = None
+            record.engine = None
             record.resident_bytes = 0
             self._evictions += 1
 

@@ -3,8 +3,8 @@
 import numpy as np
 import pytest
 
-from repro.hd import HDModel, ScalarBaseEncoder
-from repro.hd.batching import encode_in_batches, fit_classes_batched
+from repro.hd import EncodePipeline, HDModel, ScalarBaseEncoder
+from repro.hd.batching import fit_classes_batched
 from repro.utils import spawn
 
 
@@ -17,28 +17,28 @@ def setup():
     return enc, X, y
 
 
-class TestEncodeInBatches:
+class TestPipelineChunks:
     def test_chunks_cover_everything(self, setup):
         enc, X, _ = setup
-        chunks = list(encode_in_batches(enc, X, batch_size=10))
+        chunks = list(EncodePipeline(enc, chunk_size=10).stream(X))
         assert [c[1].shape[0] for c in chunks] == [10, 10, 10, 7]
         stitched = np.vstack([c[1] for c in chunks])
         np.testing.assert_allclose(stitched, enc.encode(X), rtol=1e-6)
 
     def test_slices_are_correct(self, setup):
         enc, X, _ = setup
-        for rows, H in encode_in_batches(enc, X, batch_size=8):
+        for rows, H in EncodePipeline(enc, chunk_size=8).stream(X):
             np.testing.assert_allclose(H, enc.encode(X[rows]), rtol=1e-6)
 
     def test_batch_larger_than_data(self, setup):
         enc, X, _ = setup
-        chunks = list(encode_in_batches(enc, X, batch_size=1000))
+        chunks = list(EncodePipeline(enc, chunk_size=1000).stream(X))
         assert len(chunks) == 1
 
     def test_invalid_batch_size(self, setup):
         enc, X, _ = setup
         with pytest.raises(ValueError):
-            list(encode_in_batches(enc, X, batch_size=0))
+            list(EncodePipeline(enc, chunk_size=0).stream(X))
 
 
 class TestFitClassesBatched:
@@ -77,7 +77,7 @@ class TestPackedStream:
         q = get_quantizer("bipolar")
 
         def stream():
-            for rows, H in encode_in_batches(enc, X, batch_size=8):
+            for rows, H in EncodePipeline(enc, chunk_size=8).stream(X):
                 yield rows, q.pack(H)
 
         from_stream = fit_classes_batched(
@@ -91,7 +91,7 @@ class TestPackedStream:
 
         enc, X, y = setup
         q = get_quantizer("ternary")
-        stream = encode_in_batches(enc, X, batch_size=8)
+        stream = EncodePipeline(enc, chunk_size=8).stream(X)
         from_stream = fit_classes_batched(
             None, None, y, 3, quantizer="ternary", stream=stream, d_hv=enc.d_hv
         )
@@ -100,7 +100,7 @@ class TestPackedStream:
 
     def test_stream_with_encoder_infers_d_hv(self, setup):
         enc, X, y = setup
-        stream = encode_in_batches(enc, X, batch_size=16)
+        stream = EncodePipeline(enc, chunk_size=16).stream(X)
         model = fit_classes_batched(enc, None, y, 3, stream=stream)
         assert model.d_hv == enc.d_hv
 
@@ -108,14 +108,14 @@ class TestPackedStream:
         enc, X, y = setup
         with pytest.raises(ValueError, match="exactly one"):
             fit_classes_batched(
-                enc, X, y, 3, stream=encode_in_batches(enc, X)
+                enc, X, y, 3, stream=EncodePipeline(enc).stream(X)
             )
         with pytest.raises(ValueError, match="exactly one"):
             fit_classes_batched(enc, None, y, 3)
 
     def test_stream_without_d_hv_raises(self, setup):
         enc, X, y = setup
-        stream = encode_in_batches(enc, X, batch_size=16)
+        stream = EncodePipeline(enc, chunk_size=16).stream(X)
         with pytest.raises(ValueError, match="d_hv"):
             fit_classes_batched(None, None, y, 3, stream=stream)
 

@@ -1,7 +1,7 @@
 """Tests for the chunked/parallel/packed encode pipeline.
 
-The load-bearing invariant: every pipeline path — chunked, multi-worker
-(threads and processes), packed bit-plane kernel, fused quantize/pack,
+The load-bearing invariant: every pipeline path — chunked, thread
+workers, packed bit-plane kernel, fused quantize/pack,
 chunk store, streamed retraining — produces results identical to the
 reference single-shot path.  Level-base comparisons are bit-exact
 (integer-valued float32); scalar-base allows BLAS accumulation-order
@@ -156,82 +156,12 @@ class TestEncodePipeline:
             EncodePipeline(enc, chunk_size=0)
         with pytest.raises(ValueError):
             EncodePipeline(enc, kernel="simd")
-        with pytest.raises(ValueError):
-            EncodePipeline(enc, executor="fiber")
 
     def test_truncated_encoder_through_pipeline(self):
         enc = LevelBaseEncoder(9, 200, n_levels=6, seed=8).truncated(70)
         X = _inputs(19, 9)
         pipeline = EncodePipeline(enc, chunk_size=4, workers=2)
         np.testing.assert_array_equal(pipeline.encode(X), enc.encode(X))
-
-    def test_process_executor_matches(self):
-        # One small case only: process pools are expensive to spin up.
-        enc = LevelBaseEncoder(6, 70, n_levels=4, seed=2)
-        X = _inputs(13, 6)
-        pipeline = EncodePipeline(
-            enc, chunk_size=5, workers=2, executor="process"
-        )
-        np.testing.assert_array_equal(pipeline.encode(X), enc.encode(X))
-
-
-# ----------------------------------------------------------------------
-# shared-memory tiles: the process executor must not pickle data tiles
-# ----------------------------------------------------------------------
-class _NoPickle(np.ndarray):
-    """An ndarray whose pickling is a test failure.
-
-    Streaming it through the process executor proves input tiles reach
-    the workers via shared memory, not serialized chunk arguments.
-    """
-
-    def __reduce__(self):
-        raise RuntimeError("input tile was pickled")
-
-
-class TestSharedMemoryTiles:
-    def test_process_path_never_pickles_input_tiles(self):
-        enc = LevelBaseEncoder(6, 70, n_levels=4, seed=2)
-        X = _inputs(13, 6).view(_NoPickle)
-        pipeline = EncodePipeline(
-            enc, chunk_size=5, workers=2, executor="process"
-        )
-        np.testing.assert_array_equal(
-            pipeline.encode(X), enc.encode(np.asarray(X))
-        )
-
-    def test_process_path_never_pickles_packed_tiles(self):
-        enc = LevelBaseEncoder(6, 70, n_levels=4, seed=2)
-        X = _inputs(13, 6).view(_NoPickle)
-        q = get_quantizer("bipolar")
-        pipeline = EncodePipeline(
-            enc, chunk_size=5, workers=2, executor="process"
-        )
-        ref = EncodePipeline(enc, chunk_size=5)
-        for (sl, got), (_, want) in zip(
-            pipeline.stream_quantized(X, q, pack=True),
-            ref.stream_quantized(np.asarray(X), q, pack=True),
-        ):
-            assert isinstance(got, PackedHV)
-            np.testing.assert_array_equal(got.signs, want.signs)
-            np.testing.assert_array_equal(got.mags, want.mags)
-
-    def test_shm_slots_are_released(self):
-        # Every segment the stream creates must be unlinked afterwards:
-        # re-running the same pipeline many times must not accumulate
-        # attachments in this process.
-        from repro.hd import encode_pipeline as ep
-
-        enc = LevelBaseEncoder(4, 70, n_levels=4, seed=1)
-        X = _inputs(11, 4)
-        pipeline = EncodePipeline(
-            enc, chunk_size=4, workers=2, executor="process"
-        )
-        first = pipeline.encode(X)
-        np.testing.assert_array_equal(first, enc.encode(X))
-        # parent-side slot objects are per-stream; worker caches live in
-        # the pool processes, not here
-        assert not ep._WORKER_SHM
 
 
 # ----------------------------------------------------------------------
@@ -495,7 +425,7 @@ class _SlicedStore:
 
 
 # ----------------------------------------------------------------------
-# batched helpers gained workers/kernel passthrough
+# batched training passes workers through to the pipeline
 # ----------------------------------------------------------------------
 class TestBatchingPassthrough:
     def test_fit_classes_batched_with_workers(self):
@@ -503,19 +433,6 @@ class TestBatchingPassthrough:
         X, y = _inputs(29, 10), spawn(1, "pipe-y").integers(0, 3, 29)
         parallel = fit_classes_batched(
             enc, X, y, 3, quantizer="bipolar", batch_size=8, workers=3
-        )
-        mono = HDModel.from_encodings(
-            get_quantizer("bipolar")(enc.encode(X)), y, 3
-        )
-        np.testing.assert_array_equal(parallel.class_hvs, mono.class_hvs)
-
-    def test_fit_classes_batched_with_process_executor(self):
-        # One small case: the executor knob reaches the pipeline.
-        enc = LevelBaseEncoder(10, 130, n_levels=5, seed=3)
-        X, y = _inputs(29, 10), spawn(1, "pipe-y").integers(0, 3, 29)
-        parallel = fit_classes_batched(
-            enc, X, y, 3, quantizer="bipolar", batch_size=16,
-            workers=2, executor="process",
         )
         mono = HDModel.from_encodings(
             get_quantizer("bipolar")(enc.encode(X)), y, 3
@@ -530,9 +447,6 @@ class TestFusedDenseKernel:
         enc = ScalarBaseEncoder(13, 130, seed=1)
         assert EncodePipeline(enc).uses_fused_dense_kernel
         assert EncodePipeline(enc, workers=3).uses_fused_dense_kernel
-        assert not EncodePipeline(
-            enc, workers=2, executor="process"
-        ).uses_fused_dense_kernel
 
     def test_flag_unset_for_packed_kernel(self):
         enc = LevelBaseEncoder(13, 130, n_levels=4, seed=1)

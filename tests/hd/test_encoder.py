@@ -153,6 +153,17 @@ class TestEncodeInto:
         assert enc.encode_into(X, out) is out
         np.testing.assert_allclose(out, enc.encode(X), rtol=1e-5, atol=1e-4)
 
+    @pytest.mark.parametrize(
+        "d_in, d_hv, n", [(617, 10_000, 1), (617, 10_000, 37), (4, 64, 10)]
+    )
+    def test_encode_is_the_reference_product(self, d_in, d_hv, n):
+        # encode() writes through encode_into; pin it bit for bit to the
+        # NumPy reference product, at the edge client's shape too.
+        enc = ScalarBaseEncoder(d_in, d_hv, n_levels=16, seed=3)
+        X = _inputs(n, d_in)
+        ref = enc.quantize_features(X) @ enc.base.as_float()
+        np.testing.assert_array_equal(enc.encode(X), ref)
+
     def test_col_block_parity(self):
         enc = ScalarBaseEncoder(16, 300, seed=4)
         X = _inputs(10, 16)

@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.dp_trainer import DPTrainer, DPTrainingConfig
+from repro.core.privacy import laplace_noise_scale
 from repro.hd import (
     HDModel,
     LevelBaseEncoder,
@@ -182,12 +183,29 @@ class TestPrunedModels:
                 privacy=manifest["privacy"],
             )
 
-    def test_incomplete_finite_certificate_is_refused(self, dp_result):
+    @pytest.mark.parametrize(
+        "privacy",
+        [
+            {"epsilon": 1.0},
+            # pure-ε Laplace (δ = 0): certificates are Gaussian-only
+            {"epsilon": 1.0, "delta": 0.0, "sensitivity": 2.0,
+             "noise_std": laplace_noise_scale(2.0, 1.0)},
+        ],
+    )
+    def test_incomplete_finite_certificate_is_refused(
+        self, tmp_path, dp_result, privacy
+    ):
+        """Refused at build, and at load of a manifest rewritten to it."""
         result, _, _ = dp_result
         with pytest.raises(ArtifactError, match="malformed privacy"):
-            ModelArtifact.build(
-                result.private.model, privacy={"epsilon": 1.0}
-            )
+            ModelArtifact.build(result.private.model, privacy=privacy)
+        path = result.to_artifact().save(tmp_path / "dp")
+        manifest_path = path / MANIFEST_FILENAME
+        manifest = json.loads(manifest_path.read_text())
+        manifest["privacy"] = privacy
+        manifest_path.write_text(json.dumps(manifest))
+        with pytest.raises(ArtifactError, match="malformed privacy"):
+            ModelArtifact.load(path)
 
     @pytest.mark.parametrize(
         "privacy",

@@ -17,22 +17,27 @@ The multi-tenant contract, unit-tested:
   tenant's engine; only a mixed-tenant flush calls the fused kernel.
 """
 
+import gc
 import threading
 import time
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
 
 import repro.serve.fleet as fleet_module
 from repro.backend.packed import (
+    LiveHV,
     LiveStore,
     PackedHV,
     compact_store,
     n_words,
     pack_hypervectors,
+    pack_sign_planes,
     packed_class_scores,
     packed_norms,
+    support_of,
 )
 from repro.proto import ModelInfoRequest, ScoreBatchRequest, ScoreRequest
 from repro.serve import (
@@ -40,6 +45,7 @@ from repro.serve import (
     MicroBatchConfig,
     ModelArtifact,
     ModelFleet,
+    ModelRegistry,
     ServingAPI,
     TenantNotFound,
     fused_tenant_scores,
@@ -829,6 +835,234 @@ class TestKernelSelection:
         for i, name in enumerate(["a", "b"]):
             expected = self._expected(_artifact(i), queries[name])
             np.testing.assert_array_equal(scores[name], expected)
+
+
+
+class TestHotSwapRegroups:
+    """A tenant's hot-swap moves it out of its coalescing group and
+    re-derives its byte charge."""
+
+    D, CLASSES = 1000, 10
+
+    def _pair(self):
+        fleet = ModelFleet()
+        for i, name in enumerate(["A", "B"]):
+            fleet.add_tenant(name, _artifact(i, self.D, self.CLASSES))
+        return fleet
+
+    def _check(self, fleet, swapped, queries, got, field="predictions"):
+        """A answers from its new engine, B from its own offline one,
+        and the fleet is charged exactly the stores it holds."""
+        offline = {
+            "A": swapped.engine(),
+            "B": _artifact(1, self.D, self.CLASSES).engine(),
+        }
+        method = "predict" if field == "predictions" else "scores"
+        for tenant, engine in offline.items():
+            expected = getattr(engine, method)(
+                queries[tenant].unpack(np.float32)
+            )
+            np.testing.assert_array_equal(
+                getattr(got[tenant], field), expected
+            )
+        assert fleet.stats().resident_bytes == sum(
+            registry.describe(record.model_name()).engine.store_nbytes
+            for record, registry in fleet.resident_registries()
+        )
+
+    def test_swap_before_submit_leaves_the_group(self):
+        fleet = self._pair()
+        swapped = _artifact(7, self.D, n_classes=4)
+        fleet.registry_for("A").publish("model", swapped)
+        queries = {t: _queries(3, self.D, seed=i) for i, t in enumerate("AB")}
+        config = MicroBatchConfig(eager=False, max_delay_s=0.2)
+        with ServingAPI(fleet, config=config) as api:
+            futures = {
+                t: api.submit_score(ScoreRequest(queries=q, tenant=t))
+                for t, q in queries.items()
+            }
+            got = {t: f.result(timeout=10.0) for t, f in futures.items()}
+        self._check(fleet, swapped, queries, got)
+
+    @pytest.mark.parametrize("want_scores", [False, True])
+    def test_swap_between_submit_and_flush_scores_apart(self, want_scores):
+        fleet = self._pair()
+        swapped = _artifact(7, self.D, n_classes=4)
+        queries = {t: _queries(3, self.D, seed=i) for i, t in enumerate("AB")}
+        config = MicroBatchConfig(max_batch=6, eager=False, max_delay_s=30.0)
+        with ServingAPI(fleet, config=config) as api:
+            first = api.submit_score(
+                ScoreRequest(queries=queries["A"], tenant="A",
+                             want_scores=want_scores)
+            )
+            # The swap lands while A's rows wait in the shared group.
+            fleet.registry_for("A").publish("model", swapped)
+            second = api.submit_score(
+                ScoreRequest(queries=queries["B"], tenant="B",
+                             want_scores=want_scores)
+            )
+            got = {"A": first.result(timeout=10.0),
+                   "B": second.result(timeout=10.0)}
+        assert len(api.stats()["schedulers"]) == 1  # one mixed flush
+        self._check(fleet, swapped, queries, got)
+        if want_scores:
+            self._check(fleet, swapped, queries, got, field="scores")
+
+    def test_swap_recharges_and_evicts_to_budget(self, tmp_path):
+        names = ["a", "b"]
+        root = _save_fleet_dir(tmp_path, names)
+        probe = ModelFleet.from_dir(root)
+        probe.resolve("a")
+        per_tenant = probe.stats().resident_bytes
+        fleet = ModelFleet.from_dir(root, cache_bytes=2 * per_tenant)
+        with ServingAPI(fleet) as api:
+            for name in names:
+                api.predict(_queries(1), tenant=name)
+            bigger = _artifact(9, n_classes=3 * N_CLASSES)
+            fleet.registry_for("b").publish("model", bigger)
+            api.predict(_queries(1), tenant="b")
+        assert fleet.resident_tenants() == ("b",)
+        assert fleet.stats().resident_bytes == bigger.engine().store_nbytes
+
+    def test_single_artifact_stats_follow_a_swap(self):
+        with ServingAPI.from_artifact(
+            _artifact(0, self.D, self.CLASSES), name="m"
+        ) as api:
+            queries = _queries(2, self.D)
+            api.predict(queries)
+            swapped = _artifact(7, self.D, n_classes=4)
+            api.registry.publish("m", swapped)
+            np.testing.assert_array_equal(
+                api.predict(queries),
+                swapped.engine().predict(queries.unpack(np.float32)),
+            )
+            stats = api.stats()["fleet"]
+        assert stats["resident_bytes"] == swapped.engine().store_nbytes
+
+    def test_swap_to_dense_stores_between_submit_and_flush(self):
+        """A group flush whose every tenant now holds a dense store
+        (no coalesce key at all) is scored per tenant, not fused."""
+        fleet = self._pair()
+        dense = {
+            t: ModelArtifact(
+                store=_artifact(7 + i, self.D, self.CLASSES).class_hvs,
+                query_quantizer="bipolar",
+                store_quantizer="bipolar",
+                backend="dense",
+            )
+            for i, t in enumerate("AB")
+        }
+        queries = {t: _queries(3, self.D, seed=i) for i, t in enumerate("AB")}
+        config = MicroBatchConfig(eager=False, max_delay_s=0.5)
+        with ServingAPI(fleet, config=config) as api:
+            futures = {
+                t: api.submit_score(ScoreRequest(queries=q, tenant=t))
+                for t, q in queries.items()
+            }
+            for t, artifact in dense.items():
+                fleet.registry_for(t).publish("model", artifact)
+            for t, future in futures.items():
+                np.testing.assert_array_equal(
+                    future.result(timeout=10.0).predictions,
+                    dense[t].engine().predict(queries[t].unpack(np.float32)),
+                )
+        assert len(api.stats()["schedulers"]) == 1  # one mixed flush
+
+    @pytest.mark.parametrize("want_scores", [False, True])
+    def test_mask_swap_fails_only_the_swapped_tenant(self, want_scores):
+        """A's keep mask changes while its live rows wait in a flush
+        shared with B: A's request is refused, B's is answered."""
+        keeps = _keep_masks(3, self.D, self.D // 2)
+        stores = {
+            t: _artifact(i, self.D, self.CLASSES).class_hvs * keeps[i]
+            for i, t in enumerate("AB")
+        }
+        masked = {
+            t: ModelArtifact(
+                store=store,
+                query_quantizer="bipolar",
+                store_quantizer="bipolar",
+                backend="packed",
+                keep_mask=keeps[i],
+            )
+            for i, (t, store) in enumerate(stores.items())
+        }
+        fleet = ModelFleet()
+        for t, artifact in masked.items():
+            fleet.add_tenant(t, artifact)
+        rng = spawn(3, "fleet-test-live-queries")
+        values = {
+            t: rng.choice([-1.0, 1.0], size=(3, self.D)) * keeps[i]
+            for i, t in enumerate("AB")
+        }
+        live = {
+            t: LiveHV(
+                pack_sign_planes(values[t][:, keeps[i]]),
+                self.D,
+                int(keeps[i].sum()),
+                support_of(keeps[i])[1],
+            )
+            for i, t in enumerate("AB")
+        }
+        config = MicroBatchConfig(max_batch=6, eager=False, max_delay_s=30.0)
+        with ServingAPI(fleet, config=config) as api:
+            first = api.submit_score(
+                ScoreRequest(queries=live["A"], tenant="A",
+                             want_scores=want_scores)
+            )
+            swapped = ModelArtifact(
+                store=stores["A"] * keeps[2],
+                query_quantizer="bipolar",
+                store_quantizer="bipolar",
+                backend="packed",
+                keep_mask=keeps[2],
+            )
+            fleet.registry_for("A").publish("model", swapped)
+            second = api.submit_score(
+                ScoreRequest(queries=live["B"], tenant="B",
+                             want_scores=want_scores)
+            )
+            with pytest.raises(ValueError, match="keep mask changed"):
+                first.result(timeout=10.0)
+            got = second.result(timeout=10.0)
+        assert len(api.stats()["schedulers"]) == 1  # one mixed flush
+        engine = masked["B"].engine()
+        planes = pack_hypervectors(values["B"])
+        np.testing.assert_array_equal(got.predictions, engine.predict(planes))
+        if want_scores:
+            np.testing.assert_array_equal(got.scores, engine.scores(planes))
+
+    def test_an_evicted_tenant_frees_its_engine(self, tmp_path):
+        """Nothing the API keeps per flush pins an evicted tenant's store."""
+        root = _save_fleet_dir(tmp_path, ["a", "b"])
+        probe = ModelFleet.from_dir(root)
+        probe.resolve("a")
+        fleet = ModelFleet.from_dir(
+            root, cache_bytes=probe.stats().resident_bytes
+        )
+        with ServingAPI(fleet) as api:
+            api.predict(_queries(1), tenant="a")
+            engine = weakref.ref(fleet.registry_for("a").describe("model").engine)
+            api.predict(_queries(1), tenant="b")  # evicts a
+            assert fleet.resident_tenants() == ("b",)
+            gc.collect()
+            assert engine() is None
+
+    def test_a_named_model_is_not_recharged(self, monkeypatch):
+        """A tenant without a default model is charged nothing, and a
+        request naming one of its models takes no fleet lock for it."""
+        registry = ModelRegistry()
+        for name in ("x", "y"):
+            registry.publish(name, _artifact(0))
+        fleet = ModelFleet()
+        fleet.add_tenant("t", registry, model=None)
+        charges = []
+        monkeypatch.setattr(fleet, "_charge", charges.append)
+        with ServingAPI(fleet) as api:
+            for name in ("x", "y", "x"):
+                api.predict(_queries(1), model=name, tenant="t")
+        assert charges == []
+        assert fleet.stats().resident_bytes == 0
 
 
 def test_fleet_state_machine(tmp_path, monkeypatch):
