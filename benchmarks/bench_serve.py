@@ -314,7 +314,7 @@ def run_socket_bench(artifact, queries, direct, args, wire_batch) -> dict:
             handle.address, queries, n_clients,
             args.socket_window, wire_batch,
         )
-        stats = _scheduler_stats(api, "predict_packed")
+        stats = _scheduler_stats(api, "predict_live")
 
     if not np.array_equal(results, direct):
         raise AssertionError("socket predictions diverged from offline")

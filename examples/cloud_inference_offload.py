@@ -12,7 +12,7 @@ plus the transmission savings (1-bit dims instead of 32-bit floats).
 It then serves the same obfuscated queries through the bit-packed
 `InferenceEngine`: the ternary wire format the client ships is consumed
 directly by XOR+popcount kernels, with decisions identical to the dense
-host.
+host (the script exits non-zero if they are not).
 
 Run:  python examples/cloud_inference_offload.py
 """
@@ -96,6 +96,8 @@ def main() -> None:
         f"\n(full-precision host accuracy on the same queries: "
         f"{float(np.mean(dense_preds == ds.y_test)):.3f})"
     )
+    if not same:
+        raise SystemExit("packed decisions diverged from the 1-bit dense host")
 
 
 if __name__ == "__main__":

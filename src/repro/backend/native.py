@@ -47,12 +47,10 @@ import numpy as np
 
 from repro.backend.packed import (
     LiveHV,
-    LiveStore,
     PackedBackend,
     PackedHV,
     _check_pair,
-    compact_store,
-    n_words,
+    _dot_operands,
     packed_dot_matrix,
     packed_hamming_matrix,
     packed_norms,
@@ -263,8 +261,8 @@ def native_dot_matrix(a, b) -> np.ndarray:
     """Exact pairwise dot products, shape ``(a.n, b.n)``, int64.
 
     The compiled twin of :func:`~repro.backend.packed.packed_dot_matrix`,
-    with the same live-word precondition (``b``'s rows share one
-    magnitude plane ``M`` and ``a`` is on it): when it holds, the
+    sharing its prologue and so its live-word precondition (``b``'s rows
+    share one magnitude plane ``M`` and ``a`` is on it): when it holds, the
     one-plane kernel scores the live words against ``n_live``;
     otherwise the general ternary kernel runs, parallelized over the
     larger batch.  Either way one fused XOR+popcount loop nest
@@ -274,22 +272,13 @@ def native_dot_matrix(a, b) -> np.ndarray:
     if not NUMBA_AVAILABLE:
         _note_fallback()
         return packed_dot_matrix(a, b)
-    _check_pair(a, b)
-    store = compact_store(b)
-    if isinstance(store, LiveStore):
-        operands = store.operands(a)
-        if operands is not None:
-            q_words, c_words = operands
-            out = np.empty((a.n, b.n), dtype=np.int64)
-            _dot_bipolar_kernel(
-                np.ascontiguousarray(q_words), c_words, store.n_live, out
-            )
-            return out
-        b = store.expand() if b is store else b
+    a, b = _dot_operands(a, b)
     if isinstance(a, LiveHV):
-        raise ValueError(
-            "live queries need a class store held on their support"
+        out = np.empty((a.n, b.n), dtype=np.int64)
+        _dot_bipolar_kernel(
+            np.ascontiguousarray(a.words), b.words, b.n_live, out
         )
+        return out
     if a.n >= b.n:
         return _native_dot(a, b)
     return _native_dot(b, a).T

@@ -37,10 +37,13 @@ per live word::
 
 Queries arrive as a :class:`LiveHV` (the protocol-v5 payload, named by
 the :func:`support_digest` of its ``M``), as a :class:`PackedHV`
-carrying one, or as plane rows whose magnitude plane is ``M``, gathered
-once per call.  Gathering drops sign bits outside ``M``, which a plane
-off the wire may carry and which must never count.  Rows off the
-support take the general formula above, with identical results.
+carrying one, or as plane rows whose magnitude plane is ``M``;
+:meth:`LiveStore.live_of` turns all three into one :class:`LiveHV`,
+gathering plane rows once (the serving API does it at submit, so a
+flush only ever meets live words).  Gathering drops sign bits outside
+``M``, which a plane off the wire may carry and which must never
+count.  Rows off the support take the general formula above, with
+identical results.
 
 Tail dimensions beyond ``d`` (when ``d`` is not a multiple of 64) are
 zero in **both** planes, so they never contribute to any kernel.
@@ -501,15 +504,15 @@ class LiveStore:
         """The dense ``(n_classes, d)`` store (see :meth:`PackedHV.unpack`)."""
         return self.expand().unpack(dtype)
 
-    def operands(self, queries) -> tuple[np.ndarray, np.ndarray] | None:
-        """Query and class words for one :func:`xor_dot_rows` pass.
+    def live_of(self, queries) -> LiveHV | None:
+        """``queries`` as live words on this store's support ``M``.
 
-        Live words on this store's support pair with the store's.  Plane
-        rows on ``M`` are gathered into live words, or, when they
-        outnumber the classes, meet the store expanded to planes.
-        ``None`` when a plane row is off the support (the caller takes
-        the general formula); ``ValueError`` for live words on another
-        support.
+        The one normaliser of query shapes: live words on ``M`` pass
+        through (``ValueError`` for live words on another support); a
+        :class:`PackedHV` gives its :attr:`~PackedHV.live` when that
+        names ``M``, else its sign plane gathered once when every row's
+        magnitude plane is ``M``.  ``None`` when a plane row is off the
+        support: the caller takes the general formula.
         """
         live = queries.live if isinstance(queries, PackedHV) else queries
         if isinstance(queries, PackedHV) and (
@@ -517,16 +520,15 @@ class LiveStore:
         ):
             if not (queries.mags == self.support).all():
                 return None
-            if queries.n > self.n:
-                return queries.signs & self.support, self.scatter(self.words)
-            return self.gather(queries.signs), self.words
+            words = self.gather(queries.signs)
+            return LiveHV(words, self.d, self.n_live, self.digest)
         if live.digest != self.digest or live.n_live != self.n_live:
             raise ValueError(
                 f"live queries name support {live.digest:#018x} "
                 f"(n_live={live.n_live}) but the class store is held on "
                 f"{self.digest:#018x} (n_live={self.n_live})"
             )
-        return live.words, self.words
+        return live
 
 
 def compact_store(store):
@@ -676,29 +678,43 @@ def xor_dot_rows(
     return live - 2 * out
 
 
-def packed_dot_matrix(a, b) -> np.ndarray:
-    """Exact pairwise dot products, shape ``(a.n, b.n)``, int64.
+def _dot_operands(a, b):
+    """``(a, b)`` ready for one dot pass: live words and their store, or planes.
 
-    Live-word path (``b`` is the class store in
-    :func:`packed_class_scores`): when ``b``'s rows share one magnitude
-    plane ``M`` (a :class:`LiveStore`, or planes :func:`compact_store`
-    compacts) and ``a`` is on it — live words of ``M``, or plane rows
-    whose magnitude plane is ``M`` — one row-tiled :func:`xor_dot_rows`
-    pass over the live words.  Otherwise the general ternary path masks
-    the sign disagreements with the common-support plane, looping over
-    the smaller batch so the inner work stays in whole-array NumPy ops.
+    When ``b``'s rows share one magnitude plane ``M`` (a
+    :class:`LiveStore`, or planes :func:`compact_store` compacts) and
+    ``a`` is on it, ``(LiveHV, LiveStore)`` (:meth:`LiveStore.live_of`);
+    otherwise both as planes, for the general ternary formula.  The
+    prologue :func:`packed_dot_matrix` and its compiled twin share.
     """
     _check_pair(a, b)
     store = compact_store(b)
     if isinstance(store, LiveStore):
-        operands = store.operands(a)
-        if operands is not None:
-            return xor_dot_rows(*operands, store.n_live)
+        live = store.live_of(a)
+        if live is not None:
+            return live, store
         b = store.expand() if b is store else b
     if isinstance(a, LiveHV):
         raise ValueError(
             "live queries need a class store held on their support"
         )
+    return a, b
+
+
+def packed_dot_matrix(a, b) -> np.ndarray:
+    """Exact pairwise dot products, shape ``(a.n, b.n)``, int64.
+
+    Live-word path (``b`` is the class store in
+    :func:`packed_class_scores`): when ``a`` is on the magnitude plane
+    ``M`` every row of ``b`` shares (:func:`_dot_operands`), one
+    row-tiled :func:`xor_dot_rows` pass over the live words.  Otherwise
+    the general ternary path masks the sign disagreements with the
+    common-support plane, looping over the smaller batch so the inner
+    work stays in whole-array NumPy ops.
+    """
+    a, b = _dot_operands(a, b)
+    if isinstance(a, LiveHV):
+        return xor_dot_rows(a.words, b.words, b.n_live)
     if b.n <= a.n:
         return _dot_loop(a, b)
     return _dot_loop(b, a).T

@@ -22,11 +22,14 @@ Every query path is micro-batched through a
 :class:`~repro.serve.MicroBatchScheduler` whose runner resolves the
 tenant's registry *per flush*, so registry mutations (publish / promote
 / rollback) hot-swap between flushes with zero dropped requests.
-Bit-packed queries ride the scheduler as ``[signs | mags |
-tenant_index]`` rows, protocol-v5 live words as ``[words | support
-digest | tenant_index]`` rows; tenants sharing an encoder config share
-one scheduler, and a flush that mixes tenants is scored by one fused
-kernel (:func:`~repro.serve.fleet.fused_tenant_scores`).
+Bit-packed queries have one coalescing shape: protocol-v5 live words,
+and plane rows on the support of a store held as live words (gathered
+once at submit), ride the scheduler as ``[words | support digest |
+tenant_index]`` rows; tenants sharing an encoder config share one
+scheduler, and a flush that mixes tenants is scored by one fused
+kernel (:func:`~repro.serve.fleet.fused_tenant_scores`).  Plane rows
+off the support ride their tenant's own scheduler as ``[signs | mags]``
+and take the engine's general formula.
 """
 
 from __future__ import annotations
@@ -38,7 +41,7 @@ from pathlib import Path
 
 import numpy as np
 
-from repro.backend.packed import LiveHV, PackedBackend, PackedHV, n_words
+from repro.backend.packed import LiveHV, PackedHV, n_words
 from repro.proto.messages import (
     ModelInfo,
     ScoreBatchRequest,
@@ -58,7 +61,7 @@ __all__ = ["ServingAPI"]
 NAMES_CAP = 32
 
 _STALE_SUPPORT = (
-    "live rows name a support their tenant no longer serves: "
+    "queued rows name a support their tenant no longer serves: "
     "the keep mask changed between submit and flush"
 )
 
@@ -96,8 +99,8 @@ class ServingAPI:
         self._lock = threading.Lock()
         self._schedulers: dict[tuple, MicroBatchScheduler] = {}
         # (scheduler key, tenant) -> (version, n_classes) of the engine
-        # that answered the latest flush, ``None`` if the tenant's live
-        # rows were stale; written by the runner in the flusher thread,
+        # that answered the latest flush, ``None`` if the tenant's rows
+        # were stale; written by the runner in the flusher thread,
         # read by the response hooks, which the scheduler runs in that
         # same thread before the next flush starts — so a reader always
         # sees the version of its own batch.
@@ -211,62 +214,67 @@ class ServingAPI:
 
         Returns the future: the runner's rows or, with ``respond``,
         ``respond(rows, name, version_key)``, built in the flusher
-        thread right after the flush.  Packed bit-plane
-        queries stay packed through the micro-batcher: their uint64
-        planes ride the scheduler as ``[signs | mags | tenant_index]``
-        rows, 16x smaller than dense; live words
-        (:class:`~repro.backend.packed.LiveHV`) ride as ``[words |
-        support digest | tenant_index]`` after the model checks their
-        digest.  Raises
-        :class:`~repro.serve.TenantNotFound` for unknown tenants,
+        thread right after the flush.  Bit-packed queries stay packed
+        through the micro-batcher in one of two shapes.  Live words
+        (:class:`~repro.backend.packed.LiveHV`, checked against the
+        model's support here) ride as ``[words | support digest |
+        tenant_index]`` rows, and so do plane rows on the support of a
+        store held as live words, gathered once here
+        (:meth:`~repro.backend.packed.LiveStore.live_of`); only these
+        rows coalesce across tenants.  Plane rows left over (off the
+        support, or a store not held as live words) ride their tenant's
+        own scheduler as ``[signs | mags]``, 16x smaller than dense.
+        Raises :class:`~repro.serve.TenantNotFound` for unknown tenants,
         ``KeyError`` for unknown models within a hosted tenant,
         ``ValueError`` for shape mismatches, and the scheduler's
         :class:`~repro.serve.Overloaded` /
         :class:`~repro.serve.DeadlineExceeded` — the frontend maps each
         to its typed wire code.
         """
-        live = isinstance(queries, LiveHV)
-        packed = live or isinstance(queries, PackedHV)
+        packed = isinstance(queries, (LiveHV, PackedHV))
         if packed:
             d_hv = queries.d
         record, registry = self.fleet.lookup(tenant)
         name = record.model_name(model)
-        described = registry.describe(name)
-        engine = described.engine
+        engine = registry.describe(name).engine
         self.fleet.recharge(record, registry, model, engine)
         if d_hv is not None and d_hv != engine.d_hv:
             raise ValueError(
                 f"queries have {d_hv} dimensions but tenant "
                 f"{record.name!r} model {name!r} serves {engine.d_hv}"
             )
-        # Live rows are n_words(n_live) + 2 wide, and a hot-swap may
-        # change n_live: the width keys the queue, so rows of different
-        # widths never meet in one flush.
-        width = (queries.n_live,) if live else ()
-        if packed:
+        if isinstance(queries, LiveHV):
+            engine.check_live(queries)
+        elif packed and engine.live_in_place:
+            on_support = engine.prepared.store.live_of(queries)
+            if on_support is not None:
+                queries = on_support
+        if isinstance(queries, LiveHV):
+            method += "_live"
             index = np.full((queries.n, 1), record.index, dtype=np.uint64)
-            if live:
-                described.engine.check_live(queries)
-                method += "_live"
-                planes = [queries.words, np.full_like(index, queries.digest)]
+            queries = np.concatenate(
+                [queries.words, np.full_like(index, queries.digest), index],
+                axis=1,
+            )
+            run = self._run_live
+            if (
+                self.coalesce
+                and engine.coalesce_key is not None
+                and name == record.model
+            ):
+                key = ("group", *engine.coalesce_key, method)
             else:
-                method += "_packed"
-                planes = [queries.signs, queries.mags]
-            queries = np.concatenate([*planes, index], axis=1)
-        if (
-            packed
-            and self.coalesce
-            and engine.coalesce_key is not None
-            and name == record.model
-        ):
-            key = ("group", *engine.coalesce_key, *width, method)
+                # Live rows are n_words(n_live) + 2 wide and a hot-swap
+                # may change n_live: the width keys the queue, so rows
+                # of different widths never meet in one flush (a group
+                # key carries it as its live-dimension count).
+                key = ("tenant", record.name, name, engine.n_live, method)
+        elif packed:
+            method += "_packed"
+            queries = np.concatenate([queries.signs, queries.mags], axis=1)
+            run, key = self._run_packed, ("tenant", record.name, name, method)
         else:
-            key = ("tenant", record.name, name, *width, method)
-        run = (
-            self._run_live if live
-            else self._run_packed if packed
-            else self._run_dense
-        )
+            run, key = self._run_dense, ("tenant", record.name, name, method)
         version_key = (key, record.name)
         finish = None if respond is None else (
             lambda rows: respond(rows, name, version_key)
@@ -323,7 +331,7 @@ class ServingAPI:
     def _trimmed(self, scores, name, version_key):
         """Scores cut to the class count of the engine that answered.
 
-        Wider only after :meth:`_run_coalesced` padded them.
+        Wider only after :meth:`_run_live` padded them.
         """
         return scores[..., : self._answered(version_key)[1]]
 
@@ -333,31 +341,25 @@ class ServingAPI:
         return getattr(self._flush_engine(key, tenant, model), method)(rows)
 
     def _run_packed(self, rows: np.ndarray, key: tuple) -> np.ndarray:
-        """Flush runner for ``[signs | mags | tenant_index]`` plane rows.
+        """Flush runner for one tenant's ``[signs | mags]`` plane rows.
 
-        Each tenant's engine gets the rebuilt :class:`PackedHV` (a dense
-        engine the exact unpacked values); see :meth:`_run_coalesced`.
+        The engine gets the rebuilt :class:`PackedHV` and its general
+        formula (a dense engine unpacks it).
         """
-        words = (rows.shape[1] - 1) // 2
-
-        def plane_rows(e, sel=slice(None)):
-            if words != n_words(e.d_hv):
-                raise ValueError(
-                    f"plane rows have {2 * words} words but their tenant "
-                    f"serves d_hv={e.d_hv}"
-                )
-            queries = PackedHV(
-                signs=np.ascontiguousarray(rows[sel, :words]),
-                mags=np.ascontiguousarray(rows[sel, words:-1]),
-                d=e.d_hv,
+        _, tenant, model, method = key
+        engine = self._flush_engine(key, tenant, model)
+        words = rows.shape[1] // 2
+        if words != n_words(engine.d_hv):
+            raise ValueError(
+                f"plane rows have {2 * words} words but their tenant "
+                f"serves d_hv={engine.d_hv}"
             )
-            if not isinstance(e.backend, PackedBackend):
-                queries = queries.unpack(np.float32)
-            return queries
-
-        return self._run_coalesced(
-            rows, key, plane_rows, (rows[:, :words], rows[:, words:-1])
+        queries = PackedHV(
+            signs=np.ascontiguousarray(rows[:, :words]),
+            mags=np.ascontiguousarray(rows[:, words:]),
+            d=engine.d_hv,
         )
+        return getattr(engine, method.removesuffix("_packed"))(queries)
 
     def _run_live(self, rows: np.ndarray, key: tuple) -> np.ndarray:
         """Flush runner for ``[live words | digest | tenant_index]`` rows.
@@ -367,63 +369,44 @@ class ServingAPI:
         mask between submit and flush fails that tenant's requests of
         the flush with a typed ``bad-request`` (:meth:`_answered`)
         instead of scoring bits on the wrong dimensions; the other
-        tenants' rows are still scored.  See :meth:`_run_coalesced`.
-        """
-        words = rows[:, :-2]
-
-        def live_rows(e, sel=slice(None)):
-            return LiveHV(words[sel], e.d_hv, e.n_live, e.support_digest)
-
-        return self._run_coalesced(
-            rows, key, live_rows, (words, None), digests=rows[:, -2]
-        )
-
-    def _run_coalesced(self, rows, key, queries_of, fused, digests=None):
-        """Score a packed flush, rows tagged with their tenant's index.
-
-        A flush whose rows all belong to one tenant is scored by that
-        tenant's own engine.  A mixed-tenant flush — possible on a
-        shared-config ``"group"`` scheduler — stacks the tenants' class
-        stores and makes one :func:`fused_tenant_scores` call over the
-        ``fused`` query planes, unless a hot-swap since submit left the
-        engines in different groups (or, for live rows, stale or not on
-        a live store): then each tenant's rows are scored by its own
-        engine, narrower scores padded with ``-inf`` (argmax unchanged)
-        and trimmed back per response.  ``queries_of(engine, sel)``
-        builds ``engine``'s queries of the rows selected by ``sel``.
+        tenants' rows are still scored.  A flush whose rows all belong
+        to one tenant is scored by that tenant's own engine.  A
+        mixed-tenant flush — possible on a shared-config ``"group"``
+        scheduler — stacks the tenants' class stores and makes one
+        :func:`fused_tenant_scores` call, unless a hot-swap since
+        submit left the engines in different groups or some rows
+        stale: then each tenant's rows are scored by its own engine,
+        narrower scores padded with ``-inf`` (argmax unchanged) and
+        trimmed back per response.
         """
         model = key[2] if key[0] == "tenant" else None
-        want_scores = key[-1].startswith("scores")
-        index = rows[:, -1]
+        method = key[-1].removesuffix("_live")
+        words, index = rows[:, :-2], rows[:, -1]
         if (index == index[0]).all():
             tenants, inverse = index[:1], np.zeros(len(rows), dtype=np.intp)
         else:
             tenants, inverse = np.unique(index, return_inverse=True)
         names = [self.fleet.record_by_index(int(i)).name for i in tenants]
         engines = [self._flush_engine(key, name, model) for name in names]
-        keys = {e.coalesce_key for e in engines}
-        fusable = len(keys) == 1 and None not in keys
-        if digests is not None:
-            served = np.array([e.support_digest for e in engines], np.uint64)
-            stale = digests != served[inverse]
-            if stale.any():
-                swapped = np.unique(inverse[stale])
-                if len(swapped) == len(engines):
-                    raise ValueError(_STALE_SUPPORT)
-                for u in swapped:
-                    self._flush_versions[(key, names[u])] = None
-                inverse = np.where(stale, -1, inverse)
-            fusable = fusable and not stale.any() and all(
-                e.live_in_place for e in engines
-            )
+        served = np.array([e.support_digest for e in engines], np.uint64)
+        stale = rows[:, -2] != served[inverse]
+        if stale.any():
+            swapped = np.unique(inverse[stale])
+            if len(swapped) == len(engines):
+                raise ValueError(_STALE_SUPPORT)
+            for u in swapped:
+                self._flush_versions[(key, names[u])] = None
+            inverse = np.where(stale, -1, inverse)
+
+        def live_rows(e, sel=slice(None)):
+            return LiveHV(words[sel], e.d_hv, e.n_live, e.support_digest)
+
         if len(engines) == 1:
-            engine = engines[0]
-            if want_scores:
-                return engine.scores(queries_of(engine))
-            return engine.predict(queries_of(engine))
-        if fusable:
+            return getattr(engines[0], method)(live_rows(engines[0]))
+        keys = {e.coalesce_key for e in engines}
+        if len(keys) == 1 and None not in keys and not stale.any():
             scores = fused_tenant_scores(
-                *fused,
+                words,
                 [e.prepared.store for e in engines],
                 np.stack([e.prepared.norms for e in engines]),
                 inverse,
@@ -435,11 +418,9 @@ class ServingAPI:
                 sel = inverse == u
                 if sel.any():
                     scores[sel, : engine.n_classes] = engine.scores(
-                        queries_of(engine, sel)
+                        live_rows(engine, sel)
                     )
-        if want_scores:
-            return scores
-        return np.argmax(scores, axis=1)
+        return scores if method == "scores" else np.argmax(scores, axis=1)
 
     # ------------------------------------------------------------------
     # typed protocol entry points (what the frontend calls)
@@ -462,7 +443,13 @@ class ServingAPI:
         The ``d_hv`` check runs against the version current at submit;
         in the (pathological) case of a promote *changing* ``d_hv``
         mid-flight, the flush fails loudly and every affected request
-        gets a typed error rather than silently wrong shapes.
+        gets a typed error rather than silently wrong shapes.  Likewise
+        for a hot-swap that changes the tenant's keep mask: a request
+        queued as live words — v5 live words, or v1–v4 plane rows on
+        the served support, which become live words at submit — fails
+        with ``ValueError`` (the wire's ``bad-request``), whatever
+        version it was sent at; plane rows off the support carry their
+        own magnitude plane and are scored against the new model.
 
         ``deadline`` (absolute :func:`time.monotonic`; defaults to the
         request's own ``deadline_ms`` budget measured from now) drops

@@ -105,11 +105,13 @@ class InferenceEngine:
         are placed on :attr:`support` first.
     coalesce_key:
         The group of engines one fused fleet flush can score together
-        (:func:`~repro.serve.fleet.fused_tenant_scores`): same ``d_hv``
-        (plane width), class count (score width), query quantizer (what
-        the rows mean) and live-dimension count (mask shape, though
-        *which* dimensions are live may differ).  ``None`` for dense
-        stores, which score per tenant.
+        (:func:`~repro.serve.fleet.fused_tenant_scores`): same ``d_hv``,
+        class count (score width), query quantizer (what the rows mean)
+        and live-dimension count (live-word width, though *which*
+        dimensions are live may differ).  Set only when
+        :attr:`live_in_place`; ``None`` for dense and ternary stores,
+        and for a store held off the served support, which score per
+        tenant.
     queries_served, batches_served:
         Cumulative serving counters (cheap observability for the
         throughput benchmarks and the micro-batching server).
@@ -186,13 +188,12 @@ class InferenceEngine:
             and store.digest == self.support_digest
         )
         self.coalesce_key = None
-        if isinstance(store, (PackedHV, LiveStore)):
-            n_live = self.d_hv if keep_mask is None else int(keep_mask.sum())
+        if self.live_in_place:
             self.coalesce_key = (
                 self.d_hv,
                 self.n_classes,
                 None if self.quantizer is None else self.quantizer.name,
-                n_live,
+                self.n_live,
             )
         self.queries_served = 0
         self.batches_served = 0

@@ -27,15 +27,15 @@ this module turns that into a real fleet:
   key raises :class:`~repro.serve.TenantNotFound` (the non-retryable
   ``"unknown-tenant"`` wire code).
 * **Cross-tenant coalescing** — tenants whose artifacts share an
-  encoder config (same ``d_hv``/quantizer/live-dimension count, packed
-  store) share one micro-batch scheduler: each query row rides the
-  queue as ``[signs | mags | tenant_index]`` (or, from a protocol-v5
-  client, ``[live words | support digest | tenant_index]``), and one
-  flush scores the
-  whole mixed-tenant batch with a single fused gather kernel
-  (:func:`fused_tenant_scores`) instead of one kernel call per tenant.
-  Tenants with unique configs fall back to per-tenant flushes, exactly
-  as correct, just not amortized.
+  encoder config (same ``d_hv``/quantizer/live-dimension count, store
+  held as live words) share one micro-batch scheduler: each query row
+  rides the queue as ``[live words | support digest | tenant_index]``
+  (plane rows on the served support are gathered into live words at
+  submit), and one flush scores the whole mixed-tenant batch with a
+  single fused gather kernel (:func:`fused_tenant_scores`) instead of
+  one kernel call per tenant.  Tenants with unique configs, and plane
+  rows off the support, fall back to per-tenant flushes, exactly as
+  correct, just not amortized.
 
     >>> fleet = ModelFleet.from_dir("artifacts/fleet", cache_bytes=64 << 20)
     >>> with ServingAPI(fleet) as api:
@@ -63,12 +63,7 @@ from typing import Sequence
 
 import numpy as np
 
-from repro.backend.packed import (
-    LiveStore,
-    compact_store,
-    popcount,
-    xor_dot_rows,
-)
+from repro.backend.packed import LiveStore, xor_dot_rows
 from repro.serve.artifact import ModelArtifact
 from repro.serve.errors import TenantNotFound
 from repro.serve.registry import ModelRegistry
@@ -104,8 +99,12 @@ class FleetStats:
         Bytes held by the resident tenants' prepared class stores
         (:attr:`~repro.backend.packed.LiveStore.nbytes`: live words plus
         one magnitude row for a store whose rows share one, both planes
-        otherwise), the quantity the LRU budget bounds.  A tenant's
-        hot-swap is charged at its next request or flush.
+        otherwise), the quantity the LRU budget bounds.  Only each
+        resident tenant's *current default-model* store is charged:
+        earlier versions a :class:`~repro.serve.ModelRegistry` keeps in
+        memory for rollback are held uncharged until
+        :meth:`~repro.serve.ModelRegistry.retire` frees them.  A
+        tenant's hot-swap is charged at its next request or flush.
     cache_bytes:
         The budget ``resident_bytes`` is held under, ``None`` when the
         cache is unbounded.
@@ -212,40 +211,33 @@ class _Tenant:
 
 
 def fused_tenant_scores(
-    q_signs: np.ndarray,
-    q_mags: np.ndarray | None,
-    stores: Sequence,
+    words: np.ndarray,
+    stores: Sequence[LiveStore],
     norms: np.ndarray,
     tenant_of_row: np.ndarray,
 ) -> np.ndarray:
-    """Score a mixed-tenant packed batch in one fused kernel call.
+    """Score a mixed-tenant batch of live words in one fused kernel call.
 
     The cross-tenant coalescing kernel: instead of T calls to
     :func:`~repro.backend.packed.packed_class_scores` (one per tenant in
     the flush), every query row reads its own tenant's class store by
-    index — one vectorized XOR + popcount pass over the whole batch.
-
-    Live-word path: when every tenant's store is held as live words on
-    one magnitude plane ``M_t`` (:class:`~repro.backend.packed.LiveStore`;
-    planes whose rows share one are compacted here), each row scores
-    ``n_live_t − 2·popcount(live(q) ^ live(c))`` — one XOR and one
-    popcount per live word, tenants' keep masks free to differ (live
-    words of unequal width are zero-padded to the widest).
-    ``q_mags=None`` declares ``q_signs`` to be such live words already
-    (protocol-v5 rows, each on its own tenant's ``M_t``); plane rows
-    whose magnitude plane equals their tenant's ``M_t`` are gathered
-    into live words once here.  If any tenant or any plane row fails
-    that, the whole flush takes the general ternary formula on planes.
+    index — one row-tiled XOR + popcount pass over the whole batch.
+    Every store is held as live words on its own magnitude plane
+    ``M_t`` (:class:`~repro.backend.packed.LiveStore`) and every row is
+    live words on its tenant's ``M_t`` (protocol-v5 rows, and plane
+    rows the serving API gathered at submit), so each row scores
+    ``n_live_t − 2·popcount(live(q) ^ live(c))``: one XOR and one
+    popcount per live word, tenants' keep masks free to differ.
 
     Parameters
     ----------
-    q_signs, q_mags:
-        ``(N, W)`` uint64 query bit planes (the wire layout), or live
-        words and ``None``.
+    words:
+        ``(N, W)`` uint64 live-word rows, each on its own tenant's
+        support.
     stores:
-        The class stores of the U unique tenants present in this flush
-        (:class:`~repro.backend.packed.LiveStore` or
-        :class:`~repro.backend.PackedHV`), each ``C`` rows.
+        The :class:`~repro.backend.packed.LiveStore` class stores of the
+        U unique tenants present in this flush, each ``C`` rows of ``W``
+        live words.
     norms:
         ``(U, C)`` per-tenant class norms
         (:func:`~repro.backend.packed.packed_norms` of each store).
@@ -259,53 +251,13 @@ def fused_tenant_scores(
     exact integer dots, same class-norm division.
     """
     t = np.asarray(tenant_of_row, dtype=np.intp)
-    live = [compact_store(store) for store in stores]
-    if q_mags is None and not all(isinstance(s, LiveStore) for s in live):
-        raise ValueError("live-word rows need every store held as live words")
-    words = q_signs if q_mags is None else _live_rows(q_signs, q_mags, live, t)
-    if words is not None:
-        width = words.shape[1]
-        dots = xor_dot_rows(
-            words,
-            [
-                np.pad(s.words, ((0, 0), (0, width - s.words.shape[1])))
-                if s.words.shape[1] < width
-                else s.words
-                for s in live
-            ],
-            np.array([store.n_live for store in live]),
-            t,
-        )
-        return dots.astype(np.float64) / norms[t]
-    # (N, C, W): each row gathers its tenant's planes, then one fused
-    # pass.  Agreeing live dims minus disagreeing live dims, as ints.
-    planes = [s.expand() if isinstance(s, LiveStore) else s for s in stores]
-    store_signs = np.stack([s.signs for s in planes])[t]
-    common = q_mags[:, None, :] & np.stack([s.mags for s in planes])[t]
-    disagree = (q_signs[:, None, :] ^ store_signs) & common
-    dots = popcount(common).sum(axis=2, dtype=np.int64) - 2 * popcount(
-        disagree
-    ).sum(axis=2, dtype=np.int64)
+    dots = xor_dot_rows(
+        words,
+        [store.words for store in stores],
+        np.array([store.n_live for store in stores]),
+        t,
+    )
     return dots.astype(np.float64) / norms[t]
-
-
-def _live_rows(q_signs, q_mags, stores, t) -> np.ndarray | None:
-    """Plane rows as live words of their own tenant's store, or ``None``.
-
-    ``None`` unless every store is a :class:`LiveStore` and every row's
-    magnitude plane is its tenant's ``M_t``.  Rows are as wide as the
-    widest store's words, zero-padded.
-    """
-    if not all(isinstance(s, LiveStore) for s in stores):
-        return None
-    if not (q_mags == np.stack([s.support for s in stores])[t]).all():
-        return None
-    width = max(s.words.shape[1] for s in stores)
-    out = np.zeros((len(t), width), dtype=np.uint64)
-    for u, store in enumerate(stores):
-        rows = np.flatnonzero(t == u)
-        out[rows, : store.words.shape[1]] = store.gather(q_signs[rows])
-    return out
 
 
 class ModelFleet:

@@ -364,7 +364,7 @@ class TestSharedSupport:
         held = compact_store(store)
         assert isinstance(held, LiveStore)
         assert held.n_live == int(np.count_nonzero(C[0] != 0))
-        assert held.operands(q) is not None
+        assert held.live_of(q) is not None
         with mock.patch.object(packed_mod, "TILE_WORDS", tile_words):
             self._check(kernel, Q, C, q, store)
             # the same rows as live words score identically
@@ -401,7 +401,7 @@ class TestSharedSupport:
         q = _with_stray_signs(pack_hypervectors(Q), rng)
         store = _with_stray_signs(pack_hypervectors(C), rng)
         held = compact_store(store)
-        assert not isinstance(held, LiveStore) or held.operands(q) is None
+        assert not isinstance(held, LiveStore) or held.live_of(q) is None
         self._check(kernel, Q, C, q, store)
 
     def test_single_query_row_off_support_falls_back(self, kernel):
@@ -409,7 +409,7 @@ class TestSharedSupport:
         Q = _flip_one_support_bit(Q, spawn(4, "one-row"))
         q = pack_hypervectors(Q)
         store = pack_hypervectors(C)
-        assert compact_store(store).operands(q) is None
+        assert compact_store(store).live_of(q) is None
         self._check(kernel, Q, C, q, store)
 
     def test_non_uniform_ternary_store_falls_back(self, kernel):
@@ -427,6 +427,26 @@ class TestSharedSupport:
         other = LiveHV(words, 130, held.n_live, held.digest ^ 1)
         with pytest.raises(ValueError, match="support"):
             dot(other, held)
+
+
+class TestLiveOf:
+    """:meth:`LiveStore.live_of` on plane rows that carry live words."""
+
+    def test_carried_live_words_naming_the_support_pass_through(self):
+        _, _, q, store = _shared_operands(4, 3, 130, "random", 2)
+        held = compact_store(store)
+        live = held.live_of(q)
+        carried = PackedHV(q.signs, q.mags, q.d, live=live)
+        assert held.live_of(carried) is live
+
+    def test_carried_live_words_on_another_support_are_regathered(self):
+        _, _, q, store = _shared_operands(4, 3, 130, "random", 3)
+        held = compact_store(store)
+        words = held.gather(q.signs)
+        other = LiveHV(words, 130, held.n_live, held.digest ^ 1)
+        got = held.live_of(PackedHV(q.signs, q.mags, q.d, live=other))
+        assert got.digest == held.digest
+        np.testing.assert_array_equal(got.words, words)
 
 
 class TestCompactStore:

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.backend.native import NativeBackend
-from repro.backend.packed import PackedHV, pack_hypervectors
+from repro.backend.packed import LiveHV, PackedHV, pack_hypervectors
 from repro.hd import HDModel, get_quantizer
 from repro.proto import ModelInfo, ScoreRequest, ScoreResponse
 from repro.serve import (
@@ -159,9 +159,15 @@ class TestTypedScoring:
 
 
 class TestPackedFlushes:
-    def test_native_tenant_flush_stays_packed(self, monkeypatch):
+    @pytest.mark.parametrize(
+        "support,shape", [("on", LiveHV), ("off", PackedHV)]
+    )
+    def test_native_tenant_flush_stays_packed(
+        self, monkeypatch, support, shape
+    ):
         """A native-backend tenant is a packed-operand engine too: its
-        flush hands the kernel the rebuilt planes, never floats."""
+        flush hands the kernel live words (rows on its support) or the
+        rebuilt planes (rows off it), never floats."""
         seen = []
         original = NativeBackend.prepare_queries
 
@@ -173,10 +179,10 @@ class TestPackedFlushes:
         keep = np.ones(300, dtype=bool)
         keep[spawn(6, "api-native-mask").permutation(300)[:120]] = False
         artifact = _artifact(backend="native", keep_mask=keep)
-        queries = pack_hypervectors(_queries() * keep)
+        queries = pack_hypervectors(_queries() * (keep if support == "on" else 1))
         with ServingAPI.from_artifact(artifact, name="m") as api:
             got = api.score(ScoreRequest(queries=queries, want_scores=True))
-        assert seen and set(seen) == {PackedHV}
+        assert seen and set(seen) == {shape}
         offline = artifact.engine()
         np.testing.assert_array_equal(got.scores, offline.scores(queries))
         np.testing.assert_array_equal(

@@ -3,9 +3,10 @@
 The multi-tenant contract, unit-tested:
 
 * the fused cross-tenant kernel is bit-identical to scoring each row
-  against its own tenant with ``packed_class_scores`` (bipolar *and*
-  ternary stores, masked tenants with different keep masks on the
-  shared-support path, and flushes that fall back from it);
+  of live words against its own tenant with ``packed_class_scores``
+  (bipolar stores, and masked tenants with different keep masks);
+  through the API, ternary stores and rows off their tenant's support
+  are scored per tenant, exactly;
 * the LRU admits lazily, verifies checksums once at admission, evicts
   oldest-unpinned-first under a byte budget, and **re-verifies** on
   reload after eviction (a corrupted artifact is caught, not served);
@@ -119,65 +120,44 @@ def shared_calls(monkeypatch):
     return calls
 
 
+def _as_live_words(stores, queries, tenant_of_row):
+    """Each plane row as live words on its own tenant's support."""
+    return np.concatenate([
+        stores[t].live_of(queries[row : row + 1]).words
+        for row, t in enumerate(tenant_of_row)
+    ])
+
+
 class TestFusedKernel:
+    @staticmethod
+    def _fused_vs_per_tenant(stores, queries, tenant_of_row):
+        fused = fused_tenant_scores(
+            _as_live_words(stores, queries, tenant_of_row),
+            stores,
+            np.stack([packed_norms(s) for s in stores]),
+            tenant_of_row,
+        )
+        for row, t in enumerate(tenant_of_row):
+            expect = packed_class_scores(
+                queries[row : row + 1], stores[t].expand()
+            )
+            np.testing.assert_array_equal(fused[row : row + 1], expect)
+        return fused
+
     @pytest.mark.parametrize("d", [64, 130, 512])  # incl. tail-word dims
     def test_bit_identical_to_per_tenant_packed_scores(self, d):
         rng = spawn(5, "fused-kernel")
         stores = [
-            pack_hypervectors(
+            compact_store(pack_hypervectors(
                 rng.choice([-1.0, 1.0], size=(N_CLASSES, d)).astype(
                     np.float32
                 )
-            )
+            ))
             for _ in range(3)
         ]
         queries = _queries(11, d_hv=d, seed=6)
         tenant_of_row = rng.integers(0, 3, size=11)
-        fused = fused_tenant_scores(
-            queries.signs,
-            queries.mags,
-            stores,
-            np.stack([packed_norms(s) for s in stores]),
-            tenant_of_row,
-        )
-        for row, t in enumerate(tenant_of_row):
-            expect = packed_class_scores(queries[row : row + 1], stores[t])
-            np.testing.assert_array_equal(fused[row : row + 1], expect)
-
-    def test_ternary_stores_score_exactly(self):
-        """Masked (pruned) stores have zero dims; the fused ternary
-        formula must match the general packed path on them too."""
-        rng = spawn(7, "fused-ternary")
-        values = rng.choice(
-            [-1.0, 0.0, 1.0], size=(2, N_CLASSES, 130)
-        ).astype(np.float32)
-        stores = [pack_hypervectors(v) for v in values]
-        queries = _queries(8, d_hv=130, seed=8)
-        tenant_of_row = np.array([0, 1] * 4)
-        fused = fused_tenant_scores(
-            queries.signs,
-            queries.mags,
-            stores,
-            np.stack([packed_norms(s) for s in stores]),
-            tenant_of_row,
-        )
-        for row, t in enumerate(tenant_of_row):
-            expect = packed_class_scores(queries[row : row + 1], stores[t])
-            np.testing.assert_array_equal(fused[row : row + 1], expect)
-
-
-    @staticmethod
-    def _fused_vs_per_tenant(stores, queries, tenant_of_row):
-        fused = fused_tenant_scores(
-            queries.signs,
-            queries.mags,
-            stores,
-            np.stack([packed_norms(s) for s in stores]),
-            tenant_of_row,
-        )
-        for row, t in enumerate(tenant_of_row):
-            expect = packed_class_scores(queries[row : row + 1], stores[t])
-            np.testing.assert_array_equal(fused[row : row + 1], expect)
+        self._fused_vs_per_tenant(stores, queries, tenant_of_row)
 
     @pytest.mark.parametrize("d", [40, 130, 512])
     def test_masked_tenants_with_different_masks(self, d, shared_calls):
@@ -187,39 +167,15 @@ class TestFusedKernel:
         keeps = _keep_masks(3, d_hv=d, n_live=d // 2)
         assert len({k.tobytes() for k in keeps}) == 3
         stores = [
-            pack_hypervectors(
+            compact_store(pack_hypervectors(
                 rng.choice([-1.0, 1.0], size=(N_CLASSES, d)) * keep
-            )
+            ))
             for keep in keeps
         ]
         tenant_of_row = rng.integers(0, 3, size=13)
         queries = _masked_queries(keeps, tenant_of_row)
         self._fused_vs_per_tenant(stores, queries, tenant_of_row)
         assert shared_calls == [13]
-
-    @pytest.mark.parametrize("breaks", ["store", "row"])
-    def test_one_tenant_off_shared_support_falls_back(
-        self, breaks, shared_calls
-    ):
-        """One non-uniform store, or one query row off its tenant's
-        mask, sends the whole flush down the general formula."""
-        rng = spawn(12, "fused-fallback")
-        keeps = _keep_masks(2, d_hv=130, n_live=70)
-        values = [
-            rng.choice([-1.0, 1.0], size=(N_CLASSES, 130)) * keep
-            for keep in keeps
-        ]
-        tenant_of_row = np.array([0, 1, 1, 0, 1])
-        queries = _masked_queries(keeps, tenant_of_row)
-        if breaks == "store":
-            values[1][2, np.flatnonzero(keeps[1])[0]] = 0.0
-        else:
-            mags = queries.mags.copy()
-            mags[2, 0] ^= np.uint64(1)
-            queries = PackedHV(signs=queries.signs, mags=mags, d=130)
-        stores = [pack_hypervectors(v) for v in values]
-        self._fused_vs_per_tenant(stores, queries, tenant_of_row)
-        assert shared_calls == []
 
     def test_warm_masked_flush_stays_under_the_trim_threshold(
         self, shared_calls
@@ -241,13 +197,12 @@ class TestFusedKernel:
         tenant_of_row = np.arange(8)
         queries = _masked_queries(keeps, tenant_of_row)
         args = (
-            queries.signs,
-            queries.mags,
+            _as_live_words(stores, queries, tenant_of_row),
             stores,
             np.stack([packed_norms(s) for s in stores]),
             tenant_of_row,
         )
-        fused_tenant_scores(*args)  # warm: support caches, scratch
+        fused_tenant_scores(*args)  # warm: scratch
         tracemalloc.start()
         try:
             fused = fused_tenant_scores(*args)
@@ -528,19 +483,48 @@ class TestHeldMagnitudePlane:
         ternary = pack_hypervectors(
             rng.choice([-1.0, 0.0, 1.0], size=(len(tenant_of_row), d))
         )
-        norms = np.stack([packed_norms(s) for s in held])
+        # The two masked tenants share a live width, so they fuse.
+        masked = tenant_of_row > 0
+        TestFusedKernel._fused_vs_per_tenant(
+            held[1:], on_support[masked], tenant_of_row[masked] - 1
+        )
         for q in (on_support, ternary):
-            fused = [
-                fused_tenant_scores(q.signs, q.mags, stores, norms, tenant_of_row)
-                for stores in (held, twins)
-            ]
-            np.testing.assert_array_equal(*fused)
             for store, twin in zip(held, twins):
                 np.testing.assert_array_equal(
                     packed_class_scores(q, store), packed_class_scores(q, twin)
                 )
-        # On-support rows took the one-XOR path, ternary rows did not.
-        assert shared_calls == [len(tenant_of_row)] * 2
+        # Only the fused call counts: one pass over the masked rows.
+        assert shared_calls == [int(masked.sum())]
+
+
+def _trio_artifacts(stores="bipolar"):
+    """alice, bob (``D_HV`` dims) and carol (256 dims), with keep masks.
+
+    ``stores`` is ``"bipolar"`` (unmasked), ``"ternary"`` (rows that
+    share no magnitude plane, so never held as live words) or
+    ``"masked"`` (§III-C stores on each tenant's own keep mask).
+    """
+    rng = spawn(21, f"fleet-trio-{stores}")
+    shapes = {"alice": (0, D_HV), "bob": (1, D_HV), "carol": (2, 256)}
+    artifacts, keeps = {}, {}
+    for name, (seed, d_hv) in shapes.items():
+        keeps[name] = np.ones(d_hv, dtype=bool)
+        if stores == "bipolar":
+            artifacts[name] = _artifact(seed, d_hv=d_hv)
+            continue
+        if stores == "masked":
+            keeps[name] = _keep_masks(1, d_hv, d_hv // 2, seed)[0]
+            values = rng.choice([-1.0, 1.0], size=(N_CLASSES, d_hv))
+        else:
+            values = rng.choice([-1.0, 0.0, 1.0], size=(N_CLASSES, d_hv))
+        artifacts[name] = ModelArtifact(
+            store=values * keeps[name],
+            query_quantizer="bipolar",
+            store_quantizer="bipolar",
+            backend="packed",
+            keep_mask=keeps[name] if stores == "masked" else None,
+        )
+    return artifacts, keeps
 
 
 class TestFleetRouting:
@@ -549,11 +533,7 @@ class TestFleetRouting:
         """alice and bob share a coalescing group; carol (256 dims)
         flushes alone."""
         fleet = ModelFleet()
-        artifacts = {
-            "alice": _artifact(0),
-            "bob": _artifact(1),
-            "carol": _artifact(2, d_hv=256),
-        }
+        artifacts, _ = _trio_artifacts()
         for name, artifact in artifacts.items():
             fleet.add_tenant(name, artifact)
         api = ServingAPI(fleet)
@@ -561,20 +541,45 @@ class TestFleetRouting:
         api.close()
 
     @pytest.mark.parametrize("coalesce", [True, False])
-    def test_every_tenant_gets_its_own_answers(self, trio, coalesce):
-        api, artifacts = trio
-        if not coalesce:
-            api = ServingAPI(api.fleet, coalesce=False)
+    @pytest.mark.parametrize(
+        "stores,rows",
+        [
+            ("bipolar", "on-support"),
+            ("ternary", "on-support"),  # plane rows: no live words
+            ("masked", "on-support"),  # live words, each on its own mask
+            ("masked", "off-support"),  # one row off the mask: planes
+        ],
+    )
+    def test_every_tenant_gets_its_own_answers(self, coalesce, stores, rows):
+        """Exact per-tenant answers whichever shape the rows ride in:
+        live words fused across tenants, or plane rows the tenant's
+        engine scores with the general formula."""
+        artifacts, keeps = _trio_artifacts(stores)
+        fleet = ModelFleet()
         for name, artifact in artifacts.items():
-            queries = _queries(16, d_hv=artifact.d_hv, seed=42)
-            offline = artifact.engine()
-            dense = queries.unpack(np.float32)
-            np.testing.assert_array_equal(
-                api.predict(queries, tenant=name), offline.predict(dense)
-            )
-            np.testing.assert_array_equal(
-                api.scores(queries, tenant=name), offline.scores(dense)
-            )
+            fleet.add_tenant(name, artifact)
+        config = MicroBatchConfig(eager=False, max_delay_s=0.05)
+        with ServingAPI(fleet, config=config, coalesce=coalesce) as api:
+            for i, (name, artifact) in enumerate(artifacts.items()):
+                keep = keeps[name][None, :]
+                queries = _masked_queries(keep, np.zeros(16, np.intp), seed=i)
+                if rows == "off-support":
+                    mags = queries.mags.copy()
+                    mags[3, 0] ^= np.uint64(1)  # dim 0 moves on/off the mask
+                    queries = PackedHV(queries.signs, mags, queries.d)
+                offline = artifact.engine()
+                dense = queries.unpack(np.float32)
+                np.testing.assert_array_equal(
+                    api.predict(queries, tenant=name), offline.predict(dense)
+                )
+                np.testing.assert_array_equal(
+                    api.scores(queries, tenant=name), offline.scores(dense)
+                )
+            keys = api.stats()["schedulers"]
+            on_group = any(key.startswith("group") for key in keys)
+        assert on_group == (
+            coalesce and stores != "ternary" and rows == "on-support"
+        )
 
     def test_shared_config_tenants_share_a_scheduler(self, trio):
         api, artifacts = trio
@@ -924,6 +929,27 @@ class TestHotSwapRegroups:
         assert fleet.resident_tenants() == ("b",)
         assert fleet.stats().resident_bytes == bigger.engine().store_nbytes
 
+    def test_rollback_versions_are_not_charged(self):
+        """The budget charges a tenant its current default-model store
+        only: in-memory versions kept for rollback stay uncharged."""
+        registry = ModelRegistry()
+        registry.publish("model", _artifact(0, self.D, self.CLASSES))
+        fleet = ModelFleet()
+        fleet.add_tenant("t", registry, model="model")
+        with ServingAPI(fleet) as api:
+            for seed in (1, 2, 3):
+                registry.publish("model", _artifact(seed, self.D, self.CLASSES))
+                api.predict(_queries(1, self.D), tenant="t")  # recharges
+        held = [
+            registry.describe("model", v).engine
+            for v in registry.versions("model")
+            if not registry.is_evicted("model", v)
+        ]
+        assert len(held) == 4
+        current = registry.describe("model").engine
+        assert fleet.stats().resident_bytes == current.store_nbytes
+        assert sum(e.store_nbytes for e in held) == 4 * current.store_nbytes
+
     def test_single_artifact_stats_follow_a_swap(self):
         with ServingAPI.from_artifact(
             _artifact(0, self.D, self.CLASSES), name="m"
@@ -968,10 +994,12 @@ class TestHotSwapRegroups:
                 )
         assert len(api.stats()["schedulers"]) == 1  # one mixed flush
 
+    @pytest.mark.parametrize("kind", ["live", "planes"])
     @pytest.mark.parametrize("want_scores", [False, True])
-    def test_mask_swap_fails_only_the_swapped_tenant(self, want_scores):
-        """A's keep mask changes while its live rows wait in a flush
-        shared with B: A's request is refused, B's is answered."""
+    def test_mask_swap_fails_only_the_swapped_tenant(self, want_scores, kind):
+        """A's keep mask changes while its rows wait in a flush shared
+        with B: A's request is refused, B's is answered — the same for
+        v5 live words and for v4 plane rows on the old mask."""
         keeps = _keep_masks(3, self.D, self.D // 2)
         stores = {
             t: _artifact(i, self.D, self.CLASSES).class_hvs * keeps[i]
@@ -995,19 +1023,19 @@ class TestHotSwapRegroups:
             t: rng.choice([-1.0, 1.0], size=(3, self.D)) * keeps[i]
             for i, t in enumerate("AB")
         }
-        live = {
+        queries = {
             t: LiveHV(
                 pack_sign_planes(values[t][:, keeps[i]]),
                 self.D,
                 int(keeps[i].sum()),
                 support_of(keeps[i])[1],
-            )
+            ) if kind == "live" else pack_hypervectors(values[t])
             for i, t in enumerate("AB")
         }
         config = MicroBatchConfig(max_batch=6, eager=False, max_delay_s=30.0)
         with ServingAPI(fleet, config=config) as api:
             first = api.submit_score(
-                ScoreRequest(queries=live["A"], tenant="A",
+                ScoreRequest(queries=queries["A"], tenant="A",
                              want_scores=want_scores)
             )
             swapped = ModelArtifact(
@@ -1019,7 +1047,7 @@ class TestHotSwapRegroups:
             )
             fleet.registry_for("A").publish("model", swapped)
             second = api.submit_score(
-                ScoreRequest(queries=live["B"], tenant="B",
+                ScoreRequest(queries=queries["B"], tenant="B",
                              want_scores=want_scores)
             )
             with pytest.raises(ValueError, match="keep mask changed"):

@@ -152,36 +152,41 @@ class TestFusedFleet:
                 for i, s in enumerate(self.SEEDS)]
         t = np.repeat(np.arange(3), 6)
         words = np.concatenate([r.live.words for r in rows])
-        signs = np.concatenate([r.signs for r in rows])
-        mags = np.concatenate([r.mags for r in rows])
         stores = [a.store for a in arts]
         norms = np.stack([packed_norms(s) for s in stores])
-        live = fused_tenant_scores(words, None, stores, norms, t)
-        planes = fused_tenant_scores(signs, mags, stores, norms, t)
-        np.testing.assert_array_equal(live, planes)
+        live = fused_tenant_scores(words, stores, norms, t)
         for u, (art, r) in enumerate(zip(arts, rows)):
             np.testing.assert_array_equal(
                 live[t == u], art.engine().scores(_planes(r))
             )
 
-    @pytest.mark.parametrize("kind", ["live", "planes"])
+    @pytest.mark.parametrize("kind", ["live", "planes", "mixed"])
     def test_mixed_tenant_flush_through_the_api(self, encoder, kind):
+        """Every tenant's rows meet in one flush, whether they arrive as
+        v5 live words, v4 planes, or (``mixed``) one request of each."""
         fleet = ModelFleet()
         arts = {}
         for i, s in enumerate(self.SEEDS):
             arts[f"t{i}"] = _artifact(encoder, s, seed=i)
             fleet.add_tenant(f"t{i}", arts[f"t{i}"])
         n = 4
-        config = MicroBatchConfig(max_batch=3 * n, eager=False, max_delay_s=5.0)
+        shapes = {"live": ["live"], "planes": ["planes"]}.get(
+            kind, ["planes", "live"]
+        )
+        config = MicroBatchConfig(
+            max_batch=3 * n * len(shapes), eager=False, max_delay_s=5.0
+        )
         with ServingAPI(fleet, config=config) as api:
             futures, want = [], []
             for i, s in enumerate(self.SEEDS):
-                rows = _obfuscator(encoder, s).prepare_packed(_X(n, seed=i))
-                queries = rows.live if kind == "live" else _planes(rows)
-                futures.append(api.submit_score(
-                    ScoreRequest(queries=queries, tenant=f"t{i}", want_scores=True)
-                ))
-                want.append(arts[f"t{i}"].engine().scores(_planes(rows)))
+                for j, shape in enumerate(shapes):
+                    X = _X(n, seed=10 * i + j)
+                    rows = _obfuscator(encoder, s).prepare_packed(X)
+                    queries = rows.live if shape == "live" else _planes(rows)
+                    futures.append(api.submit_score(ScoreRequest(
+                        queries=queries, tenant=f"t{i}", want_scores=True
+                    )))
+                    want.append(arts[f"t{i}"].engine().scores(_planes(rows)))
             for future, expect in zip(futures, want):
                 np.testing.assert_array_equal(future.result(10).scores, expect)
             stats = api.stats()["schedulers"]
