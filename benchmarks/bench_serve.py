@@ -50,10 +50,14 @@ Exercises the full model lifecycle the way a deployment would:
    ``ScoreRequest``/``ScoreResponse`` pair and a 32-chunk
    ``ScoreBatchRequest``/``ScoreBatchResponse`` pair, and the same two
    requests as v5 live words on a half-masked support, after asserting
-   each message round-trips to itself; records the request bytes per
-   row of v4 planes against v5 live words; and times one 256-row flush
-   of live words and of the same rows as planes against a store held as
-   live words (no bar on any of these).
+   each message round-trips to itself, and the same two requests at v6
+   as core words of level-base encodings; records the request bytes per
+   row of v4 planes against v5 live words and v6 core words; times one
+   256-row flush of live words and of the same rows as planes against a
+   store held as live words, and of core and live words against a store
+   that holds a core (no bar on any of these); and asserts that a
+   level-base masked tenant gives identical decisions to v4 plane, v5
+   live-word and v6 core-word clients over sockets.
 
 Writes ``BENCH_serve.json``::
 
@@ -78,8 +82,15 @@ if __name__ == "__main__":  # script mode works without an installed package
 
 import numpy as np
 
-from repro.backend.packed import LiveHV, compact_store, pack_hypervectors
+from repro.backend.packed import (
+    LiveHV,
+    PackedHV,
+    compact_store,
+    pack_hypervectors,
+)
 from repro.client import PriveHDClient
+from repro.core.inference_privacy import InferenceObfuscator, ObfuscationConfig
+from repro.hd import LevelBaseEncoder
 from repro.hd.model import HDModel
 from repro.hd.prune import mask_from_seed
 from repro.proto import (
@@ -346,26 +357,74 @@ def _masked_block(d_hv: int, n: int, seed: int = 0):
     return block, LiveHV(held.gather(block.signs), d_hv, held.n_live, held.digest)
 
 
+def _core_block(d_hv: int, n: int, *, n_classes: int = 26, d_in: int = 64):
+    """A half-masked level-base artifact holding a core, and ``n`` of its
+    clients' rows (planes carrying live and core words)."""
+    encoder = LevelBaseEncoder(d_in, d_hv, seed=5)
+    rng = np.random.default_rng(5)
+    X = rng.random((4 * n_classes + n, d_in))
+    y = np.arange(4 * n_classes) % n_classes
+    keep = mask_from_seed(d_hv, d_hv // 2, 0)
+    artifact = ModelArtifact.build(
+        HDModel.from_encodings(encoder.encode(X[: len(y)]), y, n_classes),
+        quantizer="bipolar", backend="packed", encoder=encoder,
+        keep_mask=keep, mask_seed=0,
+    )
+    obfuscator = InferenceObfuscator(
+        encoder, ObfuscationConfig(n_masked=d_hv // 2, mask_seed=0)
+    )
+    return artifact, obfuscator.prepare_packed(X[len(y):])
+
+
+def run_core_parity(d_hv: int, *, rows: int = 48) -> dict:
+    """Decisions of v4 plane, v5 live-word and v6 core-word clients of
+    one core-holding tenant over sockets: identical to each other and
+    to the offline engine, or ``AssertionError``."""
+    artifact, block = _core_block(d_hv, rows)
+    want = artifact.engine().predict(
+        PackedHV(block.signs, block.mags, block.d)
+    )
+    out = {"rows": rows}
+    with ServingAPI.from_artifact(artifact, name="core") as api, FrontendHandle(
+        api
+    ) as handle:
+        for label, versions in (
+            ("v4_planes", (1, 2, 3, 4)),
+            ("v5_live", (1, 2, 3, 4, 5)),
+            ("v6_core", None),
+        ):
+            with PriveHDClient(handle.address, versions=versions) as client:
+                got = np.concatenate(client.predict_encoded_many(
+                    [block[i : i + 1] for i in range(rows)], wire_batch=8
+                ))
+            if not np.array_equal(got, want):
+                raise AssertionError(f"core parity: {label} decisions diverged")
+            out[label] = "identical"
+    return out
+
+
 def run_codec_profile(d_hv: int, *, chunks: int = 32, number: int = 2000) -> dict:
     """Codec microseconds per frame on the wire edge, at ``d_hv``.
 
     Two v4 pairs of packed one-row-per-chunk traffic: a single-row
     ``ScoreRequest``/``ScoreResponse`` and a ``chunks``-chunk
     ``ScoreBatchRequest``/``ScoreBatchResponse`` (the ``gateway_batched``
-    frame shape); and the same two requests at v5 as live words of rows
-    masked to half the dimensions (``*_live``).  Every message must
+    frame shape); the same two requests at v5 as live words of rows
+    masked to half the dimensions (``*_live``); and at v6 as the core
+    words of level-base rows masked alike (``*_core``).  Every message must
     decode back to itself, and the batch response's ``split`` must
     equal ``np.split`` on its counts, before anything is timed.
     ``split_us`` exists for the batch response only: a single-row
     response has nothing to split.  ``bytes_per_row`` is the
     ``chunks``-row request frame's length per row, v4 planes against
-    v5 live words of the same masked rows.
+    v5 live words of the same masked rows, and v6 core words.
     """
     rng = np.random.default_rng(0)
     block = pack_hypervectors(
         np.where(rng.random((chunks, d_hv)) < 0.5, -1.0, 1.0)
     )
     masked, live = _masked_block(d_hv, chunks)
+    core = _core_block(d_hv, chunks)[1].core
     counts = (1,) * chunks
     single_response = ScoreResponse(
         predictions=[3], model="m", version=1, request_id=7
@@ -393,6 +452,12 @@ def run_codec_profile(d_hv: int, *, chunks: int = 32, number: int = 2000) -> dic
             single_response,
         ),
         f"batch_{chunks}_chunks_live": (5, batch(live), batch_response),
+        "single_row_core": (
+            6,
+            ScoreRequest(queries=core[:1], request_id=7, tenant="t"),
+            single_response,
+        ),
+        f"batch_{chunks}_chunks_core": (6, batch(core), batch_response),
     }
     out: dict = {"d_hv": d_hv, "protocol_version": PROTOCOL_VERSION}
     for label, (version, request, response) in pairs.items():
@@ -417,6 +482,7 @@ def run_codec_profile(d_hv: int, *, chunks: int = 32, number: int = 2000) -> dic
     out["bytes_per_row"] = {
         "v4_planes": len(encode_message(batch(masked), version=4)) / chunks,
         "v5_live": len(encode_message(batch(live), version=5)) / chunks,
+        "v6_core": len(encode_message(batch(core), version=6)) / chunks,
     }
     return out
 
@@ -429,8 +495,11 @@ def run_live_flush_profile(d_hv: int, *, rows: int = 256, n_classes: int = 26) -
     against a ``n_classes`` store held as live words, after asserting
     both give the same scores; and unmasked bipolar planes against an
     unmasked store, whose live words are its sign plane, after
-    asserting they score like the dense backend.  No bar: it records
-    what v4 traffic costs a server whose stores are compacted.
+    asserting they score like the dense backend; and level-base rows
+    as v6 core words and as v5 live words against a store that holds a
+    core, after asserting both score like their planes.  No bar: it
+    records what v4 traffic costs a server whose stores are compacted,
+    and what the core saves.
     """
     from repro.backend import get_backend
 
@@ -459,7 +528,19 @@ def run_live_flush_profile(d_hv: int, *, rows: int = 256, n_classes: int = 26) -
         atol=0,
     ):
         raise AssertionError("unmasked plane flush diverged from dense")
+    artifact, block = _core_block(d_hv, rows, n_classes=n_classes)
+    core_store = backend.prepare_class_store(artifact.store)
+    want = backend.class_scores(PackedHV(block.signs, block.mags, d_hv), core_store)
+    for shipped in (block.core, block.live):
+        if not np.array_equal(backend.class_scores(shipped, core_store), want):
+            raise AssertionError("core-word flush diverged from planes")
     return {
+        "core_words_us_per_row": _us_per_call(
+            lambda: backend.class_scores(block.core, core_store), 20
+        ) / rows,
+        "core_store_live_words_us_per_row": _us_per_call(
+            lambda: backend.class_scores(block.live, core_store), 20
+        ) / rows,
         "unmasked_planes_us_per_row": _us_per_call(
             lambda: backend.class_scores(full_rows, full_store), 20
         ) / rows,
@@ -540,6 +621,7 @@ def run_wire_profile(artifact, queries, direct, args, in_process_qps) -> dict:
         args.dhv, number=200 if args.smoke else 2000
     )
     out["live_store_flush"] = run_live_flush_profile(args.dhv)
+    out["core_parity"] = run_core_parity(args.dhv)
     return out
 
 
@@ -1342,14 +1424,22 @@ def main(argv=None) -> int:
         per_row = wp["codec_us_per_frame"]["bytes_per_row"]
         print(
             f"request bytes/row: v4 planes {per_row['v4_planes']:.0f}, "
-            f"v5 live words {per_row['v5_live']:.0f}"
+            f"v5 live words {per_row['v5_live']:.0f}, "
+            f"v6 core words {per_row['v6_core']:.0f}"
         )
         flush = wp["live_store_flush"]
         print(
             f"{flush['rows']}-row flush on a live-word store (us/row): "
             f"live words {flush['live_words_us_per_row']:.2f}, "
             f"planes {flush['planes_us_per_row']:.2f}, unmasked planes "
-            f"{flush['unmasked_planes_us_per_row']:.2f}"
+            f"{flush['unmasked_planes_us_per_row']:.2f}; on a core store: "
+            f"core words {flush['core_words_us_per_row']:.2f}, live words "
+            f"{flush['core_store_live_words_us_per_row']:.2f}"
+        )
+        print(
+            "core parity over sockets: " + ", ".join(
+                f"{k} {v}" for k, v in wp["core_parity"].items()
+            )
         )
     if "workers" in report:
         wk = report["workers"]

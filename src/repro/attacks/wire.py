@@ -20,8 +20,9 @@ Three layers:
   server runs, every frame is decoded to its typed message, and the
   query payloads (packed bit planes, dense float32, or v5 live words,
   placed on the support the captured ``ModelInfo`` ``mask_seed``
-  regenerates) are lifted back out exactly as an attacker would lift
-  them.
+  regenerates, or v6 core words, placed on the core the public
+  codebooks give that support and completed with the signs they fix)
+  are lifted back out exactly as an attacker would lift them.
 * :func:`attack_trace` — the paper's attacks pointed at the capture:
   Eq. (10) reconstruction via :class:`~repro.attacks.decoder.HDDecoder`
   (with the eavesdropper's own mask inference and amplitude
@@ -32,7 +33,8 @@ Three layers:
 
 On top sits :func:`run_privacy_gate`: one live fleet server, one
 capturing proxy, and a client leg per negotiated protocol version
-(v1 single / v2 batched / v3 deadline / v4 tenant / v5 live words) and
+(v1 single / v2 batched / v3 deadline / v4 tenant / v5 live words /
+v6 core words) and
 per quantizer (bipolar / ternary / ternary-biased / masked), plus an
 obfuscation-bypassed identity leg.  :func:`evaluate_gate` turns the
 rows into pass/fail, the built-in self-test asserts the bypassed leg
@@ -399,45 +401,53 @@ class WireTrace:
             if isinstance(msg, (ScoreRequest, ScoreBatchRequest))
         ]
 
-    def place_live(self, queries: LiveHV) -> PackedHV:
-        """Put captured v5 live words back on their dimensions.
+    def place_live(self, queries: LiveHV, encoder=None) -> PackedHV:
+        """Put captured v5 live words or v6 core words back on their
+        dimensions.
 
-        The support is public: all dimensions when ``n_live == d``,
-        else the keep mask the captured
-        :class:`~repro.proto.ModelInfo` ``mask_seed`` regenerates.  The
-        payload's digest confirms the placement.
+        The support is public: all dimensions unless the captured
+        :class:`~repro.proto.ModelInfo` carries a ``mask_seed``, else
+        the keep mask that seed regenerates.  Core words lie on the
+        support's dimensions some level flips, which the public
+        ``encoder``'s codebooks give along with the signs every query
+        carries on the other ones.  The payload's digest confirms the
+        placement.
         """
         from repro.hd.prune import mask_from_seed
 
-        n_masked, seed = queries.d - queries.n_live, 0
-        if n_masked:
-            info = self.model_info()
-            if info is None or info.mask_seed is None:
-                raise ValueError(
-                    "live words on a partial support, and no captured "
-                    "ModelInfo mask_seed to place them with"
-                )
-            seed = info.mask_seed
-        support, digest = support_of(mask_from_seed(queries.d, n_masked, seed))
-        if digest != queries.digest:
+        info = self.model_info()
+        seed = None if info is None else info.mask_seed
+        n_masked = 0 if seed is None else info.n_masked
+        keep = mask_from_seed(queries.d, n_masked, seed or 0)
+        support, digest = support_of(keep)
+        if digest == queries.digest:
+            return expand_live(queries, support)
+        plan = None
+        if hasattr(encoder, "_column_plan"):
+            plan = encoder._column_plan(keep)
+        if plan is None or plan.core_digest != queries.digest:
             raise ValueError(
-                "the captured mask_seed does not match the live words"
+                "the captured live words lie on no support the captured "
+                "ModelInfo and the public codebooks give"
             )
-        return expand_live(queries, support)
+        signs = expand_live(queries, plan.core).signs | plan.fixed_signs
+        mags = np.repeat(support[None, :], queries.n, axis=0)
+        return PackedHV(signs, mags, queries.d)
 
-    def query_rows(self) -> np.ndarray:
+    def query_rows(self, encoder=None) -> np.ndarray:
         """All captured query hypervectors as one dense float64 block.
 
         Packed payloads are unpacked exactly (bit planes round-trip,
-        live words are placed by :meth:`place_live`); dense payloads
-        are widened from their wire float32.  Row order is wire order —
-        for a pipelined client, request-send order.
+        live and core words are placed by :meth:`place_live`, core
+        words with the public ``encoder``); dense payloads are widened
+        from their wire float32.  Row order is wire order — for a
+        pipelined client, request-send order.
         """
         batches = self.query_batches()
         if not batches:
             raise ValueError("no scoring frames in this trace")
         blocks = [
-            self.place_live(q).unpack(np.float64)
+            self.place_live(q, encoder).unpack(np.float64)
             if isinstance(q, LiveHV)
             else q.unpack(np.float64)
             if isinstance(q, PackedHV)
@@ -586,7 +596,7 @@ def attack_trace(
     """
     if rng is None:
         rng = spawn(workload.seed, "wire-attack")
-    rows = trace.query_rows()
+    rows = trace.query_rows(workload.encoder)
     X = workload.X
     if rows.shape[0] != X.shape[0]:
         raise ValueError(
@@ -741,13 +751,15 @@ class GateConfig:
         """The masked leg's zeroed-dimension count."""
         return self.d_hv // 2 if self.n_masked is None else int(self.n_masked)
 
-    def workload(self) -> AttackWorkload:
-        """The seeded ground-truth scenario every leg drives."""
+    def workload(self, encoder: str = "scalar-base") -> AttackWorkload:
+        """The seeded ground-truth scenario the legs drive (the core
+        legs drive its level-base twin: only a flip chain fixes signs)."""
         return attack_workload(
             d_in=self.d_in,
             d_hv=self.d_hv,
             n=self.n_queries,
             n_classes=self.n_classes,
+            encoder=encoder,
             seed=self.seed,
         )
 
@@ -765,6 +777,7 @@ class GateConfig:
 
 
 _V4 = (1, 2, 3, 4)
+_V5 = (*_V4, 5)
 
 #: one client session per row: (leg, offered versions [None = all],
 #: quantizer, masked?, tenant [None = server default], deadline_ms,
@@ -772,7 +785,10 @@ _V4 = (1, 2, 3, 4)
 #: bipolar artifact); v4 legs address tenants explicitly, including the
 #: obfuscation-bypassed identity leg against the dense full-precision
 #: tenant — the self-test's foil.  The v5 leg masks like the pruned
-#: tenant it addresses, so its queries ship as live words.
+#: tenant it addresses, so its queries ship as live words.  The
+#: ``level`` legs drive the level-base twin workload against its pruned
+#: tenant, which holds a core: at v5 the rows ship as live words, at
+#: v6 as core words only — the same rows, so the same leakage.
 _LEG_SPECS: tuple = (
     ("v1-bipolar", (1,), "bipolar", False, None, None, True),
     ("v2-bipolar", (1, 2), "bipolar", False, None, None, True),
@@ -790,7 +806,9 @@ _LEG_SPECS: tuple = (
     ),
     ("v4-masked", _V4, "bipolar", True, "protected", None, True),
     ("v4-identity", _V4, "identity", False, "plain", None, False),
-    ("v5-masked", None, "bipolar", True, "masked", None, True),
+    ("v5-masked", _V5, "bipolar", True, "masked", None, True),
+    ("v5-level-masked", _V5, "bipolar", True, "level", None, True),
+    ("v6-level-core", None, "bipolar", True, "level", None, True),
 )
 
 
@@ -879,9 +897,11 @@ def run_privacy_gate(config: GateConfig | None = None, *, log=None) -> GateRepor
     (dense/full-precision) tenant, puts a :class:`CaptureProxy` in
     front of it, then drives one :class:`~repro.client.PriveHDClient`
     session per leg of :data:`_LEG_SPECS` — every negotiated protocol
-    version v1–v5, every packable quantizer, the masked deployment, and
-    the obfuscation-bypassed identity foil, and a v5 leg whose masked
-    queries travel as live words to a tenant pruned to the same mask.
+    version v1–v6, every packable quantizer, the masked deployment, and
+    the obfuscation-bypassed identity foil, a v5 leg whose masked
+    queries travel as live words to a tenant pruned to the same mask,
+    and a v5/v6 pair on the level-base twin workload whose v6 rows
+    travel as core words.
     Each session's capture is
     parsed and attacked by :func:`attack_trace`; the rows feed
     :func:`evaluate_gate` and the built-in self-test.
@@ -915,17 +935,28 @@ def run_privacy_gate(config: GateConfig | None = None, *, log=None) -> GateRepor
         keep_mask=keep,
         mask_seed=cfg.mask_seed,
     )
+    level = cfg.workload("level-base")
+    level_artifact = ModelArtifact.build(
+        level.model(),
+        quantizer="bipolar",
+        backend="packed",
+        encoder=level.encoder,
+        keep_mask=keep,
+        mask_seed=cfg.mask_seed,
+    )
     fleet = ModelFleet(default_tenant="protected")
     fleet.add_tenant("protected", protected_artifact)
     fleet.add_tenant("plain", plain_artifact)
     fleet.add_tenant("masked", masked_artifact)
+    fleet.add_tenant("level", level_artifact)
     api = ServingAPI(fleet)
     rows: list[WireAttackReport] = []
     try:
         with FrontendHandle(api) as handle:
             with CaptureProxy(handle.address) as proxy:
                 for spec in _LEG_SPECS:
-                    rows.append(_run_leg(proxy, workload, cfg, spec))
+                    leg_workload = level if spec[4] == "level" else workload
+                    rows.append(_run_leg(proxy, leg_workload, cfg, spec))
                     if log is not None:
                         r = rows[-1]
                         log(

@@ -51,9 +51,10 @@ from repro.backend.packed import (
     PackedHV,
     _check_pair,
     _dot_operands,
+    n_words,
+    packed_class_scores,
     packed_dot_matrix,
     packed_hamming_matrix,
-    packed_norms,
 )
 from repro.backend.base import register_backend
 
@@ -129,14 +130,14 @@ if NUMBA_AVAILABLE:
         return np.int64((x * _H01) >> _S56)
 
     @njit(parallel=True, nogil=True, cache=True)
-    def _dot_bipolar_kernel(qs, cs, n_live, out):  # pragma: no cover
-        """dot = n_live − 2·popcount(qs ^ cs) on live words of one M."""
+    def _dot_bipolar_kernel(qs, cs, base, out):  # pragma: no cover
+        """dot = base − 2·popcount(qs ^ cs) on live words of one M."""
         for i in prange(qs.shape[0]):
             for j in range(cs.shape[0]):
                 acc = np.int64(0)
                 for w in range(qs.shape[1]):
                     acc += _pc64(qs[i, w] ^ cs[j, w])
-                out[i, j] = n_live - 2 * acc
+                out[i, j] = base[j] - 2 * acc
 
     @njit(parallel=True, nogil=True, cache=True)
     def _dot_ternary_kernel(qs, qm, cs, cm, out):  # pragma: no cover - compiled
@@ -218,16 +219,19 @@ if NUMBA_AVAILABLE:
     @njit(parallel=True, nogil=True, cache=True)
     def _level_signs_kernel(
         idx, n_levels, flip, agree, cols, fixed, fixed_signs,
-        ranks, fixed_live, signs, live,
+        ranks, fixed_live, core_ranks, signs, live, core,
     ):  # pragma: no cover - compiled
-        """Flip-chain popcounts → packed sign rows over ``fixed_signs``
-        and live-word rows over ``fixed_live`` (slot → bit ``ranks``)."""
+        """Flip-chain popcounts → packed sign rows over ``fixed_signs``,
+        live-word rows over ``fixed_live`` (slot → bit ``ranks``) and
+        core-word rows (slot → bit ``core_ranks``)."""
         for i in prange(idx.shape[0]):
             size, counts = _flip_chain_counts(idx[i], n_levels, flip, agree)
             for w in range(fixed_signs.shape[0]):
                 signs[i, w] = fixed_signs[w]
             for w in range(fixed_live.shape[0]):
                 live[i, w] = fixed_live[w]
+            for w in range(core.shape[1]):
+                core[i, w] = 0
             for r in range(cols.shape[0]):
                 for s in range(cols.shape[1]):
                     c = cols[r, s]
@@ -238,6 +242,8 @@ if NUMBA_AVAILABLE:
                         signs[i, c >> 6] |= _U1 << np.uint64(c & 63)
                         k = ranks[r, s]
                         live[i, k >> 6] |= _U1 << np.uint64(k & 63)
+                        k = core_ranks[r, s]
+                        core[i, k >> 6] |= _U1 << np.uint64(k & 63)
 
     @njit(parallel=True, nogil=True, cache=True)
     def _quantize_kernel(X, lo, hi, step, snap, out):  # pragma: no cover
@@ -263,7 +269,8 @@ def native_dot_matrix(a, b) -> np.ndarray:
     The compiled twin of :func:`~repro.backend.packed.packed_dot_matrix`,
     sharing its prologue and so its live-word precondition (``b``'s rows
     share one magnitude plane ``M`` and ``a`` is on it): when it holds, the
-    one-plane kernel scores the live words against ``n_live``;
+    one-plane kernel scores the live words against the store's
+    :attr:`~repro.backend.packed.LiveStore.base`;
     otherwise the general ternary kernel runs, parallelized over the
     larger batch.  Either way one fused XOR+popcount loop nest
     allocating nothing but the output.  Falls back to the packed kernel
@@ -276,7 +283,7 @@ def native_dot_matrix(a, b) -> np.ndarray:
     if isinstance(a, LiveHV):
         out = np.empty((a.n, b.n), dtype=np.int64)
         _dot_bipolar_kernel(
-            np.ascontiguousarray(a.words), b.words, b.n_live, out
+            np.ascontiguousarray(a.words), b.words, b.base, out
         )
         return out
     if a.n >= b.n:
@@ -297,19 +304,13 @@ def native_class_scores(
 ) -> np.ndarray:
     """Eq. (4) class scores on packed operands via the compiled dot.
 
-    Bit-identical to :func:`~repro.backend.packed.packed_class_scores`
-    (and hence to the dense reference) on the same operands.
+    :func:`~repro.backend.packed.packed_class_scores` with
+    :func:`native_dot_matrix`: bit-identical to it (and hence to the
+    dense reference) on the same operands.
     """
-    if class_norms is None:
-        class_norms = packed_norms(class_store)
-    class_norms = np.asarray(class_norms, dtype=np.float64)
-    if class_norms.shape != (class_store.n,):
-        raise ValueError(
-            f"class_norms must have shape ({class_store.n},), "
-            f"got {class_norms.shape}"
-        )
-    dots = native_dot_matrix(queries, class_store).astype(np.float64)
-    return dots / class_norms
+    return packed_class_scores(
+        queries, class_store, class_norms, dot=native_dot_matrix
+    )
 
 
 def native_hamming_matrix(a: PackedHV, b: PackedHV) -> np.ndarray:
@@ -374,7 +375,9 @@ def native_level_encode_signs(
     fixed_signs: np.ndarray,
     ranks: np.ndarray,
     fixed_live: np.ndarray,
-) -> tuple[np.ndarray, np.ndarray]:
+    core_ranks: np.ndarray,
+    n_core: int,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Compiled Eq. (2b) encode emitting the bipolar *sign plane* directly.
 
     Same operands as :func:`native_level_encode`, plus the sign words of
@@ -383,18 +386,21 @@ def native_level_encode_signs(
     ``>= 0`` (the +1 tie-break of the bipolar quantizer), giving
     ``(n, len(fixed_signs))`` uint64 sign words.  The same pass writes
     the rows' live words: ``ranks`` maps each grid slot to its live bit
-    and ``fixed_live`` holds the uncounted live bits.  Returns
-    ``(signs, live)``.  Requires numba.
+    and ``fixed_live`` holds the uncounted live bits; and their
+    ``n_core`` core bits, slot ``core_ranks`` each.  Returns
+    ``(signs, live, core)``.  Requires numba.
     """
     _require_kernels()
     idx = np.ascontiguousarray(idx, dtype=np.int64)
-    signs = np.empty((idx.shape[0], fixed_signs.shape[0]), dtype=np.uint64)
-    live = np.empty((idx.shape[0], fixed_live.shape[0]), dtype=np.uint64)
+    n = idx.shape[0]
+    signs = np.empty((n, fixed_signs.shape[0]), dtype=np.uint64)
+    live = np.empty((n, fixed_live.shape[0]), dtype=np.uint64)
+    core = np.empty((n, n_words(n_core)), dtype=np.uint64)
     _level_signs_kernel(
         idx, int(n_levels), flip, agree, cols, fixed, fixed_signs,
-        ranks, fixed_live, signs, live,
+        ranks, fixed_live, core_ranks, signs, live, core,
     )
-    return signs, live
+    return signs, live, core
 
 
 def native_quantize_features(
@@ -453,7 +459,7 @@ def warm_kernels() -> bool:
     native_level_encode(idx, 2, flip, agree, cols, fixed)
     words = np.zeros(2, dtype=np.uint64)
     native_level_encode_signs(
-        idx, 2, flip, agree, cols, fixed, words, cols, words
+        idx, 2, flip, agree, cols, fixed, words, cols, words, cols, 2
     )
     native_quantize_features(np.zeros((1, 3)), 0.0, 1.0, 0.5)
     native_quantize_features(np.zeros((1, 3)), 0.0, 1.0, None)

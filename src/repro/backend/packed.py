@@ -45,6 +45,18 @@ flush only ever meets live words).  Gathering drops sign bits outside
 count.  Rows off the support take the general formula above, with
 identical results.
 
+**Core words.**  On a level-base encoder's dimensions that no level
+flips, every query carries the same public sign ``s_j``.  Only the
+*core* ``C = M ∧ varying`` depends on the input, and the dot splits
+exactly into a per-class constant and a core term::
+
+    dot(q, c)  = offset_c + n_core − 2·popcount(core(q) ^ core(c))
+    offset_c   = Σ_{j ∈ M ∖ C} s_j·c_j
+
+A store can hold its classes on ``C`` as well (:attr:`LiveStore.core`,
+whose :attr:`~LiveStore.offsets` are the ``offset_c``), so a query
+shipped as core words costs half the bits and half the XOR width.
+
 Tail dimensions beyond ``d`` (when ``d`` is not a multiple of 64) are
 zero in **both** planes, so they never contribute to any kernel.
 
@@ -56,7 +68,7 @@ from __future__ import annotations
 
 import hashlib
 import threading
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property
 
 import numpy as np
@@ -349,12 +361,19 @@ class PackedHV:
         when the producer wrote it alongside the planes (the §III-C
         client does), else ``None``.  Row slicing keeps it; protocol v5
         ships it instead of the planes.
+    core:
+        The same rows' :class:`LiveHV` on the core support (the live
+        dimensions some level flips, see :attr:`LiveStore.core`), when
+        a level-base encoder wrote it in the same pass, else ``None``.
+        Row slicing keeps it; a client ships it to a server that holds
+        that core.
     """
 
     signs: np.ndarray
     mags: np.ndarray
     d: int
     live: LiveHV | None = None
+    core: LiveHV | None = None
 
     def __post_init__(self):
         if self.signs.shape != self.mags.shape:
@@ -367,11 +386,12 @@ class PackedHV:
                 f"planes must have shape (n, {n_words(self.d)}) for "
                 f"d={self.d}, got {self.signs.shape}"
             )
-        if self.live is not None and self.live.shape != self.shape:
-            raise ValueError(
-                f"live words of shape {self.live.shape} do not match "
-                f"planes of shape {self.shape}"
-            )
+        for live in (self.live, self.core):
+            if live is not None and live.shape != self.shape:
+                raise ValueError(
+                    f"live words of shape {live.shape} do not match "
+                    f"planes of shape {self.shape}"
+                )
 
     # ------------------------------------------------------------------
     @property
@@ -407,7 +427,8 @@ class PackedHV:
         signs = np.atleast_2d(self.signs[rows])
         mags = np.atleast_2d(self.mags[rows])
         live = None if self.live is None else self.live[rows]
-        return PackedHV(signs=signs, mags=mags, d=self.d, live=live)
+        core = None if self.core is None else self.core[rows]
+        return PackedHV(signs, mags, self.d, live=live, core=core)
 
     # ------------------------------------------------------------------
     def unpack(self, dtype=np.float32) -> np.ndarray:
@@ -438,19 +459,21 @@ class LiveStore:
         read-only.
     d:
         The full dimensionality ``Dhv``.
+    offsets:
+        ``(n_classes,)`` int64 added to every dot, or ``None`` (zero):
+        a core store's score on the dimensions it leaves out.
+    core:
+        The same classes on the core support (a sub-plane of ``M``)
+        with their :attr:`offsets`, when the store was built with the
+        encoder that fixes the other dimensions' query signs; ``None``
+        otherwise.
     """
 
     words: np.ndarray
     support: np.ndarray
     d: int
-
-    def positions(self) -> np.ndarray:
-        """``M``'s set positions, ascending: live bit ``i`` → dimension.
-
-        Worked out per call, not kept: as int64 it outweighs the store.
-        """
-        bits = unpack_bit_planes(self.support[None, :], self.d)[0]
-        return np.flatnonzero(bits)
+    offsets: np.ndarray | None = None
+    core: "LiveStore | None" = None
 
     @cached_property
     def n_live(self) -> int:
@@ -461,6 +484,13 @@ class LiveStore:
     def digest(self) -> int:
         """:func:`support_digest` of ``M``."""
         return support_digest(self.support)
+
+    @cached_property
+    def base(self) -> np.ndarray:
+        """``(n_classes,)`` int64 ``n_live + offsets``: each class's dot
+        with a query that agrees on every live bit."""
+        base = np.full(self.n, self.n_live, dtype=np.int64)
+        return base if self.offsets is None else base + self.offsets
 
     @property
     def n(self) -> int:
@@ -474,8 +504,11 @@ class LiveStore:
 
     @property
     def nbytes(self) -> int:
-        """Bytes held: the live words plus one support row."""
-        return self.words.nbytes + self.support.nbytes
+        """Bytes held: the live words, one support row and the core."""
+        own = self.words.nbytes + self.support.nbytes
+        if self.offsets is not None:
+            own += self.offsets.nbytes
+        return own + (0 if self.core is None else self.core.nbytes)
 
     def gather(self, planes: np.ndarray) -> np.ndarray:
         """The bits of ``(n, ⌈d/64⌉)`` planes at ``M``'s positions, packed.
@@ -484,54 +517,92 @@ class LiveStore:
         """
         if self.n_live == self.d:  # M covers every dimension: same layout
             return planes & self.support
-        bits = np.take(unpack_bit_planes(planes, self.d), self.positions(), 1)
+        dims = np.flatnonzero(unpack_bit_planes(self.support[None], self.d)[0])
+        bits = np.take(unpack_bit_planes(planes, self.d), dims, 1)
         return _pack_bits(bits, n_words(self.n_live))
-
-    def scatter(self, words: np.ndarray) -> np.ndarray:
-        """Inverse of :meth:`gather`: live words → sign planes."""
-        if self.n_live == self.d:  # M covers every dimension: same layout
-            return words
-        bits = np.zeros((len(words), self.d), dtype=bool)
-        bits[:, self.positions()] = unpack_bit_planes(words, self.n_live)
-        return _pack_bits(bits, n_words(self.d))
 
     def expand(self) -> PackedHV:
         """The store's sign/magnitude planes, bit for bit as compacted."""
         mags = np.repeat(self.support[None, :], self.n, axis=0)
-        return PackedHV(signs=self.scatter(self.words), mags=mags, d=self.d)
+        signs = self.words
+        if self.n_live != self.d:
+            bits = np.zeros((self.n, self.d), dtype=bool)
+            dims = np.flatnonzero(unpack_bit_planes(mags[:1], self.d)[0])
+            bits[:, dims] = unpack_bit_planes(self.words, self.n_live)
+            signs = _pack_bits(bits, n_words(self.d))
+        return PackedHV(signs=signs, mags=mags, d=self.d)
 
     def unpack(self, dtype=np.float32) -> np.ndarray:
         """The dense ``(n_classes, d)`` store (see :meth:`PackedHV.unpack`)."""
         return self.expand().unpack(dtype)
 
-    def live_of(self, queries) -> LiveHV | None:
-        """``queries`` as live words on this store's support ``M``.
+    def held_on(self, digest: int, n_live: int) -> "LiveStore | None":
+        """The store live words on that support score against: this one
+        or :attr:`core`, whichever it names; ``None`` for neither."""
+        for store in (self, self.core):
+            if store is not None and (digest, n_live) == (
+                store.digest, store.n_live
+            ):
+                return store
+        return None
 
-        The one normaliser of query shapes: live words on ``M`` pass
-        through (``ValueError`` for live words on another support); a
-        :class:`PackedHV` gives its :attr:`~PackedHV.live` when that
-        names ``M``, else its sign plane gathered once when every row's
-        magnitude plane is ``M``.  ``None`` when a plane row is off the
-        support: the caller takes the general formula.
+    def live_of(self, queries) -> LiveHV | None:
+        """``queries`` as live words on this store's ``M`` or its core.
+
+        The one normaliser of query shapes: live words on either
+        support pass through (``ValueError`` for live words on another
+        support); a :class:`PackedHV` gives its :attr:`~PackedHV.core`
+        or :attr:`~PackedHV.live` words when they name one, else its
+        sign plane gathered once when every row's magnitude plane is
+        ``M``.  ``None`` when a plane row is off the support: the
+        caller takes the general formula.
         """
-        live = queries.live if isinstance(queries, PackedHV) else queries
-        if isinstance(queries, PackedHV) and (
-            live is None or live.digest != self.digest
-        ):
+        if isinstance(queries, PackedHV):
+            for live in (queries.core, queries.live):
+                if live is not None and self.held_on(
+                    live.digest, live.n_live
+                ) is not None:
+                    return live
             if not (queries.mags == self.support).all():
                 return None
             words = self.gather(queries.signs)
             return LiveHV(words, self.d, self.n_live, self.digest)
-        if live.digest != self.digest or live.n_live != self.n_live:
+        if self.held_on(queries.digest, queries.n_live) is None:
             raise ValueError(
-                f"live queries name support {live.digest:#018x} "
-                f"(n_live={live.n_live}) but the class store is held on "
+                f"live queries name support {queries.digest:#018x} "
+                f"(n_live={queries.n_live}) but the class store is held on "
                 f"{self.digest:#018x} (n_live={self.n_live})"
             )
-        return live
+        return queries
 
 
-def compact_store(store):
+def _core_store(held: LiveStore, signs, plane, offsets) -> LiveStore:
+    """:func:`compact_store`'s core: ``signs`` on ``plane`` with ``offsets``.
+
+    ``ValueError`` unless ``plane`` is a uint64 sub-plane of ``held``'s
+    support and each int64 offset is a possible score on the rest.
+    """
+    plane, offsets = np.asarray(plane), np.asarray(offsets)
+    fits = (
+        plane.dtype == np.uint64
+        and plane.shape == held.support.shape
+        and offsets.dtype == np.int64
+        and offsets.shape == (len(signs),)
+    )
+    if fits:
+        core = LiveStore(held.words, _frozen(plane), held.d, _frozen(offsets))
+        free = held.n_live - core.n_live
+        fits = (
+            not (plane & ~held.support).any()
+            and (np.abs(offsets) <= free).all()
+            and ((offsets - free) % 2 == 0).all()
+        )
+    if not fits:
+        raise ValueError("the core plane and offsets do not fit the store")
+    return replace(core, words=_frozen(core.gather(signs)))
+
+
+def compact_store(store, core=None):
     """``store`` held as a :class:`LiveStore` when its rows share one support.
 
     Every row of a bipolar class store, and of a §III-C masked one,
@@ -541,19 +612,30 @@ def compact_store(store):
     kernel results and saved bytes (through :meth:`LiveStore.expand`)
     do not change.
 
+    ``core`` is ``(plane, offsets)``: a sub-plane of the support and
+    the per-class offsets of the dimensions it leaves out, held as
+    :attr:`LiveStore.core`.  ``ValueError`` when the plane is not
+    inside the support, the offsets do not fit it, or the rows do not
+    share one support.
+
     Meant for class stores, which are made once and scored many times.
     """
     if not isinstance(store, PackedHV) or store.n == 0:
         return store
-    if not (store.mags == store.mags[0]).all():
+    shared = (store.mags == store.mags[0]).all()
+    if not shared and core is None:
         return store
     held = LiveStore(
         words=np.empty((0, 0), dtype=np.uint64),
         support=_frozen(store.mags[0]),
         d=store.d,
     )
+    if core is not None:
+        if not shared:
+            raise ValueError("a core needs rows that share one support")
+        core = _core_store(held, store.signs, *core)
     words = _frozen(held.gather(store.signs))
-    return LiveStore(words=words, support=held.support, d=store.d)
+    return LiveStore(words=words, support=held.support, d=store.d, core=core)
 
 
 def expand_live(queries: LiveHV, support: np.ndarray) -> PackedHV:
@@ -638,22 +720,25 @@ _SCRATCH = threading.local()
 def xor_dot_rows(
     q_signs: np.ndarray,
     c_signs,
-    n_live,
+    base,
     tenant_of_row: np.ndarray | None = None,
 ) -> np.ndarray:
-    """Shared-support dots ``n_live − 2·popcount(q ^ c)``, int64.
+    """Shared-support dots ``base − 2·popcount(q ^ c)``, int64.
 
     ``q_signs`` is ``(N, W)``; ``c_signs`` is one ``(C, W)`` store
-    scored against every row, or — with ``tenant_of_row`` — a sequence
+    scored against every row, with ``base`` its ``(C,)``
+    :attr:`LiveStore.base`, or — with ``tenant_of_row`` — a sequence
     of U ``(C, W)`` stores from which each row takes its own tenant's
-    (``n_live`` then is a ``(U,)`` array).  Both sides are live words
-    on the same support (:class:`LiveStore`).  Rows run in tiles of about
+    (``base`` then is ``(U, C)``).  Both sides are live words on the
+    same support (:class:`LiveStore`).  Rows run in tiles of about
     :data:`TILE_WORDS` words whose XOR and popcount reuse a per-thread
-    scratch, so a warm call faults no fresh heap.
+    scratch, so a warm call faults no fresh heap.  Per-word popcounts
+    sum in ``uint16`` while a row's ``64·W`` bits fit it, else int64.
     """
     n, w = q_signs.shape
     n_classes = (c_signs if tenant_of_row is None else c_signs[0]).shape[0]
-    out = np.empty((n, n_classes), dtype=np.int64)
+    acc = np.uint16 if w * WORD_BITS < 1 << 16 else np.int64
+    out = np.empty((n, n_classes), dtype=acc)
     step = max(1, TILE_WORDS // max(1, n_classes * w))
     words = min(step, n) * n_classes * w
     if getattr(_SCRATCH, "words", -1) < words:
@@ -673,9 +758,10 @@ def xor_dot_rows(
                     q_signs[s + i], c_signs[tenant_of_row[s + i]], out=xor[i]
                 )
         counts = popcount(xor, out=pop_buf[:size].reshape(xor.shape))
-        counts.sum(axis=2, dtype=np.int64, out=out[s : s + rows])
-    live = n_live if tenant_of_row is None else n_live[tenant_of_row][:, None]
-    return live - 2 * out
+        counts.sum(axis=2, dtype=acc, out=out[s : s + rows])
+    dots = np.multiply(out, -2, dtype=np.int64)
+    dots += base if tenant_of_row is None else base[tenant_of_row]
+    return dots
 
 
 def _dot_operands(a, b):
@@ -683,7 +769,9 @@ def _dot_operands(a, b):
 
     When ``b``'s rows share one magnitude plane ``M`` (a
     :class:`LiveStore`, or planes :func:`compact_store` compacts) and
-    ``a`` is on it, ``(LiveHV, LiveStore)`` (:meth:`LiveStore.live_of`);
+    ``a`` is on it or on its core, ``(LiveHV, LiveStore)`` — the store
+    that support holds (:meth:`LiveStore.live_of`,
+    :meth:`LiveStore.held_on`);
     otherwise both as planes, for the general ternary formula.  The
     prologue :func:`packed_dot_matrix` and its compiled twin share.
     """
@@ -692,7 +780,7 @@ def _dot_operands(a, b):
     if isinstance(store, LiveStore):
         live = store.live_of(a)
         if live is not None:
-            return live, store
+            return live, store.held_on(live.digest, live.n_live)
         b = store.expand() if b is store else b
     if isinstance(a, LiveHV):
         raise ValueError(
@@ -714,7 +802,7 @@ def packed_dot_matrix(a, b) -> np.ndarray:
     """
     a, b = _dot_operands(a, b)
     if isinstance(a, LiveHV):
-        return xor_dot_rows(a.words, b.words, b.n_live)
+        return xor_dot_rows(a.words, b.words, b.base)
     if b.n <= a.n:
         return _dot_loop(a, b)
     return _dot_loop(b, a).T
@@ -735,6 +823,8 @@ def packed_class_scores(
     queries: PackedHV,
     class_store: PackedHV,
     class_norms: np.ndarray | None = None,
+    *,
+    dot=packed_dot_matrix,
 ) -> np.ndarray:
     """Eq. (4) class scores on packed operands, shape ``(n, n_classes)``.
 
@@ -748,6 +838,8 @@ def packed_class_scores(
     dots are ``n_live − 2·popcount(live(q) ^ live(c))``: one XOR and
     one popcount per live word.  Any other batch takes the general
     ternary formula; the two agree exactly wherever both apply.
+    ``dot`` computes the integer dots (the compiled backend passes its
+    own).
     """
     if class_norms is None:
         class_norms = packed_norms(class_store)
@@ -757,8 +849,7 @@ def packed_class_scores(
             f"class_norms must have shape ({class_store.n},), "
             f"got {class_norms.shape}"
         )
-    dots = packed_dot_matrix(queries, class_store).astype(np.float64)
-    return dots / class_norms
+    return dot(queries, class_store).astype(np.float64) / class_norms
 
 
 def packed_hamming_matrix(a: PackedHV, b: PackedHV) -> np.ndarray:

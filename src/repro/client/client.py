@@ -323,17 +323,49 @@ class PriveHDClient:
             return None
         return support_of(keep)[1]
 
-    def _on_wire(self, queries):
-        """``queries`` without live words the server would not place.
+    @property
+    def _ships_core(self) -> bool:
+        """Whether rows ship as core words: the server holds the core
+        this client's obfuscator packs on (v6 ``ModelInfo``)."""
+        core = self.info.core_digest
+        return core is not None and core == self.obfuscator.core_digest
 
-        Live words on another support (a client masking on its own
-        against an unpruned model, say) ship as the planes instead.
+    def _is_core(self, queries) -> bool:
+        """Whether ``queries`` are core words on the core the server
+        named last (:attr:`~repro.proto.ModelInfo.core_digest`)."""
+        return isinstance(queries, LiveHV) and (
+            queries.digest == self.info.core_digest
+        )
+
+    def _core_dropped(self) -> bool:
+        """Re-read the model after it refused core words (:meth:`_is_core`).
+
+        A model republished without that core (an artifact built
+        without the encoder, say) answers them with ``bad-request``.
+        Returns whether the fresh :class:`~repro.proto.ModelInfo` no
+        longer names it: then the same rows can go again, as live
+        words or planes (:meth:`_on_wire`).  Needs no request in flight.
         """
-        if (
-            isinstance(queries, PackedHV)
-            and queries.live is not None
-            and queries.live.digest != self._live_digest
-        ):
+        digest = self.info.core_digest
+        self.info = self.model_info()
+        self._live_digest = self._served_support_digest()
+        return self.info.core_digest != digest
+
+    def _on_wire(self, queries):
+        """What of ``queries`` ships: the fewest bits the server places.
+
+        Core words on the core the server holds (protocol v6
+        :attr:`~repro.proto.ModelInfo.core_digest`) ship alone; live
+        words on another support (a client masking on its own against
+        an unpruned model, say) ship as the planes instead.
+        """
+        if not isinstance(queries, PackedHV):
+            return queries
+        core = queries.core
+        if core is not None and core.digest == self.info.core_digest:
+            return core
+        live = queries.live
+        if live is not None and live.digest != self._live_digest:
             return PackedHV(queries.signs, queries.mags, queries.d)
         return queries
 
@@ -563,17 +595,21 @@ class PriveHDClient:
                 f"expects d_in={self.encoder.d_in}"
             )
         if self.obfuscator.quantizer.packable:
-            return self._on_wire(self.obfuscator.prepare_packed(X))
+            # Pack only the words that ship: core words to a server
+            # holding this core, live words (or planes) otherwise.
+            return self._on_wire(self.obfuscator.prepare_packed(
+                X, live=not self._ships_core, core=self._ships_core
+            ))
         return self.obfuscator.prepare(X).astype(np.float32)
 
     def predict(self, X: np.ndarray) -> np.ndarray:
         """Labels for raw features; only obfuscated bits cross the wire."""
-        return self._score(self._prepare_wire_queries(X)).predictions
+        return self._score(lambda: self._prepare_wire_queries(X)).predictions
 
     def scores(self, X: np.ndarray) -> np.ndarray:
         """Eq. (4) score matrix for raw features (obfuscated on-wire)."""
         return self._score(
-            self._prepare_wire_queries(X), want_scores=True
+            lambda: self._prepare_wire_queries(X), want_scores=True
         ).scores
 
     # ------------------------------------------------------------------
@@ -603,16 +639,17 @@ class PriveHDClient:
         :class:`~repro.core.InferenceObfuscator`); dimensionality is
         validated against the server's ``d_hv``.
         """
-        return self._score(self._check_encoded(queries)).predictions
+        return self._score(lambda: self._check_encoded(queries)).predictions
 
     def scores_encoded(self, queries) -> np.ndarray:
         """Score matrix for already-encoded queries."""
         return self._score(
-            self._check_encoded(queries), want_scores=True
+            lambda: self._check_encoded(queries), want_scores=True
         ).scores
 
     def _pipelined_requests(
-        self, n_items: int, window: int, build_message, expected: tuple
+        self, n_items: int, window: int, build_message, expected: tuple,
+        restack=None,
     ) -> list:
         """The sliding-window pipeline every bulk entry point shares.
 
@@ -630,12 +667,20 @@ class PriveHDClient:
         ``retry_after_ms``; a dead connection reconnects and replays
         every unacknowledged item (safe — all idempotent reads), each
         with a per-item attempt budget.
+
+        Core words refused with ``bad-request`` (the model was
+        republished without that core) hold further sends until the
+        window drains; then :meth:`_core_dropped` re-reads the model,
+        ``restack()`` (when given) rebuilds what ``build_message``
+        reads, and the refused items go again as live words or planes.
         """
         out: list = [None] * n_items
         index_of: dict[int, int] = {}
         attempts = [0] * n_items
         to_send: deque[int] = deque(range(n_items))
         completed = 0
+        core_ids: set[int] = set()  # in-flight requests of core words
+        refused = None  # a bad-request refusing core words
 
         def recover(idx_attempt: int, *, retry_after_ms=None):
             # One more attempt for item idx_attempt, or give up loudly.
@@ -650,13 +695,21 @@ class PriveHDClient:
 
         while completed < n_items:
             try:
-                while to_send and len(index_of) < window:
+                if refused is not None and not index_of:
+                    if not self._core_dropped():
+                        raise self._typed_error(refused)
+                    refused = None
+                    if restack is not None:
+                        restack()
+                while to_send and len(index_of) < window and refused is None:
                     idx = to_send[0]
                     rid = self._next_id()
                     # Building may raise (user data); only after it
                     # succeeds is the item claimed from the queue.
                     msg = build_message(idx, rid)
                     index_of[rid] = idx
+                    if self._is_core(getattr(msg, "queries", None)):
+                        core_ids.add(rid)
                     to_send.popleft()
                     self._send_message(msg, version=self.protocol_version)
                 reply = self._read_message()
@@ -676,8 +729,11 @@ class PriveHDClient:
                 self._backoff(max((attempts[i] for i in survivors), default=1))
                 self._reconnect()
                 index_of.clear()
+                core_ids.clear()
                 to_send.extendleft(reversed(survivors))
                 continue
+            core = reply.request_id in core_ids
+            core_ids.discard(reply.request_id)
             if isinstance(reply, ErrorReply):
                 idx = index_of.pop(reply.request_id, None)
                 if (
@@ -686,6 +742,10 @@ class PriveHDClient:
                     and recover(idx, retry_after_ms=reply.retry_after_ms)
                 ):
                     to_send.append(idx)  # resend after the backoff
+                    continue
+                if idx is not None and core and reply.code == "bad-request":
+                    refused = reply
+                    to_send.appendleft(idx)  # again once the window drains
                     continue
                 raise self._typed_error(reply)
             if not isinstance(reply, expected):
@@ -707,24 +767,29 @@ class PriveHDClient:
 
         A group is all :class:`PackedHV` or all dense.  However many
         sub-batches it holds, it gets one ``d_hv`` check and one
-        concatenate per plane — at v5, when every sub-batch carries live
-        words on the served support, one concatenate of those instead.
+        concatenate per plane — at v6, when every sub-batch carries core
+        words on the core the server holds, one concatenate of those
+        instead, and at v5 of live words on the served support.
         """
         if all(isinstance(b, PackedHV) for b in items):
             self._check_d_hv({b.d for b in items})
             counts = tuple(len(b.signs) for b in items)
             if len(items) == 1:
                 return self._on_wire(items[0]), counts
-            if self.protocol_version >= 5 and all(
-                b.live is not None and b.live.digest == self._live_digest
-                for b in items
+            for kind, digest in (
+                ("core", self.info.core_digest),
+                ("live", self._live_digest if self.protocol_version >= 5
+                 else None),
             ):
-                first = items[0].live
-                block = LiveHV(
-                    np.concatenate([b.live.words for b in items]),
-                    first.d, first.n_live, first.digest,
-                )
-                return block, counts
+                parts = [getattr(b, kind) for b in items]
+                if digest is not None and all(
+                    p is not None and p.digest == digest for p in parts
+                ):
+                    block = LiveHV(
+                        np.concatenate([p.words for p in parts]),
+                        parts[0].d, parts[0].n_live, digest,
+                    )
+                    return block, counts
             block = PackedHV(
                 signs=np.concatenate([b.signs for b in items]),
                 mags=np.concatenate([b.mags for b in items]),
@@ -770,8 +835,15 @@ class PriveHDClient:
         if wire_batch < 1:
             raise ValueError(f"wire_batch must be >= 1, got {wire_batch}")
         batches = list(batches)
+        # Each batch (or group) is checked and stacked before the first
+        # frame leaves, and again if the server drops its core.
+        checked, groups = [], []
+
+        def restack():
+            checked[:] = [self._check_encoded(b) for b in batches]
+
         if wire_batch == 1 or self.protocol_version < 2:
-            checked = [self._check_encoded(b) for b in batches]
+            restack()
             replies = self._pipelined_requests(
                 len(checked),
                 window,
@@ -783,14 +855,17 @@ class PriveHDClient:
                     deadline_ms=self._deadline_ms(),
                 ),
                 (ScoreResponse,),
+                restack,
             )
             return [reply.predictions for reply in replies]
-        # v2 path: groups of wire_batch sub-batches per frame, each
-        # checked and stacked before the first frame leaves.
-        groups = [
-            self._stack_group(batches[start : start + wire_batch])
-            for start in range(0, len(batches), wire_batch)
-        ]
+
+        def restack():  # v2 path: wire_batch sub-batches per frame
+            groups[:] = [
+                self._stack_group(batches[start : start + wire_batch])
+                for start in range(0, len(batches), wire_batch)
+            ]
+
+        restack()
 
         def build(i: int, rid: int) -> ScoreBatchRequest:
             block, counts = groups[i]
@@ -804,7 +879,7 @@ class PriveHDClient:
             )
 
         replies = self._pipelined_requests(
-            len(groups), window, build, (ScoreBatchResponse,)
+            len(groups), window, build, (ScoreBatchResponse,), restack
         )
         out: list[np.ndarray] = []
         for (_, counts), reply in zip(groups, replies):
@@ -879,16 +954,31 @@ class PriveHDClient:
         )
         return np.concatenate([reply.predictions for reply in replies])
 
-    def _score(self, queries, *, want_scores: bool = False) -> ScoreResponse:
-        request = ScoreRequest(
-            queries=queries,
-            model=self.model,
-            tenant=self.tenant,
-            want_scores=want_scores,
-            request_id=self._next_id(),
-            deadline_ms=self._deadline_ms(),
-        )
-        reply = self._request(request)
+    def _score(
+        self, make_queries, *, want_scores: bool = False
+    ) -> ScoreResponse:
+        """One request of ``make_queries()``, made again when the server
+        refused core words it no longer holds (:meth:`_core_dropped`)."""
+        while True:
+            queries = make_queries()
+            request = ScoreRequest(
+                queries=queries,
+                model=self.model,
+                tenant=self.tenant,
+                want_scores=want_scores,
+                request_id=self._next_id(),
+                deadline_ms=self._deadline_ms(),
+            )
+            try:
+                reply = self._request(request)
+                break
+            except ServerError as exc:
+                if not (
+                    exc.code == "bad-request"
+                    and self._is_core(queries)
+                    and self._core_dropped()
+                ):
+                    raise
         if not isinstance(reply, ScoreResponse):
             raise ProtocolError(
                 f"expected ScoreResponse, got {type(reply).__name__}"

@@ -182,7 +182,9 @@ class InferenceObfuscator:
         )
         return PackedHV(packed.signs, packed.mags, packed.d, live=live)
 
-    def prepare_packed(self, X: np.ndarray) -> PackedHV:
+    def prepare_packed(
+        self, X: np.ndarray, *, live: bool = True, core: bool = True
+    ) -> PackedHV:
         """Encode → quantize → mask → bit-pack: the packed offload path.
 
         Unpacks to exactly ``prepare(X)``, so host-side decisions are
@@ -192,16 +194,30 @@ class InferenceObfuscator:
         the kept dimensions that some level flips (a private column plan
         of the encoder, built on first use), their sign bits land in the
         full-width layout over the fixed signs of the kept level-invariant
-        dimensions, and the magnitude plane is the keep mask.  Other
-        packable quantizers need the encoding's magnitudes: they quantize
-        ``encode(X)``, which on a level-base encoder is the same count
-        as float32.
+        dimensions, and the magnitude plane is the keep mask.  The rows
+        then carry their live words and their core words
+        (:attr:`~repro.backend.PackedHV.core`, on :attr:`core_digest`);
+        ``live=False`` or ``core=False`` skips packing one of them (a
+        client ships only one).  Other packable quantizers need the
+        encoding's magnitudes: they quantize ``encode(X)``, which on a
+        level-base encoder is the same count as float32.
         """
         if self._emits_sign_planes:
-            if self._live_plan is None:
-                self._live_plan = self.encoder._column_plan(self.keep_mask)
-            return self.encoder._bipolar_planes(X, self._live_plan, None)
+            return self.encoder._bipolar_planes(
+                X, self._plan(), None, live=live, core=core
+            )
         return self.obfuscate_packed(self.encoder.encode(X))
+
+    def _plan(self):
+        if self._live_plan is None:
+            self._live_plan = self.encoder._column_plan(self.keep_mask)
+        return self._live_plan
+
+    @property
+    def core_digest(self) -> int | None:
+        """Digest of the core support :meth:`prepare_packed` rows carry
+        core words on; ``None`` when they carry none."""
+        return self._plan().core_digest if self._emits_sign_planes else None
 
     # ------------------------------------------------------------------
     def evaluate_accuracy(

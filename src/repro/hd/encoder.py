@@ -304,6 +304,13 @@ class _ColumnPlan(NamedTuple):
         ``(n_words(n_live),)`` uint64 — ``fixed_signs`` in the live words.
     n_live, digest:
         The selection's size and :func:`~repro.backend.packed.support_digest`.
+    core_ranks:
+        ``(rows, width)`` int64 — each grid slot's bit in the core words:
+        its column's rank among the counted columns, which make up the
+        *core* support (the selected columns some level flips).
+    core, n_core, core_digest:
+        The core support plane ``(n_words(d_hv),)`` uint64, its size
+        and its digest.
     """
 
     cols: np.ndarray
@@ -316,6 +323,10 @@ class _ColumnPlan(NamedTuple):
     fixed_live: np.ndarray
     n_live: int
     digest: int
+    core_ranks: np.ndarray
+    core: np.ndarray
+    n_core: int
+    core_digest: int
 
 
 class LevelBaseEncoder(Encoder):
@@ -390,7 +401,7 @@ class LevelBaseEncoder(Encoder):
                 "flip chain: it must flip sign at most once and never back"
             )
         varies = flipped[-1]  # on a chain, a flipped column stays flipped
-        cols = np.flatnonzero(sel & varies)
+        core_cols = cols = np.flatnonzero(sel & varies)
         at = flipped[:, cols].argmax(axis=0)
         cols = cols[np.argsort(at, kind="stable")]
         levels, sizes = np.unique(at, return_counts=True)
@@ -407,6 +418,7 @@ class LevelBaseEncoder(Encoder):
         ).astype(np.float32)
         fixed_bits = ~varies & (fixed >= 0)
         support, digest = support_of(sel)
+        core, core_digest = support_of(sel & varies)
         return _ColumnPlan(
             cols=grid,
             flip=levels.astype(np.int64),
@@ -418,6 +430,10 @@ class LevelBaseEncoder(Encoder):
             fixed_live=pack_sign_planes(fixed_bits[sel])[0],
             n_live=int(sel.sum()),
             digest=digest,
+            core_ranks=np.searchsorted(core_cols, grid),
+            core=core,
+            n_core=core_cols.size,
+            core_digest=core_digest,
         )
 
     @staticmethod
@@ -519,21 +535,28 @@ class LevelBaseEncoder(Encoder):
         values have no zeros).  ``native`` selects the compiled count as
         in :meth:`encode_packed`.
         """
-        return self._bipolar_planes(X, self._column_plan(), native)
+        return self._bipolar_planes(
+            X, self._column_plan(), native, live=True, core=False
+        )
 
-    def _bipolar_planes(self, X, plan: _ColumnPlan, native: bool | None):
+    def _bipolar_planes(
+        self, X, plan: _ColumnPlan, native: bool | None, *, live: bool,
+        core: bool,
+    ):
         """Bipolar encoding of ``X`` on the plan's support, zero elsewhere.
 
         The count runs on the plan's flipping columns only; their sign
         bits are scattered into the ``d_hv``-wide layout over the fixed
-        sign bits of its other columns, and in the same pass into the
-        live words (the support's bits only, see
-        :class:`~repro.backend.packed.LiveHV`).  The magnitude plane is
-        the support, so the result packs like the dense encoding
-        quantized to bipolar and then zeroed off the support.  On a
-        full support the live words are the sign plane itself.
+        sign bits of its other columns, and in the same pass, with
+        ``live``, into the live words (the support's bits only, see
+        :class:`~repro.backend.packed.LiveHV`) and, with ``core``, into
+        the core words (the flipping columns' bits only,
+        :attr:`PackedHV.core`).  The magnitude plane is the support, so
+        the result packs like the dense encoding quantized to bipolar
+        and then zeroed off the support.  On a full support the live
+        words are the sign plane itself.
         """
-        from repro.backend.packed import LiveHV, PackedHV
+        from repro.backend.packed import LiveHV, PackedHV, n_words
 
         idx = self._level_indices(X)
         n = idx.shape[0]
@@ -541,36 +564,51 @@ class LevelBaseEncoder(Encoder):
         if self._use_native(native):
             from repro.backend.native import native_level_encode_signs
 
-            signs, live = native_level_encode_signs(
+            signs, live_words, core_words = native_level_encode_signs(
                 idx, self.n_levels, plan.flip, plan.agree, plan.cols,
                 plan.fixed, plan.fixed_signs, plan.ranks, plan.fixed_live,
+                plan.core_ranks, plan.n_core,
             )
         else:
             signs = np.repeat(plan.fixed_signs[None, :], n, axis=0)
-            live = np.repeat(
-                plan.fixed_live[None, :], 0 if full else n, axis=0
+            live_words = np.repeat(
+                plan.fixed_live[None, :], n if live and not full else 0, axis=0
+            )
+            core_words = np.zeros(
+                (n if core else 0, n_words(plan.n_core)), dtype=np.uint64
             )
             if plan.cols.size:
                 cols = plan.cols.reshape(-1)
-                ranks = plan.ranks.reshape(-1)
+                # Each word set's bits at its ranks; rows overwrite the
+                # same bits, so one buffer per set serves every row.
+                slots = [
+                    (w, r.reshape(-1), np.zeros(64 * w.shape[1], bool))
+                    for w, r in (
+                        (live_words, plan.ranks),
+                        (core_words, plan.core_ranks),
+                    )
+                    if len(w)
+                ]
                 bits = np.zeros(signs.shape[1] * 64, dtype=bool)
-                live_bits = np.zeros(live.shape[1] * 64, dtype=bool)
                 for i, h in enumerate(self._flip_chain_rows(idx, plan)):
                     positive = h >= 0
                     bits[cols] = positive
                     signs[i] |= np.packbits(bits, bitorder="little").view(
                         np.uint64
                     )
-                    if not full:
-                        live_bits[ranks] = positive
-                        live[i] |= np.packbits(
-                            live_bits, bitorder="little"
-                        ).view(np.uint64)
+                    for words, ranks, at in slots:
+                        at[ranks] = positive
+                        words[i] |= np.packbits(at, bitorder="little").view(
+                            np.uint64
+                        )
         mags = np.repeat(plan.support[None, :], n, axis=0)
         live = LiveHV(
-            signs if full else live, self.d_hv, plan.n_live, plan.digest
-        )
-        return PackedHV(signs=signs, mags=mags, d=self.d_hv, live=live)
+            signs if full else live_words, self.d_hv, plan.n_live, plan.digest
+        ) if live else None
+        core = LiveHV(
+            core_words, self.d_hv, plan.n_core, plan.core_digest
+        ) if core else None
+        return PackedHV(signs, mags, self.d_hv, live=live, core=core)
 
     def __getstate__(self):
         # Pickle at codebook size: the column plan rebuilds on first use

@@ -28,7 +28,9 @@ the default tenant, so downgraded peers are served exactly as before.
 Protocol **v5** adds the ``live`` query payload: a
 :class:`~repro.backend.packed.LiveHV` of the sign bits at the support
 plane's set positions, which the codec ships in place of the planes of
-any :class:`~repro.backend.PackedHV` that carries them.
+any :class:`~repro.backend.PackedHV` that carries them.  Protocol **v6**
+extends :class:`ModelInfo` with the digest of the model's core support,
+whose live words a client may ship instead.
 
 >>> req = ScoreRequest(queries=packed_queries, request_id=7)
 >>> frame = encode_message(req)                    # bytes for the wire
@@ -557,6 +559,15 @@ class ModelInfo:
         dead server-side — information the server already holds —
         never anything about the client's features.  ``None`` on v1
         connections and for unpruned or seedless artifacts.
+    core_digest:
+        Protocol v6: the :func:`~repro.backend.packed.support_digest` of
+        the model's core support
+        (:attr:`~repro.backend.packed.LiveStore.core`), when it holds
+        one.  A client cannot derive it without the encoder, and a
+        client with the encoder could not tell whether the server holds
+        the core; rows whose :attr:`~repro.backend.PackedHV.core` words
+        name this digest ship those words.  ``None`` below v6 and for
+        models without a core.
     """
 
     name: str
@@ -569,6 +580,7 @@ class ModelInfo:
     epsilon: float = float("inf")
     mask_seed: int | None = None
     request_id: int = 0
+    core_digest: int | None = None
 
     @property
     def is_pruned(self) -> bool:
@@ -855,6 +867,12 @@ def _write_model_info(msg: ModelInfo, w: VectoredWriter, version: int) -> None:
         w.pack("!dB", msg.epsilon, 0)
     else:
         w.pack("!dBQ", msg.epsilon, 1, msg.mask_seed)
+    if version < 6:
+        return
+    if msg.core_digest is None:
+        w.pack("!B", 0)
+    else:
+        w.pack("!BQ", 1, msg.core_digest)
 
 
 def _read_model_info(r: PayloadReader, version: int) -> ModelInfo:
@@ -863,13 +881,15 @@ def _read_model_info(r: PayloadReader, version: int) -> ModelInfo:
     version_field, n_classes, d_hv, n_live_dims = r.unpack("!IIII")
     backend = r.string() or ""
     query_quantizer = r.string()
-    mask_seed = None
+    mask_seed = core_digest = None
     if version < 2:
         (epsilon,) = r.unpack("!d")
     else:
         epsilon, has_seed = r.unpack("!dB")
         if has_seed:
             (mask_seed,) = r.unpack("!Q")
+    if version >= 6 and r.unpack("!B")[0]:
+        (core_digest,) = r.unpack("!Q")
     return ModelInfo(
         name=name,
         version=version_field,
@@ -881,6 +901,7 @@ def _read_model_info(r: PayloadReader, version: int) -> ModelInfo:
         epsilon=epsilon,
         mask_seed=mask_seed,
         request_id=request_id,
+        core_digest=core_digest,
     )
 
 

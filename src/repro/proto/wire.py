@@ -121,11 +121,18 @@ MAGIC = b"HD"
 #:   2,512 B per row with 5,000 of 10,000 dimensions live).  The
 #:   planes and dense kinds are unchanged; a live payload stamped
 #:   below v5 is a :class:`ProtocolError`.
-PROTOCOL_VERSION = 5
+#: * **v6** — extends ``ModelInfo`` with the digest of the model's
+#:   *core* support, when it holds one: the live dimensions some level
+#:   of the flip chain flips, whose bits are all that depend on the
+#:   query.  A client whose rows carry core words on that digest ships
+#:   them as an ordinary ``live`` payload (312 B instead of 632 B per
+#:   row at 2,484 of 5,000 live dimensions); frame layouts are
+#:   unchanged.
+PROTOCOL_VERSION = 6
 
 #: every version this build can decode (negotiation picks the highest
 #: common entry)
-SUPPORTED_VERSIONS = (1, 2, 3, 4, 5)
+SUPPORTED_VERSIONS = (1, 2, 3, 4, 5, 6)
 
 #: magic(2) + version(1) + frame type(1) + payload length(4, big-endian)
 HEADER_SIZE = 8

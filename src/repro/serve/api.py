@@ -23,11 +23,12 @@ Every query path is micro-batched through a
 tenant's registry *per flush*, so registry mutations (publish / promote
 / rollback) hot-swap between flushes with zero dropped requests.
 Bit-packed queries have one coalescing shape: protocol-v5 live words,
-and plane rows on the support of a store held as live words (gathered
-once at submit), ride the scheduler as ``[words | support digest |
-tenant_index]`` rows; tenants sharing an encoder config share one
-scheduler, and a flush that mixes tenants is scored by one fused
-kernel (:func:`~repro.serve.fleet.fused_tenant_scores`).  Plane rows
+plane rows on the support of a store held as live words (gathered
+once at submit), and v6 core words ride the scheduler as ``[words |
+support digest | tenant_index]`` rows; tenants sharing an encoder
+config share one scheduler per row width, and a flush that mixes
+tenants is scored by one fused kernel
+(:func:`~repro.serve.fleet.fused_tenant_scores`).  Plane rows
 off the support ride their tenant's own scheduler as ``[signs | mags]``
 and take the engine's general formula.
 """
@@ -216,14 +217,15 @@ class ServingAPI:
         ``respond(rows, name, version_key)``, built in the flusher
         thread right after the flush.  Bit-packed queries stay packed
         through the micro-batcher in one of two shapes.  Live words
-        (:class:`~repro.backend.packed.LiveHV`, checked against the
-        model's support here) ride as ``[words | support digest |
-        tenant_index]`` rows, and so do plane rows on the support of a
+        (:class:`~repro.backend.packed.LiveHV`, checked here against the
+        model's support or its core) ride as ``[words | support digest
+        | tenant_index]`` rows, and so do plane rows on the support of a
         store held as live words, gathered once here
         (:meth:`~repro.backend.packed.LiveStore.live_of`); only these
-        rows coalesce across tenants.  Plane rows left over (off the
-        support, or a store not held as live words) ride their tenant's
-        own scheduler as ``[signs | mags]``, 16x smaller than dense.
+        rows coalesce across tenants, queued by their live-dimension
+        count.  Plane rows left over (off the support, or a store not
+        held as live words) ride their tenant's own scheduler as
+        ``[signs | mags]``, 16x smaller than dense.
         Raises :class:`~repro.serve.TenantNotFound` for unknown tenants,
         ``KeyError`` for unknown models within a hosted tenant,
         ``ValueError`` for shape mismatches, and the scheduler's
@@ -243,32 +245,26 @@ class ServingAPI:
                 f"queries have {d_hv} dimensions but tenant "
                 f"{record.name!r} model {name!r} serves {engine.d_hv}"
             )
-        if isinstance(queries, LiveHV):
-            engine.check_live(queries)
-        elif packed and engine.live_in_place:
+        if packed and not isinstance(queries, LiveHV) and engine.live_in_place:
             on_support = engine.prepared.store.live_of(queries)
             if on_support is not None:
                 queries = on_support
         if isinstance(queries, LiveHV):
+            engine.check_live(queries)
             method += "_live"
+            # Live rows are n_words(n_live) + 2 wide, and keep and core
+            # words (or a hot-swap) differ in n_live: the count keys the
+            # queue, so rows of different widths never meet in one flush.
+            if self.coalesce and engine.coalesce_key and name == record.model:
+                key = ("group", *engine.coalesce_key, queries.n_live, method)
+            else:
+                key = ("tenant", record.name, name, queries.n_live, method)
             index = np.full((queries.n, 1), record.index, dtype=np.uint64)
             queries = np.concatenate(
                 [queries.words, np.full_like(index, queries.digest), index],
                 axis=1,
             )
             run = self._run_live
-            if (
-                self.coalesce
-                and engine.coalesce_key is not None
-                and name == record.model
-            ):
-                key = ("group", *engine.coalesce_key, method)
-            else:
-                # Live rows are n_words(n_live) + 2 wide and a hot-swap
-                # may change n_live: the width keys the queue, so rows
-                # of different widths never meet in one flush (a group
-                # key carries it as its live-dimension count).
-                key = ("tenant", record.name, name, engine.n_live, method)
         elif packed:
             method += "_packed"
             queries = np.concatenate([queries.signs, queries.mags], axis=1)
@@ -364,32 +360,41 @@ class ServingAPI:
     def _run_live(self, rows: np.ndarray, key: tuple) -> np.ndarray:
         """Flush runner for ``[live words | digest | tenant_index]`` rows.
 
-        Every row's support digest is checked again against its
-        tenant's model *at flush time*, so a hot-swap to another keep
-        mask between submit and flush fails that tenant's requests of
-        the flush with a typed ``bad-request`` (:meth:`_answered`)
-        instead of scoring bits on the wrong dimensions; the other
-        tenants' rows are still scored.  A flush whose rows all belong
-        to one tenant is scored by that tenant's own engine.  A
-        mixed-tenant flush — possible on a shared-config ``"group"``
-        scheduler — stacks the tenants' class stores and makes one
-        :func:`fused_tenant_scores` call, unless a hot-swap since
-        submit left the engines in different groups or some rows
-        stale: then each tenant's rows are scored by its own engine,
-        narrower scores padded with ``-inf`` (argmax unchanged) and
-        trimmed back per response.
+        Every row's support digest — the keep support or the core — is
+        resolved again against its tenant's model *at flush time*
+        (:meth:`~repro.serve.InferenceEngine.held_on`), so a hot-swap to
+        another keep mask (or to a store without that core) between
+        submit and flush fails that tenant's requests of the flush with
+        a typed ``bad-request`` (:meth:`_answered`) instead of scoring
+        bits on the wrong dimensions; the other tenants' rows are still
+        scored.  A flush whose rows all belong to one tenant is scored
+        by that tenant's own engine.  A mixed-tenant flush — possible
+        on a shared-config ``"group"`` scheduler — stacks the tenants'
+        class stores and makes one :func:`fused_tenant_scores` call,
+        unless a hot-swap since submit left the engines in different
+        groups or some rows stale: then each tenant's rows are scored
+        by its own engine, narrower scores padded with ``-inf`` (argmax
+        unchanged) and trimmed back per response.
         """
         model = key[2] if key[0] == "tenant" else None
-        method = key[-1].removesuffix("_live")
-        words, index = rows[:, :-2], rows[:, -1]
+        method, n_live = key[-1].removesuffix("_live"), key[-2]
+        words, digests, index = rows[:, :-2], rows[:, -2], rows[:, -1]
         if (index == index[0]).all():
-            tenants, inverse = index[:1], np.zeros(len(rows), dtype=np.intp)
+            tenants, first = index[:1], np.zeros(1, dtype=np.intp)
+            inverse = np.zeros(len(rows), dtype=np.intp)
         else:
-            tenants, inverse = np.unique(index, return_inverse=True)
+            tenants, first, inverse = np.unique(
+                index, return_index=True, return_inverse=True
+            )
         names = [self.fleet.record_by_index(int(i)).name for i in tenants]
         engines = [self._flush_engine(key, name, model) for name in names]
-        served = np.array([e.support_digest for e in engines], np.uint64)
-        stale = rows[:, -2] != served[inverse]
+        # A tenant holds one support of each width, so its first row's
+        # digest names the store that scores its rows now (None once a
+        # hot-swap dropped it); a row naming another digest is stale.
+        served = digests[first]
+        held = [e.held_on(d, n_live) for e, d in zip(engines, served.tolist())]
+        stale = digests != served[inverse]
+        stale |= np.array([store is None for store in held])[inverse]
         if stale.any():
             swapped = np.unique(inverse[stale])
             if len(swapped) == len(engines):
@@ -398,16 +403,16 @@ class ServingAPI:
                 self._flush_versions[(key, names[u])] = None
             inverse = np.where(stale, -1, inverse)
 
-        def live_rows(e, sel=slice(None)):
-            return LiveHV(words[sel], e.d_hv, e.n_live, e.support_digest)
+        def live_rows(u, sel=slice(None)):
+            return LiveHV(words[sel], engines[u].d_hv, n_live, int(served[u]))
 
         if len(engines) == 1:
-            return getattr(engines[0], method)(live_rows(engines[0]))
+            return getattr(engines[0], method)(live_rows(0))
         keys = {e.coalesce_key for e in engines}
         if len(keys) == 1 and None not in keys and not stale.any():
             scores = fused_tenant_scores(
                 words,
-                [e.prepared.store for e in engines],
+                held,
                 np.stack([e.prepared.norms for e in engines]),
                 inverse,
             )
@@ -418,7 +423,7 @@ class ServingAPI:
                 sel = inverse == u
                 if sel.any():
                     scores[sel, : engine.n_classes] = engine.scores(
-                        live_rows(engine, sel)
+                        live_rows(u, sel)
                     )
         return scores if method == "scores" else np.argmax(scores, axis=1)
 
@@ -544,6 +549,7 @@ class ServingAPI:
             )
             epsilon = float("inf")
             mask_seed = None
+        core = engine.prepared.store.core if engine.live_in_place else None
         return ModelInfo(
             name=described.name,
             version=described.version,
@@ -555,6 +561,7 @@ class ServingAPI:
             epsilon=epsilon,
             mask_seed=mask_seed,
             request_id=request_id,
+            core_digest=None if core is None else core.digest,
         )
 
     # ------------------------------------------------------------------

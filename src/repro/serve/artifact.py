@@ -28,6 +28,11 @@ everything a host needs to answer queries exactly as the trainer would.
       store (v2 wrote this tensor for every backend; v2 artifacts still
       load).
     * ``keep_mask``, the pruning keep-mask, when present.
+    * ``core`` and ``core_offsets``, when a bipolar packed store was
+      built with a level-base encoder: the core plane (the live
+      dimensions some level flips) and each class's constant score on
+      the other live dimensions, whose query signs the public codebooks
+      fix (:attr:`~repro.backend.packed.LiveStore.core`).
 
 ``save``/``load`` round-trip bit-exactly, and :meth:`ModelArtifact.
 engine` reconstructs a ready :class:`~repro.serve.InferenceEngine`
@@ -78,6 +83,7 @@ from repro.backend.packed import (
     compact_store,
     n_words,
     pack_hypervectors,
+    popcount,
 )
 from repro.hd.encoder import Encoder, encoder_from_config
 from repro.hd.model import HDModel
@@ -193,6 +199,32 @@ def _check_certificate(privacy) -> None:
             f"privacy certificate does not re-derive: noise_std={noise_std:.6g} "
             f"but (sensitivity, epsilon, delta) give {expected:.6g}"
         )
+
+
+#: tensors an artifact may leave out
+_OPTIONAL_TENSORS = ("keep_mask", "core", "core_offsets")
+
+
+def _with_core(class_hvs, encoder):
+    """The bipolar store held with its core, when it has one.
+
+    Queries of ``encoder`` masked to the store's support carry the same
+    sign ``s_j`` on every live dimension no level flips, so class ``k``
+    scores ``offset_k = Σ s_j·c_kj`` there whatever the input: the
+    store keeps its classes on the rest (the core) and those offsets
+    (:func:`~repro.backend.packed.compact_store`).  Any other store
+    comes back as it was.
+    """
+    planes = pack_hypervectors(class_hvs)
+    store = compact_store(planes)
+    if not isinstance(store, LiveStore):
+        return class_hvs
+    plan = encoder._column_plan()  # every column; cached on the encoder
+    core = plan.core & store.support
+    fixed = store.support & ~core
+    disagree = popcount((planes.signs ^ plan.fixed_signs) & fixed).sum(axis=1)
+    offsets = int(popcount(fixed).sum()) - 2 * disagree.astype(np.int64)
+    return compact_store(planes, core=(core, offsets))
 
 
 def _store_dtype(spec) -> np.dtype:
@@ -529,8 +561,16 @@ class ModelArtifact:
                 "store quantizer or backend='dense'"
             )
         q_name = None if quantizer is None else get_quantizer(quantizer).name
+        dtype = class_hvs.dtype
+        if (
+            isinstance(be, PackedBackend)
+            and q_name == "bipolar"
+            and hasattr(encoder, "_column_plan")
+        ):
+            class_hvs = _with_core(class_hvs, encoder)
         return cls(
             store=class_hvs,
+            store_dtype=dtype,
             query_quantizer=q_name,
             store_quantizer=store_name,
             backend=be.name,
@@ -555,6 +595,9 @@ class ModelArtifact:
             arrays = {"class_hvs": self.store}
         if self.keep_mask is not None:
             arrays["keep_mask"] = self.keep_mask
+        core = getattr(self.store, "core", None)
+        if core is not None:
+            arrays["core"], arrays["core_offsets"] = core.support, core.offsets
         return arrays
 
     def manifest(self) -> dict:
@@ -682,11 +725,11 @@ class ModelArtifact:
             arrays = _read_npz(path / TENSORS_FILENAME)
         names = ("signs", "mags") if packed else ("class_hvs",)
         tensors = {}
-        for name in (*names, "keep_mask"):
+        for name in (*names, *_OPTIONAL_TENSORS):
             arr = arrays.get(name)
             spec = _tensor_entry(declared, name)
             if arr is None:
-                if name == "keep_mask" and spec is None:
+                if name in _OPTIONAL_TENSORS and spec is None:
                     continue
                 raise ArtifactError(
                     f"tensor {name!r} is missing from {TENSORS_FILENAME}"
@@ -730,6 +773,16 @@ class ModelArtifact:
                         "the artifact does not match its manifest"
                     )
             store = PackedHV(signs=tensors["signs"], mags=tensors["mags"], d=d_hv)
+            if "core" in tensors:
+                try:
+                    store = compact_store(
+                        store, core=(tensors["core"], tensors["core_offsets"])
+                    )
+                except (KeyError, ValueError) as exc:
+                    raise ArtifactError(
+                        f"core tensors of {path} do not fit its class "
+                        f"store: {exc}"
+                    ) from exc
         else:
             store = tensors["class_hvs"]
         return cls(

@@ -106,12 +106,12 @@ class InferenceEngine:
     coalesce_key:
         The group of engines one fused fleet flush can score together
         (:func:`~repro.serve.fleet.fused_tenant_scores`): same ``d_hv``,
-        class count (score width), query quantizer (what the rows mean)
-        and live-dimension count (live-word width, though *which*
-        dimensions are live may differ).  Set only when
-        :attr:`live_in_place`; ``None`` for dense and ternary stores,
-        and for a store held off the served support, which score per
-        tenant.
+        class count (score width) and query quantizer (what the rows
+        mean); the scheduler key adds the rows' live-dimension count
+        (live-word width, though *which* dimensions are live may
+        differ).  Set only when :attr:`live_in_place`; ``None`` for
+        dense and ternary stores, and for a store held off the served
+        support, which score per tenant.
     queries_served, batches_served:
         Cumulative serving counters (cheap observability for the
         throughput benchmarks and the micro-batching server).
@@ -193,7 +193,6 @@ class InferenceEngine:
                 self.d_hv,
                 self.n_classes,
                 None if self.quantizer is None else self.quantizer.name,
-                self.n_live,
             )
         self.queries_served = 0
         self.batches_served = 0
@@ -209,17 +208,32 @@ class InferenceEngine:
         """Bytes held by the prepared class store."""
         return int(self.prepared.store.nbytes)
 
+    def held_on(self, digest: int, n_live: int):
+        """The class store live words on that support score against.
+
+        The served :class:`~repro.backend.packed.LiveStore`, or its
+        core (:meth:`~repro.backend.packed.LiveStore.held_on`), when
+        :attr:`live_in_place`; otherwise the prepared store, for words
+        on :attr:`support` only (placed on it before scoring).  ``None``
+        when the model holds no such support.
+        """
+        if self.live_in_place:
+            return self.prepared.store.held_on(digest, n_live)
+        if (digest, n_live) == (self.support_digest, self.n_live):
+            return self.prepared.store
+        return None
+
     def check_live(self, queries: LiveHV) -> None:
-        """Refuse live queries that do not name this model's support.
+        """Refuse live queries that name no support this model holds.
 
         Raises ``ValueError`` (the wire's ``bad-request``) unless
-        ``queries`` were packed on :attr:`support`: same ``d_hv``, same
-        ``n_live``, same :func:`~repro.backend.packed.support_digest`.
+        ``queries`` were packed on :attr:`support` or on the store's
+        core (:meth:`held_on`): same ``d_hv``, same ``n_live``, same
+        :func:`~repro.backend.packed.support_digest`.
         """
         if (
             queries.d != self.d_hv
-            or queries.n_live != self.n_live
-            or queries.digest != self.support_digest
+            or self.held_on(queries.digest, queries.n_live) is None
         ):
             raise ValueError(
                 f"live queries name support {queries.digest:#018x} "
@@ -307,18 +321,12 @@ class InferenceEngine:
             )
         return self.encode_pipeline.stream_quantized(X, q, pack=pack)
 
-    def scores_features(self, X: np.ndarray) -> np.ndarray:
-        """Eq. (4) scores for raw ``(n, d_in)`` features, streamed.
+    def predict_features(self, X: np.ndarray) -> np.ndarray:
+        """Predicted labels for raw ``(n, d_in)`` features, streamed.
 
         Fuses encode → quantize (→ pack) → score tile by tile: at no
         point does more than one encoded tile exist in memory.
         """
-        return np.vstack(
-            [self.scores(H) for _, H in self._feature_stream(X)]
-        )
-
-    def predict_features(self, X: np.ndarray) -> np.ndarray:
-        """Predicted labels for raw ``(n, d_in)`` features, streamed."""
         return np.concatenate(
             [self.predict(H) for _, H in self._feature_stream(X)]
         )

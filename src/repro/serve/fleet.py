@@ -227,7 +227,10 @@ def fused_tenant_scores(
     live words on its tenant's ``M_t`` (protocol-v5 rows, and plane
     rows the serving API gathered at submit), so each row scores
     ``n_live_t − 2·popcount(live(q) ^ live(c))``: one XOR and one
-    popcount per live word, tenants' keep masks free to differ.
+    popcount per live word, tenants' keep masks free to differ.  Core
+    stores (:attr:`~repro.backend.packed.LiveStore.core`) score core
+    rows the same way, each class's offset added
+    (:attr:`~repro.backend.packed.LiveStore.base`).
 
     Parameters
     ----------
@@ -254,7 +257,7 @@ def fused_tenant_scores(
     dots = xor_dot_rows(
         words,
         [store.words for store in stores],
-        np.array([store.n_live for store in stores]),
+        np.stack([store.base for store in stores]),
         t,
     )
     return dots.astype(np.float64) / norms[t]

@@ -328,6 +328,8 @@ class TestLiveGate:
             "v4-masked",
             "v4-identity",
             "v5-masked",
+            "v5-level-masked",
+            "v6-level-core",
         ]
         by_leg = {r.leg: r for r in report.rows}
         # Every protocol version really negotiated on the wire.
@@ -345,6 +347,17 @@ class TestLiveGate:
         assert v5.client_bytes < v4.client_bytes / 3
         for metric in ("psnr_db", "nmse", "membership_top1"):
             assert getattr(v5, metric) == getattr(v4, metric)
+        # v6 ships only the core words of the level-base twin's masked
+        # rows; an eavesdropper placing them on the core the public
+        # codebooks give, and refilling the signs those codebooks fix,
+        # recovers exactly what it recovers from the same rows' v5
+        # live words.
+        live, core = by_leg["v5-level-masked"], by_leg["v6-level-core"]
+        assert live.protocol_version == 5 and core.protocol_version == 6
+        assert core.packed and core.n_live_dims == live.n_live_dims == 256
+        assert core.client_bytes < live.client_bytes
+        for metric in ("psnr_db", "nmse", "membership_top1"):
+            assert getattr(core, metric) == getattr(live, metric)
         # The bypassed leg ships dense and fails both criteria.
         identity = by_leg["v4-identity"]
         assert not identity.packed and not identity.protected

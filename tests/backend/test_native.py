@@ -202,6 +202,13 @@ class TestCompiledKernels:
         b = enc.encode_packed_bipolar(X, native=False)
         np.testing.assert_array_equal(a.signs, b.signs)
         np.testing.assert_array_equal(a.mags, b.mags)
+        plan = enc._column_plan()
+        a, b = (
+            enc._bipolar_planes(X, plan, native, live=True, core=True)
+            for native in (True, False)
+        )
+        np.testing.assert_array_equal(a.core.words, b.core.words)
+        np.testing.assert_array_equal(a.live.words, b.live.words)
 
     def test_scalar_quantize_matches_numpy(self):
         enc = ScalarBaseEncoder(6, 80, n_levels=16, seed=0)
@@ -222,12 +229,13 @@ class TestCompiledKernels:
         enc = LevelBaseEncoder(4, 70, seed=1)
         X = np.random.default_rng(3).uniform(0, 1, (5, 4))
         plan = enc._column_plan()
-        signs, live = native_level_encode_signs(
+        signs, live, core = native_level_encode_signs(
             enc._level_indices(X), enc.n_levels, plan.flip, plan.agree,
             plan.cols, plan.fixed, plan.fixed_signs, plan.ranks,
-            plan.fixed_live,
+            plan.fixed_live, plan.core_ranks, plan.n_core,
         )
         assert 0 < np.unique(plan.cols).size < enc.d_hv
         assert signs.shape == (5, -(-enc.d_hv // 64))
         assert signs.dtype == np.uint64
         assert live.shape == (5, -(-plan.n_live // 64))
+        assert core.shape == (5, -(-plan.n_core // 64))

@@ -527,3 +527,18 @@ def test_live_words_round_trip_to_the_planes(d, n, live, seed):
     placed = expand_live(LiveHV(words, d, held.n_live, held.digest), held.support)
     np.testing.assert_array_equal(placed.signs, q.signs & q.mags)
     np.testing.assert_array_equal(placed.mags, q.mags)
+
+
+class TestXorDotAccumulator:
+    def test_uint16_and_int64_sums_agree(self):
+        """Rows whose 64·W bits overflow uint16 sum in int64; both agree
+        with the dense dot on either side of the switch."""
+        rng = np.random.default_rng(0)
+        for d in (1000, 1 << 16):
+            a = np.where(rng.random((3, d)) < 0.5, -1.0, 1.0)
+            b = np.where(rng.random((4, d)) < 0.5, -1.0, 1.0)
+            pa, pb = pack_hypervectors(a), pack_hypervectors(b)
+            base = np.full(4, d, dtype=np.int64)
+            got = packed_mod.xor_dot_rows(pa.signs, pb.signs, base)
+            np.testing.assert_array_equal(got, (a @ b.T).astype(np.int64))
+            assert got.dtype == np.int64

@@ -125,9 +125,10 @@ class TestFrameSniffing:
         for blob in _forbidden_codebook_bytes(encoder):
             assert blob not in wire
         # Sanity: the sniffer sees real traffic — the intended payload
-        # (obfuscated bit planes) IS on the wire.
+        # (the obfuscated bits that vary with the input) IS on the wire.
         intended = obf.prepare_packed(features)
-        assert intended.signs.tobytes() in wire
+        core = intended.core  # level-base rows ship their core words
+        assert (intended.signs if core is None else core.words).tobytes() in wire
 
     def test_masked_session_leaks_nothing_either(
         self, served, encoder, features
@@ -237,7 +238,10 @@ class TestStructuralEnforcement:
         encoder config, seed, or codebook field.  (``mask_seed`` is the
         *deployment mask* seed, deliberately public: it regenerates only
         which server-side dimensions are dead — information the server
-        holds anyway — never the encoder codebooks.)"""
+        holds anyway — never the encoder codebooks.  ``core_digest`` is
+        a 64-bit digest of which of those dimensions vary with the
+        input: it names a support the client already derives from its
+        own codebooks, and gives no codebook back.)"""
         with PriveHDClient(served.address) as client:
             info = client.model_info()
         fields = set(vars(info))
@@ -252,6 +256,7 @@ class TestStructuralEnforcement:
             "epsilon",
             "mask_seed",
             "request_id",
+            "core_digest",
         }
 
 
@@ -316,10 +321,11 @@ class TestFleetTenantSniffing:
         for blob in _forbidden_codebook_bytes(encoder):
             assert blob not in wire
         # What the v4 frames add is the routing label, in the clear —
-        # and the payload is still exactly the obfuscated bit planes.
+        # and the payload is still exactly the obfuscated bits.
         assert b"bob" in wire
         intended = obf.prepare_packed(features)
-        assert intended.signs.tobytes() in wire
+        core = intended.core  # level-base rows ship their core words
+        assert (intended.signs if core is None else core.words).tobytes() in wire
 
     def test_per_tenant_mask_seed_flows_through_v4_model_info(
         self, fleet_served, encoder, monkeypatch

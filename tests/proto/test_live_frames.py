@@ -181,3 +181,49 @@ def test_live_words_round_trip_to_the_planes(d, n, frac, seed):
     placed = expand_live(live, support)
     np.testing.assert_array_equal(placed.signs, rows.signs)
     np.testing.assert_array_equal(placed.mags, rows.mags)
+
+
+# ----------------------------------------------------------------------
+# protocol v6: ModelInfo names the core support
+# ----------------------------------------------------------------------
+FIXTURE_V6 = pathlib.Path(__file__).parent / "fixtures" / "golden_frames_v6.json"
+
+
+def _v6_messages():
+    from repro.proto.messages import ModelInfo
+
+    base = dict(
+        name="isolet", version=3, n_classes=26, d_hv=D, n_live_dims=N_LIVE,
+        backend="packed", query_quantizer="bipolar", epsilon=1.25,
+        mask_seed=0xDEADBEEF, request_id=11,
+    )
+    return {
+        "model_info_core": ModelInfo(**base, core_digest=0x0123456789ABCDEF),
+        "model_info_nocore": ModelInfo(**base),
+    }
+
+
+@pytest.mark.parametrize(
+    "case", json.loads(FIXTURE_V6.read_text())["cases"], ids=lambda c: c["name"]
+)
+def test_golden_v6_frames(case):
+    msg = _v6_messages()[case["name"]]
+    assert encode_message(msg, version=6).hex() == case["hex"]
+    frames = FrameDecoder().feed(bytes.fromhex(case["hex"]))
+    assert len(frames) == 1 and frames[0].version == 6
+    assert decode_message(frames[0]) == msg
+
+
+def test_core_digest_is_a_u8_flag_and_u64_after_the_v5_fields():
+    """v6 appends ``has_core`` (u8) and the digest (u64); v1-v5 bytes of
+    a ModelInfo do not change when it names a core."""
+    core, bare = _v6_messages().values()
+    for version in (1, 2, 3, 4, 5):
+        assert encode_message(core, version=version) == encode_message(
+            bare, version=version
+        )
+    at_v5 = encode_message(bare, version=5)[HEADER_SIZE:]
+    assert encode_message(bare, version=6)[HEADER_SIZE:] == at_v5 + b"\x00"
+    assert encode_message(core, version=6)[HEADER_SIZE:] == (
+        at_v5 + struct.pack("!BQ", 1, core.core_digest)
+    )

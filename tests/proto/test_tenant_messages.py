@@ -39,9 +39,9 @@ def _queries(n=3, d=128, seed=0):
 
 
 class TestVersionConstants:
-    def test_v5_is_current_and_all_versions_supported(self):
-        assert PROTOCOL_VERSION == 5
-        assert SUPPORTED_VERSIONS == (1, 2, 3, 4, 5)
+    def test_v6_is_current_and_all_versions_supported(self):
+        assert PROTOCOL_VERSION == 6
+        assert SUPPORTED_VERSIONS == (1, 2, 3, 4, 5, 6)
 
 
 class TestTenantRoundTrip:

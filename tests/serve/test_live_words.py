@@ -94,7 +94,11 @@ class TestStores:
         assert isinstance(art.store, LiveStore)
         n_live = D_HV - (0 if mask_seed is None else N_MASKED)
         assert art.store.n_live == n_live
-        assert art.store_nbytes == N_CLASSES * (-(-n_live // 64)) * 8 + 11 * 8
+        core = art.store.core  # built with the encoder: it holds a core
+        assert core.nbytes == N_CLASSES * (-(-core.n_live // 64) + 1) * 8 + 11 * 8
+        assert art.store_nbytes == (
+            N_CLASSES * (-(-n_live // 64)) * 8 + 11 * 8 + core.nbytes
+        )
         # The files hold the planes, hashed as before.
         planes = pack_hypervectors(art.class_hvs)
         path = art.save(tmp_path / "a")
@@ -247,9 +251,11 @@ def _serve(artifact, **kwargs):
 @pytest.mark.parametrize(
     "server_versions,client_versions,payload",
     [
-        ((1, 2, 3, 4), None, PackedHV),  # v5 client, v4 server: planes
-        (None, (1, 2, 3, 4), PackedHV),  # v4 client, v5 server: unchanged
-        (None, None, LiveHV),  # both v5: live words
+        ((1, 2, 3, 4), None, "planes"),  # v6 client, v4 server
+        (None, (1, 2, 3, 4), "planes"),  # v4 client, v6 server: unchanged
+        ((1, 2, 3, 4, 5), None, "live"),  # v6 client, v5 server: live words
+        (None, (1, 2, 3, 4, 5), "live"),  # v5 client, core-holding server
+        (None, None, "core"),  # both v6: core words
     ],
 )
 def test_cross_version_answers_are_identical(
@@ -264,7 +270,7 @@ def test_cross_version_answers_are_identical(
             with PriveHDClient(
                 proxy.address, encoder=encoder, versions=client_versions
             ) as client:
-                expect_version = 4 if payload is PackedHV else 5
+                expect_version = {"planes": 4, "live": 5, "core": 6}[payload]
                 assert client.protocol_version == expect_version
                 np.testing.assert_array_equal(client.predict(X[:1]), offline[:1])
                 np.testing.assert_array_equal(
@@ -278,7 +284,12 @@ def test_cross_version_answers_are_identical(
             conn = proxy.connections[0]
             conn.wait_closed()
         batches = WireTrace.from_connection(conn).query_batches()
-        assert batches and all(isinstance(q, payload) for q in batches)
+        shipped = {"planes": pool, "live": pool.live, "core": pool.core}[payload]
+        assert batches and all(
+            type(q) is type(shipped)
+            and getattr(q, "digest", None) == getattr(shipped, "digest", None)
+            for q in batches
+        )
     finally:
         handle.close()
         api.close()
@@ -295,7 +306,7 @@ def test_client_masking_on_its_own_ships_planes(encoder):
             encoder=encoder,
             obfuscation=ObfuscationConfig(n_masked=N_MASKED, mask_seed=3),
         ) as client:
-            assert client.protocol_version == 5
+            assert client.protocol_version == 6
             rows = client.obfuscator.prepare_packed(_X(4))
             want = art.engine().predict(_planes(rows))
             np.testing.assert_array_equal(client.predict(_X(4)), want)
