@@ -32,8 +32,8 @@ Exercises the full model lifecycle the way a deployment would:
    needs ≥ K cores; a 1-core host time-shares and stays near 1x);
 7. micro-benchmark the scheduler's per-flush result scatter (the
    pre-vectorization per-future Python loop vs the shipped
-   ``np.split``-based scatter), the flush-overhead fix for small
-   ``d_hv``;
+   ``split_rows`` outcomes, finishes and resolves), the flush-overhead
+   fix for small ``d_hv``;
 8. sweep the offline scoring backends (``--backend``, default ``all``:
    dense / packed / native) on the same workload and record per-backend
    q/s plus ``numba_available``/``cpu_count`` — the
@@ -913,22 +913,30 @@ def run_chaos_pool(artifact_dir, queries, direct, args) -> dict:
 
 def run_scatter_microbench(n_requests: int = 256, repeats: int = 30) -> dict:
     """Per-flush result-scatter cost: PR 3's per-future Python loop
-    (the "before") vs the shipped vectorized ``_split_results`` scatter.
+    (the "before") vs the shipped scatter (the "after"):
+    :func:`~repro.serve.split_rows` into per-request outcomes, then each
+    request's finish (the squeeze of a 1-D submission).
 
     Measures exactly the code that runs between the kernel returning
     and the clients' futures resolving, on the dominant serving shape
     (every pending request a single squeezed query) — the overhead that
     dominates flushes below ``d_hv`` ≈ 4k.
     """
-    from repro.serve.scheduler import MicroBatchScheduler, _Pending
+    from repro.serve.scheduler import (
+        MicroBatchScheduler,
+        _Pending,
+        _squeeze,
+        split_rows,
+    )
 
     result = np.arange(n_requests, dtype=np.int64)
     rows = np.zeros((1, 8))
+    counts = np.ones(n_requests, dtype=np.intp)
 
     def make_batch():
         batch = []
         for _ in range(n_requests):
-            p = _Pending(rows, True, 0.0)
+            p = _Pending(rows, 0.0, None, _squeeze)
             p.future.set_running_or_notify_cancel()
             batch.append(p)
         return batch
@@ -939,12 +947,12 @@ def run_scatter_microbench(n_requests: int = 256, repeats: int = 30) -> dict:
             k = p.rows.shape[0]
             out = result[start : start + k]
             start += k
-            p.future.set_result(out[0] if p.squeeze else out)
+            p.future.set_result(out[0] if p.finish is not None else out)
 
     def scatter_after(batch):
-        for p, out in zip(
-            batch, MicroBatchScheduler._split_results(batch, result)
-        ):
+        outcomes = split_rows(result, counts)
+        MicroBatchScheduler._finish(batch, outcomes)
+        for p, out in zip(batch, outcomes):
             p.future.set_result(out)
 
     timings = {}

@@ -70,6 +70,7 @@ from repro.serve.scheduler import (
     MicroBatchConfig,
     MicroBatchScheduler,
     SchedulerStats,
+    split_rows,
 )
 
 __all__ = [
@@ -83,6 +84,7 @@ __all__ = [
     "MicroBatchConfig",
     "MicroBatchScheduler",
     "SchedulerStats",
+    "split_rows",
     "ServingAPI",
     "ServingFrontend",
     "FrontendConfig",

@@ -53,7 +53,11 @@ from repro.proto.messages import (
 from repro.serve.artifact import ModelArtifact
 from repro.serve.fleet import ModelFleet, fused_tenant_scores
 from repro.serve.registry import ModelRegistry
-from repro.serve.scheduler import MicroBatchConfig, MicroBatchScheduler
+from repro.serve.scheduler import (
+    MicroBatchConfig,
+    MicroBatchScheduler,
+    split_rows,
+)
 
 __all__ = ["ServingAPI"]
 
@@ -99,13 +103,6 @@ class ServingAPI:
         self.coalesce = coalesce
         self._lock = threading.Lock()
         self._schedulers: dict[tuple, MicroBatchScheduler] = {}
-        # (scheduler key, tenant) -> (version, n_classes) of the engine
-        # that answered the latest flush, ``None`` if the tenant's rows
-        # were stale; written by the runner in the flusher thread,
-        # read by the response hooks, which the scheduler runs in that
-        # same thread before the next flush starts — so a reader always
-        # sees the version of its own batch.
-        self._flush_versions: dict[tuple, tuple[int, int] | None] = {}
         self._closed = False
 
     # ------------------------------------------------------------------
@@ -182,16 +179,12 @@ class ServingAPI:
 
         A single ``(d_hv,)`` dense query returns a single label.
         """
-        return self._submit(
-            queries, tenant, model, "predict", respond=self._checked
-        ).result()
+        return self._rows(queries, tenant, model, "predict")
 
     def scores(self, queries, *, model: str | None = None,
                tenant: str | None = None) -> np.ndarray:
         """Eq. (4) class scores for encoded query hypervectors."""
-        return self._submit(
-            queries, tenant, model, "scores", respond=self._trimmed
-        ).result()
+        return self._rows(queries, tenant, model, "scores")
 
     def predict_features(self, X, *, model: str | None = None,
                          tenant: str | None = None) -> np.ndarray:
@@ -204,7 +197,16 @@ class ServingAPI:
         features, so remote callers encode client-side
         (:class:`~repro.client.PriveHDClient`) and use :meth:`score`.
         """
-        return self._submit(X, tenant, model, "predict_features").result()
+        return self._rows(X, tenant, model, "predict_features")
+
+    def _rows(self, queries, tenant, model, method) -> np.ndarray:
+        """This request's rows of the flush that scored it (blocking).
+
+        A 1-D dense request gets its single row, squeezed.
+        """
+        rows, _ = self._submit(queries, tenant, model, method).result()
+        packed = isinstance(queries, (LiveHV, PackedHV))
+        return rows[0] if not packed and np.ndim(queries) == 1 else rows
 
     # ------------------------------------------------------------------
     # submission plumbing
@@ -213,14 +215,14 @@ class ServingAPI:
                 deadline=None, respond=None):
         """Resolve tenant + model, shape-check, enqueue once.
 
-        Returns the future: the runner's rows or, with ``respond``,
-        ``respond(rows, name, version_key)``, built in the flusher
-        thread right after the flush.  Bit-packed queries stay packed
-        through the micro-batcher in one of two shapes.  Live words
-        (:class:`~repro.backend.packed.LiveHV`, checked here against the
-        model's support or its core) ride as ``[words | support digest
-        | tenant_index]`` rows, and so do plane rows on the support of a
-        store held as live words, gathered once here
+        Returns the future: the request's ``(rows, version)`` outcome
+        or, with ``respond``, ``respond(rows, version, name)``, built in
+        the flusher thread right after the flush.  Bit-packed queries
+        stay packed through the micro-batcher in one of two shapes.
+        Live words (:class:`~repro.backend.packed.LiveHV`, checked here
+        against the model's support or its core) ride as ``[words |
+        support digest | tenant_index]`` rows, and so do plane rows on
+        the support of a store held as live words, gathered once here
         (:meth:`~repro.backend.packed.LiveStore.live_of`); only these
         rows coalesce across tenants, queued by their live-dimension
         count.  Plane rows left over (off the support, or a store not
@@ -265,15 +267,13 @@ class ServingAPI:
                 axis=1,
             )
             run = self._run_live
-        elif packed:
-            method += "_packed"
-            queries = np.concatenate([queries.signs, queries.mags], axis=1)
-            run, key = self._run_packed, ("tenant", record.name, name, method)
         else:
-            run, key = self._run_dense, ("tenant", record.name, name, method)
-        version_key = (key, record.name)
+            if packed:
+                method += "_packed"
+                queries = np.concatenate([queries.signs, queries.mags], axis=1)
+            run, key = self._run_tenant, ("tenant", record.name, name, method)
         finish = None if respond is None else (
-            lambda rows: respond(rows, name, version_key)
+            lambda outcome: respond(*outcome, name)
         )
         return self._scheduler(key, run)._enqueue(queries, deadline, finish)
 
@@ -284,148 +284,120 @@ class ServingAPI:
             sched = self._schedulers.get(key)
             if sched is None:
                 sched = MicroBatchScheduler(
-                    lambda rows: run(rows, key),
+                    lambda rows, counts: run(rows, counts, key),
                     self.config,
                     name=".".join(map(str, key)),
                 )
                 self._schedulers[key] = sched
             return sched
 
-    def _flush_engine(self, key: tuple, tenant: str, model: str | None):
-        """The engine that scores ``tenant``'s rows in this flush.
+    def _flush_engine(self, tenant: str, model: str | None):
+        """``(engine, version)`` that scores ``tenant``'s rows in this flush.
 
         Resolved *at flush time* — an eviction between submit and flush
         re-admits here (joining the tenant's in-flight load if a request
-        is already admitting it), a hot-swap lands here — and its
-        version is recorded for the responses of this flush (and a
-        swapped default model recharged, :meth:`ModelFleet.recharge`).
+        is already admitting it), a hot-swap lands here (and a swapped
+        default model is recharged, :meth:`ModelFleet.recharge`).
         """
         record, registry = self.fleet.lookup(tenant, count=False)
         described = registry.describe(record.model_name(model))
-        engine = described.engine
-        self.fleet.recharge(record, registry, model, engine)
-        self._flush_versions[(key, tenant)] = (
-            described.version, engine.n_classes
-        )
-        return engine
+        self.fleet.recharge(record, registry, model, described.engine)
+        return described.engine, described.version
 
-    def _answered(self, version_key) -> tuple[int, int]:
-        """``(version, n_classes)`` of the engine that answered a request.
+    def _run_tenant(self, rows, counts, key: tuple) -> list:
+        """Flush runner for one tenant's dense rows, raw features or
+        ``[signs | mags]`` plane rows.
 
-        Raises for a tenant whose live rows :meth:`_run_live` found stale.
-        """
-        answered = self._flush_versions[version_key]
-        if answered is None:
-            raise ValueError(_STALE_SUPPORT)
-        return answered
-
-    def _checked(self, labels, name, version_key):
-        """Labels, once :meth:`_answered` confirms they were scored."""
-        self._answered(version_key)
-        return labels
-
-    def _trimmed(self, scores, name, version_key):
-        """Scores cut to the class count of the engine that answered.
-
-        Wider only after :meth:`_run_live` padded them.
-        """
-        return scores[..., : self._answered(version_key)[1]]
-
-    def _run_dense(self, rows: np.ndarray, key: tuple) -> np.ndarray:
-        """Flush runner for one tenant's dense rows or raw features."""
-        _, tenant, model, method = key
-        return getattr(self._flush_engine(key, tenant, model), method)(rows)
-
-    def _run_packed(self, rows: np.ndarray, key: tuple) -> np.ndarray:
-        """Flush runner for one tenant's ``[signs | mags]`` plane rows.
-
-        The engine gets the rebuilt :class:`PackedHV` and its general
-        formula (a dense engine unpacks it).
+        Plane rows reach the engine as the rebuilt :class:`PackedHV`
+        and take its general formula (a dense engine unpacks them).
         """
         _, tenant, model, method = key
-        engine = self._flush_engine(key, tenant, model)
-        words = rows.shape[1] // 2
-        if words != n_words(engine.d_hv):
-            raise ValueError(
-                f"plane rows have {2 * words} words but their tenant "
-                f"serves d_hv={engine.d_hv}"
+        engine, version = self._flush_engine(tenant, model)
+        if method.endswith("_packed"):
+            method = method.removesuffix("_packed")
+            words = rows.shape[1] // 2
+            if words != n_words(engine.d_hv):
+                raise ValueError(
+                    f"plane rows have {2 * words} words but their tenant "
+                    f"serves d_hv={engine.d_hv}"
+                )
+            rows = PackedHV(
+                signs=np.ascontiguousarray(rows[:, :words]),
+                mags=np.ascontiguousarray(rows[:, words:]),
+                d=engine.d_hv,
             )
-        queries = PackedHV(
-            signs=np.ascontiguousarray(rows[:, :words]),
-            mags=np.ascontiguousarray(rows[:, words:]),
-            d=engine.d_hv,
-        )
-        return getattr(engine, method.removesuffix("_packed"))(queries)
+        result = getattr(engine, method)(rows)
+        return [(part, version) for part in split_rows(result, counts)]
 
-    def _run_live(self, rows: np.ndarray, key: tuple) -> np.ndarray:
+    def _run_live(self, rows, counts, key: tuple) -> list:
         """Flush runner for ``[live words | digest | tenant_index]`` rows.
 
-        Every row's support digest — the keep support or the core — is
-        resolved again against its tenant's model *at flush time*
-        (:meth:`~repro.serve.InferenceEngine.held_on`), so a hot-swap to
-        another keep mask (or to a store without that core) between
-        submit and flush fails that tenant's requests of the flush with
-        a typed ``bad-request`` (:meth:`_answered`) instead of scoring
-        bits on the wrong dimensions; the other tenants' rows are still
-        scored.  A flush whose rows all belong to one tenant is scored
-        by that tenant's own engine.  A mixed-tenant flush — possible
-        on a shared-config ``"group"`` scheduler — stacks the tenants'
-        class stores and makes one :func:`fused_tenant_scores` call,
-        unless a hot-swap since submit left the engines in different
-        groups or some rows stale: then each tenant's rows are scored
-        by its own engine, narrower scores padded with ``-inf`` (argmax
-        unchanged) and trimmed back per response.
+        A request's rows name one tenant and one support (the keep
+        support or the core), resolved against the tenant's model *at
+        flush time* (:meth:`~repro.serve.InferenceEngine.held_on`).  A
+        request whose support the tenant no longer serves — a hot-swap
+        changed its keep mask, or dropped the core, since submit — gets
+        a typed ``ValueError`` (the wire's ``bad-request``) as its own
+        outcome, never scores on the wrong dimensions; every other
+        request, the same tenant's fresh ones included, is answered.
+        Fresh rows of several supports are scored by one
+        :func:`fused_tenant_scores` call while their engines share a
+        coalesce key, otherwise by each support's own engine, at that
+        engine's own class count.
         """
         model = key[2] if key[0] == "tenant" else None
         method, n_live = key[-1].removesuffix("_live"), key[-2]
-        words, digests, index = rows[:, :-2], rows[:, -2], rows[:, -1]
-        if (index == index[0]).all():
-            tenants, first = index[:1], np.zeros(1, dtype=np.intp)
-            inverse = np.zeros(len(rows), dtype=np.intp)
+        firsts = np.cumsum(counts) - counts
+        supports = list(
+            zip(rows[firsts, -1].tolist(), rows[firsts, -2].tolist())
+        )
+        requests: dict[tuple, list] = {}  # support -> its requests
+        for r, support in enumerate(supports):
+            requests.setdefault(support, []).append(r)
+        engines, held = {}, {}
+        for index, digest in requests:
+            if index not in engines:
+                name = self.fleet.record_by_index(index).name
+                engines[index] = self._flush_engine(name, model)
+            store = engines[index][0].held_on(digest, n_live)
+            if store is not None:
+                held[index, digest] = store
+        outcomes = [
+            None if support in held else ValueError(_STALE_SUPPORT)
+            for support in supports
+        ]
+        groups = {engines[index][0].coalesce_key for index, _ in held}
+        fuse = len(held) > 1 and len(groups) == 1 and None not in groups
+        if fuse:
+            units = [[r for r, s in enumerate(supports) if s in held]]
         else:
-            tenants, first, inverse = np.unique(
-                index, return_index=True, return_inverse=True
-            )
-        names = [self.fleet.record_by_index(int(i)).name for i in tenants]
-        engines = [self._flush_engine(key, name, model) for name in names]
-        # A tenant holds one support of each width, so its first row's
-        # digest names the store that scores its rows now (None once a
-        # hot-swap dropped it); a row naming another digest is stale.
-        served = digests[first]
-        held = [e.held_on(d, n_live) for e, d in zip(engines, served.tolist())]
-        stale = digests != served[inverse]
-        stale |= np.array([store is None for store in held])[inverse]
-        if stale.any():
-            swapped = np.unique(inverse[stale])
-            if len(swapped) == len(engines):
-                raise ValueError(_STALE_SUPPORT)
-            for u in swapped:
-                self._flush_versions[(key, names[u])] = None
-            inverse = np.where(stale, -1, inverse)
-
-        def live_rows(u, sel=slice(None)):
-            return LiveHV(words[sel], engines[u].d_hv, n_live, int(served[u]))
-
-        if len(engines) == 1:
-            return getattr(engines[0], method)(live_rows(0))
-        keys = {e.coalesce_key for e in engines}
-        if len(keys) == 1 and None not in keys and not stale.any():
-            scores = fused_tenant_scores(
-                words,
-                held,
-                np.stack([e.prepared.norms for e in engines]),
-                inverse,
-            )
-        else:
-            width = max(e.n_classes for e in engines)
-            scores = np.full((len(rows), width), -np.inf)
-            for u, engine in enumerate(engines):
-                sel = inverse == u
-                if sel.any():
-                    scores[sel, : engine.n_classes] = engine.scores(
-                        live_rows(u, sel)
-                    )
-        return scores if method == "scores" else np.argmax(scores, axis=1)
+            units = [requests[support] for support in held]
+        for chosen in units:
+            sizes, words = counts[chosen], rows[:, :-2]
+            if len(chosen) < len(supports):
+                keep = np.zeros(len(supports), dtype=bool)
+                keep[chosen] = True
+                words = words[np.repeat(keep, counts)]
+            if fuse:
+                place = {support: u for u, support in enumerate(held)}
+                scores = fused_tenant_scores(
+                    words,
+                    list(held.values()),
+                    np.stack([engines[i][0].prepared.norms for i, _ in held]),
+                    np.repeat([place[supports[r]] for r in chosen], sizes),
+                )
+                result = (
+                    scores if method == "scores" else np.argmax(scores, axis=1)
+                )
+            else:
+                index, digest = supports[chosen[0]]
+                engine = engines[index][0]
+                result = getattr(engine, method)(
+                    LiveHV(words, engine.d_hv, n_live, digest)
+                )
+            for r, part in zip(chosen, split_rows(result, sizes)):
+                outcomes[r] = (part, engines[supports[r][0]][1])
+        return outcomes
 
     # ------------------------------------------------------------------
     # typed protocol entry points (what the frontend calls)
@@ -444,17 +416,20 @@ class ServingAPI:
         """Answer one typed request; resolves to a :class:`ScoreResponse`.
 
         The response's ``version`` is the version that actually scored
-        the flush, even if a hot-swap landed between submit and flush.
+        the request, even if a hot-swap landed between submit and flush.
         The ``d_hv`` check runs against the version current at submit;
         in the (pathological) case of a promote *changing* ``d_hv``
         mid-flight, the flush fails loudly and every affected request
         gets a typed error rather than silently wrong shapes.  Likewise
         for a hot-swap that changes the tenant's keep mask: a request
         queued as live words — v5 live words, or v1–v4 plane rows on
-        the served support, which become live words at submit — fails
+        the served support, which become live words at submit — whose
+        rows name a support the tenant no longer serves fails alone
         with ``ValueError`` (the wire's ``bad-request``), whatever
-        version it was sent at; plane rows off the support carry their
-        own magnitude plane and are scored against the new model.
+        version it was sent at; the same tenant's requests in that
+        flush that name the support it serves now are answered.  Plane
+        rows off the support carry their own magnitude plane and are
+        scored against the new model.
 
         ``deadline`` (absolute :func:`time.monotonic`; defaults to the
         request's own ``deadline_ms`` budget measured from now) drops
@@ -487,16 +462,15 @@ class ServingAPI:
         """Shared typed submit: one future, resolving to the response.
 
         The flusher builds it right after the flush that scored the
-        rows, so the recorded flush version is the version that answered.
+        rows, from the version that answered this request.
         """
         if deadline is None and request.deadline_ms is not None:
             deadline = time.monotonic() + request.deadline_ms / 1e3
         want_scores = request.want_scores
 
-        def respond(result, name, version_key):
-            version, n_classes = self._answered(version_key)
+        def respond(result, version, name):
             if want_scores:
-                scores = np.atleast_2d(result)[:, :n_classes]
+                scores = np.atleast_2d(result)
                 result = np.argmax(scores, axis=1)
             else:
                 scores = None

@@ -23,9 +23,9 @@ when a trigger fires:
 Clients call :meth:`submit` (non-blocking, returns a
 :class:`concurrent.futures.Future`) or :meth:`predict` (blocking sugar)
 from any number of threads.  One background thread assembles batches,
-stacks the rows, invokes the runner once, and slices the result back to
-each caller's future — so ``N`` concurrent single-query clients cost
-``ceil(N / max_batch)`` kernel invocations, not ``N``.
+stacks the rows, invokes the runner once, and resolves each caller's
+future from its own outcome — so ``N`` concurrent single-query clients
+cost ``ceil(N / max_batch)`` kernel invocations, not ``N``.
 
 Overload safety
 ---------------
@@ -46,9 +46,13 @@ while queued is dropped *before* scoring — its future fails with
 kernel time on an answer nobody is waiting for.  Rejections and drops
 are counted in :class:`SchedulerStats` (``rejected``/``expired``).
 
-The runner is any ``(n, d) → (n, …)`` callable — typically
-``engine.predict`` or a registry resolution that picks the current
-version per flush (see :class:`~repro.serve.ServingAPI`).
+The runner takes the stacked ``(n, d)`` rows and each request's row
+count, and returns **one outcome per request**, in order: the request's
+result, or an exception instance that fails that request alone (a
+runner that raises fails its whole batch).  A runner that scores the
+batch in one call returns through :func:`split_rows`; the
+:class:`~repro.serve.ServingAPI` runners resolve the registry per flush
+and refuse only the requests a hot-swap made stale.
 """
 
 from __future__ import annotations
@@ -59,7 +63,8 @@ import time
 from collections import deque
 from concurrent.futures import Future
 from dataclasses import dataclass, field
-from typing import Callable
+from operator import itemgetter
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -67,7 +72,12 @@ from repro.serve.errors import DeadlineExceeded, Overloaded
 from repro.serve.faults import faults
 from repro.utils.validation import check_positive_int
 
-__all__ = ["MicroBatchConfig", "MicroBatchScheduler", "SchedulerStats"]
+__all__ = [
+    "MicroBatchConfig", "MicroBatchScheduler", "SchedulerStats", "split_rows"
+]
+
+#: the finish of a 1-D submission: its single result row
+_squeeze = itemgetter(0)
 
 #: fallback ``retry_after_ms`` hint before any flush has measured a
 #: drain rate (and the floor/ceiling the measured hint is clamped to)
@@ -91,6 +101,29 @@ def _call_after_flush(fn: Callable[[], None]) -> None:
         fn()
     else:
         pending.append(fn)
+
+
+def split_rows(result: np.ndarray, counts: np.ndarray) -> list[np.ndarray]:
+    """Each request's rows of a batch result: one outcome per request.
+
+    How a runner that scores its batch in one call returns; ``counts``
+    are the row counts the scheduler passed it.  All-single-row batches
+    take one C-level row iteration, mixed sizes one ``np.split`` (the
+    ``scatter`` section of ``BENCH_serve.json``).  Raises
+    ``RuntimeError`` unless the result has one row per batch row.
+    """
+    result = np.asarray(result)
+    n_rows = int(counts.sum())
+    if result.shape[0] != n_rows:
+        raise RuntimeError(
+            f"runner returned {result.shape[0]} rows for a "
+            f"{n_rows}-row batch"
+        )
+    if len(counts) == 1:
+        return [result]
+    if n_rows == len(counts):
+        return list(result[:, None])
+    return np.split(result, np.cumsum(counts[:-1]), axis=0)
 
 
 @dataclass(frozen=True)
@@ -151,13 +184,18 @@ class MicroBatchConfig:
 class SchedulerStats:
     """Cumulative flush accounting (read under the scheduler lock).
 
-    ``flushes_by_trigger`` counts why each batch was released; a healthy
-    loaded deployment flushes mostly on **size**, an idle one on
-    **deadline**.  ``max_batch_rows``/``total_rows``/``flushes`` give the
-    realized batch-shape distribution the bench reports.  ``rejected``
-    counts rows refused by admission control (the caller got a typed
-    :class:`~repro.serve.Overloaded`), ``expired`` rows dropped from
-    the queue because their deadline passed before scoring.
+    Every counter but the flush counts is in rows: ``submitted`` rows
+    entered the queue; ``completed``/``failed`` rows of requests whose
+    future got a result/an exception from a flush (its own outcome, or
+    the runner raising for the batch); ``cancelled`` rows cancelled
+    while queued.  ``flushes_by_trigger`` counts why each batch was
+    released; a healthy loaded deployment flushes mostly on **size**,
+    an idle one on **eager** (default policy) or, in paced mode, on
+    **deadline**.  ``max_batch_rows``/``total_rows``/``flushes`` give
+    the realized batch-shape distribution the bench reports.
+    ``rejected`` counts rows refused by admission control (the caller
+    got a typed :class:`~repro.serve.Overloaded`), ``expired`` rows
+    dropped from the queue because their deadline passed before scoring.
     """
 
     submitted: int = 0
@@ -189,18 +227,16 @@ class SchedulerStats:
 class _Pending:
     """One submitted request: rows, future, arrival, deadline, finish."""
 
-    __slots__ = ("rows", "squeeze", "future", "arrived_at", "deadline", "finish")
+    __slots__ = ("rows", "future", "arrived_at", "deadline", "finish")
 
     def __init__(
         self,
         rows: np.ndarray,
-        squeeze: bool,
         arrived_at: float,
         deadline: float | None = None,
         finish: Callable | None = None,
     ):
         self.rows = rows
-        self.squeeze = squeeze
         self.future: Future = Future()
         self.arrived_at = arrived_at
         self.deadline = deadline
@@ -212,17 +248,21 @@ class MicroBatchScheduler:
 
     Use as a context manager (or call :meth:`start`/:meth:`close`):
 
-        with MicroBatchScheduler(engine.predict) as sched:
+        def runner(rows, counts):
+            return split_rows(engine.predict(rows), counts)
+
+        with MicroBatchScheduler(runner) as sched:
             preds = sched.predict(one_query)      # coalesced under load
 
     Thread-safe; any number of client threads may submit concurrently.
-    A runner exception fails exactly the futures of the batch that hit
-    it — the scheduler itself keeps running.
+    An exception outcome fails exactly its own request's future, and a
+    runner exception exactly the futures of the batch that hit it —
+    the scheduler itself keeps running.
     """
 
     def __init__(
         self,
-        runner: Callable[[np.ndarray], np.ndarray],
+        runner: Callable[[np.ndarray, np.ndarray], Sequence],
         config: MicroBatchConfig | None = None,
         *,
         name: str = "micro-batch",
@@ -251,9 +291,9 @@ class MicroBatchScheduler:
     def submit(self, queries, *, deadline: float | None = None) -> Future:
         """Enqueue a ``(d,)`` or ``(n, d)`` request; returns its Future.
 
-        The future resolves to the runner's rows for exactly this
+        The future resolves to the runner's outcome for exactly this
         request (first axis preserved; a 1-D submission resolves to the
-        runner's single-row result, squeezed).
+        outcome's single row, squeezed).
 
         ``deadline`` is an absolute :func:`time.monotonic` timestamp:
         if it passes while the request is still queued, the request is
@@ -265,22 +305,22 @@ class MicroBatchScheduler:
         caller gets a ``retry_after_ms`` hint instead of an unbounded
         wait.
         """
-        return self._enqueue(queries, deadline)
-
-    def _enqueue(self, queries, deadline=None, finish=None) -> Future:
-        """:meth:`submit`; the future resolves to ``finish(rows)``, if given.
-
-        The flusher calls ``finish`` right after the flush; if it
-        raises, only this request's future fails.
-        """
         if not isinstance(queries, np.ndarray):
             queries = np.asarray(queries)
-        squeeze = queries.ndim == 1
+        finish = _squeeze if queries.ndim == 1 else None
+        return self._enqueue(queries, deadline, finish)
+
+    def _enqueue(self, queries, deadline=None, finish=None) -> Future:
+        """:meth:`submit`; the future resolves to ``finish(outcome)``, if any.
+
+        The flusher calls ``finish`` right after the flush on a result
+        outcome; if it raises, only this request's future fails.
+        """
         rows = np.atleast_2d(queries)
         if rows.shape[0] == 0:
             raise ValueError("cannot schedule an empty query batch")
         now = time.monotonic()
-        pending = _Pending(rows, squeeze, now, deadline, finish)
+        pending = _Pending(rows, now, deadline, finish)
         n_rows = rows.shape[0]
         with self._lock:
             if self._closing:
@@ -472,43 +512,30 @@ class MicroBatchScheduler:
         return batch, trigger
 
     def _run_batch(self, batch: list[_Pending], trigger: str) -> None:
+        counts = np.fromiter(
+            (p.rows.shape[0] for p in batch), dtype=np.intp, count=len(batch)
+        )
         stacked = (
             batch[0].rows
             if len(batch) == 1
             else np.concatenate([p.rows for p in batch], axis=0)
         )
+        n_rows = stacked.shape[0]
         stall = faults.fire("scheduler.flush")
         if stall is not None and stall.delay_s > 0:
             time.sleep(stall.delay_s)
         flush_started = time.monotonic()
         try:
-            result = np.asarray(self.runner(stacked))
+            outcomes = list(self.runner(stacked, counts))
+            if len(outcomes) != len(batch):
+                raise RuntimeError(
+                    f"runner returned {len(outcomes)} outcomes for a "
+                    f"{len(batch)}-request batch"
+                )
         except BaseException as exc:  # noqa: BLE001 — forwarded per-future
-            with self._lock:
-                self.stats.failed += stacked.shape[0]
-            for p in batch:
-                p.future.set_exception(exc)
-            return
-        if result.shape[0] != stacked.shape[0]:
-            exc = RuntimeError(
-                f"runner returned {result.shape[0]} rows for a "
-                f"{stacked.shape[0]}-row batch"
-            )
-            with self._lock:
-                self.stats.failed += stacked.shape[0]
-            for p in batch:
-                p.future.set_exception(exc)
-            return
-        s_per_row = (time.monotonic() - flush_started) / stacked.shape[0]
-        outs = self._split_results(batch, result)
-        errors: dict[int, Exception] = {}
-        for i, p in enumerate(batch):
-            if p.finish is not None:
-                try:
-                    outs[i] = p.finish(outs[i])
-                except Exception as exc:  # noqa: BLE001 — this request only
-                    errors[i] = exc
-        n_failed = sum(batch[i].rows.shape[0] for i in errors)
+            outcomes = [exc] * len(batch)
+        s_per_row = (time.monotonic() - flush_started) / n_rows
+        n_failed = self._finish(batch, outcomes)
         with self._lock:
             # Blend the observed drain rate into the retry_after hint
             # (alpha 0.3: responsive to load shifts, stable per flush).
@@ -520,46 +547,34 @@ class MicroBatchScheduler:
                 )
             self.stats.flushes += 1
             self.stats.flushes_by_trigger[trigger] += 1
-            self.stats.total_rows += stacked.shape[0]
-            self.stats.max_batch_rows = max(
-                self.stats.max_batch_rows, stacked.shape[0]
-            )
-            self.stats.completed += stacked.shape[0] - n_failed
+            self.stats.total_rows += n_rows
+            self.stats.max_batch_rows = max(self.stats.max_batch_rows, n_rows)
+            self.stats.completed += n_rows - n_failed
             self.stats.failed += n_failed
-        for i, (p, out) in enumerate(zip(batch, outs)):
-            if i in errors:
-                p.future.set_exception(errors[i])
+        for p, out in zip(batch, outcomes):
+            if isinstance(out, BaseException):
+                p.future.set_exception(out)
             else:
                 p.future.set_result(out)
 
     @staticmethod
-    def _split_results(batch: list[_Pending], result: np.ndarray) -> list:
-        """Each request's rows of the flush result, scattered vectorized.
+    def _finish(batch: list[_Pending], outcomes: list) -> int:
+        """Apply each request's ``finish`` to its result outcome, in place.
 
-        The dominant serving shape — every pending request a single
-        squeezed query — takes one C-level row iteration over the result
-        instead of per-future Python index arithmetic; mixed-size
-        batches split at `np.cumsum` boundaries in one pass.  This is
-        the flush-overhead fix for small ``d_hv`` (the kernel no longer
-        dominates there): measured before/after in
-        ``benchmarks/bench_serve.py`` (``scatter`` section of
-        ``BENCH_serve.json``).
+        A ``finish`` that raises makes the exception that request's
+        outcome.  Returns the rows of the requests that failed.
         """
-        if len(batch) == 1:
-            p = batch[0]
-            return [result[0] if p.squeeze else result]
-        sizes = np.fromiter(
-            (p.rows.shape[0] for p in batch), dtype=np.intp, count=len(batch)
-        )
-        if sizes.max() == 1:
-            return [
-                out if p.squeeze else out[None]
-                for p, out in zip(batch, result)
-            ]
-        outs = np.split(result, np.cumsum(sizes[:-1]), axis=0)
-        return [
-            out[0] if p.squeeze else out for p, out in zip(batch, outs)
-        ]
+        failed = 0
+        for i, (p, out) in enumerate(zip(batch, outcomes)):
+            if isinstance(out, BaseException):
+                failed += p.rows.shape[0]
+            elif p.finish is not None:
+                try:
+                    outcomes[i] = p.finish(out)
+                except Exception as exc:  # noqa: BLE001 — this request only
+                    outcomes[i] = exc
+                    failed += p.rows.shape[0]
+        return failed
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (

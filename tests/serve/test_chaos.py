@@ -30,6 +30,7 @@ from repro.serve import (
     faults,
 )
 from repro.utils import spawn
+from tests.serve.runners import per_request
 
 D_IN, D_HV, N_CLASSES = 16, 500, 4
 
@@ -96,6 +97,7 @@ class TestOverloadBurst:
     def test_burst_sheds_typed_keeps_goodput_and_p99(self):
         capacity_rows_s = 1.0 / self.S_PER_ROW
 
+        @per_request
         def runner(batch):
             batch = np.asarray(batch)
             time.sleep(self.S_PER_ROW * batch.shape[0])

@@ -243,32 +243,63 @@ class TestServing:
             )
 
 
-    def test_a_tenant_with_rows_on_two_masks_fails_alone(self, encoder):
+    @pytest.mark.parametrize("order", ["stale-first", "fresh-first"])
+    @pytest.mark.parametrize(
+        "kind, masks", [("live", (7, 8)), ("core", (4, 9))], ids=["live", "core"]
+    )
+    def test_a_tenant_with_rows_on_two_masks_answers_the_fresh_rows(
+        self, encoder, order, kind, masks
+    ):
         """A tenant's rows on the mask it served before a swap and on the
-        one it serves after meet in one flush: the tenant's requests of
-        that flush fail typed; the other tenant's are scored."""
+        one it serves after meet in one flush: only the stale request is
+        refused, typed; the tenant's fresh request is answered by its
+        new engine, and the other tenant's by its own.  Fresh-first
+        republishes A old -> new -> old, so the request on the mask A
+        serves again is queued first.  (The core masks are two whose
+        cores have equal width, so their rows share one queue.)"""
+        old, new = masks
         fleet = ModelFleet()
         for i, name in enumerate("AB"):
-            fleet.add_tenant(name, _artifact(encoder, 7, seed=i))
+            fleet.add_tenant(name, _artifact(encoder, old, seed=i))
         config = MicroBatchConfig(max_batch=6, eager=False, max_delay_s=30.0)
-        old, fresh = _rows(encoder, 7, n=2), _rows(encoder, 8, n=2, seed=4)
-        other = _rows(encoder, 7, n=2, seed=5)
+        rows = {mask: _rows(encoder, mask, n=2, seed=mask) for mask in masks}
+        other = _rows(encoder, old, n=2, seed=5)
+        registry = fleet.registry_for("A")
         with ServingAPI(fleet, config=config) as api:
-            requests = [api.submit_score(ScoreRequest(queries=old.live, tenant="A"))]
-            fleet.registry_for("A").publish("model", _artifact(encoder, 8, seed=5))
-            for rows, tenant in ((fresh, "A"), (other, "B")):
-                requests.append(api.submit_score(
-                    ScoreRequest(queries=rows.live, tenant=tenant)
+
+            def submit(shipped, tenant):
+                return api.submit_score(ScoreRequest(
+                    queries=getattr(shipped, kind), tenant=tenant,
+                    want_scores=True,
                 ))
-            for future in requests[:2]:
-                with pytest.raises(ValueError, match="keep mask changed"):
-                    future.result(10)
+
+            on_old = submit(rows[old], "A")
+            registry.publish("model", _artifact(encoder, new, seed=5))
+            on_new = submit(rows[new], "A")
+            if order == "stale-first":
+                stale, fresh, fresh_rows = on_old, on_new, rows[new]
+            else:
+                registry.publish("model", _artifact(encoder, old, seed=6))
+                stale, fresh, fresh_rows = on_new, on_old, rows[old]
+            answer_b = submit(other, "B")
+            with pytest.raises(ValueError, match="keep mask changed"):
+                stale.result(10)
+            got = fresh.result(10)
+            current = registry.describe("model")
+            assert got.version == current.version
             np.testing.assert_array_equal(
-                requests[2].result(10).predictions,
-                _artifact(encoder, 7, seed=1).engine().predict(_planes(other)),
+                got.scores, current.engine.scores(_planes(fresh_rows))
+            )
+            np.testing.assert_array_equal(
+                got.predictions, current.engine.predict(_planes(fresh_rows))
+            )
+            np.testing.assert_array_equal(
+                answer_b.result(10).scores,
+                _artifact(encoder, old, seed=1).engine().scores(_planes(other)),
             )
             [sched] = api.stats()["schedulers"].values()
             assert sched["flushes"] == 1
+
 
 def _raw(address, versions):
     sock = socket.create_connection(address, timeout=10)

@@ -996,10 +996,14 @@ class TestHotSwapRegroups:
 
     @pytest.mark.parametrize("kind", ["live", "planes"])
     @pytest.mark.parametrize("want_scores", [False, True])
-    def test_mask_swap_fails_only_the_swapped_tenant(self, want_scores, kind):
+    @pytest.mark.parametrize("a_classes", [CLASSES, CLASSES + 2])
+    def test_mask_swap_fails_only_the_swapped_tenant(
+        self, want_scores, kind, a_classes
+    ):
         """A's keep mask changes while its rows wait in a flush shared
         with B: A's request is refused, B's is answered — the same for
-        v5 live words and for v4 plane rows on the old mask."""
+        v5 live words and for v4 plane rows on the old mask, and at B's
+        own class count when the swap changes A's."""
         keeps = _keep_masks(3, self.D, self.D // 2)
         stores = {
             t: _artifact(i, self.D, self.CLASSES).class_hvs * keeps[i]
@@ -1039,7 +1043,7 @@ class TestHotSwapRegroups:
                              want_scores=want_scores)
             )
             swapped = ModelArtifact(
-                store=stores["A"] * keeps[2],
+                store=_artifact(0, self.D, a_classes).class_hvs * keeps[2],
                 query_quantizer="bipolar",
                 store_quantizer="bipolar",
                 backend="packed",
@@ -1059,6 +1063,8 @@ class TestHotSwapRegroups:
         np.testing.assert_array_equal(got.predictions, engine.predict(planes))
         if want_scores:
             np.testing.assert_array_equal(got.scores, engine.scores(planes))
+            assert got.scores.shape == (3, self.CLASSES)
+            assert np.isfinite(got.scores).all()
 
     def test_an_evicted_tenant_frees_its_engine(self, tmp_path):
         """Nothing the API keeps per flush pins an evicted tenant's store."""

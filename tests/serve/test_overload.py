@@ -22,6 +22,7 @@ from repro.serve import (
     ServingAPI,
 )
 from repro.utils import spawn
+from tests.serve.runners import per_request
 
 
 class _GatedRunner:
@@ -32,7 +33,10 @@ class _GatedRunner:
         self.release = threading.Event()  # let the flush finish
         self.batches = []
 
-    def __call__(self, batch):
+    def __call__(self, rows, counts):
+        return per_request(self.score)(rows, counts)
+
+    def score(self, batch):
         self.entered.set()
         assert self.release.wait(timeout=30.0), "test never released runner"
         self.batches.append(np.asarray(batch).copy())
@@ -76,6 +80,7 @@ class TestRowAdmission:
     def test_retry_after_tracks_drain_rate(self):
         """After flushes train the EWMA, the hint scales with the queue."""
 
+        @per_request
         def slow(batch):
             time.sleep(0.002 * np.asarray(batch).shape[0])
             return np.asarray(batch)
@@ -86,10 +91,10 @@ class TestRowAdmission:
                 sched.predict(np.ones((4, 2)))
             gate = threading.Event()
             entered = threading.Event()
-            sched.runner = lambda b: (
+            sched.runner = lambda rows, counts: (
                 entered.set(),
                 gate.wait(timeout=30.0),
-                slow(b),
+                slow(rows, counts),
             )[-1]
             first = sched.submit(np.ones((4, 2)))
             assert entered.wait(timeout=10.0)
@@ -175,6 +180,7 @@ class TestCloseDrainRace:
         """Submitters race close(drain=True): every accepted request
         completes with the right answer, every refusal is typed."""
 
+        @per_request
         def runner(batch):
             time.sleep(0.001)
             return np.asarray(batch) * 2.0

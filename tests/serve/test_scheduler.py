@@ -6,9 +6,11 @@ import time
 import numpy as np
 import pytest
 
-from repro.serve import MicroBatchConfig, MicroBatchScheduler
+from repro.serve import MicroBatchConfig, MicroBatchScheduler, split_rows
+from tests.serve.runners import per_request
 
 
+@per_request
 def double_rows(batch):
     return np.asarray(batch) * 2.0
 
@@ -43,6 +45,7 @@ class TestCorrectness:
 
     def test_requests_actually_coalesce(self):
         """Under a slow runner, concurrent requests share flushes."""
+        @per_request
         def slow_runner(batch):
             time.sleep(0.005)
             return np.asarray(batch)
@@ -68,20 +71,23 @@ class TestCorrectness:
 
 
 class TestResultScatter:
-    """The vectorized `_split_results` must scatter exactly like the
-    per-future loop it replaced, across every batch shape."""
+    """The vectorized `split_rows` scatter (then each request's squeeze)
+    must scatter exactly like the per-future loop it replaced, across
+    every batch shape."""
 
     def _pending(self, rows, squeeze):
-        from repro.serve.scheduler import _Pending
+        from repro.serve.scheduler import _Pending, _squeeze
 
-        p = _Pending(np.atleast_2d(np.asarray(rows)), squeeze, 0.0)
+        finish = _squeeze if squeeze else None
+        p = _Pending(np.atleast_2d(np.asarray(rows)), 0.0, None, finish)
         p.future.set_running_or_notify_cancel()
         return p
 
     def _scatter(self, batch, result):
-        return MicroBatchScheduler._split_results(
-            batch, np.asarray(result)
-        )
+        counts = np.array([p.rows.shape[0] for p in batch])
+        outs = split_rows(np.asarray(result), counts)
+        assert MicroBatchScheduler._finish(batch, outs) == 0
+        return outs
 
     def test_single_request_batch(self):
         p = self._pending(np.ones((3, 2)), squeeze=False)
@@ -181,6 +187,7 @@ class TestFailureIsolation:
     def test_runner_exception_fails_only_that_batch(self):
         calls = []
 
+        @per_request
         def flaky(batch):
             calls.append(batch.shape[0])
             if len(calls) == 1:
@@ -197,12 +204,61 @@ class TestFailureIsolation:
         assert sched.stats.completed == 3
 
     def test_wrong_row_count_from_runner_fails_batch(self):
+        @per_request
         def bad_runner(batch):
             return np.ones((batch.shape[0] + 1, 2))
 
         with MicroBatchScheduler(bad_runner) as sched:
             with pytest.raises(RuntimeError, match="rows"):
                 sched.predict(np.ones((2, 2)))
+
+
+class TestPerRequestOutcomes:
+    def test_an_error_outcome_fails_only_its_own_request(self):
+        """One request's outcome is an exception: only its future fails,
+        every other future of the flush resolves once, and the stats
+        count rows."""
+
+        def runner(rows, counts):
+            outcomes = split_rows(np.asarray(rows) * 2.0, counts)
+            outcomes[1] = ValueError("this request only")
+            return outcomes
+
+        resolved = []
+        sizes = (1, 2, 3)
+        config = MicroBatchConfig(max_batch=sum(sizes), eager=False,
+                                  max_delay_s=30.0)
+        with MicroBatchScheduler(runner, config) as sched:
+            futures = [sched.submit(np.full((n, 2), float(n))) for n in sizes]
+            for f in futures:
+                f.add_done_callback(resolved.append)
+            with pytest.raises(ValueError, match="this request only"):
+                futures[1].result(timeout=10.0)
+            for n, f in zip(sizes[::2], futures[::2]):
+                np.testing.assert_array_equal(
+                    f.result(timeout=10.0), np.full((n, 2), 2.0 * n)
+                )
+            stats = sched.stats
+        assert stats.flushes == stats.flushes_by_trigger["size"] == 1
+        assert sorted(map(id, resolved)) == sorted(map(id, futures))
+        assert (stats.submitted, stats.completed, stats.failed) == (6, 4, 2)
+
+    def test_a_finish_that_raises_fails_only_its_own_request(self):
+        config = MicroBatchConfig(max_batch=3, eager=False, max_delay_s=30.0)
+        with MicroBatchScheduler(double_rows, config) as sched:
+            good = sched.submit(np.ones((2, 2)))
+            bad = sched._enqueue(np.ones((1, 2)), finish=lambda out: 1 / 0)
+            with pytest.raises(ZeroDivisionError):
+                bad.result(timeout=10.0)
+            np.testing.assert_array_equal(good.result(timeout=10.0), 2.0)
+            stats = sched.stats
+        assert (stats.completed, stats.failed) == (2, 1)
+
+    def test_a_runner_with_the_wrong_outcome_count_fails_its_batch(self):
+        with MicroBatchScheduler(lambda rows, counts: []) as sched:
+            with pytest.raises(RuntimeError, match="0 outcomes"):
+                sched.predict(np.ones((2, 2)))
+        assert sched.stats.failed == 2
 
 
 class TestAfterFlush:
@@ -242,6 +298,7 @@ class TestLifecycle:
     def test_close_without_drain_fails_pending(self):
         release = threading.Event()
 
+        @per_request
         def blocking(batch):
             release.wait(timeout=5)
             return np.asarray(batch)
@@ -271,6 +328,7 @@ class TestLifecycle:
         flusher: later and co-batched requests still complete."""
         release = threading.Event()
 
+        @per_request
         def blocking(batch):
             release.wait(timeout=5)
             return np.asarray(batch)
