@@ -148,7 +148,7 @@ class PriveHDClient:
         Reconnect attempts while the server is still binding — what a
         CLI racing a just-started frontend needs.
     max_retries:
-        In-band resilience budget *per operation*: how many times one
+        In-band resilience budget *per request*: how many times one
         logical request may be resent after a retryable failure.  Two
         failure classes retry; nothing else does:
 
@@ -514,47 +514,6 @@ class PriveHDClient:
         self._session.adopt_version(reply.version)
         return reply.version, reply
 
-    def _request(self, message):
-        """Send one message, return its (id-matched) non-error reply.
-
-        With ``max_retries > 0``: a retryable error reply (overloaded)
-        is retried after backing off at least ``retry_after_ms``; a
-        lost connection is retried after a reconnect + re-handshake.
-        Both are safe for this protocol's idempotent reads — a resent
-        request whose original reply was lost scores the same bits
-        again, nothing more.
-        """
-        attempts = 0
-        while True:
-            try:
-                self._send_message(message, version=self.protocol_version)
-                reply = self._read_message()
-            except (ConnectionError, TimeoutError, OSError):
-                if attempts >= self.max_retries:
-                    raise
-                attempts += 1
-                self.retries += 1
-                self._backoff(attempts)
-                self._reconnect()
-                continue
-            if isinstance(reply, ErrorReply):
-                if reply.retryable and attempts < self.max_retries:
-                    attempts += 1
-                    self.retries += 1
-                    self._backoff(
-                        attempts, retry_after_ms=reply.retry_after_ms
-                    )
-                    continue
-                raise self._typed_error(reply)
-            want = getattr(message, "request_id", 0)
-            got = getattr(reply, "request_id", 0)
-            if got != want:
-                raise ProtocolError(
-                    f"response correlation id {got} does not match "
-                    f"request {want}"
-                )
-            return reply
-
     def _typed_error(self, reply: ErrorReply) -> Exception:
         """The exception a non-retryable error reply raises.
 
@@ -623,14 +582,6 @@ class PriveHDClient:
                 "belong here"
             )
 
-    def _check_encoded(self, queries):
-        if isinstance(queries, PackedHV):
-            self._check_d_hv({queries.d})
-            return self._on_wire(queries)
-        queries = np.atleast_2d(np.asarray(queries))
-        self._check_d_hv({queries.shape[1]})
-        return queries
-
     def predict_encoded(self, queries) -> np.ndarray:
         """Labels for already-encoded queries (dense or ``PackedHV``).
 
@@ -639,28 +590,68 @@ class PriveHDClient:
         :class:`~repro.core.InferenceObfuscator`); dimensionality is
         validated against the server's ``d_hv``.
         """
-        return self._score(lambda: self._check_encoded(queries)).predictions
+        return self._score(lambda: self._stack_group([queries])[0]).predictions
 
     def scores_encoded(self, queries) -> np.ndarray:
         """Score matrix for already-encoded queries."""
         return self._score(
-            lambda: self._check_encoded(queries), want_scores=True
+            lambda: self._stack_group([queries])[0], want_scores=True
         ).scores
+
+    # ------------------------------------------------------------------
+    # the request loop every call rides
+    # ------------------------------------------------------------------
+    def _score(
+        self, make_queries, *, want_scores: bool = False
+    ) -> ScoreResponse:
+        """One request of ``make_queries()``, built at each send — so
+        after a core refusal it is built again under the fresh
+        :class:`~repro.proto.ModelInfo` (:meth:`_pipelined_requests`)."""
+        [reply] = self._pipelined_requests(
+            1, 1,
+            lambda _, rid: self._score_message(
+                make_queries(), rid, want_scores=want_scores
+            ),
+            (ScoreResponse,),
+        )
+        return reply
+
+    def _score_message(
+        self, queries, rid: int, *, want_scores: bool = False, counts=None
+    ) -> ScoreRequest | ScoreBatchRequest:
+        """Every scoring frame this client sends.
+
+        A :class:`~repro.proto.ScoreRequest`, or with ``counts`` (the
+        rows of each stacked sub-batch) a protocol-v2
+        :class:`~repro.proto.ScoreBatchRequest`.
+        """
+        common = dict(
+            model=self.model,
+            want_scores=want_scores,
+            request_id=rid,
+            deadline_ms=self._deadline_ms(),
+            tenant=self.tenant,
+        )
+        if counts is None:
+            return ScoreRequest(queries, **common)
+        return ScoreBatchRequest(queries, counts, **common)
 
     def _pipelined_requests(
         self, n_items: int, window: int, build_message, expected: tuple,
         restack=None,
     ) -> list:
-        """The sliding-window pipeline every bulk entry point shares.
+        """The one send/receive/recover loop every request rides.
 
-        Keeps up to ``window`` frames in flight over this one
-        connection and matches replies to requests by correlation id
-        (the server may reorder).  ``build_message(index, request_id)``
-        produces the item's request lazily at send time — so e.g.
-        client-side encoding of chunk ``i+window`` overlaps the server
-        scoring chunk ``i``.  Replies outside ``expected`` (beyond the
-        always-raised :class:`ServerError`) fail the stream as a
-        protocol violation.  Returns the reply messages in item order.
+        Single calls (:meth:`predict`, :meth:`model_info`, ...) are one
+        item at window 1; bulk calls keep up to ``window`` frames in
+        flight over this one connection and match replies to requests
+        by correlation id (the server may reorder).
+        ``build_message(index, request_id)`` produces the item's request
+        lazily at each send — so e.g. client-side encoding of chunk
+        ``i+window`` overlaps the server scoring chunk ``i``.  Replies
+        outside ``expected`` (beyond the always-raised
+        :class:`ServerError`) fail the stream as a protocol violation.
+        Returns the reply messages in item order.
 
         With ``max_retries > 0`` the window self-heals: an
         ``overloaded`` reply re-queues just that item after its
@@ -673,7 +664,11 @@ class PriveHDClient:
         window drains; then :meth:`_core_dropped` re-reads the model,
         ``restack()`` (when given) rebuilds what ``build_message``
         reads, and the refused items go again as live words or planes.
+        The re-read is its own one-item exchange with its own budget,
+        so a connection lost there is final.
         """
+        if window < 1:
+            raise ValueError(f"window must be >= 1, got {window}")
         out: list = [None] * n_items
         index_of: dict[int, int] = {}
         attempts = [0] * n_items
@@ -694,13 +689,13 @@ class PriveHDClient:
             return True
 
         while completed < n_items:
+            if refused is not None and not index_of:
+                if not self._core_dropped():
+                    raise self._typed_error(refused)
+                refused = None
+                if restack is not None:
+                    restack()
             try:
-                if refused is not None and not index_of:
-                    if not self._core_dropped():
-                        raise self._typed_error(refused)
-                    refused = None
-                    if restack is not None:
-                        restack()
                 while to_send and len(index_of) < window and refused is None:
                     idx = to_send[0]
                     rid = self._next_id()
@@ -830,57 +825,32 @@ class PriveHDClient:
         representation (all :class:`~repro.backend.PackedHV` or all
         dense).
         """
-        if window < 1:
-            raise ValueError(f"window must be >= 1, got {window}")
         if wire_batch < 1:
             raise ValueError(f"wire_batch must be >= 1, got {wire_batch}")
         batches = list(batches)
-        # Each batch (or group) is checked and stacked before the first
-        # frame leaves, and again if the server drops its core.
-        checked, groups = [], []
+        step = wire_batch if self.protocol_version >= 2 else 1
+        # Each group is checked and stacked before the first frame
+        # leaves, and again if the server drops its core.
+        groups: list = []
 
         def restack():
-            checked[:] = [self._check_encoded(b) for b in batches]
-
-        if wire_batch == 1 or self.protocol_version < 2:
-            restack()
-            replies = self._pipelined_requests(
-                len(checked),
-                window,
-                lambda i, rid: ScoreRequest(
-                    queries=checked[i],
-                    model=self.model,
-                    tenant=self.tenant,
-                    request_id=rid,
-                    deadline_ms=self._deadline_ms(),
-                ),
-                (ScoreResponse,),
-                restack,
-            )
-            return [reply.predictions for reply in replies]
-
-        def restack():  # v2 path: wire_batch sub-batches per frame
             groups[:] = [
-                self._stack_group(batches[start : start + wire_batch])
-                for start in range(0, len(batches), wire_batch)
+                self._stack_group(batches[start : start + step])
+                for start in range(0, len(batches), step)
             ]
 
         restack()
-
-        def build(i: int, rid: int) -> ScoreBatchRequest:
-            block, counts = groups[i]
-            return ScoreBatchRequest(
-                queries=block,
-                counts=counts,
-                model=self.model,
-                tenant=self.tenant,
-                request_id=rid,
-                deadline_ms=self._deadline_ms(),
-            )
-
         replies = self._pipelined_requests(
-            len(groups), window, build, (ScoreBatchResponse,), restack
+            len(groups),
+            window,
+            lambda i, rid: self._score_message(
+                groups[i][0], rid, counts=groups[i][1] if step > 1 else None
+            ),
+            (ScoreBatchResponse,) if step > 1 else (ScoreResponse,),
+            restack,
         )
+        if step == 1:
+            return [reply.predictions for reply in replies]
         out: list[np.ndarray] = []
         for (_, counts), reply in zip(groups, replies):
             if reply.counts != counts:
@@ -908,20 +878,8 @@ class PriveHDClient:
         """
         if chunk_size < 1:
             raise ValueError(f"chunk_size must be >= 1, got {chunk_size}")
-        if window < 1:
-            raise ValueError(f"window must be >= 1, got {window}")
-        if self.obfuscator is None:
-            raise ValueError(
-                "predict_many needs an encoder; construct the client "
-                "with PriveHDClient(..., encoder=...)"
-            )
         X = np.atleast_2d(np.asarray(X))
-        if X.shape[1] != self.encoder.d_in:
-            raise ValueError(
-                f"features have {X.shape[1]} columns but the encoder "
-                f"expects d_in={self.encoder.d_in}"
-            )
-        starts = list(range(0, X.shape[0], chunk_size))
+        starts = range(0, X.shape[0], chunk_size)
         if not starts:
             return np.zeros(0, dtype=np.int64)
 
@@ -931,76 +889,28 @@ class PriveHDClient:
             queries = self._prepare_wire_queries(
                 X[starts[i] : starts[i] + chunk_size]
             )
-            if self.protocol_version < 2:
-                return ScoreRequest(
-                    queries=queries, model=self.model, request_id=rid
-                )
-            n_rows = (
-                queries.n
-                if isinstance(queries, PackedHV)
-                else queries.shape[0]
-            )
-            return ScoreBatchRequest(
-                queries=queries,
-                counts=(n_rows,),
-                model=self.model,
-                tenant=self.tenant,
-                request_id=rid,
-                deadline_ms=self._deadline_ms(),
-            )
+            counts = (len(queries),) if self.protocol_version >= 2 else None
+            return self._score_message(queries, rid, counts=counts)
 
         replies = self._pipelined_requests(
             len(starts), window, build, (ScoreResponse, ScoreBatchResponse)
         )
         return np.concatenate([reply.predictions for reply in replies])
 
-    def _score(
-        self, make_queries, *, want_scores: bool = False
-    ) -> ScoreResponse:
-        """One request of ``make_queries()``, made again when the server
-        refused core words it no longer holds (:meth:`_core_dropped`)."""
-        while True:
-            queries = make_queries()
-            request = ScoreRequest(
-                queries=queries,
-                model=self.model,
-                tenant=self.tenant,
-                want_scores=want_scores,
-                request_id=self._next_id(),
-                deadline_ms=self._deadline_ms(),
-            )
-            try:
-                reply = self._request(request)
-                break
-            except ServerError as exc:
-                if not (
-                    exc.code == "bad-request"
-                    and self._is_core(queries)
-                    and self._core_dropped()
-                ):
-                    raise
-        if not isinstance(reply, ScoreResponse):
-            raise ProtocolError(
-                f"expected ScoreResponse, got {type(reply).__name__}"
-            )
-        return reply
-
     # ------------------------------------------------------------------
     # metadata
     # ------------------------------------------------------------------
     def model_info(self, model: str | None = None) -> ModelInfo:
         """Describe a served model (``None`` = this client's target)."""
-        reply = self._request(
-            ModelInfoRequest(
+        [reply] = self._pipelined_requests(
+            1, 1,
+            lambda _, rid: ModelInfoRequest(
                 model=model if model is not None else self.model,
                 tenant=self.tenant,
-                request_id=self._next_id(),
-            )
+                request_id=rid,
+            ),
+            (ModelInfo,),
         )
-        if not isinstance(reply, ModelInfo):
-            raise ProtocolError(
-                f"expected ModelInfo, got {type(reply).__name__}"
-            )
         return reply
 
     def wire_stats(self) -> dict:

@@ -35,6 +35,7 @@ and take the engine's general formula.
 
 from __future__ import annotations
 
+import functools
 import threading
 import time
 from concurrent.futures import Future
@@ -340,6 +341,9 @@ class ServingAPI:
         a typed ``ValueError`` (the wire's ``bad-request``) as its own
         outcome, never scores on the wrong dimensions; every other
         request, the same tenant's fresh ones included, is answered.
+        A tenant whose flush-time re-admission fails (its artifact
+        became unreadable after an eviction) gets that error as the
+        outcome of its own requests only.
         Fresh rows of several supports are scored by one
         :func:`fused_tenant_scores` call while their engines share a
         coalesce key, otherwise by each support's own engine, at that
@@ -354,16 +358,21 @@ class ServingAPI:
         requests: dict[tuple, list] = {}  # support -> its requests
         for r, support in enumerate(supports):
             requests.setdefault(support, []).append(r)
-        engines, held = {}, {}
+        engines, held, failed = {}, {}, {}
         for index, digest in requests:
-            if index not in engines:
-                name = self.fleet.record_by_index(index).name
-                engines[index] = self._flush_engine(name, model)
-            store = engines[index][0].held_on(digest, n_live)
-            if store is not None:
-                held[index, digest] = store
+            if index not in engines and index not in failed:
+                try:
+                    name = self.fleet.record_by_index(index).name
+                    engines[index] = self._flush_engine(name, model)
+                except Exception as exc:  # noqa: BLE001 — this tenant only
+                    failed[index] = exc
+            if index in engines:
+                store = engines[index][0].held_on(digest, n_live)
+                if store is not None:
+                    held[index, digest] = store
         outcomes = [
-            None if support in held else ValueError(_STALE_SUPPORT)
+            None if support in held
+            else failed.get(support[0]) or ValueError(_STALE_SUPPORT)
             for support in supports
         ]
         groups = {engines[index][0].coalesce_key for index, _ in held}
@@ -402,18 +411,21 @@ class ServingAPI:
     # ------------------------------------------------------------------
     # typed protocol entry points (what the frontend calls)
     # ------------------------------------------------------------------
-    def score(self, request: ScoreRequest) -> ScoreResponse:
-        """Answer one typed request synchronously."""
+    def score(self, request: ScoreRequest | ScoreBatchRequest):
+        """Answer one typed request of either kind synchronously."""
         return self.submit_score(request).result()
 
-    def score_batch(self, request: ScoreBatchRequest) -> ScoreBatchResponse:
-        """Answer one typed batch request synchronously."""
-        return self.submit_score_batch(request).result()
+    def submit_score(self, request: ScoreRequest | ScoreBatchRequest, *,
+                     deadline: float | None = None) -> Future:
+        """Answer one typed request; resolves to its typed response.
 
-    def submit_score(
-        self, request: ScoreRequest, *, deadline: float | None = None
-    ) -> Future:
-        """Answer one typed request; resolves to a :class:`ScoreResponse`.
+        A :class:`ScoreRequest` resolves to a :class:`ScoreResponse`; a
+        v2 :class:`ScoreBatchRequest` — N logical sub-requests stacked
+        into one frame, all of ``request.tenant`` — costs the same *one*
+        scheduler submit and resolves to a :class:`ScoreBatchResponse`
+        echoing the request's already-validated ``counts``, so the
+        client scatters the block back itself.  The flusher builds the
+        response right after the flush that scored the rows.
 
         The response's ``version`` is the version that actually scored
         the request, even if a hot-swap landed between submit and flush.
@@ -435,38 +447,14 @@ class ServingAPI:
         request's own ``deadline_ms`` budget measured from now) drops
         the request unscored if it expires while queued.
         """
-        return self._submit_typed(request, deadline, ScoreResponse)
-
-    def submit_score_batch(
-        self, request: ScoreBatchRequest, *, deadline: float | None = None
-    ) -> Future:
-        """Answer one v2 batch frame; resolves to a
-        :class:`ScoreBatchResponse`.
-
-        This is the whole point of the batched wire: the N logical
-        sub-requests stacked into ``request`` cost *one* scheduler
-        submit (one future, one wakeup, one flush slot) instead of N —
-        the response echoes ``counts`` so the client scatters the block
-        back itself.  The stacked sub-requests all belong to
-        ``request.tenant`` (one client is one tenant); every row is
-        scored by one consistent registry version, exactly as for
-        :meth:`submit_score` (including ``deadline`` semantics).  The
-        response echoes the request's already-validated ``counts``, so
-        building it checks only that they cover the scored rows.
-        """
-        return self._submit_typed(
-            request, deadline, ScoreBatchResponse, counts=request.counts
-        )
-
-    def _submit_typed(self, request, deadline, response_cls, **extra) -> Future:
-        """Shared typed submit: one future, resolving to the response.
-
-        The flusher builds it right after the flush that scored the
-        rows, from the version that answered this request.
-        """
         if deadline is None and request.deadline_ms is not None:
             deadline = time.monotonic() + request.deadline_ms / 1e3
         want_scores = request.want_scores
+        response = ScoreResponse
+        if isinstance(request, ScoreBatchRequest):
+            response = functools.partial(
+                ScoreBatchResponse, counts=request.counts
+            )
 
         def respond(result, version, name):
             if want_scores:
@@ -474,9 +462,9 @@ class ServingAPI:
                 result = np.argmax(scores, axis=1)
             else:
                 scores = None
-            return response_cls(
+            return response(
                 predictions=np.atleast_1d(result), scores=scores, model=name,
-                version=version, request_id=request.request_id, **extra,
+                version=version, request_id=request.request_id,
             )
 
         return self._submit(

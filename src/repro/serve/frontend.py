@@ -639,10 +639,7 @@ class _Connection(asyncio.Protocol):
             message = decode_message(frame)
             if isinstance(message, (ScoreRequest, ScoreBatchRequest)):
                 request_id = message.request_id
-                if isinstance(message, ScoreBatchRequest):
-                    future = frontend.api.submit_score_batch(message)
-                else:
-                    future = frontend.api.submit_score(message)
+                future = frontend.api.submit_score(message)
                 future.add_done_callback(
                     functools.partial(frontend._complete, self, request_id)
                 )

@@ -17,7 +17,7 @@ import pytest
 
 from repro.client import PriveHDClient, ServerError
 from repro.core.inference_privacy import InferenceObfuscator, ObfuscationConfig
-from repro.hd import HDModel, ScalarBaseEncoder, get_quantizer
+from repro.hd import HDModel, LevelBaseEncoder, ScalarBaseEncoder, get_quantizer
 from repro.serve import (
     FrontendHandle,
     MicroBatchConfig,
@@ -247,6 +247,61 @@ class TestWireFaults:
             out = client.predict_encoded(packed_queries)
         np.testing.assert_array_equal(out, expected)
         assert client.reconnects == 1  # healed a genuinely eaten reply
+
+
+class _LosesTheReRead(PriveHDClient):
+    """Loses its connection once, inside the ModelInfo re-read that
+    follows a core refusal, once ``lose_reread`` is set."""
+
+    lose_reread = False
+
+    def model_info(self, model=None):
+        if self.lose_reread:
+            self.lose_reread = False
+            self._sock.shutdown(socket.SHUT_RDWR)
+        return super().model_info(model)
+
+
+class TestCoreRefusalRetryBudget:
+    """The ModelInfo re-read after a core refusal is its own exchange
+    with its own attempt budget: a connection lost there is final at
+    ``max_retries=0`` on every entry point, never a silent reconnect."""
+
+    @pytest.fixture()
+    def republished(self, task):
+        X, y, _ = task
+        encoder = LevelBaseEncoder(D_IN, D_HV, seed=4)
+        model = HDModel.from_encodings(encoder.encode(X), y, N_CLASSES)
+        api = ServingAPI.from_artifact(
+            ModelArtifact.build(
+                model, quantizer="bipolar", backend="packed", encoder=encoder
+            ),
+            name="demo",
+        )
+        with FrontendHandle(api) as handle:
+            client = _LosesTheReRead(handle.address, encoder=encoder)
+            with client:
+                assert client._ships_core
+                # The same store, republished without the core.
+                api.registry.publish("demo", ModelArtifact.build(
+                    model, quantizer="bipolar", backend="packed"
+                ))
+                client.lose_reread = True
+                yield client, X[:4]
+        api.close()
+
+    @pytest.mark.parametrize("call", [
+        lambda client, X: client.predict(X),
+        lambda client, X: client.predict_encoded_many(
+            [client.obfuscator.prepare_packed(X)], wire_batch=2
+        ),
+        lambda client, X: client.predict_many(X, chunk_size=2),
+    ], ids=["predict", "predict_encoded_many", "predict_many"])
+    def test_a_lost_reread_is_final(self, republished, call):
+        client, X = republished
+        with pytest.raises(ConnectionError):
+            call(client, X)
+        assert client.reconnects == 0
 
 
 @pytest.mark.skipif(

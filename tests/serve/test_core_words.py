@@ -355,35 +355,64 @@ def test_core_frames_over_a_socket(encoder, with_encoder):
         api.close()
 
 
-def test_open_sessions_survive_a_republish_without_the_core(encoder):
+#: every client entry point: (ships features, the call); each answers
+#: predictions except ``scores``
+_ENTRY_POINTS = {
+    "predict": (True, lambda client, X, rows: client.predict(X)),
+    "scores": (True, lambda client, X, rows: client.scores(X)),
+    "predict_encoded": (
+        False, lambda client, X, rows: client.predict_encoded(rows)
+    ),
+    "predict_many": (
+        True,
+        lambda client, X, rows: client.predict_many(X, chunk_size=4, window=2),
+    ),
+    **{
+        f"predict_encoded_many-wire_batch{wire_batch}": (
+            False,
+            lambda client, X, rows, wire_batch=wire_batch: np.concatenate(
+                client.predict_encoded_many(
+                    [rows[i : i + 1] for i in range(len(rows))],
+                    window=3, wire_batch=wire_batch,
+                )
+            ),
+        )
+        for wire_batch in (1, 2)
+    },
+}
+
+
+@pytest.mark.parametrize("entry", list(_ENTRY_POINTS))
+def test_open_sessions_survive_a_republish_without_the_core(encoder, entry):
     """A v6 client that shipped core words keeps being answered after
     the model is republished, same keep mask, from an artifact without
     a core: the refusal makes it re-read ModelInfo and send the same
-    rows again as live words."""
+    rows again as live words — through every entry point."""
     from repro.client import PriveHDClient
 
+    features, call = _ENTRY_POINTS[entry]
     art = _artifact(encoder, 7)
     X = spawn(3, "core-words-x").uniform(0, 1, (6, encoder.d_in))
     rows = _rows(encoder, 7, n=6, seed=3)
-    want = art.engine().predict(_planes(rows))
+    engine = art.engine()
+    answer = engine.scores if entry == "scores" else engine.predict
+    want = answer(_planes(rows))
     api = ServingAPI.from_artifact(art, name="model")
     try:
         with FrontendHandle(api) as handle:
-            edge = PriveHDClient(handle.address, encoder=encoder)
-            gateway = PriveHDClient(handle.address)
-            with edge, gateway:
-                assert edge._ships_core and gateway.info.core_digest
-                np.testing.assert_array_equal(edge.predict(X[:1]), want[:1])
+            with PriveHDClient(
+                handle.address, encoder=encoder if features else None
+            ) as client:
+                assert client.info.core_digest == rows.core.digest
+                assert not features or client._ships_core
+                np.testing.assert_array_equal(
+                    call(client, X[:1], rows[:1]), want[:1]
+                )
                 api.fleet.registry_for("model").publish(
                     "model", _artifact(encoder, 7, with_encoder=False)
                 )
-                np.testing.assert_array_equal(edge.predict(X[:2]), want[:2])
-                assert not edge._ships_core
-                singles = [rows[i : i + 1] for i in range(6)]
-                got = gateway.predict_encoded_many(
-                    singles, window=3, wire_batch=2
-                )
-                np.testing.assert_array_equal(np.concatenate(got), want)
-                assert gateway.info.core_digest is None
+                np.testing.assert_array_equal(call(client, X, rows), want)
+                assert client.info.core_digest is None
+                assert not features or not client._ships_core
     finally:
         api.close()

@@ -611,7 +611,7 @@ class TestFleetRouting:
     def test_batch_requests_route_by_tenant(self, trio):
         api, artifacts = trio
         queries = _queries(6, seed=13)
-        response = api.score_batch(
+        response = api.score(
             ScoreBatchRequest(queries=queries, counts=(4, 2), tenant="bob")
         )
         np.testing.assert_array_equal(
@@ -840,6 +840,42 @@ class TestKernelSelection:
         for i, name in enumerate(["a", "b"]):
             expected = self._expected(_artifact(i), queries[name])
             np.testing.assert_array_equal(scores[name], expected)
+
+    def test_a_failed_readmission_fails_only_its_tenant(self, tmp_path):
+        """a is evicted and its tensors corrupted between its submit and
+        b's, in one paced group flush: the flush-time re-admission of a
+        refuses the artifact, and only a's request carries the error."""
+        root = _save_fleet_dir(tmp_path, ["a", "b", "c"])
+        probe = ModelFleet.from_dir(root)
+        probe.resolve("a")
+        fleet = ModelFleet.from_dir(
+            root, cache_bytes=probe.stats().resident_bytes
+        )
+        queries = {t: _queries(2, seed=i) for i, t in enumerate("ab")}
+        config = MicroBatchConfig(max_batch=4, eager=False, max_delay_s=30.0)
+        with ServingAPI(fleet, config=config) as api:
+            futures = {"a": api.submit_score(
+                ScoreRequest(queries=queries["a"], tenant="a")
+            )}
+            fleet.resolve("c")  # evicts a
+            assert not fleet.is_resident("a")
+            tensors = root / "a" / "tensors.npz"
+            blob = bytearray(tensors.read_bytes())
+            blob[len(blob) // 2] ^= 0xFF
+            tensors.write_bytes(bytes(blob))
+            futures["b"] = api.submit_score(
+                ScoreRequest(queries=queries["b"], tenant="b")
+            )
+            with pytest.raises(ArtifactError, match="checksum"):
+                futures["a"].result(timeout=10.0)
+            np.testing.assert_array_equal(
+                futures["b"].result(timeout=10.0).predictions,
+                _artifact(1).engine().predict(
+                    queries["b"].unpack(np.float32)
+                ),
+            )
+            [sched] = api.stats()["schedulers"].values()
+            assert sched["flushes"] == 1
 
 
 

@@ -498,7 +498,7 @@ class TestBatchedWire:
         api, handle = served
         obf = InferenceObfuscator(encoder, ObfuscationConfig())
         block = pack_hypervectors(obf.prepare(X[:6]), validate=False)
-        response = api.score_batch(
+        response = api.score(
             ScoreBatchRequest(queries=block, counts=(2, 2, 2), model="demo")
         )
         assert response.version == api.registry.current_version("demo")
