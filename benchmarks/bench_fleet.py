@@ -27,21 +27,32 @@ subsystem actually delivers that:
    ``--assert-coalesce-speedup X`` gate (ISSUE bar: X = 1.5 at 1k
    tenants) fails the run if coalesced throughput is below X times the
    per-tenant baseline.
+4. **Admission of encoder manifests** — ISOLET-shaped §III-C masked
+   prototypes (d_in 617, d_hv 10,000, 26 classes, 5,000 live
+   dimensions) built once without and once with a level-base
+   ``encoder=``: admission p50/p99 and the bytes each resident tenant
+   holds under :mod:`tracemalloc`, next to what it is charged.  A
+   serving engine holds no codebooks, so recording an encoder must not
+   make admission slow or tenants heavier than their charge.  The
+   ``--assert-admission-ratio X`` gate fails the run if an encoder
+   manifest's p50 admission is above X times the encoder-free one.
 
 Writes ``BENCH_fleet.json``::
 
     PYTHONPATH=src python benchmarks/bench_fleet.py              # full sweep
     PYTHONPATH=src python benchmarks/bench_fleet.py --smoke      # CI seconds
     PYTHONPATH=src python benchmarks/bench_fleet.py --smoke \
-        --assert-coalesce-speedup 1.5
+        --assert-coalesce-speedup 1.5 --assert-admission-ratio 2
 """
 
 import argparse
+import gc
 import json
 import pathlib
 import sys
 import tempfile
 import time
+import tracemalloc
 
 if __name__ == "__main__":  # script mode works without an installed package
     sys.path.insert(0, str(pathlib.Path(__file__).resolve().parent.parent / "src"))
@@ -49,11 +60,15 @@ if __name__ == "__main__":  # script mode works without an installed package
 import numpy as np
 
 from repro.backend.packed import pack_hypervectors
+from repro.hd import HDModel, LevelBaseEncoder
+from repro.hd.prune import mask_from_seed
 from repro.proto import ScoreRequest
 from repro.serve import MicroBatchConfig, ModelArtifact, ModelFleet, ServingAPI
 from repro.utils import spawn
 
 N_PROTOTYPES = 8  # distinct on-disk artifacts the tenants round-robin over
+#: the admission leg's tenant shape: ISOLET-shaped, masked as in §III-C
+ADMIT_D_IN, ADMIT_D_HV, ADMIT_CLASSES, ADMIT_LIVE = 617, 10_000, 26, 5_000
 
 
 def _rss_mib() -> float:
@@ -91,6 +106,75 @@ def build_prototypes(root, *, d_hv, n_classes, seed):
         )
         paths.append(artifact.save(root / f"proto{i:02d}"))
     return paths
+
+
+def build_admission_prototypes(root, *, seed):
+    """Masked prototypes built without and with a level-base ``encoder=``.
+
+    Both kinds hold the same class stores on the same keep mask; the
+    encoder kind records the encoder config in its manifest and the
+    core tensors a level-base store carries.
+    """
+    rng = spawn(seed, "fleet-bench-admission")
+    encoder = LevelBaseEncoder(ADMIT_D_IN, ADMIT_D_HV, seed=seed)
+    mask_seed = seed + 1
+    keep = mask_from_seed(ADMIT_D_HV, ADMIT_D_HV - ADMIT_LIVE, mask_seed)
+    paths = {"encoder_free": [], "encoder": []}
+    for i in range(N_PROTOTYPES):
+        model = HDModel(
+            ADMIT_CLASSES,
+            ADMIT_D_HV,
+            rng.choice([-1.0, 1.0], size=(ADMIT_CLASSES, ADMIT_D_HV)),
+        )
+        for label, recorded in (("encoder_free", None), ("encoder", encoder)):
+            artifact = ModelArtifact.build(
+                model, quantizer="bipolar", backend="packed",
+                encoder=recorded, keep_mask=keep, mask_seed=mask_seed,
+            )
+            paths[label].append(artifact.save(root / label / f"proto{i:02d}"))
+    return paths
+
+
+def admission_comparison(paths, n_tenants):
+    """Admission latency and held bytes per tenant, by prototype kind.
+
+    Each kind admits ``n_tenants`` tenants twice from disk: once timed
+    (p50/p99 of one :meth:`~repro.serve.ModelFleet.resolve` each) and
+    once under :mod:`tracemalloc`, whose growth over the admissions is
+    what the resident tenants hold.
+    """
+    out = {"tenants": n_tenants}
+    for label, protos in paths.items():
+        fleet = make_fleet(protos, n_tenants)
+        times = []
+        for tenant in fleet.tenants():
+            t0 = time.perf_counter()
+            fleet.resolve(tenant)
+            times.append(time.perf_counter() - t0)
+        traced = make_fleet(protos, n_tenants)
+        gc.collect()
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            for tenant in traced.tenants():
+                traced.resolve(tenant)
+            gc.collect()
+            held = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        ms = np.asarray(times) * 1e3
+        out[label] = {
+            "p50_ms": round(float(np.percentile(ms, 50)), 3),
+            "p99_ms": round(float(np.percentile(ms, 99)), 3),
+            "traced_bytes_per_tenant": held // n_tenants,
+            "charged_bytes_per_tenant": (
+                traced.stats().resident_bytes // n_tenants
+            ),
+        }
+    out["ratio"] = round(
+        out["encoder"]["p50_ms"] / max(out["encoder_free"]["p50_ms"], 1e-9), 2
+    )
+    return out
 
 
 def make_fleet(paths, n_tenants, *, cache_bytes=None):
@@ -276,6 +360,16 @@ def main(argv=None) -> int:
         ),
     )
     parser.add_argument(
+        "--assert-admission-ratio",
+        type=float,
+        default=None,
+        metavar="X",
+        help=(
+            "fail (exit 1) if an encoder manifest's p50 admission is above "
+            "X times an encoder-free one's"
+        ),
+    )
+    parser.add_argument(
         "--out", type=pathlib.Path, default=pathlib.Path("BENCH_fleet.json")
     )
     args = parser.parse_args(argv)
@@ -346,6 +440,20 @@ def main(argv=None) -> int:
             f"({co['speedup']}x)"
         )
 
+        report["admission"] = admission_comparison(
+            build_admission_prototypes(root / "admission", seed=args.seed),
+            16 if args.smoke else 64,
+        )
+        ad = report["admission"]
+        for label in ("encoder_free", "encoder"):
+            leg = ad[label]
+            print(
+                f"admission ({label}, {ad['tenants']} tenants): "
+                f"p50 {leg['p50_ms']:.2f} ms, p99 {leg['p99_ms']:.2f} ms, "
+                f"holds {leg['traced_bytes_per_tenant']:,} B per tenant, "
+                f"charged {leg['charged_bytes_per_tenant']:,} B"
+            )
+
     failed = False
     if args.assert_coalesce_speedup is not None:
         co["threshold"] = args.assert_coalesce_speedup
@@ -354,6 +462,18 @@ def main(argv=None) -> int:
             print(
                 f"ERROR: coalesce speedup {co['speedup']}x below the "
                 f"{args.assert_coalesce_speedup}x bar",
+                file=sys.stderr,
+            )
+            failed = True
+
+    if args.assert_admission_ratio is not None:
+        ad["threshold"] = args.assert_admission_ratio
+        ad["passed"] = ad["ratio"] <= args.assert_admission_ratio
+        if not ad["passed"]:
+            print(
+                f"ERROR: encoder manifests admit {ad['ratio']}x slower than "
+                f"encoder-free ones, above the "
+                f"{args.assert_admission_ratio}x bar",
                 file=sys.stderr,
             )
             failed = True

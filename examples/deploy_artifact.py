@@ -7,23 +7,32 @@ The MLOps loop a Prive-HD user actually runs:
 3. save a self-contained, checksum-verified ``ModelArtifact`` directory
    (quantized store + encoder config + privacy certificate);
 4. on the serving side, load the artifact into a versioned registry and
-   answer live traffic through the micro-batching server — then promote
-   a re-privatized v2 with zero dropped requests — and also emit the
-   Verilog for an FPGA serving path.
+   answer an edge client (it encodes on its side; the server holds no
+   codebooks) over a socket — then promote a re-privatized v2 with zero
+   dropped requests — and also emit the Verilog for an FPGA serving
+   path.
+
+Exits non-zero unless the served answers equal the offline engine's
+(``ModelArtifact.engine().predict_features``) before and after the swap.
 
 Run:  python examples/deploy_artifact.py
 """
 
+import sys
 import tempfile
 from pathlib import Path
 
+import numpy as np
+
+from repro.client import PriveHDClient
 from repro.core import PriveHD, audit_training_privacy
+from repro.core.inference_privacy import ObfuscationConfig
 from repro.data import load_dataset
 from repro.hardware import generate_rtl_bundle
-from repro.serve import ModelArtifact, ServingAPI
+from repro.serve import FrontendHandle, ModelArtifact, ServingAPI
 
 
-def main() -> None:
+def main() -> int:
     ds = load_dataset("face", n_train=2500, n_test=600, seed=6)
     print(f"dataset: {ds.summary()}")
 
@@ -61,25 +70,39 @@ def main() -> None:
         art = ModelArtifact.load(path)  # checksum-verified
         print(f"[serve] certificate: eps={art.epsilon:g} "
               f"delta={art.privacy['delta']:g} private={art.is_private}")
-        with ServingAPI.from_artifact(art, name="face") as server:
+        offline = art.engine()  # the offline reference, with codebooks
+        acc = offline.accuracy_features(ds.X_test, ds.y_test)
+        print(f"[serve] accuracy from the loaded artifact: {acc:.3f}")
+        with ServingAPI.from_artifact(art, name="face") as server, \
+                FrontendHandle(server) as handle, PriveHDClient(
+                    handle.address, encoder=art.encoder_config,
+                    obfuscation=ObfuscationConfig(
+                        quantizer=art.query_quantizer or "identity"),
+                ) as edge:
             registry = server.registry
-            acc = art.engine().accuracy_features(ds.X_test, ds.y_test)
-            print(f"[serve] accuracy from the loaded artifact: {acc:.3f}")
-            preds = server.predict_features(ds.X_test[:5])
+            preds = edge.predict(ds.X_test[:5])
             print(f"[serve] first micro-batched predictions: "
                   f"{preds.tolist()} (truth {ds.y_test[:5].tolist()})")
+            ok = np.array_equal(preds, offline.predict_features(ds.X_test[:5]))
 
             # promote a re-privatized v2 under live traffic: atomic, no
             # dropped requests — the next flush simply resolves v2.
-            result_v2 = system.fit_private(
+            art_v2 = system.fit_private(
                 ds.X_train, ds.y_train, epsilon=1.0,
                 effective_dims=2000, noise_seed=99,
-            )
-            v2 = registry.publish("face", result_v2.to_artifact())
+            ).to_artifact()
+            v2 = registry.publish("face", art_v2)
+            swapped = edge.predict(ds.X_test[:1])
             print(f"[swap]  promoted v{v2} "
                   f"(current: v{registry.current_version('face')}); "
-                  f"post-swap prediction: "
-                  f"{server.predict_features(ds.X_test[:1]).tolist()}")
+                  f"post-swap prediction: {swapped.tolist()}")
+            ok &= np.array_equal(
+                swapped, art_v2.engine().predict_features(ds.X_test[:1])
+            )
+        if not ok:
+            print("ERROR: served answers diverged from the offline engine",
+                  file=sys.stderr)
+            return 1
 
     # ... and the FPGA path: emit the majority datapath RTL + testbench.
     bundle = generate_rtl_bundle(ds.d_in, n_vectors=16, tie_seed=13)
@@ -91,7 +114,8 @@ def main() -> None:
         line for line in bundle.module.splitlines() if "LUT6 #" in line
     )
     print(f"        e.g. {first_lut.strip()[:72]}...")
+    return 0
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

@@ -17,7 +17,7 @@ stack and the model lifecycle end-to-end:
     prive-hd train isolet --batch-size 512 --backend packed \
         --save artifacts/isolet            # train -> on-disk artifact
     prive-hd eval artifacts/isolet        # load -> accuracy
-    prive-hd serve artifacts/isolet --clients 8   # micro-batched serving
+    prive-hd serve artifacts/isolet --clients 8   # self-test over a socket
     prive-hd serve artifacts/isolet --listen 127.0.0.1:7411 \
         --http-port 7412                  # network frontend (binary + ops)
     prive-hd client artifacts/isolet --connect 127.0.0.1:7411 \
@@ -355,12 +355,42 @@ def _run_eval(args) -> int:
     return 0
 
 
+def _batch_config(args):
+    """The ``serve`` flags' :class:`~repro.serve.MicroBatchConfig`."""
+    from repro.serve import MicroBatchConfig
+
+    return MicroBatchConfig(
+        max_batch=args.max_batch,
+        eager=not args.paced,
+        max_delay_s=args.max_delay_ms / 1e3,
+        max_queue_rows=args.max_queue_rows,
+        max_queue_age_s=(
+            None
+            if args.max_queue_age_ms is None
+            else args.max_queue_age_ms / 1e3
+        ),
+    )
+
+
+def _edge_client(artifact, address, **kwargs):
+    """A :class:`~repro.client.PriveHDClient` encoding as ``artifact`` does."""
+    from repro.client import PriveHDClient
+    from repro.core.inference_privacy import ObfuscationConfig
+
+    quantizer = artifact.query_quantizer or "identity"
+    return PriveHDClient(
+        address, obfuscation=ObfuscationConfig(quantizer=quantizer), **kwargs
+    )
+
+
 def _run_serve(args) -> int:
-    import threading
+    """``serve ARTIFACT``: edge clients that encode on their side, over an
+    in-process socket; exits 1 unless every answer is the offline one."""
+    from concurrent.futures import ThreadPoolExecutor
 
     import numpy as np
 
-    from repro.serve import MicroBatchConfig, ServingAPI
+    from repro.serve import FrontendHandle, ServingAPI
 
     if args.listen is not None:
         return _run_serve_listen(args)
@@ -374,46 +404,33 @@ def _run_serve(args) -> int:
     artifact, data = _load_artifact_for_dataset(args)
     print(_describe_artifact(artifact))
 
-    config = MicroBatchConfig(
-        max_batch=args.max_batch,
-        eager=not args.paced,
-        max_delay_s=args.max_delay_ms / 1e3,
-        max_queue_rows=args.max_queue_rows,
-        max_queue_age_s=(
-            None
-            if args.max_queue_age_ms is None
-            else args.max_queue_age_ms / 1e3
-        ),
-    )
-    api = ServingAPI.from_artifact(artifact, name="model", config=config)
-
     n = min(args.requests, len(data.y_test))
     X = data.X_test[:n]
-    # Offline reference: the same engine, one packed batch.
+    # Offline reference: the artifact's own engine, one batch.
     t0 = time.perf_counter()
-    direct = api.registry.resolve("model").predict_features(X)
+    direct = artifact.engine().predict_features(X)
     offline_s = time.perf_counter() - t0
 
     results = np.full(n, -1, dtype=np.int64)
     failures: list[Exception] = []
+    encoder = artifact.encoder()  # one set of codebooks for every client
 
     def client(worker: int) -> None:
-        for i in range(worker, n, args.clients):
-            try:
-                results[i] = server.predict_features(X[i])
-            except Exception as exc:  # noqa: BLE001 — counted, reported
-                failures.append(exc)
+        try:
+            with _edge_client(artifact, address, encoder=encoder) as edge:
+                for i in range(worker, n, args.clients):
+                    results[i] = edge.predict(X[i])[0]
+        except Exception as exc:  # noqa: BLE001 — counted, reported
+            failures.append(exc)
 
-    with api as server:
-        threads = [
-            threading.Thread(target=client, args=(w,))
-            for w in range(args.clients)
-        ]
+    api = ServingAPI.from_artifact(
+        artifact, name="model", config=_batch_config(args)
+    )
+    with api as server, FrontendHandle(server) as handle:
+        address = handle.address
         perf = time.perf_counter()
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join()
+        with ThreadPoolExecutor(args.clients) as pool:
+            list(pool.map(client, range(args.clients)))
         served_s = time.perf_counter() - perf
         (stats,) = server.stats()["schedulers"].values()
 
@@ -462,7 +479,6 @@ def _run_serve_listen(args) -> int:
     from repro.client import parse_address
     from repro.serve import (
         FrontendConfig,
-        MicroBatchConfig,
         ModelFleet,
         ServingAPI,
         ServingFrontend,
@@ -476,17 +492,7 @@ def _run_serve_listen(args) -> int:
             "or --fleet-dir"
         )
     host, port = parse_address(args.listen)
-    config = MicroBatchConfig(
-        max_batch=args.max_batch,
-        eager=not args.paced,
-        max_delay_s=args.max_delay_ms / 1e3,
-        max_queue_rows=args.max_queue_rows,
-        max_queue_age_s=(
-            None
-            if args.max_queue_age_ms is None
-            else args.max_queue_age_ms / 1e3
-        ),
-    )
+    config = _batch_config(args)
     frontend_config = FrontendConfig(
         handshake_timeout_s=args.handshake_timeout_s,
         idle_timeout_s=args.idle_timeout_s,
@@ -573,21 +579,14 @@ def _run_client(args) -> int:
     """
     import numpy as np
 
-    from repro.client import PriveHDClient
-    from repro.core.inference_privacy import ObfuscationConfig
-
     artifact, data = _load_artifact_for_dataset(args)
     print(_describe_artifact(artifact))
 
     n = min(args.requests, len(data.y_test))
     X, y = data.X_test[:n], data.y_test[:n]
-    quantizer = artifact.query_quantizer or "identity"
-    with PriveHDClient(
-        args.connect,
-        encoder=artifact.encoder_config,
-        obfuscation=ObfuscationConfig(quantizer=quantizer),
-        tenant=args.tenant,
-        connect_retries=args.retries,
+    with _edge_client(
+        artifact, args.connect, encoder=artifact.encoder_config,
+        tenant=args.tenant, connect_retries=args.retries,
     ) as client:
         info = client.info
         tenant_note = "" if args.tenant is None else f", tenant={args.tenant}"
@@ -836,8 +835,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p_serve = sub.add_parser(
         "serve",
         help=(
-            "serve a saved artifact to concurrent clients through the "
-            "micro-batching scheduler and report latency/throughput"
+            "serve a saved artifact to concurrent edge clients over an "
+            "in-process socket and report latency/throughput"
         ),
     )
     p_serve.add_argument(
@@ -874,7 +873,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p_serve.add_argument("--dataset", default=None)
     p_serve.add_argument("--seed", type=int, default=None)
     p_serve.add_argument(
-        "--clients", type=int, default=8, help="concurrent client threads"
+        "--clients", type=int, default=8,
+        help="concurrent client threads, each encoding on its own side",
     )
     p_serve.add_argument(
         "--requests",

@@ -123,8 +123,8 @@ class ServingAPI:
         """Serve one artifact (object or directory path) under ``name``.
 
         The artifact becomes a fleet of one: a resident, never-evicted
-        tenant ``name`` whose registry serves the model ``name``.  All
-        engine construction happens inside
+        tenant ``name`` whose registry serves the model ``name``, built
+        without codebooks (encoder ``engine_kwargs`` are refused) inside
         :meth:`~repro.serve.ModelArtifact.engine` — callers never touch
         ``store_is_quantized``, ``keep_mask``, or backend plumbing.
         ``mmap=True`` (paths only) maps the tensors read-only instead of
@@ -186,19 +186,6 @@ class ServingAPI:
                tenant: str | None = None) -> np.ndarray:
         """Eq. (4) class scores for encoded query hypervectors."""
         return self._rows(queries, tenant, model, "scores")
-
-    def predict_features(self, X, *, model: str | None = None,
-                         tenant: str | None = None) -> np.ndarray:
-        """Labels for raw features — **in-process callers only**.
-
-        The artifact must carry an encoder config; the whole coalesced
-        batch streams through the engine's fused encode → quantize
-        (→ pack) pipeline once per flush.  This entry point deliberately
-        has no wire equivalent: the network protocol cannot express raw
-        features, so remote callers encode client-side
-        (:class:`~repro.client.PriveHDClient`) and use :meth:`score`.
-        """
-        return self._rows(X, tenant, model, "predict_features")
 
     def _rows(self, queries, tenant, model, method) -> np.ndarray:
         """This request's rows of the flush that scored it (blocking).
@@ -306,8 +293,8 @@ class ServingAPI:
         return described.engine, described.version
 
     def _run_tenant(self, rows, counts, key: tuple) -> list:
-        """Flush runner for one tenant's dense rows, raw features or
-        ``[signs | mags]`` plane rows.
+        """Flush runner for one tenant's dense rows or ``[signs | mags]``
+        plane rows.
 
         Plane rows reach the engine as the rebuilt :class:`PackedHV`
         and take its general formula (a dense engine unpacks them).

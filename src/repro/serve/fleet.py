@@ -14,9 +14,9 @@ this module turns that into a real fleet:
   LRU artifact cache.  Tenants are registered *lazily* (a path, not a
   load), admitted on first use with ``mmap=True`` + checksum
   verification — for a packed (v3) artifact that is: read the 65 KB of
-  bit planes, hash them, compact them to live words — and evicted
-  oldest-first when the bytes the resident stores hold exceed the
-  budget; a later request re-admits from the recorded path,
+  bit planes, hash them, compact them to live words, build no codebooks
+  — and evicted oldest-first when the bytes the resident stores hold
+  exceed the budget; a later request re-admits from the recorded path,
   checksums re-verified.  Racing requests for one tenant share one
   load.  Hot tenants can be pinned.  Counters live in
   :class:`FleetStats`.
@@ -66,7 +66,7 @@ import numpy as np
 from repro.backend.packed import LiveStore, xor_dot_rows
 from repro.serve.artifact import ModelArtifact
 from repro.serve.errors import TenantNotFound
-from repro.serve.registry import ModelRegistry
+from repro.serve.registry import ModelRegistry, _check_engine_kwargs
 
 __all__ = [
     "DEFAULT_TENANT",
@@ -99,12 +99,13 @@ class FleetStats:
         Bytes held by the resident tenants' prepared class stores
         (:attr:`~repro.backend.packed.LiveStore.nbytes`: live words plus
         one magnitude row for a store whose rows share one, both planes
-        otherwise), the quantity the LRU budget bounds.  Only each
-        resident tenant's *current default-model* store is charged:
-        earlier versions a :class:`~repro.serve.ModelRegistry` keeps in
-        memory for rollback are held uncharged until
-        :meth:`~repro.serve.ModelRegistry.retire` frees them.  A
-        tenant's hot-swap is charged at its next request or flush.
+        otherwise; serving engines hold no codebooks), the quantity the
+        LRU budget bounds.  Only each resident tenant's *current
+        default-model* store is charged: earlier versions a
+        :class:`~repro.serve.ModelRegistry` keeps in memory for rollback
+        are held uncharged until :meth:`~repro.serve.ModelRegistry.retire`
+        frees them.  A tenant's hot-swap is charged at its next request
+        or flush.
     cache_bytes:
         The budget ``resident_bytes`` is held under, ``None`` when the
         cache is unbounded.
@@ -380,6 +381,7 @@ class ModelFleet:
         ``model=None`` serves whichever single name the registry holds.
         ``pin=True`` exempts a hot tenant from eviction.
         """
+        _check_engine_kwargs(engine_kwargs)
         with self._lock:
             if tenant in self._tenants:
                 raise ValueError(f"tenant {tenant!r} already registered")

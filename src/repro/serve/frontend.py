@@ -273,12 +273,6 @@ class ServingFrontend:
         for server in servers:
             await server.wait_closed()
 
-    async def serve_forever(self) -> None:
-        """Run until cancelled (listeners must be started)."""
-        if self._server is None:
-            await self.start()
-        await self._server.serve_forever()
-
     def run(self) -> None:
         """Blocking convenience: start and serve until interrupted.
 
@@ -453,8 +447,8 @@ class ServingFrontend:
         )
 
 
-class _Connection(asyncio.Protocol):
-    """One client connection: a :class:`WireSession` over a transport.
+class _Connection(asyncio.BufferedProtocol):
+    """One connection: a transport reading into a :class:`WireSession`.
 
     Reads pause at ``max_inflight`` unanswered requests, above the write
     high-water mark and while a ``frontend.read`` delay holds a frame.
@@ -494,11 +488,14 @@ class _Connection(asyncio.Protocol):
             transport.set_write_buffer_limits(high=high)
         self._arm_timer()
 
-    def data_received(self, data: bytes) -> None:
+    def get_buffer(self, sizehint: int) -> memoryview:
+        return self.session.recv_buffer()
+
+    def buffer_updated(self, nbytes: int) -> None:
         if self._timer is not None:
             self._arm_timer()
         try:
-            self.session.receive_data(data)
+            self.session.commit(nbytes)
         except ProtocolError as exc:
             self._poison(exc)
             return

@@ -37,6 +37,17 @@ from repro.serve.engine import InferenceEngine
 __all__ = ["ModelRegistry", "ModelVersion"]
 
 
+def _check_engine_kwargs(engine_kwargs: dict | None) -> dict:
+    kwargs = dict(engine_kwargs or {})
+    if refused := {"with_encoder", "encode_workers", "chunk_size"} & {*kwargs}:
+        raise ValueError(
+            f"serving engines hold no encoder, so engine_kwargs cannot set "
+            f"{', '.join(sorted(refused))}; encode raw features offline "
+            "with ModelArtifact.engine()"
+        )
+    return kwargs
+
+
 @dataclass(frozen=True)
 class ModelVersion:
     """One published version of a named model.
@@ -47,8 +58,8 @@ class ModelVersion:
         Registry coordinates; versions are assigned sequentially per
         name starting at 1.
     engine:
-        The prepared serving engine (quantized/packed once, at publish);
-        ``None`` while the version is evicted (retired to disk).
+        The prepared serving engine (quantized/packed once, at publish;
+        no codebooks); ``None`` while evicted (retired to disk).
     artifact:
         The source artifact when the version was published from one
         (``None`` for engines published directly, and while evicted).
@@ -109,7 +120,7 @@ class ModelRegistry:
 
         ``model`` is a :class:`~repro.serve.ModelArtifact` (an engine is
         built from it, honoring its recorded backend; ``engine_kwargs``
-        forwards overrides) or an already-prepared
+        forwards overrides, never encoder ones) or an already-prepared
         :class:`~repro.serve.InferenceEngine`.  With ``promote=True``
         (default) the new version becomes current atomically; with
         ``promote=False`` it is staged for a later :meth:`promote` —
@@ -120,7 +131,8 @@ class ModelRegistry:
         automatically.
         """
         if isinstance(model, ModelArtifact):
-            engine = model.engine(**(engine_kwargs or {}))
+            kwargs = _check_engine_kwargs(engine_kwargs)
+            engine = model.engine(with_encoder=False, **kwargs)
             artifact: ModelArtifact | None = model
         elif isinstance(model, InferenceEngine):
             if engine_kwargs:
@@ -271,7 +283,8 @@ class ModelRegistry:
                 return record
         # Evicted: reload off-lock, then install under a double-check.
         artifact = ModelArtifact.load(record.source_path)
-        engine = artifact.engine(**(record.engine_kwargs or {}))
+        kwargs = record.engine_kwargs or {}
+        engine = artifact.engine(with_encoder=False, **kwargs)
         with self._lock:
             self._require(name, version)
             current = self._versions[name][version]

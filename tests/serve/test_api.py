@@ -221,11 +221,6 @@ class TestInfoAndOps:
             assert stats["schedulers"]["tenant.m.m.predict"]["completed"] == 1
             json.dumps([health, models, stats])  # must not raise
 
-    def test_predict_features_requires_encoder(self):
-        with ServingAPI.from_artifact(_artifact(), name="m") as api:
-            with pytest.raises(Exception, match="encoder"):
-                api.predict_features(np.zeros((2, 10)))
-
 
 class TestMicroBatchingPreserved:
     def test_concurrent_callers_coalesce(self):

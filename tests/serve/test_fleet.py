@@ -15,7 +15,10 @@ The multi-tenant contract, unit-tested:
 * unknown tenants fail typed (`TenantNotFound`), including on a
   single-artifact `ServingAPI` (a fleet of one);
 * a flush whose rows all belong to one tenant is scored by that
-  tenant's engine; only a mixed-tenant flush calls the fused kernel.
+  tenant's engine; only a mixed-tenant flush calls the fused kernel;
+* no serving engine builds the codebooks a manifest records, so a
+  tenant holds what it is charged, and encoder ``engine_kwargs`` are
+  refused.
 """
 
 import gc
@@ -40,6 +43,8 @@ from repro.backend.packed import (
     packed_norms,
     support_of,
 )
+from repro.hd import HDModel, LevelBaseEncoder
+from repro.hd.prune import mask_from_seed
 from repro.proto import ModelInfoRequest, ScoreBatchRequest, ScoreRequest
 from repro.serve import (
     DEFAULT_TENANT,
@@ -1133,6 +1138,92 @@ class TestHotSwapRegroups:
                 api.predict(_queries(1), model=name, tenant="t")
         assert charges == []
         assert fleet.stats().resident_bytes == 0
+
+
+@pytest.fixture(scope="module")
+def encoder_fleet_dir(tmp_path_factory):
+    """Eight tenants whose manifests record a level-base encoder at
+    d_hv=10,000: ISOLET-shaped (617 features, 26 classes), §III-C
+    masked to 5,000 live dimensions, as deployed."""
+    root = tmp_path_factory.mktemp("encoder-fleet")
+    d_hv, n_classes = 10_000, 26
+    encoder = LevelBaseEncoder(617, d_hv, seed=5)
+    keep = mask_from_seed(d_hv, d_hv // 2, 7)
+    rng = spawn(4, "encoder-fleet")
+    for i in range(8):
+        model = HDModel(
+            n_classes, d_hv, rng.choice([-1.0, 1.0], size=(n_classes, d_hv))
+        )
+        ModelArtifact.build(
+            model, quantizer="bipolar", backend="packed", encoder=encoder,
+            keep_mask=keep, mask_seed=7,
+        ).save(root / f"t{i}")
+    return root
+
+
+class TestTenantsHoldNoCodebooks:
+    """Serving engines never build the codebooks a manifest records:
+    clients encode, so a tenant holds what it is charged."""
+
+    def test_tenants_hold_what_they_are_charged(self, encoder_fleet_dir):
+        # One admission elsewhere first: process-wide caches fill once.
+        ModelFleet.from_dir(encoder_fleet_dir).resolve("t0")
+        fleet = ModelFleet.from_dir(encoder_fleet_dir)
+        gc.collect()
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            for name in fleet.tenants():
+                fleet.resolve(name)
+            gc.collect()
+            held = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        stats = fleet.stats()
+        assert stats.resident_models == 8
+        assert 0 < held <= 2 * stats.resident_bytes
+
+    def test_no_serving_engine_has_an_encoder(self, encoder_fleet_dir):
+        path = encoder_fleet_dir / "t0"
+        engines = []
+        for source in (ModelArtifact.load(path), path):
+            with ServingAPI.from_artifact(source) as api:
+                engines.append(api.registry.resolve("model"))
+        probe = ModelFleet.from_dir(encoder_fleet_dir)
+        probe.resolve("t0")
+        fleet = ModelFleet.from_dir(
+            encoder_fleet_dir, cache_bytes=probe.stats().resident_bytes
+        )
+        engines.append(fleet.registry_for("t0").resolve("model"))
+        fleet.resolve("t1")  # evicts t0
+        assert not fleet.is_resident("t0")
+        engines.append(fleet.registry_for("t0").resolve("model"))
+        registry = ModelRegistry()
+        registry.load("m", path)
+        registry.load("m", encoder_fleet_dir / "t1")
+        registry.retire("m", 1)
+        engines.append(registry.resolve("m", 1))  # reloaded from disk
+        assert [e.encode_pipeline for e in engines] == [None] * 5
+        # The offline reference keeps its encoder.
+        assert ModelArtifact.load(path).engine().encode_pipeline is not None
+
+    @pytest.mark.parametrize(
+        "kwargs",
+        [{"with_encoder": False}, {"encode_workers": 2}, {"chunk_size": 64}],
+    )
+    def test_encoder_engine_kwargs_are_refused(self, encoder_fleet_dir, kwargs):
+        path = encoder_fleet_dir / "t0"
+        refused = pytest.raises(ValueError, match=r"ModelArtifact\.engine\(\)")
+        with refused:
+            ServingAPI.from_artifact(path, engine_kwargs=kwargs)
+        with refused:
+            ServingAPI.from_artifact(
+                ModelArtifact.load(path), engine_kwargs=kwargs
+            )
+        with refused:
+            ModelFleet().add_tenant("t", path, engine_kwargs=kwargs)
+        with refused:
+            ModelRegistry().load("m", path, engine_kwargs=kwargs)
 
 
 def test_fleet_state_machine(tmp_path, monkeypatch):

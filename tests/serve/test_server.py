@@ -5,8 +5,11 @@ import threading
 import numpy as np
 import pytest
 
+from repro.client import PriveHDClient
+from repro.core.inference_privacy import ObfuscationConfig
 from repro.hd import HDModel, ScalarBaseEncoder, get_quantizer
 from repro.serve import (
+    FrontendHandle,
     MicroBatchConfig,
     ModelArtifact,
     ModelFleet,
@@ -47,13 +50,21 @@ class TestServing:
         np.testing.assert_array_equal(single, direct[:20])
         np.testing.assert_array_equal(batch, direct[:20])
 
-    def test_feature_serving(self, system):
-        art, X, H = system
+    def test_client_encoded_features_match_offline(self, system):
+        """Raw features are encoded on the client; the server, which
+        holds no codebooks, answers what the offline engine does."""
+        art, X, _ = system
         direct = art.engine().predict_features(X[:30])
-        with ServingAPI.from_artifact(art, name="m") as server:
-            np.testing.assert_array_equal(
-                server.predict_features(X[:30]), direct
-            )
+        with ServingAPI.from_artifact(art, name="m") as server, \
+                FrontendHandle(server) as handle, PriveHDClient(
+                    handle.address, encoder=art.encoder_config,
+                    obfuscation=ObfuscationConfig(quantizer="bipolar"),
+                ) as client:
+            single = np.concatenate([client.predict(X[i]) for i in range(10)])
+            batch = client.predict(X[:30])
+            assert server.registry.resolve("m").encode_pipeline is None
+        np.testing.assert_array_equal(single, direct[:10])
+        np.testing.assert_array_equal(batch, direct)
 
     def test_scores_entry_point(self, system):
         art, _, H = system
