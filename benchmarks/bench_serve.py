@@ -21,7 +21,7 @@ Exercises the full model lifecycle the way a deployment would:
    protocol — in **both framings**: one v1 ``ScoreRequest`` frame per
    query (the per-frame event-loop regime, the PR-4 baseline) and the
    protocol-v2 **batched wire** (``--wire-batch N`` logical requests
-   stacked per ``ScoreBatchRequest`` frame, one scheduler submit each),
+   stacked per batch frame, one scheduler submit each),
    so ``BENCH_serve.json`` tracks the v1/v2 gap over time (the
    acceptance bars: single-query within 2x of in-process, batched ≥ 2x
    the single-query rate);
@@ -47,8 +47,8 @@ Exercises the full model lifecycle the way a deployment would:
    ``--assert-wire-ratio`` bar (v1 single-query ≥ 0.8x in-process) is
    the sans-io rework's acceptance gate.  It also times the codec per
    frame (encode, decode and ``split``) for a single-row v4
-   ``ScoreRequest``/``ScoreResponse`` pair and a 32-chunk
-   ``ScoreBatchRequest``/``ScoreBatchResponse`` pair, and the same two
+   ``ScoreRequest``/``ScoreResponse`` pair and a 32-chunk pair of the
+   same classes with ``counts`` (the batch frames), and the same two
    requests as v5 live words on a half-masked support, after asserting
    each message round-trips to itself, and the same two requests at v6
    as core words of level-base encodings; records the request bytes per
@@ -96,8 +96,7 @@ from repro.hd.prune import mask_from_seed
 from repro.proto import (
     PROTOCOL_VERSION,
     FrameDecoder,
-    ScoreBatchRequest,
-    ScoreBatchResponse,
+    FrameType,
     ScoreRequest,
     ScoreResponse,
     decode_message,
@@ -251,13 +250,13 @@ def _drive_socket_clients(
     requests over the versioned wire protocol with a small pipelining
     window.  ``wire_batch=1`` sends one :class:`ScoreRequest` frame per
     query (the v1 regime, bounded by per-frame event-loop work);
-    ``wire_batch=N`` stacks N logical requests into one v2
-    ``ScoreBatchRequest`` frame and one scheduler submit.  Packing and
-    connecting run before the barrier — the timed region is pure
-    request traffic.  ``versions`` pins the protocol offer (the wire
-    profile forces the v1 dialect with ``(1,)``); ``wire_stats``, when
-    a list, collects each client's session copy counters.  Returns
-    (predictions, elapsed seconds); raises if any client failed.
+    ``wire_batch=N`` stacks N logical requests into one v2 batch frame
+    and one scheduler submit.  Packing and connecting run before the
+    barrier — the timed region is pure request traffic.  ``versions``
+    pins the protocol offer (the wire profile forces the v1 dialect
+    with ``(1,)``); ``wire_stats``, when a list, collects each client's
+    session copy counters.  Returns (predictions, elapsed seconds);
+    raises if any client failed.
     """
     n = queries.shape[0]
     results = np.full(n, -1, dtype=np.int64)
@@ -403,17 +402,24 @@ def run_core_parity(d_hv: int, *, rows: int = 48) -> dict:
     return out
 
 
+_BATCH_FRAME_TYPES = (
+    FrameType.SCORE_BATCH_REQUEST, FrameType.SCORE_BATCH_RESPONSE
+)
+
+
 def run_codec_profile(d_hv: int, *, chunks: int = 32, number: int = 2000) -> dict:
     """Codec microseconds per frame on the wire edge, at ``d_hv``.
 
-    Two v4 pairs of packed one-row-per-chunk traffic: a single-row
-    ``ScoreRequest``/``ScoreResponse`` and a ``chunks``-chunk
-    ``ScoreBatchRequest``/``ScoreBatchResponse`` (the ``gateway_batched``
-    frame shape); the same two requests at v5 as live words of rows
-    masked to half the dimensions (``*_live``); and at v6 as the core
-    words of level-base rows masked alike (``*_core``).  Every message must
-    decode back to itself, and the batch response's ``split`` must
-    equal ``np.split`` on its counts, before anything is timed.
+    Two v4 ``ScoreRequest``/``ScoreResponse`` pairs of packed
+    one-row-per-chunk traffic: a single row and ``chunks`` chunks
+    carried as ``counts`` (the ``gateway_batched`` batch-frame shape);
+    the same two requests at v5 as live words of rows masked to half
+    the dimensions (``*_live``); and at v6 as the core words of
+    level-base rows masked alike (``*_core``).  Every message must
+    travel as the frame type its ``counts`` select (the batch frames
+    with them) and decode back to itself, and the batch response's
+    ``split`` must equal ``np.split`` on its counts, before anything is
+    timed.
     ``split_us`` exists for the batch response only: a single-row
     response has nothing to split.  ``bytes_per_row`` is the
     ``chunks``-row request frame's length per row, v4 planes against
@@ -429,13 +435,13 @@ def run_codec_profile(d_hv: int, *, chunks: int = 32, number: int = 2000) -> dic
     single_response = ScoreResponse(
         predictions=[3], model="m", version=1, request_id=7
     )
-    batch_response = ScoreBatchResponse(
+    batch_response = ScoreResponse(
         predictions=np.arange(chunks), counts=counts, model="m",
         version=1, request_id=7,
     )
 
     def batch(queries):
-        return ScoreBatchRequest(
+        return ScoreRequest(
             queries=queries, counts=counts, request_id=7, tenant="t"
         )
 
@@ -464,6 +470,12 @@ def run_codec_profile(d_hv: int, *, chunks: int = 32, number: int = 2000) -> dic
         row = {}
         for kind, msg in (("request", request), ("response", response)):
             frame = FrameDecoder().feed(encode_message(msg, version=version))[0]
+            batched = frame.frame_type in _BATCH_FRAME_TYPES
+            if batched != (msg.counts is not None):
+                raise AssertionError(
+                    f"codec profile {label} {kind} travelled as frame "
+                    f"type {frame.frame_type}"
+                )
             back = decode_message(frame)
             if back != msg:
                 raise AssertionError(f"codec profile {label} {kind} diverged")
@@ -473,7 +485,7 @@ def run_codec_profile(d_hv: int, *, chunks: int = 32, number: int = 2000) -> dic
             row[f"{kind}_decode_us"] = _us_per_call(
                 lambda: decode_message(frame), number
             )
-        if isinstance(back, ScoreBatchResponse):
+        if back.counts is not None:
             want = np.split(back.predictions, np.cumsum(back.counts[:-1]))
             if not all(map(np.array_equal, back.split(), want)):
                 raise AssertionError(f"codec profile {label} split diverged")
@@ -1201,7 +1213,7 @@ def main(argv=None) -> int:
         type=int,
         default=32,
         help=(
-            "logical requests stacked per v2 ScoreBatchRequest frame in "
+            "logical requests stacked per v2 batch frame in "
             "the batched socket run (1 disables the batched run; the "
             "single-query v1-regime run always happens in socket mode)"
         ),

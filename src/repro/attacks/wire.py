@@ -70,7 +70,6 @@ from repro.backend.packed import (
 from repro.proto.messages import (
     Hello,
     ModelInfo,
-    ScoreBatchRequest,
     ScoreRequest,
     Welcome,
     decode_message,
@@ -398,7 +397,7 @@ class WireTrace:
         return [
             msg.queries
             for msg in self.client_messages
-            if isinstance(msg, (ScoreRequest, ScoreBatchRequest))
+            if isinstance(msg, ScoreRequest)
         ]
 
     def place_live(self, queries: LiveHV, encoder=None) -> PackedHV:
@@ -690,17 +689,11 @@ def loopback_trace(
             if obf.quantizer.packable
             else obf.prepare(block).astype(np.float32)
         )
-        n_rows = (
-            queries.n if isinstance(queries, PackedHV) else queries.shape[0]
+        msg = ScoreRequest(
+            queries=queries,
+            counts=(len(queries),) if version >= 2 else None,
+            tenant=tenant if version >= 4 else None,
         )
-        if version >= 2:
-            msg = ScoreBatchRequest(
-                queries=queries,
-                counts=(n_rows,),
-                tenant=tenant if version >= 4 else None,
-            )
-        else:
-            msg = ScoreRequest(queries=queries)
         chunks.append(encode_message(msg, version=version))
     replies = [encode_message(Welcome(version=version), version=version)]
     return WireTrace.from_chunks(chunks, replies)

@@ -595,9 +595,9 @@ def _run_client(args) -> int:
             f"{client.protocol_version}): model={info.name} v{info.version}, "
             f"backend={info.backend}, d_hv={info.d_hv}{tenant_note}"
         )
-        # Batched wire scoring: each chunk ships as one frame (a v2
-        # ScoreBatchRequest when the server speaks v2, a plain
-        # ScoreRequest on a v1 downgrade), pipelined so client-side
+        # Batched wire scoring: each chunk ships as one ScoreRequest
+        # frame (with counts, as a v2 batch frame, when the server
+        # speaks v2; plain on a v1 downgrade), pipelined so client-side
         # encoding overlaps server-side scoring.
         t0 = time.perf_counter()
         preds = client.predict_many(X, chunk_size=args.batch_size)

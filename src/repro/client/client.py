@@ -51,8 +51,6 @@ from repro.proto.messages import (
     Hello,
     ModelInfo,
     ModelInfoRequest,
-    ScoreBatchRequest,
-    ScoreBatchResponse,
     ScoreRequest,
     ScoreResponse,
     Welcome,
@@ -612,32 +610,30 @@ class PriveHDClient:
             lambda _, rid: self._score_message(
                 make_queries(), rid, want_scores=want_scores
             ),
-            (ScoreResponse,),
+            ScoreResponse,
         )
         return reply
 
     def _score_message(
         self, queries, rid: int, *, want_scores: bool = False, counts=None
-    ) -> ScoreRequest | ScoreBatchRequest:
+    ) -> ScoreRequest:
         """Every scoring frame this client sends.
 
-        A :class:`~repro.proto.ScoreRequest`, or with ``counts`` (the
-        rows of each stacked sub-batch) a protocol-v2
-        :class:`~repro.proto.ScoreBatchRequest`.
+        With ``counts`` (the rows of each stacked sub-batch) it travels
+        as a protocol-v2 batch frame.
         """
-        common = dict(
+        return ScoreRequest(
+            queries,
+            counts,
             model=self.model,
             want_scores=want_scores,
             request_id=rid,
             deadline_ms=self._deadline_ms(),
             tenant=self.tenant,
         )
-        if counts is None:
-            return ScoreRequest(queries, **common)
-        return ScoreBatchRequest(queries, counts, **common)
 
     def _pipelined_requests(
-        self, n_items: int, window: int, build_message, expected: tuple,
+        self, n_items: int, window: int, build_message, expected: type,
         restack=None,
     ) -> list:
         """The one send/receive/recover loop every request rides.
@@ -648,9 +644,10 @@ class PriveHDClient:
         by correlation id (the server may reorder).
         ``build_message(index, request_id)`` produces the item's request
         lazily at each send — so e.g. client-side encoding of chunk
-        ``i+window`` overlaps the server scoring chunk ``i``.  Replies
-        outside ``expected`` (beyond the always-raised
-        :class:`ServerError`) fail the stream as a protocol violation.
+        ``i+window`` overlaps the server scoring chunk ``i``.  A reply
+        that is not an ``expected`` instance (beyond the always-raised
+        :class:`ServerError`), or does not echo its request's
+        ``counts``, fails the stream as a protocol violation.
         Returns the reply messages in item order.
 
         With ``max_retries > 0`` the window self-heals: an
@@ -675,6 +672,7 @@ class PriveHDClient:
         to_send: deque[int] = deque(range(n_items))
         completed = 0
         core_ids: set[int] = set()  # in-flight requests of core words
+        counts_of: dict[int, tuple | None] = {}  # what each reply echoes
         refused = None  # a bad-request refusing core words
 
         def recover(idx_attempt: int, *, retry_after_ms=None):
@@ -705,6 +703,7 @@ class PriveHDClient:
                     index_of[rid] = idx
                     if self._is_core(getattr(msg, "queries", None)):
                         core_ids.add(rid)
+                    counts_of[rid] = getattr(msg, "counts", None)
                     to_send.popleft()
                     self._send_message(msg, version=self.protocol_version)
                 reply = self._read_message()
@@ -725,10 +724,12 @@ class PriveHDClient:
                 self._reconnect()
                 index_of.clear()
                 core_ids.clear()
+                counts_of.clear()
                 to_send.extendleft(reversed(survivors))
                 continue
             core = reply.request_id in core_ids
             core_ids.discard(reply.request_id)
+            counts = counts_of.pop(reply.request_id, None)
             if isinstance(reply, ErrorReply):
                 idx = index_of.pop(reply.request_id, None)
                 if (
@@ -745,13 +746,19 @@ class PriveHDClient:
                 raise self._typed_error(reply)
             if not isinstance(reply, expected):
                 raise ProtocolError(
-                    f"expected {' or '.join(t.__name__ for t in expected)}, "
+                    f"expected {expected.__name__}, "
                     f"got {type(reply).__name__}"
                 )
             idx = index_of.pop(reply.request_id, None)
             if idx is None:
                 raise ProtocolError(
                     f"unmatched correlation id {reply.request_id}"
+                )
+            echoed = getattr(reply, "counts", None)
+            if echoed != counts:
+                raise ProtocolError(
+                    f"reply {reply.request_id} carries counts {echoed}; "
+                    f"its request sent {counts}"
                 )
             out[idx] = reply
             completed += 1
@@ -814,16 +821,16 @@ class PriveHDClient:
         Returns one prediction array per input batch, in input order.
 
         ``wire_batch`` is the protocol-v2 amplifier: that many
-        consecutive input batches are stacked into a single
-        :class:`~repro.proto.ScoreBatchRequest` frame, so the server
-        pays one frame decode and one scheduler submit per ``wire_batch``
-        logical requests instead of one per request (the per-frame event
-        -loop cost is what caps single-query socket throughput).  On a
-        connection negotiated at v1 — an older server — ``wire_batch``
-        degrades gracefully to the per-request v1 framing; results are
-        identical either way.  All batches in one group must share a
-        representation (all :class:`~repro.backend.PackedHV` or all
-        dense).
+        consecutive input batches are stacked into a single batch frame
+        (a :class:`~repro.proto.ScoreRequest` with ``counts``), so the
+        server pays one frame decode and one scheduler submit per
+        ``wire_batch`` logical requests instead of one per request (the
+        per-frame event-loop cost is what caps single-query socket
+        throughput).  On a connection negotiated at v1 — an older server
+        — ``wire_batch`` degrades gracefully to the per-request v1
+        framing; results are identical either way.  All batches in one
+        group must share a representation (all
+        :class:`~repro.backend.PackedHV` or all dense).
         """
         if wire_batch < 1:
             raise ValueError(f"wire_batch must be >= 1, got {wire_batch}")
@@ -846,20 +853,10 @@ class PriveHDClient:
             lambda i, rid: self._score_message(
                 groups[i][0], rid, counts=groups[i][1] if step > 1 else None
             ),
-            (ScoreBatchResponse,) if step > 1 else (ScoreResponse,),
+            ScoreResponse,
             restack,
         )
-        if step == 1:
-            return [reply.predictions for reply in replies]
-        out: list[np.ndarray] = []
-        for (_, counts), reply in zip(groups, replies):
-            if reply.counts != counts:
-                raise ProtocolError(
-                    f"batch response counts do not echo the "
-                    f"{len(counts)}-chunk request's"
-                )
-            out.extend(reply.split())
-        return out
+        return [chunk for reply in replies for chunk in reply.split()]
 
     def predict_many(
         self, X: np.ndarray, *, chunk_size: int = 256, window: int = 4
@@ -868,10 +865,10 @@ class PriveHDClient:
 
         The bulk-scoring entry point: features are encoded + obfuscated
         locally in ``chunk_size``-row chunks, each chunk ships as *one*
-        frame (a v2 :class:`~repro.proto.ScoreBatchRequest`, or the
-        equivalent :class:`~repro.proto.ScoreRequest` when the server
-        only speaks v1), and up to ``window`` chunks stay in flight so
-        client-side encoding overlaps server-side scoring.  Exactly as
+        frame (a v2 batch frame of one chunk, or a plain
+        :class:`~repro.proto.ScoreRequest` when the server only speaks
+        v1), and up to ``window`` chunks stay in flight so client-side
+        encoding overlaps server-side scoring.  Exactly as
         with :meth:`predict`, only obfuscated hypervector bits ever
         reach a frame.  Returns the ``(n,)`` prediction vector in row
         order.
@@ -893,7 +890,7 @@ class PriveHDClient:
             return self._score_message(queries, rid, counts=counts)
 
         replies = self._pipelined_requests(
-            len(starts), window, build, (ScoreResponse, ScoreBatchResponse)
+            len(starts), window, build, ScoreResponse
         )
         return np.concatenate([reply.predictions for reply in replies])
 
@@ -909,7 +906,7 @@ class PriveHDClient:
                 tenant=self.tenant,
                 request_id=rid,
             ),
-            (ModelInfo,),
+            ModelInfo,
         )
         return reply
 

@@ -130,10 +130,6 @@ class EncodePipeline:
             return False
         return hasattr(self.encoder, "encode_packed")
 
-    def encode_chunk(self, X_chunk: np.ndarray) -> np.ndarray:
-        """Encode one tile with the selected kernel."""
-        return self._encode_tile(X_chunk, "encode")
-
     def _encode_tile(self, X_chunk, mode: str):
         """Encode one tile under the kernel policy.
 

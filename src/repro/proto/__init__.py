@@ -26,8 +26,6 @@ from repro.proto.messages import (
     Hello,
     ModelInfo,
     ModelInfoRequest,
-    ScoreBatchRequest,
-    ScoreBatchResponse,
     ScoreRequest,
     ScoreResponse,
     Welcome,
@@ -60,8 +58,6 @@ __all__ = [
     "Hello",
     "ModelInfo",
     "ModelInfoRequest",
-    "ScoreBatchRequest",
-    "ScoreBatchResponse",
     "ScoreRequest",
     "ScoreResponse",
     "Welcome",

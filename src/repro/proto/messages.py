@@ -1,13 +1,14 @@
 """Typed request/response messages of the serving protocol.
 
-Each dataclass here is one frame type on the wire (see
+Each dataclass here is one frame type on the wire, and each scoring
+message one with and one without ``counts`` (see
 :mod:`repro.proto.wire` for the framing itself).  The conversation is
-deliberately small — score encoded hypervectors, describe models, report
-errors — because the remote surface *is* the privacy boundary: there is
-no message that could carry raw features, codebooks, or encoder seeds,
-so the untrusted serving side can only ever see what the paper's §III-C
-client chooses to ship (quantized, masked, bit-packed query
-hypervectors).
+deliberately small — score encoded hypervectors, describe models,
+report errors — because the remote surface *is* the privacy boundary:
+there is no message that could carry raw features, codebooks, or
+encoder seeds, so the untrusted serving side can only ever see what the
+paper's §III-C client chooses to ship (quantized, masked, bit-packed
+query hypervectors).
 
 Handshake
 ---------
@@ -17,14 +18,15 @@ protocol version the client speaks) answered by :class:`Welcome`
 Everything after that is :class:`ScoreRequest`/:class:`ScoreResponse`
 and :class:`ModelInfoRequest`/:class:`ModelInfo`, with
 :class:`ErrorReply` for anything the server refuses.  Protocol **v2**
-adds :class:`ScoreBatchRequest`/:class:`ScoreBatchResponse` — N logical
-sub-requests stacked into one frame and one scheduler submit — and
-extends :class:`ModelInfo` with the deployment mask seed of pruned
-models; a connection negotiated at v1 never sees either (the codecs
-refuse to encode or decode v2-only frames for a v1 peer).  Protocol
-**v4** adds an optional ``tenant`` key to the request messages,
-addressing one namespace of a multi-tenant model fleet; absent means
-the default tenant, so downgraded peers are served exactly as before.
+adds the ``counts`` form of :class:`ScoreRequest`/:class:`ScoreResponse`
+— N logical sub-requests stacked into one frame and one scheduler
+submit, travelling as the batch frame types — and extends
+:class:`ModelInfo` with the deployment mask seed of pruned models; a
+connection negotiated at v1 never sees either (the codecs refuse to
+encode or decode v2-only frames for a v1 peer).  Protocol **v4** adds
+an optional ``tenant`` key to the request messages, addressing one
+namespace of a multi-tenant model fleet; absent means the default
+tenant, so downgraded peers are served exactly as before.
 Protocol **v5** adds the ``live`` query payload: a
 :class:`~repro.backend.packed.LiveHV` of the sign bits at the support
 plane's set positions, which the codec ships in place of the planes of
@@ -41,6 +43,7 @@ from __future__ import annotations
 
 import operator
 from dataclasses import dataclass
+from functools import partial
 from itertools import accumulate
 
 import numpy as np
@@ -65,8 +68,6 @@ __all__ = [
     "Welcome",
     "ScoreRequest",
     "ScoreResponse",
-    "ScoreBatchRequest",
-    "ScoreBatchResponse",
     "ModelInfoRequest",
     "ModelInfo",
     "ErrorReply",
@@ -178,6 +179,14 @@ class Welcome:
 class ScoreRequest:
     """Score a batch of *encoded* query hypervectors.
 
+    With ``counts`` (protocol v2) the batch is N logical requests
+    stacked into one frame.  Where a v1 client ships one frame per
+    request and pays a frame decode + scheduler submit for each, a v2
+    client stacks the rows of N requests into a single block, records
+    the per-request row counts, and ships *one* frame — the server
+    decodes once and submits the whole block to the micro-batcher once,
+    so frame parsing, syscalls, and future wakeups amortize over N.
+
     Attributes
     ----------
     queries:
@@ -185,6 +194,14 @@ class ScoreRequest:
         smaller than float32 — what an obfuscating client ships) or a
         dense ``(n, d_hv)`` array of encoded hypervectors.  There is no
         raw-feature variant: encoding happens on the client, always.
+    counts:
+        Protocol v2: rows belonging to each logical sub-request, in
+        block order; must sum to the block's row count.  The response
+        echoes them so the client can scatter results back per
+        sub-request (:meth:`ScoreResponse.split`).  ``None`` (the
+        default) frames the message as a v1 ``SCORE_REQUEST``; with
+        counts it travels as a ``SCORE_BATCH_REQUEST`` frame, which a v1
+        connection refuses to encode.
     model:
         Registry model name; ``None`` uses the server's default.
     want_scores:
@@ -194,11 +211,12 @@ class ScoreRequest:
         Caller-chosen correlation id echoed in the response, so clients
         may pipeline requests over one connection.
     deadline_ms:
-        Protocol v3: optional latency budget in milliseconds, counted
-        from the moment the server receives the frame.  A request whose
-        budget expires while queued is dropped unscored with a typed
-        ``"deadline-exceeded"`` error — shed work instead of late
-        answers.  Silently omitted on the wire for v1/v2 peers.
+        Protocol v3: optional latency budget in milliseconds for the
+        whole block, counted from the moment the server receives the
+        frame.  A request whose budget expires while queued is dropped
+        unscored with a typed ``"deadline-exceeded"`` error — shed work
+        instead of late answers.  Silently omitted on the wire for v1/v2
+        peers.
     tenant:
         Protocol v4: optional fleet tenant key addressing one namespace
         of a multi-tenant :class:`~repro.serve.fleet.ModelFleet`;
@@ -207,6 +225,7 @@ class ScoreRequest:
     """
 
     queries: PackedHV | np.ndarray
+    counts: tuple[int, ...] | None = None
     model: str | None = None
     want_scores: bool = False
     request_id: int = 0
@@ -223,13 +242,17 @@ class ScoreRequest:
                     "vectors do not belong on the wire; encode them first"
                 )
             object.__setattr__(self, "queries", arr)
+        if self.counts is not None:
+            object.__setattr__(
+                self, "counts", _check_counts(self.counts, self.n_queries)
+            )
         object.__setattr__(
             self, "deadline_ms", _check_deadline_ms(self.deadline_ms)
         )
 
     @property
     def n_queries(self) -> int:
-        """Rows in the query batch."""
+        """Rows in the query batch (all sub-requests together)."""
         return len(self.queries)
 
     @property
@@ -244,6 +267,7 @@ class ScoreRequest:
             self.model != other.model
             or self.want_scores != other.want_scores
             or self.request_id != other.request_id
+            or self.counts != other.counts
             or self.deadline_ms != other.deadline_ms
             or self.tenant != other.tenant
         ):
@@ -258,7 +282,7 @@ class ScoreResponse:
     Attributes
     ----------
     predictions:
-        ``(n,)`` int64 argmax labels, one per query row.
+        ``(n,)`` int64 argmax labels, one per query row, in block order.
     scores:
         ``(n, n_classes)`` float64 Eq. (4) scores when the request set
         ``want_scores``, else ``None``.
@@ -268,6 +292,11 @@ class ScoreResponse:
         consistent version.
     request_id:
         Echo of the request's correlation id.
+    counts:
+        Echo of the request's per-sub-request row counts (``None`` when
+        the request had none; the response then travels as the frame
+        type its request did); :meth:`split` scatters the block back
+        into per-request arrays.
     """
 
     predictions: np.ndarray
@@ -275,6 +304,7 @@ class ScoreResponse:
     model: str = ""
     version: int = 0
     request_id: int = 0
+    counts: tuple[int, ...] | None = None
 
     def __post_init__(self):
         preds = np.asarray(self.predictions, dtype=np.int64)
@@ -283,6 +313,10 @@ class ScoreResponse:
                 f"predictions must be 1-D, got shape {preds.shape}"
             )
         object.__setattr__(self, "predictions", preds)
+        if self.counts is not None:
+            object.__setattr__(
+                self, "counts", _check_counts(self.counts, preds.shape[0])
+            )
         if self.scores is not None:
             scores = np.asarray(self.scores, dtype=np.float64)
             if scores.ndim != 2 or scores.shape[0] != preds.shape[0]:
@@ -292,6 +326,19 @@ class ScoreResponse:
                 )
             object.__setattr__(self, "scores", scores)
 
+    def split(self) -> list[np.ndarray]:
+        """Per-sub-request prediction views, in request order.
+
+        A response without ``counts`` splits into one chunk.
+        """
+        return _chunks(self.predictions, self.counts)
+
+    def split_scores(self) -> list[np.ndarray]:
+        """Per-sub-request score-matrix views (requires ``want_scores``)."""
+        if self.scores is None:
+            raise ValueError("this response carries no scores")
+        return _chunks(self.scores, self.counts)
+
     def __eq__(self, other) -> bool:
         if not isinstance(other, ScoreResponse):
             return NotImplemented
@@ -299,6 +346,7 @@ class ScoreResponse:
             self.model != other.model
             or self.version != other.version
             or self.request_id != other.request_id
+            or self.counts != other.counts
         ):
             return False
         if not np.array_equal(self.predictions, other.predictions):
@@ -339,176 +387,14 @@ def _check_counts(counts, n_rows: int) -> _Counts:
     return counts
 
 
-def _chunks(block: np.ndarray, counts: tuple[int, ...]) -> list[np.ndarray]:
+def _chunks(block: np.ndarray, counts: tuple[int, ...] | None) -> list:
     """``block`` cut into per-chunk row views at the counts' offsets."""
+    if counts is None:
+        return [block]
     return [
         block[end - count : end]
         for count, end in zip(counts, accumulate(counts))
     ]
-
-
-@dataclass(frozen=True)
-class ScoreBatchRequest:
-    """Protocol v2: N logical scoring requests stacked into one frame.
-
-    Where a v1 client ships one :class:`ScoreRequest` frame per request
-    and pays a frame decode + scheduler submit for each, a v2 client
-    stacks the rows of N requests into a single block, records the
-    per-request row counts, and ships *one* frame — the server decodes
-    once and submits the whole block to the micro-batcher once, so
-    frame parsing, syscalls, and future wakeups amortize over N.
-
-    Attributes
-    ----------
-    queries:
-        The stacked block: a :class:`~repro.backend.PackedHV` batch or a
-        dense ``(n, d_hv)`` array, exactly as in :class:`ScoreRequest` —
-        the privacy boundary is unchanged (no raw-feature variant).
-    counts:
-        Rows belonging to each logical sub-request, in block order;
-        must sum to the block's row count.  The response echoes them so
-        the client can scatter results back per sub-request.
-    model:
-        Registry model name; ``None`` uses the server's default.
-    want_scores:
-        Also return the full Eq. (4) score matrix for every row.
-    request_id:
-        Correlation id echoed in the response.
-    deadline_ms:
-        Protocol v3: optional latency budget in milliseconds for the
-        whole stacked block, exactly as on :class:`ScoreRequest`.
-    tenant:
-        Protocol v4: optional fleet tenant key for the whole stacked
-        block, exactly as on :class:`ScoreRequest`.
-    """
-
-    queries: PackedHV | np.ndarray
-    counts: tuple[int, ...]
-    model: str | None = None
-    want_scores: bool = False
-    request_id: int = 0
-    deadline_ms: int | None = None
-    tenant: str | None = None
-
-    def __post_init__(self):
-        if not isinstance(self.queries, (PackedHV, LiveHV)):
-            arr = np.asarray(self.queries)
-            if arr.ndim != 2:
-                raise ValueError(
-                    "ScoreBatchRequest queries must be a PackedHV or a "
-                    f"2-D (n, d_hv) array, got shape {arr.shape} — raw "
-                    "feature vectors do not belong on the wire"
-                )
-            object.__setattr__(self, "queries", arr)
-        object.__setattr__(
-            self, "counts", _check_counts(self.counts, self.n_queries)
-        )
-        object.__setattr__(
-            self, "deadline_ms", _check_deadline_ms(self.deadline_ms)
-        )
-
-    @property
-    def n_queries(self) -> int:
-        """Rows in the stacked block (all sub-requests together)."""
-        return len(self.queries)
-
-    @property
-    def d_hv(self) -> int:
-        """Hypervector dimensionality of the block."""
-        return _queries_d(self.queries)
-
-    @property
-    def n_chunks(self) -> int:
-        """Number of logical sub-requests in the block."""
-        return len(self.counts)
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, ScoreBatchRequest):
-            return NotImplemented
-        if (
-            self.model != other.model
-            or self.want_scores != other.want_scores
-            or self.request_id != other.request_id
-            or self.counts != other.counts
-            or self.deadline_ms != other.deadline_ms
-            or self.tenant != other.tenant
-        ):
-            return False
-        return _same_queries(self.queries, other.queries)
-
-
-@dataclass(frozen=True)
-class ScoreBatchResponse:
-    """The server's answer to one :class:`ScoreBatchRequest`.
-
-    Attributes
-    ----------
-    predictions:
-        ``(n,)`` int64 labels for the whole stacked block, in block
-        order.
-    counts:
-        Echo of the request's per-sub-request row counts;
-        :meth:`split` scatters the block back into per-request arrays.
-    scores:
-        ``(n, n_classes)`` float64 scores when requested, else ``None``.
-    model, version:
-        The registry entry (and exact hot-swappable version) that
-        scored the block — one consistent version for every row.
-    request_id:
-        Echo of the request's correlation id.
-    """
-
-    predictions: np.ndarray
-    counts: tuple[int, ...]
-    scores: np.ndarray | None = None
-    model: str = ""
-    version: int = 0
-    request_id: int = 0
-
-    def __post_init__(self):
-        preds = np.asarray(self.predictions, dtype=np.int64)
-        if preds.ndim != 1:
-            raise ValueError(
-                f"predictions must be 1-D, got shape {preds.shape}"
-            )
-        object.__setattr__(self, "predictions", preds)
-        object.__setattr__(
-            self, "counts", _check_counts(self.counts, preds.shape[0])
-        )
-        if self.scores is not None:
-            scores = np.asarray(self.scores, dtype=np.float64)
-            if scores.ndim != 2 or scores.shape[0] != preds.shape[0]:
-                raise ValueError(
-                    f"scores must be (n={preds.shape[0]}, n_classes), "
-                    f"got shape {scores.shape}"
-                )
-            object.__setattr__(self, "scores", scores)
-
-    def split(self) -> list[np.ndarray]:
-        """Per-sub-request prediction views, in request order."""
-        return _chunks(self.predictions, self.counts)
-
-    def split_scores(self) -> list[np.ndarray]:
-        """Per-sub-request score-matrix views (requires ``want_scores``)."""
-        if self.scores is None:
-            raise ValueError("this response carries no scores")
-        return _chunks(self.scores, self.counts)
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, ScoreBatchResponse):
-            return NotImplemented
-        if (
-            self.model != other.model
-            or self.version != other.version
-            or self.request_id != other.request_id
-            or self.counts != other.counts
-        ):
-            return False
-        if not np.array_equal(self.predictions, other.predictions):
-            return False
-        if (self.scores is None) != (other.scores is None):
-            return False
-        return self.scores is None or np.array_equal(self.scores, other.scores)
 
 
 @dataclass(frozen=True)
@@ -689,49 +575,6 @@ def _read_welcome(r: PayloadReader, version: int) -> Welcome:
     return Welcome(version=version_field, server=server, models=models)
 
 
-def _write_request_head(w: VectoredWriter, msg, version: int) -> None:
-    """The prefix both scoring requests share.
-
-    ``request_id``, ``model``, ``want_scores``, then the v3 optional
-    deadline (a u8 flag and a u32) and the v4 optional tenant; fields
-    newer than ``version`` are silently dropped.  (The *client* refuses
-    to build tenant-addressed requests on a < v4 connection — silently
-    falling back to the default tenant would answer from the wrong
-    model.  The drop here only matters for hand-built frames.)
-    """
-    want_scores = 1 if msg.want_scores else 0
-    w.pack("!I", msg.request_id).string(msg.model)
-    if version < 3:
-        w.pack("!B", want_scores)
-    elif msg.deadline_ms is None:
-        w.pack("!BB", want_scores, 0)
-    else:
-        w.pack("!BBI", want_scores, 1, msg.deadline_ms)
-    if version >= 4:
-        w.string(msg.tenant)
-
-
-def _read_request_head(r: PayloadReader, version: int) -> dict:
-    """Inverse of :func:`_write_request_head`, as constructor fields."""
-    (request_id,) = r.unpack("!I")
-    model = r.string()
-    deadline_ms = None
-    if version < 3:
-        (want_scores,) = r.unpack("!B")
-    else:
-        want_scores, has_deadline = r.unpack("!BB")
-        if has_deadline:
-            (deadline_ms,) = r.unpack("!I")
-    tenant = r.string() if version >= 4 else None
-    return dict(
-        request_id=request_id,
-        model=model,
-        want_scores=bool(want_scores),
-        deadline_ms=deadline_ms,
-        tenant=tenant,
-    )
-
-
 def _write_scores(w: VectoredWriter, scores: np.ndarray | None) -> None:
     """A response's optional score matrix: u8 flag, u32 width, f64 block."""
     if scores is None:
@@ -748,41 +591,6 @@ def _read_scores(r: PayloadReader, n: int) -> np.ndarray | None:
     return r.array(n * n_classes, "<f8").reshape(n, n_classes)
 
 
-def _write_score_request(
-    msg: ScoreRequest, w: VectoredWriter, version: int
-) -> None:
-    _write_request_head(w, msg, version)
-    write_queries(w, msg.queries, version)
-
-
-def _read_score_request(r: PayloadReader, version: int) -> ScoreRequest:
-    head = _read_request_head(r, version)
-    return ScoreRequest(queries=read_queries(r, version), **head)
-
-
-def _write_score_response(
-    msg: ScoreResponse, w: VectoredWriter, version: int
-) -> None:
-    w.pack("!I", msg.request_id).string(msg.model)
-    w.pack("!II", msg.version, msg.predictions.shape[0])
-    w.array(msg.predictions, "<i8")
-    _write_scores(w, msg.scores)
-
-
-def _read_score_response(r: PayloadReader, version: int) -> ScoreResponse:
-    (request_id,) = r.unpack("!I")
-    model = r.string() or ""
-    version_field, n = r.unpack("!II")
-    predictions = r.array(n, "<i8")
-    return ScoreResponse(
-        predictions=predictions,
-        scores=_read_scores(r, n),
-        model=model,
-        version=version_field,
-        request_id=request_id,
-    )
-
-
 def _counts_run(counts: tuple[int, ...]) -> str:
     """The struct format of a counts run: u16 n_chunks, u32[n_chunks]."""
     if len(counts) > 0xFFFF:
@@ -792,51 +600,95 @@ def _counts_run(counts: tuple[int, ...]) -> str:
     return f"H{len(counts)}I"
 
 
-def _write_score_batch_request(
-    msg: ScoreBatchRequest, w: VectoredWriter, version: int
+def _write_score_request(
+    msg: ScoreRequest, w: VectoredWriter, version: int
 ) -> None:
-    _write_request_head(w, msg, version)
+    """``request_id``, ``model``, ``want_scores``, the v3 optional
+    deadline (a u8 flag and a u32), the v4 optional tenant, the v2
+    counts run of a batch frame, then the queries.
+
+    Fields newer than ``version`` are silently dropped.  (The *client*
+    refuses to build tenant-addressed requests on a < v4 connection —
+    silently falling back to the default tenant would answer from the
+    wrong model.  The drop here only matters for hand-built frames.)
+    """
+    want_scores = 1 if msg.want_scores else 0
+    w.pack("!I", msg.request_id).string(msg.model)
+    if version < 3:
+        w.pack("!B", want_scores)
+    elif msg.deadline_ms is None:
+        w.pack("!BB", want_scores, 0)
+    else:
+        w.pack("!BBI", want_scores, 1, msg.deadline_ms)
+    if version >= 4:
+        w.string(msg.tenant)
     counts = msg.counts
-    w.pack("!" + _counts_run(counts), len(counts), *counts)
+    if counts is not None:
+        w.pack("!" + _counts_run(counts), len(counts), *counts)
     write_queries(w, msg.queries, version)
 
 
-def _read_score_batch_request(
-    r: PayloadReader, version: int
-) -> ScoreBatchRequest:
-    head = _read_request_head(r, version)
-    (n_chunks,) = r.unpack("!H")
-    counts = r.unpack(f"!{n_chunks}I")
-    return ScoreBatchRequest(
-        queries=read_queries(r, version), counts=counts, **head
+def _read_score_request(
+    r: PayloadReader, version: int, batched: bool = False
+) -> ScoreRequest:
+    (request_id,) = r.unpack("!I")
+    model = r.string()
+    deadline_ms = counts = None
+    if version < 3:
+        (want_scores,) = r.unpack("!B")
+    else:
+        want_scores, has_deadline = r.unpack("!BB")
+        if has_deadline:
+            (deadline_ms,) = r.unpack("!I")
+    tenant = r.string() if version >= 4 else None
+    if batched:
+        (n_chunks,) = r.unpack("!H")
+        counts = r.unpack(f"!{n_chunks}I")
+    return ScoreRequest(
+        queries=read_queries(r, version),
+        counts=counts,
+        model=model,
+        want_scores=bool(want_scores),
+        request_id=request_id,
+        deadline_ms=deadline_ms,
+        tenant=tenant,
     )
 
 
-def _write_score_batch_response(
-    msg: ScoreBatchResponse, w: VectoredWriter, version: int
+def _write_score_response(
+    msg: ScoreResponse, w: VectoredWriter, version: int
 ) -> None:
     counts, n = msg.counts, msg.predictions.shape[0]
     w.pack("!I", msg.request_id).string(msg.model)
-    w.pack(f"!I{_counts_run(counts)}I", msg.version, len(counts), *counts, n)
+    if counts is None:
+        w.pack("!II", msg.version, n)
+    else:
+        w.pack(
+            f"!I{_counts_run(counts)}I", msg.version, len(counts), *counts, n
+        )
     w.array(msg.predictions, "<i8")
     _write_scores(w, msg.scores)
 
 
-def _read_score_batch_response(
-    r: PayloadReader, version: int
-) -> ScoreBatchResponse:
+def _read_score_response(
+    r: PayloadReader, version: int, batched: bool = False
+) -> ScoreResponse:
     (request_id,) = r.unpack("!I")
     model = r.string() or ""
-    version_field, n_chunks = r.unpack("!IH")
-    *counts, n = r.unpack(f"!{n_chunks}II")
+    counts = None
+    if batched:
+        version_field, n_chunks = r.unpack("!IH")
+        *counts, n = r.unpack(f"!{n_chunks}II")
+    else:
+        version_field, n = r.unpack("!II")
     predictions = r.array(n, "<i8")
-    return ScoreBatchResponse(
+    return ScoreResponse(
         predictions=predictions,
-        counts=counts,
         scores=_read_scores(r, n),
         model=model,
         version=version_field,
         request_id=request_id,
+        counts=counts,
     )
 
 
@@ -925,14 +777,6 @@ _CODECS = {
     Welcome: (FrameType.WELCOME, _write_welcome),
     ScoreRequest: (FrameType.SCORE_REQUEST, _write_score_request),
     ScoreResponse: (FrameType.SCORE_RESPONSE, _write_score_response),
-    ScoreBatchRequest: (
-        FrameType.SCORE_BATCH_REQUEST,
-        _write_score_batch_request,
-    ),
-    ScoreBatchResponse: (
-        FrameType.SCORE_BATCH_RESPONSE,
-        _write_score_batch_response,
-    ),
     ModelInfoRequest: (FrameType.MODEL_INFO_REQUEST, _write_model_info_request),
     ModelInfo: (FrameType.MODEL_INFO, _write_model_info),
     ErrorReply: (FrameType.ERROR, _write_error),
@@ -943,11 +787,21 @@ _DECODERS = {
     FrameType.WELCOME: _read_welcome,
     FrameType.SCORE_REQUEST: _read_score_request,
     FrameType.SCORE_RESPONSE: _read_score_response,
-    FrameType.SCORE_BATCH_REQUEST: _read_score_batch_request,
-    FrameType.SCORE_BATCH_RESPONSE: _read_score_batch_response,
+    FrameType.SCORE_BATCH_REQUEST: partial(
+        _read_score_request, batched=True
+    ),
+    FrameType.SCORE_BATCH_RESPONSE: partial(
+        _read_score_response, batched=True
+    ),
     FrameType.MODEL_INFO_REQUEST: _read_model_info_request,
     FrameType.MODEL_INFO: _read_model_info,
     FrameType.ERROR: _read_error,
+}
+
+#: the protocol-v2 frame a scoring message with ``counts`` travels as
+_BATCH_FRAMES = {
+    FrameType.SCORE_REQUEST: FrameType.SCORE_BATCH_REQUEST,
+    FrameType.SCORE_RESPONSE: FrameType.SCORE_BATCH_RESPONSE,
 }
 
 
@@ -972,6 +826,7 @@ def encode_message_parts(
     Dispatch is on *exact* type: the codec table above is the entire
     vocabulary of the protocol, so nothing outside it — raw arrays,
     feature batches, encoder objects — can be framed, by construction.
+    A scoring message with ``counts`` travels as its v2 batch frame.
     ``version`` is the connection's negotiated protocol version; frames
     introduced after it (the v2 batch frames on a v1 connection) refuse
     to encode rather than confuse an older peer.
@@ -983,6 +838,8 @@ def encode_message_parts(
             f"{sorted(c.__name__ for c in _CODECS)} cross the boundary"
         )
     frame_type, writer = codec
+    if frame_type in _BATCH_FRAMES and msg.counts is not None:
+        frame_type = _BATCH_FRAMES[frame_type]
     min_version = FRAME_MIN_VERSION.get(frame_type, 1)
     if version < min_version:
         raise ProtocolError(

@@ -4,11 +4,11 @@
 run on — the asyncio :class:`~repro.serve.ServingFrontend` and the
 blocking :class:`~repro.client.PriveHDClient` used to each own a copy
 of the framing loop (readexactly-per-frame on one side, recv-and-split
-on the other); now both push bytes into a session and pull
+on the other); now both ``recv_into`` a session's buffer and pull
 :class:`~repro.proto.wire.Frame` objects out, and the session owns
 
-* receive buffering (the zero-copy :class:`~repro.proto.wire.FrameDecoder`,
-  including its ``recv_into`` pull mode),
+* receive buffering (the zero-copy :class:`~repro.proto.wire.FrameDecoder`
+  in its ``recv_into`` pull mode),
 * version negotiation state (handshake → steady, with the negotiated
   version enforced on every steady-state frame),
 * frame emission (vectored buffer lists staged in a reusable
@@ -72,15 +72,14 @@ class WireSession:
         Versions this side negotiates (default: everything this build
         speaks).
 
-    Receive flow: :meth:`receive_data` (push) or
-    :meth:`recv_buffer`/:meth:`commit` (pull, for ``recv_into``)
-    buffer incoming bytes; :meth:`next_frame` pops one screened frame
-    at a time — screening happens at *pop* time, so a frame pipelined
-    behind the handshake is judged against the negotiated version, not
-    the pre-handshake state.  Send flow: :meth:`send_parts` (vectored,
-    for synchronous transports) or :meth:`render_frame` (one ``bytes``,
-    for buffering transports), both stamping the negotiated version
-    unless overridden.
+    Receive flow: :meth:`recv_buffer`/:meth:`commit` (pull, for
+    ``recv_into``) buffer incoming bytes; :meth:`next_frame` pops one
+    screened frame at a time — screening happens at *pop* time, so a
+    frame pipelined behind the handshake is judged against the
+    negotiated version, not the pre-handshake state.  Send flow:
+    :meth:`send_parts` (vectored, for synchronous transports) or
+    :meth:`render_frame` (one ``bytes``, for buffering transports),
+    both stamping the negotiated version unless overridden.
     """
 
     def __init__(
@@ -116,23 +115,18 @@ class WireSession:
     # ------------------------------------------------------------------
     # receive side
     # ------------------------------------------------------------------
-    def receive_data(self, data) -> int:
-        """Buffer a received chunk; returns how many frames it completed.
-
-        Completed frames queue internally — drain them one at a time
-        with :meth:`next_frame`.  Framing violations (bad magic,
-        oversize length) raise here and poison the stream.
-        """
-        frames = self._decoder.feed(data)
-        self._queue.extend(frames)
-        return len(frames)
-
     def recv_buffer(self, hint: int = 65536) -> memoryview:
         """A writable buffer for ``recv_into`` (zero-copy pull mode)."""
         return self._decoder.recv_buffer(hint)
 
     def commit(self, nbytes: int) -> int:
-        """Account bytes received into :meth:`recv_buffer`; frames queue."""
+        """Account bytes received into :meth:`recv_buffer`.
+
+        Returns how many frames they completed; completed frames queue
+        internally — drain them one at a time with :meth:`next_frame`.
+        Framing violations (bad magic, oversize length) raise here and
+        poison the stream.
+        """
         frames = self._decoder.commit(nbytes)
         self._queue.extend(frames)
         return len(frames)

@@ -97,8 +97,8 @@ MAGIC = b"HD"
 #:
 #: * **v1** — the original conversation: ``ScoreRequest``/``ScoreResponse``
 #:   plus model metadata and the handshake.
-#: * **v2** — adds the batched scoring frames
-#:   (``ScoreBatchRequest``/``ScoreBatchResponse``, carrying N logical
+#: * **v2** — adds the batched scoring frames (the ``counts`` form of
+#:   ``ScoreRequest``/``ScoreResponse``, carrying N logical
 #:   sub-requests in one frame/one scheduler submit) and extends
 #:   ``ModelInfo`` with the deployment mask seed of pruned models.
 #: * **v3** — extends the scoring requests with an optional
@@ -106,21 +106,20 @@ MAGIC = b"HD"
 #:   its budget expires in the queue).  The overload error codes
 #:   (``"overloaded"``/``"deadline-exceeded"``) ride the *existing*
 #:   error frame as new code strings, so they are version-independent.
-#: * **v4** — extends ``ScoreRequest``/``ScoreBatchRequest`` and
-#:   ``ModelInfoRequest`` with an optional ``tenant`` key (u16
-#:   length-prefixed UTF-8, the standard optional-string encoding)
-#:   addressing one namespace of a multi-tenant model fleet.  Absent
-#:   means the default tenant, so a v3 peer that negotiates down is
-#:   served exactly as before; an unknown key is refused with the typed
-#:   ``"unknown-tenant"`` error code (non-retryable).
-#: * **v5** — adds the ``live`` query payload kind to
-#:   ``ScoreRequest``/``ScoreBatchRequest``: only the sign bits at the
-#:   set positions of the support plane ``M`` (the §III-C keep mask),
-#:   packed densely and named by a 64-bit digest of ``M``, so the
-#:   masked dimensions never leave the client (632 B instead of
-#:   2,512 B per row with 5,000 of 10,000 dimensions live).  The
-#:   planes and dense kinds are unchanged; a live payload stamped
-#:   below v5 is a :class:`ProtocolError`.
+#: * **v4** — extends ``ScoreRequest`` and ``ModelInfoRequest`` with
+#:   an optional ``tenant`` key (u16 length-prefixed UTF-8, the
+#:   standard optional-string encoding) addressing one namespace of a
+#:   multi-tenant model fleet.  Absent means the default tenant, so a
+#:   v3 peer that negotiates down is served exactly as before; an
+#:   unknown key is refused with the typed ``"unknown-tenant"`` error
+#:   code (non-retryable).
+#: * **v5** — adds the ``live`` query payload kind to ``ScoreRequest``:
+#:   only the sign bits at the set positions of the support plane ``M``
+#:   (the §III-C keep mask), packed densely and named by a 64-bit
+#:   digest of ``M``, so the masked dimensions never leave the client
+#:   (632 B instead of 2,512 B per row with 5,000 of 10,000 dimensions
+#:   live).  The planes and dense kinds are unchanged; a live payload
+#:   stamped below v5 is a :class:`ProtocolError`.
 #: * **v6** — extends ``ModelInfo`` with the digest of the model's
 #:   *core* support, when it holds one: the live dimensions some level
 #:   of the flip chain flips, whose bits are all that depend on the

@@ -35,7 +35,6 @@ and take the engine's general formula.
 
 from __future__ import annotations
 
-import functools
 import threading
 import time
 from concurrent.futures import Future
@@ -46,8 +45,6 @@ import numpy as np
 from repro.backend.packed import LiveHV, PackedHV, n_words
 from repro.proto.messages import (
     ModelInfo,
-    ScoreBatchRequest,
-    ScoreBatchResponse,
     ScoreRequest,
     ScoreResponse,
 )
@@ -398,21 +395,20 @@ class ServingAPI:
     # ------------------------------------------------------------------
     # typed protocol entry points (what the frontend calls)
     # ------------------------------------------------------------------
-    def score(self, request: ScoreRequest | ScoreBatchRequest):
-        """Answer one typed request of either kind synchronously."""
+    def score(self, request: ScoreRequest) -> ScoreResponse:
+        """Answer one typed request synchronously."""
         return self.submit_score(request).result()
 
-    def submit_score(self, request: ScoreRequest | ScoreBatchRequest, *,
+    def submit_score(self, request: ScoreRequest, *,
                      deadline: float | None = None) -> Future:
-        """Answer one typed request; resolves to its typed response.
+        """Answer one typed request; resolves to its :class:`ScoreResponse`.
 
-        A :class:`ScoreRequest` resolves to a :class:`ScoreResponse`; a
-        v2 :class:`ScoreBatchRequest` — N logical sub-requests stacked
-        into one frame, all of ``request.tenant`` — costs the same *one*
-        scheduler submit and resolves to a :class:`ScoreBatchResponse`
-        echoing the request's already-validated ``counts``, so the
-        client scatters the block back itself.  The flusher builds the
-        response right after the flush that scored the rows.
+        A request with ``counts`` — N logical sub-requests stacked into
+        one v2 frame, all of ``request.tenant`` — costs the same *one*
+        scheduler submit, and its response echoes the request's
+        already-validated ``counts``, so the client scatters the block
+        back itself.  The flusher builds the response right after the
+        flush that scored the rows.
 
         The response's ``version`` is the version that actually scored
         the request, even if a hot-swap landed between submit and flush.
@@ -437,11 +433,6 @@ class ServingAPI:
         if deadline is None and request.deadline_ms is not None:
             deadline = time.monotonic() + request.deadline_ms / 1e3
         want_scores = request.want_scores
-        response = ScoreResponse
-        if isinstance(request, ScoreBatchRequest):
-            response = functools.partial(
-                ScoreBatchResponse, counts=request.counts
-            )
 
         def respond(result, version, name):
             if want_scores:
@@ -449,9 +440,10 @@ class ServingAPI:
                 result = np.argmax(scores, axis=1)
             else:
                 scores = None
-            return response(
+            return ScoreResponse(
                 predictions=np.atleast_1d(result), scores=scores, model=name,
                 version=version, request_id=request.request_id,
+                counts=request.counts,
             )
 
         return self._submit(

@@ -56,7 +56,6 @@ from dataclasses import dataclass
 from repro.proto.messages import (
     ErrorReply,
     ModelInfoRequest,
-    ScoreBatchRequest,
     ScoreRequest,
     Welcome,
     decode_message,
@@ -634,7 +633,7 @@ class _Connection(asyncio.BufferedProtocol):
         request_id = 0
         try:
             message = decode_message(frame)
-            if isinstance(message, (ScoreRequest, ScoreBatchRequest)):
+            if isinstance(message, ScoreRequest):
                 request_id = message.request_id
                 future = frontend.api.submit_score(message)
                 future.add_done_callback(

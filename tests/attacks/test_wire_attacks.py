@@ -21,7 +21,7 @@ from repro.attacks.wire import (
 from repro.attacks.wire import self_test_gate
 from repro.proto.messages import (
     Hello,
-    ScoreBatchRequest,
+    ScoreRequest,
     Welcome,
     encode_message,
 )
@@ -85,7 +85,7 @@ class TestLoopbackTrace:
         batches = [
             m
             for m in trace.client_messages
-            if isinstance(m, ScoreBatchRequest)
+            if isinstance(m, ScoreRequest) and m.counts is not None
         ]
         assert batches and all(m.tenant == "edge-7" for m in batches)
 

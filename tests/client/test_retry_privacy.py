@@ -29,7 +29,7 @@ from repro.backend.packed import LiveHV, PackedHV
 from repro.client import PriveHDClient
 from repro.core.inference_privacy import ObfuscationConfig
 from repro.hd import HDModel, ScalarBaseEncoder
-from repro.proto import ScoreBatchRequest, ScoreRequest
+from repro.proto import ScoreRequest
 from repro.proto.wire import FrameDecoder
 from repro.proto.messages import decode_message
 from repro.serve import FrontendHandle, ModelArtifact, ServingAPI
@@ -102,7 +102,7 @@ def _sent_query_payloads(sent_frames):
         decoder = FrameDecoder()
         for frame in decoder.feed(blob):
             msg = decode_message(frame)
-            if isinstance(msg, (ScoreRequest, ScoreBatchRequest)):
+            if isinstance(msg, ScoreRequest):
                 q = msg.queries
                 if isinstance(q, PackedHV):
                     payloads.append(q.signs.tobytes() + q.mags.tobytes())

@@ -11,8 +11,8 @@ from repro.proto import (
     FrameDecoder,
     ModelInfo,
     ProtocolError,
-    ScoreBatchRequest,
-    ScoreBatchResponse,
+    ScoreRequest,
+    ScoreResponse,
     decode_message,
     encode_message,
 )
@@ -30,14 +30,14 @@ class TestScoreBatchRequest:
     def test_packed_roundtrip(self, d):
         rng = spawn(1, "batch-packed")
         block = pack_hypervectors(np.sign(rng.normal(size=(9, d))))
-        msg = ScoreBatchRequest(
+        msg = ScoreRequest(
             queries=block, counts=(4, 3, 2), model="m", request_id=7
         )
         assert _roundtrip(msg) == msg
 
     def test_dense_roundtrip(self):
         rng = spawn(2, "batch-dense")
-        msg = ScoreBatchRequest(
+        msg = ScoreRequest(
             queries=rng.normal(size=(6, 120)).astype(np.float32),
             counts=(1, 1, 1, 3),
             want_scores=True,
@@ -46,24 +46,24 @@ class TestScoreBatchRequest:
 
     def test_counts_must_sum_to_rows(self):
         with pytest.raises(ValueError, match="sum"):
-            ScoreBatchRequest(queries=np.zeros((4, 8)), counts=(2, 3))
+            ScoreRequest(queries=np.zeros((4, 8)), counts=(2, 3))
 
     def test_counts_must_be_positive(self):
         with pytest.raises(ValueError, match=">= 1"):
-            ScoreBatchRequest(queries=np.zeros((2, 8)), counts=(2, 0))
+            ScoreRequest(queries=np.zeros((2, 8)), counts=(2, 0))
 
     def test_counts_must_be_nonempty(self):
         with pytest.raises(ValueError, match="at least one"):
-            ScoreBatchRequest(queries=np.zeros((2, 8)), counts=())
+            ScoreRequest(queries=np.zeros((2, 8)), counts=())
 
     def test_raw_1d_features_refused(self):
         with pytest.raises(ValueError, match="2-D"):
-            ScoreBatchRequest(queries=np.zeros(40), counts=(1,))
+            ScoreRequest(queries=np.zeros(40), counts=(1,))
 
 
 class TestScoreBatchResponse:
     def test_roundtrip_and_split(self):
-        msg = ScoreBatchResponse(
+        msg = ScoreResponse(
             predictions=np.arange(7),
             counts=(3, 2, 2),
             model="m",
@@ -78,7 +78,7 @@ class TestScoreBatchResponse:
     def test_scores_roundtrip_and_split(self):
         rng = spawn(3, "batch-scores")
         scores = rng.normal(size=(5, 4))
-        msg = ScoreBatchResponse(
+        msg = ScoreResponse(
             predictions=np.argmax(scores, axis=1),
             counts=(2, 3),
             scores=scores,
@@ -89,7 +89,7 @@ class TestScoreBatchResponse:
         np.testing.assert_allclose(np.vstack([a, b]), scores)
 
     def test_split_scores_requires_scores(self):
-        msg = ScoreBatchResponse(predictions=np.arange(3), counts=(3,))
+        msg = ScoreResponse(predictions=np.arange(3), counts=(3,))
         with pytest.raises(ValueError, match="no scores"):
             msg.split_scores()
 
@@ -98,7 +98,7 @@ class TestVersionGating:
     """v2-only frames must never reach (or leave) a v1 peer."""
 
     def _batch(self):
-        return ScoreBatchRequest(queries=np.zeros((2, 16)), counts=(1, 1))
+        return ScoreRequest(queries=np.zeros((2, 16)), counts=(1, 1))
 
     def test_encode_refuses_v1(self):
         with pytest.raises(ProtocolError, match="requires protocol v2"):
@@ -164,7 +164,7 @@ class TestCountsCodec:
     ):
         n = sum(counts)
         bounds = np.cumsum(counts[:-1])
-        request = ScoreBatchRequest(
+        request = ScoreRequest(
             queries=np.arange(2 * n, dtype=np.float32).reshape(n, 2),
             counts=counts,
             want_scores=want_scores,
@@ -172,7 +172,7 @@ class TestCountsCodec:
         )
         assert _roundtrip(request, version=version) == request
         scores = np.arange(3 * n, dtype=np.float64).reshape(n, 3)
-        response = ScoreBatchResponse(
+        response = ScoreResponse(
             predictions=np.argmax(scores, axis=1) + np.arange(n),
             counts=counts,
             scores=scores if want_scores else None,
@@ -195,11 +195,11 @@ class TestCountsCodec:
 
     def test_u16_chunk_limit(self):
         limit = 0xFFFF
-        at = ScoreBatchResponse(
+        at = ScoreResponse(
             predictions=np.zeros(limit, dtype=np.int64), counts=(1,) * limit
         )
         assert _roundtrip(at).counts == (1,) * limit
-        over = ScoreBatchResponse(
+        over = ScoreResponse(
             predictions=np.zeros(limit + 1, dtype=np.int64),
             counts=(1,) * (limit + 1),
         )
@@ -207,7 +207,7 @@ class TestCountsCodec:
             encode_message(over)
         with pytest.raises(ProtocolError, match="u16 wire limit"):
             encode_message(
-                ScoreBatchRequest(
+                ScoreRequest(
                     queries=np.zeros((limit + 1, 1), dtype=np.float32),
                     counts=(1,) * (limit + 1),
                 )
@@ -215,7 +215,7 @@ class TestCountsCodec:
 
     def test_counts_truncated_mid_array_fail_closed(self):
         counts = (2, 1, 3, 1, 1)
-        msg = ScoreBatchResponse(
+        msg = ScoreResponse(
             predictions=np.arange(sum(counts)), counts=counts, model=""
         )
         frame = FrameDecoder().feed(encode_message(msg))[0]
@@ -230,12 +230,12 @@ class TestCountsCodec:
         # 2**32 + 1 rows without allocating them: stride-0 planes.
         n = 2**32 + 1
         plane = np.broadcast_to(np.zeros((1, 1), dtype=np.uint64), (n, 1))
-        request = ScoreBatchRequest(
+        request = ScoreRequest(
             queries=PackedHV(signs=plane, mags=plane, d=64), counts=(n,)
         )
         with pytest.raises(ProtocolError, match="out of range"):
             encode_message(request)
-        response = ScoreBatchResponse(
+        response = ScoreResponse(
             predictions=np.broadcast_to(np.int64(0), (n,)), counts=(n - 1, 1)
         )
         with pytest.raises(ProtocolError, match="out of range"):
@@ -245,7 +245,7 @@ class TestCountsCodec:
         counts = [1] * 30_000
         counts[12_345] = 0
         with pytest.raises(ValueError, match="chunk 12345 of 30000") as err:
-            ScoreBatchRequest(
+            ScoreRequest(
                 queries=np.zeros((sum(counts), 1)), counts=counts
             )
         assert len(str(err.value)) < 200

@@ -31,8 +31,6 @@ from repro.proto.messages import (
     Hello,
     ModelInfo,
     ModelInfoRequest,
-    ScoreBatchRequest,
-    ScoreBatchResponse,
     ScoreRequest,
     ScoreResponse,
     Welcome,
@@ -94,21 +92,21 @@ def _build_messages():
             version=1,
             request_id=8,
         ),
-        "score_batch_request_packed": ScoreBatchRequest(
+        "score_batch_request_packed": ScoreRequest(
             queries=packed(5),
             counts=(2, 1, 2),
             model="isolet",
             request_id=9,
             deadline_ms=250,
         ),
-        "score_batch_request_dense": ScoreBatchRequest(
+        "score_batch_request_dense": ScoreRequest(
             queries=dense(3),
             counts=(3,),
             model=None,
             want_scores=True,
             request_id=10,
         ),
-        "score_batch_response": ScoreBatchResponse(
+        "score_batch_response": ScoreResponse(
             predictions=rng.integers(0, 26, size=5).astype(np.int64),
             counts=(2, 1, 2),
             scores=rng.standard_normal((5, 26)).astype(np.float64),

@@ -30,7 +30,7 @@ from repro.proto import (
     decode_message,
     encode_message,
 )
-from repro.proto.messages import ScoreBatchRequest, ScoreRequest
+from repro.proto.messages import ScoreRequest
 from repro.proto.wire import Frame, FrameType
 
 FIXTURE = pathlib.Path(__file__).parent / "fixtures" / "golden_frames_v5.json"
@@ -61,7 +61,7 @@ def _build_messages():
         "score_request_live": ScoreRequest(
             queries=one.live, model="isolet", request_id=7, tenant="alice"
         ),
-        "score_batch_request_live": ScoreBatchRequest(
+        "score_batch_request_live": ScoreRequest(
             queries=five.live,
             counts=(2, 1, 2),
             model="isolet",
@@ -173,7 +173,7 @@ def test_live_words_round_trip_to_the_planes(d, n, frac, seed):
         else int(np.random.default_rng(seed).integers(1, d + 1))
     )
     rows, support = _rows(n, d, n_live, seed)
-    batch = ScoreBatchRequest(queries=rows, counts=(n,))
+    batch = ScoreRequest(queries=rows, counts=(n,))
     decoded = decode_message(FrameDecoder().feed(encode_message(batch, version=5))[0])
     live = decoded.queries
     assert isinstance(live, LiveHV) and live.n_live == n_live

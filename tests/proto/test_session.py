@@ -1,6 +1,6 @@
 """Unit tests for the sans-io :class:`repro.proto.WireSession` core.
 
-Covers the receive state machine (push and pull modes, pop-time
+Covers the receive state machine (``recv_buffer``/``commit``, pop-time
 screening, EOF classification), the handshake transitions, the
 scratch-staged vectored send path with its copy counters, the
 ``sendmsg_all`` gather-write loop against fake sockets, and the
@@ -26,6 +26,22 @@ def _hello_bytes(versions=(1, 2, 3)):
     return encode_message(Hello(versions=versions, client="t"), version=min(versions))
 
 
+def _feed(session, data) -> None:
+    """Copy ``data`` into ``session`` as ``recv_into`` would: through
+    ``recv_buffer``/``commit``.
+
+    Mid-payload ``recv_buffer`` offers only the frame's remaining
+    bytes, so one chunk may take several copies.
+    """
+    data = memoryview(data)
+    while data:
+        buf = session.recv_buffer(len(data))
+        take = min(len(buf), len(data))
+        buf[:take] = data[:take]
+        session.commit(take)
+        data = data[take:]
+
+
 def _info_bytes(version):
     return encode_message(
         ModelInfoRequest(model=None, request_id=1), version=version
@@ -39,7 +55,7 @@ class TestScreening:
 
     def test_server_rejects_non_hello_opening(self):
         s = WireSession("server")
-        s.receive_data(_info_bytes(3))
+        _feed(s, _info_bytes(3))
         with pytest.raises(
             ProtocolError, match="connection must open with a Hello frame"
         ):
@@ -47,16 +63,16 @@ class TestScreening:
 
     def test_server_accepts_hello_opening(self):
         s = WireSession("server")
-        s.receive_data(_hello_bytes())
+        _feed(s, _hello_bytes())
         frame = s.next_frame()
         assert frame.frame_type == FrameType.HELLO
 
     def test_version_enforced_after_negotiation(self):
         s = WireSession("server")
-        s.receive_data(_hello_bytes())
+        _feed(s, _hello_bytes())
         s.next_frame()
         assert s.accept_hello((1, 2, 3)) == 3
-        s.receive_data(_info_bytes(1))
+        _feed(s, _info_bytes(1))
         with pytest.raises(
             ProtocolError, match="frame version 1 after negotiating 3"
         ):
@@ -70,7 +86,7 @@ class TestScreening:
         pre-handshake state (where a server would reject any non-Hello).
         """
         s = WireSession("server")
-        s.receive_data(_hello_bytes() + _info_bytes(3))
+        _feed(s, _hello_bytes() + _info_bytes(3))
         assert s.next_frame().frame_type == FrameType.HELLO
         s.accept_hello((3,))
         frame = s.next_frame()
@@ -81,7 +97,7 @@ class TestScreening:
         # The server's reply may be Welcome or a typed ErrorReply; the
         # client session leaves that judgement to the caller.
         s = WireSession("client")
-        s.receive_data(_info_bytes(2))
+        _feed(s, _info_bytes(2))
         assert s.next_frame() is not None
 
     def test_disjoint_offers_do_not_negotiate(self):
@@ -94,7 +110,7 @@ class TestScreening:
         assert s.version == max(s.supported_versions)
         s.adopt_version(2)
         assert s.version == 2
-        s.receive_data(_info_bytes(3))
+        _feed(s, _info_bytes(3))
         with pytest.raises(ProtocolError, match="after negotiating 2"):
             s.next_frame()
 
@@ -102,13 +118,13 @@ class TestScreening:
 class TestEofClassification:
     def test_clean_eof_between_frames(self):
         s = WireSession("client")
-        s.receive_data(_info_bytes(3))
+        _feed(s, _info_bytes(3))
         s.next_frame()
         s.receive_eof()  # no exception
 
     def test_eof_mid_header(self):
         s = WireSession("client")
-        s.receive_data(b"HD\x03")
+        _feed(s, b"HD\x03")
         with pytest.raises(
             ProtocolError, match=r"closed mid-header \(3 bytes\)"
         ):
@@ -117,14 +133,14 @@ class TestEofClassification:
     def test_eof_mid_payload(self):
         s = WireSession("client")
         data = _info_bytes(3)
-        s.receive_data(data[:-2])
+        _feed(s, data[:-2])
         with pytest.raises(ProtocolError, match=r"closed mid-payload"):
             s.receive_eof()
 
     def test_eof_with_drainable_frames_is_silent(self):
         # Complete frames must be drainable before the EOF verdict.
         s = WireSession("client")
-        s.receive_data(_info_bytes(3))
+        _feed(s, _info_bytes(3))
         s.receive_eof()
         assert s.has_frames
 
@@ -152,7 +168,7 @@ class TestPullMode:
     def test_pending_bytes_tracks_partial_frame(self):
         s = WireSession("client")
         assert s.pending_bytes == 0
-        s.receive_data(_info_bytes(3)[:11])
+        _feed(s, _info_bytes(3)[:11])
         assert s.pending_bytes == 11
 
 
@@ -301,10 +317,10 @@ class TestSendmsgAll:
 class TestNoEscape:
     """Emitted payload views survive any subsequent buffer activity."""
 
-    def test_push_mode_views_survive_later_feeds(self):
+    def test_copied_chunk_views_survive_later_feeds(self):
         s = WireSession("client")
         reference = _info_bytes(3)
-        s.receive_data(reference)
+        _feed(s, reference)
         frame = s.next_frame()
         view = frame.payload
         snapshot = bytes(view)
@@ -312,8 +328,8 @@ class TestNoEscape:
         # frames that exercise the assembly buffer.
         for _ in range(50):
             data = _info_bytes(3)
-            s.receive_data(data[:5])
-            s.receive_data(data[5:])
+            _feed(s, data[:5])
+            _feed(s, data[5:])
             s.next_frame()
         assert bytes(view) == snapshot
         assert decode_message(frame).request_id == 1
@@ -340,19 +356,19 @@ class TestNoEscape:
         s = WireSession("client")
         q = np.random.default_rng(3).standard_normal((8, 130)).astype(np.float32)
         msg = ScoreRequest(queries=q, model=None, want_scores=False, request_id=4)
-        s.receive_data(encode_message(msg, version=3))
+        _feed(s, encode_message(msg, version=3))
         decoded = decode_message(s.next_frame())
         arr = decoded.queries  # np.frombuffer over the payload view
         # Keep receiving; the decoded array must not shift underneath.
         for _ in range(10):
-            s.receive_data(_info_bytes(3))
+            _feed(s, _info_bytes(3))
             s.next_frame()
         np.testing.assert_array_equal(arr, q)
 
     def test_payload_views_are_read_only_when_assembled(self):
         s = WireSession("client")
         data = _info_bytes(3)
-        s.receive_data(data[:9])
-        s.receive_data(data[9:])  # spans chunks -> assembly buffer
+        _feed(s, data[:9])
+        _feed(s, data[9:])  # spans chunks -> assembly buffer
         frame = s.next_frame()
         assert frame.payload.readonly

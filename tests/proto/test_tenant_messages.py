@@ -18,7 +18,6 @@ from repro.proto import (
     SUPPORTED_VERSIONS,
     FrameDecoder,
     ModelInfoRequest,
-    ScoreBatchRequest,
     ScoreRequest,
     decode_message,
     encode_message,
@@ -53,7 +52,7 @@ class TestTenantRoundTrip:
         assert _roundtrip(msg).tenant == "alice"
 
     def test_score_batch_request_carries_tenant_at_v4(self):
-        msg = ScoreBatchRequest(
+        msg = ScoreRequest(
             queries=_queries(6), counts=(4, 2), tenant="bob",
             deadline_ms=50, request_id=3,
         )
@@ -68,7 +67,7 @@ class TestTenantRoundTrip:
     def test_absent_tenant_roundtrips_as_none(self):
         for msg in (
             ScoreRequest(queries=_queries()),
-            ScoreBatchRequest(queries=_queries(4), counts=(2, 2)),
+            ScoreRequest(queries=_queries(4), counts=(2, 2)),
             ModelInfoRequest(),
         ):
             assert _roundtrip(msg).tenant is None
@@ -86,7 +85,7 @@ class TestVersionGating:
         if version == 1:
             msg = ScoreRequest(queries=_queries(), tenant="alice")
         else:
-            msg = ScoreBatchRequest(
+            msg = ScoreRequest(
                 queries=_queries(4), counts=(2, 2), tenant="alice"
             )
         got = _roundtrip(msg, version=version)

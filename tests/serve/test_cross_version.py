@@ -21,7 +21,7 @@ from repro.proto import (
     HEADER_SIZE,
     PROTOCOL_VERSION,
     Hello,
-    ScoreBatchRequest,
+    ScoreRequest,
     Welcome,
     decode_header,
     decode_message,
@@ -148,7 +148,7 @@ class TestRawV1Connection:
             assert isinstance(welcome, Welcome) and welcome.version == 1
             # Forge the v2-only frame type under a v1 stamp (the real
             # codec refuses to do this, so craft the frame by hand).
-            batch = ScoreBatchRequest(
+            batch = ScoreRequest(
                 queries=np.zeros((2, D_HV), dtype=np.float32),
                 counts=(1, 1),
             )
@@ -177,7 +177,7 @@ class TestRawV1Connection:
             decode_message(self._read_frame(sock))
             sock.sendall(
                 encode_message(
-                    ScoreBatchRequest(
+                    ScoreRequest(
                         queries=np.zeros((1, D_HV), dtype=np.float32),
                         counts=(1,),
                     ),

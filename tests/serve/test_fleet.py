@@ -45,7 +45,7 @@ from repro.backend.packed import (
 )
 from repro.hd import HDModel, LevelBaseEncoder
 from repro.hd.prune import mask_from_seed
-from repro.proto import ModelInfoRequest, ScoreBatchRequest, ScoreRequest
+from repro.proto import ModelInfoRequest, ScoreRequest
 from repro.serve import (
     DEFAULT_TENANT,
     MicroBatchConfig,
@@ -617,7 +617,7 @@ class TestFleetRouting:
         api, artifacts = trio
         queries = _queries(6, seed=13)
         response = api.score(
-            ScoreBatchRequest(queries=queries, counts=(4, 2), tenant="bob")
+            ScoreRequest(queries=queries, counts=(4, 2), tenant="bob")
         )
         np.testing.assert_array_equal(
             response.predictions,

@@ -9,6 +9,7 @@ import json
 import socket
 import struct
 import urllib.request
+from concurrent.futures import Future
 
 import numpy as np
 import pytest
@@ -22,6 +23,7 @@ from repro.proto import (
     HEADER_SIZE,
     MAGIC,
     Hello,
+    ProtocolError,
     ScoreRequest,
     ScoreResponse,
     Welcome,
@@ -492,17 +494,87 @@ class TestBatchedWire:
     def test_batch_request_version_stamped(self, served, fixture_task, encoder):
         """Every row of a batch frame is answered by one version — the
         response's version field says which."""
-        from repro.proto import ScoreBatchRequest
-
         X, _, _ = fixture_task
         api, handle = served
         obf = InferenceObfuscator(encoder, ObfuscationConfig())
         block = pack_hypervectors(obf.prepare(X[:6]), validate=False)
         response = api.score(
-            ScoreBatchRequest(queries=block, counts=(2, 2, 2), model="demo")
+            ScoreRequest(queries=block, counts=(2, 2, 2), model="demo")
         )
         assert response.version == api.registry.current_version("demo")
         assert sum(len(p) for p in response.split()) == 6
+
+    @pytest.mark.parametrize(
+        "misshape, batched",
+        [
+            (lambda counts, n: (n,), False),
+            (lambda counts, n: None, True),
+            (
+                lambda counts, n: (counts[0] + counts[1], *counts[2:])
+                if len(counts) > 1
+                else (1, n - 1),
+                True,
+            ),
+        ],
+        ids=["single-with-counts", "batch-without", "batch-other-counts"],
+    )
+    def test_reply_must_echo_the_request_counts(
+        self, artifact, fixture_task, encoder, misshape, batched
+    ):
+        """A scoring reply whose ``counts`` are not its request's fails
+        the stream, whichever entry point sent the request.  Single
+        requests come from ``predict_encoded_many`` at ``wire_batch=1``
+        and from ``predict``: ``predict_many`` sends batch frames
+        whenever a reply could carry counts."""
+        X, _, _ = fixture_task
+        obf = InferenceObfuscator(encoder, ObfuscationConfig())
+        singles = [
+            pack_hypervectors(obf.prepare(X[i : i + 1]), validate=False)
+            for i in range(8)
+        ]
+        if batched:
+            calls = [
+                lambda c: c.predict_encoded_many(
+                    singles, window=2, wire_batch=4
+                ),
+                lambda c: c.predict_many(X[:32], chunk_size=16),
+            ]
+        else:
+            calls = [
+                lambda c: c.predict_encoded_many(singles, window=2),
+                lambda c: c.predict(X[:2]),
+            ]
+        api = ServingAPI.from_artifact(artifact, name="demo")
+        try:
+            with FrontendHandle(_MisshapenAPI(api, misshape)) as handle:
+                for call in calls:
+                    with PriveHDClient(
+                        handle.address, encoder=encoder
+                    ) as client:
+                        with pytest.raises(ProtocolError, match="counts"):
+                            call(client)
+        finally:
+            api.close()
+
+
+class _MisshapenAPI:
+    """A :class:`ServingAPI` whose scoring replies carry
+    ``misshape(request.counts, n_rows)`` as their counts."""
+
+    def __init__(self, api, misshape):
+        self._api, self._misshape = api, misshape
+
+    def __getattr__(self, name):
+        return getattr(self._api, name)
+
+    def submit_score(self, request, **kwargs):
+        future = Future()
+        future.set_result(ScoreResponse(
+            predictions=np.zeros(request.n_queries, dtype=np.int64),
+            request_id=request.request_id,
+            counts=self._misshape(request.counts, request.n_queries),
+        ))
+        return future
 
 
 class TestMaskSeedOverTheWire:

@@ -121,12 +121,12 @@ class _Peer:
             if frame is not None:
                 return decode_message(frame)
             try:
-                chunk = self.sock.recv(65536)
+                n = self.sock.recv_into(self.session.recv_buffer())
             except ConnectionResetError:
                 return None
-            if not chunk:
+            if not n:
                 return None
-            self.session.receive_data(chunk)
+            self.session.commit(n)
 
     def closed_within(self, seconds) -> bool:
         """Whether the server closes the socket within ``seconds``."""
