@@ -21,8 +21,9 @@ kernels; skipped with a note when numba is absent)::
         --assert-native-speedup 2
 
 Both modes end with the client leg: one masked row through
-``InferenceObfuscator.prepare_packed`` at the edge-device shape, its
-planes asserted equal to packing the dense ``prepare``.
+``InferenceObfuscator.prepare_packed`` at the edge-device shape, as the
+core words a v6 client ships and as planes, hot and after an idle gap,
+both asserted equal to the dense ``prepare``.
 
 ``--assert-speedup X`` exits non-zero unless the best level-base
 configuration reaches ``X``× the single-shot baseline;
@@ -215,16 +216,32 @@ def run_bench(args) -> dict:
 CLIENT_D_IN, CLIENT_D_HV = 617, 10_000
 
 
-def run_client_leg(repeats: int, seed: int) -> dict:
+def _client_gap_us(call, X, gap_s: float, n: int) -> np.ndarray:
+    """µs of each of ``n`` single-row calls, each after ``gap_s`` idle."""
+    out = np.empty(n)
+    for i in range(n):
+        time.sleep(gap_s)
+        t0 = time.perf_counter()
+        call(X[i % len(X)][None, :])
+        out[i] = (time.perf_counter() - t0) * 1e6
+    return out
+
+
+def run_client_leg(repeats: int, seed: int, gap_calls: int = 200) -> dict:
     """One row through the client's masked ``prepare_packed``, timed.
 
     The §III-C edge path at the edge-device shape (``d_in = 617``,
     ``d_hv = 10,000``, ``n_masked = d_hv / 2``, bipolar): encode →
-    quantize → mask → pack on bit planes.  Asserts plane equality with
-    packing the dense ``prepare(X)`` before timing; raises on a
-    mismatch.
+    quantize → mask → pack on bit planes.  Times the call a v6 client
+    makes per ``predict`` (``words="core"``, the core words alone) next
+    to the planes call (``words="planes"``), hot (best of ``repeats``
+    interleaved batches of 20 each) and, for the core call, after a
+    0.5 ms idle gap per call, as the edge loop pays it between replies.
+    Asserts first that the planes equal packing the dense ``prepare(X)``
+    and the core words equal its sign bits on the core support (the
+    kept dimensions some level flips); raises on a mismatch.
     """
-    from repro.backend.packed import pack_hypervectors
+    from repro.backend.packed import pack_hypervectors, pack_sign_planes
     from repro.core.inference_privacy import (
         InferenceObfuscator,
         ObfuscationConfig,
@@ -235,30 +252,56 @@ def run_client_leg(repeats: int, seed: int) -> dict:
         encoder,
         ObfuscationConfig(n_masked=CLIENT_D_HV // 2, mask_seed=seed),
     )
-    X = spawn(seed, "bench-encode-client").uniform(0.0, 1.0, (1, CLIENT_D_IN))
-    got = obf.prepare_packed(X)
-    want = pack_hypervectors(obf.prepare(X))
+    X = spawn(seed, "bench-encode-client").uniform(0.0, 1.0, (64, CLIENT_D_IN))
+    dense = obf.prepare(X)
+    planes = obf.prepare_packed(X, words="planes")
+    want = pack_hypervectors(dense)
     if not (
-        np.array_equal(got.signs, want.signs)
-        and np.array_equal(got.mags, want.mags)
+        np.array_equal(planes.signs, want.signs)
+        and np.array_equal(planes.mags, want.mags)
     ):
         raise AssertionError("masked prepare_packed diverged from prepare")
-    # best of `repeats` batches of 20 single-row calls
-    secs, _ = _time_best_of(
-        lambda: [obf.prepare_packed(X) for _ in range(20)], repeats
+    L = encoder.levels.vectors
+    core = obf.keep_mask & (L[-1] != L[0])  # a flip chain ends flipped
+    got = obf.prepare_packed(X, words="core").words
+    if not np.array_equal(got, pack_sign_planes(dense[:, core])):
+        raise AssertionError("core words diverged from prepare's core bits")
+    one = X[:1]
+    hot = {"core": float("inf"), "planes": float("inf")}
+    for _ in range(repeats):  # interleaved, so host drift hits both
+        for words in hot:
+            t0 = time.perf_counter()
+            for _ in range(20):
+                obf.prepare_packed(one, words=words)
+            us = (time.perf_counter() - t0) / 20 * 1e6
+            hot[words] = min(hot[words], us)
+    gap = _client_gap_us(
+        lambda x: obf.prepare_packed(x, words="core"), X, 0.0005, gap_calls
     )
+    p25, p50, p75 = np.percentile(gap, [25, 50, 75])
     leg = {
         "path": "InferenceObfuscator.prepare_packed, 1 row, bipolar",
         "d_in": CLIENT_D_IN,
         "d_hv": CLIENT_D_HV,
         "n_masked": CLIENT_D_HV // 2,
-        "us_per_row": secs / 20 * 1e6,
+        "core_us_per_row": hot["core"],
+        "planes_us_per_row": hot["planes"],
+        "core_after_gap": {
+            "gap_ms": 0.5,
+            "calls": gap_calls,
+            "p25_us": p25,
+            "median_us": p50,
+            "p75_us": p75,
+        },
         "planes_equal_prepare": True,
+        "core_equal_prepare": True,
     }
     print(
         f"client prepare_packed (d_in={CLIENT_D_IN}, d_hv={CLIENT_D_HV}, "
-        f"n_masked={CLIENT_D_HV // 2}): {leg['us_per_row']:7.0f} us/row  "
-        "planes equal prepare"
+        f"n_masked={CLIENT_D_HV // 2}): core {hot['core']:5.0f} us/row, "
+        f"planes {hot['planes']:5.0f} us/row hot; core after a 0.5 ms gap "
+        f"median {p50:5.0f} us (p25 {p25:.0f}, p75 {p75:.0f})  "
+        "planes and core words equal prepare"
     )
     return leg
 
@@ -330,7 +373,9 @@ def main(argv=None) -> int:
         args.chunk_sizes, args.repeats = [100, 256], 1
 
     report = run_bench(args)
-    report["client_prepare"] = run_client_leg(max(args.repeats, 3), args.seed)
+    report["client_prepare"] = run_client_leg(
+        max(args.repeats, 30), args.seed, gap_calls=50 if args.smoke else 200
+    )
     args.out.write_text(json.dumps(report, indent=2) + "\n")
     print(f"\nwrote {args.out}")
     for kind, value in report["headline"].items():

@@ -452,7 +452,7 @@ def warm_kernels() -> bool:
     native_hamming_matrix(bip, bip)
     native_hamming_matrix(tern, tern)
     idx = np.zeros((1, 3), dtype=np.int64)
-    flip = np.ones(1, dtype=np.int64)
+    flip = np.ones(1, dtype=np.uint8)  # a column plan's flip levels
     agree = np.zeros((1, 1, 2), dtype=np.uint64)
     cols = np.zeros((1, 2), dtype=np.int64)
     fixed = np.zeros(70, dtype=np.float32)

@@ -63,6 +63,7 @@ from repro.proto.wire import (
     ProtocolError,
 )
 from repro.serve.errors import TenantNotFound
+from repro.utils.validation import check_2d
 
 __all__ = ["PriveHDClient", "ServerError", "parse_address"]
 
@@ -321,13 +322,6 @@ class PriveHDClient:
             return None
         return support_of(keep)[1]
 
-    @property
-    def _ships_core(self) -> bool:
-        """Whether rows ship as core words: the server holds the core
-        this client's obfuscator packs on (v6 ``ModelInfo``)."""
-        core = self.info.core_digest
-        return core is not None and core == self.obfuscator.core_digest
-
     def _is_core(self, queries) -> bool:
         """Whether ``queries`` are core words on the core the server
         named last (:attr:`~repro.proto.ModelInfo.core_digest`)."""
@@ -350,7 +344,9 @@ class PriveHDClient:
         return self.info.core_digest != digest
 
     def _on_wire(self, queries):
-        """What of ``queries`` ships: the fewest bits the server places.
+        """What of encoded ``queries`` ships: the fewest bits the server
+        places (rows this client encodes pick theirs before packing,
+        :meth:`_wire_words`).
 
         Core words on the core the server holds (protocol v6
         :attr:`~repro.proto.ModelInfo.core_digest`) ship alone; live
@@ -534,10 +530,12 @@ class PriveHDClient:
     def _prepare_wire_queries(self, X: np.ndarray):
         """Features → the obfuscated hypervector batch that ships.
 
-        Packable quantizers (the paper's default) ship two uint64 bit
-        planes — the 16×-smaller payload; non-packable ones (e.g.
-        ``identity`` for an explicitly unprotected run) ship dense
-        float32 encodings.  Raw ``X`` never reaches a frame either way.
+        Packable quantizers (the paper's default) ship bits: two uint64
+        bit planes — the 16×-smaller payload — or, when the server
+        places them, live or core words (:meth:`_wire_words`), and only
+        that word set is packed.  Non-packable ones (e.g. ``identity``
+        for an explicitly unprotected run) ship dense float32
+        encodings.  Raw ``X`` never reaches a frame either way.
         """
         if self.obfuscator is None:
             raise ValueError(
@@ -545,19 +543,32 @@ class PriveHDClient:
                 "PriveHDClient(..., encoder=...) to send raw features, or "
                 "use predict_encoded() with pre-encoded hypervectors"
             )
-        X = np.atleast_2d(np.asarray(X))
+        X = check_2d(X, "features")
         if X.shape[1] != self.encoder.d_in:
             raise ValueError(
                 f"features have {X.shape[1]} columns but the encoder "
                 f"expects d_in={self.encoder.d_in}"
             )
         if self.obfuscator.quantizer.packable:
-            # Pack only the words that ship: core words to a server
-            # holding this core, live words (or planes) otherwise.
-            return self._on_wire(self.obfuscator.prepare_packed(
-                X, live=not self._ships_core, core=self._ships_core
-            ))
+            return self.obfuscator.prepare_packed(X, words=self._wire_words())
         return self.obfuscator.prepare(X).astype(np.float32)
+
+    def _wire_words(self) -> str:
+        """What this client's rows ship as, the fewest bits the server
+        places: core words to a server holding the core they are packed
+        on (v6), live words on the support the server serves (v5), else
+        the planes.  Read at each send, so a fresh
+        :class:`~repro.proto.ModelInfo` changes it."""
+        obf = self.obfuscator
+        core = self.info.core_digest
+        if core is not None and core == obf.core_digest:
+            return "core"
+        live = obf.live_digest
+        if self.protocol_version >= 5 and live is not None and (
+            live == self._live_digest
+        ):
+            return "live"
+        return "planes"
 
     def predict(self, X: np.ndarray) -> np.ndarray:
         """Labels for raw features; only obfuscated bits cross the wire."""

@@ -32,7 +32,7 @@ from repro.backend.packed import (
     pack_sign_planes,
     support_of,
 )
-from repro.hd.encoder import Encoder
+from repro.hd.encoder import WORD_SETS, Encoder
 from repro.hd.model import HDModel
 from repro.hd.quantize import EncodingQuantizer, get_quantizer
 from repro.utils.validation import check_2d
@@ -182,31 +182,45 @@ class InferenceObfuscator:
         )
         return PackedHV(packed.signs, packed.mags, packed.d, live=live)
 
-    def prepare_packed(
-        self, X: np.ndarray, *, live: bool = True, core: bool = True
-    ) -> PackedHV:
+    def prepare_packed(self, X: np.ndarray, *, words: str | None = None):
         """Encode → quantize → mask → bit-pack: the packed offload path.
 
         Unpacks to exactly ``prepare(X)``, so host-side decisions are
-        identical whichever wire format the client chooses.  With the
-        ``bipolar`` quantizer and a level-base encoder no dense
+        identical whichever wire format the client chooses.  ``words``
+        names what to build: ``None`` (default) the planes carrying
+        every word set the rows have (their live words, and from a
+        level-base encoder their core words on :attr:`core_digest`);
+        ``"planes"`` the planes alone; ``"live"`` or ``"core"`` that
+        :class:`~repro.backend.packed.LiveHV` alone.  A client names the
+        one it ships, so the others are never packed.
+
+        With the ``bipolar`` quantizer and a level-base encoder no dense
         ``(n, d_hv)`` tile is built: the flip-chain popcount runs only on
         the kept dimensions that some level flips (a private column plan
-        of the encoder, built on first use), their sign bits land in the
-        full-width layout over the fixed signs of the kept level-invariant
-        dimensions, and the magnitude plane is the keep mask.  The rows
-        then carry their live words and their core words
-        (:attr:`~repro.backend.PackedHV.core`, on :attr:`core_digest`);
-        ``live=False`` or ``core=False`` skips packing one of them (a
-        client ships only one).  Other packable quantizers need the
-        encoding's magnitudes: they quantize ``encode(X)``, which on a
-        level-base encoder is the same count as float32.
+        of the encoder, built on first use, with per-thread row scratch,
+        so one obfuscator may serve many threads), and their sign bits
+        land in each requested word set over its fixed bits; the
+        magnitude plane is the keep mask.  Other packable quantizers
+        need the encoding's magnitudes: they quantize ``encode(X)``,
+        which on a level-base encoder is the same count as float32.
         """
-        if self._emits_sign_planes:
-            return self.encoder._bipolar_planes(
-                X, self._plan(), None, live=live, core=core
+        if words not in (None, *WORD_SETS):
+            raise ValueError(
+                f"words must be one of {WORD_SETS} or None, got {words!r}"
             )
-        return self.obfuscate_packed(self.encoder.encode(X))
+        if self._emits_sign_planes:
+            return self.encoder._bipolar_planes(X, self._plan(), None, words)
+        packed = self.obfuscate_packed(self.encoder.encode(X))
+        if words is None:
+            return packed
+        if words == "planes":
+            return PackedHV(packed.signs, packed.mags, packed.d)
+        if getattr(packed, words) is None:
+            raise ValueError(
+                f"{self.quantizer.name!r} queries from a {self.encoder.kind} "
+                f"encoder carry no {words!r} words"
+            )
+        return getattr(packed, words)
 
     def _plan(self):
         if self._live_plan is None:
@@ -218,6 +232,14 @@ class InferenceObfuscator:
         """Digest of the core support :meth:`prepare_packed` rows carry
         core words on; ``None`` when they carry none."""
         return self._plan().core_digest if self._emits_sign_planes else None
+
+    @property
+    def live_digest(self) -> int | None:
+        """Digest of the keep mask :meth:`prepare_packed` rows carry live
+        words on; ``None`` when they carry none (a quantizer other than
+        ``bipolar`` leaves zeros on the support)."""
+        bipolar = self.quantizer.name == "bipolar"
+        return self._support_digest if bipolar else None
 
     # ------------------------------------------------------------------
     def evaluate_accuracy(

@@ -33,11 +33,21 @@ Training and similarity accumulate in float64 (see
 
 from __future__ import annotations
 
+import threading
 from abc import ABC, abstractmethod
 from typing import NamedTuple
 
 import numpy as np
 
+from repro.backend import native as native_kernels
+from repro.backend.packed import (
+    LiveHV,
+    PackedHV,
+    n_words,
+    pack_sign_planes,
+    popcount,
+    support_of,
+)
 from repro.hd.item_memory import BaseMemory, LevelMemory
 from repro.utils.rng import spawn
 from repro.utils.validation import check_2d, check_finite, check_positive_int
@@ -176,8 +186,6 @@ class ScalarBaseEncoder(Encoder):
         NumPy reference.  Both paths are elementwise float32 and produce
         bit-identical values.
         """
-        from repro.backend import native as native_kernels
-
         if native is None:
             native = native_kernels.kernels_available()
         if not native:
@@ -260,6 +268,34 @@ class ScalarBaseEncoder(Encoder):
         return out
 
 
+#: what a bipolar encode can build (:meth:`LevelBaseEncoder._bipolar_planes`):
+#: the bit planes, the live words or the core words
+WORD_SETS = ("planes", "live", "core")
+
+#: per-thread row temporaries of :meth:`LevelBaseEncoder._flip_chain_rows`
+#: for the last grid shape the thread counted on (cf. ``backend/packed.py``)
+_SCRATCH = threading.local()
+
+
+def _row_scratch(agree_shape: tuple, d_in: int) -> tuple:
+    """This thread's ``(later, both, ones, pos)`` for one grid.
+
+    Kept across calls while the grid shape stays; ``later``'s columns
+    past ``d_in`` are zero when built and never written.
+    """
+    key = (agree_shape, d_in)
+    if getattr(_SCRATCH, "key", None) != key:
+        words, rows, width = agree_shape
+        _SCRATCH.buffers = (
+            np.zeros((rows, words * 64), dtype=bool),
+            np.empty(agree_shape, dtype=np.uint64),
+            np.empty(agree_shape, dtype=np.uint8),
+            np.empty((rows, width), dtype=np.min_scalar_type(d_in)),
+        )
+        _SCRATCH.key = key
+    return _SCRATCH.buffers
+
+
 class _ColumnPlan(NamedTuple):
     """The flip-chain count's operands on a selection's columns that differ.
 
@@ -270,11 +306,13 @@ class _ColumnPlan(NamedTuple):
     is ``≥ t``, addend ``k`` of Eq. (2b) is positive on column ``j``
     exactly when ``a_kj`` differs from ``[k ∈ F_{t_j}]``, so::
 
-        pos_j = Σ_k a_kj + |F_{t_j}| − 2 · popcount(a_·j & F_{t_j})
-        H_j   = fixed_j + 2·|F_{t_j}| − 4 · popcount(a_·j & F_{t_j})
+        pos_j = popcount(a_·j ^ F_{t_j})
+        H_j   = 2 · pos_j − d_in
 
-    where ``fixed_j = 2 Σ_k a_kj − d_in`` is the level-0 encoding, which
-    every input gets on a column that never flips.
+    and the bipolar sign of ``H_j`` is ``+1`` exactly when
+    ``2 · pos_j ≥ d_in``: an integer compare.  A column that never
+    flips takes ``fixed_j = 2 Σ_k a_kj − d_in``, the level-0 encoding,
+    whatever the input.
 
     The counted columns sit in a ``(rows, width)`` grid whose every row
     holds columns of one flip level, so one ``F_t`` word per feature
@@ -286,7 +324,9 @@ class _ColumnPlan(NamedTuple):
     cols:
         ``(rows, width)`` int64 — the dimension each grid slot counts.
     flip:
-        ``(rows,)`` int64 — the flip level ``t`` of each grid row.
+        ``(rows,)`` — the flip level ``t`` of each grid row, in the
+        level index dtype
+        (:attr:`~repro.hd.item_memory.LevelMemory.index_dtype`).
     agree:
         ``(n_words(d_in), rows, width)`` uint64 — each slot's ``a_·j``
         bits, packed 64 features per word.
@@ -387,8 +427,6 @@ class LevelBaseEncoder(Encoder):
                     np.ones(self.d_hv, dtype=bool)
                 )
             return plan
-        from repro.backend.packed import pack_sign_planes, support_of
-
         sel = np.asarray(keep, dtype=bool)
         L, B = self.levels.vectors, self.base.vectors
         flipped = L != L[0]
@@ -421,7 +459,7 @@ class LevelBaseEncoder(Encoder):
         core, core_digest = support_of(sel & varies)
         return _ColumnPlan(
             cols=grid,
-            flip=levels.astype(np.int64),
+            flip=levels.astype(self.levels.index_dtype),
             agree=np.ascontiguousarray(agree).reshape(len(agree), *grid.shape),
             fixed=fixed,
             fixed_signs=pack_sign_planes(sel & fixed_bits)[0],
@@ -438,8 +476,6 @@ class LevelBaseEncoder(Encoder):
 
     @staticmethod
     def _use_native(native: bool | None) -> bool:
-        from repro.backend import native as native_kernels
-
         if native is None:
             return native_kernels.kernels_available()
         if native and not native_kernels.kernels_available():
@@ -452,37 +488,24 @@ class LevelBaseEncoder(Encoder):
     def _flip_chain_rows(self, idx: np.ndarray, plan: _ColumnPlan):
         """Eq. (2b) on the plan's grid slots, one input row at a time.
 
-        Yields each row's ``(rows · width,)`` float32 encodings in one
-        reused buffer, so every temporary is one row's size.  Per row:
-        the ``F_t`` words at the grid rows' flip levels (``n_words(d_in)``
-        per level), ANDed into ``agree`` broadcast over each grid row,
-        popcounted and summed over the feature words into counts that
-        hold ``d_in``; the closed form of :class:`_ColumnPlan` turns
-        counts and ``|F_t|`` into encodings.
-        """
-        from repro.backend.packed import popcount
+        Yields each row's ``(rows, width)`` counts ``pos`` of positive
+        addends per grid slot (:class:`_ColumnPlan`).  Per row: the
+        ``F_t`` words at the grid rows' flip levels (``n_words(d_in)``
+        per level), XORed into ``agree`` broadcast over each grid row,
+        popcounted and summed over the leading feature-word axis.
 
-        words = plan.agree.shape[0]
-        q = idx.astype(np.min_scalar_type(self.n_levels - 1))
-        flip = plan.flip.astype(q.dtype)[:, None]
-        later = np.zeros((plan.flip.size, words * 64), dtype=bool)
-        both = np.empty(plan.agree.shape, dtype=np.uint64)
-        ones = np.empty(plan.agree.shape, dtype=np.uint8)
-        sum_dtype = np.min_scalar_type(self.d_in)
-        counts = np.empty(plan.cols.shape, dtype=sum_dtype)
-        fixed = plan.fixed[plan.cols]
-        H = np.empty(plan.cols.shape, dtype=np.float32)
-        for row in q:
+        The row temporaries are this thread's scratch, the yielded
+        array included, rewritten by the next row and the next call:
+        read it before advancing.
+        """
+        later, both, ones, pos = _row_scratch(plan.agree.shape, self.d_in)
+        flip = plan.flip[:, None]
+        for row in idx:
             np.greater_equal(row, flip, out=later[:, : self.d_in])
             F = np.packbits(later, axis=-1, bitorder="little").view(np.uint64)
-            np.bitwise_and(plan.agree, F.T[:, :, None], out=both)
+            np.bitwise_xor(plan.agree, F.T[:, :, None], out=both)
             popcount(both, out=ones)
-            np.add.reduce(ones, axis=0, dtype=sum_dtype, out=counts)
-            sizes = popcount(F).sum(axis=-1, dtype=np.int64)
-            np.multiply(counts, np.float32(-4), out=H)
-            H += (2 * sizes[:, None]).astype(np.float32)
-            H += fixed
-            yield H.reshape(-1)
+            yield np.add.reduce(ones, axis=0, dtype=pos.dtype, out=pos)
 
     def encode_packed(
         self, X: np.ndarray, *, native: bool | None = None
@@ -508,17 +531,17 @@ class LevelBaseEncoder(Encoder):
         use_native = self._use_native(native)
         plan = self._column_plan()
         if use_native:
-            from repro.backend.native import native_level_encode
-
-            return native_level_encode(
+            return native_kernels.native_level_encode(
                 idx, self.n_levels, plan.flip, plan.agree, plan.cols,
                 plan.fixed,
             )
         out = np.repeat(plan.fixed[None, :], idx.shape[0], axis=0)
         if plan.cols.size:
-            cols = plan.cols.reshape(-1)
-            for row, h in zip(out, self._flip_chain_rows(idx, plan)):
-                row[cols] = h
+            h = np.empty(plan.cols.shape, dtype=np.float32)
+            for row, pos in zip(out, self._flip_chain_rows(idx, plan)):
+                np.multiply(pos, np.float32(2), out=h)
+                h -= self.d_in
+                row[plan.cols] = h
         return out
 
     def encode_packed_bipolar(
@@ -535,80 +558,76 @@ class LevelBaseEncoder(Encoder):
         values have no zeros).  ``native`` selects the compiled count as
         in :meth:`encode_packed`.
         """
-        return self._bipolar_planes(
-            X, self._column_plan(), native, live=True, core=False
-        )
+        return self._bipolar_planes(X, self._column_plan(), native, "planes")
 
     def _bipolar_planes(
-        self, X, plan: _ColumnPlan, native: bool | None, *, live: bool,
-        core: bool,
+        self, X, plan: _ColumnPlan, native: bool | None, words=None
     ):
         """Bipolar encoding of ``X`` on the plan's support, zero elsewhere.
 
-        The count runs on the plan's flipping columns only; their sign
-        bits are scattered into the ``d_hv``-wide layout over the fixed
-        sign bits of its other columns, and in the same pass, with
-        ``live``, into the live words (the support's bits only, see
-        :class:`~repro.backend.packed.LiveHV`) and, with ``core``, into
-        the core words (the flipping columns' bits only,
-        :attr:`PackedHV.core`).  The magnitude plane is the support, so
-        the result packs like the dense encoding quantized to bipolar
-        and then zeroed off the support.  On a full support the live
-        words are the sign plane itself.
+        ``words`` names what to build (:data:`WORD_SETS`): ``"planes"``,
+        the :class:`~repro.backend.PackedHV` whose magnitude plane is
+        the support, so it packs like the dense encoding quantized to
+        bipolar and then zeroed off the support; ``"live"``, the
+        support's bits only, or ``"core"``, the flipping columns' bits
+        only, each a :class:`~repro.backend.packed.LiveHV`; ``None``,
+        the planes carrying both word sets.  The count runs on the
+        plan's flipping columns only, and each word set built takes
+        their sign bits over its fixed bits (none in the core words).
         """
-        from repro.backend.packed import LiveHV, PackedHV, n_words
-
         idx = self._level_indices(X)
         n = idx.shape[0]
-        full = plan.n_live == self.d_hv
+        names = WORD_SETS if words is None else (words,)
         if self._use_native(native):
-            from repro.backend.native import native_level_encode_signs
-
-            signs, live_words, core_words = native_level_encode_signs(
+            built = dict(zip(WORD_SETS, native_kernels.native_level_encode_signs(
                 idx, self.n_levels, plan.flip, plan.agree, plan.cols,
                 plan.fixed, plan.fixed_signs, plan.ranks, plan.fixed_live,
                 plan.core_ranks, plan.n_core,
-            )
+            )))
         else:
-            signs = np.repeat(plan.fixed_signs[None, :], n, axis=0)
-            live_words = np.repeat(
-                plan.fixed_live[None, :], n if live and not full else 0, axis=0
-            )
-            core_words = np.zeros(
-                (n if core else 0, n_words(plan.n_core)), dtype=np.uint64
-            )
+            # Each set starts from its fixed bits; grid slot s sets bit
+            # slots[s] of it.
+            fixed = {"planes": plan.fixed_signs, "live": plan.fixed_live}
+            slots = {
+                "planes": plan.cols, "live": plan.ranks, "core": plan.core_ranks
+            }
+            built = {
+                name: fixed[name][None, :].repeat(n, axis=0) if name in fixed
+                else np.zeros((n, n_words(plan.n_core)), dtype=np.uint64)
+                for name in names
+            }
             if plan.cols.size:
-                cols = plan.cols.reshape(-1)
-                # Each word set's bits at its ranks; rows overwrite the
-                # same bits, so one buffer per set serves every row.
-                slots = [
-                    (w, r.reshape(-1), np.zeros(64 * w.shape[1], bool))
-                    for w, r in (
-                        (live_words, plan.ranks),
-                        (core_words, plan.core_ranks),
-                    )
-                    if len(w)
+                # Rows overwrite the same bits, so one buffer per set
+                # serves every row.
+                sets = [
+                    (built[name], slots[name],
+                     np.zeros(64 * built[name].shape[1], dtype=bool))
+                    for name in names
                 ]
-                bits = np.zeros(signs.shape[1] * 64, dtype=bool)
-                for i, h in enumerate(self._flip_chain_rows(idx, plan)):
-                    positive = h >= 0
-                    bits[cols] = positive
-                    signs[i] |= np.packbits(bits, bitorder="little").view(
-                        np.uint64
-                    )
-                    for words, ranks, at in slots:
-                        at[ranks] = positive
-                        words[i] |= np.packbits(at, bitorder="little").view(
+                positive = np.empty(plan.cols.shape, dtype=bool)
+                half = (self.d_in + 1) // 2  # 2·pos ≥ d_in, pos an integer
+                for i, pos in enumerate(self._flip_chain_rows(idx, plan)):
+                    np.greater_equal(pos, half, out=positive)
+                    for out, at, bits in sets:
+                        bits[at] = positive
+                        out[i] |= np.packbits(bits, bitorder="little").view(
                             np.uint64
                         )
-        mags = np.repeat(plan.support[None, :], n, axis=0)
-        live = LiveHV(
-            signs if full else live_words, self.d_hv, plan.n_live, plan.digest
-        ) if live else None
-        core = LiveHV(
-            core_words, self.d_hv, plan.n_core, plan.core_digest
-        ) if core else None
-        return PackedHV(signs, mags, self.d_hv, live=live, core=core)
+        found = {
+            name: LiveHV(built[name], self.d_hv, n_live, digest)
+            for name, n_live, digest in (
+                ("live", plan.n_live, plan.digest),
+                ("core", plan.n_core, plan.core_digest),
+            )
+            if name in names
+        }
+        if words in found:
+            return found[words]
+        mags = plan.support[None, :].repeat(n, axis=0)
+        return PackedHV(
+            built["planes"], mags, self.d_hv,
+            live=found.get("live"), core=found.get("core"),
+        )
 
     def __getstate__(self):
         # Pickle at codebook size: the column plan rebuilds on first use

@@ -129,16 +129,28 @@ class LevelMemory:
     def __len__(self) -> int:
         return self.n_levels
 
+    @property
+    def index_dtype(self) -> np.dtype:
+        """The smallest unsigned integer dtype that holds every level."""
+        return np.min_scalar_type(self.n_levels - 1)
+
     def indices(self, features: np.ndarray) -> np.ndarray:
         """Quantize feature values to level indices in ``[0, n_levels)``.
 
-        Raises ``ValueError`` naming the column of any NaN/±inf feature,
-        which has no level.
+        Clip to ``[lo, hi]``, subtract ``lo``, divide by ``hi − lo``,
+        multiply by ``n_levels − 1`` and round half to even, in float64
+        and in that order (reordered, the formula can move a value on a
+        rounding boundary to the next level).  Returns
+        :attr:`index_dtype`.  Raises ``ValueError`` naming the column of
+        any NaN/±inf feature, which has no level.
         """
         x = check_finite(np.asarray(features, dtype=np.float64), "features")
-        scaled = (np.clip(x, self.lo, self.hi) - self.lo) / (self.hi - self.lo)
-        idx = np.rint(scaled * (self.n_levels - 1)).astype(np.int64)
-        return idx
+        scaled = np.maximum(x, self.lo)
+        np.minimum(scaled, self.hi, out=scaled)
+        scaled -= self.lo
+        scaled /= self.hi - self.lo
+        scaled *= self.n_levels - 1
+        return np.rint(scaled, out=scaled).astype(self.index_dtype)
 
     def values(self, indices: np.ndarray) -> np.ndarray:
         """Map level indices back to representative feature values ``f_j``.

@@ -99,9 +99,9 @@ def check_finite(array: np.ndarray, name: str) -> np.ndarray:
     the index along the last axis.
     """
     array = np.asarray(array)
-    bad = ~np.isfinite(array)
-    if bad.any():
-        where = tuple(int(i) for i in np.argwhere(bad)[0])
+    finite = np.isfinite(array)
+    if not finite.all():
+        where = tuple(int(i) for i in np.argwhere(~finite)[0])
         raise ValueError(
             f"{name} column {where[-1]} holds a non-finite value "
             f"({array[where]})"

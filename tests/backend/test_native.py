@@ -204,7 +204,7 @@ class TestCompiledKernels:
         np.testing.assert_array_equal(a.mags, b.mags)
         plan = enc._column_plan()
         a, b = (
-            enc._bipolar_planes(X, plan, native, live=True, core=True)
+            enc._bipolar_planes(X, plan, native)
             for native in (True, False)
         )
         np.testing.assert_array_equal(a.core.words, b.core.words)

@@ -1,6 +1,9 @@
 """Tests for inference obfuscation (quantize + mask, §III-C)."""
 
 import pickle
+import sys
+import threading
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -252,6 +255,56 @@ class TestLevelBaseFastPath:
         monkeypatch.setattr(enc, "encode", no_dense)
         X = spawn(5, "fast-path-x").uniform(0.0, 1.0, (4, 64))
         assert obf.prepare_packed(X).n == 4
+
+    def test_threads_sharing_one_obfuscator_match_a_serial_run(self):
+        """Row scratch is per thread: threads encoding different rows
+        through one obfuscator (as ``serve ARTIFACT``'s client threads
+        do) get the words a serial run gets, bit for bit."""
+        enc = LevelBaseEncoder(617, 10_000, n_levels=32, seed=4)
+        obf = InferenceObfuscator(
+            enc, ObfuscationConfig(n_masked=5000, mask_seed=2)
+        )
+        X = spawn(8, "threads-x").uniform(-0.1, 1.1, (24, 617))
+        calls = [(i, w) for i in range(len(X))
+                 for w in (None, "planes", "live", "core")]
+
+        def words(i, w):
+            got = obf.prepare_packed(X[i : i + 1], words=w)
+            if w in (None, "planes"):
+                return np.concatenate([got.signs, got.mags], axis=1)
+            return got.words
+
+        serial = [words(i, w) for i, w in calls]
+        n_threads = 4
+        start = threading.Barrier(n_threads)
+
+        def run(t):
+            start.wait()
+            return [words(*calls[j]) for j in range(t, len(calls), n_threads)]
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # switch threads between most calls
+        try:
+            with ThreadPoolExecutor(n_threads) as pool:
+                runs = list(pool.map(run, range(n_threads)))
+        finally:
+            sys.setswitchinterval(interval)
+        for t, got in enumerate(runs):
+            for k, j in enumerate(range(t, len(calls), n_threads)):
+                np.testing.assert_array_equal(got[k], serial[j])
+
+    @pytest.mark.parametrize("words", ("live", "core"))
+    def test_ternary_rows_carry_no_word_sets(self, words):
+        enc, X, _ = level_grid_case(64, 1000)
+        obf = InferenceObfuscator(
+            enc, ObfuscationConfig(quantizer="ternary", n_masked=500)
+        )
+        assert obf.live_digest is None and obf.core_digest is None
+        planes = obf.prepare_packed(X[:3], words="planes")
+        assert planes.live is None and planes.core is None
+        _assert_same_planes(planes, obf.prepare_packed(X[:3]))
+        with pytest.raises(ValueError, match=f"no '{words}' words"):
+            obf.prepare_packed(X[:3], words=words)
 
     @pytest.mark.parametrize("quantizer", ("ternary", "ternary-biased"))
     def test_ternary_packs_the_quantized_encoding(self, quantizer):

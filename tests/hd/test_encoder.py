@@ -301,6 +301,167 @@ class TestPackedLevelBaseGrid:
         assert obf.prepare_packed(X).signs.shape == (0, words)
 
 
+def _boundary_rows(enc):
+    """Rows whose features sit at ``lo``, at ``hi``, outside ``[lo, hi]``
+    and on every level-rounding boundary (and one ulp either side)."""
+    lo, hi, n = enc.lo, enc.hi, enc.n_levels
+    half = lo + (np.arange(max(n - 1, 1)) + 0.5) * ((hi - lo) / max(n - 1, 1))
+    values = np.concatenate([
+        [lo, hi, lo - 0.5, hi + 0.5, lo - 1e9, hi + 1e9],
+        half, np.nextafter(half, -np.inf), np.nextafter(half, np.inf),
+    ])
+    rows = -(-values.size // enc.d_in)
+    X = np.resize(spawn(n, "boundary-x").permutation(values), (rows, enc.d_in))
+    return np.vstack([X, np.full(enc.d_in, lo), np.full(enc.d_in, hi),
+                      np.full(enc.d_in, lo - 1), np.full(enc.d_in, hi + 1)])
+
+
+def _dense_words(obf, X):
+    """Planes, live words and core words of the dense reference ``X``."""
+    from repro.backend.packed import pack_sign_planes, unpack_bit_planes
+
+    H = obf.obfuscate_encodings(reference_level_encode(obf.encoder, X))
+    core = unpack_bit_planes(obf._plan().core[None], obf.encoder.d_hv)[0]
+    return {
+        "planes": pack_hypervectors(H),
+        "live": pack_sign_planes(H[:, obf.keep_mask]),
+        "core": pack_sign_planes(H[:, core.astype(bool)]),
+    }
+
+
+def _same_words(got, want, words):
+    if words == "planes":
+        np.testing.assert_array_equal(got.signs, want.signs)
+        np.testing.assert_array_equal(got.mags, want.mags)
+    else:
+        np.testing.assert_array_equal(got.words, want)
+
+
+class TestOneRowEdges:
+    """The one-row masked encode a client runs per ``predict``: its word
+    sets equal the batch path's and the dense reference's at the edges
+    of the level quantizer."""
+
+    @pytest.mark.parametrize(
+        "lo,hi,n_levels", [(0.0, 1.0, 5), (-1.0, 1.0, 32), (0.1, 0.7, 7),
+                           (0.0, 1.0, 1), (-3.0, 5.0, 100)],
+    )
+    def test_level_indices_keep_the_float64_formula(self, lo, hi, n_levels):
+        enc = LevelBaseEncoder(65, 128, n_levels=n_levels, lo=lo, hi=hi)
+        X = _boundary_rows(enc)
+        want = np.rint(
+            (np.clip(X, lo, hi) - lo) / (hi - lo) * (n_levels - 1)
+        ).astype(np.int64)
+        got = enc.levels.indices(X)
+        assert got.dtype == enc.levels.index_dtype
+        np.testing.assert_array_equal(got, want)
+        for i in range(len(X)):
+            np.testing.assert_array_equal(enc.levels.indices(X[i]), want[i])
+
+    @pytest.mark.parametrize("words", ("planes", "live", "core"))
+    @pytest.mark.parametrize(
+        "lo,hi,n_levels", [(0.0, 1.0, 5), (-1.0, 1.0, 32), (0.1, 0.7, 7)],
+    )
+    @pytest.mark.parametrize("d_in", (1, 65, 617))
+    def test_one_row_equals_batch_and_reference(
+        self, d_in, lo, hi, n_levels, words
+    ):
+        from repro.core.inference_privacy import (
+            InferenceObfuscator,
+            ObfuscationConfig,
+        )
+
+        enc = LevelBaseEncoder(
+            d_in, 1000, n_levels=n_levels, lo=lo, hi=hi, seed=d_in
+        )
+        obf = InferenceObfuscator(
+            enc, ObfuscationConfig(n_masked=500, mask_seed=3)
+        )
+        X = _boundary_rows(enc)
+        want = _dense_words(obf, X)[words]
+        batch = obf.prepare_packed(X, words=words)
+        _same_words(batch, want, words)
+        for i in range(len(X)):
+            _same_words(
+                obf.prepare_packed(X[i : i + 1], words=words),
+                want[i : i + 1], words,
+            )
+        every = obf.prepare_packed(X)
+        _same_words(every, _dense_words(obf, X)["planes"], "planes")
+        if words != "planes":
+            _same_words(getattr(every, words), want, words)
+
+    @pytest.mark.parametrize("words", (None, "planes", "live", "core"))
+    def test_zero_rows_keep_their_width(self, words):
+        from repro.backend.packed import n_words
+        from repro.core.inference_privacy import (
+            InferenceObfuscator,
+            ObfuscationConfig,
+        )
+
+        enc = LevelBaseEncoder(9, 130, n_levels=4, seed=2)
+        obf = InferenceObfuscator(enc, ObfuscationConfig(n_masked=65))
+        got = obf.prepare_packed(np.zeros((0, 9)), words=words)
+        plan = obf._plan()
+        width = {"live": plan.n_live, "core": plan.n_core}.get(words, 130)
+        rows = got.signs if words in (None, "planes") else got.words
+        assert rows.shape == (0, n_words(width))
+
+    def test_unknown_word_set_is_refused(self):
+        from repro.core.inference_privacy import (
+            InferenceObfuscator,
+            ObfuscationConfig,
+        )
+
+        obf = InferenceObfuscator(
+            LevelBaseEncoder(9, 130, n_levels=4), ObfuscationConfig()
+        )
+        with pytest.raises(ValueError, match="words must be one of"):
+            obf.prepare_packed(np.zeros((1, 9)), words="signs")
+
+    def test_predict_ships_the_reference_core_words(self):
+        """At protocol v6, the core words ``predict`` frames are the core
+        bits of the dense reference, one row per call."""
+        from repro.backend.packed import LiveHV
+        from repro.client import PriveHDClient
+        from repro.hd import HDModel
+        from repro.hd.prune import mask_from_seed
+        from repro.serve import FrontendHandle, ModelArtifact, ServingAPI
+
+        enc = LevelBaseEncoder(65, 1000, n_levels=7, seed=8)
+        X = _boundary_rows(enc)
+        y = np.arange(len(X)) % 3
+        art = ModelArtifact.build(
+            HDModel.from_encodings(enc.encode(X), y, 3),
+            quantizer="bipolar", backend="packed", encoder=enc,
+            keep_mask=mask_from_seed(1000, 400, 5), mask_seed=5,
+        )
+        api = ServingAPI.from_artifact(art, name="model")
+        shipped = []
+        try:
+            with FrontendHandle(api) as handle, PriveHDClient(
+                handle.address, encoder=enc
+            ) as client:
+                assert client.protocol_version >= 6
+                frame = client._score_message
+
+                def spy(queries, *args, **kwargs):
+                    shipped.append(queries)
+                    return frame(queries, *args, **kwargs)
+
+                client._score_message = spy
+                got = [client.predict(X[i : i + 1])[0] for i in range(len(X))]
+                obf = client.obfuscator
+        finally:
+            api.close()
+        np.testing.assert_array_equal(got, art.engine().predict_features(X))
+        assert all(isinstance(q, LiveHV) for q in shipped)
+        assert {q.digest for q in shipped} == {obf.core_digest}
+        np.testing.assert_array_equal(
+            np.vstack([q.words for q in shipped]), _dense_words(obf, X)["core"]
+        )
+
+
 class TestNonFiniteFeatures:
     """NaN/±inf features have no level: rejected, column named."""
 
@@ -319,6 +480,21 @@ class TestNonFiniteFeatures:
         X[1, 3] = np.nan
         with pytest.raises(ValueError, match="column 3 .*nan"):
             encode(enc, X)
+
+    @pytest.mark.parametrize("words", (None, "planes", "live", "core"))
+    @pytest.mark.parametrize("bad", (np.nan, np.inf, -np.inf))
+    def test_one_row_prepare_rejects(self, bad, words):
+        from repro.core.inference_privacy import (
+            InferenceObfuscator,
+            ObfuscationConfig,
+        )
+
+        enc = LevelBaseEncoder(617, 1000, n_levels=32, seed=0)
+        obf = InferenceObfuscator(enc, ObfuscationConfig(n_masked=500))
+        X = _inputs(1, 617)
+        X[0, 600] = bad
+        with pytest.raises(ValueError, match=f"column 600 .*{bad}"):
+            obf.prepare_packed(X, words=words)
 
     def test_scalar_base_rejects(self):
         enc = ScalarBaseEncoder(8, 128, n_levels=4, seed=0)

@@ -281,7 +281,7 @@ class TestCoreRefusalRetryBudget:
         with FrontendHandle(api) as handle:
             client = _LosesTheReRead(handle.address, encoder=encoder)
             with client:
-                assert client._ships_core
+                assert client._wire_words() == "core"
                 # The same store, republished without the core.
                 api.registry.publish("demo", ModelArtifact.build(
                     model, quantizer="bipolar", backend="packed"

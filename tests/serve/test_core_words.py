@@ -404,7 +404,7 @@ def test_open_sessions_survive_a_republish_without_the_core(encoder, entry):
                 handle.address, encoder=encoder if features else None
             ) as client:
                 assert client.info.core_digest == rows.core.digest
-                assert not features or client._ships_core
+                assert not features or client._wire_words() == "core"
                 np.testing.assert_array_equal(
                     call(client, X[:1], rows[:1]), want[:1]
                 )
@@ -413,6 +413,6 @@ def test_open_sessions_survive_a_republish_without_the_core(encoder, entry):
                 )
                 np.testing.assert_array_equal(call(client, X, rows), want)
                 assert client.info.core_digest is None
-                assert not features or not client._ships_core
+                assert not features or client._wire_words() == "live"
     finally:
         api.close()
