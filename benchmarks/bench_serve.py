@@ -57,7 +57,15 @@ Exercises the full model lifecycle the way a deployment would:
    store held as live words, and of core and live words against a store
    that holds a core (no bar on any of these); and asserts that a
    level-base masked tenant gives identical decisions to v4 plane, v5
-   live-word and v6 core-word clients over sockets.
+   live-word and v6 core-word clients over sockets;
+10. with ``--latency``, read the server's latency ledger (``/stats``
+    ``"stages"``, :mod:`repro.obs`) after one-row v6 core-word traffic
+    and 32-row v2 batch traffic over sockets, assert that each leg's
+    stages add up to its server-side request time (decode start →
+    reply written) within 10%, and write per-stage p50/p99, each
+    stage's share of the request time, the inline share and the
+    ledger's own in-process cost per request to ``--latency-out``
+    (``BENCH_latency.json``).
 
 Writes ``BENCH_serve.json``::
 
@@ -71,6 +79,7 @@ Writes ``BENCH_serve.json``::
 import argparse
 import json
 import pathlib
+import socket
 import sys
 import tempfile
 import threading
@@ -93,12 +102,15 @@ from repro.core.inference_privacy import InferenceObfuscator, ObfuscationConfig
 from repro.hd import LevelBaseEncoder
 from repro.hd.model import HDModel
 from repro.hd.prune import mask_from_seed
+from repro.obs import Ledger, RequestRecord
 from repro.proto import (
     PROTOCOL_VERSION,
     FrameDecoder,
     FrameType,
+    Hello,
     ScoreRequest,
     ScoreResponse,
+    WireSession,
     decode_message,
     encode_message,
     encode_message_parts,
@@ -399,6 +411,126 @@ def run_core_parity(d_hv: int, *, rows: int = 48) -> dict:
             if not np.array_equal(got, want):
                 raise AssertionError(f"core parity: {label} decisions diverged")
             out[label] = "identical"
+    return out
+
+
+def _ledger_leg(stages: dict) -> dict:
+    """One traffic leg's ledger: per-stage p50/p99 and share of the
+    request time; ``AssertionError`` unless the stages add up to it
+    within 10%."""
+    request = stages["request"]
+    total_us = request["mean_us"] * request["count"]
+    per_stage = {
+        name: row for name, row in stages.items()
+        if name not in ("inline", "queued", "request")
+    }
+    summed_us = sum(row["mean_us"] * row["count"] for row in per_stage.values())
+    if not total_us or abs(summed_us - total_us) > 0.1 * total_us:
+        raise AssertionError(
+            f"ledger stages sum to {summed_us:.0f} us against "
+            f"{total_us:.0f} us of request time"
+        )
+    return {
+        "requests": request["count"],
+        "inline_share": stages["inline"] / max(request["count"], 1),
+        "request_us": {k: request[k] for k in ("mean_us", "p50_us", "p99_us")},
+        "stages_over_request": summed_us / total_us,
+        "stages": {
+            name: {
+                "count": row["count"],
+                "p50_us": row["p50_us"],
+                "p99_us": row["p99_us"],
+                "share": row["mean_us"] * row["count"] / total_us,
+            }
+            for name, row in per_stage.items()
+        },
+    }
+
+
+def _ledger_us_per_request(number: int = 20_000) -> float:
+    """In-process cost of one request's ledger work: open, the
+    scheduler's stamps, close (histogram folds amortized)."""
+    ledger = Ledger()
+    now = time.monotonic_ns
+
+    def one():
+        record = RequestRecord(1, now(), True)
+        record.started = record.scored = now()
+        record.resolved = now()
+        ledger.close([record])
+
+    return _us_per_call(one, number)
+
+
+def _send_bursts(address, frames: list[bytes], window: int) -> list:
+    """Pipeline pre-encoded v2 frames over one raw connection, ``window``
+    per ``sendall``, and read every reply: the gateway's traffic shape,
+    without a client encode between frames."""
+    session = WireSession("client")
+    with socket.create_connection(address, timeout=30.0) as sock:
+
+        def read():
+            while (frame := session.next_frame()) is None:
+                n = sock.recv_into(session.recv_buffer())
+                if not n:
+                    raise ConnectionError("the server closed the connection")
+                session.commit(n)
+            return decode_message(frame)
+
+        sock.sendall(encode_message(Hello(versions=(1, 2))))
+        session.adopt_version(read().version)
+        replies = []
+        for start in range(0, len(frames), window):
+            burst = frames[start : start + window]
+            sock.sendall(b"".join(burst))
+            replies += [read() for _ in burst]
+    return replies
+
+
+def run_latency_ledger(d_hv: int, *, rows: int, batch_frames: int) -> dict:
+    """The server's per-stage latency, read from its own ledger.
+
+    One-row v6 core-word requests, one in flight (the edge client's
+    shape), and ``batch_frames`` 32-row v2 batch frames of planes, sent
+    8 at a time (the gateway's), each against a fresh server.  Raises
+    unless every answer equals the offline engine's.
+    """
+    artifact, block = _core_block(d_hv, rows)
+    want = artifact.engine().predict(PackedHV(block.signs, block.mags, block.d))
+    singles = [block[i : i + 1] for i in range(rows)]
+    starts = [32 * i % (rows - 31) for i in range(batch_frames)]
+    frames = [
+        encode_message(ScoreRequest(
+            queries=PackedHV(
+                block.signs[s : s + 32], block.mags[s : s + 32], block.d
+            ),
+            counts=(1,) * 32, request_id=i + 1,
+        ), version=2)
+        for i, s in enumerate(starts)
+    ]
+
+    def single(address):
+        with PriveHDClient(address) as client:
+            return np.concatenate([client.predict_encoded(q) for q in singles])
+
+    def batched(address):
+        replies = sorted(_send_bursts(address, frames, 8),
+                         key=lambda r: r.request_id)
+        return np.concatenate([r.predictions for r in replies])
+
+    expected = {
+        "v6_core_single": want,
+        "v2_batch_32": np.concatenate([want[s : s + 32] for s in starts]),
+    }
+    out = {"d_hv": d_hv}
+    for label, drive in (("v6_core_single", single), ("v2_batch_32", batched)):
+        with ServingAPI.from_artifact(artifact, name="ledger") as api:
+            with FrontendHandle(api) as handle:
+                got = drive(handle.address)
+            if not np.array_equal(got, expected[label]):
+                raise AssertionError(f"ledger leg {label}: answers diverged")
+            out[label] = _ledger_leg(api.stats()["stages"])
+    out["ledger_us_per_request"] = _ledger_us_per_request()
     return out
 
 
@@ -1160,6 +1292,12 @@ def run_bench(args, workdir) -> dict:
         )
     if args.overload:
         report["overload"] = run_overload_sweep(artifact, queries, args)
+    if args.latency:
+        report["latency"] = run_latency_ledger(
+            args.dhv,
+            rows=200 if args.smoke else 2000,
+            batch_frames=16 if args.smoke else 256,
+        )
     if args.chaos:
         import socket as _socket
 
@@ -1325,6 +1463,22 @@ def main(argv=None) -> int:
         help="rows per request in the overload sweep",
     )
     parser.add_argument(
+        "--latency",
+        action="store_true",
+        help=(
+            "read the server's per-stage latency ledger after one-row "
+            "v6 core and 32-row v2 batch socket traffic, assert the "
+            "stages add up to the request time within 10%%, and write "
+            "--latency-out"
+        ),
+    )
+    parser.add_argument(
+        "--latency-out",
+        type=pathlib.Path,
+        default=pathlib.Path("BENCH_latency.json"),
+        help="where --latency writes its JSON report",
+    )
+    parser.add_argument(
         "--chaos",
         action="store_true",
         help=(
@@ -1366,6 +1520,11 @@ def main(argv=None) -> int:
         report = run_bench(args, workdir)
 
     args.out.write_text(json.dumps(report, indent=2) + "\n")
+    if "latency" in report:
+        args.latency_out.write_text(
+            json.dumps({"bench": "latency", **report["latency"]}, indent=2)
+            + "\n"
+        )
     served = report["served"]
     print(
         f"offline packed batch: "
@@ -1470,6 +1629,23 @@ def main(argv=None) -> int:
             f"{wk['workers_max']} workers {multi:,.0f} q/s "
             f"({wk['aggregate_speedup']:.2f}x aggregate on "
             f"{wk['cpu_count']} core(s))"
+        )
+    if "latency" in report:
+        lat = report["latency"]
+        for label in ("v6_core_single", "v2_batch_32"):
+            leg = lat[label]
+            print(
+                f"ledger {label}: {leg['requests']} requests, p50 "
+                f"{leg['request_us']['p50_us']:.0f} us, inline "
+                f"{leg['inline_share']:.0%}, stages/request "
+                f"{leg['stages_over_request']:.3f}; " + ", ".join(
+                    f"{name} {row['p50_us']:.0f}"
+                    for name, row in leg["stages"].items() if row["count"]
+                )
+            )
+        print(
+            f"ledger cost: {lat['ledger_us_per_request']:.2f} us/request "
+            "in process"
         )
     if "overload" in report:
         ov = report["overload"]

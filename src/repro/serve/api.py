@@ -21,7 +21,10 @@ path answers both.
 Every query path is micro-batched through a
 :class:`~repro.serve.MicroBatchScheduler` whose runner resolves the
 tenant's registry *per flush*, so registry mutations (publish / promote
-/ rollback) hot-swap between flushes with zero dropped requests.
+/ rollback) hot-swap between flushes with zero dropped requests.  A
+socket request the frontend found alone may instead run to completion
+on the frontend's thread, scored by the engine resolved at submit
+(submit and flush are then one call, so one version answers it).
 Bit-packed queries have one coalescing shape: protocol-v5 live words,
 plane rows on the support of a store held as live words (gathered
 once at submit), and v6 core words ride the scheduler as ``[words |
@@ -43,6 +46,7 @@ from pathlib import Path
 import numpy as np
 
 from repro.backend.packed import LiveHV, PackedHV, n_words
+from repro.obs import Ledger, thread_cpu_seconds
 from repro.proto.messages import (
     ModelInfo,
     ScoreRequest,
@@ -102,6 +106,8 @@ class ServingAPI:
         self._lock = threading.Lock()
         self._schedulers: dict[tuple, MicroBatchScheduler] = {}
         self._closed = False
+        #: per-stage latency of the requests the socket frontend served
+        self.ledger = Ledger()
 
     # ------------------------------------------------------------------
     # construction sugar
@@ -197,7 +203,7 @@ class ServingAPI:
     # submission plumbing
     # ------------------------------------------------------------------
     def _submit(self, queries, tenant, model, method, *, d_hv=None,
-                deadline=None, respond=None):
+                deadline=None, respond=None, stamps=None):
         """Resolve tenant + model, shape-check, enqueue once.
 
         Returns the future: the request's ``(rows, version)`` outcome
@@ -219,13 +225,21 @@ class ServingAPI:
         :class:`~repro.serve.Overloaded` /
         :class:`~repro.serve.DeadlineExceeded` — the frontend maps each
         to its typed wire code.
+
+        ``stamps`` is the frontend's :class:`~repro.obs.RequestRecord`;
+        one that allows it (``may_inline``) offers the request to the
+        scheduler's inline executor
+        (:meth:`~repro.serve.MicroBatchScheduler._run_here`), which
+        scores the queries as given, unpacked, with the engine and
+        version resolved here.
         """
         packed = isinstance(queries, (LiveHV, PackedHV))
         if packed:
             d_hv = queries.d
         record, registry = self.fleet.lookup(tenant)
         name = record.model_name(model)
-        engine = registry.describe(name).engine
+        described = registry.describe(name)
+        engine = described.engine
         self.fleet.recharge(record, registry, model, engine)
         if d_hv is not None and d_hv != engine.d_hv:
             raise ValueError(
@@ -236,31 +250,45 @@ class ServingAPI:
             on_support = engine.prepared.store.live_of(queries)
             if on_support is not None:
                 queries = on_support
-        if isinstance(queries, LiveHV):
+        live = isinstance(queries, LiveHV)
+        if live:
             engine.check_live(queries)
-            method += "_live"
             # Live rows are n_words(n_live) + 2 wide, and keep and core
             # words (or a hot-swap) differ in n_live: the count keys the
             # queue, so rows of different widths never meet in one flush.
+            suffix = "_live"
             if self.coalesce and engine.coalesce_key and name == record.model:
-                key = ("group", *engine.coalesce_key, queries.n_live, method)
+                key = ("group", *engine.coalesce_key, queries.n_live)
             else:
-                key = ("tenant", record.name, name, queries.n_live, method)
+                key = ("tenant", record.name, name, queries.n_live)
+            run = self._run_live
+        else:
+            suffix = "_packed" if packed else ""
+            run, key = self._run_tenant, ("tenant", record.name, name)
+        key += (method + suffix,)
+        finish = None if respond is None else (
+            lambda outcome: respond(*outcome, name)
+        )
+        sched = self._scheduler(key, run)
+        if stamps is not None and stamps.may_inline:
+            score = getattr(engine, method)
+            version = described.version
+            n = queries.n if packed else np.atleast_2d(queries).shape[0]
+            future = sched._run_here(
+                n, lambda: [(score(queries), version)], deadline, finish,
+                stamps,
+            )
+            if future is not None:
+                return future
+        if live:
             index = np.full((queries.n, 1), record.index, dtype=np.uint64)
             queries = np.concatenate(
                 [queries.words, np.full_like(index, queries.digest), index],
                 axis=1,
             )
-            run = self._run_live
-        else:
-            if packed:
-                method += "_packed"
-                queries = np.concatenate([queries.signs, queries.mags], axis=1)
-            run, key = self._run_tenant, ("tenant", record.name, name, method)
-        finish = None if respond is None else (
-            lambda outcome: respond(*outcome, name)
-        )
-        return self._scheduler(key, run)._enqueue(queries, deadline, finish)
+        elif packed:
+            queries = np.concatenate([queries.signs, queries.mags], axis=1)
+        return sched._enqueue(queries, deadline, finish, stamps)
 
     def _scheduler(self, key: tuple, run) -> MicroBatchScheduler:
         with self._lock:
@@ -400,7 +428,7 @@ class ServingAPI:
         return self.submit_score(request).result()
 
     def submit_score(self, request: ScoreRequest, *,
-                     deadline: float | None = None) -> Future:
+                     deadline: float | None = None, _record=None) -> Future:
         """Answer one typed request; resolves to its :class:`ScoreResponse`.
 
         A request with ``counts`` — N logical sub-requests stacked into
@@ -429,6 +457,11 @@ class ServingAPI:
         ``deadline`` (absolute :func:`time.monotonic`; defaults to the
         request's own ``deadline_ms`` budget measured from now) drops
         the request unscored if it expires while queued.
+
+        ``_record`` is the socket frontend's ledger record of this
+        request (:class:`~repro.obs.RequestRecord`); only the frontend
+        passes one, and only its ``may_inline`` requests may come back
+        already resolved, scored on the calling thread.
         """
         if deadline is None and request.deadline_ms is not None:
             deadline = time.monotonic() + request.deadline_ms / 1e3
@@ -454,6 +487,7 @@ class ServingAPI:
             d_hv=request.d_hv,
             deadline=deadline,
             respond=respond,
+            stamps=_record,
         )
 
     def info(
@@ -555,16 +589,25 @@ class ServingAPI:
         return out
 
     def stats(self) -> dict:
-        """Fleet cache counters plus scheduler counters, JSON-safe.
+        """Fleet, scheduler, ledger and thread counters, JSON-safe.
 
         ``"fleet"`` carries hits, misses, evictions, resident bytes and
         models (see :meth:`~repro.serve.FleetStats.as_dict`);
         ``"schedulers"`` maps each scheduler's dotted key to its
-        counters.
+        counters; ``"stages"`` is the socket requests' latency ledger
+        (:meth:`~repro.obs.Ledger.snapshot`); ``"threads"`` maps each
+        live thread's name to its CPU seconds, where ``/proc`` has them.
         """
         with self._lock:
             schedulers = list(self._schedulers.items())
-        out = {"fleet": self.fleet.stats().as_dict(), "schedulers": {}}
+        out = {
+            "fleet": self.fleet.stats().as_dict(),
+            "schedulers": {},
+            "stages": self.ledger.snapshot(),
+        }
+        threads = thread_cpu_seconds()
+        if threads is not None:
+            out["threads"] = threads
         for key, sched in schedulers:
             stats = sched.stats
             out["schedulers"][".".join(map(str, key))] = {

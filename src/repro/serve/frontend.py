@@ -28,6 +28,14 @@ Connection discipline
   after a best-effort ``bad-frame`` reply.
 * One read dispatches every frame it completed; a flush's completions
   wake the loop once, and each connection's replies leave in one write.
+* A scoring request that arrives alone — its connection has nothing
+  else in flight and no frame buffered behind it — is offered to the
+  scheduler's inline executor: if that scheduler is idle, the request is
+  scored on the loop inside its own dispatch and its reply written from
+  there, with no flusher wake-up and no inbox hop.
+* Every scoring request carries a :class:`~repro.obs.RequestRecord`
+  from decode to reply written; ``/stats`` ``"stages"`` reports the
+  per-stage latency (see :mod:`repro.obs`).
 
 A thin HTTP/1.0 adapter (:class:`HttpOpsAdapter`, enabled with
 ``http_port``) exposes the ops endpoints — ``/healthz``, ``/models``,
@@ -53,6 +61,7 @@ import time
 from collections import deque
 from dataclasses import dataclass
 
+from repro.obs import RequestRecord
 from repro.proto.messages import (
     ErrorReply,
     ModelInfoRequest,
@@ -218,8 +227,9 @@ class ServingFrontend:
         self._http_server: asyncio.AbstractServer | None = None
         self._loop: asyncio.AbstractEventLoop | None = None
         self._connections: set[_Connection] = set()
-        # (connection, request id, future) appended by flusher threads,
-        # emptied on the loop by _drain_inbox (_wake_pending: scheduled).
+        # (connection, ledger record, future) appended by flusher
+        # threads, emptied on the loop by _drain_inbox (_wake_pending:
+        # scheduled).
         self._inbox: deque = deque()
         self._wake_pending = False
 
@@ -301,13 +311,13 @@ class ServingFrontend:
     # ------------------------------------------------------------------
     # completions (flusher threads -> the loop)
     # ------------------------------------------------------------------
-    def _complete(self, conn: "_Connection", request_id: int, future) -> None:
+    def _complete(self, conn: "_Connection", record, future) -> None:
         """A scoring future finished (flusher thread): queue its reply.
 
         Only the first completion of a burst wakes the loop, once its
         flush has resolved every future: N answers cost one hop.
         """
-        self._inbox.append((conn, request_id, future))
+        self._inbox.append((conn, record, future))
         # No lock: a drain clears the flag before it pops, so a set flag
         # means a pending drain pops this; a race only wakes twice.
         if not self._wake_pending:
@@ -325,13 +335,11 @@ class ServingFrontend:
         self._wake_pending = False
         inbox = self._inbox
         touched: dict[_Connection, None] = {}
+        drained = time.monotonic_ns()
         while inbox:
-            conn, request_id, future = inbox.popleft()
-            exc = future.exception()
-            if exc is None:
-                conn._reply(future.result())
-            else:
-                conn._reply(self._error_reply(exc, request_id))
+            conn, record, future = inbox.popleft()
+            record.drained = drained
+            conn._answer(future, record)
             touched[conn] = None
         for conn in touched:
             conn._flush()
@@ -464,6 +472,7 @@ class _Connection(asyncio.BufferedProtocol):
         self.inflight = 0  # dispatched requests not yet answered
         self._loop = frontend._loop
         self._out: list[bytes] = []
+        self._logged: list = []  # ledger records of the replies in _out
         self._held: Frame | None = None  # released by a read-delay fault
         self._delayed = self._write_paused = self._reading_paused = False
         self._pumping = self._eof = False
@@ -631,14 +640,22 @@ class _Connection(asyncio.BufferedProtocol):
         """
         frontend = self.frontend
         request_id = 0
+        opened = time.monotonic_ns()
         try:
             message = decode_message(frame)
             if isinstance(message, ScoreRequest):
                 request_id = message.request_id
-                future = frontend.api.submit_score(message)
-                future.add_done_callback(
-                    functools.partial(frontend._complete, self, request_id)
+                record = RequestRecord(
+                    request_id, opened,
+                    self.inflight == 1 and not self.session.has_frames,
                 )
+                future = frontend.api.submit_score(message, _record=record)
+                if future.done():  # scored inline, on this loop
+                    self._answer(future, record)
+                else:
+                    future.add_done_callback(
+                        functools.partial(frontend._complete, self, record)
+                    )
                 return
             if isinstance(message, ModelInfoRequest):
                 request_id = message.request_id
@@ -663,16 +680,30 @@ class _Connection(asyncio.BufferedProtocol):
         self._reply(response)
 
     # -- writing -------------------------------------------------------------
-    def _reply(self, message) -> None:
+    def _answer(self, future, record) -> None:
+        """Reply with a resolved scoring future's response or error."""
+        exc = future.exception()
+        if exc is None:
+            self._reply(future.result(), record)
+        else:
+            self._reply(
+                self.frontend._error_reply(exc, record.request_id), record
+            )
+
+    def _reply(self, message, record=None) -> None:
         """Queue a reply for the next :meth:`_flush`, or apply a fault.
 
         A ``frontend.reply`` drop frees the slot unwritten; a delay
-        writes (and frees it) later — the loop never blocks.
+        writes (and frees it) later — the loop never blocks.  The
+        ``record`` of a reply written by :meth:`_flush` goes to the
+        ledger.
         """
         data = self.session.render_frame(message)
         action = faults.fire("frontend.reply")
         if action is None:
             self._out.append(data)
+            if record is not None:
+                self._logged.append(record)
         elif action.action == "drop":
             self._release(1)
         else:  # delay/stall
@@ -687,6 +718,9 @@ class _Connection(asyncio.BufferedProtocol):
             data = self._out[0] if n == 1 else b"".join(self._out)
             self._out.clear()
             self._write(data)
+            if self._logged:
+                logged, self._logged = self._logged, []
+                self.frontend.api.ledger.close(logged)
             self._release(n)
 
     def _release(self, n: int) -> None:

@@ -22,10 +22,21 @@ when a trigger fires:
 
 Clients call :meth:`submit` (non-blocking, returns a
 :class:`concurrent.futures.Future`) or :meth:`predict` (blocking sugar)
-from any number of threads.  One background thread assembles batches,
-stacks the rows, invokes the runner once, and resolves each caller's
-future from its own outcome — so ``N`` concurrent single-query clients
-cost ``ceil(N / max_batch)`` kernel invocations, not ``N``.
+from any number of threads.  A background flusher thread, started by
+the first request that queues, assembles batches, stacks the rows,
+invokes the runner once, and resolves each caller's future from its own
+outcome — so ``N`` concurrent single-query clients cost
+``ceil(N / max_batch)`` kernel invocations, not ``N``.
+
+The flusher is one of two executors.  The socket frontend's dispatch
+may offer a request it found alone (its connection has nothing else in
+flight or buffered) to :meth:`MicroBatchScheduler._run_here`: when the
+queue is empty, no flush is running and the request's rows cost at most
+:data:`_INLINE_MAX_S` at the measured drain rate, it runs to completion
+on the submitting thread — the batch an eager flush would have formed,
+without the flusher's wake-up and the hand-off back.  Both executors
+share one accounting step (:meth:`MicroBatchScheduler._execute`), so
+an inline request counts as an ``eager`` flush of its rows.
 
 Overload safety
 ---------------
@@ -68,6 +79,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
+from repro.obs import RequestRecord
 from repro.serve.errors import DeadlineExceeded, Overloaded
 from repro.serve.faults import faults
 from repro.utils.validation import check_positive_int
@@ -85,6 +97,11 @@ _RETRY_AFTER_DEFAULT_MS = 50
 _RETRY_AFTER_MAX_MS = 10_000
 
 logger = logging.getLogger(__name__)
+
+#: the longest a request may run on its submitting thread, estimated as
+#: its rows times the scheduler's measured seconds per row; a scheduler
+#: with no measurement yet runs one-row requests there only
+_INLINE_MAX_S = 0.001
 
 #: per flusher thread: what :func:`_call_after_flush` deferred
 _flush_local = threading.local()
@@ -225,22 +242,33 @@ class SchedulerStats:
 
 
 class _Pending:
-    """One submitted request: rows, future, arrival, deadline, finish."""
+    """One submitted request: rows (and their count), future, arrival,
+    deadline, finish, and its ledger record, if any.
 
-    __slots__ = ("rows", "future", "arrived_at", "deadline", "finish")
+    An inline request (:meth:`MicroBatchScheduler._run_here`) has no
+    rows, only their count ``n``: its runner holds what it scores.
+    """
+
+    __slots__ = (
+        "rows", "n", "future", "arrived_at", "deadline", "finish", "record"
+    )
 
     def __init__(
         self,
-        rows: np.ndarray,
+        rows: np.ndarray | None,
         arrived_at: float,
         deadline: float | None = None,
         finish: Callable | None = None,
+        record: RequestRecord | None = None,
+        n: int | None = None,
     ):
         self.rows = rows
+        self.n = rows.shape[0] if n is None else n
         self.future: Future = Future()
         self.arrived_at = arrived_at
         self.deadline = deadline
         self.finish = finish
+        self.record = record
 
 
 class MicroBatchScheduler:
@@ -281,6 +309,10 @@ class MicroBatchScheduler:
         self._wake = threading.Condition(self._lock)
         self._closing = False
         self._started = False
+        # A runner call is in progress (on the flusher or inline); a
+        # stall fired by an inline request that had to queue instead.
+        self._busy = False
+        self._stall = None
         self._worker = threading.Thread(
             target=self._loop, name=f"{name}-flusher", daemon=True
         )
@@ -310,18 +342,21 @@ class MicroBatchScheduler:
         finish = _squeeze if queries.ndim == 1 else None
         return self._enqueue(queries, deadline, finish)
 
-    def _enqueue(self, queries, deadline=None, finish=None) -> Future:
+    def _enqueue(self, queries, deadline=None, finish=None,
+                 record=None) -> Future:
         """:meth:`submit`; the future resolves to ``finish(outcome)``, if any.
 
         The flusher calls ``finish`` right after the flush on a result
         outcome; if it raises, only this request's future fails.
+        ``record`` (a :class:`~repro.obs.RequestRecord`) gets the
+        request's scheduler stamps.
         """
         rows = np.atleast_2d(queries)
-        if rows.shape[0] == 0:
+        n_rows = rows.shape[0]
+        if n_rows == 0:
             raise ValueError("cannot schedule an empty query batch")
         now = time.monotonic()
-        pending = _Pending(rows, now, deadline, finish)
-        n_rows = rows.shape[0]
+        pending = _Pending(rows, now, deadline, finish, record)
         with self._lock:
             if self._closing:
                 raise RuntimeError(f"scheduler {self.name!r} is closed")
@@ -339,6 +374,44 @@ class MicroBatchScheduler:
             self._queued_rows += n_rows
             self.stats.submitted += n_rows
             self._wake.notify()
+            if record is not None:
+                record.submitted = time.monotonic_ns()
+        return pending.future
+
+    def _run_here(self, n_rows: int, run: Callable[[], Sequence],
+                  deadline=None, finish=None, record=None) -> Future | None:
+        """Run one request to completion on this thread, if nothing waits.
+
+        The inline executor: ``run()`` returns the request's outcome
+        list, as the runner would for a batch of this one request.  It
+        runs only while the queue is empty, no flush is running and
+        ``n_rows`` cost at most :data:`_INLINE_MAX_S`; the request then
+        counts as an ``eager`` flush, and the returned future is
+        already resolved to ``finish(outcome)``.  Returns ``None``
+        otherwise: the caller queues the request with :meth:`_enqueue`,
+        which also raises for an expired deadline or a closed
+        scheduler.  A ``scheduler.flush`` stall never sleeps here: the
+        flusher sleeps it out before the flush that takes the request.
+        """
+        ewma = self._ewma_s_per_row
+        limit = 1 if ewma is None else _INLINE_MAX_S / ewma
+        if not 0 < n_rows <= limit:
+            return None
+        now = time.monotonic()
+        with self._lock:
+            if self._busy or self._queue or self._closing or (
+                deadline is not None and deadline <= now
+            ):
+                return None
+            stall = faults.fire("scheduler.flush")
+            if stall is not None and stall.delay_s > 0:
+                self._stall = stall
+                return None
+            self._busy = True
+            self.stats.submitted += n_rows
+        pending = _Pending(None, now, deadline, finish, record, n_rows)
+        pending.future.set_running_or_notify_cancel()
+        self._execute([pending], "eager", run, n_rows)
         return pending.future
 
     def _check_admission(self, n_rows: int, now: float) -> None:
@@ -411,13 +484,13 @@ class MicroBatchScheduler:
             if not drain:
                 while self._queue:
                     p = self._queue.popleft()
-                    self._queued_rows -= p.rows.shape[0]
+                    self._queued_rows -= p.n
                     if p.future.set_running_or_notify_cancel():
                         p.future.set_exception(
                             RuntimeError(f"scheduler {self.name!r} closed")
                         )
                     else:
-                        self.stats.cancelled += p.rows.shape[0]
+                        self.stats.cancelled += p.n
             started = self._started
             self._wake.notify_all()
         if started:
@@ -436,10 +509,14 @@ class MicroBatchScheduler:
         cfg = self.config
         while True:
             with self._lock:
-                while not self._queue and not self._closing:
+                woke = 0
+                while (not self._queue or self._busy) and not self._closing:
                     self._wake.wait()
+                    woke = time.monotonic_ns()
                 if not self._queue and self._closing:
                     return
+                while self._busy:  # closing while an inline run finishes
+                    self._wake.wait()
                 if not cfg.eager:
                     # Paced mode: wait for batch-mates until the batch
                     # fills or the oldest request's deadline expires.
@@ -452,11 +529,15 @@ class MicroBatchScheduler:
                         if remaining <= 0:
                             break
                         self._wake.wait(timeout=remaining)
-                batch, trigger = self._take_batch()
+                batch, trigger = self._take_batch(woke)
+                stall = None
+                if batch:
+                    self._busy = True
+                    stall, self._stall = self._stall, None
             if batch:
                 _flush_local.pending = after = []
                 try:
-                    self._run_batch(batch, trigger)
+                    self._run_batch(batch, trigger, stall)
                 finally:
                     _flush_local.pending = None
                     for fn in after:
@@ -465,32 +546,33 @@ class MicroBatchScheduler:
                         except Exception:  # noqa: BLE001 — as in Future
                             logger.exception("after-flush %r failed", fn)
 
-    def _take_batch(self) -> tuple[list[_Pending], str]:
+    def _take_batch(self, woke: int = 0) -> tuple[list[_Pending], str]:
         """Pop up to ``max_batch`` rows of whole requests (lock held).
 
         Requests whose deadline expired while queued are dropped here —
         their futures fail with
         :class:`~repro.serve.DeadlineExceeded` and their rows never
-        reach the runner.
+        reach the runner.  ``woke`` (``monotonic_ns``, 0 = the flusher
+        did not sleep) stamps the records of requests queued before it.
         """
         cfg = self.config
         now = time.monotonic()
         batch: list[_Pending] = []
         rows = 0
         while self._queue and (
-            rows == 0 or rows + self._queue[0].rows.shape[0] <= cfg.max_batch
+            rows == 0 or rows + self._queue[0].n <= cfg.max_batch
         ):
             p = self._queue.popleft()
-            self._queued_rows -= p.rows.shape[0]
+            self._queued_rows -= p.n
             # Transition the future to RUNNING; a client that cancelled
             # while queued is skipped here, and a RUNNING future can no
             # longer be cancelled, so the set_result/set_exception in
             # _run_batch cannot race a cancellation.
             if not p.future.set_running_or_notify_cancel():
-                self.stats.cancelled += p.rows.shape[0]
+                self.stats.cancelled += p.n
                 continue
             if p.deadline is not None and p.deadline <= now:
-                self.stats.expired += p.rows.shape[0]
+                self.stats.expired += p.n
                 p.future.set_exception(
                     DeadlineExceeded(
                         f"deadline expired after "
@@ -499,8 +581,10 @@ class MicroBatchScheduler:
                     )
                 )
                 continue
+            if woke and p.record is not None and p.record.submitted <= woke:
+                p.record.woke = woke
             batch.append(p)
-            rows += p.rows.shape[0]
+            rows += p.n
         if rows >= cfg.max_batch:
             trigger = "size"
         elif self._closing:
@@ -511,22 +595,43 @@ class MicroBatchScheduler:
             trigger = "deadline"
         return batch, trigger
 
-    def _run_batch(self, batch: list[_Pending], trigger: str) -> None:
+    def _run_batch(self, batch: list[_Pending], trigger: str,
+                   stall=None) -> None:
+        """Stack ``batch``, sleep out a stall, and run it (flusher thread).
+
+        ``stall`` is one an inline request handed over; without it the
+        ``scheduler.flush`` fault point fires here.
+        """
         counts = np.fromiter(
-            (p.rows.shape[0] for p in batch), dtype=np.intp, count=len(batch)
+            (p.n for p in batch), dtype=np.intp, count=len(batch)
         )
         stacked = (
             batch[0].rows
             if len(batch) == 1
             else np.concatenate([p.rows for p in batch], axis=0)
         )
-        n_rows = stacked.shape[0]
-        stall = faults.fire("scheduler.flush")
+        if stall is None:
+            stall = faults.fire("scheduler.flush")
         if stall is not None and stall.delay_s > 0:
             time.sleep(stall.delay_s)
-        flush_started = time.monotonic()
+        self._execute(
+            batch, trigger, lambda: self.runner(stacked, counts),
+            stacked.shape[0],
+        )
+
+    def _execute(self, batch: list[_Pending], trigger: str,
+                 run: Callable[[], Sequence], n_rows: int) -> None:
+        """Run one flush, account it, resolve each request's future.
+
+        What both executors share: ``run()`` returns one outcome per
+        request of ``batch`` (``n_rows`` rows in all); its time feeds
+        the drain-rate EWMA, the flush counts go to :attr:`stats`, the
+        scheduler is idle again, and the ledger records get their
+        kernel and respond stamps.
+        """
+        started = time.monotonic_ns()
         try:
-            outcomes = list(self.runner(stacked, counts))
+            outcomes = list(run())
             if len(outcomes) != len(batch):
                 raise RuntimeError(
                     f"runner returned {len(outcomes)} outcomes for a "
@@ -534,7 +639,8 @@ class MicroBatchScheduler:
                 )
         except BaseException as exc:  # noqa: BLE001 — forwarded per-future
             outcomes = [exc] * len(batch)
-        s_per_row = (time.monotonic() - flush_started) / n_rows
+        scored = time.monotonic_ns()
+        s_per_row = (scored - started) / 1e9 / n_rows
         n_failed = self._finish(batch, outcomes)
         with self._lock:
             # Blend the observed drain rate into the retry_after hint
@@ -551,7 +657,14 @@ class MicroBatchScheduler:
             self.stats.max_batch_rows = max(self.stats.max_batch_rows, n_rows)
             self.stats.completed += n_rows - n_failed
             self.stats.failed += n_failed
+            self._busy = False
+            if self._queue:  # queued behind an inline run
+                self._wake.notify()
         for p, out in zip(batch, outcomes):
+            record = p.record
+            if record is not None:
+                record.started, record.scored = started, scored
+                record.resolved = time.monotonic_ns()
             if isinstance(out, BaseException):
                 p.future.set_exception(out)
             else:
@@ -567,13 +680,13 @@ class MicroBatchScheduler:
         failed = 0
         for i, (p, out) in enumerate(zip(batch, outcomes)):
             if isinstance(out, BaseException):
-                failed += p.rows.shape[0]
+                failed += p.n
             elif p.finish is not None:
                 try:
                     outcomes[i] = p.finish(out)
                 except Exception as exc:  # noqa: BLE001 — this request only
                     outcomes[i] = exc
-                    failed += p.rows.shape[0]
+                    failed += p.n
         return failed
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic

@@ -1,10 +1,15 @@
 """ServingAPI: the one typed surface over registry + micro-batcher."""
 
+import sys
+import threading
+import time
+
 import numpy as np
 import pytest
 
 from repro.backend.native import NativeBackend
 from repro.backend.packed import LiveHV, PackedHV, pack_hypervectors
+from repro.obs import RequestRecord
 from repro.hd import HDModel, get_quantizer
 from repro.proto import ModelInfo, ScoreRequest, ScoreResponse
 from repro.serve import (
@@ -12,6 +17,7 @@ from repro.serve import (
     ModelArtifact,
     ModelFleet,
     ModelRegistry,
+    DeadlineExceeded,
     ServingAPI,
 )
 from repro.utils import spawn
@@ -250,3 +256,106 @@ class TestMicroBatchingPreserved:
             stats = api.stats()["schedulers"]["tenant.m.m.predict"]
             assert stats["completed"] == 64
             assert stats["flushes"] <= 64
+
+
+def _lone(request_id=1):
+    """A ledger record the frontend opens for a request found alone."""
+    return RequestRecord(request_id, time.monotonic_ns(), True)
+
+
+class TestRunToCompletion:
+    """``submit_score`` with the frontend's record runs an idle
+    scheduler's request on the calling thread."""
+
+    def test_lone_request_resolves_before_submit_returns(self):
+        artifact = _artifact()
+        packed = pack_hypervectors(_queries(n=1))
+        with ServingAPI.from_artifact(artifact, name="m") as api:
+            future = api.submit_score(
+                ScoreRequest(queries=packed), _record=_lone()
+            )
+            assert future.done()
+            np.testing.assert_array_equal(
+                future.result().predictions, artifact.engine().predict(packed)
+            )
+            (stats,) = api.stats()["schedulers"].values()
+            (sched,) = api._schedulers.values()
+            assert stats["flushes_by_trigger"]["eager"] == 1
+            assert stats["submitted"] == stats["completed"] == 1
+            assert not sched._started
+            # without the record, the same request queues as before
+            queued = api.submit_score(ScoreRequest(queries=packed))
+            assert queued.result(timeout=10.0).version == 1
+            assert sched._started
+
+    def test_expired_deadline_still_raises_at_submit(self):
+        packed = pack_hypervectors(_queries(n=1))
+        with ServingAPI.from_artifact(_artifact(), name="m") as api:
+            with pytest.raises(DeadlineExceeded):
+                api.submit_score(
+                    ScoreRequest(queries=packed),
+                    deadline=time.monotonic() - 1.0,
+                    _record=_lone(),
+                )
+            (stats,) = api.stats()["schedulers"].values()
+            assert stats["expired"] == 1 and stats["flushes"] == 0
+
+    def test_publish_racing_inline_requests_answers_one_version_each(self):
+        """Every answer names a version the registry served and equals
+        that version's engine, inline or queued."""
+        artifacts = [_artifact(seed) for seed in range(3)]
+        queries = _queries(n=8)
+        packed = [pack_hypervectors(queries[i : i + 1]) for i in range(8)]
+        engines = {1: artifacts[0].engine()}
+        swaps = [artifacts[n % 3].engine() for n in range(1, 13)]
+        answers, errors = [], []
+        go = threading.Event()
+        with ServingAPI.from_artifact(artifacts[0], name="m") as api:
+
+            def submitter(k):
+                try:
+                    go.wait()
+                    for i in range(k, 240, 3):
+                        future = api.submit_score(
+                            ScoreRequest(queries=packed[i % 8]),
+                            _record=_lone(i),
+                        )
+                        answers.append((i % 8, future.result(timeout=10.0)))
+                except BaseException as exc:  # noqa: BLE001
+                    errors.append(exc)
+
+            threads = [
+                threading.Thread(target=submitter, args=(k,))
+                for k in range(3)
+            ]
+            for t in threads:
+                t.start()
+            old_interval = sys.getswitchinterval()
+            sys.setswitchinterval(1e-5)
+            try:
+                go.set()
+                for n, engine in enumerate(swaps):  # one every ~20 answers
+                    while len(answers) < 20 * n and not errors:
+                        time.sleep(0.001)
+                    engines[api.registry.publish("m", engine)] = engine
+                for t in threads:
+                    t.join(timeout=30.0)
+            finally:
+                sys.setswitchinterval(old_interval)
+            assert not any(t.is_alive() for t in threads)
+            stages = api.ledger.snapshot()
+            (stats,) = api.stats()["schedulers"].values()
+        assert not errors, errors
+        assert len(answers) == 240
+        # inline and queued runs share one accounting step: no lost update
+        assert stats["submitted"] == stats["completed"] == 240
+        assert sum(stats["flushes_by_trigger"].values()) == stats["flushes"]
+        assert len({r.version for _, r in answers}) > 1
+        for i, response in answers:
+            assert response.version in engines
+            np.testing.assert_array_equal(
+                response.predictions,
+                engines[response.version].predict(packed[i]),
+            )
+        # no reply was written, so nothing reached the ledger
+        assert stages["request"]["count"] == 0

@@ -249,6 +249,46 @@ class TestWireFaults:
         assert client.reconnects == 1  # healed a genuinely eaten reply
 
 
+class TestStallOffTheLoop:
+    def test_stalled_lone_request_leaves_the_loop_serving(
+        self, artifact, packed_one
+    ):
+        """A lone request is offered to the loop, but its flush stalls:
+        the stall goes to the flusher with the request, so another
+        connection's ModelInfoRequest is answered meanwhile."""
+        expected = artifact.engine().predict(packed_one.unpack(np.float32))
+        faults.arm("scheduler.flush:stall,delay_ms=700,times=1")
+        api = ServingAPI.from_artifact(artifact, name="demo")
+        try:
+            with FrontendHandle(api) as handle:
+                out = {}
+
+                def stalled():
+                    with PriveHDClient(handle.address) as client:
+                        out["predictions"] = client.predict_encoded(packed_one)
+
+                waiter = threading.Thread(target=stalled)
+                waiter.start()
+                deadline = time.monotonic() + 10.0
+                while not api.stats()["schedulers"]:
+                    assert time.monotonic() < deadline
+                    time.sleep(0.005)
+                with PriveHDClient(handle.address) as client:
+                    t0 = time.monotonic()
+                    info = client.model_info()
+                    elapsed = time.monotonic() - t0
+                assert waiter.is_alive()  # still held by the stall
+                waiter.join(timeout=10.0)
+            stages = api.stats()["stages"]
+        finally:
+            api.close()
+        assert info.name == "demo"
+        assert elapsed < 0.5
+        np.testing.assert_array_equal(out["predictions"], expected)
+        assert (stages["inline"], stages["queued"]) == (0, 1)
+        assert stages["queue_wait"]["p50_us"] >= 600_000
+
+
 class _LosesTheReRead(PriveHDClient):
     """Loses its connection once, inside the ModelInfo re-read that
     follows a core refusal, once ``lose_reread`` is set."""

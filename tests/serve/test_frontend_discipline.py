@@ -4,9 +4,10 @@ Each test drives a live :class:`ServingFrontend` with raw sockets and
 observes only what a peer (or the ``ServingAPI`` counters) can see:
 handshake and idle timeouts, the per-connection in-flight bound, write
 backpressure (``write_high_water_bytes``), the ``frontend.read`` and
-``frontend.reply`` fault points, and ``stop()``'s grace period.  Every
-test runs on each event loop the frontend supports; uvloop legs skip
-where it is not installed.
+``frontend.reply`` fault points, ``stop()``'s grace period, and which
+requests run to completion on the loop (the ``/stats`` ledger and
+thread counters).  Every test runs on each event loop the frontend
+supports; uvloop legs skip where it is not installed.
 """
 
 import socket
@@ -17,8 +18,11 @@ import time
 import numpy as np
 import pytest
 
-from repro.backend.packed import pack_hypervectors
-from repro.hd import HDModel, get_quantizer
+import repro.obs as obs
+from repro.backend.packed import PackedHV, pack_hypervectors
+from repro.core.inference_privacy import InferenceObfuscator, ObfuscationConfig
+from repro.hd import HDModel, LevelBaseEncoder, get_quantizer
+from repro.hd.prune import mask_from_seed
 from repro.proto import (
     ErrorReply,
     Hello,
@@ -89,6 +93,38 @@ def _serve(artifact, loop, *, api_config=None, **frontend_kwargs):
 
 def _submitted(api) -> int:
     return sum(s["submitted"] for s in api.stats()["schedulers"].values())
+
+
+def _core_artifact(n_rows):
+    """A half-masked level-base artifact holding a core, and ``n_rows``
+    one-row client batches (planes carrying live and core words)."""
+    encoder = LevelBaseEncoder(12, 700, seed=4)
+    X = spawn(2, "frontend-discipline-core").uniform(0, 1, (40 + n_rows, 12))
+    artifact = ModelArtifact.build(
+        HDModel.from_encodings(encoder.encode(X[:40]), np.arange(40) % 5, 5),
+        quantizer="bipolar", backend="packed", encoder=encoder,
+        keep_mask=mask_from_seed(700, 300, 3), mask_seed=3,
+    )
+    obfuscator = InferenceObfuscator(
+        encoder, ObfuscationConfig(n_masked=300, mask_seed=3)
+    )
+    rows = [obfuscator.prepare_packed(X[i : i + 1]) for i in range(40, 40 + n_rows)]
+    return artifact, rows
+
+
+def _stages(api, n_requests, timeout=5.0) -> dict:
+    """The ledger once ``n_requests`` replies were counted.
+
+    A peer can read a reply before the loop, right after writing it,
+    hands its record to the ledger.
+    """
+    deadline = time.monotonic() + timeout
+    while True:
+        stages = api.stats()["stages"]
+        if stages["request"]["count"] >= n_requests:
+            return stages
+        assert time.monotonic() < deadline, stages
+        time.sleep(0.01)
 
 
 class _Peer:
@@ -475,6 +511,76 @@ class TestCompletionInbox:
                     peer.close()
         finally:
             sys.setswitchinterval(old_interval)
+
+
+class TestRunToCompletion:
+    """A request alone on its connection and its scheduler is scored on
+    the loop; anything else queues for the flusher."""
+
+    @pytest.mark.parametrize("words", ["live", "core"])
+    def test_lone_requests_run_inline_and_match_offline(self, loop, words):
+        art, rows = _core_artifact(6)
+        offline = art.engine()
+        api = ServingAPI.from_artifact(art, name="m")
+        with api, FrontendHandle(api, loop=loop) as handle:
+            peer = _Peer(handle.address)
+            for rid, row in enumerate(rows, start=1):
+                peer.send(
+                    ScoreRequest(queries=getattr(row, words), request_id=rid)
+                )
+                reply = peer.read()
+                assert isinstance(reply, ScoreResponse), reply
+                assert reply.request_id == rid
+                np.testing.assert_array_equal(
+                    reply.predictions,
+                    offline.predict(PackedHV(row.signs, row.mags, row.d)),
+                )
+            peer.close()
+            stages = _stages(api, len(rows))
+            (stats,) = api.stats()["schedulers"].values()
+            (sched,) = api._schedulers.values()
+        assert (stages["inline"], stages["queued"]) == (len(rows), 0)
+        for stage in ("queue_wait", "wakeup", "handoff"):
+            assert stages[stage]["count"] == 0
+        for stage in ("decode", "submit", "kernel", "respond", "reply"):
+            assert stages[stage]["count"] == len(rows)
+        assert stats["submitted"] == stats["completed"] == len(rows)
+        assert stats["flushes_by_trigger"]["eager"] == len(rows)
+        assert not sched._started  # its flusher thread never started
+
+    def test_pipelined_window_still_batches(self, artifact, loop):
+        api, handle = _serve(artifact, loop)
+        with api, handle:
+            peer = _Peer(handle.address)
+            for burst in range(5):
+                ids = range(burst * 8 + 1, burst * 8 + 9)
+                peer.send(*(_score(rid) for rid in ids))
+                assert sorted(peer.read().request_id for _ in ids) == list(ids)
+            peer.close()
+            stages = _stages(api, 40)
+            (stats,) = api.stats()["schedulers"].values()
+        assert stages["queued"] >= 35  # a burst's first frame may be alone
+        assert stages["queue_wait"]["count"] == stages["queued"]
+        assert stats["max_batch_rows"] > 1
+        assert stats["submitted"] == stats["completed"] == 40
+
+
+class TestServerThreads:
+    def test_stats_carry_each_threads_cpu(self, artifact, loop):
+        api, handle = _serve(artifact, loop)
+        with api, handle:
+            peer = _Peer(handle.address)
+            for rid in range(1, 201):
+                peer.send(_score(rid % 16 + 1))
+                assert isinstance(peer.read(), ScoreResponse)
+            peer.close()
+            threads = api.stats()["threads"]
+        assert threads["serving-frontend"] > 0
+
+    def test_no_threads_key_without_proc(self, artifact, monkeypatch, tmp_path):
+        monkeypatch.setattr(obs, "_PROC_TASKS", str(tmp_path / "missing"))
+        with ServingAPI.from_artifact(artifact) as api:
+            assert "threads" not in api.stats()
 
 
 class TestStop:
