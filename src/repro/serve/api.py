@@ -21,7 +21,9 @@ path answers both.
 Every query path is micro-batched through a
 :class:`~repro.serve.MicroBatchScheduler` whose runner resolves the
 tenant's registry *per flush*, so registry mutations (publish / promote
-/ rollback) hot-swap between flushes with zero dropped requests.  A
+/ rollback) hot-swap between flushes with zero dropped requests.  The
+API's schedulers are queues: one flusher thread runs all their flushes,
+taking the due queues in turn.  A
 socket request the frontend found alone may instead run to completion
 on the frontend's thread, scored by the engine resolved at submit
 (submit and flush are then one call, so one version answers it).
@@ -58,6 +60,7 @@ from repro.serve.registry import ModelRegistry
 from repro.serve.scheduler import (
     MicroBatchConfig,
     MicroBatchScheduler,
+    _Flusher,
     split_rows,
 )
 
@@ -105,6 +108,8 @@ class ServingAPI:
         self.coalesce = coalesce
         self._lock = threading.Lock()
         self._schedulers: dict[tuple, MicroBatchScheduler] = {}
+        # the one thread that runs every scheduler's flushes, in turn
+        self._flusher = _Flusher("serving-flusher")
         self._closed = False
         #: per-stage latency of the requests the socket frontend served
         self.ledger = Ledger()
@@ -300,6 +305,7 @@ class ServingAPI:
                     lambda rows, counts: run(rows, counts, key),
                     self.config,
                     name=".".join(map(str, key)),
+                    _flusher=self._flusher,
                 )
                 self._schedulers[key] = sched
             return sched
@@ -642,14 +648,13 @@ class ServingAPI:
     # lifecycle
     # ------------------------------------------------------------------
     def close(self) -> None:
-        """Drain and stop every scheduler; further submissions raise."""
+        """Drain every scheduler and stop the flusher; further
+        submissions raise."""
         with self._lock:
             if self._closed:
                 return
             self._closed = True
-            schedulers = list(self._schedulers.values())
-        for sched in schedulers:
-            sched.close()
+        self._flusher.close()
 
     def __enter__(self) -> "ServingAPI":
         return self

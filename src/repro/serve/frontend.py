@@ -227,8 +227,8 @@ class ServingFrontend:
         self._http_server: asyncio.AbstractServer | None = None
         self._loop: asyncio.AbstractEventLoop | None = None
         self._connections: set[_Connection] = set()
-        # (connection, ledger record, future) appended by flusher
-        # threads, emptied on the loop by _drain_inbox (_wake_pending:
+        # (connection, ledger record, future) appended by the flusher
+        # thread, emptied on the loop by _drain_inbox (_wake_pending:
         # scheduled).
         self._inbox: deque = deque()
         self._wake_pending = False
@@ -309,17 +309,18 @@ class ServingFrontend:
             event_loop.close()
 
     # ------------------------------------------------------------------
-    # completions (flusher threads -> the loop)
+    # completions (the flusher thread -> the loop)
     # ------------------------------------------------------------------
     def _complete(self, conn: "_Connection", record, future) -> None:
-        """A scoring future finished (flusher thread): queue its reply.
+        """A scoring future finished (the flusher thread): queue its reply.
 
         Only the first completion of a burst wakes the loop, once its
         flush has resolved every future: N answers cost one hop.
         """
         self._inbox.append((conn, record, future))
-        # No lock: a drain clears the flag before it pops, so a set flag
-        # means a pending drain pops this; a race only wakes twice.
+        # No lock: the one flusher thread (or the loop) completes, and a
+        # drain clears the flag before it pops, so a set flag means a
+        # pending drain pops this; a race with a drain only wakes twice.
         if not self._wake_pending:
             self._wake_pending = True
             _call_after_flush(self._wake)

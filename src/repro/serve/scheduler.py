@@ -22,11 +22,18 @@ when a trigger fires:
 
 Clients call :meth:`submit` (non-blocking, returns a
 :class:`concurrent.futures.Future`) or :meth:`predict` (blocking sugar)
-from any number of threads.  A background flusher thread, started by
-the first request that queues, assembles batches, stacks the rows,
-invokes the runner once, and resolves each caller's future from its own
-outcome — so ``N`` concurrent single-query clients cost
+from any number of threads.  A flusher thread assembles batches, stacks
+the rows, invokes the runner once, and resolves each caller's future
+from its own outcome — so ``N`` concurrent single-query clients cost
 ``ceil(N / max_batch)`` kernel invocations, not ``N``.
+
+A scheduler is a queue and its policy, not a thread: the queues of a
+:class:`~repro.serve.ServingAPI` share one flusher thread
+(:class:`_Flusher`), started by the first request that queues, which
+takes the due queues in turn, one flush each, so a hot queue cannot
+starve a cold one.  A ``scheduler.flush`` stall therefore holds every
+queue sharing it, and a slow flush delays another queue by at most one
+flush per queue ahead of it in the turn.
 
 The flusher is one of two executors.  The socket frontend's dispatch
 may offer a request it found alone (its connection has nothing else in
@@ -81,7 +88,7 @@ import numpy as np
 
 from repro.obs import RequestRecord
 from repro.serve.errors import DeadlineExceeded, Overloaded
-from repro.serve.faults import faults
+from repro.serve.faults import InjectedFault, faults
 from repro.utils.validation import check_positive_int
 
 __all__ = [
@@ -286,6 +293,9 @@ class MicroBatchScheduler:
     An exception outcome fails exactly its own request's future, and a
     runner exception exactly the futures of the batch that hit it —
     the scheduler itself keeps running.
+
+    Without a shared ``_flusher`` (private: what
+    :class:`~repro.serve.ServingAPI` passes), it makes its own.
     """
 
     def __init__(
@@ -294,6 +304,7 @@ class MicroBatchScheduler:
         config: MicroBatchConfig | None = None,
         *,
         name: str = "micro-batch",
+        _flusher: _Flusher | None = None,
     ):
         self.runner = runner
         self.config = config or MicroBatchConfig()
@@ -305,17 +316,19 @@ class MicroBatchScheduler:
         # hint of Overloaded rejections (written by the flusher thread
         # under the lock, read by submitters under the lock).
         self._ewma_s_per_row: float | None = None
-        self._lock = threading.Lock()
-        self._wake = threading.Condition(self._lock)
+        self._owns_flusher = _flusher is None
+        self._flusher = _flusher or _Flusher(f"{name}-flusher")
+        self._lock = self._flusher.lock
+        self._wake = self._flusher.wake
         self._closing = False
-        self._started = False
-        # A runner call is in progress (on the flusher or inline); a
-        # stall fired by an inline request that had to queue instead.
+        # A runner call is in progress (on the flusher or inline); the
+        # queue is listed in the flusher's turn; a stall fired by an
+        # inline request that had to queue instead.
         self._busy = False
+        self._listed = False
         self._stall = None
-        self._worker = threading.Thread(
-            target=self._loop, name=f"{name}-flusher", daemon=True
-        )
+        with self._lock:
+            self._flusher.queues.append(self)
 
     # ------------------------------------------------------------------
     # client side
@@ -367,12 +380,11 @@ class MicroBatchScheduler:
                     f"before submission to scheduler {self.name!r}"
                 )
             self._check_admission(n_rows, now)
-            if not self._started:
-                self._started = True
-                self._worker.start()
             self._queue.append(pending)
             self._queued_rows += n_rows
             self.stats.submitted += n_rows
+            if not (self._busy or self._listed):
+                self._flusher.push(self)
             self._wake.notify()
             if record is not None:
                 record.submitted = time.monotonic_ns()
@@ -470,13 +482,14 @@ class MicroBatchScheduler:
         with self._lock:
             if self._closing:
                 raise RuntimeError(f"scheduler {self.name!r} is closed")
-            if not self._started:
-                self._started = True
-                self._worker.start()
+            self._flusher.start()
         return self
 
     def close(self, *, drain: bool = True) -> None:
-        """Stop accepting requests; flush (``drain=True``) the backlog."""
+        """Stop accepting requests; flush (``drain=True``) the backlog.
+
+        Waits for the flush when the scheduler has its own flusher.
+        """
         with self._lock:
             if self._closing:
                 return
@@ -491,10 +504,9 @@ class MicroBatchScheduler:
                         )
                     else:
                         self.stats.cancelled += p.n
-            started = self._started
-            self._wake.notify_all()
-        if started:
-            self._worker.join()
+            self._wake.notify()
+        if self._owns_flusher:
+            self._flusher.close()
 
     def __enter__(self) -> "MicroBatchScheduler":
         return self.start()
@@ -505,46 +517,14 @@ class MicroBatchScheduler:
     # ------------------------------------------------------------------
     # flusher thread
     # ------------------------------------------------------------------
-    def _loop(self) -> None:
+    def _due_at(self) -> float:
+        """When this listed queue is due (``monotonic``; lock held): at
+        once eager, closing or at ``max_batch`` rows, else (paced) once
+        its oldest request has waited ``max_delay_s``."""
         cfg = self.config
-        while True:
-            with self._lock:
-                woke = 0
-                while (not self._queue or self._busy) and not self._closing:
-                    self._wake.wait()
-                    woke = time.monotonic_ns()
-                if not self._queue and self._closing:
-                    return
-                while self._busy:  # closing while an inline run finishes
-                    self._wake.wait()
-                if not cfg.eager:
-                    # Paced mode: wait for batch-mates until the batch
-                    # fills or the oldest request's deadline expires.
-                    deadline = self._queue[0].arrived_at + cfg.max_delay_s
-                    while (
-                        self._queued_rows < cfg.max_batch
-                        and not self._closing
-                    ):
-                        remaining = deadline - time.monotonic()
-                        if remaining <= 0:
-                            break
-                        self._wake.wait(timeout=remaining)
-                batch, trigger = self._take_batch(woke)
-                stall = None
-                if batch:
-                    self._busy = True
-                    stall, self._stall = self._stall, None
-            if batch:
-                _flush_local.pending = after = []
-                try:
-                    self._run_batch(batch, trigger, stall)
-                finally:
-                    _flush_local.pending = None
-                    for fn in after:
-                        try:
-                            fn()
-                        except Exception:  # noqa: BLE001 — as in Future
-                            logger.exception("after-flush %r failed", fn)
+        if cfg.eager or self._closing or self._queued_rows >= cfg.max_batch:
+            return 0.0
+        return self._queue[0].arrived_at + cfg.max_delay_s
 
     def _take_batch(self, woke: int = 0) -> tuple[list[_Pending], str]:
         """Pop up to ``max_batch`` rows of whole requests (lock held).
@@ -553,7 +533,7 @@ class MicroBatchScheduler:
         their futures fail with
         :class:`~repro.serve.DeadlineExceeded` and their rows never
         reach the runner.  ``woke`` (``monotonic_ns``, 0 = the flusher
-        did not sleep) stamps the records of requests queued before it.
+        was not idle) stamps the records of requests queued before it.
         """
         cfg = self.config
         now = time.monotonic()
@@ -600,7 +580,9 @@ class MicroBatchScheduler:
         """Stack ``batch``, sleep out a stall, and run it (flusher thread).
 
         ``stall`` is one an inline request handed over; without it the
-        ``scheduler.flush`` fault point fires here.
+        ``scheduler.flush`` fault point fires here, and the error an
+        ``error`` rule raises is the outcome of every request of this
+        batch.
         """
         counts = np.fromiter(
             (p.n for p in batch), dtype=np.intp, count=len(batch)
@@ -610,14 +592,16 @@ class MicroBatchScheduler:
             if len(batch) == 1
             else np.concatenate([p.rows for p in batch], axis=0)
         )
-        if stall is None:
-            stall = faults.fire("scheduler.flush")
+        run = lambda: self.runner(stacked, counts)
+        try:
+            if stall is None:
+                stall = faults.fire("scheduler.flush")
+        except InjectedFault as exc:  # fails this batch, not the flusher
+            outcomes = [exc] * len(batch)
+            run = lambda: outcomes
         if stall is not None and stall.delay_s > 0:
             time.sleep(stall.delay_s)
-        self._execute(
-            batch, trigger, lambda: self.runner(stacked, counts),
-            stacked.shape[0],
-        )
+        self._execute(batch, trigger, run, stacked.shape[0])
 
     def _execute(self, batch: list[_Pending], trigger: str,
                  run: Callable[[], Sequence], n_rows: int) -> None:
@@ -658,7 +642,9 @@ class MicroBatchScheduler:
             self.stats.completed += n_rows - n_failed
             self.stats.failed += n_failed
             self._busy = False
-            if self._queue:  # queued behind an inline run
+            if self._queue:  # back to the tail of the turn
+                self._flusher.push(self)
+            if self._queue or self._closing:  # a closing flusher may wait
                 self._wake.notify()
         for p, out in zip(batch, outcomes):
             record = p.record
@@ -696,3 +682,84 @@ class MicroBatchScheduler:
             f"max_delay_s={self.config.max_delay_s}, "
             f"flushes={self.stats.flushes})"
         )
+
+
+class _Flusher:
+    """One thread running the flushes of every queue that shares it.
+
+    The queues share its lock and condition.  A queue with rows and no
+    flush running is listed in ``ready``; each pass runs one batch of
+    the first listed queue that is due, and a flush that leaves rows
+    lists its queue again at the tail.
+    """
+
+    def __init__(self, name: str):
+        self.lock = threading.Lock()
+        self.wake = threading.Condition(self.lock)
+        self.queues: list[MicroBatchScheduler] = []
+        self.ready: deque[MicroBatchScheduler] = deque()
+        self.thread = threading.Thread(target=self._loop, name=name,
+                                       daemon=True)
+
+    def start(self) -> None:
+        """Start the thread unless it started (lock held)."""
+        if self.thread.ident is None:
+            self.thread.start()
+
+    def push(self, sched: MicroBatchScheduler) -> None:
+        """List ``sched`` at the tail (lock held)."""
+        sched._listed = True
+        self.ready.append(sched)
+        self.start()
+
+    def close(self) -> None:
+        """Close every queue, flush their backlogs, stop the thread."""
+        with self.lock:
+            for sched in self.queues:
+                sched._closing = True
+            self.wake.notify()
+        if self.thread.ident is not None:
+            self.thread.join()
+
+    def _next(self) -> tuple[MicroBatchScheduler | None, int]:
+        """The first due queue, taken off the list, and when this thread
+        last woke idle (``monotonic_ns``, 0 = it was not idle); ``None``
+        once every queue is closed and idle (lock held)."""
+        woke = 0
+        while True:
+            now, soonest = time.monotonic(), None
+            for i, sched in enumerate(self.ready):
+                due = sched._due_at()
+                if due <= now:
+                    del self.ready[i]
+                    sched._listed = False
+                    return sched, woke
+                soonest = due if soonest is None else min(soonest, due)
+            idle = not self.ready
+            if idle and all(q._closing and not q._busy for q in self.queues):
+                return None, 0
+            self.wake.wait(None if soonest is None else soonest - now)
+            if idle:
+                woke = time.monotonic_ns()
+
+    def _loop(self) -> None:
+        while True:
+            with self.lock:
+                sched, woke = self._next()
+                if sched is None:
+                    return
+                batch, trigger = sched._take_batch(woke)
+                if not batch:  # every request cancelled or expired
+                    continue
+                sched._busy = True
+                stall, sched._stall = sched._stall, None
+            _flush_local.pending = after = []
+            try:
+                sched._run_batch(batch, trigger, stall)
+            finally:
+                _flush_local.pending = None
+                for fn in after:
+                    try:
+                        fn()
+                    except Exception:  # noqa: BLE001 — as in Future
+                        logger.exception("after-flush %r failed", fn)

@@ -282,11 +282,11 @@ class TestRunToCompletion:
             (sched,) = api._schedulers.values()
             assert stats["flushes_by_trigger"]["eager"] == 1
             assert stats["submitted"] == stats["completed"] == 1
-            assert not sched._started
+            assert sched._flusher.thread.ident is None
             # without the record, the same request queues as before
             queued = api.submit_score(ScoreRequest(queries=packed))
             assert queued.result(timeout=10.0).version == 1
-            assert sched._started
+            assert sched._flusher.thread.ident is not None
 
     def test_expired_deadline_still_raises_at_submit(self):
         packed = pack_hypervectors(_queries(n=1))

@@ -18,6 +18,7 @@ import pytest
 from repro.client import PriveHDClient, ServerError
 from repro.core.inference_privacy import InferenceObfuscator, ObfuscationConfig
 from repro.hd import HDModel, LevelBaseEncoder, ScalarBaseEncoder, get_quantizer
+from repro.proto import ScoreRequest
 from repro.serve import (
     FrontendHandle,
     MicroBatchConfig,
@@ -29,6 +30,7 @@ from repro.serve import (
     WorkerPool,
     faults,
 )
+from repro.serve.faults import InjectedFault
 from repro.utils import spawn
 from tests.serve.runners import per_request
 
@@ -287,6 +289,36 @@ class TestStallOffTheLoop:
         np.testing.assert_array_equal(out["predictions"], expected)
         assert (stages["inline"], stages["queued"]) == (0, 1)
         assert stages["queue_wait"]["p50_us"] >= 600_000
+
+
+class TestFlushErrorFault:
+    def test_an_error_fails_its_batch_and_the_flusher_serves_on(
+        self, artifact, packed_queries
+    ):
+        """An ``error`` rule at ``scheduler.flush`` fails the batch it
+        hits; the API's flusher lives on and serves its other queue."""
+        expected = artifact.engine().predict(
+            packed_queries.unpack(np.float32)
+        )
+        before = {t for t in threading.enumerate() if "flusher" in t.name}
+        faults.arm("scheduler.flush:error,times=1")
+        with ServingAPI.from_artifact(artifact, name="demo") as api:
+            doomed = api.submit_score(ScoreRequest(queries=packed_queries))
+            with pytest.raises(InjectedFault):
+                doomed.result(timeout=10.0)
+            scored = api.submit_score(
+                ScoreRequest(queries=packed_queries, want_scores=True)
+            )
+            np.testing.assert_array_equal(
+                scored.result(timeout=10.0).predictions, expected
+            )
+            (flusher,) = {
+                t for t in threading.enumerate() if "flusher" in t.name
+            } - before
+            assert flusher.is_alive()
+            stats = api.stats()["schedulers"]
+        assert len(stats) == 2
+        assert [s["failed"] for s in stats.values()] == [len(expected), 0]
 
 
 class _LosesTheReRead(PriveHDClient):

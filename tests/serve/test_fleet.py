@@ -704,6 +704,57 @@ class TestFleetConcurrency:
         assert stats.resident_bytes <= 2 * per_tenant
 
 
+def _flusher_threads():
+    return {t for t in threading.enumerate() if "flusher" in t.name}
+
+
+class TestOneFlusher:
+    """A scheduler is a queue: every queue of an API flushes on one
+    thread."""
+
+    def test_64_tenants_leave_one_flusher_thread(self):
+        before = _flusher_threads()
+        fleet = ModelFleet()
+        artifacts = [_artifact(seed) for seed in range(64)]
+        for t, artifact in enumerate(artifacts):
+            fleet.add_tenant(f"t{t}", artifact)
+        row = _queries(1, seed=64).unpack(np.float32)[0]
+        with ServingAPI(fleet, coalesce=False) as api:
+            for t, artifact in enumerate(artifacts):
+                assert api.predict(row, tenant=f"t{t}") == (
+                    artifact.engine().predict(row[None])[0]
+                )
+            assert len(api.stats()["schedulers"]) == 64
+            assert len(_flusher_threads() - before) <= 1
+
+    def test_close_drains_queued_requests_on_three_keys(self):
+        fleet = ModelFleet()
+        artifacts = [_artifact(seed) for seed in range(3)]
+        for t, artifact in enumerate(artifacts):
+            fleet.add_tenant(f"t{t}", artifact)
+        queries = _queries(2, seed=65)
+        # Paced with a 30 s delay: nothing is due until close drains it.
+        api = ServingAPI(
+            fleet, coalesce=False,
+            config=MicroBatchConfig(eager=False, max_delay_s=30.0),
+        )
+        futures = [
+            api.submit_score(ScoreRequest(queries=queries, tenant=f"t{t}"))
+            for t in range(3)
+        ]
+        assert not any(f.done() for f in futures)
+        api.close()
+        for future, artifact in zip(futures, artifacts):
+            np.testing.assert_array_equal(
+                future.result(timeout=0).predictions,
+                artifact.engine().predict(queries.unpack(np.float32)),
+            )
+        stats = api.stats()["schedulers"]
+        assert len(stats) == 3
+        for counters in stats.values():
+            assert counters["flushes_by_trigger"]["drain"] == 1
+
+
 class TestSingleArtifactServesItsOwnTenant:
     def test_own_name_answers_and_other_keys_fail_typed(self):
         artifact = _artifact(3)

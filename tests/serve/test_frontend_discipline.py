@@ -457,8 +457,9 @@ class TestResponseHook:
 
 class TestCompletionInbox:
     def test_racing_flushers_answer_every_request_once(self, artifact, loop):
-        # Four tenants on their own schedulers: four flusher threads
-        # complete into one inbox while four connections pipeline.
+        # Four tenants on their own schedulers, four pipelining
+        # connections: the one flusher's completions race the loop's
+        # inbox drains and the inline runs of the loop's own dispatch.
         fleet = ModelFleet()
         for t in range(4):
             fleet.add_tenant(f"t{t}", artifact)
@@ -546,7 +547,7 @@ class TestRunToCompletion:
             assert stages[stage]["count"] == len(rows)
         assert stats["submitted"] == stats["completed"] == len(rows)
         assert stats["flushes_by_trigger"]["eager"] == len(rows)
-        assert not sched._started  # its flusher thread never started
+        assert sched._flusher.thread.ident is None  # never started
 
     def test_pipelined_window_still_batches(self, artifact, loop):
         api, handle = _serve(artifact, loop)

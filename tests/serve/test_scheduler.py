@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from repro.serve import MicroBatchConfig, MicroBatchScheduler, split_rows
+from repro.serve.scheduler import _Flusher
 from tests.serve.runners import per_request
 
 
@@ -285,6 +286,75 @@ class TestAfterFlush:
         seen = []
         _call_after_flush(lambda: seen.append(1))
         assert seen == [1]
+
+
+class TestSharedFlusher:
+    """Queues sharing one flusher thread take turns, one flush each."""
+
+    @staticmethod
+    def _logging(log, key, hold=None):
+        def runner(rows, counts):
+            log.append(key)
+            if hold is not None:
+                hold()
+            return split_rows(np.asarray(rows), counts)
+        return runner
+
+    def test_a_cold_queue_flushes_before_the_hot_queues_second(self):
+        log, entered, release = [], threading.Event(), threading.Event()
+
+        def hold():
+            entered.set()
+            assert release.wait(timeout=10.0)
+
+        flusher = _Flusher("shared-flusher")
+        one_row = MicroBatchConfig(max_batch=1)
+        block, hot, cold = (
+            MicroBatchScheduler(
+                self._logging(log, key, hold if key == "block" else None),
+                one_row, name=key, _flusher=flusher,
+            )
+            for key in ("block", "hot", "cold")
+        )
+        try:
+            futures = [block.submit(np.ones(2))]
+            assert entered.wait(timeout=10.0)  # the one thread is held
+            futures += [hot.submit(np.full(2, i)) for i in range(10)]
+            futures.append(cold.submit(np.full(2, -1.0)))
+            release.set()
+            for f in futures:
+                f.result(timeout=10.0)
+        finally:
+            release.set()
+            flusher.close()
+        assert log == ["block", "hot", "cold"] + ["hot"] * 9
+        assert not flusher.thread.is_alive()
+
+    def test_a_queue_not_due_does_not_delay_one_that_is(self):
+        log = []
+        flusher = _Flusher("shared-flusher")
+        waits = MicroBatchScheduler(
+            self._logging(log, "waits"),
+            MicroBatchConfig(eager=False, max_delay_s=30.0),
+            _flusher=flusher,
+        )
+        full = MicroBatchScheduler(
+            self._logging(log, "full"),
+            MicroBatchConfig(max_batch=2, eager=False, max_delay_s=30.0),
+            _flusher=flusher,
+        )
+        try:
+            waiting = waits.submit(np.ones(2))  # due in 30 s
+            np.testing.assert_array_equal(
+                full.submit(np.ones((2, 2))).result(timeout=10.0), 1.0
+            )
+            assert not waiting.done()
+            assert log == ["full"]
+            assert full.stats.flushes_by_trigger["size"] == 1
+        finally:
+            flusher.close()  # closing makes the waiting queue due
+        np.testing.assert_array_equal(waiting.result(timeout=0), 1.0)
+        assert waits.stats.flushes_by_trigger["drain"] == 1
 
 
 class TestLifecycle:
