@@ -1,5 +1,6 @@
 """MicroBatchScheduler: coalescing, triggers, failure isolation."""
 
+import sys
 import threading
 import time
 
@@ -355,6 +356,61 @@ class TestSharedFlusher:
             flusher.close()  # closing makes the waiting queue due
         np.testing.assert_array_equal(waiting.result(timeout=0), 1.0)
         assert waits.stats.flushes_by_trigger["drain"] == 1
+
+    def test_racing_submitters_and_inline_runs_answer_each_once(self):
+        """Eight threads, two per queue, race queued submits and inline
+        runs on four queues of one flusher: every future resolves once,
+        to its own rows, and each queue's stats add up."""
+        flusher = _Flusher("shared-flusher")
+        queues = [
+            MicroBatchScheduler(
+                # a slow flush lets the other thread queue behind it
+                self._logging([], k, lambda: time.sleep(2e-4)),
+                MicroBatchConfig(max_batch=4, eager=k % 2 == 0,
+                                 max_delay_s=0.001),
+                _flusher=flusher,
+            )
+            for k in range(4)
+        ]
+        done, errors = [], []
+
+        def client(w):
+            try:
+                for i in range(150):
+                    sched, row = queues[w % 4], np.full(2, w * 1000 + i)
+                    future = sched._run_here(
+                        1, lambda row=row: [row[None]]
+                    ) if i % 3 == 0 else None
+                    if future is None:
+                        future = sched.submit(row[None])
+                    future.add_done_callback(done.append)
+                    np.testing.assert_array_equal(
+                        future.result(timeout=10.0), row[None]
+                    )
+            except BaseException as exc:  # noqa: BLE001 — reported
+                errors.append(exc)
+
+        old_interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            threads = [
+                threading.Thread(target=client, args=(w,)) for w in range(8)
+            ]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60.0)
+        finally:
+            sys.setswitchinterval(old_interval)
+            flusher.close()
+        assert not any(t.is_alive() for t in threads)
+        assert errors == []
+        assert len(done) == len(set(map(id, done))) == 8 * 150
+        for sched in queues:
+            stats = sched.stats
+            assert stats.submitted == stats.completed == stats.total_rows
+        assert sum(q.stats.submitted for q in queues) == 8 * 150
+        assert not flusher.thread.is_alive()
 
 
 class TestLifecycle:
