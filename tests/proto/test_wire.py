@@ -11,7 +11,14 @@ import struct
 import numpy as np
 import pytest
 
-from repro.backend.packed import PackedHV, pack_hypervectors
+from repro.backend.packed import (
+    LiveHV,
+    PackedHV,
+    compact_store,
+    pack_hypervectors,
+)
+from repro.core.inference_privacy import InferenceObfuscator, ObfuscationConfig
+from repro.hd import LevelBaseEncoder
 from repro.proto import (
     HEADER_SIZE,
     MAGIC,
@@ -143,16 +150,64 @@ class TestPayloadPrimitives:
             VectoredWriter().string("x" * (MAX_STRING_BYTES + 1))
 
 
+def _live_rows(n, d=130, n_live=70, seed=1):
+    """``n`` rows as live words on one random ``n_live``-dim support."""
+    rng = spawn(seed, "wire-tests-live")
+    keep = np.zeros(d, dtype=bool)
+    keep[rng.permutation(d)[:n_live]] = True
+    planes = pack_hypervectors(rng.choice([-1.0, 1.0], size=(n, d)) * keep)
+    held = compact_store(planes)
+    return LiveHV(held.gather(planes.signs), d, held.n_live, held.digest)
+
+
+def _core_rows(n, seed=2):
+    """``n`` level-base client rows as their v6 core words."""
+    encoder = LevelBaseEncoder(8, 200, seed=seed)
+    obfuscator = InferenceObfuscator(
+        encoder, ObfuscationConfig(n_masked=80, mask_seed=seed)
+    )
+    X = spawn(seed, "wire-tests-core").uniform(0, 1, (n, 8))
+    return obfuscator.prepare_packed(X, words="core")
+
+
+#: the frames the fuzz tests mutate: (id, message, protocol version)
+_FUZZ_FRAMES = {
+    "v6_planes": lambda: (
+        ScoreRequest(queries=_packed(), model="m", request_id=3), 6
+    ),
+    "v6_live_tenant_deadline": lambda: (
+        ScoreRequest(
+            queries=_live_rows(1), tenant="t0042", deadline_ms=250,
+            request_id=9,
+        ),
+        6,
+    ),
+    "v6_core": lambda: (
+        ScoreRequest(queries=_core_rows(3), model="m", request_id=4), 6
+    ),
+    "v2_batch_counts": lambda: (
+        ScoreRequest(
+            queries=_packed(n=5), counts=(2, 1, 2), want_scores=True,
+            request_id=5,
+        ),
+        2,
+    ),
+}
+
+
 class TestFuzz:
     """Mutated and truncated frames must fail closed."""
 
-    def _score_frame(self):
-        return encode_message(
-            ScoreRequest(queries=_packed(), model="m", request_id=3)
-        )
+    @pytest.fixture(params=sorted(_FUZZ_FRAMES))
+    def score_frame(self, request):
+        msg, version = _FUZZ_FRAMES[request.param]()
+        frame = encode_message(msg, version=version)
+        # The frame is what it says: it decodes back to its message.
+        assert decode_message(FrameDecoder().feed(frame)[0]) == msg
+        return frame
 
-    def test_every_truncation_point_fails_closed(self):
-        frame = self._score_frame()
+    def test_every_truncation_point_fails_closed(self, score_frame):
+        frame = score_frame
         for cut in range(HEADER_SIZE, len(frame)):
             truncated = frame[:cut]
             decoder = FrameDecoder()
@@ -162,9 +217,25 @@ class TestFuzz:
             with pytest.raises(ProtocolError):
                 decode_message(frames[0])
 
-    def test_random_byte_mutations_never_crash(self):
+    def test_every_payload_truncation_fails_closed(self, score_frame):
+        """The header re-stamped with each shorter payload length, so
+        every field boundary is cut inside a complete frame."""
+        version, frame_type, length = decode_header(score_frame[:HEADER_SIZE])
+        payload = score_frame[HEADER_SIZE:]
+        for cut in range(length):
+            with pytest.raises(ProtocolError):
+                decode_message(Frame(version, frame_type, payload[:cut]))
+
+    def test_trailing_bytes_fail_closed(self, score_frame):
+        version, frame_type, _ = decode_header(score_frame[:HEADER_SIZE])
+        payload = score_frame[HEADER_SIZE:]
+        for extra in (b"\x00", b"\x00" * 8):
+            with pytest.raises(ProtocolError, match="trailing"):
+                decode_message(Frame(version, frame_type, payload + extra))
+
+    def test_random_byte_mutations_never_crash(self, score_frame):
         rng = spawn(7, "fuzz-mutate")
-        frame = bytearray(self._score_frame())
+        frame = bytearray(score_frame)
         survived = 0
         for _ in range(300):
             mutated = bytearray(frame)
