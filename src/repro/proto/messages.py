@@ -43,14 +43,15 @@ from __future__ import annotations
 
 import operator
 from dataclasses import dataclass
-from functools import partial
 from itertools import accumulate
 
 import numpy as np
 
 from repro.backend.packed import LiveHV, PackedHV
 from repro.proto.wire import (
+    F64,
     FRAME_MIN_VERSION,
+    I64,
     Frame,
     FrameType,
     MAX_STRING_BYTES,
@@ -60,6 +61,7 @@ from repro.proto.wire import (
     SUPPORTED_VERSIONS,
     VectoredWriter,
     read_queries,
+    unchecked,
     write_queries,
 )
 
@@ -543,13 +545,18 @@ class ErrorReply:
 # ----------------------------------------------------------------------
 # per-message payload codecs
 # ----------------------------------------------------------------------
+_U8 = np.dtype(np.uint8)
+
 # Every codec takes the frame's negotiated protocol version so a field
 # added in v2 is written/read only when both sides speak v2 — a v1 peer
 # sees byte-identical v1 payloads.  Adjacent fixed-width fields travel
 # as one field run: one ``struct`` call per run, not one per field.
 def _write_hello(msg: Hello, w: VectoredWriter, version: int) -> None:
-    w.string(msg.client)
-    w.pack(f"!B{len(msg.versions)}B", len(msg.versions), *msg.versions)
+    try:
+        versions = np.array(msg.versions, dtype=_U8)
+    except OverflowError as exc:
+        raise ProtocolError(f"protocol version out of range: {exc}") from exc
+    w.string(msg.client).pack("!B", len(versions)).array(versions, _U8)
 
 
 def _read_hello(r: PayloadReader, version: int) -> Hello:
@@ -557,22 +564,21 @@ def _read_hello(r: PayloadReader, version: int) -> Hello:
     (count,) = r.unpack("!B")
     if count == 0:
         raise ProtocolError("Hello offered zero protocol versions")
-    return Hello(versions=r.unpack(f"!{count}B"), client=client)
+    return Hello(versions=r.array(count, _U8).tolist(), client=client)
 
 
 def _write_welcome(msg: Welcome, w: VectoredWriter, version: int) -> None:
-    w.pack("!B", msg.version).string(msg.server)
+    w.pack_text("!BH", msg.version, msg.server)
     w.pack("!H", len(msg.models))
     for name in msg.models:
         w.string(name)
 
 
 def _read_welcome(r: PayloadReader, version: int) -> Welcome:
-    (version_field,) = r.unpack("!B")
-    server = r.string() or ""
+    version_field, server = r.unpack_text("!BH")
     (count,) = r.unpack("!H")
     models = tuple(r.string() or "" for _ in range(count))
-    return Welcome(version=version_field, server=server, models=models)
+    return Welcome(version=version_field, server=server or "", models=models)
 
 
 def _write_scores(w: VectoredWriter, scores: np.ndarray | None) -> None:
@@ -580,24 +586,15 @@ def _write_scores(w: VectoredWriter, scores: np.ndarray | None) -> None:
     if scores is None:
         w.pack("!B", 0)
     else:
-        w.pack("!BI", 1, scores.shape[1]).array(scores, "<f8")
+        w.pack("!BI", 1, scores.shape[1]).array(scores, F64)
 
 
 def _read_scores(r: PayloadReader, n: int) -> np.ndarray | None:
-    (has_scores,) = r.unpack("!B")
-    if not has_scores:
+    if not r.peek():
+        r.unpack("!B")
         return None
-    (n_classes,) = r.unpack("!I")
-    return r.array(n * n_classes, "<f8").reshape(n, n_classes)
-
-
-def _counts_run(counts: tuple[int, ...]) -> str:
-    """The struct format of a counts run: u16 n_chunks, u32[n_chunks]."""
-    if len(counts) > 0xFFFF:
-        raise ProtocolError(
-            f"{len(counts)} chunks exceed the u16 wire limit"
-        )
-    return f"H{len(counts)}I"
+    _, n_classes = r.unpack("!BI")
+    return r.array((n, n_classes), F64)
 
 
 def _write_score_request(
@@ -611,44 +608,57 @@ def _write_score_request(
     refuses to build tenant-addressed requests on a < v4 connection —
     silently falling back to the default tenant would answer from the
     wrong model.  The drop here only matters for hand-built frames.)
+    Each string's length prefix rides in the field run before it.
     """
-    want_scores = 1 if msg.want_scores else 0
-    w.pack("!I", msg.request_id).string(msg.model)
+    want_scores, deadline_ms = int(msg.want_scores), msg.deadline_ms
+    w.pack_text("!IH", msg.request_id, msg.model)
     if version < 3:
         w.pack("!B", want_scores)
-    elif msg.deadline_ms is None:
-        w.pack("!BB", want_scores, 0)
+    elif version < 4:
+        if deadline_ms is None:
+            w.pack("!BB", want_scores, 0)
+        else:
+            w.pack("!BBI", want_scores, 1, deadline_ms)
+    elif deadline_ms is None:
+        w.pack_text("!BBH", want_scores, 0, msg.tenant)
     else:
-        w.pack("!BBI", want_scores, 1, msg.deadline_ms)
-    if version >= 4:
-        w.string(msg.tenant)
-    counts = msg.counts
-    if counts is not None:
-        w.pack("!" + _counts_run(counts), len(counts), *counts)
+        w.pack_text("!BBIH", want_scores, 1, deadline_ms, msg.tenant)
+    if msg.counts is not None:
+        w.counts(msg.counts)
     write_queries(w, msg.queries, version)
 
 
 def _read_score_request(
     r: PayloadReader, version: int, batched: bool = False
 ) -> ScoreRequest:
-    (request_id,) = r.unpack("!I")
-    model = r.string()
-    deadline_ms = counts = None
+    """Inverse of :func:`_write_score_request`: three field runs around
+    the two strings, the queries' own run, and every check once."""
+    request_id, model = r.unpack_text("!IH")
+    deadline_ms = tenant = counts = None
     if version < 3:
         (want_scores,) = r.unpack("!B")
+    elif r.peek(1):  # the deadline flag
+        if version < 4:
+            want_scores, _, deadline_ms = r.unpack("!BBI")
+        else:
+            want_scores, _, deadline_ms, tenant = r.unpack_text("!BBIH")
+        if deadline_ms == 0:
+            raise ProtocolError("deadline_ms must be >= 1, got 0")
+    elif version < 4:
+        want_scores, _ = r.unpack("!BB")
     else:
-        want_scores, has_deadline = r.unpack("!BB")
-        if has_deadline:
-            (deadline_ms,) = r.unpack("!I")
-    tenant = r.string() if version >= 4 else None
+        want_scores, _, tenant = r.unpack_text("!BBH")
     if batched:
-        (n_chunks,) = r.unpack("!H")
-        counts = r.unpack(f"!{n_chunks}I")
-    return ScoreRequest(
-        queries=read_queries(r, version),
+        counts = r.counts()
+    queries = read_queries(r, version)
+    if batched:
+        counts = _check_counts(counts.tolist(), len(queries))
+    return unchecked(
+        ScoreRequest,
+        queries=queries,
         counts=counts,
         model=model,
-        want_scores=bool(want_scores),
+        want_scores=want_scores != 0,
         request_id=request_id,
         deadline_ms=deadline_ms,
         tenant=tenant,
@@ -658,34 +668,36 @@ def _read_score_request(
 def _write_score_response(
     msg: ScoreResponse, w: VectoredWriter, version: int
 ) -> None:
-    counts, n = msg.counts, msg.predictions.shape[0]
-    w.pack("!I", msg.request_id).string(msg.model)
-    if counts is None:
+    n = msg.predictions.shape[0]
+    w.pack_text("!IH", msg.request_id, msg.model)
+    if msg.counts is None:
         w.pack("!II", msg.version, n)
     else:
-        w.pack(
-            f"!I{_counts_run(counts)}I", msg.version, len(counts), *counts, n
-        )
-    w.array(msg.predictions, "<i8")
+        w.pack("!I", msg.version).counts(msg.counts).pack("!I", n)
+    w.array(msg.predictions, I64)
     _write_scores(w, msg.scores)
 
 
 def _read_score_response(
     r: PayloadReader, version: int, batched: bool = False
 ) -> ScoreResponse:
-    (request_id,) = r.unpack("!I")
-    model = r.string() or ""
+    request_id, model = r.unpack_text("!IH")
     counts = None
     if batched:
-        version_field, n_chunks = r.unpack("!IH")
-        *counts, n = r.unpack(f"!{n_chunks}II")
+        (version_field,) = r.unpack("!I")
+        counts = r.counts()
+        (n,) = r.unpack("!I")
     else:
         version_field, n = r.unpack("!II")
-    predictions = r.array(n, "<i8")
-    return ScoreResponse(
+    predictions = r.array(n, I64)
+    scores = _read_scores(r, n)
+    if batched:
+        counts = _check_counts(counts.tolist(), n)
+    return unchecked(
+        ScoreResponse,
         predictions=predictions,
-        scores=_read_scores(r, n),
-        model=model,
+        scores=scores,
+        model=model or "",
         version=version_field,
         request_id=request_id,
         counts=counts,
@@ -695,7 +707,7 @@ def _read_score_response(
 def _write_model_info_request(
     msg: ModelInfoRequest, w: VectoredWriter, version: int
 ) -> None:
-    w.pack("!I", msg.request_id).string(msg.model)
+    w.pack_text("!IH", msg.request_id, msg.model)
     if version >= 4:
         w.string(msg.tenant)
 
@@ -703,16 +715,18 @@ def _write_model_info_request(
 def _read_model_info_request(
     r: PayloadReader, version: int
 ) -> ModelInfoRequest:
-    (request_id,) = r.unpack("!I")
-    model = r.string()
+    request_id, model = r.unpack_text("!IH")
     tenant = r.string() if version >= 4 else None
     return ModelInfoRequest(model=model, request_id=request_id, tenant=tenant)
 
 
 def _write_model_info(msg: ModelInfo, w: VectoredWriter, version: int) -> None:
-    w.pack("!I", msg.request_id).string(msg.name)
-    w.pack("!IIII", msg.version, msg.n_classes, msg.d_hv, msg.n_live_dims)
-    w.string(msg.backend).string(msg.query_quantizer)
+    w.pack_text("!IH", msg.request_id, msg.name)
+    w.pack_text(
+        "!IIIIH", msg.version, msg.n_classes, msg.d_hv, msg.n_live_dims,
+        msg.backend,
+    )
+    w.string(msg.query_quantizer)
     if version < 2:
         w.pack("!d", msg.epsilon)
     elif msg.mask_seed is None:
@@ -728,10 +742,10 @@ def _write_model_info(msg: ModelInfo, w: VectoredWriter, version: int) -> None:
 
 
 def _read_model_info(r: PayloadReader, version: int) -> ModelInfo:
-    (request_id,) = r.unpack("!I")
-    name = r.string() or ""
-    version_field, n_classes, d_hv, n_live_dims = r.unpack("!IIII")
-    backend = r.string() or ""
+    request_id, name = r.unpack_text("!IH")
+    version_field, n_classes, d_hv, n_live_dims, backend = r.unpack_text(
+        "!IIIIH"
+    )
     query_quantizer = r.string()
     mask_seed = core_digest = None
     if version < 2:
@@ -743,12 +757,12 @@ def _read_model_info(r: PayloadReader, version: int) -> ModelInfo:
     if version >= 6 and r.unpack("!B")[0]:
         (core_digest,) = r.unpack("!Q")
     return ModelInfo(
-        name=name,
+        name=name or "",
         version=version_field,
         n_classes=n_classes,
         d_hv=d_hv,
         n_live_dims=n_live_dims,
-        backend=backend,
+        backend=backend or "",
         query_quantizer=query_quantizer,
         epsilon=epsilon,
         mask_seed=mask_seed,
@@ -758,12 +772,12 @@ def _read_model_info(r: PayloadReader, version: int) -> ModelInfo:
 
 
 def _write_error(msg: ErrorReply, w: VectoredWriter, version: int) -> None:
-    w.pack("!I", msg.request_id).string(msg.code).string(msg.message)
+    w.pack_text("!IH", msg.request_id, msg.code).string(msg.message)
 
 
 def _read_error(r: PayloadReader, version: int) -> ErrorReply:
-    (request_id,) = r.unpack("!I")
-    code = r.string() or ""
+    request_id, code = r.unpack_text("!IH")
+    code = code or ""
     message = r.string() or ""
     if code not in ERROR_CODES:
         raise ProtocolError(f"unknown error code {code!r} on the wire")
@@ -782,20 +796,32 @@ _CODECS = {
     ErrorReply: (FrameType.ERROR, _write_error),
 }
 
+
+def _read_score_batch_request(r: PayloadReader, version: int) -> ScoreRequest:
+    return _read_score_request(r, version, batched=True)
+
+
+def _read_score_batch_response(
+    r: PayloadReader, version: int
+) -> ScoreResponse:
+    return _read_score_response(r, version, batched=True)
+
+
+#: frame type byte -> (reader, lowest protocol version, type name): a
+#: plain table lookup on the header's byte
 _DECODERS = {
-    FrameType.HELLO: _read_hello,
-    FrameType.WELCOME: _read_welcome,
-    FrameType.SCORE_REQUEST: _read_score_request,
-    FrameType.SCORE_RESPONSE: _read_score_response,
-    FrameType.SCORE_BATCH_REQUEST: partial(
-        _read_score_request, batched=True
-    ),
-    FrameType.SCORE_BATCH_RESPONSE: partial(
-        _read_score_response, batched=True
-    ),
-    FrameType.MODEL_INFO_REQUEST: _read_model_info_request,
-    FrameType.MODEL_INFO: _read_model_info,
-    FrameType.ERROR: _read_error,
+    int(kind): (read, FRAME_MIN_VERSION.get(kind, 1), kind.name)
+    for kind, read in (
+        (FrameType.HELLO, _read_hello),
+        (FrameType.WELCOME, _read_welcome),
+        (FrameType.SCORE_REQUEST, _read_score_request),
+        (FrameType.SCORE_RESPONSE, _read_score_response),
+        (FrameType.SCORE_BATCH_REQUEST, _read_score_batch_request),
+        (FrameType.SCORE_BATCH_RESPONSE, _read_score_batch_response),
+        (FrameType.MODEL_INFO_REQUEST, _read_model_info_request),
+        (FrameType.MODEL_INFO, _read_model_info),
+        (FrameType.ERROR, _read_error),
+    )
 }
 
 #: the protocol-v2 frame a scoring message with ``counts`` travels as
@@ -868,24 +894,21 @@ def decode_message(frame: Frame):
     types, frame types newer than the frame's stamped version,
     truncated payloads, and trailing garbage.
     """
-    try:
-        kind = FrameType(frame.frame_type)
-    except ValueError:
-        raise ProtocolError(
-            f"unknown frame type 0x{frame.frame_type:02x}"
-        ) from None
-    min_version = FRAME_MIN_VERSION.get(kind, 1)
+    entry = _DECODERS.get(frame.frame_type)
+    if entry is None:
+        raise ProtocolError(f"unknown frame type 0x{frame.frame_type:02x}")
+    read, min_version, name = entry
     if frame.version < min_version:
         raise ProtocolError(
-            f"{kind.name} frames require protocol v{min_version}, "
+            f"{name} frames require protocol v{min_version}, "
             f"got a v{frame.version} frame"
         )
     reader = PayloadReader(frame.payload)
     try:
-        msg = _DECODERS[kind](reader, frame.version)
+        msg = read(reader, frame.version)
     except ProtocolError:
         raise
     except (ValueError, OverflowError) as exc:
-        raise ProtocolError(f"malformed {kind.name} payload: {exc}") from exc
+        raise ProtocolError(f"malformed {name} payload: {exc}") from exc
     reader.done()
     return msg

@@ -435,10 +435,10 @@ class FrameDecoder:
 # payload primitives
 # ----------------------------------------------------------------------
 #: the compiled :class:`struct.Struct` of a field-run format, cached so a
-#: run costs one C call per frame however many fields it packs
+#: run costs one C call per frame however many fields it packs.  Every
+#: format the codecs use is fixed; variable-length runs (a batch frame's
+#: counts) travel as arrays, so no peer can grow this cache.
 _layout = functools.lru_cache(maxsize=256)(struct.Struct)
-
-_U16 = _layout("!H")
 
 #: u16 sentinel marking an absent optional string
 _NONE_STR = 0xFFFF
@@ -447,11 +447,49 @@ _NONE_STR = 0xFFFF
 #: the absent sentinel)
 MAX_STRING_BYTES = _NONE_STR - 1
 
+#: most chunks one counts run can carry (its u16 length field)
+MAX_CHUNKS = 0xFFFF
+
+#: wire dtypes of the bulk arrays
+U64 = np.dtype("<u8")
+I64 = np.dtype("<i8")
+F32 = np.dtype("<f4")
+F64 = np.dtype("<f8")
+#: a counts run's entries: u32, network order like the scalar fields
+_COUNT = np.dtype(">u4")
+
+
+def unchecked(cls, **fields):
+    """A frozen dataclass ``cls`` built without its ``__post_init__``.
+
+    For values a decoder already checked against the wire, so no check
+    runs twice: every field must be given, already in its final type.
+    """
+    obj = object.__new__(cls)
+    obj.__dict__.update(fields)
+    return obj
+
+
+def _utf8(value: str | None) -> tuple[int, bytes]:
+    """A string field's u16 length (the sentinel for ``None``) and bytes."""
+    if value is None:
+        return _NONE_STR, b""
+    raw = value.encode("utf-8") if type(value) is str else str(value).encode(
+        "utf-8"
+    )
+    if len(raw) > MAX_STRING_BYTES:
+        raise ProtocolError(
+            f"string field of {len(raw)} bytes exceeds the wire limit"
+        )
+    return len(raw), raw
+
 
 #: arrays at or below this many bytes are staged into the scalar
 #: scratch instead of getting their own iovec entry — below it the
 #: copy is cheaper than another sendmsg vector slot
 _INLINE_ARRAY_BYTES = 1024
+
+_BLANK_HEADER = bytes(HEADER_SIZE)
 
 
 class VectoredWriter:
@@ -478,7 +516,7 @@ class VectoredWriter:
     def __init__(self, scratch: bytearray | None = None):
         self._buf = bytearray() if scratch is None else scratch
         self._base = len(self._buf)
-        self._buf += b"\x00" * HEADER_SIZE  # header, back-filled at the end
+        self._buf += _BLANK_HEADER  # back-filled at the end
         self._open = self._base
         self._parts: list = []  # (start, end) scratch spans | array views
         self._array_bytes = 0
@@ -499,22 +537,39 @@ class VectoredWriter:
             raise ProtocolError(f"{fmt} field out of range: {exc}") from exc
         return self
 
-    def string(self, value: str | None) -> "VectoredWriter":
-        """A length-prefixed UTF-8 string; ``None`` is a u16 sentinel."""
-        if value is None:
-            self._buf += _U16.pack(_NONE_STR)
-            return self
-        raw = str(value).encode("utf-8")
-        if len(raw) > MAX_STRING_BYTES:
-            raise ProtocolError(
-                f"string field of {len(raw)} bytes exceeds the wire limit"
-            )
-        self._buf += _U16.pack(len(raw))
+    def pack_text(self, fmt: str, *values) -> "VectoredWriter":
+        """A field run whose last value is a string, then its UTF-8 bytes.
+
+        ``fmt`` ends with the string's u16 length field (``H``); ``None``
+        writes the absent sentinel.  One ``struct`` call for the run and
+        the length together.
+        """
+        length, raw = _utf8(values[-1])
+        self.pack(fmt, *values[:-1], length)
         self._buf += raw
         return self
 
-    def array(self, arr: np.ndarray, dtype: str) -> "VectoredWriter":
-        """Reference ``arr``'s little-endian buffer as its own part.
+    def string(self, value: str | None) -> "VectoredWriter":
+        """A length-prefixed UTF-8 string; ``None`` is a u16 sentinel."""
+        return self.pack_text("!H", value)
+
+    def counts(self, counts) -> "VectoredWriter":
+        """A counts run: u16 chunk count, then one u32 per chunk.
+
+        Written as one array, so no ``struct`` format per chunk count.
+        """
+        if len(counts) > MAX_CHUNKS:
+            raise ProtocolError(
+                f"{len(counts)} chunks exceed the u16 wire limit"
+            )
+        try:
+            run = np.array(counts, dtype=_COUNT)
+        except OverflowError as exc:
+            raise ProtocolError(f"chunk count out of range: {exc}") from exc
+        return self.pack("!H", len(counts)).array(run, _COUNT)
+
+    def array(self, arr: np.ndarray, dtype) -> "VectoredWriter":
+        """Reference ``arr``'s buffer, as wire ``dtype``, as its own part.
 
         Large arrays become a zero-copy :class:`memoryview` (which
         keeps the contiguous array alive); tiny ones are inlined into
@@ -544,9 +599,11 @@ class VectoredWriter:
             self._open = len(self._buf)
         length = (len(self._buf) - self._base - HEADER_SIZE) + self._array_bytes
         _HEADER.pack_into(
-            self._buf, self._base, MAGIC, version, int(frame_type), length
+            self._buf, self._base, MAGIC, version, frame_type, length
         )
         scratch = memoryview(self._buf)
+        if len(self._parts) == 1:  # header and fields only
+            return [scratch[self._base :]]
         return [
             scratch[p[0] : p[1]] if type(p) is tuple else p
             for p in self._parts
@@ -576,44 +633,89 @@ class PayloadReader:
         """Claim the next ``n`` bytes; return their offset."""
         pos = self._pos
         if pos + n > self._buf.nbytes:
-            raise ProtocolError(
-                f"payload truncated: needed {n} bytes at offset "
-                f"{pos}, only {self._buf.nbytes - pos} left"
-            )
+            self._truncated(n)
         self._pos = pos + n
         return pos
+
+    def _truncated(self, n: int):
+        pos = self._pos
+        raise ProtocolError(
+            f"payload truncated: needed {n} bytes at offset "
+            f"{pos}, only {self._buf.nbytes - pos} left"
+        )
+
+    def peek(self, offset: int = 0) -> int:
+        """The byte ``offset`` past the read position, not consumed.
+
+        How a codec picks a run's format from a flag inside it; a
+        payload too short to hold the byte is truncated.
+        """
+        pos = self._pos + offset
+        if pos >= self._buf.nbytes:
+            raise ProtocolError(
+                f"payload truncated: needed a byte at offset {pos}, "
+                f"only {self._buf.nbytes} bytes"
+            )
+        return self._buf[pos]
 
     def unpack(self, fmt: str) -> tuple:
         """Read one fixed-width field run: one bounds check, one call.
 
-        ``fmt`` is a network-order :mod:`struct` format (``"!BBI"``,
-        ``"!32I"``); the run's values come back as a tuple.
+        ``fmt`` is a network-order :mod:`struct` format (``"!BBI"``);
+        the run's values come back as a tuple.
         """
         layout = _layout(fmt)
-        return layout.unpack_from(self._buf, self._advance(layout.size))
+        pos = self._pos
+        if pos + layout.size > self._buf.nbytes:
+            self._truncated(layout.size)
+        self._pos = pos + layout.size
+        return layout.unpack_from(self._buf, pos)
+
+    def unpack_text(self, fmt: str) -> tuple:
+        """Read a field run ending in a string's u16 length, then the string.
+
+        The inverse of :meth:`VectoredWriter.pack_text`: the run's
+        values, the last one the decoded string (``None`` for the
+        absent sentinel).
+        """
+        *values, length = self.unpack(fmt)
+        if length == _NONE_STR:
+            values.append(None)
+            return values
+        pos = self._advance(length)
+        try:
+            values.append(str(self._buf[pos : pos + length], "utf-8"))
+        except UnicodeDecodeError as exc:
+            raise ProtocolError(f"undecodable string field: {exc}") from exc
+        return values
 
     def string(self) -> str | None:
         """Read a length-prefixed UTF-8 string (``None`` sentinel aware)."""
-        (length,) = _U16.unpack_from(self._buf, self._advance(2))
-        if length == _NONE_STR:
-            return None
-        pos = self._advance(length)
-        try:
-            return str(self._buf[pos : pos + length], "utf-8")
-        except UnicodeDecodeError as exc:
-            raise ProtocolError(f"undecodable string field: {exc}") from exc
+        return self.unpack_text("!H")[0]
 
-    def array(self, count: int, dtype: str) -> np.ndarray:
+    def counts(self) -> np.ndarray:
+        """Read a counts run (see :meth:`VectoredWriter.counts`): the
+        per-chunk u32s as one array view, no per-size format."""
+        (n_chunks,) = self.unpack("!H")
+        return self.array(n_chunks, _COUNT)
+
+    def array(self, shape, dtype) -> np.ndarray:
         """A typed view over the payload bytes — zero-copy, read-only.
 
+        ``shape`` is an element count or a tuple of dimensions.
         Consumers that need to mutate (none on the serving path: the
         scheduler concatenates, the kernels only read) must copy
         themselves; skipping the copy here keeps large query frames off
         the decoder's profile.
         """
         dt = np.dtype(dtype)
-        pos = self._advance(int(count) * dt.itemsize)
-        return np.frombuffer(self._buf, dtype=dt, count=count, offset=pos)
+        count = shape
+        if type(shape) is tuple:
+            count = 1
+            for dim in shape:
+                count *= dim
+        pos = self._advance(count * dt.itemsize)
+        return np.ndarray(shape, dt, self._buf, pos)
 
     def done(self) -> None:
         """Assert the payload was fully consumed (no trailing bytes)."""
@@ -660,12 +762,12 @@ def write_queries(w, queries, version: int) -> None:
             "!BIIIQ", QUERY_LIVE, queries.n, queries.d, queries.n_live,
             queries.digest,
         )
-        w.array(queries.words, "<u8")
+        w.array(queries.words, U64)
         return
     if isinstance(queries, PackedHV):
         w.pack("!BII", QUERY_PACKED, queries.n, queries.d)
-        w.array(queries.signs, "<u8")
-        w.array(queries.mags, "<u8")
+        w.array(queries.signs, U64)
+        w.array(queries.mags, U64)
         return
     arr = np.asarray(queries)
     if arr.ndim != 2 or arr.shape[0] == 0 or arr.shape[1] == 0:
@@ -676,40 +778,51 @@ def write_queries(w, queries, version: int) -> None:
     if arr.dtype == object:
         raise ProtocolError("object arrays cannot be framed")
     w.pack("!BII", QUERY_DENSE, *arr.shape)
-    w.array(arr, "<f4")
+    w.array(arr, F32)
+
+
+def _batch_shape(n: int, d: int) -> None:
+    if n == 0 or d == 0:
+        raise ProtocolError(f"empty query batch on the wire (n={n}, d={d})")
 
 
 def read_queries(r: PayloadReader, version: int):
-    """Inverse of :func:`write_queries`: a LiveHV, PackedHV or f32 array."""
-    kind, n, d = r.unpack("!BII")
-    if n == 0 or d == 0:
-        raise ProtocolError(f"empty query batch on the wire (n={n}, d={d})")
+    """Inverse of :func:`write_queries`: a LiveHV, PackedHV or f32 array.
+
+    The kind byte picks the payload's opening field run (a live
+    header is one run).  Each check of the peer's bytes runs once,
+    here; the batch is then built without its constructor's (equal)
+    checks.
+    """
+    kind = r.peek()
     if kind == QUERY_LIVE:
         if version < 5:
             raise ProtocolError(
                 f"live query payloads require protocol v5, got a "
                 f"v{version} frame"
             )
-        n_live, digest = r.unpack("!IQ")
+        _, n, d, n_live, digest = r.unpack("!BIIIQ")
+        _batch_shape(n, d)
         if n_live > d:
             raise ProtocolError(f"n_live={n_live} exceeds d={d}")
-        width = n_words(n_live)
-        words = r.array(n * width, "<u8").reshape(n, width)
+        words = r.array((n, -(-n_live // WORD_BITS)), U64)
         tail = n_live % WORD_BITS
         # A list max: cheaper than a NumPy reduce on batches this size.
         if tail and max(words[:, -1].tolist()) >> tail:
             raise ProtocolError(
                 f"live words have bits set past n_live={n_live}"
             )
-        return LiveHV(words=words, d=d, n_live=n_live, digest=digest)
-    if kind == QUERY_PACKED:
-        words = n_words(d)
-        signs = r.array(n * words, "<u8").reshape(n, words)
-        mags = r.array(n * words, "<u8").reshape(n, words)
-        try:
-            return PackedHV(signs=signs, mags=mags, d=d)
-        except ValueError as exc:
-            raise ProtocolError(f"inconsistent packed planes: {exc}") from exc
+        return unchecked(
+            LiveHV, words=words, d=d, n_live=n_live, digest=digest
+        )
+    if kind != QUERY_PACKED and kind != QUERY_DENSE:
+        raise ProtocolError(f"unknown query payload kind {kind}")
+    _, n, d = r.unpack("!BII")
+    _batch_shape(n, d)
     if kind == QUERY_DENSE:
-        return r.array(n * d, "<f4").reshape(n, d)
-    raise ProtocolError(f"unknown query payload kind {kind}")
+        return r.array((n, d), F32)
+    shape = (n, n_words(d))
+    return unchecked(
+        PackedHV, signs=r.array(shape, U64), mags=r.array(shape, U64),
+        d=d, live=None, core=None,
+    )

@@ -193,6 +193,39 @@ class TestCountsCodec:
             ):
                 np.testing.assert_array_equal(got, want)
 
+    def test_chunk_counts_compile_no_struct_format(self):
+        """A peer cycling the chunk count over hundreds of values leaves
+        the codec's field-run format cache at its fixed set of formats:
+        counts runs travel as arrays, not as one format per size."""
+        from repro.proto.wire import _layout
+
+        def batch_frames(n_chunks):
+            counts = (1,) * n_chunks
+            return [
+                encode_message(message, version=version)
+                for message in (
+                    ScoreRequest(
+                        queries=np.zeros((n_chunks, 2), dtype=np.float32),
+                        counts=counts, tenant="t",
+                    ),
+                    ScoreResponse(
+                        predictions=np.zeros(n_chunks, dtype=np.int64),
+                        counts=counts,
+                    ),
+                )
+                for version in (2, PROTOCOL_VERSION)
+            ]
+
+        def decode_all(frames):
+            for frame in FrameDecoder().feed(b"".join(frames)):
+                decode_message(frame)
+
+        decode_all(batch_frames(1))
+        fixed = _layout.cache_info().currsize
+        for n_chunks in range(2, 302):
+            decode_all(batch_frames(n_chunks))
+        assert _layout.cache_info().currsize == fixed
+
     def test_u16_chunk_limit(self):
         limit = 0xFFFF
         at = ScoreResponse(
