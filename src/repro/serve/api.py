@@ -286,11 +286,12 @@ class ServingAPI:
             if future is not None:
                 return future
         if live:
-            index = np.full((queries.n, 1), record.index, dtype=np.uint64)
-            queries = np.concatenate(
-                [queries.words, np.full_like(index, queries.digest), index],
-                axis=1,
+            rows = np.empty(
+                (queries.n, queries.words.shape[1] + 2), dtype=np.uint64
             )
+            rows[:, :-2] = queries.words
+            rows[:, -2:] = (queries.digest, record.index)
+            queries = rows
         elif packed:
             queries = np.concatenate([queries.signs, queries.mags], axis=1)
         return sched._enqueue(queries, deadline, finish, stamps)
@@ -369,61 +370,65 @@ class ServingAPI:
         """
         model = key[2] if key[0] == "tenant" else None
         method, n_live = key[-1].removesuffix("_live"), key[-2]
-        firsts = np.cumsum(counts) - counts
-        supports = list(
-            zip(rows[firsts, -1].tolist(), rows[firsts, -2].tolist())
-        )
-        requests: dict[tuple, list] = {}  # support -> its requests
-        for r, support in enumerate(supports):
-            requests.setdefault(support, []).append(r)
-        engines, held, failed = {}, {}, {}
-        for index, digest in requests:
-            if index not in engines and index not in failed:
-                try:
-                    name = self.fleet.record_by_index(index).name
-                    engines[index] = self._flush_engine(name, model)
-                except Exception as exc:  # noqa: BLE001 — this tenant only
-                    failed[index] = exc
-            if index in engines:
-                store = engines[index][0].held_on(digest, n_live)
-                if store is not None:
-                    held[index, digest] = store
-        outcomes = [
-            None if support in held
-            else failed.get(support[0]) or ValueError(_STALE_SUPPORT)
-            for support in supports
+        one_row = len(counts) == len(rows)  # every request a single row
+        heads = rows[:, -2:] if one_row else rows[counts.cumsum() - counts, -2:]
+        slots: dict[tuple, int] = {}  # support (digest, tenant index) -> slot
+        slot_of = [
+            slots.setdefault(support, len(slots))
+            for support in map(tuple, heads.tolist())
         ]
-        groups = {engines[index][0].coalesce_key for index, _ in held}
-        fuse = len(held) > 1 and len(groups) == 1 and None not in groups
-        if fuse:
-            units = [[r for r, s in enumerate(supports) if s in held]]
-        else:
-            units = [requests[support] for support in held]
-        for chosen in units:
-            sizes, words = counts[chosen], rows[:, :-2]
-            if len(chosen) < len(supports):
-                keep = np.zeros(len(supports), dtype=bool)
-                keep[chosen] = True
-                words = words[np.repeat(keep, counts)]
-            if fuse:
-                place = {support: u for u, support in enumerate(held)}
-                scores = fused_tenant_scores(
-                    words,
-                    list(held.values()),
-                    np.stack([engines[i][0].prepared.norms for i, _ in held]),
-                    np.repeat([place[supports[r]] for r in chosen], sizes),
+        supports = list(slots)
+        indices = list(dict.fromkeys([index for _, index in supports]))
+        resolved = dict(zip(indices, self.fleet.flush_engines(indices, model)))
+        # Per slot: (store, engine, version), or its requests' error.
+        fates = []
+        for digest, index in supports:
+            fate = resolved[index]
+            if not isinstance(fate, Exception):
+                store = fate[0].held_on(digest, n_live)
+                fate = (
+                    ValueError(_STALE_SUPPORT) if store is None
+                    else (store, *fate)
                 )
-                result = (
-                    scores if method == "scores" else np.argmax(scores, axis=1)
+            fates.append(fate)
+        held = [slot for slot, fate in enumerate(fates) if type(fate) is tuple]
+        groups = {fates[slot][1].coalesce_key for slot in held}
+        if len(held) > 1 and len(groups) == 1 and None not in groups:
+            units = [held]  # one fused kernel call
+        else:
+            units = [[slot] for slot in held]
+        # A held slot's requests get their (rows, version) below.
+        outcomes = [fates[slot] for slot in slot_of]
+        for unit in units:
+            if len(unit) == len(supports):  # the whole flush
+                chosen, words, sizes, tenant_of_row = (
+                    range(len(counts)), rows[:, :-2], counts, slot_of
                 )
             else:
-                index, digest = supports[chosen[0]]
-                engine = engines[index][0]
+                member = {slot: u for u, slot in enumerate(unit)}
+                chosen = [r for r, slot in enumerate(slot_of) if slot in member]
+                tenant_of_row = [member[slot_of[r]] for r in chosen]
+                keep = np.zeros(len(counts), dtype=bool)
+                keep[chosen] = True
+                sizes = counts[keep]
+                words = rows[keep if one_row else np.repeat(keep, counts), :-2]
+            _, engine, _ = fates[unit[0]]
+            if len(unit) > 1:
+                scores = fused_tenant_scores(
+                    words,
+                    [fates[slot][0] for slot in unit],
+                    np.array([fates[slot][1].prepared.norms for slot in unit]),
+                    tenant_of_row if one_row else np.repeat(
+                        tenant_of_row, sizes
+                    ),
+                )
+                result = scores if method == "scores" else scores.argmax(1)
+            else:
                 result = getattr(engine, method)(
-                    LiveHV(words, engine.d_hv, n_live, digest)
+                    LiveHV(words, engine.d_hv, n_live, supports[unit[0]][0])
                 )
             for r, part in zip(chosen, split_rows(result, sizes)):
-                outcomes[r] = (part, engines[supports[r][0]][1])
+                outcomes[r] = (part, fates[slot_of[r]][2])
         return outcomes
 
     # ------------------------------------------------------------------

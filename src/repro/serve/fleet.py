@@ -258,7 +258,7 @@ def fused_tenant_scores(
     dots = xor_dot_rows(
         words,
         [store.words for store in stores],
-        np.stack([store.base for store in stores]),
+        np.array([store.base for store in stores]),
         t,
     )
     return dots.astype(np.float64) / norms[t]
@@ -565,10 +565,37 @@ class ModelFleet:
             record.resident_bytes = 0
             self._evictions += 1
 
-    def record_by_index(self, index: int) -> _Tenant:
-        """The tenant record behind a coalesced row's index column."""
+    def flush_engines(self, indices, model: str | None = None) -> list:
+        """Each indexed tenant's ``(engine, version)`` for one flush.
+
+        ``indices`` are the tenant index columns of a coalesced flush's
+        rows.  One hold of the fleet lock finds every tenant's registry
+        and touches its LRU entry, counting no traffic (the requests
+        were counted at submit).  Then each tenant is resolved as a
+        flush must: one evicted since submit is re-admitted (joining an
+        in-flight load), and a hot-swapped default model is recharged
+        (:meth:`recharge`).  A tenant whose re-admission or resolution
+        raises gets that exception in its place, the others are
+        resolved regardless.
+        """
         with self._lock:
-            return self._by_index[index]
+            found = []
+            for index in indices:
+                record = self._by_index[index]
+                if record.name in self._lru:
+                    self._lru.move_to_end(record.name)
+                found.append((record, record.registry))
+        out = []
+        for record, registry in found:
+            try:
+                if registry is None:
+                    registry = self._admit(record)
+                described = registry.describe(record.model_name(model))
+                self.recharge(record, registry, model, described.engine)
+                out.append((described.engine, described.version))
+            except Exception as exc:  # noqa: BLE001 — this tenant only
+                out.append(exc)
+        return out
 
     def registry_for(self, tenant: str | None = None) -> ModelRegistry:
         """The tenant's live registry (admitting it if evicted).

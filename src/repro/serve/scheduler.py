@@ -137,7 +137,7 @@ def split_rows(result: np.ndarray, counts: np.ndarray) -> list[np.ndarray]:
     ``RuntimeError`` unless the result has one row per batch row.
     """
     result = np.asarray(result)
-    n_rows = int(counts.sum())
+    n_rows = sum(counts.tolist())  # cheaper than a NumPy reduce here
     if result.shape[0] != n_rows:
         raise RuntimeError(
             f"runner returned {result.shape[0]} rows for a "

@@ -1159,6 +1159,71 @@ class TestHotSwapRegroups:
             assert got.scores.shape == (3, self.CLASSES)
             assert np.isfinite(got.scores).all()
 
+    def test_a_stale_tenant_leaves_the_others_fused(self, monkeypatch):
+        """A's mask changes while its row waits beside B's and C's
+        requests of several rows each: A alone is refused, and one fused
+        call scores B's and C's rows, each against its own store."""
+        import repro.serve.api as api_module
+
+        fused = []
+        original = api_module.fused_tenant_scores
+
+        def counting(words, *args):
+            fused.append(len(words))
+            return original(words, *args)
+
+        monkeypatch.setattr(api_module, "fused_tenant_scores", counting)
+        keeps = _keep_masks(4, self.D, self.D // 2)
+        masked = {
+            t: ModelArtifact(
+                store=_artifact(i, self.D, self.CLASSES).class_hvs * keeps[i],
+                query_quantizer="bipolar",
+                store_quantizer="bipolar",
+                backend="packed",
+                keep_mask=keeps[i],
+            )
+            for i, t in enumerate("ABC")
+        }
+        fleet = ModelFleet()
+        for t, artifact in masked.items():
+            fleet.add_tenant(t, artifact)
+        rng = spawn(4, "fleet-test-stale-fused")
+        sizes = {"A": 1, "B": 2, "C": 3}
+        planes = {
+            t: pack_hypervectors(
+                rng.choice([-1.0, 1.0], size=(sizes[t], self.D)) * keeps[i]
+            )
+            for i, t in enumerate("ABC")
+        }
+        config = MicroBatchConfig(max_batch=6, eager=False, max_delay_s=30.0)
+        with ServingAPI(fleet, config=config) as api:
+            submit = lambda t, rows: api.submit_score(  # noqa: E731
+                ScoreRequest(queries=rows, tenant=t, want_scores=True)
+            )
+            futures = [("B", submit("B", planes["B"][:1]))]
+            stale = submit("A", planes["A"])
+            fleet.registry_for("A").publish("model", ModelArtifact(
+                store=_artifact(0, self.D, self.CLASSES).class_hvs * keeps[3],
+                query_quantizer="bipolar",
+                store_quantizer="bipolar",
+                backend="packed",
+                keep_mask=keeps[3],
+            ))
+            futures += [
+                ("C", submit("C", planes["C"])),
+                ("B", submit("B", planes["B"][1:])),
+            ]
+            with pytest.raises(ValueError, match="keep mask changed"):
+                stale.result(timeout=10.0)
+            got = [(t, f.result(timeout=10.0).scores) for t, f in futures]
+        assert fused == [5]
+        expected = {
+            t: masked[t].engine().scores(planes[t]) for t in "BC"
+        }
+        np.testing.assert_array_equal(got[0][1], expected["B"][:1])
+        np.testing.assert_array_equal(got[1][1], expected["C"])
+        np.testing.assert_array_equal(got[2][1], expected["B"][1:])
+
     def test_an_evicted_tenant_frees_its_engine(self, tmp_path):
         """Nothing the API keeps per flush pins an evicted tenant's store."""
         root = _save_fleet_dir(tmp_path, ["a", "b"])
