@@ -17,6 +17,14 @@ from repro.utils import spawn
 from tests.level_base_reference import reference_level_encode
 
 
+def pytest_configure(config):
+    config.addinivalue_line(
+        "markers",
+        "slow: a test that takes seconds rather than milliseconds "
+        "(deselect with -m 'not slow')",
+    )
+
+
 def make_cluster_task(
     n: int = 240,
     d_in: int = 32,
