@@ -59,12 +59,14 @@ Exercises the full model lifecycle the way a deployment would:
    level-base masked tenant gives identical decisions to v4 plane, v5
    live-word and v6 core-word clients over sockets;
 10. with ``--latency``, read the server's latency ledger (``/stats``
-    ``"stages"``, :mod:`repro.obs`) after one-row v6 core-word traffic
-    and 32-row v2 batch traffic over sockets, assert that each leg's
-    stages add up to its server-side request time (decode start →
-    reply written) within 10%, and write per-stage p50/p99, each
-    stage's share of the request time, the inline share and the
-    ledger's own in-process cost per request to ``--latency-out``
+    ``"stages"``, :mod:`repro.obs`) after one-row v6 core-word traffic,
+    32-row v2 batch traffic and one-row v6 live-word traffic to 16
+    tenants of one fleet coalesce group (8 in flight) over sockets,
+    assert that each leg's stages add up to its server-side request
+    time (decode start → reply written) within 10%, and write
+    per-stage p50/p99, each stage's share of the request time, the
+    inline share, the fleet leg's rows per flush and the ledger's own
+    in-process cost per request to ``--latency-out``
     (``BENCH_latency.json``).
 
 Writes ``BENCH_serve.json``::
@@ -120,6 +122,7 @@ from repro.serve import (
     InferenceEngine,
     MicroBatchConfig,
     ModelArtifact,
+    ModelFleet,
     ServingAPI,
 )
 from repro.utils.rng import spawn
@@ -487,13 +490,85 @@ def _send_bursts(address, frames: list[bytes], window: int) -> list:
     return replies
 
 
+def _send_window(address, frames: list[bytes], window: int) -> list:
+    """Send pre-encoded frames over one raw v6 connection with
+    ``window`` unanswered at a time, and read every reply: the fleet
+    gateway's traffic shape."""
+    session = WireSession("client")
+    with socket.create_connection(address, timeout=30.0) as sock:
+        sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+
+        def read():
+            while (frame := session.next_frame()) is None:
+                n = sock.recv_into(session.recv_buffer())
+                if not n:
+                    raise ConnectionError("the server closed the connection")
+                session.commit(n)
+            return decode_message(frame)
+
+        sock.sendall(encode_message(Hello()))
+        session.adopt_version(read().version)
+        replies, sent = [], 0
+        while len(replies) < len(frames):
+            while sent < len(frames) and sent - len(replies) < window:
+                sock.sendall(frames[sent])
+                sent += 1
+            replies.append(read())
+    return replies
+
+
+#: the fleet leg: tenants of one coalesce group, requests in flight
+FLEET_LEDGER_TENANTS = 16
+FLEET_LEDGER_WINDOW = 8
+
+
+def _fleet_ledger_leg(d_hv: int, rows: int):
+    """``(fleet, frames, answers)``: tenants sharing one keep mask (so
+    one coalesce group), and one single-row v6 live-word frame per row,
+    to tenant ``row % FLEET_LEDGER_TENANTS``, with that tenant's offline
+    answer."""
+    rng = np.random.default_rng(11)
+    keep = mask_from_seed(d_hv, d_hv // 2, 0)
+    artifacts = [
+        ModelArtifact(
+            store=rng.choice(
+                np.array([-1.0, 1.0], dtype=np.float32), size=(26, d_hv)
+            ) * keep,
+            query_quantizer="bipolar", store_quantizer="bipolar",
+            backend="packed", keep_mask=keep,
+        )
+        for _ in range(FLEET_LEDGER_TENANTS)
+    ]
+    fleet = ModelFleet()
+    for t, artifact in enumerate(artifacts):
+        fleet.add_tenant(f"t{t:02d}", artifact)
+    block, live = _masked_block(d_hv, rows, seed=12)
+    tenant_of = np.arange(rows) % FLEET_LEDGER_TENANTS
+    frames = [
+        encode_message(ScoreRequest(
+            queries=live[i : i + 1], tenant=f"t{t:02d}", request_id=i + 1,
+        ))
+        for i, t in enumerate(tenant_of)
+    ]
+    want = np.empty(rows, dtype=np.int64)
+    for t, artifact in enumerate(artifacts):
+        mine = tenant_of == t
+        want[mine] = artifact.engine().predict(
+            PackedHV(block.signs[mine], block.mags[mine], d_hv)
+        )
+    return fleet, frames, want
+
+
 def run_latency_ledger(d_hv: int, *, rows: int, batch_frames: int) -> dict:
     """The server's per-stage latency, read from its own ledger.
 
     One-row v6 core-word requests, one in flight (the edge client's
-    shape), and ``batch_frames`` 32-row v2 batch frames of planes, sent
-    8 at a time (the gateway's), each against a fresh server.  Raises
-    unless every answer equals the offline engine's.
+    shape); ``batch_frames`` 32-row v2 batch frames of planes, sent 8
+    at a time (the gateway's); and one-row v6 live-word requests to the
+    :data:`FLEET_LEDGER_TENANTS` tenants of one coalesce group,
+    :data:`FLEET_LEDGER_WINDOW` in flight (the fleet's, scored by the
+    fused kernel); each against a fresh server.  Raises unless every
+    answer equals its tenant's offline engine's.
     """
     artifact, block = _core_block(d_hv, rows)
     want = artifact.engine().predict(PackedHV(block.signs, block.mags, block.d))
@@ -518,18 +593,37 @@ def run_latency_ledger(d_hv: int, *, rows: int, batch_frames: int) -> dict:
                          key=lambda r: r.request_id)
         return np.concatenate([r.predictions for r in replies])
 
-    expected = {
-        "v6_core_single": want,
-        "v2_batch_32": np.concatenate([want[s : s + 32] for s in starts]),
+    fleet, fleet_frames, fleet_want = _fleet_ledger_leg(d_hv, rows)
+
+    def fleet_group(address):
+        replies = sorted(
+            _send_window(address, fleet_frames, FLEET_LEDGER_WINDOW),
+            key=lambda r: r.request_id,
+        )
+        return np.concatenate([r.predictions for r in replies])
+
+    legs = {
+        "v6_core_single": (single, want, None),
+        "v2_batch_32": (
+            batched, np.concatenate([want[s : s + 32] for s in starts]), None,
+        ),
+        "v6_fleet_single": (fleet_group, fleet_want, fleet),
     }
     out = {"d_hv": d_hv}
-    for label, drive in (("v6_core_single", single), ("v2_batch_32", batched)):
-        with ServingAPI.from_artifact(artifact, name="ledger") as api:
-            with FrontendHandle(api) as handle:
-                got = drive(handle.address)
-            if not np.array_equal(got, expected[label]):
+    for label, (drive, expected, served) in legs.items():
+        api = (
+            ServingAPI.from_artifact(artifact, name="ledger")
+            if served is None else ServingAPI(served)
+        )
+        with api, FrontendHandle(api) as handle:
+            got = drive(handle.address)
+            if not np.array_equal(got, expected):
                 raise AssertionError(f"ledger leg {label}: answers diverged")
-            out[label] = _ledger_leg(api.stats()["stages"])
+            stats = api.stats()
+            out[label] = _ledger_leg(stats["stages"])
+        if served is not None:
+            flushes = sum(s["flushes"] for s in stats["schedulers"].values())
+            out[label]["rows_per_flush"] = rows / max(flushes, 1)
     out["ledger_us_per_request"] = _ledger_us_per_request()
     return out
 
@@ -1632,7 +1726,7 @@ def main(argv=None) -> int:
         )
     if "latency" in report:
         lat = report["latency"]
-        for label in ("v6_core_single", "v2_batch_32"):
+        for label in ("v6_core_single", "v2_batch_32", "v6_fleet_single"):
             leg = lat[label]
             print(
                 f"ledger {label}: {leg['requests']} requests, p50 "
