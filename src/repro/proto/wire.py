@@ -65,6 +65,8 @@ from __future__ import annotations
 
 import functools
 import struct
+import sys
+from array import array
 from enum import IntEnum
 
 import numpy as np
@@ -219,7 +221,13 @@ def decode_header(
         raise ProtocolError(
             f"frame header must be {HEADER_SIZE} bytes, got {len(header)}"
         )
-    magic, version, frame_type, length = _HEADER.unpack(header)
+    return _checked_header(header, 0, max_frame_bytes)
+
+
+def _checked_header(buf, pos: int, max_frame_bytes: int) -> tuple[int, int, int]:
+    """The header at ``buf[pos:pos + 8]`` as ``(version, frame_type,
+    length)``, refusing bad magic and oversize lengths."""
+    magic, version, frame_type, length = _HEADER.unpack_from(buf, pos)
     if magic != MAGIC:
         raise ProtocolError(f"bad magic {magic!r} (expected {MAGIC!r})")
     if length > max_frame_bytes:
@@ -311,16 +319,21 @@ class FrameDecoder:
         pos, end = 0, mv.nbytes
         while pos < end:
             if self._length < 0:
-                take = min(HEADER_SIZE - self._header_fill, end - pos)
-                self._header[
-                    self._header_fill : self._header_fill + take
-                ] = mv[pos : pos + take]
-                self._header_fill += take
-                pos += take
-                if self._header_fill < HEADER_SIZE:
-                    break
-                self._version, self._frame_type, self._length = decode_header(
-                    bytes(self._header), max_frame_bytes=self.max_frame_bytes
+                if self._header_fill == 0 and end - pos >= HEADER_SIZE:
+                    header, at = mv, pos  # the whole header in this chunk
+                    pos += HEADER_SIZE
+                else:
+                    take = min(HEADER_SIZE - self._header_fill, end - pos)
+                    self._header[
+                        self._header_fill : self._header_fill + take
+                    ] = mv[pos : pos + take]
+                    self._header_fill += take
+                    pos += take
+                    if self._header_fill < HEADER_SIZE:
+                        break
+                    header, at = self._header, 0
+                self._version, self._frame_type, self._length = (
+                    _checked_header(header, at, self.max_frame_bytes)
                 )
                 if self._length == 0:
                     frames.append(self._emit(_EMPTY_PAYLOAD))
@@ -457,6 +470,8 @@ F32 = np.dtype("<f4")
 F64 = np.dtype("<f8")
 #: a counts run's entries: u32, network order like the scalar fields
 _COUNT = np.dtype(">u4")
+#: the :mod:`array` type code of a 4-byte unsigned int on this platform
+_U32_CODE = next(code for code in "IL" if array(code).itemsize == 4)
 
 
 def unchecked(cls, **fields):
@@ -563,10 +578,14 @@ class VectoredWriter:
                 f"{len(counts)} chunks exceed the u16 wire limit"
             )
         try:
-            run = np.array(counts, dtype=_COUNT)
+            run = array(_U32_CODE, counts)
         except OverflowError as exc:
             raise ProtocolError(f"chunk count out of range: {exc}") from exc
-        return self.pack("!H", len(counts)).array(run, _COUNT)
+        if sys.byteorder == "little":
+            run.byteswap()  # network order, like the scalar fields
+        self.pack("!H", len(counts))
+        self._buf += run
+        return self
 
     def array(self, arr: np.ndarray, dtype) -> "VectoredWriter":
         """Reference ``arr``'s buffer, as wire ``dtype``, as its own part.
