@@ -578,7 +578,9 @@ class VectoredWriter:
                 f"{len(counts)} chunks exceed the u16 wire limit"
             )
         try:
-            run = array(_U32_CODE, counts)
+            # From a plain tuple: array() reads a tuple subclass (the
+            # messages' checked counts) item by item, ~6x slower.
+            run = array(_U32_CODE, tuple(counts))
         except OverflowError as exc:
             raise ProtocolError(f"chunk count out of range: {exc}") from exc
         if sys.byteorder == "little":
