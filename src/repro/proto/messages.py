@@ -43,6 +43,7 @@ from __future__ import annotations
 
 import operator
 from dataclasses import dataclass
+from functools import partial
 from itertools import accumulate
 
 import numpy as np
@@ -545,12 +546,14 @@ class ErrorReply:
 # ----------------------------------------------------------------------
 # per-message payload codecs
 # ----------------------------------------------------------------------
-_U8 = np.dtype(np.uint8)
-
 # Every codec takes the frame's negotiated protocol version so a field
 # added in v2 is written/read only when both sides speak v2 — a v1 peer
 # sees byte-identical v1 payloads.  Adjacent fixed-width fields travel
-# as one field run: one ``struct`` call per run, not one per field.
+# as one field run: one ``struct`` call per run, not one per field, and
+# a string's u16 length rides in the run before it.
+_U8 = np.dtype(np.uint8)
+
+
 def _write_hello(msg: Hello, w: VectoredWriter, version: int) -> None:
     try:
         versions = np.array(msg.versions, dtype=_U8)
@@ -652,7 +655,7 @@ def _read_score_request(
         counts = r.counts()
     queries = read_queries(r, version)
     if batched:
-        counts = _check_counts(counts.tolist(), len(queries))
+        counts = _check_counts(counts, len(queries))
     return unchecked(
         ScoreRequest,
         queries=queries,
@@ -692,7 +695,7 @@ def _read_score_response(
     predictions = r.array(n, I64)
     scores = _read_scores(r, n)
     if batched:
-        counts = _check_counts(counts.tolist(), n)
+        counts = _check_counts(counts, n)
     return unchecked(
         ScoreResponse,
         predictions=predictions,
@@ -797,16 +800,6 @@ _CODECS = {
 }
 
 
-def _read_score_batch_request(r: PayloadReader, version: int) -> ScoreRequest:
-    return _read_score_request(r, version, batched=True)
-
-
-def _read_score_batch_response(
-    r: PayloadReader, version: int
-) -> ScoreResponse:
-    return _read_score_response(r, version, batched=True)
-
-
 #: frame type byte -> (reader, lowest protocol version, type name): a
 #: plain table lookup on the header's byte
 _DECODERS = {
@@ -816,8 +809,14 @@ _DECODERS = {
         (FrameType.WELCOME, _read_welcome),
         (FrameType.SCORE_REQUEST, _read_score_request),
         (FrameType.SCORE_RESPONSE, _read_score_response),
-        (FrameType.SCORE_BATCH_REQUEST, _read_score_batch_request),
-        (FrameType.SCORE_BATCH_RESPONSE, _read_score_batch_response),
+        (
+            FrameType.SCORE_BATCH_REQUEST,
+            partial(_read_score_request, batched=True),
+        ),
+        (
+            FrameType.SCORE_BATCH_RESPONSE,
+            partial(_read_score_response, batched=True),
+        ),
         (FrameType.MODEL_INFO_REQUEST, _read_model_info_request),
         (FrameType.MODEL_INFO, _read_model_info),
         (FrameType.ERROR, _read_error),

@@ -468,9 +468,8 @@ U64 = np.dtype("<u8")
 I64 = np.dtype("<i8")
 F32 = np.dtype("<f4")
 F64 = np.dtype("<f8")
-#: a counts run's entries: u32, network order like the scalar fields
-_COUNT = np.dtype(">u4")
-#: the :mod:`array` type code of a 4-byte unsigned int on this platform
+#: the :mod:`array` type code of a counts run's entries (u32, sent in
+#: network order like the scalar fields) on this platform
 _U32_CODE = next(code for code in "IL" if array(code).itemsize == 4)
 
 
@@ -714,11 +713,16 @@ class PayloadReader:
         """Read a length-prefixed UTF-8 string (``None`` sentinel aware)."""
         return self.unpack_text("!H")[0]
 
-    def counts(self) -> np.ndarray:
+    def counts(self) -> list[int]:
         """Read a counts run (see :meth:`VectoredWriter.counts`): the
-        per-chunk u32s as one array view, no per-size format."""
+        per-chunk u32s, read as one array, not one format per size."""
         (n_chunks,) = self.unpack("!H")
-        return self.array(n_chunks, _COUNT)
+        pos = self._advance(4 * n_chunks)
+        run = array(_U32_CODE)
+        run.frombytes(self._buf[pos : pos + 4 * n_chunks])
+        if sys.byteorder == "little":
+            run.byteswap()
+        return run.tolist()
 
     def array(self, shape, dtype) -> np.ndarray:
         """A typed view over the payload bytes — zero-copy, read-only.
