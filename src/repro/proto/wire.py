@@ -64,6 +64,7 @@ assert the decoder fails closed.
 from __future__ import annotations
 
 import functools
+import math
 import struct
 import sys
 from array import array
@@ -460,9 +461,6 @@ _NONE_STR = 0xFFFF
 #: the absent sentinel)
 MAX_STRING_BYTES = _NONE_STR - 1
 
-#: most chunks one counts run can carry (its u16 length field)
-MAX_CHUNKS = 0xFFFF
-
 #: wire dtypes of the bulk arrays
 U64 = np.dtype("<u8")
 I64 = np.dtype("<i8")
@@ -488,9 +486,7 @@ def _utf8(value: str | None) -> tuple[int, bytes]:
     """A string field's u16 length (the sentinel for ``None``) and bytes."""
     if value is None:
         return _NONE_STR, b""
-    raw = value.encode("utf-8") if type(value) is str else str(value).encode(
-        "utf-8"
-    )
+    raw = str(value).encode("utf-8")
     if len(raw) > MAX_STRING_BYTES:
         raise ProtocolError(
             f"string field of {len(raw)} bytes exceeds the wire limit"
@@ -502,8 +498,6 @@ def _utf8(value: str | None) -> tuple[int, bytes]:
 #: scratch instead of getting their own iovec entry — below it the
 #: copy is cheaper than another sendmsg vector slot
 _INLINE_ARRAY_BYTES = 1024
-
-_BLANK_HEADER = bytes(HEADER_SIZE)
 
 
 class VectoredWriter:
@@ -530,7 +524,7 @@ class VectoredWriter:
     def __init__(self, scratch: bytearray | None = None):
         self._buf = bytearray() if scratch is None else scratch
         self._base = len(self._buf)
-        self._buf += _BLANK_HEADER  # back-filled at the end
+        self._buf += b"\x00" * HEADER_SIZE  # header, back-filled at the end
         self._open = self._base
         self._parts: list = []  # (start, end) scratch spans | array views
         self._array_bytes = 0
@@ -572,7 +566,7 @@ class VectoredWriter:
 
         Written as one array, so no ``struct`` format per chunk count.
         """
-        if len(counts) > MAX_CHUNKS:
+        if len(counts) > 0xFFFF:
             raise ProtocolError(
                 f"{len(counts)} chunks exceed the u16 wire limit"
             )
@@ -653,16 +647,12 @@ class PayloadReader:
         """Claim the next ``n`` bytes; return their offset."""
         pos = self._pos
         if pos + n > self._buf.nbytes:
-            self._truncated(n)
+            raise ProtocolError(
+                f"payload truncated: needed {n} bytes at offset "
+                f"{pos}, only {self._buf.nbytes - pos} left"
+            )
         self._pos = pos + n
         return pos
-
-    def _truncated(self, n: int):
-        pos = self._pos
-        raise ProtocolError(
-            f"payload truncated: needed {n} bytes at offset "
-            f"{pos}, only {self._buf.nbytes - pos} left"
-        )
 
     def peek(self, offset: int = 0) -> int:
         """The byte ``offset`` past the read position, not consumed.
@@ -685,11 +675,7 @@ class PayloadReader:
         the run's values come back as a tuple.
         """
         layout = _layout(fmt)
-        pos = self._pos
-        if pos + layout.size > self._buf.nbytes:
-            self._truncated(layout.size)
-        self._pos = pos + layout.size
-        return layout.unpack_from(self._buf, pos)
+        return layout.unpack_from(self._buf, self._advance(layout.size))
 
     def unpack_text(self, fmt: str) -> tuple:
         """Read a field run ending in a string's u16 length, then the string.
@@ -734,11 +720,7 @@ class PayloadReader:
         the decoder's profile.
         """
         dt = np.dtype(dtype)
-        count = shape
-        if type(shape) is tuple:
-            count = 1
-            for dim in shape:
-                count *= dim
+        count = math.prod(shape) if type(shape) is tuple else shape
         pos = self._advance(count * dt.itemsize)
         return np.ndarray(shape, dt, self._buf, pos)
 
@@ -806,48 +788,42 @@ def write_queries(w, queries, version: int) -> None:
     w.array(arr, F32)
 
 
-def _batch_shape(n: int, d: int) -> None:
-    if n == 0 or d == 0:
-        raise ProtocolError(f"empty query batch on the wire (n={n}, d={d})")
+#: the field run that opens each query payload kind (a live header is
+#: one run), picked by the kind byte
+_QUERY_RUNS = {QUERY_LIVE: "!BIIIQ", QUERY_PACKED: "!BII", QUERY_DENSE: "!BII"}
 
 
 def read_queries(r: PayloadReader, version: int):
     """Inverse of :func:`write_queries`: a LiveHV, PackedHV or f32 array.
 
-    The kind byte picks the payload's opening field run (a live
-    header is one run).  Each check of the peer's bytes runs once,
-    here; the batch is then built without its constructor's (equal)
-    checks.
+    Each check of the peer's bytes runs once, here; the batch is then
+    built without its constructor's (equal) checks.
     """
     kind = r.peek()
-    if kind == QUERY_LIVE:
-        if version < 5:
-            raise ProtocolError(
-                f"live query payloads require protocol v5, got a "
-                f"v{version} frame"
-            )
-        _, n, d, n_live, digest = r.unpack("!BIIIQ")
-        _batch_shape(n, d)
-        if n_live > d:
-            raise ProtocolError(f"n_live={n_live} exceeds d={d}")
-        words = r.array((n, -(-n_live // WORD_BITS)), U64)
-        tail = n_live % WORD_BITS
-        # A list max: cheaper than a NumPy reduce on batches this size.
-        if tail and max(words[:, -1].tolist()) >> tail:
-            raise ProtocolError(
-                f"live words have bits set past n_live={n_live}"
-            )
-        return unchecked(
-            LiveHV, words=words, d=d, n_live=n_live, digest=digest
-        )
-    if kind != QUERY_PACKED and kind != QUERY_DENSE:
+    if kind not in _QUERY_RUNS:
         raise ProtocolError(f"unknown query payload kind {kind}")
-    _, n, d = r.unpack("!BII")
-    _batch_shape(n, d)
+    if kind == QUERY_LIVE and version < 5:
+        raise ProtocolError(
+            f"live query payloads require protocol v5, got a "
+            f"v{version} frame"
+        )
+    _, n, d, *live = r.unpack(_QUERY_RUNS[kind])
+    if n == 0 or d == 0:
+        raise ProtocolError(f"empty query batch on the wire (n={n}, d={d})")
     if kind == QUERY_DENSE:
         return r.array((n, d), F32)
-    shape = (n, n_words(d))
-    return unchecked(
-        PackedHV, signs=r.array(shape, U64), mags=r.array(shape, U64),
-        d=d, live=None, core=None,
-    )
+    if kind == QUERY_PACKED:
+        shape = (n, n_words(d))
+        return unchecked(
+            PackedHV, signs=r.array(shape, U64), mags=r.array(shape, U64),
+            d=d, live=None, core=None,
+        )
+    n_live, digest = live
+    if n_live > d:
+        raise ProtocolError(f"n_live={n_live} exceeds d={d}")
+    words = r.array((n, n_words(n_live)), U64)
+    tail = n_live % WORD_BITS
+    # A list max: cheaper than a NumPy reduce on batches this size.
+    if tail and max(words[:, -1].tolist()) >> tail:
+        raise ProtocolError(f"live words have bits set past n_live={n_live}")
+    return unchecked(LiveHV, words=words, d=d, n_live=n_live, digest=digest)
