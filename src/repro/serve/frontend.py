@@ -683,11 +683,13 @@ class _Connection(asyncio.BufferedProtocol):
     # -- writing -------------------------------------------------------------
     def _answer(self, future, record) -> None:
         """Reply with a resolved scoring future's response or error."""
-        try:
-            reply = future.result()
-        except Exception as exc:  # noqa: BLE001 — a typed wire error
-            reply = self.frontend._error_reply(exc, record.request_id)
-        self._reply(reply, record)
+        exc = future.exception()
+        if exc is None:
+            self._reply(future.result(), record)
+        else:
+            self._reply(
+                self.frontend._error_reply(exc, record.request_id), record
+            )
 
     def _reply(self, message, record=None) -> None:
         """Queue a reply for the next :meth:`_flush`, or apply a fault.
