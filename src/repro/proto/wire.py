@@ -225,7 +225,7 @@ def decode_header(
     return _checked_header(header, 0, max_frame_bytes)
 
 
-def _checked_header(buf, pos: int, max_frame_bytes: int) -> tuple[int, int, int]:
+def _checked_header(buf, pos: int, max_frame_bytes: int) -> tuple:
     """The header at ``buf[pos:pos + 8]`` as ``(version, frame_type,
     length)``, refusing bad magic and oversize lengths."""
     magic, version, frame_type, length = _HEADER.unpack_from(buf, pos)

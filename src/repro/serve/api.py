@@ -371,7 +371,8 @@ class ServingAPI:
         model = key[2] if key[0] == "tenant" else None
         method, n_live = key[-1].removesuffix("_live"), key[-2]
         one_row = len(counts) == len(rows)  # every request a single row
-        heads = rows[:, -2:] if one_row else rows[counts.cumsum() - counts, -2:]
+        firsts = slice(None) if one_row else counts.cumsum() - counts
+        heads = rows[firsts, -2:]
         slots: dict[tuple, int] = {}  # support (digest, tenant index) -> slot
         slot_of = [
             slots.setdefault(support, len(slots))
@@ -406,13 +407,12 @@ class ServingAPI:
                 )
             else:
                 member = {slot: u for u, slot in enumerate(unit)}
-                chosen = [r for r, slot in enumerate(slot_of) if slot in member]
+                chosen = [r for r, s in enumerate(slot_of) if s in member]
                 tenant_of_row = [member[slot_of[r]] for r in chosen]
                 keep = np.zeros(len(counts), dtype=bool)
                 keep[chosen] = True
                 sizes = counts[keep]
                 words = rows[keep if one_row else np.repeat(keep, counts), :-2]
-            _, engine, _ = fates[unit[0]]
             if len(unit) > 1:
                 scores = fused_tenant_scores(
                     words,
@@ -424,6 +424,7 @@ class ServingAPI:
                 )
                 result = scores if method == "scores" else scores.argmax(1)
             else:
+                _, engine, _ = fates[unit[0]]
                 result = getattr(engine, method)(
                     LiveHV(words, engine.d_hv, n_live, supports[unit[0]][0])
                 )

@@ -170,7 +170,7 @@ def _core_rows(n, seed=2):
     return obfuscator.prepare_packed(X, words="core")
 
 
-#: the frames the fuzz tests mutate: (id, message, protocol version)
+#: the frames the fuzz tests mutate: id -> (message, protocol version)
 _FUZZ_FRAMES = {
     "v6_planes": lambda: (
         ScoreRequest(queries=_packed(), model="m", request_id=3), 6
