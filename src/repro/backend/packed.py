@@ -96,6 +96,8 @@ __all__ = [
     "expand_live",
     "support_digest",
     "support_of",
+    "keep_support",
+    "keep_of",
     "xor_dot_rows",
 ]
 
@@ -276,6 +278,26 @@ def support_of(keep: np.ndarray) -> tuple[np.ndarray, int]:
     """
     support = pack_sign_planes(np.asarray(keep, dtype=bool))[0]
     return support, support_digest(support)
+
+
+def keep_support(keep: np.ndarray, d: int) -> np.ndarray:
+    """The support plane of a ``(d,)`` keep mask, packed read-only; a
+    ``(⌈d/64⌉,)`` uint64 plane is taken as it is."""
+    keep = np.asarray(keep)
+    if keep.dtype == np.uint64 and keep.shape == (n_words(d),):
+        return keep
+    if keep.shape != (d,):
+        raise ValueError(f"keep_mask must have shape ({d},), got {keep.shape}")
+    support = support_of(keep)[0]
+    support.flags.writeable = False
+    return support
+
+
+def keep_of(support: np.ndarray, d: int) -> np.ndarray:
+    """The read-only ``(d,)`` bool keep mask a support plane packs."""
+    keep = unpack_bit_planes(support[None], d)[0].view(bool)
+    keep.flags.writeable = False
+    return keep
 
 
 def _frozen(arr: np.ndarray) -> np.ndarray:

@@ -523,30 +523,20 @@ class ServingAPI:
     def _info(described, request_id: int = 0) -> ModelInfo:
         engine = described.engine
         artifact = described.artifact
-        if artifact is not None:
-            n_live = artifact.n_live_dims
-            quantizer = artifact.query_quantizer
-            epsilon = artifact.epsilon
-            mask_seed = artifact.mask_seed
-        else:
-            mask = engine.keep_mask
-            n_live = engine.d_hv if mask is None else int(mask.sum())
-            quantizer = (
-                engine.quantizer.name if engine.quantizer is not None else None
-            )
-            epsilon = float("inf")
-            mask_seed = None
+        quantizer = None if engine.quantizer is None else engine.quantizer.name
         core = engine.prepared.store.core if engine.live_in_place else None
         return ModelInfo(
             name=described.name,
             version=described.version,
             n_classes=engine.n_classes,
             d_hv=engine.d_hv,
-            n_live_dims=n_live,
+            n_live_dims=engine.n_live if engine.pruned else engine.d_hv,
             backend=engine.backend.name,
-            query_quantizer=quantizer,
-            epsilon=epsilon,
-            mask_seed=mask_seed,
+            query_quantizer=(
+                quantizer if artifact is None else artifact.query_quantizer
+            ),
+            epsilon=float("inf") if artifact is None else artifact.epsilon,
+            mask_seed=None if artifact is None else artifact.mask_seed,
             request_id=request_id,
             core_digest=None if core is None else core.digest,
         )

@@ -70,7 +70,7 @@ import json
 import math
 import tokenize
 import zipfile
-from dataclasses import dataclass, field
+from dataclasses import InitVar, dataclass, field
 from functools import cached_property
 from pathlib import Path
 
@@ -80,7 +80,10 @@ from repro.backend import Backend, PackedBackend, PackedHV, get_backend
 from repro.backend.packed import (
     WORD_BITS,
     LiveStore,
+    _frozen,
     compact_store,
+    keep_of,
+    keep_support,
     n_words,
     pack_hypervectors,
     popcount,
@@ -137,13 +140,6 @@ def _tensor_spec(arr: np.ndarray) -> dict:
         "dtype": str(arr.dtype),
         "sha256": _checksum(arr),
     }
-
-
-def _frozen_copy(arr: np.ndarray) -> np.ndarray:
-    """An aligned, read-only heap copy of ``arr``."""
-    out = np.array(arr, order="C", subok=False)
-    out.flags.writeable = False
-    return out
 
 
 def _tensor_entry(declared: dict, name: str) -> dict | None:
@@ -342,7 +338,9 @@ class ModelArtifact:
         recorded at build time; :meth:`engine` uses it unless
         overridden, and it decides the stored representation.
     keep_mask:
-        Live-dimension mask of a pruned model, or ``None``.
+        Live-dimension mask of a pruned model (``(d_hv,)`` bool, or its
+        packed plane), or ``None``.  Held only as :attr:`support`;
+        reading ``keep_mask`` unpacks it anew.
     mask_seed:
         The deployment seed the keep-mask was drawn from
         (:func:`repro.hd.prune.mask_from_seed` /
@@ -374,21 +372,25 @@ class ModelArtifact:
         dtype of the dense store (what :attr:`class_hvs` unpacks to);
         taken from a dense ``store``, ``float32`` when planes come
         without one.
+    support:
+        The keep mask's read-only ``(⌈d_hv/64⌉,)`` uint64 plane (the
+        store's own when equal), ``None`` when unpruned.
     """
 
     store: np.ndarray | PackedHV | LiveStore
     query_quantizer: str | None = None
     store_quantizer: str | None = None
     backend: str = "dense"
-    keep_mask: np.ndarray | None = None
+    keep_mask: InitVar[np.ndarray | None] = None
     mask_seed: int | None = None
     encoder_config: dict | None = None
     privacy: dict | None = None
     metadata: dict = field(default_factory=dict)
     format_version: int = ARTIFACT_FORMAT_VERSION
     store_dtype: np.dtype | str | None = None
+    support: np.ndarray | None = field(default=None, init=False, repr=False)
 
-    def __post_init__(self):
+    def __post_init__(self, keep_mask):
         _check_certificate(self.privacy)
         try:
             packed_layout = isinstance(get_backend(self.backend), PackedBackend)
@@ -418,18 +420,16 @@ class ModelArtifact:
             store = compact_store(store)
         object.__setattr__(self, "store", store)
         object.__setattr__(self, "store_dtype", dtype)
-        if self.keep_mask is not None:
-            keep = np.asarray(self.keep_mask, dtype=bool)
-            if keep.shape != (self.d_hv,):
-                raise ArtifactError(
-                    f"keep_mask must have shape ({self.d_hv},), "
-                    f"got {keep.shape}"
-                )
-            object.__setattr__(self, "keep_mask", keep)
-        if self.mask_seed is not None and self.keep_mask is None:
-            raise ArtifactError(
-                "mask_seed makes no sense without a keep_mask"
-            )
+        if keep_mask is not None:
+            try:
+                support = keep_support(keep_mask, self.d_hv)
+            except ValueError as exc:
+                raise ArtifactError(str(exc)) from exc
+            if np.array_equal(getattr(store, "support", None), support):
+                support = store.support
+            object.__setattr__(self, "support", support)
+        if self.mask_seed is not None and self.support is None:
+            raise ArtifactError("mask_seed makes no sense without a keep_mask")
 
     # ------------------------------------------------------------------
     @property
@@ -470,9 +470,9 @@ class ModelArtifact:
     @property
     def n_live_dims(self) -> int:
         """Dimensions that survived pruning (= ``d_hv`` when unpruned)."""
-        if self.keep_mask is None:
+        if self.support is None:
             return self.d_hv
-        return int(self.keep_mask.sum())
+        return int(popcount(self.support).sum())
 
     @property
     def epsilon(self) -> float:
@@ -551,8 +551,6 @@ class ModelArtifact:
                         "given keep_mask; clients handed this seed would "
                         "mask the wrong dimensions"
                     )
-        elif mask_seed is not None:
-            raise ArtifactError("mask_seed makes no sense without a keep_mask")
         be = get_backend(backend)
         if not be.supports(class_hvs):
             raise ArtifactError(
@@ -593,7 +591,7 @@ class ModelArtifact:
             arrays = {"signs": store.signs, "mags": store.mags}
         else:
             arrays = {"class_hvs": self.store}
-        if self.keep_mask is not None:
+        if self.support is not None:
             arrays["keep_mask"] = self.keep_mask
         core = getattr(self.store, "core", None)
         if core is not None:
@@ -735,7 +733,7 @@ class ModelArtifact:
                     f"tensor {name!r} is missing from {TENSORS_FILENAME}"
                 )
             if name != "class_hvs":
-                arr = _frozen_copy(arr)
+                arr = _frozen(arr)
             if spec is None:
                 raise ArtifactError(
                     f"tensor {name!r} has no entry in the manifest"
@@ -841,7 +839,7 @@ class ModelArtifact:
             encode_workers=encode_workers,
             chunk_size=chunk_size,
             store_is_quantized=True,
-            keep_mask=self.keep_mask,
+            keep_mask=self.support,
         )
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
@@ -851,6 +849,17 @@ class ModelArtifact:
             f"backend={self.backend!r}, "
             f"query_quantizer={self.query_quantizer!r}, privacy={eps})"
         )
+
+
+def _keep_mask(self) -> np.ndarray | None:
+    """The read-only ``(d_hv,)`` bool keep mask, unpacked anew from
+    :attr:`support` on each read (``None`` when unpruned)."""
+    return None if self.support is None else keep_of(self.support, self.d_hv)
+
+
+# Set after the class is made: the dataclass takes ``keep_mask`` as an
+# init-only argument defaulting to ``None``.
+ModelArtifact.keep_mask = property(_keep_mask)
 
 
 def load_artifact(path: str | Path) -> ModelArtifact:

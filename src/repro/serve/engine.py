@@ -29,8 +29,10 @@ from repro.backend.packed import (
     LiveHV,
     LiveStore,
     expand_live,
+    keep_of,
+    keep_support,
     popcount,
-    support_of,
+    support_digest,
 )
 from repro.hd.encode_pipeline import EncodePipeline
 from repro.hd.encoder import Encoder
@@ -38,7 +40,12 @@ from repro.hd.model import HDModel
 from repro.hd.quantize import MaskedQuantizer, get_quantizer
 from repro.utils.validation import check_labels, check_positive_int
 
-__all__ = ["InferenceEngine"]
+__all__ = ["InferenceEngine", "MODEL_OBJECT_NBYTES"]
+
+#: Bytes the objects around a resident model's arrays hold (registry entry,
+#: artifact, engine, store wrappers): 3.7-5.9 KB per fleet tenant under
+#: ``tracemalloc`` (CPython 3.11, d_hv=10,000, with or without an encoder).
+MODEL_OBJECT_NBYTES = 4096
 
 
 class InferenceEngine:
@@ -85,7 +92,8 @@ class InferenceEngine:
         quantile quantizer to its own output is not idempotent in
         general), while ``quantizer`` still shapes raw-feature queries.
     keep_mask:
-        Live-dimension mask of a pruned (§III-B) model.  Raw-feature
+        Live-dimension mask of a pruned (§III-B) model (``(d_hv,)`` bool,
+        or its packed plane), held only as :attr:`support`.  Raw-feature
         queries are quantized over the live dimensions only and zeroed
         elsewhere — the exact training-time query pipeline
         (:class:`~repro.hd.quantize.MaskedQuantizer`).  Encoded-query
@@ -97,8 +105,9 @@ class InferenceEngine:
 
     Attributes
     ----------
-    support, support_digest, n_live:
-        The served support plane, its digest and its popcount.
+    pruned, support, support_digest, n_live:
+        Whether a ``keep_mask`` was given; the served support plane (its
+        plane, if given), its digest and its popcount.
     live_in_place:
         Whether live queries score against the store as they are: the
         store is held as live words on :attr:`support`.  Otherwise they
@@ -144,14 +153,7 @@ class InferenceEngine:
             self.d_hv = model.d_hv
             class_hvs = model.class_hvs
         self.store_is_quantized = bool(store_is_quantized)
-        if keep_mask is not None:
-            keep_mask = np.asarray(keep_mask, dtype=bool)
-            if keep_mask.shape != (self.d_hv,):
-                raise ValueError(
-                    f"keep_mask must have shape ({self.d_hv},), "
-                    f"got {keep_mask.shape}"
-                )
-        self.keep_mask = keep_mask
+        self.pruned = keep_mask is not None
         self.encode_pipeline = None
         if encoder is not None:
             if encoder.d_hv != self.d_hv:
@@ -175,18 +177,16 @@ class InferenceEngine:
             )
         self.prepared = self.backend.prepare_class_store(class_hvs)
         store = self.prepared.store
-        if isinstance(store, LiveStore) and keep_mask is None:
-            self.support, self.support_digest = store.support, store.digest
-        else:
-            self.support, self.support_digest = support_of(
-                np.ones(self.d_hv, dtype=bool) if keep_mask is None
-                else keep_mask
-            )
-        self.n_live = int(popcount(self.support).sum())
+        if keep_mask is None:  # a LiveStore's support, else every dimension
+            keep_mask = getattr(store, "support", np.ones(self.d_hv, bool))
+        support = keep_support(keep_mask, self.d_hv)
+        self.support_digest = support_digest(support)
         self.live_in_place = (
             isinstance(store, LiveStore)
             and store.digest == self.support_digest
         )
+        self.support = store.support if self.live_in_place else support
+        self.n_live = int(popcount(self.support).sum())
         self.coalesce_key = None
         if self.live_in_place:
             self.coalesce_key = (
@@ -207,6 +207,15 @@ class InferenceEngine:
     def store_nbytes(self) -> int:
         """Bytes held by the prepared class store."""
         return int(self.prepared.store.nbytes)
+
+    @property
+    def resident_nbytes(self) -> int:
+        """A fleet tenant's charge: the prepared store, its norms, a
+        support plane held apart from it and :data:`MODEL_OBJECT_NBYTES`."""
+        held = self.store_nbytes + self.prepared.norms.nbytes
+        if self.support is not getattr(self.prepared.store, "support", None):
+            held += self.support.nbytes
+        return held + MODEL_OBJECT_NBYTES
 
     def held_on(self, digest: int, n_live: int):
         """The class store live words on that support score against.
@@ -290,10 +299,10 @@ class InferenceEngine:
         configured quantizer itself otherwise, ``None`` when neither is
         set.
         """
-        if self.keep_mask is None:
+        if not self.pruned:
             return self.quantizer
         return MaskedQuantizer(
-            get_quantizer(self.quantizer), self.keep_mask
+            get_quantizer(self.quantizer), keep_of(self.support, self.d_hv)
         )
 
     def _feature_stream(self, X: np.ndarray):

@@ -96,12 +96,12 @@ class FleetStats:
     resident_models:
         Tenants whose engine is currently in memory.
     resident_bytes:
-        Bytes held by the resident tenants' prepared class stores
-        (:attr:`~repro.backend.packed.LiveStore.nbytes`: live words plus
-        one magnitude row for a store whose rows share one, both planes
-        otherwise; serving engines hold no codebooks), the quantity the
+        Bytes the resident tenants keep
+        (:attr:`~repro.serve.InferenceEngine.resident_nbytes`: the
+        prepared class store, its norms and its objects; no codebooks,
+        and the keep mask as its support plane only), the quantity the
         LRU budget bounds.  Only each resident tenant's *current
-        default-model* store is charged: earlier versions a
+        default-model* engine is charged: earlier versions a
         :class:`~repro.serve.ModelRegistry` keeps in memory for rollback
         are held uncharged until :meth:`~repro.serve.ModelRegistry.retire`
         frees them.  A tenant's hot-swap is charged at its next request
@@ -289,7 +289,7 @@ class ModelFleet:
     Parameters
     ----------
     cache_bytes:
-        Budget for the bytes resident class stores hold (``None`` =
+        Budget for the bytes resident tenants keep (``None`` =
         unbounded); see :attr:`FleetStats.resident_bytes`.  A
         single tenant is always allowed residency even if it alone
         exceeds the budget — a budget that can serve nothing is a
@@ -507,13 +507,14 @@ class ModelFleet:
         self._charge(record)
 
     def _charge(self, record: _Tenant) -> None:
-        """Charge a resident tenant its default engine's store bytes, then
+        """Charge a resident tenant what its default engine keeps resident
+        (:attr:`~repro.serve.InferenceEngine.resident_nbytes`), then
         evict to budget (lock held by caller)."""
         try:
             engine = record.registry.describe(record.model_name()).engine
         except (KeyError, ValueError):
             engine = None
-        charge = 0 if engine is None else int(engine.store_nbytes)
+        charge = 0 if engine is None else engine.resident_nbytes
         self._resident_bytes += charge - record.resident_bytes
         record.resident_bytes = charge
         record.engine = engine

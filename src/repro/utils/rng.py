@@ -19,7 +19,8 @@ from typing import Union
 
 import numpy as np
 
-RngLike = Union[int, None, np.random.Generator]
+# A string: a process that never draws (the server) never loads numpy.random.
+RngLike = Union[int, None, "np.random.Generator"]
 
 __all__ = ["spawn", "derive_seed", "ensure_generator"]
 

@@ -542,3 +542,22 @@ class TestXorDotAccumulator:
             got = packed_mod.xor_dot_rows(pa.signs, pb.signs, base)
             np.testing.assert_array_equal(got, (a @ b.T).astype(np.int64))
             assert got.dtype == np.int64
+
+
+class TestKeepSupport:
+    @pytest.mark.parametrize("d", EDGE_DIMS)
+    def test_round_trips_a_keep_mask(self, d):
+        """A keep mask packs to a read-only plane that unpacks to it; the
+        plane itself is taken as it is."""
+        keep = spawn(d, "keep-support").random(d) < 0.5
+        support = packed_mod.keep_support(keep, d)
+        assert support.dtype == np.uint64 and not support.flags.writeable
+        assert int(popcount(support).sum()) == int(keep.sum())
+        assert packed_mod.keep_support(support, d) is support
+        again = packed_mod.keep_of(support, d)
+        assert again.dtype == bool and not again.flags.writeable
+        np.testing.assert_array_equal(again, keep)
+
+    def test_refuses_a_mask_of_another_width(self):
+        with pytest.raises(ValueError, match="keep_mask must have shape"):
+            packed_mod.keep_support(np.ones(99, dtype=bool), 100)

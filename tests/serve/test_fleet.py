@@ -57,6 +57,7 @@ from repro.serve import (
     fused_tenant_scores,
 )
 from repro.serve.artifact import ArtifactError
+from repro.serve.engine import MODEL_OBJECT_NBYTES
 from repro.utils import spawn
 
 D_HV, N_CLASSES = 512, 5
@@ -397,7 +398,7 @@ class TestModelFleet:
             assert all(reg is registries[0] for reg in registries)
         resident = fleet.resident_registries()
         assert stats.resident_bytes == sum(
-            reg.describe(record.model).engine.store_nbytes
+            reg.describe(record.model).engine.resident_nbytes
             for record, reg in resident
         )
         assert len({record.name for record, _ in resident}) == len(resident)
@@ -441,8 +442,12 @@ class TestHeldMagnitudePlane:
             ).save(root / name)
         plane = N_CLASSES * WORDS * 8
         live = N_CLASSES * n_words(keep.sum()) * 8
-        expect = {"bipolar": plane + WORDS * 8, "masked": live + WORDS * 8,
-                  "ternary": 2 * plane}
+        # Every engine adds its norms and its objects; the ternary one
+        # also holds its all-dimensions support plane apart from the store.
+        fixed = N_CLASSES * 8 + MODEL_OBJECT_NBYTES
+        expect = {"bipolar": plane + WORDS * 8 + fixed,
+                  "masked": live + WORDS * 8 + fixed,
+                  "ternary": 2 * plane + WORDS * 8 + fixed}
         fleet = ModelFleet.from_dir(root)
         for name, charge in expect.items():
             before = fleet.stats().resident_bytes
@@ -453,7 +458,10 @@ class TestHeldMagnitudePlane:
         k = 4
         names = [f"t{i}" for i in range(2 * k)]
         root = _save_fleet_dir(tmp_path, names)
-        budget = k * (N_CLASSES * WORDS * 8 + WORDS * 8)
+        budget = k * (
+            N_CLASSES * WORDS * 8 + WORDS * 8 + N_CLASSES * 8
+            + MODEL_OBJECT_NBYTES
+        )
         fleet = ModelFleet.from_dir(root, cache_bytes=budget)
         for name in names:
             fleet.resolve(name)
@@ -964,7 +972,7 @@ class TestHotSwapRegroups:
                 getattr(got[tenant], field), expected
             )
         assert fleet.stats().resident_bytes == sum(
-            registry.describe(record.model_name()).engine.store_nbytes
+            registry.describe(record.model_name()).engine.resident_nbytes
             for record, registry in fleet.resident_registries()
         )
 
@@ -1020,7 +1028,7 @@ class TestHotSwapRegroups:
             fleet.registry_for("b").publish("model", bigger)
             api.predict(_queries(1), tenant="b")
         assert fleet.resident_tenants() == ("b",)
-        assert fleet.stats().resident_bytes == bigger.engine().store_nbytes
+        assert fleet.stats().resident_bytes == bigger.engine().resident_nbytes
 
     def test_rollback_versions_are_not_charged(self):
         """The budget charges a tenant its current default-model store
@@ -1040,8 +1048,8 @@ class TestHotSwapRegroups:
         ]
         assert len(held) == 4
         current = registry.describe("model").engine
-        assert fleet.stats().resident_bytes == current.store_nbytes
-        assert sum(e.store_nbytes for e in held) == 4 * current.store_nbytes
+        assert fleet.stats().resident_bytes == current.resident_nbytes
+        assert sum(e.resident_nbytes for e in held) == 4 * current.resident_nbytes
 
     def test_single_artifact_stats_follow_a_swap(self):
         with ServingAPI.from_artifact(
@@ -1056,7 +1064,7 @@ class TestHotSwapRegroups:
                 swapped.engine().predict(queries.unpack(np.float32)),
             )
             stats = api.stats()["fleet"]
-        assert stats["resident_bytes"] == swapped.engine().store_nbytes
+        assert stats["resident_bytes"] == swapped.engine().resident_nbytes
 
     def test_swap_to_dense_stores_between_submit_and_flush(self):
         """A group flush whose every tenant now holds a dense store
@@ -1257,14 +1265,10 @@ class TestHotSwapRegroups:
         assert fleet.stats().resident_bytes == 0
 
 
-@pytest.fixture(scope="module")
-def encoder_fleet_dir(tmp_path_factory):
-    """Eight tenants whose manifests record a level-base encoder at
-    d_hv=10,000: ISOLET-shaped (617 features, 26 classes), §III-C
+def _paper_fleet(root, encoder):
+    """Eight ISOLET-shaped tenants (26 classes) at d_hv=10,000, §III-C
     masked to 5,000 live dimensions, as deployed."""
-    root = tmp_path_factory.mktemp("encoder-fleet")
     d_hv, n_classes = 10_000, 26
-    encoder = LevelBaseEncoder(617, d_hv, seed=5)
     keep = mask_from_seed(d_hv, d_hv // 2, 7)
     rng = spawn(4, "encoder-fleet")
     for i in range(8):
@@ -1278,27 +1282,51 @@ def encoder_fleet_dir(tmp_path_factory):
     return root
 
 
+@pytest.fixture(scope="module")
+def encoder_fleet_dir(tmp_path_factory):
+    """The paper fleet with a level-base encoder (617 features) recorded
+    in every manifest."""
+    return _paper_fleet(
+        tmp_path_factory.mktemp("encoder-fleet"),
+        LevelBaseEncoder(617, 10_000, seed=5),
+    )
+
+
+def _held_over_charged(root) -> float:
+    """Bytes every tenant of ``root`` holds once resident, under
+    ``tracemalloc``, over the fleet's charge for them."""
+    # One admission elsewhere first: process-wide caches fill once.
+    ModelFleet.from_dir(root).resolve("t0")
+    fleet = ModelFleet.from_dir(root)
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        for name in fleet.tenants():
+            fleet.resolve(name)
+        gc.collect()
+        held = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    stats = fleet.stats()
+    assert stats.resident_models == 8
+    return held / stats.resident_bytes
+
+
 class TestTenantsHoldNoCodebooks:
     """Serving engines never build the codebooks a manifest records:
     clients encode, so a tenant holds what it is charged."""
 
     def test_tenants_hold_what_they_are_charged(self, encoder_fleet_dir):
-        # One admission elsewhere first: process-wide caches fill once.
-        ModelFleet.from_dir(encoder_fleet_dir).resolve("t0")
-        fleet = ModelFleet.from_dir(encoder_fleet_dir)
-        gc.collect()
-        tracemalloc.start()
-        try:
-            before = tracemalloc.get_traced_memory()[0]
-            for name in fleet.tenants():
-                fleet.resolve(name)
-            gc.collect()
-            held = tracemalloc.get_traced_memory()[0] - before
-        finally:
-            tracemalloc.stop()
-        stats = fleet.stats()
-        assert stats.resident_models == 8
-        assert 0 < held <= 2 * stats.resident_bytes
+        """A masked level-base tenant keeps its keep mask only as the
+        store's support plane, so it holds within 10% of its charge."""
+        assert 1 / 1.1 <= _held_over_charged(encoder_fleet_dir) <= 1.1
+
+    def test_encoder_free_tenants_hold_what_they_are_charged(self, tmp_path):
+        """The same within 10% for the masked tenants of a fleet of
+        manifests without an encoder."""
+        root = _paper_fleet(tmp_path / "fleet", None)
+        assert 1 / 1.1 <= _held_over_charged(root) <= 1.1
 
     def test_no_serving_engine_has_an_encoder(self, encoder_fleet_dir):
         path = encoder_fleet_dir / "t0"
@@ -1594,7 +1622,7 @@ def test_fleet_state_machine(tmp_path, monkeypatch):
         @invariant()
         def resident_bytes_are_the_resident_stores(self):
             stores = sum(
-                registry.describe(record.model).engine.store_nbytes
+                registry.describe(record.model).engine.resident_nbytes
                 for record, registry in self.fleet.resident_registries()
             )
             assert self.fleet.stats().resident_bytes == stores
