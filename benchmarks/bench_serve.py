@@ -559,6 +559,26 @@ def _fleet_ledger_leg(d_hv: int, rows: int):
     return fleet, frames, want
 
 
+def _counted_stats(api, sent: int, label: str, timeout_s: float = 5.0) -> dict:
+    """``api.stats()`` once its ledger counts the ``sent`` requests of a leg.
+
+    The frontend closes a reply's record after its write returns, so a
+    client can hold its last reply before the ledger counts it.  Raises
+    when the count overshoots, or falls short after ``timeout_s``.
+    """
+    deadline = time.monotonic() + timeout_s
+    while True:
+        stats = api.stats()
+        counted = stats["stages"]["request"]["count"]
+        if counted == sent:
+            return stats
+        if counted > sent or time.monotonic() > deadline:
+            raise AssertionError(
+                f"ledger leg {label}: counted {counted} of {sent} requests"
+            )
+        time.sleep(0.001)
+
+
 def run_latency_ledger(d_hv: int, *, rows: int, batch_frames: int) -> dict:
     """The server's per-stage latency, read from its own ledger.
 
@@ -568,7 +588,8 @@ def run_latency_ledger(d_hv: int, *, rows: int, batch_frames: int) -> dict:
     :data:`FLEET_LEDGER_TENANTS` tenants of one coalesce group,
     :data:`FLEET_LEDGER_WINDOW` in flight (the fleet's, scored by the
     fused kernel); each against a fresh server.  Raises unless every
-    answer equals its tenant's offline engine's.
+    answer equals its tenant's offline engine's and each leg's ledger
+    counts the requests it sent.
     """
     artifact, block = _core_block(d_hv, rows)
     want = artifact.engine().predict(PackedHV(block.signs, block.mags, block.d))
@@ -603,14 +624,15 @@ def run_latency_ledger(d_hv: int, *, rows: int, batch_frames: int) -> dict:
         return np.concatenate([r.predictions for r in replies])
 
     legs = {
-        "v6_core_single": (single, want, None),
+        "v6_core_single": (single, want, None, rows),
         "v2_batch_32": (
             batched, np.concatenate([want[s : s + 32] for s in starts]), None,
+            batch_frames,
         ),
-        "v6_fleet_single": (fleet_group, fleet_want, fleet),
+        "v6_fleet_single": (fleet_group, fleet_want, fleet, len(fleet_frames)),
     }
     out = {"d_hv": d_hv}
-    for label, (drive, expected, served) in legs.items():
+    for label, (drive, expected, served, sent) in legs.items():
         api = (
             ServingAPI.from_artifact(artifact, name="ledger")
             if served is None else ServingAPI(served)
@@ -619,7 +641,7 @@ def run_latency_ledger(d_hv: int, *, rows: int, batch_frames: int) -> dict:
             got = drive(handle.address)
             if not np.array_equal(got, expected):
                 raise AssertionError(f"ledger leg {label}: answers diverged")
-            stats = api.stats()
+            stats = _counted_stats(api, sent, label)
             out[label] = _ledger_leg(stats["stages"])
         if served is not None:
             flushes = sum(s["flushes"] for s in stats["schedulers"].values())
