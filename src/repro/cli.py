@@ -476,7 +476,7 @@ def _run_serve_listen(args) -> int:
     LRU artifact cache bounded by ``--cache-bytes``; clients address
     tenants with ``client --tenant NAME`` (protocol v4).
     """
-    from repro.client import parse_address
+    from repro.proto import parse_address
     from repro.serve import (
         FrontendConfig,
         ModelFleet,

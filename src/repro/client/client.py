@@ -56,7 +56,7 @@ from repro.proto.messages import (
     Welcome,
     decode_message,
 )
-from repro.proto.session import WireSession, sendmsg_all
+from repro.proto.session import WireSession, parse_address, sendmsg_all
 from repro.proto.wire import (
     DEFAULT_MAX_FRAME_BYTES,
     SUPPORTED_VERSIONS,
@@ -93,19 +93,6 @@ class ServerError(RuntimeError):
     def retryable(self) -> bool:
         """True when backing off and retrying the request can succeed."""
         return self.reply.retryable
-
-
-def parse_address(address: str | tuple[str, int]) -> tuple[str, int]:
-    """``"host:port"`` (or an already-split tuple) → ``(host, port)``."""
-    if isinstance(address, tuple):
-        host, port = address
-        return str(host), int(port)
-    host, sep, port = str(address).rpartition(":")
-    if not sep or not host:
-        raise ValueError(
-            f"address must look like 'host:port', got {address!r}"
-        )
-    return host, int(port)
 
 
 class PriveHDClient:

@@ -10,48 +10,39 @@
 * :mod:`repro.core.inference_privacy` — query quantization + masking for
   untrusted-host inference (§III-C);
 * :mod:`repro.core.pipeline` — the :class:`PriveHD` facade.
+
+Each name loads its submodule on first use: a serving process that
+checks a certificate's σ reaches :mod:`repro.core.privacy` alone.
 """
 
-from repro.core.audit import (
-    InferenceAudit,
-    TrainingAudit,
-    audit_inference_privacy,
-    audit_training_privacy,
-)
-from repro.core.dp_trainer import (
-    DPTrainer,
-    DPTrainingConfig,
-    DPTrainingResult,
-    quantize_masked,
-)
-from repro.core.inference_privacy import (
-    InferenceObfuscator,
-    LeakageReport,
-    ObfuscationConfig,
-)
-from repro.core.mechanism import (
-    GaussianMechanism,
-    LaplaceMechanism,
-    PrivatizedModel,
-)
-from repro.core.pipeline import PriveHD
-from repro.core.privacy import (
-    PrivacyBudget,
-    delta_for_sigma,
-    epsilon_for_sigma,
-    gaussian_noise_std,
-    laplace_noise_scale,
-    sigma_for_budget,
-)
-from repro.core.sensitivity import (
-    SensitivityReport,
-    empirical_l1_sensitivity,
-    empirical_l2_sensitivity,
-    l1_sensitivity_full,
-    l2_sensitivity_full,
-    l2_sensitivity_quantized,
-    sensitivity_report,
-)
+from repro import _lazy_exports
+
+__getattr__, __dir__ = _lazy_exports(__name__, {
+    "repro.core.audit": (
+        "InferenceAudit", "TrainingAudit", "audit_inference_privacy",
+        "audit_training_privacy",
+    ),
+    "repro.core.dp_trainer": (
+        "DPTrainer", "DPTrainingConfig", "DPTrainingResult", "quantize_masked",
+    ),
+    "repro.core.inference_privacy": (
+        "InferenceObfuscator", "LeakageReport", "ObfuscationConfig",
+    ),
+    "repro.core.mechanism": (
+        "GaussianMechanism", "LaplaceMechanism", "PrivatizedModel",
+    ),
+    "repro.core.pipeline": ("PriveHD",),
+    "repro.core.privacy": (
+        "PrivacyBudget", "delta_for_sigma", "epsilon_for_sigma",
+        "gaussian_noise_std", "laplace_noise_scale", "sigma_for_budget",
+    ),
+    "repro.core.sensitivity": (
+        "SensitivityReport", "empirical_l1_sensitivity",
+        "empirical_l2_sensitivity", "l1_sensitivity_full",
+        "l2_sensitivity_full", "l2_sensitivity_quantized", "sensitivity_report",
+    ),
+})
+del _lazy_exports
 
 __all__ = [
     "PriveHD",

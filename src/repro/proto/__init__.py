@@ -16,7 +16,8 @@ hypervectors.
   :class:`ErrorReply`, handshake :class:`Hello`/:class:`Welcome`) and
   their exact round-tripping codecs;
 * :mod:`repro.proto.session` — the sans-io :class:`WireSession` state
-  machine (handshake → framed steady state) both transports run on.
+  machine (handshake → framed steady state) both transports run on,
+  and the ``host:port`` parsing both ends of a socket share.
 """
 
 from repro.proto.messages import (
@@ -33,7 +34,7 @@ from repro.proto.messages import (
     encode_message,
     encode_message_parts,
 )
-from repro.proto.session import WireSession, sendmsg_all
+from repro.proto.session import WireSession, parse_address, sendmsg_all
 from repro.proto.wire import (
     DEFAULT_MAX_FRAME_BYTES,
     FRAME_MIN_VERSION,
@@ -65,6 +66,7 @@ __all__ = [
     "encode_message",
     "encode_message_parts",
     "WireSession",
+    "parse_address",
     "sendmsg_all",
     "DEFAULT_MAX_FRAME_BYTES",
     "FRAME_MIN_VERSION",

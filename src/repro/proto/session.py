@@ -46,7 +46,7 @@ from repro.proto.wire import (
     negotiate_version,
 )
 
-__all__ = ["WireSession", "sendmsg_all"]
+__all__ = ["WireSession", "parse_address", "sendmsg_all"]
 
 #: scratch bigger than this after a send is released rather than kept
 #: (one huge dense frame must not pin its buffer for the connection's
@@ -282,6 +282,19 @@ class WireSession:
             f"WireSession({self.role}, negotiated={self.negotiated}, "
             f"pending={self.pending_bytes}B)"
         )
+
+
+def parse_address(address: str | tuple[str, int]) -> tuple[str, int]:
+    """``"host:port"`` (or an already-split tuple) → ``(host, port)``."""
+    if isinstance(address, tuple):
+        host, port = address
+        return str(host), int(port)
+    host, sep, port = str(address).rpartition(":")
+    if not sep or not host:
+        raise ValueError(
+            f"address must look like 'host:port', got {address!r}"
+        )
+    return host, int(port)
 
 
 def sendmsg_all(sock, parts) -> int:

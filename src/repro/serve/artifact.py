@@ -73,6 +73,7 @@ import zipfile
 from dataclasses import InitVar, dataclass, field
 from functools import cached_property
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -88,10 +89,12 @@ from repro.backend.packed import (
     pack_hypervectors,
     popcount,
 )
-from repro.hd.encoder import Encoder, encoder_from_config
 from repro.hd.model import HDModel
 from repro.hd.quantize import get_quantizer
 from repro.serve.engine import InferenceEngine
+
+if TYPE_CHECKING:
+    from repro.hd.encoder import Encoder
 
 __all__ = [
     "ModelArtifact",
@@ -804,6 +807,8 @@ class ModelArtifact:
         """Rebuild the recorded encoder (codebooks bit-identical), if any."""
         if self.encoder_config is None:
             return None
+        from repro.hd.encoder import encoder_from_config
+
         return encoder_from_config(self.encoder_config)
 
     def engine(

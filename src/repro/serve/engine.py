@@ -22,6 +22,8 @@ identical to dense on the same quantized operands.
 
 from __future__ import annotations
 
+from typing import TYPE_CHECKING
+
 import numpy as np
 
 from repro.backend import Backend, PackedBackend, PackedHV, get_backend
@@ -34,11 +36,12 @@ from repro.backend.packed import (
     popcount,
     support_digest,
 )
-from repro.hd.encode_pipeline import EncodePipeline
-from repro.hd.encoder import Encoder
 from repro.hd.model import HDModel
 from repro.hd.quantize import MaskedQuantizer, get_quantizer
 from repro.utils.validation import check_labels, check_positive_int
+
+if TYPE_CHECKING:
+    from repro.hd.encoder import Encoder
 
 __all__ = ["InferenceEngine", "MODEL_OBJECT_NBYTES"]
 
@@ -156,6 +159,9 @@ class InferenceEngine:
         self.pruned = keep_mask is not None
         self.encode_pipeline = None
         if encoder is not None:
+            # only the offline raw-feature path encodes; serving never does
+            from repro.hd.encode_pipeline import EncodePipeline
+
             if encoder.d_hv != self.d_hv:
                 raise ValueError(
                     f"encoder produces {encoder.d_hv}-dim hypervectors but "
