@@ -37,14 +37,10 @@ def logistic_squash(Z: np.ndarray, scale: float = 1.0) -> np.ndarray:
     dataset constructions in the differential-privacy experiments.
     """
     z = np.asarray(Z, dtype=np.float64) / scale
-    # Split by sign for numerical stability (avoids exp overflow warnings
-    # on extreme inputs while keeping exact symmetry).
-    out = np.empty_like(z)
-    pos = z >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
-    ez = np.exp(z[~pos])
-    out[~pos] = ez / (1.0 + ez)
-    return out
+    # exp(-|z|) never overflows: 1 / (1 + e^-z) for z >= 0 and
+    # e^z / (1 + e^z) below, with no masked copies.
+    e = np.exp(-np.abs(z))
+    return np.where(z >= 0, 1.0, e) / (1.0 + e)
 
 
 def make_cluster_features(

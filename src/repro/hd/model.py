@@ -21,6 +21,20 @@ from repro.utils.validation import check_2d, check_labels, check_positive_int
 __all__ = ["HDModel"]
 
 
+def add_rows(
+    out: np.ndarray, index: np.ndarray, rows: np.ndarray, *, op=np.add
+) -> None:
+    """``op.at(out, index, rows)`` one row at a time.
+
+    The same float64 adds into the same elements in the same order as
+    the scatter, so the result is bit-identical, but each row is one
+    vectorized ``d_hv``-wide add instead of ``d_hv`` indexed scalar ones.
+    """
+    for i, row in zip(index.tolist(), rows):
+        target = out[i]
+        op(target, row, out=target)
+
+
 class HDModel:
     """An HD classifier: one prototype hypervector per class.
 
@@ -89,14 +103,14 @@ class HDModel:
         """Add encodings into their class hypervectors (Eq. 3 / Eq. 5 '+')."""
         H = check_2d(encodings, "encodings", n_cols=self.d_hv)
         y = check_labels(labels, "labels", n_classes=self.n_classes)
-        np.add.at(self.class_hvs, y, H.astype(np.float64, copy=False))
+        add_rows(self.class_hvs, y, H)
         self._invalidate()
 
     def unbundle(self, encodings: np.ndarray, labels: np.ndarray) -> None:
         """Subtract encodings from class hypervectors (Eq. 5 '−')."""
         H = check_2d(encodings, "encodings", n_cols=self.d_hv)
         y = check_labels(labels, "labels", n_classes=self.n_classes)
-        np.subtract.at(self.class_hvs, y, H.astype(np.float64, copy=False))
+        add_rows(self.class_hvs, y, H, op=np.subtract)
         self._invalidate()
 
     def bundle_packed(self, packed: PackedHV, labels: np.ndarray) -> None:

@@ -184,8 +184,12 @@ class BipolarQuantizer(_QuantileQuantizer):
         # The paper's Eq. (13) is literally sign(); use it directly (with
         # the deterministic 0 → +1 tie-break) rather than a median cut so
         # that single-dimension edge cases behave like hardware.
-        H = np.asarray(encodings, dtype=np.float64)
-        return np.where(H >= 0, 1.0, -1.0).astype(np.float32)
+        # Compare in the input's own dtype: widening to float64 first
+        # keeps every sign (and NaN) as it is, so it only costs a copy.
+        H = np.asarray(encodings)
+        if H.dtype.kind not in "biuf":
+            H = H.astype(np.float64)
+        return np.where(H >= 0, np.float32(1.0), np.float32(-1.0))
 
 
 class TernaryQuantizer(_QuantileQuantizer):

@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.hd.encoder import Encoder
-from repro.hd.model import HDModel
+from repro.hd.model import HDModel, add_rows
 from repro.hd.quantize import EncodingQuantizer, get_quantizer
 from repro.utils.rng import RngLike, ensure_generator
 from repro.utils.validation import check_2d, check_labels, check_positive_int
@@ -235,9 +235,9 @@ def _streamed_epoch_pass(
         n_wrong += int(wrong.sum())
         n_correct += int((~wrong).sum())
         if wrong.any():
-            Hw = H[wrong].astype(np.float64, copy=False)
-            np.add.at(delta, y_chunk[wrong], Hw)
-            np.subtract.at(delta, preds[wrong], Hw)
+            Hw = H[wrong]
+            add_rows(delta, y_chunk[wrong], Hw)
+            add_rows(delta, preds[wrong], Hw, op=np.subtract)
     total = n_wrong + n_correct
     return n_correct / total, n_wrong, delta
 

@@ -374,6 +374,33 @@ class TestRetrainStreamed:
             stream_model.class_hvs, dense_model.class_hvs
         )
 
+    def test_delta_bit_identical_to_the_scatter(self, monkeypatch):
+        """Non-integer encodings, where add order matters: the row-order
+        delta equals the ``np.add.at``/``np.subtract.at`` one bit for bit."""
+        import repro.hd.train as train_mod
+
+        rng = spawn(5, "retrain-scatter")
+        H = rng.normal(size=(50, 64)) * 10.0
+        y = rng.integers(0, 3, 50)
+        model = HDModel.from_encodings(H[:10], y[:10], 3)
+
+        class Store:
+            n_rows = 50
+
+            def iter_chunks(self):
+                for lo in range(0, 50, 9):
+                    yield slice(lo, lo + 9), H[lo : lo + 9]
+
+        got, _ = retrain_streamed(model, Store(), y, epochs=3)
+
+        def scatter(out, index, rows, *, op=np.add):
+            op.at(out, index, rows.astype(np.float64, copy=False))
+
+        monkeypatch.setattr(train_mod, "add_rows", scatter)
+        want, _ = retrain_streamed(model, Store(), y, epochs=3)
+        assert not np.array_equal(got.class_hvs, model.class_hvs)
+        assert got.class_hvs.tobytes() == want.class_hvs.tobytes()
+
     def test_label_count_mismatch_rejected(self):
         model, _, y, store = self._setup()
         with pytest.raises(ValueError, match="labels"):

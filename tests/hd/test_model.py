@@ -52,6 +52,21 @@ class TestBundleUnbundle:
         m.unbundle(H, y)
         np.testing.assert_allclose(m.class_hvs, 0.0, atol=1e-12)
 
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32, np.int64])
+    def test_bit_identical_to_the_scatter(self, dtype):
+        """Row-order adds equal ``np.add.at``/``np.subtract.at`` bit for
+        bit: non-integer encodings, repeated labels, a non-empty store."""
+        rng = spawn(3, "model-scatter")
+        H = (rng.normal(size=(40, 33)) * 1e3).astype(dtype)
+        y = rng.integers(0, 4, 40)
+        start = rng.normal(size=(4, 33)) * 1e-3
+        for method, scatter in (("bundle", np.add), ("unbundle", np.subtract)):
+            m = HDModel(4, 33, start)
+            getattr(m, method)(H, y)
+            ref = start.copy()
+            scatter.at(ref, y, H.astype(np.float64))
+            assert m.class_hvs.tobytes() == ref.tobytes(), method
+
     def test_norm_cache_invalidated(self):
         m = HDModel(2, 4)
         m.bundle(np.ones((1, 4)), np.array([0]))

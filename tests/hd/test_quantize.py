@@ -78,6 +78,21 @@ class TestBipolar:
         out = BipolarQuantizer()(np.array([1.0, -1.0]))
         assert out.shape == (2,)
 
+    @pytest.mark.parametrize(
+        "dtype", [np.float16, np.float32, np.float64, np.int8, np.int64]
+    )
+    def test_own_dtype_compare_matches_float64(self, dtype):
+        """Comparing in the input's dtype gives the float64 answer: ±0.0
+        map to +1, NaN to -1, and the output is float32."""
+        row = [np.nan, -0.0, 0.0, -1.5, 2.5, -3.0, 7.0]
+        if np.issubdtype(dtype, np.integer):
+            row = [0, -1, 1, -128, 127, 0, -7]
+        H = np.array([row, row[::-1]]).astype(dtype)
+        want = np.where(H.astype(np.float64) >= 0, 1.0, -1.0).astype(np.float32)
+        out = BipolarQuantizer()(H)
+        assert out.dtype == np.float32
+        np.testing.assert_array_equal(out, want)
+
 
 class TestTernaryFamily:
     def test_ternary_level_probabilities(self):
