@@ -771,6 +771,12 @@ class PriveHDClient:
         words on the core the server holds, one concatenate of those
         instead, and at v5 of live words on the served support.
         """
+        if any(isinstance(b, LiveHV) for b in items):
+            raise ValueError(
+                "encoded queries must be dense rows or a PackedHV (such as "
+                "InferenceObfuscator.prepare_packed(X)), not a LiveHV; the "
+                "client derives live or core words itself"
+            )
         if all(isinstance(b, PackedHV) for b in items):
             self._check_d_hv({b.d for b in items})
             counts = tuple(len(b.signs) for b in items)

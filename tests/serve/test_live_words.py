@@ -316,6 +316,34 @@ def test_client_masking_on_its_own_ships_planes(encoder):
         api.close()
 
 
+@pytest.mark.parametrize("words", ["live", "core"])
+def test_encoded_entry_points_refuse_a_live_hv_up_front(encoder, words):
+    """A ``LiveHV`` (``prepare_packed(X, words=...)``) is the client's own
+    wire format, not an input: each encoded entry point refuses it with a
+    ValueError naming what it takes, and the connection keeps serving."""
+    art = _artifact(encoder, 7)
+    api, handle = _serve(art)
+    try:
+        with PriveHDClient(handle.address, encoder=encoder) as client:
+            live = client.obfuscator.prepare_packed(_X(4), words=words)
+            assert isinstance(live, LiveHV)
+            calls = (
+                client.predict_encoded,
+                client.scores_encoded,
+                lambda q: client.predict_encoded_many([q, q], wire_batch=2),
+            )
+            for call in calls:
+                with pytest.raises(ValueError, match="dense rows or a PackedHV"):
+                    call(live)
+            rows = client.obfuscator.prepare_packed(_X(4))
+            np.testing.assert_array_equal(
+                client.predict_encoded(rows), art.engine().predict(_planes(rows))
+            )
+    finally:
+        handle.close()
+        api.close()
+
+
 def _raw(address, versions):
     sock = socket.create_connection(address, timeout=10)
     sock.sendall(encode_message(Hello(versions=versions), version=1))
